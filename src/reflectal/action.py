@@ -9,19 +9,28 @@ family along the inward normal and the pointwise minimizer of the convex
 quadratic realizes the infimum at grid resolution.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .backward import apply_pi
 from .errors import ConstraintInfeasible, InfeasiblePath, SingularDiffusion
-from .forward import ReflectedTrajectory, TimeGrid, integrate_skeleton_ode
+from .forward import ReflectedTrajectory, integrate_skeleton_ode
 from .geometry import project
 
 __all__ = ["ActionResult", "OptimizerOptions", "evaluate_action",
            "minimize_action_endpoint", "contracted_rate"]
 
 _EIG_FLOOR = 1e-10
+
+_FD_REL_STEP = 1e-6     # finite-difference step, times max(diameter, 1)
+_INIT_STEP = 0.5
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
+_MAX_BACKTRACKS = 30
+_STALL_LIMIT = 50       # consecutive rejected iterations before giving up
+_PENALTIES = (10.0, 100.0, 1e3, 1e4, 1e5)   # contracted_rate's continuation
+_VIOLATION_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -36,17 +45,7 @@ class ActionResult:
 @dataclass(frozen=True)
 class OptimizerOptions:
     max_iter: int = 400
-    fd_rel_step: float = 1e-6       # finite-difference step, times diameter
-    init_step: float = 0.5
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 30
-    stall_limit: int = 50
     grad_tol: float = 1e-10
-    penalty0: float = 10.0
-    penalty_factor: float = 10.0
-    penalty_stages: int = 5
-    violation_tol: float = 1e-3
 
 
 def _as_path(psi):
@@ -116,11 +115,11 @@ def _projected_descent(objective, path0, domain, pin_last, opts):
     n1, d = path.shape
     free_lo = 1
     free_hi = n1 - 1 if pin_last else n1
-    fd = opts.fd_rel_step * max(domain.diameter, 1.0)
+    fd = _FD_REL_STEP * max(domain.diameter, 1.0)
 
     value = objective(path)
     log = [(0, value, 0.0)]
-    step = opts.init_step
+    step = _INIT_STEP
     stalls = 0
     stalled = False
     for it in range(1, opts.max_iter + 1):
@@ -142,24 +141,24 @@ def _projected_descent(objective, path0, domain, pin_last, opts):
             break
         accepted = False
         eta = step
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             trial = path.copy()
             trial[free_lo:free_hi] = project(
                 domain, path[free_lo:free_hi] - eta * grad[free_lo:free_hi])
             tv = objective(trial)
-            if tv <= value - opts.armijo_c * eta * gnorm2:
+            if tv <= value - _ARMIJO_C * eta * gnorm2:
                 path, value = trial, tv
                 accepted = True
                 step = min(eta * 2.0, 1e3)
                 break
-            eta *= opts.backtrack
+            eta *= _BACKTRACK
         log.append((it, value, eta if accepted else 0.0))
         if accepted:
             stalls = 0
         else:
             stalls += 1
             step = max(eta, 1e-16)
-            if stalls >= opts.stall_limit:
+            if stalls >= _STALL_LIMIT:
                 stalled = True
                 break
     return path, value, log, stalled
@@ -171,8 +170,11 @@ def minimize_action_endpoint(coeffs, domain, s, x, y, T, grid, opts=None):
     Minimizes over the interior nodes of a discretized path from x to y;
     every iterate is feasible, so the returned value certifies an upper
     bound. Returns (ActionResult, info) where info carries the iteration
-    log and a `stalled` flag when the line search gave up.
+    log and a `stalled` flag when the line search gave up. T must be the
+    grid's end time.
     """
+    if T != grid.T:
+        raise ValueError(f"T = {T} does not match the grid's end time {grid.T}")
     opts = opts or OptimizerOptions()
     x = np.atleast_1d(np.asarray(x, float))
     y = np.atleast_1d(np.asarray(y, float))
@@ -216,31 +218,21 @@ def contracted_rate(coeffs, domain, field_limit, gamma, s, x, grid=None,
     if gamma.shape[0] != grid.n_steps + 1:
         raise ValueError("gamma length does not match the grid")
 
-    skel = integrate_skeleton_ode(coeffs, domain, s, x, grid)
-    path0 = skel.x_path
-
-    def violation(p):
-        return float(np.max(np.abs(apply_pi(field_limit, p) - gamma)))
-
-    pen = opts.penalty0
-    path = path0
-    for _ in range(opts.penalty_stages):
-        pen_now = pen
-
-        def objective(p, _pen=pen_now):
+    path = integrate_skeleton_ode(coeffs, domain, s, x, grid).x_path
+    for pen in _PENALTIES:
+        def objective(p, _pen=pen):
             mismatch = apply_pi(field_limit, p) - gamma
             return (evaluate_action(coeffs, domain, p, grid).action
                     + _pen * float(np.sum(mismatch**2)))
 
         path, _, _, _ = _projected_descent(
             objective, path, domain, pin_last=False, opts=opts)
-        pen *= opts.penalty_factor
 
-    viol = violation(path)
-    if viol > opts.violation_tol:
+    viol = float(np.max(np.abs(apply_pi(field_limit, path) - gamma)))
+    if viol > _VIOLATION_TOL:
         raise ConstraintInfeasible(
             f"constraint violation {viol:.3e} exceeds "
-            f"{opts.violation_tol:.1e}; preimage is empty at this resolution")
+            f"{_VIOLATION_TOL:.1e}; preimage is empty at this resolution")
     result = evaluate_action(coeffs, domain, path, grid)
     return {"s_prime": result.action, "argmin_psi": path,
             "violation": viol, "action_result": result}

@@ -10,17 +10,20 @@ the (X, K) coupling.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .errors import FixedPointDivergence, NumericalBlowup, OutOfLattice
-from .forward import TimeGrid, _reflected_core
+from .forward import TimeGrid, _brownian, _reflected_core, trajectory_rng
 from .geometry import project
 
 __all__ = ["BsdePath", "ValueField", "make_lattice", "solve_limit_bsde",
            "solve_bsde_grid", "limit_value_field", "apply_pi"]
+
+_MAX_FP_ITER = 20      # fixed-point iterations per implicit backward step
+_FP_TOL = 1e-10        # sup-norm change that ends the fixed-point iteration
+_PI_TOL = 1e-9         # slack of apply_pi's lattice-hull and time-range checks
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ def solve_limit_bsde(coeffs, skeleton):
 
 
 def solve_bsde_grid(coeffs, domain, epsilon, times, space_grid, mc_per_node,
-                    rng_seed, max_fp_iter=20, fp_tol=1e-10):
+                    rng_seed):
     """Lattice dynamic programming for the generalized BSDE, epsilon > 0.
 
     space_grid is a tuple of per-axis node arrays (see make_lattice).
@@ -120,9 +123,8 @@ def solve_bsde_grid(coeffs, domain, epsilon, times, space_grid, mc_per_node,
         # one-step reflected transitions from every node, own stream each
         dW = np.empty((N, mc_per_node, m))
         for j in range(N):
-            g = np.random.default_rng(
-                np.random.SeedSequence(rng_seed, spawn_key=(i, j)))
-            dW[j] = g.standard_normal((mc_per_node, m)) * np.sqrt(dt)
+            dW[j] = _brownian(trajectory_rng(rng_seed, (i, j)),
+                              (mc_per_node, m), dt)
         drift = coeffs.b(t, sim_start)                     # (N, d)
         sig = coeffs.sigma(t, sim_start)                   # (N, d, m)
         prop = (sim_start[:, None, :] + drift[:, None, :] * dt
@@ -139,22 +141,19 @@ def solve_bsde_grid(coeffs, domain, epsilon, times, space_grid, mc_per_node,
         kbar = dk.mean(axis=1)[:, None]                    # (N, 1)
         z_hat = np.einsum("nck,ncm->nkm", u_next, dW) / (mc_per_node * dt)
 
-        y = base.copy()
-        converged = False
-        delta = np.zeros_like(y)
-        for _ in range(max_fp_iter):
+        y = base
+        for _ in range(_MAX_FP_ITER):
             y_new = (base + coeffs.f(t, sim_start, y, z_hat) * dt
                      + coeffs.g(t, sim_start, y) * kbar)
             delta = np.abs(y_new - y)
             y = y_new
-            if float(delta.max()) < fp_tol:
-                converged = True
+            if float(delta.max()) < _FP_TOL:
                 break
-        if not converged:
+        else:
             worst = int(np.argmax(delta.max(axis=-1)))
             raise FixedPointDivergence(
                 f"implicit step at t={t:.6g}, node {sim_start[worst]} "
-                f"did not converge within {max_fp_iter} iterations")
+                f"did not converge within {_MAX_FP_ITER} iterations")
         if not np.all(np.isfinite(y)):
             raise NumericalBlowup("value slice became non-finite")
         values[i] = y
@@ -177,7 +176,7 @@ def limit_value_field(coeffs, domain, times, space_grid):
     values[n] = coeffs.h(starts)
     for i in range(n - 1, -1, -1):
         sub = TimeGrid(s=t_nodes[i], T=times.T, n_steps=n - i)
-        xp, kp, _ = _reflected_core(coeffs, domain, sub.s, starts, 0.0, sub, None)
+        xp, kp, _ = _reflected_core(coeffs, domain, starts, 0.0, sub, None)
         terminal = coeffs.h(xp[:, -1])
         y = _backward_recursion(coeffs, sub.nodes, xp, kp, terminal)
         values[i] = y[:, 0]
@@ -186,7 +185,7 @@ def limit_value_field(coeffs, domain, times, space_grid):
                       epsilon=0.0)
 
 
-def apply_pi(field, path_values, path_times=None, tol=1e-9):
+def apply_pi(field, path_values, path_times=None):
     """Read the value field along a constrained path (multilinear in time
     and space). path_values: (..., n+1, d); path_times defaults to the
     field's own time nodes. Returns (..., n+1, k)."""
@@ -198,11 +197,11 @@ def apply_pi(field, path_values, path_times=None, tol=1e-9):
         raise ValueError("path dimension does not match the field lattice")
     lo = np.array([ax[0] for ax in field.axes])
     hi = np.array([ax[-1] for ax in field.axes])
-    if np.any(vals < lo - tol) or np.any(vals > hi + tol):
+    if np.any(vals < lo - _PI_TOL) or np.any(vals > hi + _PI_TOL):
         raise OutOfLattice("path leaves the lattice hull")
     clipped = np.clip(vals, lo, hi)
     t_lo, t_hi = field.times.s, field.times.T
-    if np.any(t_nodes < t_lo - tol) or np.any(t_nodes > t_hi + tol):
+    if np.any(t_nodes < t_lo - _PI_TOL) or np.any(t_nodes > t_hi + _PI_TOL):
         raise OutOfLattice("path times leave the field's time range")
     tq = np.broadcast_to(np.clip(t_nodes, t_lo, t_hi),
                          vals.shape[:-1])[..., None]

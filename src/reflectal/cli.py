@@ -17,13 +17,12 @@ import shutil
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
-from .action import (OptimizerOptions, contracted_rate, evaluate_action,
-                     minimize_action_endpoint)
+from .action import contracted_rate, evaluate_action, minimize_action_endpoint
 from .backward import (apply_pi, limit_value_field, make_lattice,
                        solve_bsde_grid, solve_limit_bsde)
 from .coefficients import PRESET_NAMES, audit_assumptions, preset
@@ -60,7 +59,6 @@ class ExperimentConfig:
     mc_per_node: int = 256
     space_nodes: int = 33
     field_steps: int = 128
-    tolerances: dict = field(default_factory=dict)
 
 
 def serialize(config):
@@ -136,7 +134,6 @@ def validate(config_text):
         mc_per_node=int(raw.get("mc_per_node", 256)),
         space_nodes=int(raw.get("space_nodes", 33)),
         field_steps=int(raw.get("field_steps", 128)),
-        tolerances=dict(raw.get("tolerances", {})),
     )
 
     if not cfg.s < cfg.T:
@@ -145,6 +142,15 @@ def validate(config_text):
         raise ConfigInvalid("/s", "start time must be >= 0")
     if cfg.n_steps < 1:
         raise ConfigInvalid("/grid/n_steps", "must be >= 1")
+    if not cfg.eps >= 0:
+        raise ConfigInvalid("/eps", f"must be >= 0, got {cfg.eps}")
+    if cfg.n_paths < 1:
+        raise ConfigInvalid("/n_paths", "must be >= 1")
+    if cfg.workers < 1:
+        raise ConfigInvalid("/workers", "must be >= 1")
+    if float(cfg.preset_params.get("T", cfg.T)) != cfg.T:
+        raise ConfigInvalid("/preset/params/T",
+                            f"must equal the config's T = {cfg.T}")
     if cfg.target not in TARGETS:
         raise ConfigInvalid("/target", f"must be one of {TARGETS}")
     try:
@@ -388,8 +394,7 @@ def main(argv=None):
         env_seed = os.environ.get("REFLECTAL_SEED")
         if env_seed is not None:
             overrides["seed"] = int(env_seed)
-        cfg = ExperimentConfig(**{**asdict(cfg), **overrides})
-        run(cfg)
+        run(validate(serialize(replace(cfg, **overrides))))
     except ReflectalError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

@@ -20,6 +20,8 @@ from .geometry import sample_closure
 __all__ = ["CoefficientSet", "AssumptionAudit", "audit_assumptions",
            "preset", "PRESET_NAMES"]
 
+_IOTA_FLOOR = 1e-10   # smallest eigenvalue of sigma sigma* passing audit H2
+
 
 @dataclass(frozen=True)
 class CoefficientSet:
@@ -54,8 +56,7 @@ def _pair_quotient(num, den, floor=1e-30):
     return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
 
 
-def audit_assumptions(coeffs, domain, grid=None, rng_seed=0, strict=False,
-                      iota_floor=1e-10):
+def audit_assumptions(coeffs, domain, grid=None, rng_seed=0, strict=False):
     """Estimate the Lipschitz/growth constants of (b, sigma), the ellipticity
     lower bound of sigma sigma*, and check the one-sided monotonicity and
     growth inequalities of the backward drivers on a sampled grid.
@@ -103,7 +104,7 @@ def audit_assumptions(coeffs, domain, grid=None, rng_seed=0, strict=False,
         ev = np.linalg.eigvalsh(a)[..., 0]
         iota = min(iota, float(np.min(ev)))
     iota = max(iota, 0.0)
-    pass_h2 = iota >= iota_floor
+    pass_h2 = iota >= _IOTA_FLOOR
     if not pass_h2:
         flags.append(f"H2 ellipticity floor not met: iota={iota:.3e}")
 

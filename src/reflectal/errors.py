@@ -49,24 +49,12 @@ class InfeasiblePath(ReflectalError):
     """Path leaves the closed domain, so its action is +infinity."""
 
 
-class NoDescent(ReflectalError):
-    """Line search stalled; carries the best iterate found so far."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
-
 class ConstraintInfeasible(ReflectalError):
     """Penalty continuation could not drive the constraint violation below tolerance."""
 
 
 class InsufficientPaths(ReflectalError):
     """Monte Carlo standard error too large for a trustworthy estimate."""
-
-
-class ZeroHits(ReflectalError):
-    """No exceedance events observed at some noise level."""
 
 
 class DegenerateFit(ReflectalError):

@@ -9,10 +9,11 @@ boundary. With epsilon = 0 the same code path is the skeleton ODE, so the
 noise-free reduction is bitwise.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .coefficients import CoefficientSet
 from .errors import MissingNoise, NumericalBlowup, StartOutsideDomain
 from .geometry import project
 
@@ -79,16 +80,28 @@ def trajectory_rng(seed, index=0):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _check_finite(arr, what):
-    if not np.all(np.isfinite(arr)):
-        raise NumericalBlowup(f"non-finite {what} encountered")
+def _brownian(rng, shape, dt):
+    """Brownian increments over steps of length dt, drawn in row-major order."""
+    return rng.standard_normal(shape) * np.sqrt(dt)
 
 
-def _reflected_core(coeffs, domain, s, x0, epsilon, grid, noise):
-    """Batch projection Euler. x0: (B, d); noise: (B, n, m) or None.
+def _stream_noise(rng_stream, epsilon, grid, m):
+    """(1, n, m) increments from rng_stream, or None when epsilon is not > 0."""
+    if not epsilon > 0:
+        return None
+    if rng_stream is None:
+        raise ValueError("epsilon > 0 requires an rng_stream")
+    return _brownian(rng_stream, (1, grid.n_steps, m), grid.dt)
+
+
+def _reflected_core(coeffs, domain, x0, epsilon, grid, noise):
+    """Batch projection Euler, the one loop behind every forward path.
+    x0: (B, d); noise: (B, n, m) or None.
 
     Returns x_path (B, n+1, d), k_path (B, n+1), dirs (B, n, d).
     """
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
     d, m, _ = coeffs.dims
     n = grid.n_steps
     dt = grid.dt
@@ -108,8 +121,8 @@ def _reflected_core(coeffs, domain, s, x0, epsilon, grid, noise):
             sig = coeffs.sigma(t, X)
             prop = prop + sq * np.einsum("...dm,...m->...d", sig, noise[:, i])
         if not np.all(np.isfinite(prop)):
-            _check_finite(drift, "drift")
-            _check_finite(prop, "state proposal")
+            what = "state proposal" if np.all(np.isfinite(drift)) else "drift"
+            raise NumericalBlowup(f"non-finite {what} encountered")
         Xn = project(domain, prop)
         corr = Xn - prop
         dk = np.linalg.norm(corr, axis=-1)
@@ -129,17 +142,9 @@ def integrate_reflected_sde(coeffs, domain, s, x, epsilon, grid, rng_stream=None
     With epsilon = 0 this is exactly the skeleton ODE (no noise is drawn, so
     the outputs agree bitwise with integrate_skeleton_ode).
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
     x0 = np.atleast_1d(np.asarray(x, float))[None, :]
-    d, m, _ = coeffs.dims
-    if epsilon > 0:
-        if rng_stream is None:
-            raise ValueError("epsilon > 0 requires an rng_stream")
-        noise = rng_stream.standard_normal((1, grid.n_steps, m)) * np.sqrt(grid.dt)
-    else:
-        noise = None
-    xp, kp, dirs = _reflected_core(coeffs, domain, s, x0, epsilon, grid, noise)
+    noise = _stream_noise(rng_stream, epsilon, grid, coeffs.dims[1])
+    xp, kp, dirs = _reflected_core(coeffs, domain, x0, epsilon, grid, noise)
     return ReflectedTrajectory(
         grid=grid, x_path=xp[0], k_path=kp[0], k_increment_dirs=dirs[0],
         noise=None if noise is None else noise[0], epsilon=float(epsilon))
@@ -160,63 +165,45 @@ def simulate_reflected_batch(coeffs, domain, s, x, epsilon, grid, seed,
                          (n_paths, d)).copy()
     if epsilon > 0:
         noise = np.empty((n_paths, grid.n_steps, m))
-        root = np.sqrt(grid.dt)
         for j in range(n_paths):
             g = trajectory_rng(seed, tuple(key_prefix) + (index_offset + j,))
-            noise[j] = g.standard_normal((grid.n_steps, m)) * root
+            noise[j] = _brownian(g, (grid.n_steps, m), grid.dt)
     else:
         noise = None
-    xp, kp, _ = _reflected_core(coeffs, domain, s, x0, epsilon, grid, noise)
+    xp, kp, _ = _reflected_core(coeffs, domain, x0, epsilon, grid, noise)
     return xp, kp
 
 
 def integrate_free_sde(coeffs, domain, s, x, epsilon, grid, rng_stream=None):
-    """Plain Euler-Maruyama without projection (the boundary-free companion)."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    d, m, _ = coeffs.dims
-    n = grid.n_steps
-    dt = grid.dt
-    nodes = grid.nodes
-    X = np.atleast_1d(np.asarray(x, float)).copy()
-    vals = np.empty((n + 1, d))
-    vals[0] = X
-    sq = np.sqrt(epsilon)
-    if epsilon > 0 and rng_stream is None:
-        raise ValueError("epsilon > 0 requires an rng_stream")
-    for i in range(n):
-        t = nodes[i]
-        X = X + coeffs.b(t, X) * dt
-        if epsilon > 0:
-            dW = rng_stream.standard_normal(m) * np.sqrt(dt)
-            X = X + sq * (coeffs.sigma(t, vals[i]) @ dW)
-        _check_finite(X, "free state")
-        vals[i + 1] = X
-    return FreePath(grid=grid, values=vals)
+    """Plain Euler-Maruyama without projection (the boundary-free companion):
+    the projection scheme with the identity as its projection."""
+    x0 = np.atleast_1d(np.asarray(x, float))[None, :]
+    noise = _stream_noise(rng_stream, epsilon, grid, coeffs.dims[1])
+    free = replace(domain, project_point=lambda p: p)
+    xp, _, _ = _reflected_core(coeffs, free, x0, epsilon, grid, noise)
+    return FreePath(grid=grid, values=xp[0])
 
 
 def skorokhod_map(domain, phi_path):
-    """Constrain a free path to the closed domain by iterated projection.
+    """Constrain a free path to the closed domain by iterated projection:
+    the projection scheme with b = 0, sigma = I, epsilon = 1 and the free
+    path's increments as the noise.
 
     Returns the decomposition psi = phi + rho where rho collects the applied
-    corrections; psi - rho reconstructs the input exactly.
+    corrections; psi - rho reconstructs the input to roundoff.
     """
     vals = np.asarray(phi_path.values, float)
     if domain.signed_distance(vals[0]) < -domain.boundary_tol:
         raise StartOutsideDomain("free path must start in the closed domain")
-    n = vals.shape[0] - 1
-    psi = np.empty_like(vals)
-    rho = np.zeros_like(vals)
-    tv = np.zeros(n + 1)
-    psi[0] = project(domain, vals[0])
-    rho[0] = psi[0] - vals[0]
-    for i in range(n):
-        prop = psi[i] + (vals[i + 1] - vals[i])
-        psi[i + 1] = project(domain, prop)
-        corr = psi[i + 1] - prop
-        rho[i + 1] = rho[i] + corr
-        tv[i + 1] = tv[i] + np.linalg.norm(corr)
-    return SkorokhodDecomposition(psi=psi, rho=rho, total_variation=tv)
+    d = vals.shape[1]
+    unit = CoefficientSet(
+        b=lambda t, x: np.zeros_like(x),
+        sigma=lambda t, x: np.broadcast_to(np.eye(d), x.shape + (d,)),
+        f=None, g=None, h=None, dims=(d, d, 0), T=phi_path.grid.T)
+    psi, tv, _ = _reflected_core(unit, domain, project(domain, vals[:1]), 1.0,
+                                 phi_path.grid, np.diff(vals, axis=0)[None])
+    return SkorokhodDecomposition(psi=psi[0], rho=psi[0] - vals,
+                                  total_variation=tv[0])
 
 
 def reflection_budget_identity(coeffs, domain, traj):
@@ -240,16 +227,13 @@ def reflection_budget_identity(coeffs, domain, traj):
     X = traj.x_path
     grid = traj.grid
     dt = grid.dt
-    nodes = grid.nodes
-    n = grid.n_steps
     left = X[:-1]
-    t_left = nodes[:-1]
+    t_left = grid.nodes[:-1]
     g = domain.grad_phi(left)                       # (n, d)
-    b = np.stack([coeffs.b(t_left[i], left[i]) for i in range(n)])
-    drift_term = np.sum(g * b, axis=-1) * dt        # (n,)
-    increments = drift_term
+    b = coeffs.b(t_left, left)                      # (n, d)
+    increments = np.sum(g * b, axis=-1) * dt        # (n,)
     if eps > 0:
-        sig = np.stack([coeffs.sigma(t_left[i], left[i]) for i in range(n)])
+        sig = coeffs.sigma(t_left, left)            # (n, d, m)
         hess = domain.hess_phi(left)                # (n, d, d)
         sdw = np.einsum("ndm,nm->nd", sig, traj.noise)
         quad = np.einsum("nd,nde,ne->n", sdw, hess, sdw)

@@ -21,6 +21,9 @@ from .errors import AuditFailure, InvalidShape
 
 __all__ = ["DomainSpec", "make_domain", "project", "verify_convexity"]
 
+_ALPHA = 1e-8              # convexity slack absorbing roundoff in audits
+_BOUNDARY_REL_TOL = 1e-9   # on-boundary tolerance, times the diameter
+
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -43,15 +46,6 @@ class DomainSpec:
     params: dict = field(default_factory=dict)
     signed_distance: Callable = None
     project_point: Callable = None
-
-    def contains(self, p, tol=None):
-        """True where p lies in the closed domain up to tol."""
-        tol = self.boundary_tol if tol is None else tol
-        return self.signed_distance(np.asarray(p, float)) >= -tol
-
-    def on_boundary(self, p, tol=None):
-        tol = self.boundary_tol if tol is None else tol
-        return np.abs(self.signed_distance(np.asarray(p, float))) <= tol
 
 
 def _ramp(t, w, m):
@@ -79,13 +73,12 @@ def _ramp_d2(t, w, m):
     return np.where(t <= w, 0.0, (-6.0 * u + 6.0 * u**2) / (m - w))
 
 
-def _make_interval(a, b, alpha, boundary_tol):
+def _make_interval(a, b):
     if not b > a:
         raise InvalidShape(f"interval requires a < b, got [{a}, {b}]")
     half = 0.5 * (b - a)
     w = 0.5 * half  # exact signed distance within (b-a)/4 of the boundary
     diam = b - a
-    tol = boundary_tol if boundary_tol is not None else 1e-9 * diam
 
     def dist(p):
         p = np.asarray(p, float)
@@ -113,19 +106,18 @@ def _make_interval(a, b, alpha, boundary_tol):
 
     return DomainSpec(
         kind="interval", dimension=1, phi=phi, grad_phi=grad, hess_phi=hess,
-        alpha=alpha, boundary_tol=tol, diameter=diam,
+        alpha=_ALPHA, boundary_tol=_BOUNDARY_REL_TOL * diam, diameter=diam,
         params={"a": float(a), "b": float(b)},
         signed_distance=dist, project_point=proj)
 
 
-def _make_ball(center, radius, alpha, boundary_tol):
+def _make_ball(center, radius):
     if not radius > 0:
         raise InvalidShape(f"ball requires r > 0, got {radius}")
     c = np.atleast_1d(np.asarray(center, float))
     d = c.size
     w = 0.5 * radius
     diam = 2.0 * radius
-    tol = boundary_tol if boundary_tol is not None else 1e-9 * diam
 
     def dist(p):
         p = np.asarray(p, float)
@@ -167,27 +159,22 @@ def _make_ball(center, radius, alpha, boundary_tol):
 
     return DomainSpec(
         kind="ball", dimension=d, phi=phi, grad_phi=grad, hess_phi=hess,
-        alpha=alpha, boundary_tol=tol, diameter=diam,
+        alpha=_ALPHA, boundary_tol=_BOUNDARY_REL_TOL * diam, diameter=diam,
         params={"center": c.tolist(), "radius": float(radius)},
         signed_distance=dist, project_point=proj)
 
 
-def make_domain(kind, *, a=None, b=None, center=None, radius=None,
-                alpha=1e-8, boundary_tol=None):
-    """Build a DomainSpec for an interval or a ball.
-
-    alpha defaults to a small positive slack: convex shapes satisfy the
-    boundary inequality with alpha = 0, the slack absorbs roundoff in audits.
-    """
+def make_domain(kind, *, a=None, b=None, center=None, radius=None):
+    """Build a DomainSpec for an interval or a ball."""
     kind = str(kind).lower()
     if kind == "interval":
         if a is None or b is None:
             raise InvalidShape("interval requires endpoints a and b")
-        return _make_interval(float(a), float(b), alpha, boundary_tol)
+        return _make_interval(float(a), float(b))
     if kind == "ball":
         if center is None or radius is None:
             raise InvalidShape("ball requires center and radius")
-        return _make_ball(center, radius, alpha, boundary_tol)
+        return _make_ball(center, radius)
     raise InvalidShape(f"unknown domain kind {kind!r}")
 
 

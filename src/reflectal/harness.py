@@ -23,6 +23,11 @@ __all__ = ["ConvergenceReport", "TailReport", "convergence_study",
 
 TARGETS = ("X4", "K4", "Y4", "Kmoment", "Kexp")
 _CHUNK = 2048
+_KMOMENT_POWER = 4      # Kmoment estimates E[(sup K)^4]
+_KEXP_BETA = 1.0        # Kexp estimates E[exp(beta K_T)]
+_MAX_REL_SE = 0.2       # largest relative standard error a level may report
+_PILOT_PATHS = 1000     # tail pilot at the smallest epsilon
+_OPT_STEPS = 64         # time steps of the tail certificate's optimizer grid
 
 
 @dataclass(frozen=True)
@@ -107,9 +112,8 @@ def _validate_ladder(eps_ladder):
 
 
 def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
-                      grid, rng_seed, workers=1, beta=1.0, p_moment=4,
-                      field_steps=128, field_nodes=33, mc_per_node=1024,
-                      max_rel_se=0.2):
+                      grid, rng_seed, workers=1, field_steps=128,
+                      field_nodes=33, mc_per_node=1024):
     """Estimate the target moment at every ladder level and fit its
     log-log slope (X4/K4/Y4) or report the per-level bound (Kmoment/Kexp).
     """
@@ -137,10 +141,10 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
                 return np.abs(kp - skel.k_path[None]).max(axis=1) ** 4
         elif target == "Kmoment":
             def stat(xp, kp):
-                return kp.max(axis=1) ** p_moment
+                return kp.max(axis=1) ** _KMOMENT_POWER
         elif target == "Kexp":
             def stat(xp, kp):
-                return np.exp(beta * kp[:, -1])
+                return np.exp(_KEXP_BETA * kp[:, -1])
         else:  # Y4: sup_t E|Y_t - psi_t|^4 with Y_t = u^eps(t, X_t)
             field = solve_bsde_grid(coeffs, domain, e, field_grid, lattice,
                                     mc_per_node, rng_seed + 7919 * (ei + 1))
@@ -162,10 +166,10 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
             se = float(samples.std(ddof=1) / np.sqrt(n_paths))
         errors.append(mean)
         halfwidths.append(se)
-        if mean > 0 and se / mean > max_rel_se:
+        if mean > 0 and se / mean > _MAX_REL_SE:
             raise InsufficientPaths(
                 f"relative standard error {se / mean:.2f} at eps={e} "
-                f"exceeds {max_rel_se}")
+                f"exceeds {_MAX_REL_SE}")
 
     if target in ("X4", "K4", "Y4"):
         if min(errors) <= 0.0:
@@ -211,7 +215,7 @@ def _exceedance_certificate(coeffs, domain, s, x, delta, grid_opt):
 
 
 def tail_study(coeffs, domain, s, x, delta, eps_ladder, n_paths, grid,
-               rng_seed, workers=1, pilot_paths=1000, opt_steps=64):
+               rng_seed, workers=1):
     """Estimate P(sup_t |X^eps - skeleton| >= delta) along the ladder and
     compare eps ln p_hat against the variational certificate -S*."""
     eps = _validate_ladder(eps_ladder)
@@ -225,7 +229,7 @@ def tail_study(coeffs, domain, s, x, delta, eps_ladder, n_paths, grid,
     # asymptotics of eps ln p are already monotone.
     adjusted = False
     sups = _per_path_stats(coeffs, domain, s, x, float(eps[-1]), grid,
-                           rng_seed, (len(eps), 0), pilot_paths, stat, workers)
+                           rng_seed, (len(eps), 0), _PILOT_PATHS, stat, workers)
     p_pilot = float(np.mean(sups >= delta))
     if not (1e-4 <= p_pilot <= 1e-1):
         delta = float(np.quantile(sups, 0.90))
@@ -247,7 +251,7 @@ def tail_study(coeffs, domain, s, x, delta, eps_ladder, n_paths, grid,
         eps_log_p.append(float(e * np.log(p)))
         ses.append(float(np.sqrt(p * (1 - p) / n_paths)))
 
-    grid_opt = TimeGrid(s=s, T=grid.T, n_steps=opt_steps)
+    grid_opt = TimeGrid(s=s, T=grid.T, n_steps=_OPT_STEPS)
     s_star = _exceedance_certificate(coeffs, domain, s, x, delta, grid_opt)
     return TailReport(
         epsilons=tuple(float(v) for v in eps),

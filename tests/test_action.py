@@ -257,3 +257,10 @@ class TestContractedRate:
             cost = evaluate_action(co, dom, psi, times).action
             out = contracted_rate(co, dom, field, gamma, 0.0, [0.5], times)
             assert out["s_prime"] <= cost + 1e-6
+
+
+def test_minimize_endpoint_rejects_inconsistent_T():
+    grid = TimeGrid(0.0, 1.0, 8)
+    with pytest.raises(ValueError, match="end time"):
+        minimize_action_endpoint(preset("zero-drift-unit-noise"),
+                                 unit_interval(), 0.0, [0.5], [0.9], 2.0, grid)

@@ -164,3 +164,85 @@ class TestMain:
         assert b == c          # and stays deterministic
         m = json.load(open(os.path.join(out2, "manifest.json")))
         assert m["seed"] == 99
+
+
+class TestValidateRejects:
+    @pytest.mark.parametrize("over, field", [
+        ({"eps": -1.0}, "/eps"),
+        ({"eps": float("nan")}, "/eps"),
+        ({"n_paths": 0}, "/n_paths"),
+        ({"workers": -3}, "/workers"),
+        ({"T": 1.0, "preset": {"name": "constant-drift",
+                               "params": {"v": 1.0, "T": 5.0}}},
+         "/preset/params/T"),
+    ])
+    def test_bad_value_rejected(self, over, field):
+        with pytest.raises(ConfigInvalid) as exc:
+            validate(base_config(**over))
+        assert exc.value.field == field
+
+    def test_matching_preset_T_accepted(self):
+        cfg = validate(base_config(T=2.0, preset={
+            "name": "constant-drift", "params": {"v": 1.0, "T": 2.0}}))
+        assert cfg.preset_params["T"] == 2.0
+
+    def test_command_line_override_validated(self, tmp_path, capsys):
+        p = tmp_path / "run.json"
+        p.write_bytes(base_config(grid={"n_steps": 16}))
+        out = tmp_path / "out"
+        rc = main(["skeleton", "--config", str(p), "--out", str(out),
+                   "--workers", "-3"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigInvalid"
+        assert err["message"].startswith("/workers")
+        assert not out.exists()
+
+
+INTERVAL = {"kind": "interval", "a": 0.0, "b": 1.0}
+UNIT_NOISE = {"name": "zero-drift-unit-noise"}
+
+# tiny configs for the commands that the tests above do not run; each entry
+# lists the expected output files with their CSV headers
+SMALL_COMMANDS = {
+    "bsde-limit": (
+        {"preset": {"name": "linear-bsde"}, "grid": {"n_steps": 32}},
+        {"bsde-limit.csv": "t,y_1"}),
+    "bsde-grid": (
+        {"preset": {"name": "linear-bsde"}, "eps": 0.05, "space_nodes": 5,
+         "field_steps": 4, "mc_per_node": 64},
+        {"bsde-grid.csv": "t,x_1,u_1"}),
+    "action-eval": (
+        {"grid": {"n_steps": 32}},
+        {"action-eval.csv": "t,psi_1,phi_1,integrand"}),
+    "action-min": (
+        {"preset": UNIT_NOISE, "y": 0.8, "grid": {"n_steps": 8}},
+        {"action-min.csv": "iter,action,step,violation",
+         "action-min-path.csv": "t,psi_1"}),
+    "contracted-rate": (
+        {"preset": UNIT_NOISE, "space_nodes": 5, "field_steps": 4},
+        {"contracted-rate.csv": "t,psi_1"}),
+    "tail": (
+        {"preset": UNIT_NOISE, "n_paths": 200, "grid": {"n_steps": 16},
+         "delta": 0.3},
+        {"tail.csv": "eps,delta,p_hat,eps_log_p,se"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_COMMANDS))
+def test_command_outputs_and_rerun(command, tmp_path):
+    over, expected = SMALL_COMMANDS[command]
+    texts = []
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        manifest = run(validate(base_config(command=command, domain=INTERVAL,
+                                            output_dir=str(out), **over)))
+        assert sorted(manifest["outputs"]) == sorted(expected)
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            list(expected) + ["manifest.json"])
+        for name, header in expected.items():
+            lines = (out / name).read_text().splitlines()
+            assert lines[0] == header
+            assert manifest["outputs"][name]["rows"] == len(lines) - 1 >= 1
+        texts.append({name: (out / name).read_bytes() for name in expected})
+    assert texts[0] == texts[1]

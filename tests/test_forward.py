@@ -263,3 +263,26 @@ class TestBudgetIdentity:
             means.append(float(np.mean(vals)))
         fit = fit_loglog([1.0 / n for n in levels], means)
         assert fit["slope"] >= 0.8
+
+
+class TestEpsilonChecked:
+    @pytest.mark.parametrize("eps", [-0.1, float("nan")])
+    def test_single_trajectory_rejects(self, eps):
+        co = preset("zero-drift-unit-noise")
+        with pytest.raises(ValueError, match="epsilon"):
+            integrate_reflected_sde(co, unit_interval(), 0.0, [0.5], eps,
+                                    TimeGrid(0.0, 1.0, 16), trajectory_rng(1))
+
+    @pytest.mark.parametrize("eps", [-0.1, float("nan")])
+    def test_batch_rejects(self, eps):
+        co = preset("zero-drift-unit-noise")
+        with pytest.raises(ValueError, match="epsilon"):
+            simulate_reflected_batch(co, unit_interval(), 0.0, [0.5], eps,
+                                     TimeGrid(0.0, 1.0, 16), 7, 4)
+
+    @pytest.mark.parametrize("eps", [-0.1, float("nan")])
+    def test_free_path_rejects(self, eps):
+        co = preset("zero-drift-unit-noise")
+        with pytest.raises(ValueError, match="epsilon"):
+            integrate_free_sde(co, unit_interval(), 0.0, [0.5], eps,
+                               TimeGrid(0.0, 1.0, 16), trajectory_rng(1))
