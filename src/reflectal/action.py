@@ -54,6 +54,46 @@ def _as_path(psi):
     return np.asarray(psi, float), None
 
 
+def _action_terms(coeffs, domain, paths, grid):
+    """Discrete cost of a stack of constrained paths of shape (..., n+1, d).
+
+    Returns (action, integrand, lam, nvec) with leading axes (...,): the
+    cost, the per-step quadratic form values, the boundary multipliers and
+    the inward normals at the right nodes. Raises when any path of the
+    stack leaves the domain or meets a singular diffusion.
+    """
+    tol = max(domain.boundary_tol, 1e-12)
+    if np.any(domain.signed_distance(paths) < -tol):
+        raise InfeasiblePath("path leaves the closed domain")
+
+    dt = grid.dt
+    left = paths[..., :-1, :]
+    right = paths[..., 1:, :]
+    ts = np.broadcast_to(grid.nodes[:-1], left.shape[:-1])
+    v = (right - left) / dt
+    r = v - coeffs.b(ts, left)
+
+    sig = coeffs.sigma(ts, left)
+    a = sig @ np.swapaxes(sig, -1, -2)
+    if np.any(np.linalg.eigvalsh(a)[..., 0] < _EIG_FLOOR):
+        raise SingularDiffusion("sigma sigma* numerically singular on the path")
+    ainv = np.linalg.inv(a)
+
+    on_bdry = np.abs(domain.signed_distance(right)) <= domain.boundary_tol
+    nvec = domain.grad_phi(right)
+    anr = np.einsum("...ij,...j->...i", ainv, r)
+    nan_ = np.einsum("...i,...ij,...j->...", nvec, ainv, nvec)
+    safe = np.where(nan_ > 0, nan_, 1.0)
+    lam = np.where(on_bdry & (nan_ > 0),
+                   np.maximum(0.0, np.einsum("...i,...i->...", nvec, anr) / safe),
+                   0.0)
+    resid = r - lam[..., None] * nvec
+    integrand = np.einsum("...i,...ij,...j->...", resid, ainv, resid)
+    integrand = np.maximum(integrand, 0.0)
+    action = 0.5 * dt * np.sum(integrand, axis=-1)
+    return action, integrand, lam, nvec
+
+
 def evaluate_action(coeffs, domain, psi, grid=None):
     """Discrete Freidlin-Wentzell cost of a constrained path.
 
@@ -68,74 +108,58 @@ def evaluate_action(coeffs, domain, psi, grid=None):
         raise ValueError("a TimeGrid is required when psi is a bare array")
     if path.ndim != 2 or path.shape[0] != grid.n_steps + 1:
         raise ValueError("path shape does not match the grid")
-    tol = max(domain.boundary_tol, 1e-12)
-    if np.any(domain.signed_distance(path) < -tol):
-        raise InfeasiblePath("path leaves the closed domain")
-
-    n = grid.n_steps
-    dt = grid.dt
-    ts = grid.nodes[:-1]
-    left = path[:-1]
-    v = (path[1:] - path[:-1]) / dt
-    r = v - coeffs.b(ts, left)
-
-    sig = coeffs.sigma(ts, left)
-    a = sig @ np.swapaxes(sig, -1, -2)
-    if float(np.min(np.linalg.eigvalsh(a)[..., 0])) < _EIG_FLOOR:
-        raise SingularDiffusion("sigma sigma* numerically singular on the path")
-    ainv = np.linalg.inv(a)
-
-    on_bdry = np.abs(domain.signed_distance(path[1:])) <= domain.boundary_tol
-    nvec = domain.grad_phi(path[1:])
-    anr = np.einsum("nij,nj->ni", ainv, r)
-    nan_ = np.einsum("ni,nij,nj->n", nvec, ainv, nvec)
-    safe = np.where(nan_ > 0, nan_, 1.0)
-    lam = np.where(on_bdry & (nan_ > 0),
-                   np.maximum(0.0, np.einsum("ni,ni->n", nvec, anr) / safe),
-                   0.0)
-    resid = r - lam[:, None] * nvec
-    integrand = np.einsum("ni,nij,nj->n", resid, ainv, resid)
-    integrand = np.maximum(integrand, 0.0)
-    action = 0.5 * dt * float(np.sum(integrand))
-
-    drho = (lam * dt)[:, None] * nvec
+    action, integrand, lam, nvec = _action_terms(coeffs, domain, path, grid)
+    drho = (lam * grid.dt)[:, None] * nvec
     rho = np.concatenate([np.zeros((1, path.shape[1])), np.cumsum(drho, axis=0)])
-    return ActionResult(psi=path.copy(), phi=path - rho, action=action,
+    return ActionResult(psi=path.copy(), phi=path - rho, action=float(action),
                         integrand=integrand, feasible=True)
+
+
+def _fd_gradient(objective, path, domain, free):
+    """Finite-difference gradient over the nodes `free` of a path.
+
+    objective maps a stack of paths (..., n+1, d) to their values (...,).
+    Component (j, c) differences the two paths whose node j is replaced by
+    project(path[j] +- fd e_c), with fd = _FD_REL_STEP * max(diameter, 1).
+    All 2 * len(free) * d of them go to the objective in one call. A
+    component whose two projected nodes coincide in coordinate c is left
+    at zero.
+    """
+    d = path.shape[1]
+    bumps = _FD_REL_STEP * max(domain.diameter, 1.0) * np.eye(d)
+    nodes = path[free, None, :]
+    moved = project(domain, np.stack([nodes + bumps, nodes - bumps]))
+    perturbed = np.broadcast_to(path, moved.shape[:3] + path.shape).copy()
+    perturbed[:, np.arange(free.size)[:, None], np.arange(d),
+              free[:, None]] = moved              # (2, free, d, n+1, d)
+    values = objective(perturbed)
+    moved_c = np.diagonal(moved, axis1=-2, axis2=-1)
+    denom = moved_c[0] - moved_c[1]
+    grad = np.zeros_like(path)
+    grad[free] = np.where(denom != 0.0, (values[0] - values[1])
+                          / np.where(denom != 0.0, denom, 1.0), 0.0)
+    return grad
 
 
 def _projected_descent(objective, path0, domain, pin_last, opts):
     """Projected gradient descent with finite-difference gradients and Armijo
     backtracking over the non-pinned nodes of a discretized path.
 
+    objective maps a stack of paths (..., n+1, d) to their values (...,).
     Returns (best_path, best_value, log, stalled) where log rows are
     (iteration, value, step).
     """
     path = project(domain, np.asarray(path0, float))
-    n1, d = path.shape
-    free_lo = 1
-    free_hi = n1 - 1 if pin_last else n1
-    fd = _FD_REL_STEP * max(domain.diameter, 1.0)
+    n1 = path.shape[0]
+    free = np.arange(1, n1 - 1 if pin_last else n1)
 
-    value = objective(path)
+    value = float(objective(path))
     log = [(0, value, 0.0)]
     step = _INIT_STEP
     stalls = 0
     stalled = False
     for it in range(1, opts.max_iter + 1):
-        grad = np.zeros_like(path)
-        for j in range(free_lo, free_hi):
-            for c in range(d):
-                bump = np.zeros(d)
-                bump[c] = fd
-                p_plus = path.copy()
-                p_plus[j] = project(domain, path[j] + bump)
-                p_minus = path.copy()
-                p_minus[j] = project(domain, path[j] - bump)
-                denom = p_plus[j, c] - p_minus[j, c]
-                if denom == 0.0:
-                    continue
-                grad[j, c] = (objective(p_plus) - objective(p_minus)) / denom
+        grad = _fd_gradient(objective, path, domain, free)
         gnorm2 = float(np.sum(grad * grad))
         if gnorm2 <= opts.grad_tol**2:
             break
@@ -143,9 +167,8 @@ def _projected_descent(objective, path0, domain, pin_last, opts):
         eta = step
         for _ in range(_MAX_BACKTRACKS):
             trial = path.copy()
-            trial[free_lo:free_hi] = project(
-                domain, path[free_lo:free_hi] - eta * grad[free_lo:free_hi])
-            tv = objective(trial)
+            trial[free] = project(domain, path[free] - eta * grad[free])
+            tv = float(objective(trial))
             if tv <= value - _ARMIJO_C * eta * gnorm2:
                 path, value = trial, tv
                 accepted = True
@@ -181,7 +204,7 @@ def minimize_action_endpoint(coeffs, domain, s, x, y, T, grid, opts=None):
     lamgrid = np.linspace(0.0, 1.0, grid.n_steps + 1)[:, None]
 
     def objective(p):
-        return evaluate_action(coeffs, domain, p, grid).action
+        return _action_terms(coeffs, domain, p, grid)[0]
 
     # two feasible starts: the straight chord, and the drift skeleton bent
     # linearly in time toward the target (free when y is its own endpoint)
@@ -204,7 +227,8 @@ def contracted_rate(coeffs, domain, field_limit, gamma, s, x, grid=None,
     whose image under the limit value map matches the given value path.
 
     Solved by penalty continuation on the squared constraint mismatch; the
-    start node is pinned at x, the rest of the path is free. Raises
+    start node is pinned at x, the rest of the path is free. The result's
+    `stalled` flag is set when the line search gave up in any stage. Raises
     ConstraintInfeasible when the final sup-norm violation exceeds the
     tolerance (the preimage is empty at this resolution).
     """
@@ -219,14 +243,16 @@ def contracted_rate(coeffs, domain, field_limit, gamma, s, x, grid=None,
         raise ValueError("gamma length does not match the grid")
 
     path = integrate_skeleton_ode(coeffs, domain, s, x, grid).x_path
+    stalled = False
     for pen in _PENALTIES:
         def objective(p, _pen=pen):
             mismatch = apply_pi(field_limit, p) - gamma
-            return (evaluate_action(coeffs, domain, p, grid).action
-                    + _pen * float(np.sum(mismatch**2)))
+            return (_action_terms(coeffs, domain, p, grid)[0]
+                    + _pen * np.sum(mismatch**2, axis=(-2, -1)))
 
-        path, _, _, _ = _projected_descent(
+        path, _, _, stage_stalled = _projected_descent(
             objective, path, domain, pin_last=False, opts=opts)
+        stalled = stalled or stage_stalled
 
     viol = float(np.max(np.abs(apply_pi(field_limit, path) - gamma)))
     if viol > _VIOLATION_TOL:
@@ -235,4 +261,4 @@ def contracted_rate(coeffs, domain, field_limit, gamma, s, x, grid=None,
             f"{_VIOLATION_TOL:.1e}; preimage is empty at this resolution")
     result = evaluate_action(coeffs, domain, path, grid)
     return {"s_prime": result.action, "argmin_psi": path,
-            "violation": viol, "action_result": result}
+            "violation": viol, "action_result": result, "stalled": stalled}

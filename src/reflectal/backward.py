@@ -10,6 +10,7 @@ the (X, K) coupling.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -40,6 +41,13 @@ class ValueField:
     axes: tuple           # per-axis 1D node arrays spanning the domain hull
     values: np.ndarray    # (n_t+1, *lattice_shape, k)
     epsilon: float        # 0 means the deterministic limit field
+
+    @cached_property
+    def interpolator(self):
+        """Multilinear interpolator over (time, *axes), built once."""
+        return RegularGridInterpolator(
+            (self.times.nodes,) + self.axes, self.values,
+            method="linear", bounds_error=False, fill_value=None)
 
 
 def make_lattice(domain, n_per_axis):
@@ -206,8 +214,5 @@ def apply_pi(field, path_values, path_times=None):
     tq = np.broadcast_to(np.clip(t_nodes, t_lo, t_hi),
                          vals.shape[:-1])[..., None]
     pts = np.concatenate([tq, clipped], axis=-1)
-    interp = RegularGridInterpolator(
-        (field.times.nodes,) + field.axes, field.values,
-        method="linear", bounds_error=False, fill_value=None)
-    out = interp(pts.reshape(-1, d + 1))
+    out = field.interpolator(pts.reshape(-1, d + 1))
     return out.reshape(vals.shape[:-1] + (k,))

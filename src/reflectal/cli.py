@@ -85,6 +85,18 @@ def _build_domain(desc):
     raise ConfigInvalid("/domain/kind", f"unknown kind {kind!r}")
 
 
+def _parse(pointer, convert, value):
+    """convert(value), with a failure reported as ConfigInvalid at pointer."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigInvalid(pointer, f"not a valid value: {value!r}") from None
+
+
+def _floats(value):
+    return tuple(np.atleast_1d(value).astype(float).tolist())
+
+
 def validate(config_text):
     """Parse JSON config bytes, apply defaults, check invariants."""
     try:
@@ -109,31 +121,35 @@ def validate(config_text):
         raise ConfigInvalid("/preset/name",
                             f"unknown preset {preset_desc['name']!r}")
 
+    grid_desc = raw.get("grid", 1024)
+    if isinstance(grid_desc, dict):
+        n_steps = _parse("/grid/n_steps", int, grid_desc.get("n_steps", 1024))
+    else:
+        n_steps = _parse("/grid", int, grid_desc)
     cfg = ExperimentConfig(
         command=command,
         domain=dict(domain_desc),
         preset_name=preset_desc["name"],
         preset_params=dict(preset_desc.get("params", {})),
-        s=float(raw.get("s", 0.0)),
-        T=float(raw.get("T", 1.0)),
-        x=tuple(np.atleast_1d(raw.get("x", 0.5)).astype(float).tolist()),
-        n_steps=int(raw.get("grid", {}).get("n_steps", 1024)
-                    if isinstance(raw.get("grid"), dict)
-                    else raw.get("grid", 1024)),
-        eps=float(raw.get("eps", 0.1)),
-        eps_ladder=(tuple(float(v) for v in raw["eps_ladder"])
+        s=_parse("/s", float, raw.get("s", 0.0)),
+        T=_parse("/T", float, raw.get("T", 1.0)),
+        x=_parse("/x", _floats, raw.get("x", 0.5)),
+        n_steps=n_steps,
+        eps=_parse("/eps", float, raw.get("eps", 0.1)),
+        eps_ladder=(_parse("/eps_ladder", lambda v: tuple(float(e) for e in v),
+                           raw["eps_ladder"])
                     if raw.get("eps_ladder") else None),
-        n_paths=int(raw.get("n_paths", 1000)),
-        seed=int(raw.get("seed", 0)),
+        n_paths=_parse("/n_paths", int, raw.get("n_paths", 1000)),
+        seed=_parse("/seed", int, raw.get("seed", 0)),
         output_dir=str(raw.get("output_dir", "out")),
-        workers=int(raw.get("workers", 1)),
+        workers=_parse("/workers", int, raw.get("workers", 1)),
         target=str(raw.get("target", "X4")),
-        delta=float(raw.get("delta", 0.2)),
-        y=(tuple(np.atleast_1d(raw["y"]).astype(float).tolist())
+        delta=_parse("/delta", float, raw.get("delta", 0.2)),
+        y=(_parse("/y", _floats, raw["y"])
            if raw.get("y") is not None else None),
-        mc_per_node=int(raw.get("mc_per_node", 256)),
-        space_nodes=int(raw.get("space_nodes", 33)),
-        field_steps=int(raw.get("field_steps", 128)),
+        mc_per_node=_parse("/mc_per_node", int, raw.get("mc_per_node", 256)),
+        space_nodes=_parse("/space_nodes", int, raw.get("space_nodes", 33)),
+        field_steps=_parse("/field_steps", int, raw.get("field_steps", 128)),
     )
 
     if not cfg.s < cfg.T:
@@ -144,10 +160,14 @@ def validate(config_text):
         raise ConfigInvalid("/grid/n_steps", "must be >= 1")
     if not cfg.eps >= 0:
         raise ConfigInvalid("/eps", f"must be >= 0, got {cfg.eps}")
+    if cfg.command == "bsde-grid" and not cfg.eps > 0:
+        raise ConfigInvalid("/eps", f"must be > 0 for bsde-grid, got {cfg.eps}")
     if cfg.n_paths < 1:
         raise ConfigInvalid("/n_paths", "must be >= 1")
     if cfg.workers < 1:
         raise ConfigInvalid("/workers", "must be >= 1")
+    _parse("/preset/params", lambda p: preset(cfg.preset_name, p),
+           cfg.preset_params)
     if float(cfg.preset_params.get("T", cfg.T)) != cfg.T:
         raise ConfigInvalid("/preset/params/T",
                             f"must equal the config's T = {cfg.T}")
@@ -157,7 +177,7 @@ def validate(config_text):
         domain = _build_domain(cfg.domain)
     except ConfigInvalid:
         raise
-    except (KeyError, ReflectalError) as exc:
+    except (KeyError, TypeError, ValueError, ReflectalError) as exc:
         raise ConfigInvalid("/domain", str(exc)) from None
     xarr = np.asarray(cfg.x, float)
     if xarr.size != domain.dimension:
@@ -301,6 +321,7 @@ def _execute(cfg, out_dir):
             os.path.join(out_dir, "contracted-rate.csv"), header, rows)
         extra["s_prime"] = res["s_prime"]
         extra["violation"] = res["violation"]
+        extra["stalled"] = res["stalled"]
 
     elif cfg.command == "convergence":
         ladder = cfg.eps_ladder or (0.1, 0.05, 0.025, 0.0125)
@@ -393,7 +414,7 @@ def main(argv=None):
             overrides["output_dir"] = args.out
         env_seed = os.environ.get("REFLECTAL_SEED")
         if env_seed is not None:
-            overrides["seed"] = int(env_seed)
+            overrides["seed"] = _parse("/seed", int, env_seed)
         run(validate(serialize(replace(cfg, **overrides))))
     except ReflectalError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

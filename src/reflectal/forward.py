@@ -10,6 +10,7 @@ noise-free reduction is bitwise.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -44,9 +45,11 @@ class TimeGrid:
     def dt(self):
         return (self.T - self.s) / self.n_steps
 
-    @property
+    @cached_property
     def nodes(self):
-        return np.linspace(self.s, self.T, self.n_steps + 1)
+        nodes = np.linspace(self.s, self.T, self.n_steps + 1)
+        nodes.flags.writeable = False
+        return nodes
 
 
 @dataclass(frozen=True)

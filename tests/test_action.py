@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from reflectal.action import (OptimizerOptions, contracted_rate,
-                              evaluate_action, minimize_action_endpoint)
+from reflectal import action
+from reflectal.action import (OptimizerOptions, _action_terms, _fd_gradient,
+                              _FD_REL_STEP, _projected_descent,
+                              contracted_rate, evaluate_action,
+                              minimize_action_endpoint)
 from reflectal.backward import apply_pi, limit_value_field, make_lattice
 from reflectal.coefficients import CoefficientSet, preset
 from reflectal.errors import ConstraintInfeasible, InfeasiblePath
 from reflectal.forward import TimeGrid, integrate_skeleton_ode
-from reflectal.geometry import make_domain
+from reflectal.geometry import make_domain, project
 from reflectal.harness import fit_loglog
 
 
@@ -264,3 +267,151 @@ def test_minimize_endpoint_rejects_inconsistent_T():
     with pytest.raises(ValueError, match="end time"):
         minimize_action_endpoint(preset("zero-drift-unit-noise"),
                                  unit_interval(), 0.0, [0.5], [0.9], 2.0, grid)
+
+
+def per_node_gradient(objective, path, domain, free):
+    """Oracle: the finite-difference gradient built one node and one
+    coordinate at a time, each perturbed path evaluated on its own."""
+    d = path.shape[1]
+    fd = _FD_REL_STEP * max(domain.diameter, 1.0)
+    grad = np.zeros_like(path)
+    for j in free:
+        for c in range(d):
+            bump = np.zeros(d)
+            bump[c] = fd
+            p_plus = path.copy()
+            p_plus[j] = project(domain, path[j] + bump)
+            p_minus = path.copy()
+            p_minus[j] = project(domain, path[j] - bump)
+            denom = p_plus[j, c] - p_minus[j, c]
+            if denom == 0.0:
+                continue
+            grad[j, c] = (float(objective(p_plus))
+                          - float(objective(p_minus))) / denom
+    return grad
+
+
+def ball():
+    return make_domain("ball", center=[0.0, 0.0], radius=1.0)
+
+
+def batch_cases():
+    """(coeffs, domain, grid, stack) per domain. Each stack mixes interior
+    random paths with paths pressed against the boundary by the drift or
+    sliding along it, so some steps carry a positive multiplier."""
+    rng = np.random.default_rng(11)
+    n = 16
+    grid = TimeGrid(0.0, 1.0, n)
+    t = grid.nodes
+    walks = np.clip(0.5 + np.cumsum(rng.standard_normal((6, n + 1)), axis=1)
+                    * 0.05, 0.0, 1.0)
+    pressed = np.minimum(0.7 + 0.6 * t, 1.0)        # at b = 1 from t = 0.5
+    interval = np.concatenate([walks, pressed[None]])[..., None]
+
+    radii = np.minimum(np.linspace(0.2, 1.3, n + 1), 1.0)
+    angles = rng.uniform(0.0, 2.0 * np.pi, (4, 1)) + 0.8 * t
+    slides = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)],
+                                       axis=-1)
+    interior = 0.6 * np.tanh(np.cumsum(rng.standard_normal((3, n + 1, 2)),
+                                       axis=1) * 0.2)
+    discs = np.concatenate([slides, interior])
+    return [(preset("constant-drift", {"v": 1.0}), unit_interval(), grid,
+             interval),
+            (preset("ou-in-ball", {"theta": -1.0}), ball(), grid, discs)]
+
+
+class TestBatchedAction:
+    @pytest.mark.parametrize("case", range(2))
+    def test_stack_equals_single_paths_bitwise(self, case):
+        co, dom, grid, stack = batch_cases()[case]
+        got, _, lam, _ = _action_terms(co, dom, stack, grid)
+        assert np.any(lam > 0) and np.any(np.all(lam == 0, axis=-1))
+        want = [evaluate_action(co, dom, p, grid).action for p in stack]
+        assert np.array_equal(got, want)
+        # the same with an extra leading axis
+        got2 = _action_terms(co, dom, stack.reshape((1,) + stack.shape),
+                             grid)[0]
+        assert np.array_equal(got2[0], want)
+
+    @pytest.mark.parametrize("case", range(2))
+    def test_stack_with_one_infeasible_path_rejected(self, case):
+        co, dom, grid, stack = batch_cases()[case]
+        bad = stack.copy()
+        bad[2, 5] = 1.5
+        with pytest.raises(InfeasiblePath):
+            _action_terms(co, dom, bad, grid)
+
+    @pytest.mark.parametrize("case", range(2))
+    def test_gradient_equals_per_node_oracle_bitwise(self, case):
+        co, dom, grid, stack = batch_cases()[case]
+
+        def objective(p):
+            return _action_terms(co, dom, p, grid)[0]
+
+        for path in stack[[0, -4, -1]]:
+            for free in (np.arange(1, grid.n_steps),
+                         np.arange(1, grid.n_steps + 1)):
+                got = _fd_gradient(objective, path, dom, free)
+                want = per_node_gradient(objective, path, dom, free)
+                assert np.any(got != 0.0)
+                assert np.array_equal(got, want)
+
+    def test_penalty_objective_gradient_bitwise(self):
+        dom = unit_interval()
+        co = preset("zero-drift-unit-noise")
+        times = TimeGrid(0.0, 1.0, 8)
+        field = limit_value_field(co, dom, times, make_lattice(dom, 9))
+        gamma = 0.5 + 0.2 * times.nodes[:, None]
+        path = np.clip(0.5 + 0.7 * times.nodes, 0.0, 1.0)[:, None]
+
+        def objective(p):
+            mismatch = apply_pi(field, p) - gamma
+            return (_action_terms(co, dom, p, times)[0]
+                    + 100.0 * np.sum(mismatch**2, axis=(-2, -1)))
+
+        free = np.arange(1, 9)
+        assert np.array_equal(_fd_gradient(objective, path, dom, free),
+                              per_node_gradient(objective, path, dom, free))
+
+
+def test_descent_reports_stall():
+    # the finite-difference slope is 1 at every node, but the kink at the
+    # start makes every step along -grad go uphill; the value 0 there keeps
+    # the Armijo bound strictly negative even when the step rounds away
+    dom = unit_interval()
+    start = np.full((6, 1), 0.5)
+
+    def objective(p):
+        return (np.sum(p - start, axis=(-2, -1))
+                + 2.0 * np.sum(np.abs(p - start), axis=(-2, -1)))
+
+    grad = _fd_gradient(objective, start, dom, np.arange(1, 6))
+    assert grad[0, 0] == 0.0
+    np.testing.assert_allclose(grad[1:], 1.0, rtol=1e-6)
+    path, value, log, stalled = _projected_descent(
+        objective, start, dom, pin_last=False, opts=OptimizerOptions())
+    assert stalled
+    assert np.array_equal(path, start) and value == 0.0
+    assert len(log) == 51 and all(step == 0.0 for _, _, step in log[1:])
+
+
+def test_contracted_rate_reports_stall_flag(monkeypatch):
+    dom = unit_interval()
+    co = preset("zero-drift-unit-noise")
+    times = TimeGrid(0.0, 1.0, 4)
+    field = limit_value_field(co, dom, times, make_lattice(dom, 5))
+    gamma = apply_pi(field, np.full((5, 1), 0.5))
+    out = contracted_rate(co, dom, field, gamma, 0.0, [0.5], times)
+    assert out["stalled"] is False
+
+    # a stall in any one penalty stage is reported
+    stages = []
+
+    def third_stage_stalls(*args, **kwargs):
+        path, value, log, _ = _projected_descent(*args, **kwargs)
+        stages.append(len(stages))
+        return path, value, log, len(stages) == 3
+
+    monkeypatch.setattr(action, "_projected_descent", third_stage_stalls)
+    out = contracted_rate(co, dom, field, gamma, 0.0, [0.5], times)
+    assert len(stages) == 5 and out["stalled"] is True

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from reflectal.backward import (apply_pi, limit_value_field, make_lattice,
                                 solve_bsde_grid, solve_limit_bsde)
@@ -203,3 +204,29 @@ class TestApplyPi:
                            0.0, 1.0)
             gap = np.max(np.abs(apply_pi(field, base) - apply_pi(field, pert)))
             assert gap <= lip * delta + 1e-12
+
+    def test_repeated_calls_match_fresh_interpolator(self):
+        # the field keeps one interpolator; every read, including a batch
+        # of paths and explicit times, equals one built from scratch
+        dom = make_domain("ball", center=[0.0, 0.0], radius=1.0)
+        co = preset("ou-in-ball")
+        times = TimeGrid(0.0, 1.0, 6)
+        field = limit_value_field(co, dom, times, make_lattice(dom, 7))
+        fresh = RegularGridInterpolator(
+            (times.nodes,) + field.axes, field.values, method="linear",
+            bounds_error=False, fill_value=None)
+        rng = np.random.default_rng(5)
+        for shape in ((7, 2), (3, 7, 2), (7, 2)):
+            path = rng.uniform(-0.7, 0.7, shape)
+            pts = np.concatenate(
+                [np.broadcast_to(times.nodes, shape[:-1])[..., None], path],
+                axis=-1)
+            want = fresh(pts.reshape(-1, 3)).reshape(shape[:-1] + (1,))
+            assert np.array_equal(apply_pi(field, path), want)
+        t_half = np.linspace(0.05, 0.95, 7)
+        pts = np.concatenate([t_half[:, None], path], axis=-1)
+        assert np.array_equal(apply_pi(field, path, path_times=t_half),
+                              fresh(pts))
+        assert field.interpolator is field.interpolator
+        with pytest.raises(OutOfLattice):
+            apply_pi(field, np.full((7, 2), 1.5))

@@ -199,6 +199,51 @@ class TestValidateRejects:
         assert not out.exists()
 
 
+class TestMainRejects:
+    """Bad values reach the user as a JSON ConfigInvalid on stderr, exit 1,
+    and no output directory."""
+
+    def _main(self, tmp_path, capsys, **over):
+        p = tmp_path / "run.json"
+        p.write_bytes(base_config(**over))
+        out = tmp_path / "out"
+        command = over.get("command", "skeleton")
+        rc = main([command, "--config", str(p), "--out", str(out)])
+        err = json.loads(capsys.readouterr().err.strip())
+        assert not out.exists()
+        return rc, err
+
+    @pytest.mark.parametrize("over, field", [
+        ({"eps": "abc"}, "/eps"),
+        ({"n_paths": "x"}, "/n_paths"),
+        ({"x": "mid"}, "/x"),
+        ({"grid": {"n_steps": None}}, "/grid/n_steps"),
+        ({"domain": {"kind": "interval", "a": "zero", "b": 1.0}}, "/domain"),
+        ({"preset": {"name": "constant-drift", "params": {"v": "fast"}}},
+         "/preset/params"),
+    ])
+    def test_non_numeric_value(self, tmp_path, capsys, over, field):
+        rc, err = self._main(tmp_path, capsys, **over)
+        assert rc == 1
+        assert err["error"] == "ConfigInvalid"
+        assert err["message"].startswith(field + ":")
+
+    def test_non_numeric_env_seed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("REFLECTAL_SEED", "abc")
+        rc, err = self._main(tmp_path, capsys, grid={"n_steps": 16})
+        assert rc == 1
+        assert err["error"] == "ConfigInvalid"
+        assert err["message"].startswith("/seed:")
+
+    def test_bsde_grid_zero_eps(self, tmp_path, capsys):
+        rc, err = self._main(tmp_path, capsys, command="bsde-grid", eps=0.0,
+                             preset={"name": "linear-bsde"}, space_nodes=5,
+                             field_steps=4, mc_per_node=64)
+        assert rc == 1
+        assert err["error"] == "ConfigInvalid"
+        assert err["message"].startswith("/eps: must be > 0")
+
+
 INTERVAL = {"kind": "interval", "a": 0.0, "b": 1.0}
 UNIT_NOISE = {"name": "zero-drift-unit-noise"}
 
@@ -246,3 +291,13 @@ def test_command_outputs_and_rerun(command, tmp_path):
             assert manifest["outputs"][name]["rows"] == len(lines) - 1 >= 1
         texts.append({name: (out / name).read_bytes() for name in expected})
     assert texts[0] == texts[1]
+
+
+def test_contracted_rate_manifest_records_stall(tmp_path):
+    manifest = run(validate(base_config(
+        command="contracted-rate", domain=INTERVAL,
+        preset={"name": "zero-drift-unit-noise"}, space_nodes=5,
+        field_steps=4, output_dir=str(tmp_path / "out"))))
+    assert manifest["stalled"] is False
+    on_disk = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert on_disk["stalled"] is False

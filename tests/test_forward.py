@@ -286,3 +286,15 @@ class TestEpsilonChecked:
         with pytest.raises(ValueError, match="epsilon"):
             integrate_free_sde(co, unit_interval(), 0.0, [0.5], eps,
                                TimeGrid(0.0, 1.0, 16), trajectory_rng(1))
+
+
+def test_time_grid_nodes_built_once_and_read_only():
+    grid = TimeGrid(0.0, 1.0, 8)
+    nodes = grid.nodes
+    assert nodes is grid.nodes
+    np.testing.assert_array_equal(nodes, np.linspace(0.0, 1.0, 9))
+    with pytest.raises(ValueError):
+        nodes[3] = 0.0
+    with pytest.raises(ValueError):
+        grid.nodes += 1.0
+    np.testing.assert_array_equal(grid.nodes, np.linspace(0.0, 1.0, 9))
