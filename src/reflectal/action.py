@@ -168,8 +168,12 @@ def _projected_descent(objective, path0, domain, pin_last, opts):
         for _ in range(_MAX_BACKTRACKS):
             trial = path.copy()
             trial[free] = project(domain, path[free] - eta * grad[free])
+            if np.array_equal(trial, path):
+                # the step rounded away: a rejection, as is every shorter one
+                break
             tv = float(objective(trial))
-            if tv <= value - _ARMIJO_C * eta * gnorm2:
+            # a trial must lower the value: the Armijo decrement can round away
+            if tv < value and tv <= value - _ARMIJO_C * eta * gnorm2:
                 path, value = trial, tv
                 accepted = True
                 step = min(eta * 2.0, 1e3)

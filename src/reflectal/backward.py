@@ -16,7 +16,7 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .errors import FixedPointDivergence, NumericalBlowup, OutOfLattice
-from .forward import TimeGrid, _brownian, _reflected_core, trajectory_rng
+from .forward import TimeGrid, _brownian_rows, _reflected_core
 from .geometry import project
 
 __all__ = ["BsdePath", "ValueField", "make_lattice", "solve_limit_bsde",
@@ -128,11 +128,9 @@ def solve_bsde_grid(coeffs, domain, epsilon, times, space_grid, mc_per_node,
 
     for i in range(n - 1, -1, -1):
         t = t_nodes[i]
-        # one-step reflected transitions from every node, own stream each
-        dW = np.empty((N, mc_per_node, m))
-        for j in range(N):
-            dW[j] = _brownian(trajectory_rng(rng_seed, (i, j)),
-                              (mc_per_node, m), dt)
+        # one-step reflected transitions from every node, node j drawing
+        # from trajectory_rng(rng_seed, (i, j))
+        dW = _brownian_rows(rng_seed, (i,), 0, (N, mc_per_node, m), dt)
         drift = coeffs.b(t, sim_start)                     # (N, d)
         sig = coeffs.sigma(t, sim_start)                   # (N, d, m)
         prop = (sim_start[:, None, :] + drift[:, None, :] * dt

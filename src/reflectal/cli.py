@@ -14,10 +14,12 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -355,6 +357,19 @@ def _execute(cfg, out_dir):
     return extra, files
 
 
+@cache
+def _git_describe(path):
+    """`git describe --always --dirty` of the checkout holding path, or ""
+    when git or the checkout is missing; run once per path and process."""
+    try:
+        out = subprocess.run(["git", "describe", "--always", "--dirty"],
+                             cwd=path, capture_output=True, text=True,
+                             timeout=30, check=True)
+    except (OSError, subprocess.SubprocessError):
+        return ""
+    return out.stdout.strip()
+
+
 def run(config):
     """Execute a validated config; returns the manifest dict.
 
@@ -375,7 +390,7 @@ def run(config):
             "finished": time.time(),
             "outputs": {name: {"rows": rows} for name, rows in files.items()},
             "version": __version__,
-            "git_describe": "",
+            "git_describe": _git_describe(os.path.dirname(__file__)),
         }
         manifest.update(extra)
         with open(os.path.join(tmp, "manifest.json"), "w") as fh:

@@ -183,8 +183,9 @@ def _const_drift(v, d):
     v = np.broadcast_to(np.asarray(v, float), (d,))
 
     def b(t, x):
-        x = np.asarray(x, float)
-        return np.broadcast_to(v, x.shape).copy()
+        out = np.empty(np.shape(x))
+        out[...] = v
+        return out
     return b
 
 
@@ -198,8 +199,9 @@ def _const_sigma(mat, d, m):
     mat = np.broadcast_to(np.asarray(mat, float), (d, m))
 
     def sigma(t, x):
-        x = np.asarray(x, float)
-        return np.broadcast_to(mat, x.shape[:-1] + (d, m)).copy()
+        out = np.empty(np.shape(x)[:-1] + (d, m))
+        out[...] = mat
+        return out
     return sigma
 
 

@@ -9,6 +9,7 @@ boundary. With epsilon = 0 the same code path is the skeleton ODE, so the
 noise-free reduction is bitwise.
 """
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -75,17 +76,42 @@ class SkorokhodDecomposition:
     total_variation: np.ndarray   # (n+1,), nondecreasing
 
 
+def _philox_key(seed, prefix):
+    """128-bit Philox key of the stream family (seed, prefix)."""
+    return np.random.SeedSequence(seed, spawn_key=tuple(prefix)).generate_state(
+        2, np.uint64)
+
+
 def trajectory_rng(seed, index=0):
     """Counter-based per-trajectory stream: depends only on (seed, index),
     never on execution order or worker count. index may be an int or a
-    tuple (e.g. (ladder position, trajectory index))."""
+    tuple (e.g. (ladder position, trajectory index)).
+
+    The stream is Philox4x64 keyed by SeedSequence(seed, spawn_key=index[:-1])
+    with the last index in the top counter word, so neighbouring indices
+    address disjoint counter ranges under one key."""
     key = index if isinstance(index, tuple) else (index,)
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    return np.random.Generator(np.random.Philox(
+        counter=[0, 0, 0, key[-1]], key=_philox_key(seed, key[:-1])))
 
 
-def _brownian(rng, shape, dt):
-    """Brownian increments over steps of length dt, drawn in row-major order."""
-    return rng.standard_normal(shape) * np.sqrt(dt)
+def _brownian_rows(seed, prefix, first, shape, dt):
+    """Brownian increments over steps of length dt, of shape (rows, ...).
+    Row j is, bitwise, the increments that _stream_noise draws from
+    trajectory_rng(seed, prefix + (first + j,)), in row-major order.
+
+    One bit generator serves the block: its counter is reset per row."""
+    bitgen = np.random.Philox(key=_philox_key(seed, prefix))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    counter = state["state"]["counter"]
+    out = np.empty(shape)
+    for j, row in enumerate(out):
+        counter[3] = first + j
+        bitgen.state = state
+        gen.standard_normal(out=row)
+    out *= np.sqrt(dt)
+    return out
 
 
 def _stream_noise(rng_stream, epsilon, grid, m):
@@ -94,14 +120,16 @@ def _stream_noise(rng_stream, epsilon, grid, m):
         return None
     if rng_stream is None:
         raise ValueError("epsilon > 0 requires an rng_stream")
-    return _brownian(rng_stream, (1, grid.n_steps, m), grid.dt)
+    return rng_stream.standard_normal((1, grid.n_steps, m)) * np.sqrt(grid.dt)
 
 
-def _reflected_core(coeffs, domain, x0, epsilon, grid, noise):
+def _reflected_core(coeffs, domain, x0, epsilon, grid, noise, _dirs=False):
     """Batch projection Euler, the one loop behind every forward path.
     x0: (B, d); noise: (B, n, m) or None.
 
-    Returns x_path (B, n+1, d), k_path (B, n+1), dirs (B, n, d).
+    Returns x_path (B, n+1, d), k_path (B, n+1), and dirs (B, n, d), the
+    unit correction directions, which are built only when _dirs is set
+    and are None otherwise.
     """
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
@@ -111,31 +139,34 @@ def _reflected_core(coeffs, domain, x0, epsilon, grid, noise):
     nodes = grid.nodes
     B = x0.shape[0]
     x_path = np.empty((B, n + 1, d))
-    k_path = np.zeros((B, n + 1))
-    dirs = np.zeros((B, n, d))
+    k_path = np.empty((B, n + 1))
+    k_path[:, 0] = 0.0
+    dirs = np.zeros((B, n, d)) if _dirs else None
     X = np.array(x0, float)
     x_path[:, 0] = X
     sq = np.sqrt(epsilon) if epsilon > 0 else 0.0
+    floor = _K_NOISE_FLOOR * max(1.0, domain.diameter)
     for i in range(n):
         t = nodes[i]
         drift = coeffs.b(t, X)
         prop = X + drift * dt
         if epsilon > 0:
-            sig = coeffs.sigma(t, X)
-            prop = prop + sq * np.einsum("...dm,...m->...d", sig, noise[:, i])
-        if not np.all(np.isfinite(prop)):
-            what = "state proposal" if np.all(np.isfinite(drift)) else "drift"
+            kick = np.einsum("...dm,...m->...d", coeffs.sigma(t, X), noise[:, i])
+            kick *= sq
+            prop += kick
+        # a finite sum has only finite terms; an overflowing one is rechecked
+        if (not math.isfinite(np.add.reduce(prop, axis=None))
+                and not np.isfinite(prop).all()):
+            what = "state proposal" if np.isfinite(drift).all() else "drift"
             raise NumericalBlowup(f"non-finite {what} encountered")
-        Xn = project(domain, prop)
-        corr = Xn - prop
-        dk = np.linalg.norm(corr, axis=-1)
-        live = dk > _K_NOISE_FLOOR * max(1.0, domain.diameter)
-        dk = np.where(live, dk, 0.0)
-        safe = np.where(dk > 0, dk, 1.0)
-        dirs[:, i] = np.where(dk[:, None] > 0, corr / safe[:, None], 0.0)
-        k_path[:, i + 1] = k_path[:, i] + dk
-        X = Xn
+        X = project(domain, prop)
         x_path[:, i + 1] = X
+        corr = X - prop
+        dk = np.sqrt(np.add.reduce(corr * corr, axis=-1))   # = norm, bitwise
+        dk *= dk > floor
+        np.add(k_path[:, i], dk, out=k_path[:, i + 1])
+        if _dirs:
+            np.divide(corr, dk[:, None], out=dirs[:, i], where=dk[:, None] > 0)
     return x_path, k_path, dirs
 
 
@@ -147,7 +178,8 @@ def integrate_reflected_sde(coeffs, domain, s, x, epsilon, grid, rng_stream=None
     """
     x0 = np.atleast_1d(np.asarray(x, float))[None, :]
     noise = _stream_noise(rng_stream, epsilon, grid, coeffs.dims[1])
-    xp, kp, dirs = _reflected_core(coeffs, domain, x0, epsilon, grid, noise)
+    xp, kp, dirs = _reflected_core(coeffs, domain, x0, epsilon, grid, noise,
+                                   _dirs=True)
     return ReflectedTrajectory(
         grid=grid, x_path=xp[0], k_path=kp[0], k_increment_dirs=dirs[0],
         noise=None if noise is None else noise[0], epsilon=float(epsilon))
@@ -166,13 +198,9 @@ def simulate_reflected_batch(coeffs, domain, s, x, epsilon, grid, seed,
     d, m, _ = coeffs.dims
     x0 = np.broadcast_to(np.atleast_1d(np.asarray(x, float)),
                          (n_paths, d)).copy()
-    if epsilon > 0:
-        noise = np.empty((n_paths, grid.n_steps, m))
-        for j in range(n_paths):
-            g = trajectory_rng(seed, tuple(key_prefix) + (index_offset + j,))
-            noise[j] = _brownian(g, (grid.n_steps, m), grid.dt)
-    else:
-        noise = None
+    noise = (_brownian_rows(seed, key_prefix, index_offset,
+                            (n_paths, grid.n_steps, m), grid.dt)
+             if epsilon > 0 else None)
     xp, kp, _ = _reflected_core(coeffs, domain, x0, epsilon, grid, noise)
     return xp, kp
 

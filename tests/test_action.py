@@ -395,6 +395,24 @@ def test_descent_reports_stall():
     assert len(log) == 51 and all(step == 0.0 for _, _, step in log[1:])
 
 
+def test_descent_stalls_when_steps_round_away():
+    # the kinked objective above, shifted to start at value 3: once the step
+    # rounds away the trial equals the current path, which is a rejection
+    dom = unit_interval()
+    start = np.full((6, 1), 0.5)
+
+    def objective(p):
+        return (3.0 + np.sum(p - start, axis=(-2, -1))
+                + 2.0 * np.sum(np.abs(p - start), axis=(-2, -1)))
+
+    path, value, log, stalled = _projected_descent(
+        objective, start, dom, pin_last=False, opts=OptimizerOptions())
+    assert stalled
+    assert np.array_equal(path, start) and value == 3.0
+    assert len(log) == action._STALL_LIMIT + 1
+    assert all(step == 0.0 for _, _, step in log[1:])
+
+
 def test_contracted_rate_reports_stall_flag(monkeypatch):
     dom = unit_interval()
     co = preset("zero-drift-unit-noise")

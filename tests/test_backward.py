@@ -8,7 +8,7 @@ from reflectal.backward import (apply_pi, limit_value_field, make_lattice,
                                 solve_bsde_grid, solve_limit_bsde)
 from reflectal.coefficients import CoefficientSet, preset
 from reflectal.errors import FixedPointDivergence, OutOfLattice
-from reflectal.forward import TimeGrid, integrate_skeleton_ode
+from reflectal.forward import TimeGrid, integrate_skeleton_ode, trajectory_rng
 from reflectal.geometry import make_domain, project
 
 
@@ -99,12 +99,33 @@ class TestBsdeGrid:
         eps, mc, seed = 0.09, 256, 11
         field = solve_bsde_grid(co, dom, eps, times, lat, mc, rng_seed=seed)
         for j, node in enumerate([0.0, 1.0]):
-            g = np.random.default_rng(np.random.SeedSequence(seed,
-                                                             spawn_key=(0, j)))
-            dW = g.standard_normal((mc, 1)) * np.sqrt(times.dt)
+            dW = (trajectory_rng(seed, (0, j)).standard_normal((mc, 1))
+                  * np.sqrt(times.dt))
             prop = node + np.sqrt(eps) * dW[:, 0]
             xn = np.clip(prop, 0.0, 1.0)
             assert abs(field.values[0, j, 0] - xn.mean()) <= 1e-12
+
+    def test_step_i_node_j_draws_from_its_own_stream(self):
+        # linear h and no drivers: each slice is the sample mean of the
+        # piecewise-linear next slice over the one-step transitions, which
+        # step i draws for node j from trajectory_rng(seed, (i, j))
+        dom = unit_interval()
+        co = preset("zero-drift-unit-noise")
+        nodes = np.array([0.0, 0.5, 1.0])
+        times = TimeGrid(0.0, 1.0, 3)
+        eps, mc, seed = 0.2, 128, 29
+        field = solve_bsde_grid(co, dom, eps, times, (nodes,), mc,
+                                rng_seed=seed)
+        ref = nodes.copy()
+        for i in (2, 1, 0):
+            nxt = ref
+            ref = np.empty(3)
+            for j, node in enumerate(nodes):
+                dW = trajectory_rng(seed, (i, j)).standard_normal(mc)
+                xn = np.clip(node + np.sqrt(eps * times.dt) * dW, 0.0, 1.0)
+                ref[j] = np.interp(xn, nodes, nxt).mean()
+            np.testing.assert_allclose(field.values[i, :, 0], ref,
+                                       rtol=0, atol=1e-12)
 
     def test_gap_to_limit_shrinks_with_epsilon(self):
         dom = unit_interval()

@@ -3,10 +3,13 @@
 import hashlib
 import json
 import os
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
 
+from reflectal import cli
 from reflectal.cli import (ExperimentConfig, main, run, serialize, validate)
 from reflectal.errors import ConfigInvalid
 
@@ -301,3 +304,46 @@ def test_contracted_rate_manifest_records_stall(tmp_path):
     assert manifest["stalled"] is False
     on_disk = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert on_disk["stalled"] is False
+
+
+def _git(cwd, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                           "-c", "commit.gpgsign=false", *args], cwd=cwd,
+                          check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_git_describe_of_a_checkout(tmp_path, monkeypatch):
+    repo = tmp_path / "checkout"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / "f.txt").write_text("a")
+    _git(repo, "add", "f.txt")
+    _git(repo, "commit", "-q", "-m", "c")
+    head = _git(repo, "rev-parse", "--short", "HEAD")
+    assert cli._git_describe(str(repo)) == head
+    (repo / "f.txt").write_text("b")
+    assert cli._git_describe.__wrapped__(str(repo)) == head + "-dirty"
+
+    # computed once per process: a second call starts no git
+    def no_git(*args, **kwargs):
+        raise AssertionError("git ran twice")
+    monkeypatch.setattr(subprocess, "run", no_git)
+    assert cli._git_describe(str(repo)) == head
+
+
+def test_git_describe_without_checkout_or_git(tmp_path, monkeypatch):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    bare = tmp_path / "plain"
+    bare.mkdir()
+    assert cli._git_describe.__wrapped__(str(bare)) == ""
+    monkeypatch.setenv("PATH", "")
+    assert cli._git_describe.__wrapped__(str(bare)) == ""
+
+
+def test_manifest_carries_git_describe(tmp_path):
+    manifest = run(validate(base_config(output_dir=str(tmp_path / "out"),
+                                        grid={"n_steps": 16})))
+    assert manifest["git_describe"] == cli._git_describe(
+        os.path.dirname(cli.__file__))

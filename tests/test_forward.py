@@ -1,18 +1,54 @@
 """Forward integrators, the constraining map, and the budget identity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from reflectal.coefficients import CoefficientSet, preset
 from reflectal.errors import MissingNoise, StartOutsideDomain
-from reflectal.forward import (FreePath, TimeGrid, integrate_free_sde,
-                               integrate_reflected_sde,
+from reflectal.forward import (_K_NOISE_FLOOR, FreePath, TimeGrid,
+                               _brownian_rows, _reflected_core,
+                               integrate_free_sde, integrate_reflected_sde,
                                integrate_skeleton_ode,
                                reflection_budget_identity,
                                simulate_reflected_batch, skorokhod_map,
                                trajectory_rng)
-from reflectal.geometry import make_domain
+from reflectal.geometry import make_domain, project
 from reflectal.harness import fit_loglog
+
+
+def reference_core(coeffs, domain, x0, epsilon, grid, noise):
+    """The straightforward projection-Euler loop, kept as a bitwise oracle
+    for the kernel: returns x_path (B, n+1, d), k_path (B, n+1) and the
+    unit correction directions (B, n, d)."""
+    d, m, _ = coeffs.dims
+    n = grid.n_steps
+    dt = grid.dt
+    B = x0.shape[0]
+    x_path = np.empty((B, n + 1, d))
+    k_path = np.zeros((B, n + 1))
+    dirs = np.zeros((B, n, d))
+    X = np.array(x0, float)
+    x_path[:, 0] = X
+    sq = np.sqrt(epsilon) if epsilon > 0 else 0.0
+    for i in range(n):
+        t = grid.nodes[i]
+        prop = X + coeffs.b(t, X) * dt
+        if epsilon > 0:
+            sig = coeffs.sigma(t, X)
+            prop = prop + sq * np.einsum("...dm,...m->...d", sig, noise[:, i])
+        Xn = project(domain, prop)
+        corr = Xn - prop
+        dk = np.linalg.norm(corr, axis=-1)
+        live = dk > _K_NOISE_FLOOR * max(1.0, domain.diameter)
+        dk = np.where(live, dk, 0.0)
+        safe = np.where(dk > 0, dk, 1.0)
+        dirs[:, i] = np.where(dk[:, None] > 0, corr / safe[:, None], 0.0)
+        k_path[:, i + 1] = k_path[:, i] + dk
+        X = Xn
+        x_path[:, i + 1] = X
+    return x_path, k_path, dirs
 
 
 def unit_interval():
@@ -286,6 +322,128 @@ class TestEpsilonChecked:
         with pytest.raises(ValueError, match="epsilon"):
             integrate_free_sde(co, unit_interval(), 0.0, [0.5], eps,
                                TimeGrid(0.0, 1.0, 16), trajectory_rng(1))
+
+
+def unit_disc():
+    return make_domain("ball", center=[0.0, 0.0], radius=1.0)
+
+
+class TestKernelOracle:
+    """The kernel against reference_core on the same noise, bitwise."""
+
+    CASES = {
+        "interval": (unit_interval, lambda: preset("constant-drift",
+                                                   params={"v": 1.0}),
+                     [0.5]),
+        "disc": (unit_disc, outward_drift_ball, [0.6, 0.0]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_paths_budget_and_directions(self, case, eps):
+        make_dom, make_coeffs, x = self.CASES[case]
+        dom, co = make_dom(), make_coeffs()
+        grid = TimeGrid(0.0, 1.0, 200)
+        d, m, _ = co.dims
+        x0 = np.broadcast_to(np.asarray(x, float), (64, d)).copy()
+        noise = (np.random.default_rng(5).standard_normal((64, 200, m))
+                 * np.sqrt(grid.dt))
+        ref = reference_core(co, dom, x0, eps, grid, noise)
+        got = _reflected_core(co, dom, x0, eps, grid, noise, _dirs=True)
+        assert np.count_nonzero(np.diff(ref[1], axis=1) > 0) > 100
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(a, b)
+        xp, kp, dirs = _reflected_core(co, dom, x0, eps, grid, noise)
+        assert dirs is None
+        np.testing.assert_array_equal(xp, ref[0])
+        np.testing.assert_array_equal(kp, ref[1])
+
+    def test_single_trajectory_keeps_directions(self):
+        dom, co = unit_disc(), outward_drift_ball()
+        grid = TimeGrid(0.0, 1.0, 100)
+        tr = integrate_reflected_sde(co, dom, 0.0, [0.6, 0.0], 0.3, grid,
+                                     trajectory_rng(3))
+        ref = reference_core(co, dom, np.array([[0.6, 0.0]]), 0.3, grid,
+                             tr.noise[None])
+        np.testing.assert_array_equal(tr.x_path, ref[0][0])
+        np.testing.assert_array_equal(tr.k_path, ref[1][0])
+        np.testing.assert_array_equal(tr.k_increment_dirs, ref[2][0])
+        assert np.any(tr.k_increment_dirs != 0.0)
+
+    def test_free_sde(self):
+        dom, co = unit_interval(), preset("constant-drift", params={"v": 1.0})
+        grid = TimeGrid(0.0, 1.0, 64)
+        fp = integrate_free_sde(co, dom, 0.0, [0.5], 0.5, grid,
+                                trajectory_rng(9))
+        noise = (trajectory_rng(9).standard_normal((1, 64, 1))
+                 * np.sqrt(grid.dt))
+        free = replace(dom, project_point=lambda p: p)
+        ref = reference_core(co, free, np.array([[0.5]]), 0.5, grid, noise)
+        np.testing.assert_array_equal(fp.values, ref[0][0])
+        assert fp.values.min() < 0.0 or fp.values.max() > 1.0
+
+    def test_skorokhod_map(self):
+        dom = unit_disc()
+        grid = TimeGrid(0.0, 1.0, 300)
+        rng = np.random.default_rng(41)
+        vals = np.cumsum(rng.standard_normal((301, 2)) * 0.1, axis=0)
+        vals -= vals[0]
+        dec = skorokhod_map(dom, FreePath(grid=grid, values=vals))
+        unit = CoefficientSet(
+            b=lambda t, x: np.zeros_like(x),
+            sigma=lambda t, x: np.broadcast_to(np.eye(2), x.shape + (2,)),
+            f=None, g=None, h=None, dims=(2, 2, 0), T=1.0)
+        psi, tv, _ = reference_core(unit, dom, vals[:1], 1.0, grid,
+                                    np.diff(vals, axis=0)[None])
+        np.testing.assert_array_equal(dec.psi, psi[0])
+        np.testing.assert_array_equal(dec.total_variation, tv[0])
+        assert tv[0, -1] > 0.0
+
+
+class TestStreams:
+    """Path streams are keyed by (seed, index) alone."""
+
+    def test_batch_row_is_the_single_trajectory(self):
+        dom, co = unit_interval(), preset("constant-drift", params={"v": 1.0})
+        grid = TimeGrid(0.0, 1.0, 64)
+        xp, kp = simulate_reflected_batch(co, dom, 0.0, [0.5], 0.2, grid,
+                                          seed=13, n_paths=8, index_offset=5,
+                                          key_prefix=(2, 1))
+        for j in range(8):
+            tr = integrate_reflected_sde(co, dom, 0.0, [0.5], 0.2, grid,
+                                         trajectory_rng(13, (2, 1, 5 + j)))
+            np.testing.assert_array_equal(xp[j], tr.x_path)
+            np.testing.assert_array_equal(kp[j], tr.k_path)
+
+    def test_rows_equal_per_index_draws(self):
+        rows = _brownian_rows(21, (4,), 3, (6, 10, 2), 0.25)
+        for j in range(6):
+            draws = trajectory_rng(21, (4, 3 + j)).standard_normal((10, 2))
+            np.testing.assert_array_equal(rows[j], draws * np.sqrt(0.25))
+
+    def test_int_index_is_a_one_tuple(self):
+        np.testing.assert_array_equal(
+            trajectory_rng(8, 5).standard_normal(16),
+            trajectory_rng(8, (5,)).standard_normal(16))
+
+    @pytest.mark.parametrize("other", [(3, 8), (3, 6), (2, 7), (4, 7),
+                                       (7,), (3, 7, 0)])
+    def test_neighbouring_keys_differ(self, other):
+        base = trajectory_rng(17, (3, 7)).standard_normal(64)
+        draws = trajectory_rng(17, other).standard_normal(64)
+        assert not np.any(draws == base)
+        other_seed = trajectory_rng(18, (3, 7)).standard_normal(64)
+        assert not np.any(other_seed == base)
+
+    def test_pooled_moments_and_cross_row_correlation(self):
+        rows = _brownian_rows(2024, (1,), 0, (4000, 32), 1.0)
+        n = rows.size
+        assert abs(rows.mean()) <= 5.0 / np.sqrt(n)
+        assert abs(rows.var() - 1.0) <= 5.0 * np.sqrt(2.0 / n)
+        lag = rows[1:] * rows[:-1]
+        assert abs(lag.mean()) <= 5.0 / np.sqrt(lag.size)
+        across = (_brownian_rows(2024, (2,), 0, (4000, 32), 1.0) * rows)
+        assert abs(across.mean()) <= 5.0 / np.sqrt(across.size)
 
 
 def test_time_grid_nodes_built_once_and_read_only():
