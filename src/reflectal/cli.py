@@ -359,15 +359,19 @@ def _execute(cfg, out_dir):
 
 @cache
 def _git_describe(path):
-    """`git describe --always --dirty` of the checkout holding path, or ""
-    when git or the checkout is missing; run once per path and process."""
+    """`git describe --always --dirty` of the checkout that tracks the files
+    in path, or "" when git is missing or nothing in path is tracked, as for
+    a package installed inside some other checkout; run once per path and
+    process."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=path, capture_output=True,
+                              text=True, timeout=30, check=True).stdout.strip()
     try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             cwd=path, capture_output=True, text=True,
-                             timeout=30, check=True)
+        if not git("ls-files", "--", "."):
+            return ""
+        return git("describe", "--always", "--dirty")
     except (OSError, subprocess.SubprocessError):
         return ""
-    return out.stdout.strip()
 
 
 def run(config):

@@ -29,6 +29,15 @@ __all__ = ["TimeGrid", "ReflectedTrajectory", "FreePath",
 # and are not booked into K
 _K_NOISE_FLOOR = 1e-14
 
+# SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's
+# multiplier, which _pcg64_states reproduces
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -76,23 +85,75 @@ class SkorokhodDecomposition:
     total_variation: np.ndarray   # (n+1,), nondecreasing
 
 
-def _philox_key(seed, prefix):
-    """128-bit Philox key of the stream family (seed, prefix)."""
-    return np.random.SeedSequence(seed, spawn_key=tuple(prefix)).generate_state(
-        2, np.uint64)
-
-
 def trajectory_rng(seed, index=0):
-    """Counter-based per-trajectory stream: depends only on (seed, index),
-    never on execution order or worker count. index may be an int or a
-    tuple (e.g. (ladder position, trajectory index)).
+    """Keyed per-trajectory stream: depends only on (seed, index), never on
+    execution order or worker count. index may be an int or a tuple (e.g.
+    (ladder position, trajectory index)).
 
-    The stream is Philox4x64 keyed by SeedSequence(seed, spawn_key=index[:-1])
-    with the last index in the top counter word, so neighbouring indices
-    address disjoint counter ranges under one key."""
+    The stream is PCG64 seeded by SeedSequence(seed, spawn_key=index), which
+    hashes the seed and the index into the generator's state."""
     key = index if isinstance(index, tuple) else (index,)
-    return np.random.Generator(np.random.Philox(
-        counter=[0, 0, 0, key[-1]], key=_philox_key(seed, key[:-1])))
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def _uint32_words(value):
+    """The uint32 words that SeedSequence makes of a nonnegative int, or of
+    a sequence of them, least significant first."""
+    if not isinstance(value, (int, np.integer)):
+        return [w for v in value for w in _uint32_words(v)]
+    value = int(value)
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _pcg64_states(seed, prefix, first, rows):
+    """PCG64 states of the streams trajectory_rng(seed, prefix + (first + j,))
+    for j < rows, computed together, as the dicts of PCG64().state["state"].
+
+    SeedSequence hashes one entropy word at a time into a pool of four: the
+    seed's words, padded to four, then the spawn key's. So the pool before
+    the last word is that of SeedSequence(those words), and only the index,
+    the last word, is hashed per row here; an index past 32 bits would take
+    two words and is left to SeedSequence. The pool then yields PCG64's
+    128-bit seed and increment, and PCG64 seeds as pcg_setseq_128_srandom_r.
+    """
+    # validates seed, prefix and first, and resolves a seed of None
+    ss = np.random.SeedSequence(seed, spawn_key=prefix + (first,))
+    if first + rows > _MASK32 + 1:
+        return [np.random.PCG64(np.random.SeedSequence(
+            seed, spawn_key=prefix + (first + j,))).state["state"]
+            for j in range(rows)]
+    words = _uint32_words(ss.entropy)
+    words += [0] * (4 - len(words)) + _uint32_words(prefix)
+    u32, shift = np.uint32, np.uint32(16)
+    index = np.arange(first, first + rows).astype(u32)
+    # SeedSequence's pool hash constant after words: four calls per word
+    hash_a = _SS_INIT_A * pow(_SS_MULT_A, 4 * len(words), 1 << 32) & _MASK32
+    pool = []
+    for word in np.random.SeedSequence(words).pool.tolist():
+        v = index ^ u32(hash_a)
+        hash_a = hash_a * _SS_MULT_A & _MASK32
+        v *= u32(hash_a)
+        v ^= v >> shift
+        v = u32(_SS_MIX_L * word & _MASK32) - v * u32(_SS_MIX_R)
+        pool.append(v ^ (v >> shift))
+    # generate_state(4, np.uint64): eight words from the pool, in pairs
+    hash_b, out = _SS_INIT_B, []
+    for i in range(8):
+        v = pool[i % 4] ^ u32(hash_b)
+        hash_b = hash_b * _SS_MULT_B & _MASK32
+        v *= u32(hash_b)
+        out.append((v ^ (v >> shift)).astype(np.uint64))
+    seeds = [out[i] | out[i + 1] << np.uint64(32) for i in range(0, 8, 2)]
+    states = []
+    for hi, lo, inc_hi, inc_lo in zip(*(q.tolist() for q in seeds)):
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = ((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"state": state, "inc": inc})
+    return states
 
 
 def _brownian_rows(seed, prefix, first, shape, dt):
@@ -100,14 +161,14 @@ def _brownian_rows(seed, prefix, first, shape, dt):
     Row j is, bitwise, the increments that _stream_noise draws from
     trajectory_rng(seed, prefix + (first + j,)), in row-major order.
 
-    One bit generator serves the block: its counter is reset per row."""
-    bitgen = np.random.Philox(key=_philox_key(seed, prefix))
+    One bit generator serves the block: its state is set per row."""
+    bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
     state = bitgen.state
-    counter = state["state"]["counter"]
     out = np.empty(shape)
-    for j, row in enumerate(out):
-        counter[3] = first + j
+    for row, pcg in zip(out, _pcg64_states(seed, tuple(prefix), first,
+                                           len(out))):
+        state["state"] = pcg
         bitgen.state = state
         gen.standard_normal(out=row)
     out *= np.sqrt(dt)

@@ -1,11 +1,9 @@
 """Monte Carlo experiments: small-noise convergence orders, uniform moment
 bounds, and rare-event tail probabilities against the variational certificate.
 
-All studies use per-trajectory counter-based streams keyed by (seed, ladder
-position, trajectory index), batched over a worker pool with an index-ordered
+All studies use per-trajectory streams keyed by (seed, ladder position,
+trajectory index), batched over a worker pool with an index-ordered
 reduction, so reports are bitwise reproducible regardless of worker count.
-The tail study drives every ladder level with the streams of position 0
-(common random numbers), because its verdict compares levels.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -30,8 +28,6 @@ _KEXP_BETA = 1.0        # Kexp estimates E[exp(beta K_T)]
 _MAX_REL_SE = 0.2       # largest relative standard error a level may report
 _PILOT_PATHS = 1000     # tail pilot at the smallest epsilon
 _OPT_STEPS = 64         # time steps of the tail certificate's optimizer grid
-_EXP_UNDERFLOW = 745.0  # exp(-x) is 0 or subnormal for x beyond this
-_TUBE_ROWS = 256        # paths per block of the tube exit statistic
 
 
 @dataclass(frozen=True)
@@ -50,7 +46,7 @@ class ConvergenceReport:
 class TailReport:
     epsilons: tuple
     deltas: tuple
-    p_hat: tuple             # nan where the estimate is exactly 0
+    p_hat: tuple             # nan where no exceedance was observed
     eps_log_p: tuple
     rate_bound: float        # -S*, the variational upper-bound certificate
     n_paths: int
@@ -197,53 +193,6 @@ def _sup_deviation_stat(skel):
     return stat
 
 
-def _tube_exit_stat(coeffs, grid, skel, epsilon, delta):
-    """Per-path probability that the path leaves the delta-tube around the
-    skeleton at some time of [s, T], between grid nodes included.
-
-    Given its nodes, the Euler path is a Brownian bridge over each step with
-    covariance epsilon sigma sigma^T(t_i, x_i) dt. Near the tube's boundary,
-    locally a half-space, it crosses with probability
-    exp(-2 u_i u_{i+1} / (epsilon v_i dt)): u is the distance to the boundary
-    at the two nodes and v the variance rate along the radius (the Brownian
-    bridge correction; Glasserman 2004, sec. 6.4). A node on or past the
-    boundary gives 1. Monitoring only the nodes biases p low by O(sqrt(dt)).
-    The bridge ignores reflection: where the tube reaches past the domain's
-    boundary, it can count crossings that the reflected path cannot make.
-    """
-    scale = 2.0 / (epsilon * grid.dt)
-    d, m, _ = coeffs.dims
-
-    def rows_stat(xp):
-        # Sums over the few coordinates: numpy reduces a short last axis
-        # several times slower than it adds whole slices.
-        dev = xp - skel.x_path[None]
-        r2 = sum(dev[..., c] ** 2 for c in range(d))
-        gap = np.maximum(delta - np.sqrt(r2), 0.0)
-        left = xp[:, :-1]
-        sig = coeffs.sigma(np.broadcast_to(grid.nodes[:-1], left.shape[:-1]),
-                           left)
-        # |sigma^T dev|^2 = v |dev|^2, so the exponent is expo / vr2
-        vr2 = sum(sum(dev[:, :-1, c] * sig[..., c, j] for c in range(d)) ** 2
-                  for j in range(m))
-        expo = gap[:, :-1] * gap[:, 1:] * r2[:, :-1] * scale
-        # Terms that exp does not flush to zero, off the tube's centre line
-        # and before any node has reached the boundary (those paths give 1).
-        rows, cols = np.nonzero((expo > 0.0) & (expo < _EXP_UNDERFLOW * vr2))
-        with np.errstate(divide="ignore"):     # a sure crossing: log 0
-            log_stay = np.log1p(-np.exp(-expo[rows, cols] / vr2[rows, cols]))
-        prob = -np.expm1(np.bincount(rows, log_stay, minlength=len(xp)))
-        prob[np.any(gap == 0.0, axis=1)] = 1.0
-        return prob
-
-    def stat(xp, kp):
-        # in blocks of rows: the temporaries above are a dozen arrays of
-        # the paths' size
-        return np.concatenate([rows_stat(xp[i:i + _TUBE_ROWS])
-                               for i in range(0, len(xp), _TUBE_ROWS)])
-    return stat
-
-
 def _exceedance_certificate(coeffs, domain, s, x, delta, grid_opt):
     """S* = cheapest endpoint-pinned cost among targets at sup distance
     >= delta from the skeleton (an upper bound for the tail rate)."""
@@ -267,45 +216,40 @@ def _exceedance_certificate(coeffs, domain, s, x, delta, grid_opt):
 
 def tail_study(coeffs, domain, s, x, delta, eps_ladder, n_paths, grid,
                rng_seed, workers=1):
-    """Estimate P(sup_t |X^eps - skeleton| >= delta), the sup over all of
-    [s, T], along the ladder and compare eps ln p_hat against the
-    variational certificate -S*."""
+    """Estimate P(sup_t |X^eps - skeleton| >= delta) along the ladder and
+    compare eps ln p_hat against the variational certificate -S*."""
     eps = _validate_ladder(eps_ladder)
     skel = integrate_skeleton_ode(coeffs, domain, s, x, grid)
+    stat = _sup_deviation_stat(skel)
 
     # pre-flight pilot at the smallest eps; adjust delta if the event is
     # too rare or too common to estimate by crude Monte Carlo. The 0.90
     # quantile puts the exceedance probability at the top of the admissible
-    # range [1e-4, 1e-1], where crude MC is cheapest and eps ln p still
-    # falls along the ladder (it turns back up toward -S* at smaller eps).
+    # range [1e-4, 1e-1], where crude MC is cheapest and the small-noise
+    # asymptotics of eps ln p are already monotone.
     adjusted = False
     sups = _per_path_stats(coeffs, domain, s, x, float(eps[-1]), grid,
-                           rng_seed, (len(eps), 0), _PILOT_PATHS,
-                           _sup_deviation_stat(skel), workers)
+                           rng_seed, (len(eps), 0), _PILOT_PATHS, stat, workers)
     p_pilot = float(np.mean(sups >= delta))
     if not (1e-4 <= p_pilot <= 1e-1):
         delta = float(np.quantile(sups, 0.90))
         adjusted = True
 
-    # Every level reuses the noise of ladder position 0. The levels' errors
-    # are then positively correlated, so differences between levels, which
-    # the study is read by, are estimated more tightly than by independent
-    # samples of the same size.
     p_hat, eps_log_p, zero_levels, ses = [], [], [], []
-    for e in eps:
-        probs = _per_path_stats(
-            coeffs, domain, s, x, float(e), grid, rng_seed, (0,), n_paths,
-            _tube_exit_stat(coeffs, grid, skel, float(e), delta), workers)
-        p = float(probs.mean())
-        if p == 0.0:
+    for ei, e in enumerate(eps):
+        sups = _per_path_stats(coeffs, domain, s, x, float(e), grid,
+                               rng_seed, (ei,), n_paths, stat, workers)
+        hits = int(np.sum(sups >= delta))
+        if hits == 0:
             zero_levels.append(float(e))
             p_hat.append(float("nan"))
             eps_log_p.append(float("nan"))
             ses.append(float("nan"))
             continue
+        p = hits / n_paths
         p_hat.append(p)
         eps_log_p.append(float(e * np.log(p)))
-        ses.append(float(probs.std(ddof=1) / np.sqrt(n_paths)))
+        ses.append(float(np.sqrt(p * (1 - p) / n_paths)))
 
     grid_opt = TimeGrid(s=s, T=grid.T, n_steps=_OPT_STEPS)
     s_star = _exceedance_certificate(coeffs, domain, s, x, delta, grid_opt)

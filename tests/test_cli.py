@@ -333,6 +333,27 @@ def test_git_describe_of_a_checkout(tmp_path, monkeypatch):
     assert cli._git_describe(str(repo)) == head
 
 
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_git_describe_of_an_untracked_install(tmp_path):
+    # a package installed into a virtual environment inside an unrelated,
+    # dirty checkout: that checkout's describe is not the package's
+    repo = tmp_path / "project"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / "f.txt").write_text("a")
+    _git(repo, "add", "f.txt")
+    _git(repo, "commit", "-q", "-m", "c")
+    (repo / "f.txt").write_text("b")
+    for sub in ("venv/lib/site-packages/pkg", "ignored/pkg"):
+        pkg = repo / sub
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text("")
+    (repo / ".gitignore").write_text("ignored/\n")
+    assert _git(repo, "describe", "--always", "--dirty").endswith("-dirty")
+    for sub in ("venv/lib/site-packages/pkg", "ignored/pkg"):
+        assert cli._git_describe.__wrapped__(str(repo / sub)) == ""
+
+
 def test_git_describe_without_checkout_or_git(tmp_path, monkeypatch):
     monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
     bare = tmp_path / "plain"

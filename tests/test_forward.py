@@ -415,11 +415,20 @@ class TestStreams:
             np.testing.assert_array_equal(xp[j], tr.x_path)
             np.testing.assert_array_equal(kp[j], tr.k_path)
 
-    def test_rows_equal_per_index_draws(self):
-        rows = _brownian_rows(21, (4,), 3, (6, 10, 2), 0.25)
+    @pytest.mark.parametrize("seed, prefix, first", [
+        (21, (4,), 3), (7, (), 0), (2024, (1, 2**40), 2**31),
+        (2**200 + 5, (0, 0), 17), ([1, 2**33], (4,), 0),
+        (5, (2,), 2**32 - 3)])    # the last rows' indices take two words
+    def test_rows_equal_per_index_draws(self, seed, prefix, first):
+        rows = _brownian_rows(seed, prefix, first, (6, 10, 2), 0.25)
         for j in range(6):
-            draws = trajectory_rng(21, (4, 3 + j)).standard_normal((10, 2))
+            draws = trajectory_rng(seed, prefix + (first + j,)).standard_normal(
+                (10, 2))
             np.testing.assert_array_equal(rows[j], draws * np.sqrt(0.25))
+
+    def test_block_rejects_a_negative_index(self):
+        with pytest.raises(ValueError):
+            _brownian_rows(3, (1,), -1, (2, 4, 1), 0.5)
 
     def test_int_index_is_a_one_tuple(self):
         np.testing.assert_array_equal(

@@ -3,15 +3,11 @@
 import numpy as np
 import pytest
 
-from scipy.special import j1, jn_zeros
-
 from reflectal.coefficients import CoefficientSet, preset
 from reflectal.errors import DegenerateFit, InsufficientPaths
-from reflectal.forward import (TimeGrid, integrate_skeleton_ode,
-                               simulate_reflected_batch)
+from reflectal.forward import TimeGrid
 from reflectal.geometry import make_domain
-from reflectal.harness import (_tube_exit_stat, convergence_study, fit_loglog,
-                               tail_study)
+from reflectal.harness import convergence_study, fit_loglog, tail_study
 
 LADDER = (0.1, 0.05, 0.025, 0.0125)
 
@@ -163,53 +159,3 @@ class TestTailStudy:
         b = self._tail(0.2, workers=3)
         assert a.p_hat == b.p_hat
         assert a.eps_log_p == b.eps_log_p
-
-    def test_levels_share_the_noise_of_position_0(self):
-        rep = self._tail(0.32, n_paths=1000, seed=5)
-        co, dom = preset("zero-drift-unit-noise"), unit_interval()
-        grid = TimeGrid(0.0, 1.0, 256)
-        skel = integrate_skeleton_ode(co, dom, 0.0, [0.5], grid)
-        for e, p in zip(rep.epsilons, rep.p_hat):
-            xp, kp = simulate_reflected_batch(co, dom, 0.0, [0.5], e, grid, 5,
-                                              1000, key_prefix=(0,))
-            stat = _tube_exit_stat(co, grid, skel, e, rep.deltas[0])
-            assert float(stat(xp, kp).mean()) == p
-
-
-def interval_sup_exceedance(a):
-    """P(sup_{t<=1} |W_t| >= a) for 1D Brownian motion (Feller's series)."""
-    m = 2.0 * np.arange(200) + 1.0
-    signs = np.where(np.arange(200) % 2 == 0, 1.0, -1.0)
-    return 1.0 - 4.0 / np.pi * np.sum(
-        signs / m * np.exp(-(m * np.pi) ** 2 / (8.0 * a * a)))
-
-
-def disc_exit_probability(a):
-    """P(sup_{t<=1} |W_t| >= a) for planar Brownian motion (Bessel series)."""
-    j = jn_zeros(0, 100)
-    return 1.0 - np.sum(2.0 / (j * j1(j)) * np.exp(-j * j / (2.0 * a * a)))
-
-
-@pytest.mark.parametrize("name, dom, x, params, exact", [
-    ("zero-drift-unit-noise", unit_interval(), [0.5], None,
-     interval_sup_exceedance),
-    ("ou-in-ball", make_domain("ball", center=[0.0, 0.0], radius=1.0),
-     [0.0, 0.0], {"theta": 0.0}, disc_exit_probability),
-])
-def test_tube_exit_matches_continuous_sup_law(name, dom, x, params, exact):
-    # Zero drift and a tube inside the domain: the exit probability is the
-    # Brownian sup law at a = delta / sqrt(eps). On 16 steps the nodes alone
-    # miss many exits; the bridge correction recovers them.
-    co = preset(name, params)
-    grid = TimeGrid(0.0, 1.0, 16)
-    eps, delta, n_paths = 0.01, 0.15, 20_000
-    skel = integrate_skeleton_ode(co, dom, 0.0, x, grid)
-    xp, kp = simulate_reflected_batch(co, dom, 0.0, x, eps, grid, 11, n_paths)
-    probs = _tube_exit_stat(co, grid, skel, eps, delta)(xp, kp)
-    node_hit = np.linalg.norm(xp - skel.x_path[None], axis=-1).max(axis=1) >= delta
-    assert np.all((probs >= 0.0) & (probs <= 1.0))
-    assert np.all(probs[node_hit] == 1.0)
-    p = exact(delta / np.sqrt(eps))
-    se = probs.std(ddof=1) / np.sqrt(n_paths)
-    assert abs(probs.mean() - p) <= 4.0 * se
-    assert node_hit.mean() < p - 4.0 * se
