@@ -10,10 +10,9 @@ the (X, K) coupling.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import product
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import FixedPointDivergence, NumericalBlowup, OutOfLattice
 from .forward import TimeGrid, _brownian_rows, _reflected_core
@@ -25,6 +24,7 @@ __all__ = ["BsdePath", "ValueField", "make_lattice", "solve_limit_bsde",
 _MAX_FP_ITER = 20      # fixed-point iterations per implicit backward step
 _FP_TOL = 1e-10        # sup-norm change that ends the fixed-point iteration
 _PI_TOL = 1e-9         # slack of apply_pi's lattice-hull and time-range checks
+_UNIFORM_TOL = 1e-9    # largest spacing deviation of a lattice axis, per step
 
 
 @dataclass(frozen=True)
@@ -42,28 +42,53 @@ class ValueField:
     values: np.ndarray    # (n_t+1, *lattice_shape, k)
     epsilon: float        # 0 means the deterministic limit field
 
-    @cached_property
-    def interpolator(self):
-        """Multilinear interpolator over (time, *axes), built once."""
-        return RegularGridInterpolator(
-            (self.times.nodes,) + self.axes, self.values,
-            method="linear", bounds_error=False, fill_value=None)
+    def __post_init__(self):
+        object.__setattr__(self, "axes", _uniform_axes(self.axes))
+
+
+def _uniform_axes(space_grid):
+    """Float lattice axes, each increasing and uniform with >= 2 nodes."""
+    axes = tuple(np.asarray(ax, float) for ax in space_grid)
+    for ax in axes:
+        if ax.ndim != 1 or ax.size < 2:
+            raise ValueError("every lattice axis needs at least 2 nodes")
+        step = (ax[-1] - ax[0]) / (ax.size - 1)
+        if not (step > 0 and np.all(np.abs(np.diff(ax) - step)
+                                    <= _UNIFORM_TOL * step)):
+            raise ValueError("lattice axes must be increasing and uniform")
+    return axes
 
 
 def make_lattice(domain, n_per_axis):
     """Per-axis uniform lattice over the bounding box of the closed domain."""
-    if domain.kind == "interval":
-        a, b = domain.params["a"], domain.params["b"]
-        return (np.linspace(a, b, n_per_axis),)
-    c = np.asarray(domain.params["center"], float)
-    r = domain.params["radius"]
-    return tuple(np.linspace(ci - r, ci + r, n_per_axis) for ci in c)
+    return tuple(np.linspace(lo, hi, n_per_axis) for lo, hi in zip(*domain.bbox))
 
 
 def _lattice_nodes(axes):
     shape = tuple(len(ax) for ax in axes)
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1), shape
+
+
+def _multilinear(axes, values, coords):
+    """Multilinear read of values (*lattice_shape, k) on uniform axes at
+    points inside the lattice hull, given as one coordinate array per axis,
+    all of one broadcast shape (...); returns (..., k). The 2^D corner values
+    are gathered by index arithmetic and reduced one axis at a time."""
+    shape = values.shape[:len(axes)]
+    flat = values.reshape(-1, values.shape[-1])
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    base, weights = 0, []
+    for ax, q, stride in zip(axes, coords, strides):
+        pos = (q - ax[0]) * ((ax.size - 1) / (ax[-1] - ax[0]))
+        cell = np.clip(pos.astype(np.intp), 0, ax.size - 2)
+        base = base + cell * stride
+        weights.append((pos - cell)[..., None])
+    corners = [flat[base + np.dot(bits, strides)]
+               for bits in product((0, 1), repeat=len(axes))]
+    for w in reversed(weights):
+        corners = [lo + w * (hi - lo) for lo, hi in zip(corners[::2], corners[1::2])]
+    return corners[0]
 
 
 def _backward_recursion(coeffs, nodes_t, x_path, k_path, terminal):
@@ -113,8 +138,8 @@ def solve_bsde_grid(coeffs, domain, epsilon, times, space_grid, mc_per_node,
         raise ValueError("solve_bsde_grid requires epsilon > 0")
     if mc_per_node < 64:
         raise ValueError("mc_per_node must be >= 64")
-    d, m, k = coeffs.dims
-    axes = tuple(np.asarray(ax, float) for ax in space_grid)
+    _, m, k = coeffs.dims
+    axes = _uniform_axes(space_grid)
     nodes, shape = _lattice_nodes(axes)
     N = nodes.shape[0]
     sim_start = project(domain, nodes)    # lattice hull may exceed the domain
@@ -138,10 +163,8 @@ def solve_bsde_grid(coeffs, domain, epsilon, times, space_grid, mc_per_node,
         xn = project(domain, prop)                         # (N, mc, d)
         dk = np.linalg.norm(xn - prop, axis=-1)            # (N, mc)
 
-        interp = RegularGridInterpolator(
-            axes, values[i + 1].reshape(shape + (k,)),
-            method="linear", bounds_error=False, fill_value=None)
-        u_next = interp(xn.reshape(-1, d)).reshape(N, mc_per_node, k)
+        u_next = _multilinear(axes, values[i + 1].reshape(shape + (k,)),
+                              np.moveaxis(xn, -1, 0))      # (N, mc, k)
 
         base = u_next.mean(axis=1)                         # (N, k)
         kbar = dk.mean(axis=1)[:, None]                    # (N, 1)
@@ -172,8 +195,8 @@ def solve_bsde_grid(coeffs, domain, epsilon, times, space_grid, mc_per_node,
 def limit_value_field(coeffs, domain, times, space_grid):
     """Deterministic limit field u(t, x) on the lattice: skeleton from each
     (t_i, node) followed by the limit backward equation, read at its start."""
-    d, m, k = coeffs.dims
-    axes = tuple(np.asarray(ax, float) for ax in space_grid)
+    k = coeffs.dims[2]
+    axes = _uniform_axes(space_grid)
     nodes, shape = _lattice_nodes(axes)
     starts = project(domain, nodes)
     n = times.n_steps
@@ -197,20 +220,15 @@ def apply_pi(field, path_values, path_times=None):
     field's own time nodes. Returns (..., n+1, k)."""
     t_nodes = field.times.nodes if path_times is None else np.asarray(path_times)
     vals = np.asarray(path_values, float)
-    d = len(field.axes)
-    k = field.values.shape[-1]
-    if vals.shape[-1] != d:
+    if vals.shape[-1] != len(field.axes):
         raise ValueError("path dimension does not match the field lattice")
-    lo = np.array([ax[0] for ax in field.axes])
-    hi = np.array([ax[-1] for ax in field.axes])
+    lo, hi = np.array([ax[[0, -1]] for ax in field.axes]).T
     if np.any(vals < lo - _PI_TOL) or np.any(vals > hi + _PI_TOL):
         raise OutOfLattice("path leaves the lattice hull")
     clipped = np.clip(vals, lo, hi)
     t_lo, t_hi = field.times.s, field.times.T
     if np.any(t_nodes < t_lo - _PI_TOL) or np.any(t_nodes > t_hi + _PI_TOL):
         raise OutOfLattice("path times leave the field's time range")
-    tq = np.broadcast_to(np.clip(t_nodes, t_lo, t_hi),
-                         vals.shape[:-1])[..., None]
-    pts = np.concatenate([tq, clipped], axis=-1)
-    out = field.interpolator(pts.reshape(-1, d + 1))
-    return out.reshape(vals.shape[:-1] + (k,))
+    tq = np.broadcast_to(np.clip(t_nodes, t_lo, t_hi), vals.shape[:-1])
+    return _multilinear((field.times.nodes,) + field.axes, field.values,
+                        (tq, *np.moveaxis(clipped, -1, 0)))

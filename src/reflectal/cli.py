@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from .action import contracted_rate, evaluate_action, minimize_action_endpoint
-from .backward import (apply_pi, limit_value_field, make_lattice,
-                       solve_bsde_grid, solve_limit_bsde)
+from .backward import (_lattice_nodes, apply_pi, limit_value_field,
+                       make_lattice, solve_bsde_grid, solve_limit_bsde)
 from .coefficients import PRESET_NAMES, audit_assumptions, preset
 from .errors import ConfigInvalid, ReflectalError
 from .forward import (TimeGrid, integrate_skeleton_ode,
@@ -76,15 +76,6 @@ def serialize(config):
     if d["y"] is not None:
         d["y"] = list(d["y"])
     return json.dumps(d, sort_keys=True, separators=(",", ":")).encode()
-
-
-def _build_domain(desc):
-    kind = desc.get("kind")
-    if kind == "interval":
-        return make_domain("interval", a=desc["a"], b=desc["b"])
-    if kind == "ball":
-        return make_domain("ball", center=desc["center"], radius=desc["radius"])
-    raise ConfigInvalid("/domain/kind", f"unknown kind {kind!r}")
 
 
 def _parse(pointer, convert, value):
@@ -176,10 +167,8 @@ def validate(config_text):
     if cfg.target not in TARGETS:
         raise ConfigInvalid("/target", f"must be one of {TARGETS}")
     try:
-        domain = _build_domain(cfg.domain)
-    except ConfigInvalid:
-        raise
-    except (KeyError, TypeError, ValueError, ReflectalError) as exc:
+        domain = make_domain(**cfg.domain)
+    except (TypeError, ValueError, ReflectalError) as exc:
         raise ConfigInvalid("/domain", str(exc)) from None
     xarr = np.asarray(cfg.x, float)
     if xarr.size != domain.dimension:
@@ -218,7 +207,7 @@ def _traj_rows(grid, x_paths, k_paths):
 def _execute(cfg, out_dir):
     """Run the named command, write CSVs into out_dir, return extra manifest
     fields and the list of output files."""
-    domain = _build_domain(cfg.domain)
+    domain = make_domain(**cfg.domain)
     params = dict(cfg.preset_params)
     params.setdefault("T", cfg.T)
     coeffs = preset(cfg.preset_name, params)
@@ -267,17 +256,12 @@ def _execute(cfg, out_dir):
         k = field_v.values.shape[-1]
         header = (["t"] + [f"x_{i+1}" for i in range(d)]
                   + [f"u_{i+1}" for i in range(k)])
-        mesh = np.meshgrid(*lattice, indexing="ij")
-        nodes = np.stack([g.ravel() for g in mesh], axis=-1)
+        nodes, _ = _lattice_nodes(lattice)
         flat = field_v.values.reshape(times.n_steps + 1, -1, k)
-
-        def rows():
-            for ti, t in enumerate(times.nodes):
-                for ni in range(nodes.shape[0]):
-                    yield (float(t), *map(float, nodes[ni]),
-                           *map(float, flat[ti, ni]))
+        rows = ((float(t), *map(float, node), *map(float, u))
+                for t, us in zip(times.nodes, flat) for node, u in zip(nodes, us))
         files["bsde-grid.csv"] = _write_csv(
-            os.path.join(out_dir, "bsde-grid.csv"), header, rows())
+            os.path.join(out_dir, "bsde-grid.csv"), header, rows)
         extra["epsilon"] = cfg.eps
 
     elif cfg.command == "action-eval":

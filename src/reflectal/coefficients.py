@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AuditFailure, UnknownPreset
-from .geometry import sample_closure
 
 __all__ = ["CoefficientSet", "AssumptionAudit", "audit_assumptions",
            "preset", "PRESET_NAMES"]
@@ -73,8 +72,8 @@ def audit_assumptions(coeffs, domain, grid=None, rng_seed=0, strict=False):
 
     d, m, k = coeffs.dims
     rng = np.random.default_rng(rng_seed)
-    xs = sample_closure(domain, n_space, rng)
-    xs2 = sample_closure(domain, n_space, rng)
+    xs = domain.sample_closure(n_space, rng)
+    xs2 = domain.sample_closure(n_space, rng)
     ts = np.linspace(0.0, coeffs.T, n_time)
     flags = []
     witness = None

@@ -12,7 +12,7 @@ any dimension. Points are numpy arrays of shape (..., d); all callables are
 vectorized over leading axes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,10 +32,11 @@ class DomainSpec:
     phi, grad_phi and hess_phi take arrays of shape (..., d) and return
     arrays of shape (...,), (..., d) and (..., d, d) respectively.
     signed_distance is the exact (unsmoothed) signed distance to the
-    boundary, used for on-boundary queries.
+    boundary, used for on-boundary queries. bbox is the bounding box's
+    (lower, upper) corners; sample_closure(n, rng) and sample_boundary(n, rng)
+    return n points of the closed domain and of its boundary.
     """
 
-    kind: str
     dimension: int
     phi: Callable
     grad_phi: Callable
@@ -43,9 +44,11 @@ class DomainSpec:
     alpha: float
     boundary_tol: float
     diameter: float
-    params: dict = field(default_factory=dict)
-    signed_distance: Callable = None
-    project_point: Callable = None
+    bbox: tuple
+    signed_distance: Callable
+    project_point: Callable
+    sample_closure: Callable
+    sample_boundary: Callable
 
 
 def _ramp(t, w, m):
@@ -104,11 +107,17 @@ def _make_interval(a, b):
     def proj(p):
         return np.clip(np.asarray(p, float), a, b)
 
+    def closure(n, rng):
+        return rng.uniform(a, b, size=(n, 1))
+
+    def boundary(n, rng):
+        return np.where(rng.random(n) < 0.5, a, b)[:, None]
+
     return DomainSpec(
-        kind="interval", dimension=1, phi=phi, grad_phi=grad, hess_phi=hess,
-        alpha=_ALPHA, boundary_tol=_BOUNDARY_REL_TOL * diam, diameter=diam,
-        params={"a": float(a), "b": float(b)},
-        signed_distance=dist, project_point=proj)
+        dimension=1, phi=phi, grad_phi=grad, hess_phi=hess, alpha=_ALPHA,
+        boundary_tol=_BOUNDARY_REL_TOL * diam, diameter=diam,
+        bbox=(np.array([a]), np.array([b])), signed_distance=dist,
+        project_point=proj, sample_closure=closure, sample_boundary=boundary)
 
 
 def _make_ball(center, radius):
@@ -157,11 +166,22 @@ def _make_ball(center, radius):
         scale = np.where(rho > radius, radius / np.where(rho > 0, rho, 1.0), 1.0)
         return c + rel * scale[..., None]
 
+    def directions(n, rng):
+        dirs = rng.standard_normal((n, d))
+        return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+    def closure(n, rng):
+        dirs = directions(n, rng)
+        return c + dirs * (radius * rng.random(n) ** (1.0 / d))[:, None]
+
+    def boundary(n, rng):
+        return c + radius * directions(n, rng)
+
     return DomainSpec(
-        kind="ball", dimension=d, phi=phi, grad_phi=grad, hess_phi=hess,
-        alpha=_ALPHA, boundary_tol=_BOUNDARY_REL_TOL * diam, diameter=diam,
-        params={"center": c.tolist(), "radius": float(radius)},
-        signed_distance=dist, project_point=proj)
+        dimension=d, phi=phi, grad_phi=grad, hess_phi=hess, alpha=_ALPHA,
+        boundary_tol=_BOUNDARY_REL_TOL * diam, diameter=diam,
+        bbox=(c - radius, c + radius), signed_distance=dist,
+        project_point=proj, sample_closure=closure, sample_boundary=boundary)
 
 
 def make_domain(kind, *, a=None, b=None, center=None, radius=None):
@@ -187,33 +207,6 @@ def project(domain, p):
     return domain.project_point(np.asarray(p, float))
 
 
-def sample_closure(domain, n, rng):
-    """n points uniformly distributed over the closed domain."""
-    if domain.kind == "interval":
-        a, b = domain.params["a"], domain.params["b"]
-        return rng.uniform(a, b, size=(n, 1))
-    c = np.asarray(domain.params["center"], float)
-    r = domain.params["radius"]
-    d = domain.dimension
-    dirs = rng.standard_normal((n, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = r * rng.random(n) ** (1.0 / d)
-    return c + dirs * radii[:, None]
-
-
-def sample_boundary(domain, n, rng):
-    """n points on the boundary."""
-    if domain.kind == "interval":
-        a, b = domain.params["a"], domain.params["b"]
-        ends = np.where(rng.random(n) < 0.5, a, b)
-        return ends[:, None]
-    c = np.asarray(domain.params["center"], float)
-    r = domain.params["radius"]
-    dirs = rng.standard_normal((n, domain.dimension))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return c + r * dirs
-
-
 def verify_convexity(domain, n_samples, rng_seed):
     """Smallest alpha making 2<x'-x, grad phi(x)> + alpha |x-x'|^2 >= 0
     over sampled boundary points x and closure points x'.
@@ -224,8 +217,8 @@ def verify_convexity(domain, n_samples, rng_seed):
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     rng = np.random.default_rng(rng_seed)
-    xb = sample_boundary(domain, n_samples, rng)
-    xc = sample_closure(domain, n_samples, rng)
+    xb = domain.sample_boundary(n_samples, rng)
+    xc = domain.sample_closure(n_samples, rng)
     g = domain.grad_phi(xb)
     diff = xc - xb
     sq = np.sum(diff * diff, axis=1)

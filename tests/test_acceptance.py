@@ -106,7 +106,8 @@ def test_criterion_05_tail_sandwich_upper_bound():
     ok = decreasing and bounded and len(vals) == len(LADDER)
     assert report(5, "eps ln p decreasing, >= -S* - 0.05", ok,
                   f"eps_log_p={[f'{v:.4f}' for v in vals]}, "
-                  f"-S*={rep.rate_bound:.4f}")
+                  f"-S*={rep.rate_bound:.4f}, delta={rep.deltas[0]:.4f}, "
+                  f"delta_adjusted={rep.delta_adjusted}")
 
 
 def test_criterion_06_action_exactness():

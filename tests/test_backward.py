@@ -1,10 +1,16 @@
 """Backward solvers: limit equation, lattice dynamic programming, value maps."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
-from reflectal.backward import (apply_pi, limit_value_field, make_lattice,
+import reflectal
+from reflectal.backward import (ValueField, _multilinear, apply_pi,
+                                limit_value_field, make_lattice,
                                 solve_bsde_grid, solve_limit_bsde)
 from reflectal.coefficients import CoefficientSet, preset
 from reflectal.errors import FixedPointDivergence, OutOfLattice
@@ -180,7 +186,6 @@ class TestApplyPi:
         dom = unit_interval()
         times = TimeGrid(0.0, 1.0, 8)
         lat = make_lattice(dom, 5)
-        from reflectal.backward import ValueField
         field = ValueField(times=times, axes=lat,
                            values=np.full((9, 5, 1), 3.0), epsilon=0.0)
         path = np.linspace(0.1, 0.9, 9)[:, None]
@@ -227,8 +232,8 @@ class TestApplyPi:
             assert gap <= lip * delta + 1e-12
 
     def test_repeated_calls_match_fresh_interpolator(self):
-        # the field keeps one interpolator; every read, including a batch
-        # of paths and explicit times, equals one built from scratch
+        # every read, including a batch of paths and explicit times, agrees
+        # with scipy's rectilinear interpolator to rounding
         dom = make_domain("ball", center=[0.0, 0.0], radius=1.0)
         co = preset("ou-in-ball")
         times = TimeGrid(0.0, 1.0, 6)
@@ -243,11 +248,108 @@ class TestApplyPi:
                 [np.broadcast_to(times.nodes, shape[:-1])[..., None], path],
                 axis=-1)
             want = fresh(pts.reshape(-1, 3)).reshape(shape[:-1] + (1,))
-            assert np.array_equal(apply_pi(field, path), want)
+            np.testing.assert_allclose(apply_pi(field, path), want,
+                                       rtol=0, atol=1e-15)
         t_half = np.linspace(0.05, 0.95, 7)
         pts = np.concatenate([t_half[:, None], path], axis=-1)
-        assert np.array_equal(apply_pi(field, path, path_times=t_half),
-                              fresh(pts))
-        assert field.interpolator is field.interpolator
+        np.testing.assert_allclose(apply_pi(field, path, path_times=t_half),
+                                   fresh(pts), rtol=0, atol=1e-15)
         with pytest.raises(OutOfLattice):
             apply_pi(field, np.full((7, 2), 1.5))
+
+
+def affine_field(times, axes, coef):
+    """Field (n_t+1, *lattice_shape, 2) of two functions affine in (t, x)."""
+    grids = np.meshgrid(times.nodes, *axes, indexing="ij")
+    return np.stack([c[0] + sum(cj * g for cj, g in zip(c[1:], grids))
+                     for c in coef], axis=-1)
+
+
+def affine_at(times_q, path, coef):
+    coords = (times_q,) + tuple(np.moveaxis(path, -1, 0))
+    return np.stack([c[0] + sum(cj * q for cj, q in zip(c[1:], coords))
+                     for c in coef], axis=-1)
+
+
+LATTICES = [
+    (make_domain("interval", a=-0.5, b=2.0), 7),
+    (make_domain("ball", center=[0.3, -0.2], radius=1.5), 6),
+]
+
+
+class TestMultilinear:
+    @pytest.mark.parametrize("dom, n_nodes", LATTICES)
+    def test_reproduces_node_values(self, dom, n_nodes):
+        times = TimeGrid(0.0, 2.0, 5)
+        axes = make_lattice(dom, n_nodes)
+        values = np.random.default_rng(1).standard_normal(
+            (6,) + (n_nodes,) * len(axes) + (2,))
+        grids = np.meshgrid(times.nodes, *axes, indexing="ij")
+        got = _multilinear((times.nodes,) + axes, values, grids)
+        # a node's position can round to just below its index, which mixes
+        # in the neighbour with a weight of a few ulp
+        np.testing.assert_allclose(got, values, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dom, n_nodes", LATTICES)
+    def test_reproduces_affine_functions(self, dom, n_nodes):
+        times = TimeGrid(0.5, 1.5, 4)
+        axes = make_lattice(dom, n_nodes)
+        d = len(axes)
+        rng = np.random.default_rng(2)
+        coef = rng.uniform(-3, 3, size=(2, d + 2))
+        field = ValueField(times=times, axes=axes,
+                           values=affine_field(times, axes, coef), epsilon=0.0)
+        lo, hi = dom.bbox
+        path = rng.uniform(lo, hi, size=(3, 5, d))
+        t_q = rng.uniform(0.5, 1.5, size=5)
+        np.testing.assert_allclose(apply_pi(field, path, path_times=t_q),
+                                   affine_at(t_q, path, coef),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(apply_pi(field, path),
+                                   affine_at(times.nodes, path, coef),
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dom, n_nodes", LATTICES)
+    def test_points_clipped_to_the_hull_stay_inside(self, dom, n_nodes):
+        # a read just past the hull (within the check's slack) is the read at
+        # the hull: no extrapolation, so it stays within the node values
+        times = TimeGrid(0.0, 1.0, 3)
+        axes = make_lattice(dom, n_nodes)
+        d = len(axes)
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((4,) + (n_nodes,) * d + (1,))
+        field = ValueField(times=times, axes=axes, values=values, epsilon=0.0)
+        lo, hi = dom.bbox
+        path = rng.uniform(lo, hi, size=(200, 4, d))
+        beyond = np.where(rng.random(path.shape) < 0.5, lo - 5e-10, hi + 5e-10)
+        path = np.where(rng.random(path.shape) < 0.3, beyond, path)
+        t_q = times.nodes + np.array([-5e-10, 0.0, 0.0, 5e-10])
+        got = apply_pi(field, path, path_times=t_q)
+        np.testing.assert_array_equal(
+            got, apply_pi(field, np.clip(path, lo, hi), path_times=times.nodes))
+        assert values.min() <= got.min() and got.max() <= values.max()
+
+    def test_non_uniform_axis_raises(self):
+        times = TimeGrid(0.0, 1.0, 2)
+        uneven = np.array([0.0, 0.25, 0.5, 0.8, 1.0])
+        with pytest.raises(ValueError, match="uniform"):
+            ValueField(times=times, axes=(uneven,),
+                       values=np.zeros((3, 5, 1)), epsilon=0.0)
+        with pytest.raises(ValueError, match="2 nodes"):
+            ValueField(times=times, axes=(np.array([0.5]),),
+                       values=np.zeros((3, 1, 1)), epsilon=0.0)
+        dom = unit_interval()
+        with pytest.raises(ValueError, match="uniform"):
+            solve_bsde_grid(preset("linear-bsde"), dom, 0.1, times, (uneven,),
+                            64, rng_seed=0)
+
+
+def test_package_import_loads_no_scipy():
+    # scipy is a test-only dependency; the package itself needs only numpy
+    code = ("import reflectal, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(reflectal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -178,6 +178,10 @@ class TestValidateRejects:
         ({"T": 1.0, "preset": {"name": "constant-drift",
                                "params": {"v": 1.0, "T": 5.0}}},
          "/preset/params/T"),
+        ({"domain": {"kind": "hexagon"}}, "/domain"),
+        ({"domain": {"a": 0.0, "b": 1.0}}, "/domain"),
+        ({"domain": {"kind": "interval", "a": 0.0, "b": 1.0, "width": 1.0}},
+         "/domain"),
     ])
     def test_bad_value_rejected(self, over, field):
         with pytest.raises(ConfigInvalid) as exc:

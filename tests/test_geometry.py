@@ -1,12 +1,12 @@
 """Domain geometry: defining function, projection, convexity audit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from reflectal.errors import AuditFailure, InvalidShape
-from reflectal.geometry import (DomainSpec, make_domain, project,
-                                sample_boundary, sample_closure,
-                                verify_convexity)
+from reflectal.geometry import make_domain, project, verify_convexity
 
 
 def unit_interval():
@@ -42,17 +42,17 @@ class TestMakeDomain:
     def test_phi_positive_iff_strictly_inside(self):
         for dom in (unit_interval(), unit_ball()):
             rng = np.random.default_rng(5)
-            pts = sample_closure(dom, 500, rng)
+            pts = dom.sample_closure(500, rng)
             sd = dom.signed_distance(pts)
             inside = sd > dom.boundary_tol
             assert np.all(dom.phi(pts)[inside] > 0)
-            bd = sample_boundary(dom, 100, rng)
+            bd = dom.sample_boundary(100, rng)
             assert np.all(np.abs(dom.phi(bd)) <= 10 * dom.boundary_tol)
 
     def test_unit_gradient_on_boundary(self):
         for dom in (unit_interval(), unit_ball(3)):
             rng = np.random.default_rng(6)
-            bd = sample_boundary(dom, 200, rng)
+            bd = dom.sample_boundary(200, rng)
             norms = np.linalg.norm(dom.grad_phi(bd), axis=-1)
             assert np.all(np.abs(norms - 1.0) <= 10 * dom.boundary_tol)
 
@@ -61,7 +61,7 @@ class TestMakeDomain:
         for dom in (unit_interval(), unit_ball()):
             rng = np.random.default_rng(7)
             # stay off the medial set seam where third derivatives jump
-            pts = sample_closure(dom, 300, rng)
+            pts = dom.sample_closure(300, rng)
             step = 1e-5
             d = dom.dimension
             for c in range(d):
@@ -77,7 +77,7 @@ class TestMakeDomain:
     def test_phi_bounded_on_closure(self):
         for dom in (unit_interval(), unit_ball()):
             rng = np.random.default_rng(8)
-            pts = sample_closure(dom, 1000, rng)
+            pts = dom.sample_closure(1000, rng)
             assert np.all(np.isfinite(dom.phi(pts)))
             assert np.max(dom.phi(pts)) <= dom.diameter
 
@@ -110,14 +110,14 @@ class TestProject:
             d = dom.dimension
             p = rng.uniform(-3, 3, size=(200, d))
             q = project(dom, p)
-            z = sample_closure(dom, 200, rng)
+            z = dom.sample_closure(200, rng)
             inner = np.sum((p - q) * (z - q), axis=-1)
             assert np.all(inner <= 1e-12)
 
     def test_boundary_normal_consistency(self):
         for dom in (unit_interval(), unit_ball()):
             rng = np.random.default_rng(13)
-            bd = sample_boundary(dom, 100, rng)
+            bd = dom.sample_boundary(100, rng)
             n = dom.grad_phi(bd)
             for t in (1e-6, 1e-3, dom.diameter / 8):
                 inward = bd + t * n
@@ -136,13 +136,7 @@ class TestVerifyConvexity:
 
     def test_corrupted_gradient_fails(self):
         dom = unit_interval()
-        bad = DomainSpec(
-            kind=dom.kind, dimension=dom.dimension, phi=dom.phi,
-            grad_phi=lambda p: -dom.grad_phi(p), hess_phi=dom.hess_phi,
-            alpha=dom.alpha, boundary_tol=dom.boundary_tol,
-            diameter=dom.diameter, params=dom.params,
-            signed_distance=dom.signed_distance,
-            project_point=dom.project_point)
+        bad = dataclasses.replace(dom, grad_phi=lambda p: -dom.grad_phi(p))
         with pytest.raises(AuditFailure):
             verify_convexity(bad, 1000, rng_seed=22)
 
