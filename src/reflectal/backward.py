@@ -91,6 +91,11 @@ def _multilinear(axes, values, coords):
     return corners[0]
 
 
+def _check_horizon(coeffs, times):
+    if times.T != coeffs.T:
+        raise ValueError(f"time grid ends at {times.T}, not at T = {coeffs.T}")
+
+
 def _backward_recursion(coeffs, nodes_t, x_path, k_path, terminal):
     """Explicit backward Euler for the limit equation, vectorized over a
     batch axis. x_path: (B, n+1, d); k_path: (B, n+1); returns (B, n+1, k)."""
@@ -118,6 +123,7 @@ def solve_limit_bsde(coeffs, skeleton):
     """Deterministic backward equation along a noise-free skeleton."""
     if skeleton.epsilon != 0.0:
         raise ValueError("skeleton must have epsilon = 0")
+    _check_horizon(coeffs, skeleton.grid)
     terminal = coeffs.h(skeleton.x_path[-1][None, :])
     y = _backward_recursion(coeffs, skeleton.grid.nodes,
                             skeleton.x_path[None], skeleton.k_path[None],
@@ -138,15 +144,16 @@ def solve_bsde_grid(coeffs, domain, epsilon, times, space_grid, mc_per_node,
         raise ValueError("solve_bsde_grid requires epsilon > 0")
     if mc_per_node < 64:
         raise ValueError("mc_per_node must be >= 64")
-    _, m, k = coeffs.dims
+    _check_horizon(coeffs, times)
+    d, m, k = coeffs.dims
     axes = _uniform_axes(space_grid)
     nodes, shape = _lattice_nodes(axes)
     N = nodes.shape[0]
     sim_start = project(domain, nodes)    # lattice hull may exceed the domain
+    starts = np.repeat(sim_start, mc_per_node, axis=0)
     n = times.n_steps
     dt = times.dt
     t_nodes = times.nodes
-    sq = np.sqrt(epsilon)
 
     values = np.empty((n + 1, N, k))
     values[n] = coeffs.h(sim_start)
@@ -156,18 +163,16 @@ def solve_bsde_grid(coeffs, domain, epsilon, times, space_grid, mc_per_node,
         # one-step reflected transitions from every node, node j drawing
         # from trajectory_rng(rng_seed, (i, j))
         dW = _brownian_rows(rng_seed, (i,), 0, (N, mc_per_node, m), dt)
-        drift = coeffs.b(t, sim_start)                     # (N, d)
-        sig = coeffs.sigma(t, sim_start)                   # (N, d, m)
-        prop = (sim_start[:, None, :] + drift[:, None, :] * dt
-                + sq * np.einsum("ndm,ncm->ncd", sig, dW))
-        xn = project(domain, prop)                         # (N, mc, d)
-        dk = np.linalg.norm(xn - prop, axis=-1)            # (N, mc)
+        xp, kp, _ = _reflected_core(coeffs, domain, starts, epsilon,
+                                    TimeGrid(t, t_nodes[i + 1], 1),
+                                    dW.reshape(-1, 1, m))
+        xn = xp[:, 1].reshape(N, mc_per_node, d)          # (N, mc, d)
 
         u_next = _multilinear(axes, values[i + 1].reshape(shape + (k,)),
                               np.moveaxis(xn, -1, 0))      # (N, mc, k)
 
         base = u_next.mean(axis=1)                         # (N, k)
-        kbar = dk.mean(axis=1)[:, None]                    # (N, 1)
+        kbar = kp[:, 1].reshape(N, -1).mean(axis=1)[:, None]   # (N, 1)
         z_hat = np.einsum("nck,ncm->nkm", u_next, dW) / (mc_per_node * dt)
 
         y = base
@@ -195,6 +200,7 @@ def solve_bsde_grid(coeffs, domain, epsilon, times, space_grid, mc_per_node,
 def limit_value_field(coeffs, domain, times, space_grid):
     """Deterministic limit field u(t, x) on the lattice: skeleton from each
     (t_i, node) followed by the limit backward equation, read at its start."""
+    _check_horizon(coeffs, times)
     k = coeffs.dims[2]
     axes = _uniform_axes(space_grid)
     nodes, shape = _lattice_nodes(axes)

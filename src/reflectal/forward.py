@@ -184,6 +184,11 @@ def _stream_noise(rng_stream, epsilon, grid, m):
     return rng_stream.standard_normal((1, grid.n_steps, m)) * np.sqrt(grid.dt)
 
 
+def _norm(v):
+    """np.linalg.norm(v, axis=-1), bitwise for d < 8 and faster for small d."""
+    return np.sqrt(sum(v[..., j] ** 2 for j in range(v.shape[-1])))
+
+
 def _reflected_core(coeffs, domain, x0, epsilon, grid, noise, _dirs=False):
     """Batch projection Euler, the one loop behind every forward path.
     x0: (B, d); noise: (B, n, m) or None.
@@ -223,7 +228,7 @@ def _reflected_core(coeffs, domain, x0, epsilon, grid, noise, _dirs=False):
         X = project(domain, prop)
         x_path[:, i + 1] = X
         corr = X - prop
-        dk = np.sqrt(np.add.reduce(corr * corr, axis=-1))   # = norm, bitwise
+        dk = _norm(corr)
         dk *= dk > floor
         np.add(k_path[:, i], dk, out=k_path[:, i + 1])
         if _dirs:

@@ -8,6 +8,7 @@ reduction, so reports are bitwise reproducible regardless of worker count.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -15,7 +16,8 @@ from .action import OptimizerOptions, minimize_action_endpoint
 from .backward import (apply_pi, make_lattice, solve_bsde_grid,
                        solve_limit_bsde)
 from .errors import DegenerateFit, InsufficientPaths
-from .forward import TimeGrid, integrate_skeleton_ode, simulate_reflected_batch
+from .forward import (TimeGrid, _norm, integrate_skeleton_ode,
+                      simulate_reflected_batch)
 from .geometry import project
 
 __all__ = ["ConvergenceReport", "TailReport", "convergence_study",
@@ -74,12 +76,6 @@ def fit_loglog(xs, ys):
     return {"slope": float(slope), "intercept": float(intercept), "r2": r2}
 
 
-def _norm(v):
-    """np.linalg.norm(v, axis=-1), bitwise for d < 8, without numpy's slow
-    reduction over a short last axis."""
-    return np.sqrt(sum(v[..., j] ** 2 for j in range(v.shape[-1])))
-
-
 def _map_ordered(fn, items, workers):
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -87,23 +83,30 @@ def _map_ordered(fn, items, workers):
     return [fn(item) for item in items]
 
 
-def _chunks(n_paths):
-    offsets = list(range(0, n_paths, _CHUNK))
-    return [(off, min(_CHUNK, n_paths - off)) for off in offsets]
-
-
 def _per_path_stats(coeffs, domain, s, x, eps, grid, seed, key_prefix,
                     n_paths, stat_fn, workers):
-    """stat_fn(x_paths, k_paths) -> per-path array; concatenated in index order."""
-    def run(chunk):
-        off, size = chunk
+    """stat_fn(x_paths, k_paths) of every chunk of paths, in index order."""
+    def run(off):
         xp, kp = simulate_reflected_batch(
-            coeffs, domain, s, x, eps, grid, seed, size,
+            coeffs, domain, s, x, eps, grid, seed, min(_CHUNK, n_paths - off),
             index_offset=off, key_prefix=key_prefix)
         return stat_fn(xp, kp)
 
-    parts = _map_ordered(run, _chunks(n_paths), workers)
-    return np.concatenate(parts)
+    return _map_ordered(run, range(0, n_paths, _CHUNK), workers)
+
+
+def _sup_deviation(xp, kp, skel):
+    """sup_t |X - skeleton| per path: X4's statistic and the tail event's."""
+    return _norm(xp - skel.x_path[None]).max(axis=1)
+
+
+# per-path statistic of a batch (x_paths, k_paths) against the skeleton
+_STATS = {
+    "X4": lambda xp, kp, skel: _sup_deviation(xp, kp, skel) ** 4,
+    "K4": lambda xp, kp, skel: np.abs(kp - skel.k_path[None]).max(axis=1) ** 4,
+    "Kmoment": lambda xp, kp, skel: kp.max(axis=1) ** _KMOMENT_POWER,
+    "Kexp": lambda xp, kp, skel: np.exp(_KEXP_BETA * kp[:, -1]),
+}
 
 
 def _validate_ladder(eps_ladder):
@@ -122,80 +125,77 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
                       field_nodes=33, mc_per_node=1024):
     """Estimate the target moment at every ladder level and fit its
     log-log slope (X4/K4/Y4) or report the per-level bound (Kmoment/Kexp).
+
+    target is a name, which returns one report, or a tuple of names, which
+    returns one report per name, in order, from one simulation per level.
     """
-    if target not in TARGETS:
-        raise ValueError(f"unknown target {target!r}")
+    names = (target,) if isinstance(target, str) else tuple(target)
+    if not names or len(set(names)) < len(names) or set(names) - set(TARGETS):
+        raise ValueError(f"targets must be distinct names from {TARGETS}, "
+                         f"got {target!r}")
     eps = _validate_ladder(eps_ladder)
     if n_paths < 1000:
         raise ValueError("n_paths must be >= 1000")
 
     skel = integrate_skeleton_ode(coeffs, domain, s, x, grid)
-    if target == "Y4":
+    if "Y4" in names:
         psi = solve_limit_bsde(coeffs, skel).y_path      # (n+1, k)
-        field_grid = TimeGrid(s=s, T=coeffs.T,
+        field_grid = TimeGrid(s=grid.s, T=grid.T,
                               n_steps=min(grid.n_steps, field_steps))
         lattice = make_lattice(domain, field_nodes)
 
-    errors, halfwidths = [], []
+    def stats(xp, kp, field):
+        out = []
+        for name in names:
+            if name == "Y4":  # per-time sums of |u^eps(t, X_t) - psi_t|^4, ^8
+                dev = _norm(apply_pi(field, xp, grid.nodes) - psi[None]) ** 4
+                out.append((dev.sum(axis=0), (dev * dev).sum(axis=0)))
+            else:
+                out.append(_STATS[name](xp, kp, skel))
+        return out
+
+    levels = {name: [] for name in names}     # (mean, se) per level
     for ei, e in enumerate(eps):
-        if target == "X4":
-            def stat(xp, kp):
-                return _norm(xp - skel.x_path[None]).max(axis=1) ** 4
-        elif target == "K4":
-            def stat(xp, kp):
-                return np.abs(kp - skel.k_path[None]).max(axis=1) ** 4
-        elif target == "Kmoment":
-            def stat(xp, kp):
-                return kp.max(axis=1) ** _KMOMENT_POWER
-        elif target == "Kexp":
-            def stat(xp, kp):
-                return np.exp(_KEXP_BETA * kp[:, -1])
-        else:  # Y4: sup_t E|Y_t - psi_t|^4 with Y_t = u^eps(t, X_t)
-            field = solve_bsde_grid(coeffs, domain, e, field_grid, lattice,
-                                    mc_per_node, rng_seed + 7919 * (ei + 1))
+        field = (solve_bsde_grid(coeffs, domain, e, field_grid, lattice,
+                                 mc_per_node, rng_seed + 7919 * (ei + 1))
+                 if "Y4" in names else None)
+        parts = _per_path_stats(coeffs, domain, s, x, e, grid, rng_seed, (ei,),
+                                n_paths, partial(stats, field=field), workers)
+        for name, chunks in zip(names, zip(*parts)):
+            if name == "Y4":
+                total, squares = map(sum, zip(*chunks))
+                worst = int(np.argmax(total))   # sup over t of the mean
+                mean = float(total[worst] / n_paths)
+                var = (squares[worst] - total[worst] * mean) / (n_paths - 1)
+                se = float(np.sqrt(max(var, 0.0)) / np.sqrt(n_paths))
+            else:
+                samples = np.concatenate(chunks)
+                mean = float(samples.mean())
+                se = float(samples.std(ddof=1) / np.sqrt(n_paths))
+            levels[name].append((mean, se))
+            if mean > 0 and se / mean > _MAX_REL_SE:
+                raise InsufficientPaths(
+                    f"{name}: relative standard error {se / mean:.2f} at "
+                    f"eps={e} exceeds {_MAX_REL_SE}")
 
-            def stat(xp, kp, _field=field):
-                y = apply_pi(_field, xp, path_times=grid.nodes)
-                return _norm(y - psi[None]) ** 4
-
-        samples = _per_path_stats(coeffs, domain, s, x, e, grid, rng_seed,
-                                  (ei,), n_paths, stat, workers)
-        if target == "Y4":
-            # target is sup over time of the pointwise mean, (B, n+1) samples
-            means_t = samples.mean(axis=0)
-            worst = int(np.argmax(means_t))
-            mean = float(means_t[worst])
-            se = float(samples[:, worst].std(ddof=1) / np.sqrt(n_paths))
+    reports = []
+    for name in names:
+        errs, ses = zip(*levels[name])
+        if name in ("X4", "K4", "Y4"):
+            if min(errs) <= 0.0:
+                raise InsufficientPaths(
+                    "zero error estimate on the ladder (degenerate target, "
+                    "e.g. no diffusion); a log-log slope cannot be fitted")
+            fit = fit_loglog(eps, errs)
+            slope, intercept, r2 = fit["slope"], fit["intercept"], fit["r2"]
         else:
-            mean = float(samples.mean())
-            se = float(samples.std(ddof=1) / np.sqrt(n_paths))
-        errors.append(mean)
-        halfwidths.append(se)
-        if mean > 0 and se / mean > _MAX_REL_SE:
-            raise InsufficientPaths(
-                f"relative standard error {se / mean:.2f} at eps={e} "
-                f"exceeds {_MAX_REL_SE}")
-
-    if target in ("X4", "K4", "Y4"):
-        if min(errors) <= 0.0:
-            raise InsufficientPaths(
-                "zero error estimate on the ladder (degenerate target, e.g. "
-                "no diffusion); a log-log slope cannot be fitted")
-        fit = fit_loglog(eps, errors)
-        slope, intercept, r2 = fit["slope"], fit["intercept"], fit["r2"]
-    else:
-        slope, r2 = 0.0, 1.0
-        intercept = float(np.log(max(errors)))
-    return ConvergenceReport(
-        epsilons=tuple(float(v) for v in eps),
-        errors=tuple(errors), slope=slope, intercept=intercept, r2=r2,
-        n_paths=int(n_paths), target=target, ci_halfwidth=tuple(halfwidths))
-
-
-def _sup_deviation_stat(skel):
-    def stat(xp, kp):
-        return _norm(xp - skel.x_path[None]).max(axis=1)
-    return stat
+            slope, r2 = 0.0, 1.0
+            intercept = float(np.log(max(errs)))
+        reports.append(ConvergenceReport(
+            epsilons=tuple(float(v) for v in eps), errors=errs, slope=slope,
+            intercept=intercept, r2=r2, n_paths=int(n_paths), target=name,
+            ci_halfwidth=ses))
+    return reports[0] if isinstance(target, str) else tuple(reports)
 
 
 def _exceedance_certificate(coeffs, domain, s, x, delta, grid_opt):
@@ -225,7 +225,7 @@ def tail_study(coeffs, domain, s, x, delta, eps_ladder, n_paths, grid,
     compare eps ln p_hat against the variational certificate -S*."""
     eps = _validate_ladder(eps_ladder)
     skel = integrate_skeleton_ode(coeffs, domain, s, x, grid)
-    stat = _sup_deviation_stat(skel)
+    stat = partial(_sup_deviation, skel=skel)
 
     # pre-flight pilot at the smallest eps; adjust delta if the event is
     # too rare or too common to estimate by crude Monte Carlo. The 0.90
@@ -233,8 +233,9 @@ def tail_study(coeffs, domain, s, x, delta, eps_ladder, n_paths, grid,
     # range [1e-4, 1e-1], where crude MC is cheapest and the small-noise
     # asymptotics of eps ln p are already monotone.
     adjusted = False
-    sups = _per_path_stats(coeffs, domain, s, x, float(eps[-1]), grid,
-                           rng_seed, (len(eps), 0), _PILOT_PATHS, stat, workers)
+    sups = np.concatenate(_per_path_stats(
+        coeffs, domain, s, x, float(eps[-1]), grid, rng_seed, (len(eps), 0),
+        _PILOT_PATHS, stat, workers))
     p_pilot = float(np.mean(sups >= delta))
     if not (1e-4 <= p_pilot <= 1e-1):
         delta = float(np.quantile(sups, 0.90))
@@ -242,8 +243,9 @@ def tail_study(coeffs, domain, s, x, delta, eps_ladder, n_paths, grid,
 
     p_hat, eps_log_p, zero_levels, ses = [], [], [], []
     for ei, e in enumerate(eps):
-        sups = _per_path_stats(coeffs, domain, s, x, float(e), grid,
-                               rng_seed, (ei,), n_paths, stat, workers)
+        sups = np.concatenate(_per_path_stats(
+            coeffs, domain, s, x, float(e), grid, rng_seed, (ei,), n_paths,
+            stat, workers))
         hits = int(np.sum(sups >= delta))
         if hits == 0:
             zero_levels.append(float(e))

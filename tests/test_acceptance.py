@@ -44,17 +44,16 @@ def report(num, label, ok, detail):
 
 @pytest.fixture(scope="module")
 def constant_drift_study():
+    # one simulation per ladder level serves all four targets
     co = preset("constant-drift", params={"v": 1.0})
-    dom = unit_interval()
-
-    def study(target):
-        return convergence_study(target, co, dom, 0.0, [0.5], LADDER,
-                                 N_PATHS, GRID, SEED)
-    return study
+    targets = ("X4", "K4", "Kmoment", "Kexp")
+    return dict(zip(targets, convergence_study(
+        targets, co, unit_interval(), 0.0, [0.5], LADDER, N_PATHS, GRID,
+        SEED)))
 
 
 def test_criterion_01_x4_order(constant_drift_study):
-    rep = constant_drift_study("X4")
+    rep = constant_drift_study["X4"]
     # lower edge 0.8: proved bound E sup|X^eps - X^0|^4 = O(eps), less 0.2
     # upper edge 2.2: sqrt(eps) W through a Lipschitz Skorokhod map: 2, + 0.2
     ok = 0.8 <= rep.slope <= 2.2 and rep.r2 >= 0.98
@@ -63,7 +62,7 @@ def test_criterion_01_x4_order(constant_drift_study):
 
 
 def test_criterion_02_k4_order(constant_drift_study):
-    rep = constant_drift_study("K4")
+    rep = constant_drift_study["K4"]
     # lower edge 0.8: proved bound E sup|K^eps - K^0|^4 = O(eps), less 0.2
     # upper edge 2.2: sup|K^eps - K^0| <= C sqrt(eps) sup|W|: order 2, + 0.2
     ok = 0.8 <= rep.slope <= 2.2
@@ -85,8 +84,8 @@ def test_criterion_03_y4_order():
 
 
 def test_criterion_04_uniform_moment_bounds(constant_drift_study):
-    km = constant_drift_study("Kmoment")
-    ke = constant_drift_study("Kexp")
+    km = constant_drift_study["Kmoment"]
+    ke = constant_drift_study["Kexp"]
     # a bound uniform in eps forbids growth as eps falls: no level may exceed
     # twice the estimate at the largest eps, the first level of the ladder
     fm = max(km.errors) / km.errors[0]

@@ -70,6 +70,16 @@ class TestLimitBsde:
         with pytest.raises(ValueError):
             solve_limit_bsde(co, tr)
 
+    def test_skeleton_must_end_at_horizon(self):
+        dom = unit_interval()
+        half = TimeGrid(0.0, 0.5, 64)
+        skel = integrate_skeleton_ode(preset("linear-bsde"), dom, 0.0, [0.5],
+                                      half)
+        with pytest.raises(ValueError, match="ends at 0.5"):
+            solve_limit_bsde(preset("linear-bsde"), skel)
+        co = preset("linear-bsde", params={"T": 0.5})
+        assert solve_limit_bsde(co, skel).y_path.shape == (65, 1)
+
 
 class TestBsdeGrid:
     def test_constant_terminal_preserved(self):
@@ -172,6 +182,16 @@ class TestBsdeGrid:
         with pytest.raises(ValueError):
             solve_bsde_grid(co, dom, 0.1, TimeGrid(0, 1, 4), lat, 32, 0)
 
+    def test_grid_must_end_at_horizon(self):
+        dom = unit_interval()
+        lat = make_lattice(dom, 5)
+        with pytest.raises(ValueError, match="ends at 0.5"):
+            solve_bsde_grid(preset("linear-bsde"), dom, 0.1,
+                            TimeGrid(0.0, 0.5, 4), lat, 64, 0)
+        co = preset("linear-bsde", params={"T": 0.5})
+        field = solve_bsde_grid(co, dom, 0.1, TimeGrid(0.0, 0.5, 4), lat, 64, 0)
+        assert field.values.shape == (5, 5, 1)
+
     def test_fixed_point_divergence_reported(self):
         # lam * dt = 50 makes the implicit iteration non-contractive
         dom = unit_interval()
@@ -203,6 +223,16 @@ class TestApplyPi:
         got = apply_pi(field, path)
         np.testing.assert_allclose(got[:, 0], field.values[:, j, 0],
                                    atol=1e-14)
+
+    def test_limit_field_grid_must_end_at_horizon(self):
+        dom = unit_interval()
+        lat = make_lattice(dom, 5)
+        with pytest.raises(ValueError, match="ends at 2.0"):
+            limit_value_field(preset("linear-bsde"), dom,
+                              TimeGrid(0.0, 2.0, 4), lat)
+        co = preset("linear-bsde", params={"T": 2.0})
+        field = limit_value_field(co, dom, TimeGrid(0.0, 2.0, 4), lat)
+        assert field.values.shape == (5, 5, 1)
 
     def test_out_of_lattice_rejected(self):
         dom = unit_interval()

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
+from reflectal import harness
+from reflectal.backward import (apply_pi, make_lattice, solve_bsde_grid,
+                                solve_limit_bsde)
 from reflectal.coefficients import CoefficientSet, preset
 from reflectal.errors import DegenerateFit, InsufficientPaths
-from reflectal.forward import TimeGrid
+from reflectal.forward import (TimeGrid, integrate_skeleton_ode,
+                               simulate_reflected_batch)
 from reflectal.geometry import make_domain
-from reflectal.harness import convergence_study, fit_loglog, tail_study
+from reflectal.harness import (ConvergenceReport, convergence_study,
+                               fit_loglog, tail_study)
 
 LADDER = (0.1, 0.05, 0.025, 0.0125)
 
@@ -121,6 +126,69 @@ class TestConvergenceStudy:
             self._study("X4", n_paths=100)
         with pytest.raises(ValueError):
             self._study("nope")
+
+
+class TestOnePassPerLevel:
+    ORDER = ("Kexp", "Y4", "X4", "Kmoment", "K4")
+    GRID = TimeGrid(0.0, 1.0, 256)
+    SEED = 7
+
+    def _study(self, target, workers=1, grid=GRID, name="linear-bsde",
+               params=None):
+        co = preset(name, params or {"lam": 1.0, "g0": 1.0})
+        return convergence_study(
+            target, co, unit_interval(), 0.0, [0.5], LADDER, 1000, grid,
+            self.SEED, workers=workers, field_steps=32, field_nodes=17,
+            mc_per_node=256)
+
+    def test_tuple_call_equals_single_target_calls(self, monkeypatch):
+        monkeypatch.setattr(harness, "_CHUNK", 256)   # four chunks a level
+        # drift into the boundary, where g charges dK: every target estimable
+        co = {"name": "boundary-g-constant", "params": {"v": 1.0, "g0": 1.0}}
+        singles = tuple(self._study(t, **co) for t in self.ORDER)
+        assert all(isinstance(r, ConvergenceReport) for r in singles)
+        assert [r.target for r in singles] == list(self.ORDER)
+        for workers in (1, 3):
+            assert self._study(self.ORDER, workers=workers, **co) == singles
+
+    def test_y4_matches_per_path_oracle(self, monkeypatch):
+        monkeypatch.setattr(harness, "_CHUNK", 256)
+        rep = self._study("Y4")
+        co = preset("linear-bsde", {"lam": 1.0, "g0": 1.0})
+        dom = unit_interval()
+        skel = integrate_skeleton_ode(co, dom, 0.0, [0.5], self.GRID)
+        psi = solve_limit_bsde(co, skel).y_path
+        lattice = make_lattice(dom, 17)
+        means = []
+        for ei, e in enumerate(LADDER):
+            field = solve_bsde_grid(co, dom, e, TimeGrid(0.0, 1.0, 32),
+                                    lattice, 256, self.SEED + 7919 * (ei + 1))
+            xp, _ = simulate_reflected_batch(co, dom, 0.0, [0.5], e,
+                                             self.GRID, self.SEED, 1000,
+                                             key_prefix=(ei,))
+            y = apply_pi(field, xp, path_times=self.GRID.nodes)
+            samples = np.linalg.norm(y - psi[None], axis=-1) ** 4
+            means_t = samples.mean(axis=0)
+            worst = int(np.argmax(means_t))
+            se = samples[:, worst].std(ddof=1) / np.sqrt(1000)
+            assert rep.errors[ei] == pytest.approx(means_t[worst], rel=1e-12)
+            assert rep.ci_halfwidth[ei] == pytest.approx(se, rel=1e-12)
+            means.append(means_t[worst])
+        assert rep.slope == pytest.approx(fit_loglog(LADDER, means)["slope"],
+                                          rel=1e-10)
+
+    @pytest.mark.parametrize("target", [(), ("X4", "nope"), ("K4", "X4", "K4")])
+    def test_bad_target_tuples_rejected(self, target):
+        with pytest.raises(ValueError):
+            self._study(target)
+
+    def test_y4_grid_must_end_at_horizon(self):
+        half = TimeGrid(0.0, 0.5, 128)
+        with pytest.raises(ValueError, match="ends at 0.5"):
+            self._study("Y4", grid=half)
+        rep = self._study("Y4", grid=half,
+                          params={"lam": 1.0, "g0": 1.0, "T": 0.5})
+        assert all(e > 0 for e in rep.errors)
 
 
 class TestTailStudy:
