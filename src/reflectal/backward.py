@@ -172,7 +172,7 @@ def solve_bsde_grid(coeffs, domain, epsilon, times, space_grid, mc_per_node,
                               np.moveaxis(xn, -1, 0))      # (N, mc, k)
 
         base = u_next.mean(axis=1)                         # (N, k)
-        kbar = kp[:, 1].reshape(N, -1).mean(axis=1)[:, None]   # (N, 1)
+        kbar = kp[:, 1].reshape(N, mc_per_node).mean(axis=1)[:, None]
         z_hat = np.einsum("nck,ncm->nkm", u_next, dW) / (mc_per_node * dt)
 
         y = base
