@@ -25,6 +25,8 @@ _MAX_FP_ITER = 20      # fixed-point iterations per implicit backward step
 _FP_TOL = 1e-10        # sup-norm change that ends the fixed-point iteration
 _PI_TOL = 1e-9         # slack of apply_pi's lattice-hull and time-range checks
 _UNIFORM_TOL = 1e-9    # largest spacing deviation of a lattice axis, per step
+_MIN_AXIS_NODES = 2    # nodes per lattice axis
+_MIN_MC_PER_NODE = 64  # one-step samples per lattice node in solve_bsde_grid
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,8 @@ def _uniform_axes(space_grid):
     """Float lattice axes, each increasing and uniform with >= 2 nodes."""
     axes = tuple(np.asarray(ax, float) for ax in space_grid)
     for ax in axes:
-        if ax.ndim != 1 or ax.size < 2:
-            raise ValueError("every lattice axis needs at least 2 nodes")
+        if ax.ndim != 1 or ax.size < _MIN_AXIS_NODES:
+            raise ValueError(f"lattice axes need >= {_MIN_AXIS_NODES} nodes")
         step = (ax[-1] - ax[0]) / (ax.size - 1)
         if not (step > 0 and np.all(np.abs(np.diff(ax) - step)
                                     <= _UNIFORM_TOL * step)):
@@ -142,8 +144,8 @@ def solve_bsde_grid(coeffs, domain, epsilon, times, space_grid, mc_per_node,
     """
     if not epsilon > 0:
         raise ValueError("solve_bsde_grid requires epsilon > 0")
-    if mc_per_node < 64:
-        raise ValueError("mc_per_node must be >= 64")
+    if mc_per_node < _MIN_MC_PER_NODE:
+        raise ValueError(f"mc_per_node must be >= {_MIN_MC_PER_NODE}")
     _check_horizon(coeffs, times)
     d, m, k = coeffs.dims
     axes = _uniform_axes(space_grid)

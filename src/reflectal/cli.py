@@ -25,14 +25,15 @@ import numpy as np
 
 from . import __version__
 from .action import contracted_rate, evaluate_action, minimize_action_endpoint
-from .backward import (_lattice_nodes, apply_pi, limit_value_field,
-                       make_lattice, solve_bsde_grid, solve_limit_bsde)
+from .backward import (_MIN_AXIS_NODES, _MIN_MC_PER_NODE, _lattice_nodes,
+                       apply_pi, limit_value_field, make_lattice,
+                       solve_bsde_grid, solve_limit_bsde)
 from .coefficients import PRESET_NAMES, audit_assumptions, preset
 from .errors import ConfigInvalid, ReflectalError
 from .forward import (TimeGrid, integrate_skeleton_ode,
                       simulate_reflected_batch)
 from .geometry import make_domain, project
-from .harness import TARGETS, convergence_study, tail_study
+from .harness import TARGETS, _validate_ladder, convergence_study, tail_study
 
 COMMANDS = ("audit", "skeleton", "simulate-forward", "bsde-limit",
             "bsde-grid", "action-eval", "action-min", "contracted-rate",
@@ -82,12 +83,50 @@ def _parse(pointer, convert, value):
     """convert(value), with a failure reported as ConfigInvalid at pointer."""
     try:
         return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigInvalid(pointer, f"not a valid value: {value!r}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigInvalid(pointer,
+                            f"not a valid value: {value!r} ({exc})") from None
 
 
 def _floats(value):
     return tuple(np.atleast_1d(value).astype(float).tolist())
+
+
+def _at_least(low):
+    """Parser of an int that must be >= low."""
+    def parse(value):
+        out = int(value)
+        if out < low:
+            raise ValueError(f"must be >= {low}")
+        return out
+    return parse
+
+
+def _ladder(value):
+    return tuple(_validate_ladder(value).tolist())
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+# The parser of every top-level key besides command, domain, preset and grid.
+# A key left out takes its default from ExperimentConfig; any other key fails.
+_FIELDS = {
+    "s": float, "T": float, "x": _floats, "eps": float,
+    "eps_ladder": _optional(_ladder), "n_paths": _at_least(1), "seed": int,
+    "output_dir": str, "workers": _at_least(1), "target": str,
+    "delta": float, "y": _optional(_floats),
+    "mc_per_node": _at_least(_MIN_MC_PER_NODE),
+    "space_nodes": _at_least(_MIN_AXIS_NODES), "field_steps": _at_least(1),
+}
+_LADDER = (0.1, 0.05, 0.025, 0.0125)   # eps_ladder when the config has none
+
+
+def _reject_unknown(desc, known, pointer):
+    for key in desc:
+        if key not in known:
+            raise ConfigInvalid(f"{pointer}/{key}", "unknown key")
 
 
 def validate(config_text):
@@ -98,6 +137,7 @@ def validate(config_text):
         raise ConfigInvalid("/", f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigInvalid("/", "config must be a JSON object")
+    _reject_unknown(raw, ("command", "domain", "preset", "grid", *_FIELDS), "")
 
     command = raw.get("command")
     if command not in COMMANDS:
@@ -110,55 +150,37 @@ def validate(config_text):
         preset_desc = {"name": preset_desc}
     if not isinstance(preset_desc, dict) or "name" not in preset_desc:
         raise ConfigInvalid("/preset", "expected {name, params}")
+    _reject_unknown(preset_desc, ("name", "params"), "/preset")
     if preset_desc["name"] not in PRESET_NAMES:
         raise ConfigInvalid("/preset/name",
                             f"unknown preset {preset_desc['name']!r}")
 
-    grid_desc = raw.get("grid", 1024)
+    values = {key: _parse(f"/{key}", convert, raw[key])
+              for key, convert in _FIELDS.items() if key in raw}
+    if "params" in preset_desc:
+        values["preset_params"] = _parse("/preset/params", dict,
+                                         preset_desc["params"])
+    grid_desc = raw.get("grid")
     if isinstance(grid_desc, dict):
-        n_steps = _parse("/grid/n_steps", int, grid_desc.get("n_steps", 1024))
-    else:
-        n_steps = _parse("/grid", int, grid_desc)
-    cfg = ExperimentConfig(
-        command=command,
-        domain=dict(domain_desc),
-        preset_name=preset_desc["name"],
-        preset_params=dict(preset_desc.get("params", {})),
-        s=_parse("/s", float, raw.get("s", 0.0)),
-        T=_parse("/T", float, raw.get("T", 1.0)),
-        x=_parse("/x", _floats, raw.get("x", 0.5)),
-        n_steps=n_steps,
-        eps=_parse("/eps", float, raw.get("eps", 0.1)),
-        eps_ladder=(_parse("/eps_ladder", lambda v: tuple(float(e) for e in v),
-                           raw["eps_ladder"])
-                    if raw.get("eps_ladder") else None),
-        n_paths=_parse("/n_paths", int, raw.get("n_paths", 1000)),
-        seed=_parse("/seed", int, raw.get("seed", 0)),
-        output_dir=str(raw.get("output_dir", "out")),
-        workers=_parse("/workers", int, raw.get("workers", 1)),
-        target=str(raw.get("target", "X4")),
-        delta=_parse("/delta", float, raw.get("delta", 0.2)),
-        y=(_parse("/y", _floats, raw["y"])
-           if raw.get("y") is not None else None),
-        mc_per_node=_parse("/mc_per_node", int, raw.get("mc_per_node", 256)),
-        space_nodes=_parse("/space_nodes", int, raw.get("space_nodes", 33)),
-        field_steps=_parse("/field_steps", int, raw.get("field_steps", 128)),
-    )
+        _reject_unknown(grid_desc, ("n_steps",), "/grid")
+        if "n_steps" in grid_desc:
+            values["n_steps"] = _parse("/grid/n_steps", _at_least(1),
+                                       grid_desc["n_steps"])
+    elif "grid" in raw:
+        values["n_steps"] = _parse("/grid", _at_least(1), grid_desc)
+    cfg = ExperimentConfig(command=command, domain=dict(domain_desc),
+                           preset_name=preset_desc["name"], **values)
 
     if not cfg.s < cfg.T:
         raise ConfigInvalid("/s", f"need s < T, got s={cfg.s}, T={cfg.T}")
     if cfg.s < 0:
         raise ConfigInvalid("/s", "start time must be >= 0")
-    if cfg.n_steps < 1:
-        raise ConfigInvalid("/grid/n_steps", "must be >= 1")
     if not cfg.eps >= 0:
         raise ConfigInvalid("/eps", f"must be >= 0, got {cfg.eps}")
     if cfg.command == "bsde-grid" and not cfg.eps > 0:
         raise ConfigInvalid("/eps", f"must be > 0 for bsde-grid, got {cfg.eps}")
-    if cfg.n_paths < 1:
-        raise ConfigInvalid("/n_paths", "must be >= 1")
-    if cfg.workers < 1:
-        raise ConfigInvalid("/workers", "must be >= 1")
+    if not cfg.delta > 0:
+        raise ConfigInvalid("/delta", f"must be > 0, got {cfg.delta}")
     _parse("/preset/params", lambda p: preset(cfg.preset_name, p),
            cfg.preset_params)
     if float(cfg.preset_params.get("T", cfg.T)) != cfg.T:
@@ -184,15 +206,15 @@ def _fmt(v):
     return str(v)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        count = 0
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-            count += 1
-    return count
+def _names(prefix, width):
+    """CSV column names prefix_1 ... prefix_width."""
+    return [f"{prefix}_{i + 1}" for i in range(width)]
+
+
+def _node_rows(times, *blocks):
+    """Rows (t, *blocks[0][i], *blocks[1][i], ...) of a table indexed by the
+    time nodes; each block is (n+1,) or (n+1, width)."""
+    return np.column_stack([times, *blocks]).tolist()
 
 
 def _traj_rows(grid, x_paths, k_paths):
@@ -206,24 +228,31 @@ def _traj_rows(grid, x_paths, k_paths):
 
 def _execute(cfg, out_dir):
     """Run the named command, write CSVs into out_dir, return extra manifest
-    fields and the list of output files."""
+    fields and the row count of every output file."""
     domain = make_domain(**cfg.domain)
-    params = dict(cfg.preset_params)
-    params.setdefault("T", cfg.T)
-    coeffs = preset(cfg.preset_name, params)
+    coeffs = preset(cfg.preset_name, {"T": cfg.T, **cfg.preset_params})
     grid = TimeGrid(s=cfg.s, T=cfg.T, n_steps=cfg.n_steps)
     x = np.asarray(cfg.x, float)
-    d = domain.dimension
+    d, k = domain.dimension, coeffs.dims[2]
+    ladder = cfg.eps_ladder or _LADDER
     files = {}
     extra = {}
 
+    def write(name, header, rows):
+        with open(os.path.join(out_dir, name), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            files[name] = 0
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+                files[name] += 1
+
     if cfg.command == "audit":
         audit = audit_assumptions(coeffs, domain, rng_seed=cfg.seed)
-        files["audit.csv"] = _write_csv(
-            os.path.join(out_dir, "audit.csv"),
-            ["L1", "L3", "iota", "pass_H1", "pass_H2", "pass_Hfgh"],
-            [(audit.L1, audit.L3, audit.iota, audit.passed["H1"],
-              audit.passed["H2"], audit.passed["Hfgh"])])
+        write("audit.csv",
+              ["L1", "L3", "iota", "pass_H1", "pass_H2", "pass_Hfgh"],
+              [(audit.L1, audit.L3, audit.iota, audit.passed["H1"],
+                audit.passed["H2"], audit.passed["Hfgh"])])
         extra["audit"] = {"passed": audit.passed, "flags": list(audit.flags),
                           "L1": audit.L1, "L3": audit.L3, "iota": audit.iota}
 
@@ -232,48 +261,35 @@ def _execute(cfg, out_dir):
         n_paths = 1 if cfg.command == "skeleton" else cfg.n_paths
         xp, kp = simulate_reflected_batch(coeffs, domain, cfg.s, x, eps,
                                           grid, cfg.seed, n_paths)
-        header = (["path", "t"] + [f"x_{i+1}" for i in range(d)] + ["K"])
-        name = f"{cfg.command}.csv"
-        files[name] = _write_csv(os.path.join(out_dir, name), header,
-                                 _traj_rows(grid, xp, kp))
+        write(f"{cfg.command}.csv", ["path", "t", *_names("x", d), "K"],
+              _traj_rows(grid, xp, kp))
         extra["epsilon"] = eps
 
     elif cfg.command == "bsde-limit":
         skel = integrate_skeleton_ode(coeffs, domain, cfg.s, x, grid)
         bp = solve_limit_bsde(coeffs, skel)
-        k = bp.y_path.shape[1]
-        header = ["t"] + [f"y_{i+1}" for i in range(k)]
-        rows = [(float(t), *map(float, y))
-                for t, y in zip(grid.nodes, bp.y_path)]
-        files["bsde-limit.csv"] = _write_csv(
-            os.path.join(out_dir, "bsde-limit.csv"), header, rows)
+        write("bsde-limit.csv", ["t", *_names("y", k)],
+              _node_rows(grid.nodes, bp.y_path))
 
     elif cfg.command == "bsde-grid":
         lattice = make_lattice(domain, cfg.space_nodes)
         times = TimeGrid(s=cfg.s, T=cfg.T, n_steps=cfg.field_steps)
         field_v = solve_bsde_grid(coeffs, domain, cfg.eps, times, lattice,
                                   cfg.mc_per_node, cfg.seed)
-        k = field_v.values.shape[-1]
-        header = (["t"] + [f"x_{i+1}" for i in range(d)]
-                  + [f"u_{i+1}" for i in range(k)])
         nodes, _ = _lattice_nodes(lattice)
         flat = field_v.values.reshape(times.n_steps + 1, -1, k)
         rows = ((float(t), *map(float, node), *map(float, u))
                 for t, us in zip(times.nodes, flat) for node, u in zip(nodes, us))
-        files["bsde-grid.csv"] = _write_csv(
-            os.path.join(out_dir, "bsde-grid.csv"), header, rows)
+        write("bsde-grid.csv", ["t", *_names("x", d), *_names("u", k)], rows)
         extra["epsilon"] = cfg.eps
 
     elif cfg.command == "action-eval":
         skel = integrate_skeleton_ode(coeffs, domain, cfg.s, x, grid)
         res = evaluate_action(coeffs, domain, skel)
-        header = (["t"] + [f"psi_{i+1}" for i in range(d)]
-                  + [f"phi_{i+1}" for i in range(d)] + ["integrand"])
-        integ = np.concatenate([res.integrand, [0.0]])
-        rows = [(float(t), *map(float, ps), *map(float, ph), float(ig))
-                for t, ps, ph, ig in zip(grid.nodes, res.psi, res.phi, integ)]
-        files["action-eval.csv"] = _write_csv(
-            os.path.join(out_dir, "action-eval.csv"), header, rows)
+        write("action-eval.csv",
+              ["t", *_names("psi", d), *_names("phi", d), "integrand"],
+              _node_rows(grid.nodes, res.psi, res.phi,
+                         np.append(res.integrand, 0.0)))
         extra["action"] = res.action
 
     elif cfg.command == "action-min":
@@ -281,15 +297,10 @@ def _execute(cfg, out_dir):
             raise ConfigInvalid("/y", "action-min requires a target point y")
         res, info = minimize_action_endpoint(
             coeffs, domain, cfg.s, x, np.asarray(cfg.y, float), cfg.T, grid)
-        files["action-min.csv"] = _write_csv(
-            os.path.join(out_dir, "action-min.csv"),
-            ["iter", "action", "step", "violation"],
-            [(it, v, st, 0.0) for it, v, st in info["iterations"]])
-        header = ["t"] + [f"psi_{i+1}" for i in range(d)]
-        rows = [(float(t), *map(float, p))
-                for t, p in zip(grid.nodes, res.psi)]
-        files["action-min-path.csv"] = _write_csv(
-            os.path.join(out_dir, "action-min-path.csv"), header, rows)
+        write("action-min.csv", ["iter", "action", "step", "violation"],
+              [(it, v, st, 0.0) for it, v, st in info["iterations"]])
+        write("action-min-path.csv", ["t", *_names("psi", d)],
+              _node_rows(grid.nodes, res.psi))
         extra["action"] = res.action
         extra["stalled"] = info["stalled"]
 
@@ -300,40 +311,31 @@ def _execute(cfg, out_dir):
         skel = integrate_skeleton_ode(coeffs, domain, cfg.s, x, times)
         gamma = apply_pi(field_v, skel.x_path)
         res = contracted_rate(coeffs, domain, field_v, gamma, cfg.s, x, times)
-        header = ["t"] + [f"psi_{i+1}" for i in range(d)]
-        rows = [(float(t), *map(float, p))
-                for t, p in zip(times.nodes, res["argmin_psi"])]
-        files["contracted-rate.csv"] = _write_csv(
-            os.path.join(out_dir, "contracted-rate.csv"), header, rows)
+        write("contracted-rate.csv", ["t", *_names("psi", d)],
+              _node_rows(times.nodes, res["argmin_psi"]))
         extra["s_prime"] = res["s_prime"]
         extra["violation"] = res["violation"]
         extra["stalled"] = res["stalled"]
 
     elif cfg.command == "convergence":
-        ladder = cfg.eps_ladder or (0.1, 0.05, 0.025, 0.0125)
         report = convergence_study(
             cfg.target, coeffs, domain, cfg.s, x, ladder, cfg.n_paths,
             grid, cfg.seed, workers=cfg.workers,
             mc_per_node=cfg.mc_per_node, field_steps=cfg.field_steps,
             field_nodes=cfg.space_nodes)
-        files["convergence.csv"] = _write_csv(
-            os.path.join(out_dir, "convergence.csv"),
-            ["eps", "error", "ci_halfwidth"],
-            list(zip(report.epsilons, report.errors, report.ci_halfwidth)))
+        write("convergence.csv", ["eps", "error", "ci_halfwidth"],
+              zip(report.epsilons, report.errors, report.ci_halfwidth))
         extra["convergence"] = {"target": report.target,
                                 "slope": report.slope,
                                 "intercept": report.intercept,
                                 "r2": report.r2}
 
     elif cfg.command == "tail":
-        ladder = cfg.eps_ladder or (0.1, 0.05, 0.025, 0.0125)
         report = tail_study(coeffs, domain, cfg.s, x, cfg.delta, ladder,
                             cfg.n_paths, grid, cfg.seed, workers=cfg.workers)
-        files["tail.csv"] = _write_csv(
-            os.path.join(out_dir, "tail.csv"),
-            ["eps", "delta", "p_hat", "eps_log_p", "se"],
-            list(zip(report.epsilons, report.deltas, report.p_hat,
-                     report.eps_log_p, report.se)))
+        write("tail.csv", ["eps", "delta", "p_hat", "eps_log_p", "se"],
+              zip(report.epsilons, report.deltas, report.p_hat,
+                  report.eps_log_p, report.se))
         extra["tail"] = {"rate_bound": report.rate_bound,
                          "delta_adjusted": report.delta_adjusted,
                          "zero_hit_levels": list(report.zero_hit_levels)}

@@ -178,151 +178,108 @@ def audit_assumptions(coeffs, domain, grid=None, rng_seed=0, strict=False):
     return audit
 
 
-def _const_drift(v, d):
-    v = np.broadcast_to(np.asarray(v, float), (d,))
+def _constant(value, shape):
+    """(t, x[, y]) -> value of the given shape, over the leading axes of the
+    last argument: a constant drift (d,), diffusion (d, m) or g (k,)."""
+    value = np.broadcast_to(np.asarray(value, float), shape)
 
-    def b(t, x):
-        out = np.empty(np.shape(x))
-        out[...] = v
+    def const(t, *args):
+        out = np.empty(np.shape(args[-1])[:-1] + shape)
+        out[...] = value
         return out
-    return b
+    return const
 
 
-def _linear_drift(rate, d):
+def _zero(t, x, y, *z):
+    """f = 0 or g = 0: zeros shaped like y."""
+    return np.zeros_like(np.asarray(y, float))
+
+
+def _linear(rate):
     def b(t, x):
         return -rate * np.asarray(x, float)
     return b
 
 
-def _const_sigma(mat, d, m):
-    mat = np.broadcast_to(np.asarray(mat, float), (d, m))
-
-    def sigma(t, x):
-        out = np.empty(np.shape(x)[:-1] + (d, m))
-        out[...] = mat
-        return out
-    return sigma
+def _first_coord(x):
+    return np.asarray(x, float)[..., :1].copy()
 
 
-def _zero_f(k):
-    def f(t, x, y, z):
-        return np.zeros_like(np.asarray(y, float))
-    return f
+# Every preset is the zero-drift unit-noise model (b = 0, sigma = I,
+# f = g = 0, h(x) = x_1, documented constants L1 = L3 = iota = 1) except for
+# what its builder returns, given the merged parameters.
+
+def _zero_drift_unit_noise(p):
+    return {}
 
 
-def _zero_g(k):
-    def g(t, x, y):
-        return np.zeros_like(np.asarray(y, float))
-    return g
+def _constant_drift(p):
+    return dict(b=_constant(p["v"], (1,)),
+                meta={"L1_doc": max(abs(p["v"]), 1.0) + 1.0})
 
 
-def _const_g(g0, k):
-    g0 = np.broadcast_to(np.asarray(g0, float), (k,))
-
-    def g(t, x, y):
-        y = np.asarray(y, float)
-        return np.broadcast_to(g0, y.shape).copy()
-    return g
+def _linear_drift(p):
+    return dict(b=_linear(p["rate"]), meta={"L1_doc": p["rate"] + 1.0})
 
 
-def _identity_h():
-    def h(x):
-        return np.asarray(x, float).copy()
-    return h
+def _ou_in_ball(p):
+    return dict(b=_linear(p["theta"]), meta={"L1_doc": p["theta"] + 2.0})
 
 
-def _first_coord_h():
-    def h(x):
-        return np.asarray(x, float)[..., :1].copy()
-    return h
-
-
-def _build_zero_drift_unit_noise(params):
-    T = float(params.get("T", 1.0))
-    return CoefficientSet(
-        b=_const_drift(0.0, 1), sigma=_const_sigma(1.0, 1, 1),
-        f=_zero_f(1), g=_zero_g(1), h=_identity_h(),
-        dims=(1, 1, 1), T=T, name="zero-drift-unit-noise", params=dict(params),
-        meta={"L1_doc": 1.0, "L3_doc": 1.0, "iota_doc": 1.0})
-
-
-def _build_constant_drift(params):
-    T = float(params.get("T", 1.0))
-    v = float(params.get("v", 1.0))
-    return CoefficientSet(
-        b=_const_drift(v, 1), sigma=_const_sigma(1.0, 1, 1),
-        f=_zero_f(1), g=_zero_g(1), h=_identity_h(),
-        dims=(1, 1, 1), T=T, name="constant-drift", params=dict(params),
-        meta={"L1_doc": max(abs(v), 1.0) + 1.0, "L3_doc": 1.0, "iota_doc": 1.0})
-
-
-def _build_linear_drift(params):
-    T = float(params.get("T", 1.0))
-    rate = float(params.get("rate", 1.0))
-    return CoefficientSet(
-        b=_linear_drift(rate, 1), sigma=_const_sigma(1.0, 1, 1),
-        f=_zero_f(1), g=_zero_g(1), h=_identity_h(),
-        dims=(1, 1, 1), T=T, name="linear-drift", params=dict(params),
-        meta={"L1_doc": rate + 1.0, "L3_doc": 1.0, "iota_doc": 1.0})
-
-
-def _build_ou_in_ball(params):
-    T = float(params.get("T", 1.0))
-    theta = float(params.get("theta", 1.0))
-    return CoefficientSet(
-        b=_linear_drift(theta, 2), sigma=_const_sigma(np.eye(2), 2, 2),
-        f=_zero_f(1), g=_zero_g(1), h=_first_coord_h(),
-        dims=(2, 2, 1), T=T, name="ou-in-ball", params=dict(params),
-        meta={"L1_doc": theta + 2.0, "L3_doc": 1.0, "iota_doc": 1.0})
-
-
-def _build_linear_bsde(params):
-    T = float(params.get("T", 1.0))
-    lam = float(params.get("lam", 1.0))
-    g0 = float(params.get("g0", 0.0))
+def _linear_bsde(p):
+    lam = p["lam"]
 
     def f(t, x, y, z):
         return -lam * np.asarray(y, float)
 
-    g = _const_g(g0, 1) if g0 != 0.0 else _zero_g(1)
-    return CoefficientSet(
-        b=_const_drift(0.0, 1), sigma=_const_sigma(1.0, 1, 1),
-        f=f, g=g, h=_identity_h(),
-        dims=(1, 1, 1), T=T, name="linear-bsde", params=dict(params),
-        meta={"L1_doc": 1.0, "L3_doc": max(lam, abs(g0), 1.0) + 1.0,
-              "iota_doc": 1.0})
+    return dict(f=f, g=_constant(p["g0"], (1,)),
+                meta={"L3_doc": max(lam, abs(p["g0"]), 1.0) + 1.0})
 
 
-def _build_boundary_g_constant(params):
-    T = float(params.get("T", 1.0))
-    v = float(params.get("v", 1.0))
-    g0 = float(params.get("g0", 1.0))
-    return CoefficientSet(
-        b=_const_drift(v, 1), sigma=_const_sigma(1.0, 1, 1),
-        f=_zero_f(1), g=_const_g(g0, 1), h=_identity_h(),
-        dims=(1, 1, 1), T=T, name="boundary-g-constant", params=dict(params),
-        meta={"L1_doc": max(abs(v), 1.0) + 1.0,
-              "L3_doc": max(abs(g0), 1.0) + 1.0, "iota_doc": 1.0})
+def _boundary_g_constant(p):
+    return dict(b=_constant(p["v"], (1,)), g=_constant(p["g0"], (1,)),
+                meta={"L1_doc": max(abs(p["v"]), 1.0) + 1.0,
+                      "L3_doc": max(abs(p["g0"]), 1.0) + 1.0})
 
 
+# name: (dims (d, m, k), parameter defaults, builder)
 _REGISTRY = {
-    "zero-drift-unit-noise": _build_zero_drift_unit_noise,
-    "constant-drift": _build_constant_drift,
-    "linear-drift": _build_linear_drift,
-    "ou-in-ball": _build_ou_in_ball,
-    "linear-bsde": _build_linear_bsde,
-    "boundary-g-constant": _build_boundary_g_constant,
+    "zero-drift-unit-noise": ((1, 1, 1), {}, _zero_drift_unit_noise),
+    "constant-drift": ((1, 1, 1), {"v": 1.0}, _constant_drift),
+    "linear-drift": ((1, 1, 1), {"rate": 1.0}, _linear_drift),
+    "ou-in-ball": ((2, 2, 1), {"theta": 1.0}, _ou_in_ball),
+    "linear-bsde": ((1, 1, 1), {"lam": 1.0, "g0": 0.0}, _linear_bsde),
+    "boundary-g-constant": ((1, 1, 1), {"v": 1.0, "g0": 1.0},
+                            _boundary_g_constant),
 }
 
 PRESET_NAMES = tuple(sorted(_REGISTRY))
 
 
 def preset(name, params=None):
-    """Look up a fully wired CoefficientSet by registry name."""
+    """Look up a fully wired CoefficientSet by registry name.
+
+    params may set the preset's own parameters (see _REGISTRY) and the
+    horizon T (default 1); any other key raises ValueError.
+    """
     try:
-        builder = _REGISTRY[name]
+        dims, defaults, builder = _REGISTRY[name]
     except KeyError:
         raise UnknownPreset(
             f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}"
         ) from None
-    return builder(params or {})
+    params = dict(params or {})
+    unknown = sorted(set(params) - set(defaults) - {"T"})
+    if unknown:
+        raise ValueError(f"unknown parameters {unknown} of preset {name!r}; "
+                         f"known: {sorted(defaults) + ['T']}")
+    T = float(params.get("T", 1.0))
+    merged = {key: float(params.get(key, value))
+              for key, value in defaults.items()}
+    d, m, _ = dims
+    parts = {"b": _constant(0.0, (d,)),
+             "sigma": _constant(np.eye(d, m), (d, m)),
+             "f": _zero, "g": _zero, "h": _first_coord, **builder(merged)}
+    parts["meta"] = {"L1_doc": 1.0, "L3_doc": 1.0, "iota_doc": 1.0,
+                     **parts.get("meta", {})}
+    return CoefficientSet(dims=dims, T=T, name=name, params=params, **parts)

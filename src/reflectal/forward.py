@@ -1,5 +1,5 @@
 """Forward integrators: reflected SDE, noise-free skeleton, free SDE,
-and the constraining (Skorokhod) map.
+and the constraining (Skorokhod) map; each start time s must equal grid.s.
 
 The reflected scheme is projection Euler: propose a full Euler step, project
 it back onto the closed domain, and book the Euclidean size of the correction
@@ -189,6 +189,11 @@ def _norm(v):
     return np.sqrt(sum(v[..., j] ** 2 for j in range(v.shape[-1])))
 
 
+def _check_start(s, grid):
+    if s != grid.s:
+        raise ValueError(f"start time {s} is not the grid's start {grid.s}")
+
+
 def _reflected_core(coeffs, domain, x0, epsilon, grid, noise, _dirs=False):
     """Batch projection Euler, the one loop behind every forward path.
     x0: (B, d); noise: (B, n, m) or None.
@@ -242,6 +247,7 @@ def integrate_reflected_sde(coeffs, domain, s, x, epsilon, grid, rng_stream=None
     With epsilon = 0 this is exactly the skeleton ODE (no noise is drawn, so
     the outputs agree bitwise with integrate_skeleton_ode).
     """
+    _check_start(s, grid)
     x0 = np.atleast_1d(np.asarray(x, float))[None, :]
     noise = _stream_noise(rng_stream, epsilon, grid, coeffs.dims[1])
     xp, kp, dirs = _reflected_core(coeffs, domain, x0, epsilon, grid, noise,
@@ -261,6 +267,7 @@ def simulate_reflected_batch(coeffs, domain, s, x, epsilon, grid, seed,
     """n_paths reflected trajectories with per-trajectory streams derived
     from (seed, key_prefix + trajectory index). Returns (x_paths, k_paths)
     arrays of shape (n_paths, n+1, d) and (n_paths, n+1)."""
+    _check_start(s, grid)
     d, m, _ = coeffs.dims
     x0 = np.broadcast_to(np.atleast_1d(np.asarray(x, float)),
                          (n_paths, d)).copy()
@@ -274,6 +281,7 @@ def simulate_reflected_batch(coeffs, domain, s, x, epsilon, grid, seed,
 def integrate_free_sde(coeffs, domain, s, x, epsilon, grid, rng_stream=None):
     """Plain Euler-Maruyama without projection (the boundary-free companion):
     the projection scheme with the identity as its projection."""
+    _check_start(s, grid)
     x0 = np.atleast_1d(np.asarray(x, float))[None, :]
     noise = _stream_noise(rng_stream, epsilon, grid, coeffs.dims[1])
     free = replace(domain, project_point=lambda p: p)

@@ -111,7 +111,7 @@ _STATS = {
 
 def _validate_ladder(eps_ladder):
     eps = np.asarray(eps_ladder, float)
-    if eps.size < 4:
+    if eps.ndim != 1 or eps.size < 4:
         raise ValueError("epsilon ladder needs at least 4 levels")
     if np.any(eps <= 0) or np.any(eps >= 1):
         raise ValueError("epsilon ladder must lie in (0, 1)")

@@ -372,3 +372,69 @@ def test_manifest_carries_git_describe(tmp_path):
                                         grid={"n_steps": 16})))
     assert manifest["git_describe"] == cli._git_describe(
         os.path.dirname(cli.__file__))
+
+
+class TestSchema:
+    """Every key is declared once; a key the schema does not know, and a
+    value that the run would reject later, fail validation at its pointer."""
+
+    @pytest.mark.parametrize("over, field", [
+        ({"n_path": 5000}, "/n_path"),
+        ({"grid": {"steps": 64}}, "/grid/steps"),
+        ({"grid": {"n_steps": 64, "dt": 0.1}}, "/grid/dt"),
+        ({"preset": {"name": "constant-drift", "parms": {"v": 2.0}}},
+         "/preset/parms"),
+        ({"preset": {"name": "constant-drift", "params": {"velocity": 3}}},
+         "/preset/params"),
+        ({"preset": {"name": "constant-drift", "params": [1.0]}},
+         "/preset/params"),
+        ({"eps_ladder": [0.1, 0.2]}, "/eps_ladder"),
+        ({"eps_ladder": [0.1, 0.05, 0.025, 1.5]}, "/eps_ladder"),
+        ({"eps_ladder": [[0.1, 0.05], [0.025, 0.0125]]}, "/eps_ladder"),
+        ({"eps_ladder": []}, "/eps_ladder"),
+        ({"field_steps": 0}, "/field_steps"),
+        ({"space_nodes": 1}, "/space_nodes"),
+        ({"mc_per_node": 63}, "/mc_per_node"),
+        ({"delta": 0.0}, "/delta"),
+        ({"delta": float("nan")}, "/delta"),
+        ({"grid": 0}, "/grid"),
+    ])
+    def test_rejected_at_pointer(self, over, field):
+        with pytest.raises(ConfigInvalid) as exc:
+            validate(base_config(**over))
+        assert exc.value.field == field
+
+    def test_smallest_accepted_values(self):
+        cfg = validate(base_config(field_steps=1, space_nodes=2,
+                                   mc_per_node=64, delta=1e-9, eps_ladder=None,
+                                   grid=8))
+        assert (cfg.field_steps, cfg.space_nodes, cfg.mc_per_node,
+                cfg.n_steps) == (1, 2, 64, 8)
+        assert cfg.eps_ladder is None
+
+    def test_defaults_come_from_the_config_class(self):
+        cfg = validate(json.dumps({
+            "command": "skeleton", "preset": "zero-drift-unit-noise",
+            "domain": {"kind": "interval", "a": 0.0, "b": 1.0}}).encode())
+        assert cfg == ExperimentConfig(
+            command="skeleton", preset_name="zero-drift-unit-noise",
+            domain={"kind": "interval", "a": 0.0, "b": 1.0})
+
+    def test_bad_ladder_is_a_json_error(self, tmp_path, capsys):
+        p = tmp_path / "run.json"
+        p.write_bytes(base_config(command="convergence",
+                                  eps_ladder=[0.1, 0.2]))
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", str(p), "--out",
+                     str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigInvalid"
+        assert err["message"].startswith("/eps_ladder:")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_COMMANDS))
+def test_small_command_configs_round_trip(command):
+    over, _ = SMALL_COMMANDS[command]
+    cfg = validate(base_config(command=command, domain=INTERVAL, **over))
+    assert validate(serialize(cfg)) == cfg

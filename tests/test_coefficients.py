@@ -122,3 +122,74 @@ class TestPresets:
             assert audit.L1 <= co.meta["L1_doc"] + 1e-9, name
             assert audit.L3 <= co.meta["L3_doc"] + 1e-9, name
             assert audit.iota >= co.meta["iota_doc"] - 1e-9, name
+
+
+def _evaluate(co, x, y):
+    """b, sigma, f, g, h of a preset at (t, x, y) with z = 0."""
+    z = np.zeros(y.shape + (co.dims[1],))
+    return (co.b(0.3, x), co.sigma(0.3, x), co.f(0.3, x, y, z),
+            co.g(0.3, x, y), co.h(x))
+
+
+class TestPresetClosedForms:
+    X1 = np.array([[0.0], [0.25], [1.0]])
+    Y1 = np.array([[-1.5], [0.0], [2.0]])
+
+    def test_linear_drift(self):
+        b, sigma, f, g, h = _evaluate(preset("linear-drift", {"rate": 0.5}),
+                                      self.X1, self.Y1)
+        np.testing.assert_array_equal(b, -0.5 * self.X1)
+        np.testing.assert_array_equal(sigma, np.ones((3, 1, 1)))
+        np.testing.assert_array_equal(f, np.zeros((3, 1)))
+        np.testing.assert_array_equal(g, np.zeros((3, 1)))
+        np.testing.assert_array_equal(h, self.X1)
+
+    def test_ou_in_ball(self):
+        co = preset("ou-in-ball", {"theta": 2.0})
+        assert co.dims == (2, 2, 1)
+        x = np.array([[0.5, -0.25], [0.0, 1.0]])
+        y = np.array([[3.0], [-1.0]])
+        b, sigma, f, g, h = _evaluate(co, x, y)
+        np.testing.assert_array_equal(b, -2.0 * x)
+        np.testing.assert_array_equal(sigma, np.broadcast_to(np.eye(2),
+                                                             (2, 2, 2)))
+        np.testing.assert_array_equal(f, np.zeros((2, 1)))
+        np.testing.assert_array_equal(g, np.zeros((2, 1)))
+        np.testing.assert_array_equal(h, x[:, :1])
+
+    def test_boundary_g_constant(self):
+        b, sigma, f, g, h = _evaluate(
+            preset("boundary-g-constant", {"v": -0.5, "g0": 2.5}),
+            self.X1, self.Y1)
+        np.testing.assert_array_equal(b, np.full((3, 1), -0.5))
+        np.testing.assert_array_equal(f, np.zeros((3, 1)))
+        np.testing.assert_array_equal(g, np.full((3, 1), 2.5))
+        np.testing.assert_array_equal(h, self.X1)
+
+    def test_linear_bsde_with_boundary_term(self):
+        b, sigma, f, g, h = _evaluate(
+            preset("linear-bsde", {"lam": 0.5, "g0": -1.25}), self.X1, self.Y1)
+        np.testing.assert_array_equal(b, np.zeros((3, 1)))
+        np.testing.assert_array_equal(f, -0.5 * self.Y1)
+        np.testing.assert_array_equal(g, np.full((3, 1), -1.25))
+        np.testing.assert_array_equal(h, self.X1)
+
+    def test_defaults_and_horizon(self):
+        co = preset("boundary-g-constant", {"T": 2.5})
+        assert co.T == 2.5
+        b, _, _, g, _ = _evaluate(co, self.X1, self.Y1)
+        np.testing.assert_array_equal(b, np.ones((3, 1)))
+        np.testing.assert_array_equal(g, np.ones((3, 1)))
+
+    @pytest.mark.parametrize("name, params", [
+        ("constant-drift", {"velocity": 3.0}),
+        ("zero-drift-unit-noise", {"v": 1.0}),
+        ("linear-bsde", {"lam": 1.0, "g": 0.5}),
+    ])
+    def test_unknown_parameter_raises(self, name, params):
+        with pytest.raises(ValueError, match="unknown parameters"):
+            preset(name, params)
+
+    def test_non_numeric_parameter_raises(self):
+        with pytest.raises(ValueError):
+            preset("constant-drift", {"v": "fast"})

@@ -465,3 +465,25 @@ def test_time_grid_nodes_built_once_and_read_only():
     with pytest.raises(ValueError):
         grid.nodes += 1.0
     np.testing.assert_array_equal(grid.nodes, np.linspace(0.0, 1.0, 9))
+
+
+class TestStartTime:
+    """Every integrator runs on its grid, so a start time s other than the
+    grid's start is rejected rather than ignored."""
+
+    GRID = TimeGrid(0.0, 1.0, 16)
+
+    @pytest.mark.parametrize("call", [
+        lambda co, dom, s, g: integrate_reflected_sde(co, dom, s, [0.5], 0.0, g),
+        lambda co, dom, s, g: integrate_skeleton_ode(co, dom, s, [0.5], g),
+        lambda co, dom, s, g: simulate_reflected_batch(co, dom, s, [0.5], 0.1,
+                                                       g, 1, 4),
+        lambda co, dom, s, g: integrate_free_sde(co, dom, s, [0.5], 0.1, g,
+                                                 trajectory_rng(1)),
+    ])
+    def test_start_other_than_grid_start_raises(self, call):
+        co, dom = preset("zero-drift-unit-noise"), unit_interval()
+        with pytest.raises(ValueError, match="grid's start"):
+            call(co, dom, 0.7, self.GRID)
+        call(co, dom, 0.0, self.GRID)
+        call(co, dom, 0.5, TimeGrid(0.5, 1.0, 16))

@@ -227,3 +227,27 @@ class TestTailStudy:
         b = self._tail(0.2, workers=3)
         assert a.p_hat == b.p_hat
         assert a.eps_log_p == b.eps_log_p
+
+
+def test_tail_study_start_must_be_grid_start():
+    # p_hat runs on the grid and -S* from s, so they must share one horizon
+    co = preset("zero-drift-unit-noise")
+    grid = TimeGrid(0.0, 1.0, 16)
+    with pytest.raises(ValueError, match="grid's start"):
+        tail_study(co, unit_interval(), 0.7, [0.5], 0.3, LADDER, 200, grid, 3)
+    report = tail_study(co, unit_interval(), 0.0, [0.5], 0.3, LADDER, 200,
+                        grid, 3)
+    assert report.rate_bound < 0
+
+
+def test_convergence_study_start_must_be_grid_start():
+    with pytest.raises(ValueError, match="grid's start"):
+        convergence_study("X4", preset("constant-drift"), unit_interval(),
+                          0.5, [0.5], LADDER, 1000, TimeGrid(0.0, 1.0, 16), 3)
+
+
+def test_two_dimensional_ladder_rejected():
+    with pytest.raises(ValueError, match="epsilon ladder"):
+        convergence_study("X4", preset("constant-drift"), unit_interval(),
+                          0.0, [0.5], [[0.1, 0.05], [0.025, 0.0125]], 1000,
+                          TimeGrid(0.0, 1.0, 16), 3)

@@ -1,12 +1,16 @@
 """Property tests for the projection and the constraining (Skorokhod) map
-over random intervals, balls and free paths."""
+over random intervals, balls and free paths, and for reflected paths and
+their action over random coefficient sets."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reflectal.forward import FreePath, TimeGrid, skorokhod_map
+from reflectal.action import evaluate_action
+from reflectal.coefficients import PRESET_NAMES, preset
+from reflectal.forward import (FreePath, TimeGrid, integrate_skeleton_ode,
+                               simulate_reflected_batch, skorokhod_map)
 from reflectal.geometry import make_domain, project
 
 COORD = st.floats(-4.0, 4.0, allow_nan=False)
@@ -73,3 +77,50 @@ def test_skorokhod_map_decomposition(case):
                                atol=1e-12)
     assert dec.total_variation[0] == 0.0
     assert np.all(np.diff(dec.total_variation) >= 0.0)
+
+
+# each preset's parameters with the range they are drawn from
+PRESET_PARAMS = {
+    "zero-drift-unit-noise": {},
+    "constant-drift": {"v": (-2.0, 2.0)},
+    "linear-drift": {"rate": (0.0, 2.0)},
+    "ou-in-ball": {"theta": (0.0, 2.0)},
+    "linear-bsde": {"lam": (0.0, 2.0), "g0": (-2.0, 2.0)},
+    "boundary-g-constant": {"v": (-2.0, 2.0), "g0": (-2.0, 2.0)},
+}
+
+
+@st.composite
+def coefficient_cases(draw):
+    """A preset with drawn parameters on the unit interval (d = 1) or the
+    unit disc (d = 2), a start point in the closed domain, a grid and an
+    epsilon."""
+    name = draw(st.sampled_from(PRESET_NAMES))
+    params = {key: draw(st.floats(lo, hi))
+              for key, (lo, hi) in PRESET_PARAMS[name].items()}
+    co = preset(name, params)
+    d = co.dims[0]
+    dom = (make_domain("interval", a=0.0, b=1.0) if d == 1
+           else make_domain("ball", center=[0.0, 0.0], radius=1.0))
+    x = project(dom, draw(arrays(float, d, elements=st.floats(-1.0, 1.0))))
+    grid = TimeGrid(0.0, 1.0, draw(st.integers(4, 200)))
+    return co, dom, x, grid, draw(st.floats(0.01, 0.5))
+
+
+def test_property_presets_are_declared():
+    assert set(PRESET_PARAMS) == set(PRESET_NAMES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient_cases(), st.integers(0, 2**32 - 1))
+def test_reflected_paths_and_action(case, seed):
+    co, dom, x, grid, eps = case
+    skel = integrate_skeleton_ode(co, dom, 0.0, x, grid)
+    assert evaluate_action(co, dom, skel).action <= 1e-20
+    xp, kp = simulate_reflected_batch(co, dom, 0.0, x, eps, grid, seed, 4)
+    for k_path in (skel.k_path, *kp):
+        assert k_path[0] == 0.0
+        assert np.all(np.diff(k_path) >= 0.0)
+    for path in (skel.x_path, *xp):
+        assert np.all(dom.signed_distance(path) >= -dom.boundary_tol)
+        assert evaluate_action(co, dom, path, grid).action >= 0.0

@@ -1,0 +1,86 @@
+"""SHA-256 digests of the CLI's outputs on a fixed set of small configs.
+
+    python3 tools/cli_digests.py > digests.txt
+
+Runs one pinned config per command on the unit interval and on the unit
+disc, in process, with the package imported from this checkout's `src/`.
+Each run writes into a fixed relative `output_dir` under a temporary working
+directory, because `config_hash` covers that field. Prints one line per
+run with its `config_hash` (or the error it raised) and one line per CSV
+with the file's sha256, so two checkouts can be compared with one diff.
+
+The digests depend on numpy's Generator streams, which numpy does not
+promise to keep across versions: compare runs made with one numpy only.
+"""
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+INTERVAL = {"kind": "interval", "a": 0.0, "b": 1.0}
+DISC = {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}
+DRIFT = {"name": "constant-drift", "params": {"v": 1.0}}
+NOISE = {"name": "zero-drift-unit-noise"}
+BSDE = {"name": "linear-bsde", "params": {"lam": 1.0, "g0": 0.5}}
+OU = {"name": "ou-in-ball", "params": {"theta": 1.0}}
+
+# per command: (interval overrides, disc overrides) on top of the shared base
+COMMANDS = {
+    "audit": ({"preset": DRIFT}, {}),
+    "skeleton": ({"preset": DRIFT}, {}),
+    "simulate-forward": ({"preset": DRIFT, "n_paths": 8}, {"n_paths": 8}),
+    "bsde-limit": ({"preset": BSDE}, {}),
+    "bsde-grid": ({"preset": BSDE, "eps": 0.05}, {}),
+    "action-eval": ({"preset": DRIFT}, {}),
+    "action-min": ({"preset": NOISE, "y": 0.8, "grid": {"n_steps": 8}},
+                   {"y": [0.5, 0.3], "grid": {"n_steps": 8}}),
+    "contracted-rate": ({"preset": NOISE}, {}),
+    "convergence": ({"preset": DRIFT, "target": "K4"},
+                    {"target": "X4", "grid": {"n_steps": 16}}),
+    "tail": ({"preset": NOISE, "n_paths": 200, "delta": 0.3,
+              "grid": {"n_steps": 16}},
+             {"n_paths": 200, "delta": 0.3, "grid": {"n_steps": 16}}),
+}
+
+BASE = {"interval": {"domain": INTERVAL, "x": 0.5},
+        "disc": {"domain": DISC, "preset": OU, "x": [0.25, 0.0]}}
+SHARED = {"grid": {"n_steps": 32}, "seed": 5, "eps": 0.1, "n_paths": 1000,
+          "space_nodes": 5, "field_steps": 4, "mc_per_node": 64}
+
+
+def configs():
+    """(run name, config dict) of every pinned run, in a fixed order."""
+    for command, per_domain in COMMANDS.items():
+        for (where, base), over in zip(BASE.items(), per_domain):
+            name = f"{command}@{where}"
+            cfg = {**SHARED, **base, **over, "command": command,
+                   "output_dir": os.path.join("runs", name)}
+            yield name, cfg
+
+
+def main():
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from reflectal import cli
+    from reflectal.errors import ReflectalError
+
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        for name, cfg in configs():
+            try:
+                manifest = cli.run(cli.validate(json.dumps(cfg)))
+            except ReflectalError as exc:
+                print(f"{name} error {type(exc).__name__}: {exc}")
+                continue
+            print(f"{name} config_hash {manifest['config_hash']}")
+            for fname in sorted(manifest["outputs"]):
+                with open(os.path.join(cfg["output_dir"], fname), "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).hexdigest()
+                print(f"{name} {fname} {digest}")
+
+
+if __name__ == "__main__":
+    main()
