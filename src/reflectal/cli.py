@@ -88,13 +88,22 @@ def _parse(pointer, convert, value):
                             f"not a valid value: {value!r} ({exc})") from None
 
 
-def _floats(value):
-    return tuple(np.atleast_1d(value).astype(float).tolist())
+def _point(value):
+    """A finite number or a flat list of them, as a tuple of floats."""
+    point = np.atleast_1d(value).astype(float)
+    if point.ndim > 1 or not np.isfinite(point).all():
+        raise ValueError("expected a finite number or a flat list of them")
+    return tuple(point.tolist())
 
 
-def _at_least(low):
-    """Parser of an int that must be >= low."""
+def _count(low):
+    """Parser of an integer >= low, given as an int, an integral float or
+    an integer string; a boolean or a fraction fails."""
     def parse(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise TypeError("expected an integer")
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError("not an integer")
         out = int(value)
         if out < low:
             raise ValueError(f"must be >= {low}")
@@ -113,12 +122,12 @@ def _optional(convert):
 # The parser of every top-level key besides command, domain, preset and grid.
 # A key left out takes its default from ExperimentConfig; any other key fails.
 _FIELDS = {
-    "s": float, "T": float, "x": _floats, "eps": float,
-    "eps_ladder": _optional(_ladder), "n_paths": _at_least(1), "seed": int,
-    "output_dir": str, "workers": _at_least(1), "target": str,
-    "delta": float, "y": _optional(_floats),
-    "mc_per_node": _at_least(_MIN_MC_PER_NODE),
-    "space_nodes": _at_least(_MIN_AXIS_NODES), "field_steps": _at_least(1),
+    "s": float, "T": float, "x": _point, "eps": float,
+    "eps_ladder": _optional(_ladder), "n_paths": _count(1), "seed": _count(0),
+    "output_dir": str, "workers": _count(1), "target": str,
+    "delta": float, "y": _optional(_point),
+    "mc_per_node": _count(_MIN_MC_PER_NODE),
+    "space_nodes": _count(_MIN_AXIS_NODES), "field_steps": _count(1),
 }
 _LADDER = (0.1, 0.05, 0.025, 0.0125)   # eps_ladder when the config has none
 
@@ -161,13 +170,14 @@ def validate(config_text):
         values["preset_params"] = _parse("/preset/params", dict,
                                          preset_desc["params"])
     grid_desc = raw.get("grid")
+    n_steps = _count(1)          # of {"n_steps": ...} or of a bare number
     if isinstance(grid_desc, dict):
         _reject_unknown(grid_desc, ("n_steps",), "/grid")
         if "n_steps" in grid_desc:
-            values["n_steps"] = _parse("/grid/n_steps", _at_least(1),
+            values["n_steps"] = _parse("/grid/n_steps", n_steps,
                                        grid_desc["n_steps"])
     elif "grid" in raw:
-        values["n_steps"] = _parse("/grid", _at_least(1), grid_desc)
+        values["n_steps"] = _parse("/grid", n_steps, grid_desc)
     cfg = ExperimentConfig(command=command, domain=dict(domain_desc),
                            preset_name=preset_desc["name"], **values)
 
@@ -419,7 +429,7 @@ def main(argv=None):
             overrides["output_dir"] = args.out
         env_seed = os.environ.get("REFLECTAL_SEED")
         if env_seed is not None:
-            overrides["seed"] = _parse("/seed", int, env_seed)
+            overrides["seed"] = _parse("/seed", _FIELDS["seed"], env_seed)
         run(validate(serialize(replace(cfg, **overrides))))
     except ReflectalError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

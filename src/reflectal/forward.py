@@ -156,8 +156,9 @@ def _pcg64_states(seed, prefix, first, rows):
     return states
 
 
-def _brownian_rows(seed, prefix, first, shape, dt):
-    """Brownian increments over steps of length dt, of shape (rows, ...).
+def _brownian_rows(seed, prefix, first, shape, dt, out=None):
+    """Brownian increments over steps of length dt, of shape (rows, ...),
+    written into out (C-contiguous, of that shape) when it is given.
     Row j is, bitwise, the increments that _stream_noise draws from
     trajectory_rng(seed, prefix + (first + j,)), in row-major order.
 
@@ -165,7 +166,7 @@ def _brownian_rows(seed, prefix, first, shape, dt):
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
     state = bitgen.state
-    out = np.empty(shape)
+    out = np.empty(shape) if out is None else out
     for row, pcg in zip(out, _pcg64_states(seed, tuple(prefix), first,
                                            len(out))):
         state["state"] = pcg
@@ -194,34 +195,53 @@ def _check_start(s, grid):
         raise ValueError(f"start time {s} is not the grid's start {grid.s}")
 
 
-def _reflected_core(coeffs, domain, x0, epsilon, grid, noise, _dirs=False):
+def _reflected_core(coeffs, domain, x0, epsilon, grid, noise, _dirs=False,
+                    reducers=None):
     """Batch projection Euler, the one loop behind every forward path.
-    x0: (B, d); noise: (B, n, m) or None.
+    x0: (B, d); noise: (B, n, m) or None; epsilon: a scalar, or one value
+    per row, shape (B,), whose square root scales that row's kick.
 
     Returns x_path (B, n+1, d), k_path (B, n+1), and dirs (B, n, d), the
     unit correction directions, which are built only when _dirs is set
     and are None otherwise.
+
+    With reducers, no path is stored: each reducer(i, X, K) sees the
+    states X (B, d) and budgets K (B,) at every node i = 0..n, in order,
+    must neither keep nor change them, and x_path and k_path are the last
+    states and budgets, (B, d) and (B,).
     """
-    if not epsilon >= 0:
+    eps = np.asarray(epsilon, float)
+    if not (eps >= 0).all():
         raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
     d, m, _ = coeffs.dims
     n = grid.n_steps
     dt = grid.dt
     nodes = grid.nodes
     B = x0.shape[0]
-    x_path = np.empty((B, n + 1, d))
-    k_path = np.empty((B, n + 1))
-    k_path[:, 0] = 0.0
+    store = reducers is None
+    if store:
+        x_path = np.empty((B, n + 1, d))
+        k_path = np.empty((B, n + 1))
+        K = k_path[:, 0]
+        K[:] = 0.0
+
+        def keep(i, X, K):
+            x_path[:, i] = X
+        reducers = (keep,)
+    else:
+        K = np.zeros(B)
     dirs = np.zeros((B, n, d)) if _dirs else None
     X = np.array(x0, float)
-    x_path[:, 0] = X
-    sq = np.sqrt(epsilon) if epsilon > 0 else 0.0
+    for reduce in reducers:
+        reduce(0, X, K)
+    noisy = (eps > 0).any()
+    sq = np.sqrt(eps)[:, None] if eps.ndim else np.sqrt(eps)
     floor = _K_NOISE_FLOOR * max(1.0, domain.diameter)
     for i in range(n):
         t = nodes[i]
         drift = coeffs.b(t, X)
         prop = X + drift * dt
-        if epsilon > 0:
+        if noisy:
             kick = np.einsum("...dm,...m->...d", coeffs.sigma(t, X), noise[:, i])
             kick *= sq
             prop += kick
@@ -231,14 +251,17 @@ def _reflected_core(coeffs, domain, x0, epsilon, grid, noise, _dirs=False):
             what = "state proposal" if np.isfinite(drift).all() else "drift"
             raise NumericalBlowup(f"non-finite {what} encountered")
         X = project(domain, prop)
-        x_path[:, i + 1] = X
         corr = X - prop
         dk = _norm(corr)
         dk *= dk > floor
-        np.add(k_path[:, i], dk, out=k_path[:, i + 1])
+        K = np.add(K, dk, out=k_path[:, i + 1] if store else K)
+        for reduce in reducers:
+            reduce(i + 1, X, K)
         if _dirs:
             np.divide(corr, dk[:, None], out=dirs[:, i], where=dk[:, None] > 0)
-    return x_path, k_path, dirs
+    if store:
+        return x_path, k_path, dirs
+    return X, K, dirs
 
 
 def integrate_reflected_sde(coeffs, domain, s, x, epsilon, grid, rng_stream=None):

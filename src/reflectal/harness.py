@@ -4,11 +4,13 @@ bounds, and rare-event tail probabilities against the variational certificate.
 All studies use per-trajectory streams keyed by (seed, ladder position,
 trajectory index), batched over a worker pool with an index-ordered
 reduction, so reports are bitwise reproducible regardless of worker count.
+Paths are reduced while the kernel steps them and are not kept.
 """
 
+import math
+import mmap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -16,8 +18,8 @@ from .action import OptimizerOptions, minimize_action_endpoint
 from .backward import (apply_pi, make_lattice, solve_bsde_grid,
                        solve_limit_bsde)
 from .errors import DegenerateFit, InsufficientPaths
-from .forward import (TimeGrid, _norm, integrate_skeleton_ode,
-                      simulate_reflected_batch)
+from .forward import (TimeGrid, _brownian_rows, _norm, _reflected_core,
+                      integrate_skeleton_ode)
 from .geometry import project
 
 __all__ = ["ConvergenceReport", "TailReport", "convergence_study",
@@ -25,6 +27,7 @@ __all__ = ["ConvergenceReport", "TailReport", "convergence_study",
 
 TARGETS = ("X4", "K4", "Y4", "Kmoment", "Kexp")
 _CHUNK = 2048
+_PASS_STEPS = _CHUNK * 4096   # path-steps of one study kernel call
 _KMOMENT_POWER = 4      # Kmoment estimates E[(sup K)^4]
 _KEXP_BETA = 1.0        # Kexp estimates E[exp(beta K_T)]
 _MAX_REL_SE = 0.2       # largest relative standard error a level may report
@@ -83,29 +86,92 @@ def _map_ordered(fn, items, workers):
     return [fn(item) for item in items]
 
 
-def _per_path_stats(coeffs, domain, s, x, eps, grid, seed, key_prefix,
-                    n_paths, stat_fn, workers):
-    """stat_fn(x_paths, k_paths) of every chunk of paths, in index order."""
-    def run(off):
-        xp, kp = simulate_reflected_batch(
-            coeffs, domain, s, x, eps, grid, seed, min(_CHUNK, n_paths - off),
-            index_offset=off, key_prefix=key_prefix)
-        return stat_fn(xp, kp)
-
-    return _map_ordered(run, range(0, n_paths, _CHUNK), workers)
+def _mapped(shape):
+    """np.empty(shape) in an anonymous mapping of its own, which goes back to
+    the system when the array is freed. From the malloc heap, a freed block
+    stays resident when the next request is no larger, and the next study's
+    larger block then adds to it."""
+    size = math.prod(shape)
+    buf = mmap.mmap(-1, 8 * max(size, 1))
+    return np.frombuffer(buf, float, count=size).reshape(shape)
 
 
-def _sup_deviation(xp, kp, skel):
-    """sup_t |X - skeleton| per path: X4's statistic and the tail event's."""
-    return _norm(xp - skel.x_path[None]).max(axis=1)
+def _sweep(coeffs, domain, x, grid, seed, skel, levels, sups, workers,
+           y4=None):
+    """Simulate the levels, each (eps, key prefix, n_paths), and reduce every
+    path while it is stepped; path j of a level draws from the stream
+    (seed, prefix + (j,)). Each level is cut into units of at most _CHUNK
+    paths, and consecutive units, across levels, share one kernel call of
+    at most _PASS_STEPS path-steps, each row with its level's eps.
+
+    Returns per level a dict of per-unit lists, in index order: "kT" holds
+    K_T per path, which is also sup K, as K never falls, and each key of
+    sups (see _DEVIATIONS) the sup over the nodes of that deviation per
+    path. With y4, every call holds one unit, whose x paths are stored and
+    reduced to y4(level position, x paths), listed under "Y4", before the
+    call returns.
+    """
+    d, m, _ = coeffs.dims
+    n = grid.n_steps
+    units = [(li, e, prefix, off, min(_CHUNK, count - off))
+             for li, (e, prefix, count) in enumerate(levels)
+             for off in range(0, count, _CHUNK)]
+    limit = 0 if y4 else _PASS_STEPS
+    calls, size = [[]], 0
+    for unit in units:
+        if calls[-1] and (size + unit[4]) * n > limit:
+            calls.append([])
+            size = 0
+        calls[-1].append(unit)
+        size += unit[4]
+
+    def run(call):
+        edges = np.cumsum([0] + [unit[4] for unit in call])
+        rows = int(edges[-1])
+        noise = _mapped((rows, n, m))
+        eps = np.empty(rows)
+        for (_, e, prefix, first, _), a, b in zip(call, edges, edges[1:]):
+            _brownian_rows(seed, prefix, first, None, grid.dt, out=noise[a:b])
+            eps[a:b] = e
+        out = {key: np.zeros(rows) for key in sups}
+        xp = np.empty((rows, n + 1, d)) if y4 else None
+
+        def reduce(i, X, K):
+            for key in sups:
+                np.maximum(out[key], _DEVIATIONS[key](skel, i, X, K),
+                           out=out[key])
+            if y4:
+                xp[:, i] = X
+        x0 = np.broadcast_to(np.atleast_1d(np.asarray(x, float)), (rows, d))
+        _, out["kT"], _ = _reflected_core(coeffs, domain, x0, eps, grid, noise,
+                                          reducers=(reduce,))
+        parts = [{key: v[a:b] for key, v in out.items()}
+                 for a, b in zip(edges, edges[1:])]
+        if y4:
+            parts[0]["Y4"] = y4(call[0][0], xp)
+        return parts
+
+    results = [{} for _ in levels]
+    parts = (part for call in _map_ordered(run, calls, workers)
+             for part in call)
+    for unit, part in zip(units, parts):
+        for key, value in part.items():
+            results[unit[0]].setdefault(key, []).append(value)
+    return results
 
 
-# per-path statistic of a batch (x_paths, k_paths) against the skeleton
+# deviation from the skeleton at node i, whose sup over the nodes _sweep keeps
+_DEVIATIONS = {
+    "dx": lambda skel, i, X, K: _norm(X - skel.x_path[i]),
+    "dk": lambda skel, i, X, K: np.abs(K - skel.k_path[i]),
+}
+
+# per-path statistic: the reduction of _sweep it reads and its transform
 _STATS = {
-    "X4": lambda xp, kp, skel: _sup_deviation(xp, kp, skel) ** 4,
-    "K4": lambda xp, kp, skel: np.abs(kp - skel.k_path[None]).max(axis=1) ** 4,
-    "Kmoment": lambda xp, kp, skel: kp.max(axis=1) ** _KMOMENT_POWER,
-    "Kexp": lambda xp, kp, skel: np.exp(_KEXP_BETA * kp[:, -1]),
+    "X4": ("dx", lambda v: v ** 4),
+    "K4": ("dk", lambda v: v ** 4),
+    "Kmoment": ("kT", lambda v: v ** _KMOMENT_POWER),
+    "Kexp": ("kT", lambda v: np.exp(_KEXP_BETA * v)),
 }
 
 
@@ -138,38 +204,37 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
         raise ValueError("n_paths must be >= 1000")
 
     skel = integrate_skeleton_ode(coeffs, domain, s, x, grid)
+    y4 = None
     if "Y4" in names:
         psi = solve_limit_bsde(coeffs, skel).y_path      # (n+1, k)
         field_grid = TimeGrid(s=grid.s, T=grid.T,
                               n_steps=min(grid.n_steps, field_steps))
         lattice = make_lattice(domain, field_nodes)
+        fields = [solve_bsde_grid(coeffs, domain, e, field_grid, lattice,
+                                  mc_per_node, rng_seed + 7919 * (ei + 1))
+                  for ei, e in enumerate(eps)]
 
-    def stats(xp, kp, field):
-        out = []
-        for name in names:
-            if name == "Y4":  # per-time sums of |u^eps(t, X_t) - psi_t|^4, ^8
-                dev = _norm(apply_pi(field, xp, grid.nodes) - psi[None]) ** 4
-                out.append((dev.sum(axis=0), (dev * dev).sum(axis=0)))
-            else:
-                out.append(_STATS[name](xp, kp, skel))
-        return out
+        def y4(ei, xp):  # per-time sums of |u^eps(t, X_t) - psi_t|^4, ^8
+            dev = _norm(apply_pi(fields[ei], xp, grid.nodes) - psi[None]) ** 4
+            return dev.sum(axis=0), (dev * dev).sum(axis=0)
+
+    sups = {_STATS[name][0] for name in names if name != "Y4"} - {"kT"}
+    results = _sweep(coeffs, domain, x, grid, rng_seed, skel,
+                     [(e, (ei,), n_paths) for ei, e in enumerate(eps)],
+                     sorted(sups), workers, y4)
 
     levels = {name: [] for name in names}     # (mean, se) per level
-    for ei, e in enumerate(eps):
-        field = (solve_bsde_grid(coeffs, domain, e, field_grid, lattice,
-                                 mc_per_node, rng_seed + 7919 * (ei + 1))
-                 if "Y4" in names else None)
-        parts = _per_path_stats(coeffs, domain, s, x, e, grid, rng_seed, (ei,),
-                                n_paths, partial(stats, field=field), workers)
-        for name, chunks in zip(names, zip(*parts)):
+    for e, chunks in zip(eps, results):
+        for name in names:
             if name == "Y4":
-                total, squares = map(sum, zip(*chunks))
+                total, squares = map(sum, zip(*chunks["Y4"]))
                 worst = int(np.argmax(total))   # sup over t of the mean
                 mean = float(total[worst] / n_paths)
                 var = (squares[worst] - total[worst] * mean) / (n_paths - 1)
                 se = float(np.sqrt(max(var, 0.0)) / np.sqrt(n_paths))
             else:
-                samples = np.concatenate(chunks)
+                key, stat = _STATS[name]
+                samples = stat(np.concatenate(chunks[key]))
                 mean = float(samples.mean())
                 se = float(samples.std(ddof=1) / np.sqrt(n_paths))
             levels[name].append((mean, se))
@@ -224,28 +289,35 @@ def tail_study(coeffs, domain, s, x, delta, eps_ladder, n_paths, grid,
     """Estimate P(sup_t |X^eps - skeleton| >= delta) along the ladder and
     compare eps ln p_hat against the variational certificate -S*."""
     eps = _validate_ladder(eps_ladder)
+    if not delta > 0:
+        raise ValueError(f"delta must be > 0, got {delta!r}")
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     skel = integrate_skeleton_ode(coeffs, domain, s, x, grid)
-    stat = partial(_sup_deviation, skel=skel)
 
-    # pre-flight pilot at the smallest eps; adjust delta if the event is
-    # too rare or too common to estimate by crude Monte Carlo. The 0.90
-    # quantile puts the exceedance probability at the top of the admissible
-    # range [1e-4, 1e-1], where crude MC is cheapest and the small-noise
-    # asymptotics of eps ln p are already monotone.
+    # The pilot at the smallest eps runs in the same pass as the levels:
+    # sup |X - skeleton| does not depend on delta, which is decided after.
+    pilot, *results = _sweep(
+        coeffs, domain, x, grid, rng_seed, skel,
+        [(float(eps[-1]), (len(eps), 0), _PILOT_PATHS)]
+        + [(float(e), (ei,), n_paths) for ei, e in enumerate(eps)],
+        ("dx",), workers)
+
+    # Adjust delta if the event is too rare or too common to estimate by
+    # crude Monte Carlo. The 0.90 quantile puts the exceedance probability
+    # at the top of the admissible range [1e-4, 1e-1], where crude MC is
+    # cheapest and the small-noise asymptotics of eps ln p are already
+    # monotone.
     adjusted = False
-    sups = np.concatenate(_per_path_stats(
-        coeffs, domain, s, x, float(eps[-1]), grid, rng_seed, (len(eps), 0),
-        _PILOT_PATHS, stat, workers))
+    sups = np.concatenate(pilot["dx"])
     p_pilot = float(np.mean(sups >= delta))
     if not (1e-4 <= p_pilot <= 1e-1):
         delta = float(np.quantile(sups, 0.90))
         adjusted = True
 
     p_hat, eps_log_p, zero_levels, ses = [], [], [], []
-    for ei, e in enumerate(eps):
-        sups = np.concatenate(_per_path_stats(
-            coeffs, domain, s, x, float(e), grid, rng_seed, (ei,), n_paths,
-            stat, workers))
+    for e, level in zip(eps, results):
+        sups = np.concatenate(level["dx"])
         hits = int(np.sum(sups >= delta))
         if hits == 0:
             zero_levels.append(float(e))

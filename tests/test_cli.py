@@ -438,3 +438,65 @@ def test_small_command_configs_round_trip(command):
     over, _ = SMALL_COMMANDS[command]
     cfg = validate(base_config(command=command, domain=INTERVAL, **over))
     assert validate(serialize(cfg)) == cfg
+
+
+class TestIntegralCountsAndFlatPoints:
+    """Counts take integral values only, and a point is a number or a flat
+    list; anything else fails at its pointer, through validate and main."""
+
+    CASES = [
+        ({"n_paths": 1000.7}, "/n_paths"),
+        ({"n_paths": True}, "/n_paths"),
+        ({"workers": 2.5}, "/workers"),
+        ({"mc_per_node": 64.5}, "/mc_per_node"),
+        ({"space_nodes": False}, "/space_nodes"),
+        ({"field_steps": [4]}, "/field_steps"),
+        ({"grid": {"n_steps": 16.5}}, "/grid/n_steps"),
+        ({"grid": 16.5}, "/grid"),
+        ({"seed": 3.9}, "/seed"),
+        ({"seed": -1}, "/seed"),
+        ({"x": [[0.5]]}, "/x"),
+        ({"x": None}, "/x"),
+        ({"x": float("nan")}, "/x"),
+        ({"command": "action-min", "y": [[0.8]]}, "/y"),
+    ]
+
+    @pytest.mark.parametrize("over, field", CASES)
+    def test_validate_rejects(self, over, field):
+        with pytest.raises(ConfigInvalid) as exc:
+            validate(base_config(**over))
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("over, field", CASES)
+    def test_main_rejects(self, tmp_path, capsys, over, field):
+        p = tmp_path / "run.json"
+        p.write_bytes(base_config(**over))
+        out = tmp_path / "out"
+        rc = main([over.get("command", "skeleton"), "--config", str(p),
+                   "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigInvalid"
+        assert err["message"].startswith(field + ":")
+        assert not out.exists()
+
+    def test_integral_values_accepted(self):
+        cfg = validate(base_config(n_paths=1000.0, seed="7", x=[0.5],
+                                   y=0.25, grid={"n_steps": 16.0}))
+        assert (cfg.n_paths, cfg.seed, cfg.n_steps) == (1000, 7, 16)
+        assert all(type(v) is int for v in (cfg.n_paths, cfg.seed,
+                                             cfg.n_steps))
+        assert cfg.x == (0.5,) and cfg.y == (0.25,)
+
+    @pytest.mark.parametrize("env_seed", ["3.9", "true", "-2", ""])
+    def test_env_seed_must_be_integral(self, tmp_path, capsys, monkeypatch,
+                                       env_seed):
+        monkeypatch.setenv("REFLECTAL_SEED", env_seed)
+        p = tmp_path / "run.json"
+        p.write_bytes(base_config(grid={"n_steps": 16}))
+        out = tmp_path / "out"
+        assert main(["skeleton", "--config", str(p), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigInvalid"
+        assert err["message"].startswith("/seed:")
+        assert not out.exists()

@@ -487,3 +487,56 @@ class TestStartTime:
             call(co, dom, 0.7, self.GRID)
         call(co, dom, 0.0, self.GRID)
         call(co, dom, 0.5, TimeGrid(0.5, 1.0, 16))
+
+
+class TestKernelRowsAndReducers:
+    """One epsilon per row, and reducers in place of stored paths."""
+
+    CASES = TestKernelOracle.CASES
+    EPS = np.repeat([0.3, 0.05, 0.0125, 0.3], [5, 7, 4, 3])
+
+    def _inputs(self, case):
+        make_dom, make_coeffs, x = self.CASES[case]
+        dom, co = make_dom(), make_coeffs()
+        grid = TimeGrid(0.0, 1.0, 120)
+        d, m, _ = co.dims
+        B = self.EPS.size
+        x0 = np.broadcast_to(np.asarray(x, float), (B, d)).copy()
+        noise = (np.random.default_rng(8).standard_normal((B, 120, m))
+                 * np.sqrt(grid.dt))
+        return co, dom, x0, grid, noise
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_per_row_epsilon_equals_scalar_calls(self, case):
+        co, dom, x0, grid, noise = self._inputs(case)
+        got = _reflected_core(co, dom, x0, self.EPS, grid, noise, _dirs=True)
+        assert np.count_nonzero(np.diff(got[1], axis=1) > 0) > 100
+        for e in np.unique(self.EPS):
+            rows = self.EPS == e
+            ref = _reflected_core(co, dom, x0[rows], float(e), grid,
+                                  noise[rows], _dirs=True)
+            for a, b in zip(got, ref):
+                np.testing.assert_array_equal(a[rows], b)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_reducers_see_every_node_of_the_stored_paths(self, case):
+        co, dom, x0, grid, noise = self._inputs(case)
+        xp, kp, _ = _reflected_core(co, dom, x0, self.EPS, grid, noise)
+        seen = []
+        xs, ks, dirs = _reflected_core(
+            co, dom, x0, self.EPS, grid, noise,
+            reducers=(lambda i, X, K: seen.append((i, X.copy(), K.copy())),))
+        assert dirs is None
+        assert [i for i, _, _ in seen] == list(range(grid.n_steps + 1))
+        np.testing.assert_array_equal(np.stack([X for _, X, _ in seen], 1), xp)
+        np.testing.assert_array_equal(np.stack([K for _, _, K in seen], 1), kp)
+        np.testing.assert_array_equal(xs, xp[:, -1])
+        np.testing.assert_array_equal(ks, kp[:, -1])
+
+    @pytest.mark.parametrize("bad", [-0.1, float("nan")])
+    def test_every_row_epsilon_checked(self, bad):
+        co, dom, x0, grid, noise = self._inputs("interval")
+        eps = self.EPS.copy()
+        eps[-1] = bad
+        with pytest.raises(ValueError, match="epsilon"):
+            _reflected_core(co, dom, x0, eps, grid, noise)

@@ -251,3 +251,145 @@ def test_two_dimensional_ladder_rejected():
         convergence_study("X4", preset("constant-drift"), unit_interval(),
                           0.0, [0.5], [[0.1, 0.05], [0.025, 0.0125]], 1000,
                           TimeGrid(0.0, 1.0, 16), 3)
+
+
+class TestStreamedStudies:
+    """The studies reduce each path while the kernel steps it, in packed
+    calls that mix ladder levels and chunks. Their oracle is the stored-path
+    formula: simulate_reflected_batch, then the maxima over the paths."""
+
+    GRID = TimeGrid(0.0, 1.0, 64)
+    SEED = 11
+    N_PATHS = 1000
+    # drift into the boundary, so that K grows on most paths
+    CASES = {
+        "interval": (unit_interval, "constant-drift", {"v": 1.0}, [0.5]),
+        "disc": (lambda: make_domain("ball", center=[0.0, 0.0], radius=1.0),
+                 "ou-in-ball", {"theta": -1.0}, [0.6, 0.0]),
+    }
+
+    @pytest.fixture(autouse=True)
+    def packed(self, monkeypatch):
+        # units of at most 300 paths, calls of at most 700 paths: calls end
+        # inside levels and inside the tail's pilot, and span both
+        monkeypatch.setattr(harness, "_CHUNK", 300)
+        monkeypatch.setattr(harness, "_PASS_STEPS", 700 * self.GRID.n_steps)
+
+    def _setup(self, case):
+        make_dom, name, params, x = self.CASES[case]
+        co, dom = preset(name, params), make_dom()
+        return co, dom, x, integrate_skeleton_ode(co, dom, 0.0, x, self.GRID)
+
+    def _paths(self, co, dom, x, e, prefix, n_paths):
+        return simulate_reflected_batch(co, dom, 0.0, x, e, self.GRID,
+                                        self.SEED, n_paths, key_prefix=prefix)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_moments_equal_stored_path_maxima(self, case, workers):
+        co, dom, x, skel = self._setup(case)
+        names = ("X4", "K4", "Kmoment", "Kexp")
+        reports = convergence_study(names, co, dom, 0.0, x, LADDER,
+                                    self.N_PATHS, self.GRID, self.SEED,
+                                    workers=workers)
+        contact = 0
+        for ei, e in enumerate(LADDER):
+            xp, kp = self._paths(co, dom, x, e, (ei,), self.N_PATHS)
+            contact += np.count_nonzero(np.diff(kp, axis=1) > 0)
+            samples = {
+                "X4": np.linalg.norm(xp - skel.x_path[None],
+                                     axis=-1).max(axis=1) ** 4,
+                "K4": np.abs(kp - skel.k_path[None]).max(axis=1) ** 4,
+                "Kmoment": kp.max(axis=1) ** 4,
+                "Kexp": np.exp(kp[:, -1]),
+            }
+            for rep in reports:
+                v = samples[rep.target]
+                assert rep.errors[ei] == float(v.mean())
+                assert rep.ci_halfwidth[ei] == float(
+                    v.std(ddof=1) / np.sqrt(self.N_PATHS))
+        assert contact > 1000
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_tail_equals_stored_path_maxima(self, case, workers):
+        co, dom, x, skel = self._setup(case)
+        rep = tail_study(co, dom, 0.0, x, 0.25, LADDER, self.N_PATHS,
+                         self.GRID, self.SEED, workers=workers)
+
+        def sups(e, prefix, n_paths):
+            xp, _ = self._paths(co, dom, x, e, prefix, n_paths)
+            return np.linalg.norm(xp - skel.x_path[None], axis=-1).max(axis=1)
+
+        pilot = sups(LADDER[-1], (len(LADDER), 0), harness._PILOT_PATHS)
+        delta, adjusted = 0.25, False
+        if not 1e-4 <= np.mean(pilot >= delta) <= 1e-1:
+            delta, adjusted = float(np.quantile(pilot, 0.90)), True
+        assert rep.delta_adjusted == adjusted
+        assert rep.deltas == (delta,) * len(LADDER)
+        hits = [int(np.sum(sups(e, (ei,), self.N_PATHS) >= delta))
+                for ei, e in enumerate(LADDER)]
+        assert min(hits) > 0
+        assert rep.p_hat == tuple(h / self.N_PATHS for h in hits)
+
+    def test_y4_with_other_targets_equals_stored_path_oracle(self):
+        co = preset("boundary-g-constant", {"v": 1.0, "g0": 1.0})
+        dom = unit_interval()
+        kwargs = dict(field_steps=16, field_nodes=9, mc_per_node=64)
+        both = convergence_study(("K4", "Y4"), co, dom, 0.0, [0.5], LADDER,
+                                 self.N_PATHS, self.GRID, self.SEED,
+                                 workers=3, **kwargs)
+        skel = integrate_skeleton_ode(co, dom, 0.0, [0.5], self.GRID)
+        psi = solve_limit_bsde(co, skel).y_path
+        lattice = make_lattice(dom, 9)
+        for ei, e in enumerate(LADDER):
+            field = solve_bsde_grid(co, dom, e, TimeGrid(0.0, 1.0, 16),
+                                    lattice, 64, self.SEED + 7919 * (ei + 1))
+            total = squares = 0.0
+            k4 = []
+            for off in range(0, self.N_PATHS, 300):   # the units' sums
+                xp, kp = simulate_reflected_batch(
+                    co, dom, 0.0, [0.5], e, self.GRID, self.SEED,
+                    min(300, self.N_PATHS - off), index_offset=off,
+                    key_prefix=(ei,))
+                dev = np.linalg.norm(apply_pi(field, xp, self.GRID.nodes)
+                                     - psi[None], axis=-1) ** 4
+                total = total + dev.sum(axis=0)
+                squares = squares + (dev * dev).sum(axis=0)
+                k4.append(np.abs(kp - skel.k_path[None]).max(axis=1) ** 4)
+            worst = int(np.argmax(total))
+            mean = float(total[worst] / self.N_PATHS)
+            assert both[1].errors[ei] == mean
+            assert both[0].errors[ei] == float(np.concatenate(k4).mean())
+
+    def test_insufficient_paths_names_first_failing_level(self):
+        # unit noise from 0.25: K_T > 0 on fewer paths as eps falls, so the
+        # relative standard error of E[K_T^4] grows down the ladder
+        co, dom, x = preset("zero-drift-unit-noise"), unit_interval(), [0.25]
+        rel = []
+        for ei, e in enumerate(LADDER):
+            _, kp = self._paths(co, dom, x, e, (ei,), self.N_PATHS)
+            v = kp[:, -1] ** 4
+            rel.append(v.std(ddof=1) / np.sqrt(self.N_PATHS) / v.mean())
+        failing = [e for e, r in zip(LADDER, rel) if r > harness._MAX_REL_SE]
+        assert len(failing) >= 2 and failing[0] != LADDER[0]
+        for workers in (1, 3):
+            with pytest.raises(InsufficientPaths,
+                               match=f"Kmoment: .* at eps={failing[0]} "):
+                convergence_study(("X4", "Kmoment"), co, dom, 0.0, x, LADDER,
+                                  self.N_PATHS, self.GRID, self.SEED,
+                                  workers=workers)
+
+
+@pytest.mark.parametrize("delta", [-0.3, 0.0, float("nan")])
+def test_tail_study_rejects_delta_not_positive(delta):
+    # the pilot would otherwise replace delta by its 0.90 quantile
+    with pytest.raises(ValueError, match="delta"):
+        tail_study(preset("zero-drift-unit-noise"), unit_interval(), 0.0,
+                   [0.5], delta, LADDER, 200, TimeGrid(0.0, 1.0, 16), 3)
+
+
+def test_tail_study_rejects_no_paths():
+    with pytest.raises(ValueError, match="n_paths"):
+        tail_study(preset("zero-drift-unit-noise"), unit_interval(), 0.0,
+                   [0.5], 0.3, LADDER, 0, TimeGrid(0.0, 1.0, 16), 3)

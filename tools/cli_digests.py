@@ -3,7 +3,7 @@
     python3 tools/cli_digests.py > digests.txt
 
 Runs one pinned config per command on the unit interval and on the unit
-disc, in process, with the package imported from this checkout's `src/`.
+disc, then three more convergence targets on the interval, in process, with the package imported from this checkout's `src/`.
 Each run writes into a fixed relative `output_dir` under a temporary working
 directory, because `config_hash` covers that field. Prints one line per
 run with its `config_hash` (or the error it raised) and one line per CSV
@@ -46,6 +46,9 @@ COMMANDS = {
              {"n_paths": 200, "delta": 0.3, "grid": {"n_steps": 16}}),
 }
 
+# more convergence targets, on the interval only; they run after the above
+TARGETS = {"Kmoment": DRIFT, "Kexp": DRIFT, "Y4": BSDE}
+
 BASE = {"interval": {"domain": INTERVAL, "x": 0.5},
         "disc": {"domain": DISC, "preset": OU, "x": [0.25, 0.0]}}
 SHARED = {"grid": {"n_steps": 32}, "seed": 5, "eps": 0.1, "n_paths": 1000,
@@ -60,6 +63,11 @@ def configs():
             cfg = {**SHARED, **base, **over, "command": command,
                    "output_dir": os.path.join("runs", name)}
             yield name, cfg
+    for target, preset in TARGETS.items():
+        name = f"convergence-{target}@interval"
+        yield name, {**SHARED, **BASE["interval"], "preset": preset,
+                     "target": target, "command": "convergence",
+                     "output_dir": os.path.join("runs", name)}
 
 
 def main():
