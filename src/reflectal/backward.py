@@ -33,8 +33,6 @@ _MIN_MC_PER_NODE = 64  # one-step samples per lattice node in solve_bsde_grid
 class BsdePath:
     grid: TimeGrid
     y_path: np.ndarray    # (n+1, k)
-    z_path: np.ndarray    # (n+1, k, m) or None for the deterministic limit
-    source: str           # "StochasticGrid" | "DeterministicLimit"
 
 
 @dataclass(frozen=True)
@@ -130,8 +128,7 @@ def solve_limit_bsde(coeffs, skeleton):
     y = _backward_recursion(coeffs, skeleton.grid.nodes,
                             skeleton.x_path[None], skeleton.k_path[None],
                             terminal)
-    return BsdePath(grid=skeleton.grid, y_path=y[0], z_path=None,
-                    source="DeterministicLimit")
+    return BsdePath(grid=skeleton.grid, y_path=y[0])
 
 
 def solve_bsde_grid(coeffs, domain, epsilon, times, space_grid, mc_per_node,

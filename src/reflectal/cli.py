@@ -96,6 +96,14 @@ def _point(value):
     return tuple(point.tolist())
 
 
+def _real(value):
+    """A finite float."""
+    out = float(value)
+    if not np.isfinite(out):
+        raise ValueError("expected a finite number")
+    return out
+
+
 def _count(low):
     """Parser of an integer >= low, given as an int, an integral float or
     an integer string; a boolean or a fraction fails."""
@@ -122,10 +130,10 @@ def _optional(convert):
 # The parser of every top-level key besides command, domain, preset and grid.
 # A key left out takes its default from ExperimentConfig; any other key fails.
 _FIELDS = {
-    "s": float, "T": float, "x": _point, "eps": float,
+    "s": _real, "T": _real, "x": _point, "eps": _real,
     "eps_ladder": _optional(_ladder), "n_paths": _count(1), "seed": _count(0),
     "output_dir": str, "workers": _count(1), "target": str,
-    "delta": float, "y": _optional(_point),
+    "delta": _real, "y": _optional(_point),
     "mc_per_node": _count(_MIN_MC_PER_NODE),
     "space_nodes": _count(_MIN_AXIS_NODES), "field_steps": _count(1),
 }

@@ -42,7 +42,6 @@ class AssumptionAudit:
     L3: float
     iota: float
     passed: dict          # keys "H1", "H2", "Hfgh" -> bool
-    sample_count: int
     flags: tuple = ()     # human-readable notes on soft violations
 
     @property
@@ -170,7 +169,6 @@ def audit_assumptions(coeffs, domain, grid=None, rng_seed=0, strict=False):
         L1=L1, L3=L3, iota=iota,
         passed={"H1": bool(pass_h1), "H2": bool(pass_h2),
                 "Hfgh": bool(pass_hfgh)},
-        sample_count=n_space * n_time + n_yz,
         flags=tuple(flags))
     if strict and not audit.all_passed:
         raise AuditFailure("assumption audit failed: " + "; ".join(flags),

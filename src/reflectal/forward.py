@@ -48,6 +48,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+        if not (math.isfinite(self.s) and math.isfinite(self.T)):
+            raise ValueError(f"s and T must be finite, got {self.s}, {self.T}")
         if not self.T > self.s:
             raise ValueError("need T > s")
 

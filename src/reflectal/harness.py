@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import OptimizerOptions, minimize_action_endpoint
-from .backward import (apply_pi, make_lattice, solve_bsde_grid,
+from .backward import (_PI_TOL, _multilinear, make_lattice, solve_bsde_grid,
                        solve_limit_bsde)
-from .errors import DegenerateFit, InsufficientPaths
+from .errors import DegenerateFit, InsufficientPaths, OutOfLattice
 from .forward import (TimeGrid, _brownian_rows, _norm, _reflected_core,
                       integrate_skeleton_ode)
 from .geometry import project
@@ -26,8 +26,7 @@ __all__ = ["ConvergenceReport", "TailReport", "convergence_study",
            "tail_study", "fit_loglog", "TARGETS"]
 
 TARGETS = ("X4", "K4", "Y4", "Kmoment", "Kexp")
-_CHUNK = 2048
-_PASS_STEPS = _CHUNK * 4096   # path-steps of one study kernel call
+_PASS_STEPS = 2048 * 4096   # path-steps of one study kernel call
 _KMOMENT_POWER = 4      # Kmoment estimates E[(sup K)^4]
 _KEXP_BETA = 1.0        # Kexp estimates E[exp(beta K_T)]
 _MAX_REL_SE = 0.2       # largest relative standard error a level may report
@@ -100,63 +99,59 @@ def _sweep(coeffs, domain, x, grid, seed, skel, levels, sups, workers,
            y4=None):
     """Simulate the levels, each (eps, key prefix, n_paths), and reduce every
     path while it is stepped; path j of a level draws from the stream
-    (seed, prefix + (j,)). Each level is cut into units of at most _CHUNK
-    paths, and consecutive units, across levels, share one kernel call of
-    at most _PASS_STEPS path-steps, each row with its level's eps.
+    (seed, prefix + (j,)). The paths of all levels form one row sequence,
+    cut into kernel calls of at most _PASS_STEPS path-steps, each row with
+    its level's eps.
 
-    Returns per level a dict of per-unit lists, in index order: "kT" holds
-    K_T per path, which is also sup K, as K never falls, and each key of
-    sups (see _DEVIATIONS) the sup over the nodes of that deviation per
-    path. With y4, every call holds one unit, whose x paths are stored and
-    reduced to y4(level position, x paths), listed under "Y4", before the
-    call returns.
+    Returns per level a dict of arrays: "kT" holds K_T per path, which is
+    also sup K, as K never falls, and each key of sups (see _DEVIATIONS) the
+    sup over the nodes of that deviation per path. "Y4" holds per node the
+    sums of y4(level position, node, states) and of its square, (2, n+1):
+    each call sums its rows, and the calls' sums are added in call order.
     """
     d, m, _ = coeffs.dims
     n = grid.n_steps
-    units = [(li, e, prefix, off, min(_CHUNK, count - off))
-             for li, (e, prefix, count) in enumerate(levels)
-             for off in range(0, count, _CHUNK)]
-    limit = 0 if y4 else _PASS_STEPS
-    calls, size = [[]], 0
-    for unit in units:
-        if calls[-1] and (size + unit[4]) * n > limit:
-            calls.append([])
-            size = 0
-        calls[-1].append(unit)
-        size += unit[4]
+    starts = np.cumsum([0] + [count for _, _, count in levels]).tolist()
+    step = max(1, _PASS_STEPS // n)
 
-    def run(call):
-        edges = np.cumsum([0] + [unit[4] for unit in call])
-        rows = int(edges[-1])
+    def run(first):
+        rows = min(step, starts[-1] - first)
+        # per level in the call: its position, rows a:b and first path j
+        cut = np.clip(np.subtract(starts, first), 0, rows).tolist()
+        segs = [(li, a, b, first + a - starts[li])
+                for li, (a, b) in enumerate(zip(cut, cut[1:])) if a < b]
         noise = _mapped((rows, n, m))
         eps = np.empty(rows)
-        for (_, e, prefix, first, _), a, b in zip(call, edges, edges[1:]):
-            _brownian_rows(seed, prefix, first, None, grid.dt, out=noise[a:b])
+        for li, a, b, j in segs:
+            e, prefix, _ = levels[li]
+            _brownian_rows(seed, prefix, j, None, grid.dt, out=noise[a:b])
             eps[a:b] = e
         out = {key: np.zeros(rows) for key in sups}
-        xp = np.empty((rows, n + 1, d)) if y4 else None
+        sums = np.zeros((2, n + 1, len(segs)))
 
         def reduce(i, X, K):
             for key in sups:
                 np.maximum(out[key], _DEVIATIONS[key](skel, i, X, K),
                            out=out[key])
             if y4:
-                xp[:, i] = X
+                dev = np.concatenate([y4(li, i, X[a:b])
+                                      for li, a, b, _ in segs])
+                sums[:, i] = np.add.reduceat([dev, dev * dev],
+                                             [a for _, a, _, _ in segs], axis=1)
         x0 = np.broadcast_to(np.atleast_1d(np.asarray(x, float)), (rows, d))
         _, out["kT"], _ = _reflected_core(coeffs, domain, x0, eps, grid, noise,
                                           reducers=(reduce,))
-        parts = [{key: v[a:b] for key, v in out.items()}
-                 for a, b in zip(edges, edges[1:])]
-        if y4:
-            parts[0]["Y4"] = y4(call[0][0], xp)
-        return parts
+        return segs, out, sums
 
-    results = [{} for _ in levels]
-    parts = (part for call in _map_ordered(run, calls, workers)
-             for part in call)
-    for unit, part in zip(units, parts):
-        for key, value in part.items():
-            results[unit[0]].setdefault(key, []).append(value)
+    results = [{"Y4": np.zeros((2, n + 1)),
+                **{key: np.empty(count) for key in ("kT", *sups)}}
+               for _, _, count in levels]
+    for segs, out, sums in _map_ordered(run, range(0, starts[-1], step),
+                                        workers):
+        for (li, a, b, j), level_sums in zip(segs, np.moveaxis(sums, -1, 0)):
+            results[li]["Y4"] += level_sums
+            for key, value in out.items():
+                results[li][key][j:j + b - a] = value[a:b]
     return results
 
 
@@ -207,16 +202,23 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
     y4 = None
     if "Y4" in names:
         psi = solve_limit_bsde(coeffs, skel).y_path      # (n+1, k)
-        field_grid = TimeGrid(s=grid.s, T=grid.T,
-                              n_steps=min(grid.n_steps, field_steps))
+        nt = min(grid.n_steps, field_steps)     # time steps of the fields
+        field_grid = TimeGrid(s=grid.s, T=grid.T, n_steps=nt)
         lattice = make_lattice(domain, field_nodes)
         fields = [solve_bsde_grid(coeffs, domain, e, field_grid, lattice,
                                   mc_per_node, rng_seed + 7919 * (ei + 1))
-                  for ei, e in enumerate(eps)]
+                  .values for ei, e in enumerate(eps)]
+        lo, hi = np.array([ax[[0, -1]] for ax in lattice]).T
 
-        def y4(ei, xp):  # per-time sums of |u^eps(t, X_t) - psi_t|^4, ^8
-            dev = _norm(apply_pi(fields[ei], xp, grid.nodes) - psi[None]) ** 4
-            return dev.sum(axis=0), (dev * dev).sum(axis=0)
+        def y4(ei, i, X):  # |u^eps(t_i, X) - psi_i|^4 for states X of level ei
+            if np.any(X < lo - _PI_TOL) or np.any(X > hi + _PI_TOL):
+                raise OutOfLattice("path leaves the lattice hull")
+            # blend the two time slices around t_i with apply_pi's weight
+            pos = (grid.nodes[i] - grid.s) * (nt / (grid.T - grid.s))
+            c, v = min(int(pos), nt - 1), fields[ei]
+            u = _multilinear(lattice, v[c] + (pos - c) * (v[c + 1] - v[c]),
+                             np.moveaxis(np.clip(X, lo, hi), -1, 0))
+            return _norm(u - psi[i]) ** 4
 
     sups = {_STATS[name][0] for name in names if name != "Y4"} - {"kT"}
     results = _sweep(coeffs, domain, x, grid, rng_seed, skel,
@@ -224,17 +226,17 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
                      sorted(sups), workers, y4)
 
     levels = {name: [] for name in names}     # (mean, se) per level
-    for e, chunks in zip(eps, results):
+    for e, level in zip(eps, results):
         for name in names:
             if name == "Y4":
-                total, squares = map(sum, zip(*chunks["Y4"]))
+                total, squares = level["Y4"]
                 worst = int(np.argmax(total))   # sup over t of the mean
                 mean = float(total[worst] / n_paths)
                 var = (squares[worst] - total[worst] * mean) / (n_paths - 1)
                 se = float(np.sqrt(max(var, 0.0)) / np.sqrt(n_paths))
             else:
                 key, stat = _STATS[name]
-                samples = stat(np.concatenate(chunks[key]))
+                samples = stat(level[key])
                 mean = float(samples.mean())
                 se = float(samples.std(ddof=1) / np.sqrt(n_paths))
             levels[name].append((mean, se))
@@ -309,16 +311,14 @@ def tail_study(coeffs, domain, s, x, delta, eps_ladder, n_paths, grid,
     # cheapest and the small-noise asymptotics of eps ln p are already
     # monotone.
     adjusted = False
-    sups = np.concatenate(pilot["dx"])
-    p_pilot = float(np.mean(sups >= delta))
+    p_pilot = float(np.mean(pilot["dx"] >= delta))
     if not (1e-4 <= p_pilot <= 1e-1):
-        delta = float(np.quantile(sups, 0.90))
+        delta = float(np.quantile(pilot["dx"], 0.90))
         adjusted = True
 
     p_hat, eps_log_p, zero_levels, ses = [], [], [], []
     for e, level in zip(eps, results):
-        sups = np.concatenate(level["dx"])
-        hits = int(np.sum(sups >= delta))
+        hits = int(np.sum(level["dx"] >= delta))
         if hits == 0:
             zero_levels.append(float(e))
             p_hat.append(float("nan"))

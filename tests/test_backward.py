@@ -34,8 +34,6 @@ class TestLimitBsde:
         bp = solve_limit_bsde(co, skel)
         np.testing.assert_array_equal(bp.y_path,
                                       np.full((257, 1), skel.x_path[-1, 0]))
-        assert bp.z_path is None
-        assert bp.source == "DeterministicLimit"
 
     def test_linear_driver_exponential(self):
         dom = unit_interval()

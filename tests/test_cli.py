@@ -441,8 +441,9 @@ def test_small_command_configs_round_trip(command):
 
 
 class TestIntegralCountsAndFlatPoints:
-    """Counts take integral values only, and a point is a number or a flat
-    list; anything else fails at its pointer, through validate and main."""
+    """Counts take integral values only, reals are finite, and a point is a
+    number or a flat list; anything else fails at its pointer, through
+    validate and main."""
 
     CASES = [
         ({"n_paths": 1000.7}, "/n_paths"),
@@ -459,6 +460,11 @@ class TestIntegralCountsAndFlatPoints:
         ({"x": None}, "/x"),
         ({"x": float("nan")}, "/x"),
         ({"command": "action-min", "y": [[0.8]]}, "/y"),
+        # json.loads reads Infinity: a real must be finite as well
+        ({"s": float("inf")}, "/s"),
+        ({"T": float("inf")}, "/T"),
+        ({"eps": float("inf")}, "/eps"),
+        ({"command": "tail", "delta": float("inf")}, "/delta"),
     ]
 
     @pytest.mark.parametrize("over, field", CASES)

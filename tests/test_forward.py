@@ -467,6 +467,13 @@ def test_time_grid_nodes_built_once_and_read_only():
     np.testing.assert_array_equal(grid.nodes, np.linspace(0.0, 1.0, 9))
 
 
+@pytest.mark.parametrize("s, T", [(0.0, float("inf")), (-float("inf"), 1.0),
+                                  (float("nan"), 1.0), (0.0, float("nan"))])
+def test_time_grid_rejects_non_finite_ends(s, T):
+    with pytest.raises(ValueError, match="finite"):
+        TimeGrid(s, T, 8)
+
+
 class TestStartTime:
     """Every integrator runs on its grid, so a start time s other than the
     grid's start is rejected rather than ignored."""

@@ -1,5 +1,7 @@
 """Convergence studies, tail studies, and the log-log fitter."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -142,7 +144,8 @@ class TestOnePassPerLevel:
             mc_per_node=256)
 
     def test_tuple_call_equals_single_target_calls(self, monkeypatch):
-        monkeypatch.setattr(harness, "_CHUNK", 256)   # four chunks a level
+        # calls of 256 paths: they end inside levels and span two
+        monkeypatch.setattr(harness, "_PASS_STEPS", 256 * self.GRID.n_steps)
         # drift into the boundary, where g charges dK: every target estimable
         co = {"name": "boundary-g-constant", "params": {"v": 1.0, "g0": 1.0}}
         singles = tuple(self._study(t, **co) for t in self.ORDER)
@@ -152,7 +155,7 @@ class TestOnePassPerLevel:
             assert self._study(self.ORDER, workers=workers, **co) == singles
 
     def test_y4_matches_per_path_oracle(self, monkeypatch):
-        monkeypatch.setattr(harness, "_CHUNK", 256)
+        monkeypatch.setattr(harness, "_PASS_STEPS", 256 * self.GRID.n_steps)
         rep = self._study("Y4")
         co = preset("linear-bsde", {"lam": 1.0, "g0": 1.0})
         dom = unit_interval()
@@ -176,6 +179,20 @@ class TestOnePassPerLevel:
             means.append(means_t[worst])
         assert rep.slope == pytest.approx(fit_loglog(LADDER, means)["slope"],
                                           rel=1e-10)
+
+    def test_y4_study_keeps_no_path(self):
+        # Y4 reads the fields at every node while the kernel steps: its peak
+        # stays below one stored chunk of x paths, 2048 x 1025 doubles
+        co = preset("linear-bsde", {"lam": 1.0, "g0": 1.0})
+        tracemalloc.start()
+        try:
+            convergence_study("Y4", co, unit_interval(), 0.0, [0.5], LADDER,
+                              2000, TimeGrid(0.0, 1.0, 1024), self.SEED,
+                              field_steps=16, field_nodes=9, mc_per_node=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2048 * 1025 * 8
 
     @pytest.mark.parametrize("target", [(), ("X4", "nope"), ("K4", "X4", "K4")])
     def test_bad_target_tuples_rejected(self, target):
@@ -270,9 +287,8 @@ class TestStreamedStudies:
 
     @pytest.fixture(autouse=True)
     def packed(self, monkeypatch):
-        # units of at most 300 paths, calls of at most 700 paths: calls end
-        # inside levels and inside the tail's pilot, and span both
-        monkeypatch.setattr(harness, "_CHUNK", 300)
+        # calls of at most 700 paths end inside levels and inside the tail's
+        # pilot, and span both
         monkeypatch.setattr(harness, "_PASS_STEPS", 700 * self.GRID.n_steps)
 
     def _setup(self, case):
@@ -347,7 +363,7 @@ class TestStreamedStudies:
                                     lattice, 64, self.SEED + 7919 * (ei + 1))
             total = squares = 0.0
             k4 = []
-            for off in range(0, self.N_PATHS, 300):   # the units' sums
+            for off in range(0, self.N_PATHS, 300):   # 300 paths at a time
                 xp, kp = simulate_reflected_batch(
                     co, dom, 0.0, [0.5], e, self.GRID, self.SEED,
                     min(300, self.N_PATHS - off), index_offset=off,
@@ -359,7 +375,7 @@ class TestStreamedStudies:
                 k4.append(np.abs(kp - skel.k_path[None]).max(axis=1) ** 4)
             worst = int(np.argmax(total))
             mean = float(total[worst] / self.N_PATHS)
-            assert both[1].errors[ei] == mean
+            assert both[1].errors[ei] == pytest.approx(mean, rel=1e-12)
             assert both[0].errors[ei] == float(np.concatenate(k4).mean())
 
     def test_insufficient_paths_names_first_failing_level(self):

@@ -3,7 +3,8 @@
     python3 tools/cli_digests.py > digests.txt
 
 Runs one pinned config per command on the unit interval and on the unit
-disc, then three more convergence targets on the interval, in process, with the package imported from this checkout's `src/`.
+disc, then three more convergence targets on the interval and Y4 on the
+disc, in process, with the package imported from this checkout's `src/`.
 Each run writes into a fixed relative `output_dir` under a temporary working
 directory, because `config_hash` covers that field. Prints one line per
 run with its `config_hash` (or the error it raised) and one line per CSV
@@ -46,8 +47,9 @@ COMMANDS = {
              {"n_paths": 200, "delta": 0.3, "grid": {"n_steps": 16}}),
 }
 
-# more convergence targets, on the interval only; they run after the above
-TARGETS = {"Kmoment": DRIFT, "Kexp": DRIFT, "Y4": BSDE}
+# more convergence targets, (target, where, preset); they run after the above
+TARGETS = [("Kmoment", "interval", DRIFT), ("Kexp", "interval", DRIFT),
+           ("Y4", "interval", BSDE), ("Y4", "disc", OU)]
 
 BASE = {"interval": {"domain": INTERVAL, "x": 0.5},
         "disc": {"domain": DISC, "preset": OU, "x": [0.25, 0.0]}}
@@ -63,9 +65,9 @@ def configs():
             cfg = {**SHARED, **base, **over, "command": command,
                    "output_dir": os.path.join("runs", name)}
             yield name, cfg
-    for target, preset in TARGETS.items():
-        name = f"convergence-{target}@interval"
-        yield name, {**SHARED, **BASE["interval"], "preset": preset,
+    for target, where, preset in TARGETS:
+        name = f"convergence-{target}@{where}"
+        yield name, {**SHARED, **BASE[where], "preset": preset,
                      "target": target, "command": "convergence",
                      "output_dir": os.path.join("runs", name)}
 
