@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .errors import FixedPointDivergence, NumericalBlowup, OutOfLattice
-from .forward import TimeGrid, _brownian_rows, _reflected_core
+from .forward import TimeGrid, _brownian_rows, _reflected_core, _step
 from .geometry import project
 
 __all__ = ["BsdePath", "ValueField", "make_lattice", "solve_limit_bsde",
@@ -162,16 +162,14 @@ def solve_bsde_grid(coeffs, domain, epsilon, times, space_grid, mc_per_node,
         # one-step reflected transitions from every node, node j drawing
         # from trajectory_rng(rng_seed, (i, j))
         dW = _brownian_rows(rng_seed, (i,), 0, (N, mc_per_node, m), dt)
-        xp, kp, _ = _reflected_core(coeffs, domain, starts, epsilon,
-                                    TimeGrid(t, t_nodes[i + 1], 1),
-                                    dW.reshape(-1, 1, m))
-        xn = xp[:, 1].reshape(N, mc_per_node, d)          # (N, mc, d)
+        X, dk, _ = _step(coeffs, domain, starts, t, t_nodes[i + 1] - t,
+                         dW.reshape(-1, m), np.sqrt(epsilon))
 
         u_next = _multilinear(axes, values[i + 1].reshape(shape + (k,)),
-                              np.moveaxis(xn, -1, 0))      # (N, mc, k)
+                              X.T.reshape(d, N, mc_per_node))  # (N, mc, k)
 
         base = u_next.mean(axis=1)                         # (N, k)
-        kbar = kp[:, 1].reshape(N, mc_per_node).mean(axis=1)[:, None]
+        kbar = dk.reshape(N, mc_per_node).mean(axis=1)[:, None]
         z_hat = np.einsum("nck,ncm->nkm", u_next, dW) / (mc_per_node * dt)
 
         y = base
@@ -221,18 +219,22 @@ def limit_value_field(coeffs, domain, times, space_grid):
 
 def apply_pi(field, path_values, path_times=None):
     """Read the value field along a constrained path (multilinear in time
-    and space). path_values: (..., n+1, d); path_times defaults to the
-    field's own time nodes. Returns (..., n+1, k)."""
+    and space). path_values: (..., n+1, d); path_times, one per path node,
+    defaults to the field's time nodes. Returns (..., n+1, k); a point or
+    time outside the field, or NaN, raises OutOfLattice."""
     t_nodes = field.times.nodes if path_times is None else np.asarray(path_times)
     vals = np.asarray(path_values, float)
     if vals.shape[-1] != len(field.axes):
         raise ValueError("path dimension does not match the field lattice")
+    if t_nodes.shape != vals.shape[-2:-1]:
+        raise ValueError("path_times needs one entry per path node")
     lo, hi = np.array([ax[[0, -1]] for ax in field.axes]).T
-    if np.any(vals < lo - _PI_TOL) or np.any(vals > hi + _PI_TOL):
+    if not (np.all(vals >= lo - _PI_TOL) and np.all(vals <= hi + _PI_TOL)):
         raise OutOfLattice("path leaves the lattice hull")
     clipped = np.clip(vals, lo, hi)
     t_lo, t_hi = field.times.s, field.times.T
-    if np.any(t_nodes < t_lo - _PI_TOL) or np.any(t_nodes > t_hi + _PI_TOL):
+    if not (np.all(t_nodes >= t_lo - _PI_TOL)
+            and np.all(t_nodes <= t_hi + _PI_TOL)):
         raise OutOfLattice("path times leave the field's time range")
     tq = np.broadcast_to(np.clip(t_nodes, t_lo, t_hi), vals.shape[:-1])
     return _multilinear((field.times.nodes,) + field.axes, field.values,

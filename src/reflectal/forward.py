@@ -197,73 +197,71 @@ def _check_start(s, grid):
         raise ValueError(f"start time {s} is not the grid's start {grid.s}")
 
 
+def _step(coeffs, domain, X, t, dt, dW, sq):
+    """One projection Euler step of the states X (B, d) from time t, kicked
+    by sigma dW scaled by sq = sqrt(epsilon) unless dW (B, m) is None.
+    Returns the projected states, the budget increments dk (B,), zero at or
+    below the noise floor, and the projection's corrections (B, d)."""
+    drift = coeffs.b(t, X)
+    prop = X + drift * dt
+    if dW is not None:
+        kick = np.einsum("...dm,...m->...d", coeffs.sigma(t, X), dW)
+        kick *= sq
+        prop += kick
+    # a finite sum has only finite terms; an overflowing one is rechecked
+    if (not math.isfinite(np.add.reduce(prop, axis=None))
+            and not np.isfinite(prop).all()):
+        what = "state proposal" if np.isfinite(drift).all() else "drift"
+        raise NumericalBlowup(f"non-finite {what} encountered")
+    X = project(domain, prop)
+    corr = X - prop
+    dk = _norm(corr)
+    dk *= dk > _K_NOISE_FLOOR * max(1.0, domain.diameter)
+    return X, dk, corr
+
+
 def _reflected_core(coeffs, domain, x0, epsilon, grid, noise, _dirs=False,
                     reducers=None):
-    """Batch projection Euler, the one loop behind every forward path.
+    """The one loop behind every forward path: _step at every node.
     x0: (B, d); noise: (B, n, m) or None; epsilon: a scalar, or one value
     per row, shape (B,), whose square root scales that row's kick.
 
     Returns x_path (B, n+1, d), k_path (B, n+1), and dirs (B, n, d), the
-    unit correction directions, which are built only when _dirs is set
-    and are None otherwise.
+    unit correction directions, built only when _dirs is set (else None).
 
-    With reducers, no path is stored: each reducer(i, X, K) sees the
-    states X (B, d) and budgets K (B,) at every node i = 0..n, in order,
-    must neither keep nor change them, and x_path and k_path are the last
-    states and budgets, (B, d) and (B,).
+    Each reducer(i, X, K) sees the states X (B, d) and budgets K (B,) at
+    every node i = 0..n, in order, and must neither keep nor change them.
+    Without reducers, one that stores the paths is used; with them, x_path
+    and k_path are the last states and budgets, (B, d) and (B,).
     """
     eps = np.asarray(epsilon, float)
     if not (eps >= 0).all():
         raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
-    d, m, _ = coeffs.dims
+    B, d = x0.shape
     n = grid.n_steps
-    dt = grid.dt
-    nodes = grid.nodes
-    B = x0.shape[0]
-    store = reducers is None
-    if store:
-        x_path = np.empty((B, n + 1, d))
-        k_path = np.empty((B, n + 1))
-        K = k_path[:, 0]
-        K[:] = 0.0
+    stored = reducers is None
+    if stored:
+        x_path, k_path = np.empty((B, n + 1, d)), np.empty((B, n + 1))
 
         def keep(i, X, K):
             x_path[:, i] = X
+            k_path[:, i] = K
         reducers = (keep,)
-    else:
-        K = np.zeros(B)
     dirs = np.zeros((B, n, d)) if _dirs else None
-    X = np.array(x0, float)
-    for reduce in reducers:
-        reduce(0, X, K)
     noisy = (eps > 0).any()
     sq = np.sqrt(eps)[:, None] if eps.ndim else np.sqrt(eps)
-    floor = _K_NOISE_FLOOR * max(1.0, domain.diameter)
+    X, K = np.array(x0, float), np.zeros(B)
+    for reduce in reducers:
+        reduce(0, X, K)
     for i in range(n):
-        t = nodes[i]
-        drift = coeffs.b(t, X)
-        prop = X + drift * dt
-        if noisy:
-            kick = np.einsum("...dm,...m->...d", coeffs.sigma(t, X), noise[:, i])
-            kick *= sq
-            prop += kick
-        # a finite sum has only finite terms; an overflowing one is rechecked
-        if (not math.isfinite(np.add.reduce(prop, axis=None))
-                and not np.isfinite(prop).all()):
-            what = "state proposal" if np.isfinite(drift).all() else "drift"
-            raise NumericalBlowup(f"non-finite {what} encountered")
-        X = project(domain, prop)
-        corr = X - prop
-        dk = _norm(corr)
-        dk *= dk > floor
-        K = np.add(K, dk, out=k_path[:, i + 1] if store else K)
+        X, dk, corr = _step(coeffs, domain, X, grid.nodes[i], grid.dt,
+                            noise[:, i] if noisy else None, sq)
+        K += dk
         for reduce in reducers:
             reduce(i + 1, X, K)
         if _dirs:
             np.divide(corr, dk[:, None], out=dirs[:, i], where=dk[:, None] > 0)
-    if store:
-        return x_path, k_path, dirs
-    return X, K, dirs
+    return (x_path, k_path, dirs) if stored else (X, K, dirs)
 
 
 def integrate_reflected_sde(coeffs, domain, s, x, epsilon, grid, rng_stream=None):

@@ -211,7 +211,7 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
         lo, hi = np.array([ax[[0, -1]] for ax in lattice]).T
 
         def y4(ei, i, X):  # |u^eps(t_i, X) - psi_i|^4 for states X of level ei
-            if np.any(X < lo - _PI_TOL) or np.any(X > hi + _PI_TOL):
+            if not (np.all(X >= lo - _PI_TOL) and np.all(X <= hi + _PI_TOL)):
                 raise OutOfLattice("path leaves the lattice hull")
             # blend the two time slices around t_i with apply_pi's weight
             pos = (grid.nodes[i] - grid.s) * (nt / (grid.T - grid.s))

@@ -1,5 +1,7 @@
 """Rate functional evaluation, endpoint minimization, contracted rate."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from reflectal.action import (OptimizerOptions, _action_terms, _fd_gradient,
                               minimize_action_endpoint)
 from reflectal.backward import apply_pi, limit_value_field, make_lattice
 from reflectal.coefficients import CoefficientSet, preset
-from reflectal.errors import ConstraintInfeasible, InfeasiblePath
+from reflectal.errors import (ConstraintInfeasible, InfeasiblePath,
+                              SingularDiffusion)
 from reflectal.forward import TimeGrid, integrate_skeleton_ode
 from reflectal.geometry import make_domain, project
 from reflectal.harness import fit_loglog
@@ -80,6 +83,13 @@ class TestEvaluateAction:
         assert res.feasible
         assert abs(res.action - 0.5 * grid.dt * res.integrand.sum()) <= 1e-12
         np.testing.assert_allclose(res.phi, res.psi, atol=1e-15)
+
+    def test_zero_sigma_is_singular(self):
+        co = preset("zero-drift-unit-noise")
+        co = replace(co, sigma=lambda t, x: np.zeros(np.shape(x) + (1,)))
+        grid = TimeGrid(0.0, 1.0, 8)
+        with pytest.raises(SingularDiffusion):
+            evaluate_action(co, unit_interval(), np.full((9, 1), 0.5), grid)
 
     def test_skeleton_costs_zero(self):
         dom = unit_interval()

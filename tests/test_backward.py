@@ -240,6 +240,30 @@ class TestApplyPi:
         with pytest.raises(OutOfLattice):
             apply_pi(field, np.full((5, 1), 1.5))
 
+    @staticmethod
+    def _field():
+        dom = unit_interval()
+        times = TimeGrid(0.0, 1.0, 4)
+        return limit_value_field(preset("linear-bsde"), dom, times,
+                                 make_lattice(dom, 5))
+
+    def test_nan_point_rejected(self):
+        path = np.full((5, 1), 0.5)
+        path[2, 0] = np.nan
+        with pytest.raises(OutOfLattice, match="hull"):
+            apply_pi(self._field(), path)
+
+    def test_nan_time_rejected(self):
+        times = np.linspace(0.0, 1.0, 5)
+        times[3] = np.nan
+        with pytest.raises(OutOfLattice, match="time range"):
+            apply_pi(self._field(), np.full((5, 1), 0.5), path_times=times)
+
+    @pytest.mark.parametrize("times", [[0.5], np.linspace(0.0, 1.0, 4), 0.5])
+    def test_one_time_per_path_node(self, times):
+        with pytest.raises(ValueError, match="one entry per path node"):
+            apply_pi(self._field(), np.full((5, 1), 0.5), path_times=times)
+
     def test_modulus_of_continuity(self):
         # perturbed paths move the read values by at most Lip * delta, with
         # the Lipschitz constant estimated from the lattice itself

@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 from reflectal.coefficients import CoefficientSet, preset
-from reflectal.errors import MissingNoise, StartOutsideDomain
+from reflectal.backward import make_lattice, solve_bsde_grid
+from reflectal.errors import MissingNoise, NumericalBlowup, StartOutsideDomain
 from reflectal.forward import (_K_NOISE_FLOOR, FreePath, TimeGrid,
-                               _brownian_rows, _reflected_core,
+                               _brownian_rows, _reflected_core, _step,
                                integrate_free_sde, integrate_reflected_sde,
                                integrate_skeleton_ode,
                                reflection_budget_identity,
                                simulate_reflected_batch, skorokhod_map,
                                trajectory_rng)
 from reflectal.geometry import make_domain, project
-from reflectal.harness import fit_loglog
+from reflectal.harness import convergence_study, fit_loglog
 
 
 def reference_core(coeffs, domain, x0, epsilon, grid, noise):
@@ -398,6 +399,75 @@ class TestKernelOracle:
         np.testing.assert_array_equal(dec.psi, psi[0])
         np.testing.assert_array_equal(dec.total_variation, tv[0])
         assert tv[0, -1] > 0.0
+
+
+class TestStepOracle:
+    """One _step against one step of reference_core, bitwise, from states
+    spread over the domain and its boundary."""
+
+    @pytest.mark.parametrize("case", sorted(TestKernelOracle.CASES))
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_one_step_of_the_reference(self, case, eps):
+        make_dom, make_coeffs, _ = TestKernelOracle.CASES[case]
+        dom, co = make_dom(), make_coeffs()
+        d, m, _ = co.dims
+        rng = np.random.default_rng(6)
+        lo, hi = np.asarray(dom.bbox, float)
+        x0 = project(dom, rng.uniform(lo - 0.2, hi + 0.2, (256, d)))
+        grid = TimeGrid(0.25, 0.3, 1)
+        noise = rng.standard_normal((256, 1, m)) * np.sqrt(grid.dt)
+        ref_x, ref_k, ref_dirs = reference_core(co, dom, x0, eps, grid, noise)
+        X, dk, corr = _step(co, dom, x0, grid.nodes[0], grid.dt,
+                            noise[:, 0] if eps > 0 else None, np.sqrt(eps))
+        assert np.count_nonzero(dk > 0) > 20
+        np.testing.assert_array_equal(X, ref_x[:, 1])
+        np.testing.assert_array_equal(dk, ref_k[:, 1])
+        dirs = np.divide(corr, dk[:, None], out=np.zeros_like(corr),
+                         where=dk[:, None] > 0)
+        np.testing.assert_array_equal(dirs, ref_dirs[:, 0])
+
+
+class TestNonFinite:
+    """The step's finiteness check, reached through every caller."""
+
+    @staticmethod
+    def inf_drift():
+        """Zero drift at and above 0.4 on the interval, infinite below."""
+        return replace(preset("zero-drift-unit-noise"),
+                       b=lambda t, x: np.where(x < 0.4, np.inf, 0.0))
+
+    @staticmethod
+    def huge_sigma():
+        """A finite sigma whose kicks overflow once |sqrt(eps) dW| > 1."""
+        big = np.finfo(float).max
+        return replace(preset("zero-drift-unit-noise"),
+                       sigma=lambda t, x: np.full(np.shape(x) + (1,), big))
+
+    @pytest.mark.parametrize("call", [
+        lambda co, dom: integrate_reflected_sde(
+            co, dom, 0.0, [0.3], 0.1, TimeGrid(0.0, 1.0, 8), trajectory_rng(1)),
+        lambda co, dom: simulate_reflected_batch(
+            co, dom, 0.0, [0.3], 0.1, TimeGrid(0.0, 1.0, 8), 1, 4),
+        # the skeleton from 0.5 stays finite; the noisy paths go below 0.4
+        lambda co, dom: convergence_study(
+            "X4", co, dom, 0.0, [0.5], [0.4, 0.2, 0.1, 0.05], 1000,
+            TimeGrid(0.0, 1.0, 16), 3),
+        lambda co, dom: solve_bsde_grid(
+            co, dom, 0.1, TimeGrid(0.0, 1.0, 2), make_lattice(dom, 5), 64, 3),
+    ])
+    def test_infinite_drift(self, call):
+        with pytest.raises(NumericalBlowup, match="non-finite drift"):
+            call(self.inf_drift(), unit_interval())
+
+    @pytest.mark.parametrize("call", [
+        lambda co, dom: simulate_reflected_batch(
+            co, dom, 0.0, [0.5], 1.0, TimeGrid(0.0, 1.0, 4), 1, 64),
+        lambda co, dom: solve_bsde_grid(
+            co, dom, 1.0, TimeGrid(0.0, 1.0, 2), make_lattice(dom, 5), 64, 3),
+    ])
+    def test_overflowing_kick(self, call):
+        with pytest.raises(NumericalBlowup, match="non-finite state proposal"):
+            call(self.huge_sigma(), unit_interval())
 
 
 class TestStreams:

@@ -4,7 +4,8 @@
 
 Runs one pinned config per command on the unit interval and on the unit
 disc, then three more convergence targets on the interval and Y4 on the
-disc, in process, with the package imported from this checkout's `src/`.
+disc, then a lattice solve whose drift drives its samples into the
+boundary, in process, with the package imported from this checkout's `src/`.
 Each run writes into a fixed relative `output_dir` under a temporary working
 directory, because `config_hash` covers that field. Prints one line per
 run with its `config_hash` (or the error it raised) and one line per CSV
@@ -51,6 +52,13 @@ COMMANDS = {
 TARGETS = [("Kmoment", "interval", DRIFT), ("Kexp", "interval", DRIFT),
            ("Y4", "interval", BSDE), ("Y4", "disc", OU)]
 
+# a contact-heavy lattice solve: the drift drives the samples into the
+# boundary, so its K and g dK terms are large; it runs last
+CONTACT = ("bsde-grid-contact@interval", "interval",
+           {"command": "bsde-grid", "eps": 0.05,
+            "preset": {"name": "boundary-g-constant",
+                       "params": {"v": 1.0, "g0": 1.0}}})
+
 BASE = {"interval": {"domain": INTERVAL, "x": 0.5},
         "disc": {"domain": DISC, "preset": OU, "x": [0.25, 0.0]}}
 SHARED = {"grid": {"n_steps": 32}, "seed": 5, "eps": 0.1, "n_paths": 1000,
@@ -70,6 +78,9 @@ def configs():
         yield name, {**SHARED, **BASE[where], "preset": preset,
                      "target": target, "command": "convergence",
                      "output_dir": os.path.join("runs", name)}
+    name, where, over = CONTACT
+    yield name, {**SHARED, **BASE[where], **over,
+                 "output_dir": os.path.join("runs", name)}
 
 
 def main():
