@@ -231,11 +231,12 @@ def apply_pi(field, path_values, path_times=None):
     lo, hi = np.array([ax[[0, -1]] for ax in field.axes]).T
     if not (np.all(vals >= lo - _PI_TOL) and np.all(vals <= hi + _PI_TOL)):
         raise OutOfLattice("path leaves the lattice hull")
-    clipped = np.clip(vals, lo, hi)
+    clipped = np.minimum(np.maximum(vals, lo), hi)
     t_lo, t_hi = field.times.s, field.times.T
     if not (np.all(t_nodes >= t_lo - _PI_TOL)
             and np.all(t_nodes <= t_hi + _PI_TOL)):
         raise OutOfLattice("path times leave the field's time range")
-    tq = np.broadcast_to(np.clip(t_nodes, t_lo, t_hi), vals.shape[:-1])
+    tq = np.broadcast_to(np.minimum(np.maximum(t_nodes, t_lo), t_hi),
+                         vals.shape[:-1])
     return _multilinear((field.times.nodes,) + field.axes, field.values,
                         (tq, *np.moveaxis(clipped, -1, 0)))

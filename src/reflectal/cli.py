@@ -9,7 +9,6 @@ makes byte-identical reruns a meaningful reproducibility check.
 """
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -218,30 +217,29 @@ def validate(config_text):
     return cfg
 
 
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _names(prefix, width):
     """CSV column names prefix_1 ... prefix_width."""
     return [f"{prefix}_{i + 1}" for i in range(width)]
 
 
-def _node_rows(times, *blocks):
-    """Rows (t, *blocks[0][i], *blocks[1][i], ...) of a table indexed by the
-    time nodes; each block is (n+1,) or (n+1, width)."""
-    return np.column_stack([times, *blocks]).tolist()
+_BLOCK_ROWS = 512   # rows formatted and written per fh.write
 
 
-def _traj_rows(grid, x_paths, k_paths):
-    n_paths, n1, d = x_paths.shape
-    nodes = grid.nodes
-    for p in range(n_paths):
-        for i in range(n1):
-            yield (p, float(nodes[i]), *map(float, x_paths[p, i]),
-                   float(k_paths[p, i]))
+def _write_csv(path, header, columns):
+    """Write a CSV of one header row and the rows of columns, of equal
+    length and one type each, (rows,) or (rows, width) for width columns;
+    returns the row count. Values reach the row template through numpy's
+    .tolist(), so a float prints as its shortest round-trip repr and an int
+    or bool as str, never as a numpy scalar; lines end in \\r\\n."""
+    n = len(columns[0])
+    cols = [col for c in columns for col in np.atleast_2d(np.asarray(c).T)]
+    line = ",".join(["%r"] * len(cols)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for a in range(0, n, _BLOCK_ROWS):
+            rows = zip(*[c[a:a + _BLOCK_ROWS].tolist() for c in cols])
+            fh.write("".join([line % row for row in rows]))
+    return n
 
 
 def _execute(cfg, out_dir):
@@ -256,21 +254,16 @@ def _execute(cfg, out_dir):
     files = {}
     extra = {}
 
-    def write(name, header, rows):
-        with open(os.path.join(out_dir, name), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            files[name] = 0
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
-                files[name] += 1
+    def write(name, header, *columns):
+        files[name] = _write_csv(os.path.join(out_dir, name), header, columns)
 
     if cfg.command == "audit":
         audit = audit_assumptions(coeffs, domain, rng_seed=cfg.seed)
         write("audit.csv",
               ["L1", "L3", "iota", "pass_H1", "pass_H2", "pass_Hfgh"],
-              [(audit.L1, audit.L3, audit.iota, audit.passed["H1"],
-                audit.passed["H2"], audit.passed["Hfgh"])])
+              *([v] for v in (audit.L1, audit.L3, audit.iota,
+                              audit.passed["H1"], audit.passed["H2"],
+                              audit.passed["Hfgh"])))
         extra["audit"] = {"passed": audit.passed, "flags": list(audit.flags),
                           "L1": audit.L1, "L3": audit.L3, "iota": audit.iota}
 
@@ -280,14 +273,14 @@ def _execute(cfg, out_dir):
         xp, kp = simulate_reflected_batch(coeffs, domain, cfg.s, x, eps,
                                           grid, cfg.seed, n_paths)
         write(f"{cfg.command}.csv", ["path", "t", *_names("x", d), "K"],
-              _traj_rows(grid, xp, kp))
+              np.arange(n_paths).repeat(grid.n_steps + 1),
+              np.tile(grid.nodes, n_paths), xp.reshape(-1, d), kp.ravel())
         extra["epsilon"] = eps
 
     elif cfg.command == "bsde-limit":
         skel = integrate_skeleton_ode(coeffs, domain, cfg.s, x, grid)
         bp = solve_limit_bsde(coeffs, skel)
-        write("bsde-limit.csv", ["t", *_names("y", k)],
-              _node_rows(grid.nodes, bp.y_path))
+        write("bsde-limit.csv", ["t", *_names("y", k)], grid.nodes, bp.y_path)
 
     elif cfg.command == "bsde-grid":
         lattice = make_lattice(domain, cfg.space_nodes)
@@ -295,10 +288,10 @@ def _execute(cfg, out_dir):
         field_v = solve_bsde_grid(coeffs, domain, cfg.eps, times, lattice,
                                   cfg.mc_per_node, cfg.seed)
         nodes, _ = _lattice_nodes(lattice)
-        flat = field_v.values.reshape(times.n_steps + 1, -1, k)
-        rows = ((float(t), *map(float, node), *map(float, u))
-                for t, us in zip(times.nodes, flat) for node, u in zip(nodes, us))
-        write("bsde-grid.csv", ["t", *_names("x", d), *_names("u", k)], rows)
+        write("bsde-grid.csv", ["t", *_names("x", d), *_names("u", k)],
+              times.nodes.repeat(len(nodes)),
+              np.tile(nodes, (times.n_steps + 1, 1)),
+              field_v.values.reshape(-1, k))
         extra["epsilon"] = cfg.eps
 
     elif cfg.command == "action-eval":
@@ -306,8 +299,7 @@ def _execute(cfg, out_dir):
         res = evaluate_action(coeffs, domain, skel)
         write("action-eval.csv",
               ["t", *_names("psi", d), *_names("phi", d), "integrand"],
-              _node_rows(grid.nodes, res.psi, res.phi,
-                         np.append(res.integrand, 0.0)))
+              grid.nodes, res.psi, res.phi, np.append(res.integrand, 0.0))
         extra["action"] = res.action
 
     elif cfg.command == "action-min":
@@ -315,10 +307,11 @@ def _execute(cfg, out_dir):
             raise ConfigInvalid("/y", "action-min requires a target point y")
         res, info = minimize_action_endpoint(
             coeffs, domain, cfg.s, x, np.asarray(cfg.y, float), cfg.T, grid)
+        its, values, steps = zip(*info["iterations"])
         write("action-min.csv", ["iter", "action", "step", "violation"],
-              [(it, v, st, 0.0) for it, v, st in info["iterations"]])
+              its, values, steps, [0.0] * len(its))
         write("action-min-path.csv", ["t", *_names("psi", d)],
-              _node_rows(grid.nodes, res.psi))
+              grid.nodes, res.psi)
         extra["action"] = res.action
         extra["stalled"] = info["stalled"]
 
@@ -330,7 +323,7 @@ def _execute(cfg, out_dir):
         gamma = apply_pi(field_v, skel.x_path)
         res = contracted_rate(coeffs, domain, field_v, gamma, cfg.s, x, times)
         write("contracted-rate.csv", ["t", *_names("psi", d)],
-              _node_rows(times.nodes, res["argmin_psi"]))
+              times.nodes, res["argmin_psi"])
         extra["s_prime"] = res["s_prime"]
         extra["violation"] = res["violation"]
         extra["stalled"] = res["stalled"]
@@ -342,7 +335,7 @@ def _execute(cfg, out_dir):
             mc_per_node=cfg.mc_per_node, field_steps=cfg.field_steps,
             field_nodes=cfg.space_nodes)
         write("convergence.csv", ["eps", "error", "ci_halfwidth"],
-              zip(report.epsilons, report.errors, report.ci_halfwidth))
+              report.epsilons, report.errors, report.ci_halfwidth)
         extra["convergence"] = {"target": report.target,
                                 "slope": report.slope,
                                 "intercept": report.intercept,
@@ -352,8 +345,8 @@ def _execute(cfg, out_dir):
         report = tail_study(coeffs, domain, cfg.s, x, cfg.delta, ladder,
                             cfg.n_paths, grid, cfg.seed, workers=cfg.workers)
         write("tail.csv", ["eps", "delta", "p_hat", "eps_log_p", "se"],
-              zip(report.epsilons, report.deltas, report.p_hat,
-                  report.eps_log_p, report.se))
+              report.epsilons, report.deltas, report.p_hat,
+              report.eps_log_p, report.se)
         extra["tail"] = {"rate_bound": report.rate_bound,
                          "delta_adjusted": report.delta_adjusted,
                          "zero_hit_levels": list(report.zero_hit_levels)}

@@ -188,8 +188,21 @@ def _stream_noise(rng_stream, epsilon, grid, m):
 
 
 def _norm(v):
-    """np.linalg.norm(v, axis=-1), bitwise for d < 8 and faster for small d."""
-    return np.sqrt(sum(v[..., j] ** 2 for j in range(v.shape[-1])))
+    """np.linalg.norm(v, axis=-1), faster for small d: bitwise for d < 8
+    wherever no square overflows or underflows, and inf only where the
+    norm itself overflows."""
+    d = v.shape[-1]
+    if d == 1:
+        return np.abs(v[..., 0])
+    with np.errstate(over="ignore"):
+        out = np.sqrt(sum(v[..., j] ** 2 for j in range(d)))
+    big = np.isinf(out)
+    if big.any():   # rescale by the largest component where squares overflow
+        big &= np.isfinite(v).all(axis=-1)
+        w = v[big]
+        m = np.abs(w).max(axis=-1)
+        out[big] = m * np.sqrt(sum((w[..., j] / m) ** 2 for j in range(d)))
+    return out
 
 
 def _check_start(s, grid):

@@ -217,7 +217,8 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
             pos = (grid.nodes[i] - grid.s) * (nt / (grid.T - grid.s))
             c, v = min(int(pos), nt - 1), fields[ei]
             u = _multilinear(lattice, v[c] + (pos - c) * (v[c + 1] - v[c]),
-                             np.moveaxis(np.clip(X, lo, hi), -1, 0))
+                             np.moveaxis(np.minimum(np.maximum(X, lo), hi),
+                                         -1, 0))
             return _norm(u - psi[i]) ** 4
 
     sups = {_STATS[name][0] for name in names if name != "Y4"} - {"kT"}

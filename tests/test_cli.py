@@ -1,6 +1,8 @@
 """Config validation, run artifacts, and the command-line entry point."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -11,7 +13,10 @@ import pytest
 
 from reflectal import cli
 from reflectal.cli import (ExperimentConfig, main, run, serialize, validate)
+from reflectal.coefficients import preset
 from reflectal.errors import ConfigInvalid
+from reflectal.forward import TimeGrid, simulate_reflected_batch
+from reflectal.geometry import make_domain
 
 
 def base_config(**over):
@@ -506,3 +511,69 @@ class TestIntegralCountsAndFlatPoints:
         assert err["error"] == "ConfigInvalid"
         assert err["message"].startswith("/seed:")
         assert not out.exists()
+
+
+def csv_reference(header, rows):
+    """The CSV text of csv.writer with each float as repr and any other
+    value as str, the rule the columnar writer must reproduce."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else str(v)
+                         for v in row])
+    return buf.getvalue()
+
+
+class TestWriteCsv:
+    """cli._write_csv against csv_reference, within and across blocks."""
+
+    SPECIAL = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324,
+               1e-20, 1e16, 0.1, 1.0 / 3.0, -2.5e300, 123456789.0]
+    ROWS = [0, 1, cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1]
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_matches_csv_writer_with_repr(self, rows, tmp_path):
+        rng = np.random.default_rng(rows)
+        ints = np.arange(rows) - 2
+        flags = rng.random(rows) < 0.5
+        special = np.resize(np.array(self.SPECIAL), rows)
+        block = rng.standard_normal((rows, 2)) * 10.0 ** rng.integers(
+            -300, 300, (rows, 1))
+        header = ["i", "flag", "v", "w_1", "w_2"]
+        path = tmp_path / "table.csv"
+        assert cli._write_csv(path, header, (ints, flags, special, block)) == rows
+        text = path.read_bytes().decode()
+        assert text == csv_reference(header, zip(
+            ints.tolist(), flags.tolist(), special.tolist(), *block.T.tolist()))
+        assert "np." not in text
+        assert text.count("\r\n") == rows + 1
+
+    def test_python_columns_keep_their_types(self, tmp_path):
+        path = tmp_path / "table.csv"
+        assert cli._write_csv(path, ["n", "x", "ok"],
+                              ((0, 1, 2), (0.0, 1.0, 2.5), [True] * 3)) == 3
+        assert path.read_bytes() == (b"n,x,ok\r\n0,0.0,True\r\n"
+                                     b"1,1.0,True\r\n2,2.5,True\r\n")
+
+    @pytest.mark.parametrize("n_paths, n_steps", [
+        (1, cli._BLOCK_ROWS - 2), (1, cli._BLOCK_ROWS - 1),
+        (1, cli._BLOCK_ROWS), (3, cli._BLOCK_ROWS // 2)])
+    def test_trajectories_across_blocks(self, n_paths, n_steps, tmp_path):
+        rows = n_paths * (n_steps + 1)  # block - 1, block, block + 1, more
+        manifest = run(validate(base_config(
+            command="simulate-forward", n_paths=n_paths, eps=0.1,
+            grid={"n_steps": n_steps}, output_dir=str(tmp_path))))
+        assert manifest["outputs"]["simulate-forward.csv"]["rows"] == rows
+        grid = TimeGrid(0.0, 1.0, n_steps)
+        xp, kp = simulate_reflected_batch(
+            preset("constant-drift", {"v": 1.0}),
+            make_domain("interval", a=0.0, b=1.0), 0.0, [0.5], 0.1, grid, 3,
+            n_paths)
+        expected = csv_reference(["path", "t", "x_1", "K"], (
+            (p, float(t), float(x[0]), float(k)) for p in range(n_paths)
+            for t, x, k in zip(grid.nodes, xp[p], kp[p])))
+        path = tmp_path / "simulate-forward.csv"
+        assert path.read_bytes().decode() == expected
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert table.shape == (rows, 4) and np.isfinite(table).all()

@@ -1,5 +1,6 @@
 """Forward integrators, the constraining map, and the budget identity."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from reflectal.coefficients import CoefficientSet, preset
 from reflectal.backward import make_lattice, solve_bsde_grid
 from reflectal.errors import MissingNoise, NumericalBlowup, StartOutsideDomain
 from reflectal.forward import (_K_NOISE_FLOOR, FreePath, TimeGrid,
-                               _brownian_rows, _reflected_core, _step,
+                               _brownian_rows, _norm, _reflected_core, _step,
                                integrate_free_sde, integrate_reflected_sde,
                                integrate_skeleton_ode,
                                reflection_budget_identity,
@@ -468,6 +469,39 @@ class TestNonFinite:
     def test_overflowing_kick(self, call):
         with pytest.raises(NumericalBlowup, match="non-finite state proposal"):
             call(self.huge_sigma(), unit_interval())
+
+    def test_huge_correction_books_a_finite_dk(self):
+        """A finite proposal near -max float projects onto 0 and books its
+        finite distance, with no overflow warning (dk used to be inf)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X, dk, _ = _step(self.huge_sigma(), unit_interval(),
+                             np.array([[0.5]]), 0.0, 0.25,
+                             np.array([[-1.0]]), 1.0)
+        assert X.tolist() == [[0.0]]
+        assert dk.tolist() == [np.finfo(float).max]
+
+
+class TestNorm:
+    """_norm against np.linalg.norm, and past the overflow of the squares."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7])
+    def test_bitwise_equal_to_linalg_norm(self, d):
+        rng = np.random.default_rng(d)
+        v = rng.standard_normal((500, d)) * 10.0 ** rng.integers(
+            -150, 150, (500, 1))
+        np.testing.assert_array_equal(_norm(v), np.linalg.norm(v, axis=-1))
+
+    def test_overflowing_squares_rescale(self):
+        big = np.finfo(float).max
+        v = np.array([[3e200, -4e200], [big, 0.0], [0.0, -big], [3.0, 4.0],
+                      [np.inf, 1.0], [big, big]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # the last norm does overflow
+            out = _norm(v)
+        np.testing.assert_allclose(out, [5e200, big, big, 5.0, np.inf, np.inf],
+                                   rtol=1e-15)
+        assert np.isnan(_norm(np.array([[np.nan, 1.0]]))).all()
 
 
 class TestStreams:

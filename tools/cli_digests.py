@@ -5,7 +5,9 @@
 Runs one pinned config per command on the unit interval and on the unit
 disc, then three more convergence targets on the interval and Y4 on the
 disc, then a lattice solve whose drift drives its samples into the
-boundary, in process, with the package imported from this checkout's `src/`.
+boundary, and last a `simulate-forward` on the disc whose 9,900 rows span
+several of the CLI's CSV write blocks, in process, with the package imported
+from this checkout's `src/`.
 Each run writes into a fixed relative `output_dir` under a temporary working
 directory, because `config_hash` covers that field. Prints one line per
 run with its `config_hash` (or the error it raised) and one line per CSV
@@ -52,12 +54,19 @@ COMMANDS = {
 TARGETS = [("Kmoment", "interval", DRIFT), ("Kexp", "interval", DRIFT),
            ("Y4", "interval", BSDE), ("Y4", "disc", OU)]
 
-# a contact-heavy lattice solve: the drift drives the samples into the
-# boundary, so its K and g dK terms are large; it runs last
-CONTACT = ("bsde-grid-contact@interval", "interval",
-           {"command": "bsde-grid", "eps": 0.05,
-            "preset": {"name": "boundary-g-constant",
-                       "params": {"v": 1.0, "g0": 1.0}}})
+# (run name, where, overrides) of the runs that come last, in this order
+LAST = [
+    # a contact-heavy lattice solve: the drift drives the samples into the
+    # boundary, so its K and g dK terms are large
+    ("bsde-grid-contact@interval", "interval",
+     {"command": "bsde-grid", "eps": 0.05,
+      "preset": {"name": "boundary-g-constant",
+                 "params": {"v": 1.0, "g0": 1.0}}}),
+    # 300 paths x 33 nodes = 9,900 rows: several CSV write blocks, the last
+    # one partial
+    ("simulate-forward-blocks@disc", "disc",
+     {"command": "simulate-forward", "n_paths": 300}),
+]
 
 BASE = {"interval": {"domain": INTERVAL, "x": 0.5},
         "disc": {"domain": DISC, "preset": OU, "x": [0.25, 0.0]}}
@@ -78,9 +87,9 @@ def configs():
         yield name, {**SHARED, **BASE[where], "preset": preset,
                      "target": target, "command": "convergence",
                      "output_dir": os.path.join("runs", name)}
-    name, where, over = CONTACT
-    yield name, {**SHARED, **BASE[where], **over,
-                 "output_dir": os.path.join("runs", name)}
+    for name, where, over in LAST:
+        yield name, {**SHARED, **BASE[where], **over,
+                     "output_dir": os.path.join("runs", name)}
 
 
 def main():
