@@ -9,13 +9,15 @@ term uses the reflection increment of the very same transitions, preserving
 the (X, K) coupling.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .errors import FixedPointDivergence, NumericalBlowup, OutOfLattice
-from .forward import TimeGrid, _brownian_rows, _reflected_core, _step
+from .forward import (TimeGrid, _normal_rows, _reflected_core, _step,
+                      _stream_states)
 from .geometry import project
 
 __all__ = ["BsdePath", "ValueField", "make_lattice", "solve_limit_bsde",
@@ -70,21 +72,26 @@ def _lattice_nodes(axes):
     return np.stack([g.ravel() for g in grids], axis=-1), shape
 
 
-def _multilinear(axes, values, coords):
-    """Multilinear read of values (*lattice_shape, k) on uniform axes at
-    points inside the lattice hull, given as one coordinate array per axis,
-    all of one broadcast shape (...); returns (..., k). The 2^D corner values
-    are gathered by index arithmetic and reduced one axis at a time."""
-    shape = values.shape[:len(axes)]
+def _multilinear(axes, values, coords, offset=0):
+    """Multilinear read of values (*stack, *lattice_shape, k) on uniform axes
+    at points inside the lattice hull, given as one coordinate array per
+    axis, all of one broadcast shape (...); returns (..., k). The leading
+    stack axes, if any, hold lattices laid end to end in row-major order,
+    and offset (an int or an array broadcastable to (...)) is the flat
+    index of each point's lattice: s times the lattice size reads the s-th.
+    The 2^D corner values are gathered by index arithmetic and reduced one
+    axis at a time."""
+    shape = values.shape[-1 - len(axes):-1]
     flat = values.reshape(-1, values.shape[-1])
-    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
-    base, weights = 0, []
+    strides = [math.prod(shape[a + 1:]) for a in range(len(axes))]
+    base, weights = offset, []
     for ax, q, stride in zip(axes, coords, strides):
         pos = (q - ax[0]) * ((ax.size - 1) / (ax[-1] - ax[0]))
-        cell = np.clip(pos.astype(np.intp), 0, ax.size - 2)
+        cell = np.minimum(np.maximum(pos.astype(np.intp), 0), ax.size - 2)
         base = base + cell * stride
         weights.append((pos - cell)[..., None])
-    corners = [flat[base + np.dot(bits, strides)]
+    corners = [flat.take(base + sum(b * s for b, s in zip(bits, strides)),
+                         axis=0)
                for bits in product((0, 1), repeat=len(axes))]
     for w in reversed(weights):
         corners = [lo + w * (hi - lo) for lo, hi in zip(corners[::2], corners[1::2])]
@@ -156,12 +163,15 @@ def solve_bsde_grid(coeffs, domain, epsilon, times, space_grid, mc_per_node,
 
     values = np.empty((n + 1, N, k))
     values[n] = coeffs.h(sim_start)
+    # node j at step i draws from trajectory_rng(rng_seed, (i, j)): every
+    # stream's state is computed here, in one pass
+    states = _stream_states(rng_seed, (), np.stack(
+        np.divmod(np.arange(n * N), N), axis=-1)).reshape(n, N, 4)
 
     for i in range(n - 1, -1, -1):
         t = t_nodes[i]
-        # one-step reflected transitions from every node, node j drawing
-        # from trajectory_rng(rng_seed, (i, j))
-        dW = _brownian_rows(rng_seed, (i,), 0, (N, mc_per_node, m), dt)
+        # one-step reflected transitions from every node
+        dW = _normal_rows(states[i], (N, mc_per_node, m), dt)
         X, dk, _ = _step(coeffs, domain, starts, t, t_nodes[i + 1] - t,
                          dW.reshape(-1, m), np.sqrt(epsilon))
 

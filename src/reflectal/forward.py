@@ -30,13 +30,12 @@ __all__ = ["TimeGrid", "ReflectedTrajectory", "FreePath",
 _K_NOISE_FLOOR = 1e-14
 
 # SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's
-# multiplier, which _pcg64_states reproduces
+# multiplier, which _stream_states reproduces
 _SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
 _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -111,71 +110,108 @@ def _uint32_words(value):
     return words
 
 
-def _pcg64_states(seed, prefix, first, rows):
-    """PCG64 states of the streams trajectory_rng(seed, prefix + (first + j,))
-    for j < rows, computed together, as the dicts of PCG64().state["state"].
+def _mul128(hi, lo, const):
+    """(hi, lo) * const mod 2^128 on arrays of uint64 words, most significant
+    first, const a nonnegative int. lo * const's low word carries into the
+    high word through the 32-bit halves of both factors."""
+    c_hi, c_lo = (np.uint64(w) for w in divmod(const, 1 << 64))
+    a1, a0, b1, b0 = lo >> 32, lo & _MASK32, c_lo >> 32, c_lo & _MASK32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return carry + lo * c_hi + hi * c_lo, lo * c_lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _hashmix(value, const, mult, calls):
+    """SeedSequence's hashmix of value in calls consecutive calls from the
+    hash constant const: row c of the (calls, ...) result is call c's hash
+    of value, or of value[c] when value has that many rows. Returns it and
+    the constant after the last call."""
+    h = [const * pow(mult, c, 1 << 32) & _MASK32 for c in range(calls + 1)]
+    xor, mul = (np.array(h[a:a + calls], np.uint32)[:, None] for a in (0, 1))
+    v = (value ^ xor) * mul
+    return v ^ v >> 16, h[-1]
+
+
+def _stream_states(seed, prefix, keys):
+    """PCG64 states of the streams trajectory_rng(seed, prefix + tuple(row))
+    for the rows of keys, a nonnegative integer array (rows, words), computed
+    together: a uint64 array (rows, 4) of the state and the increment of
+    PCG64().state["state"], each as its high and low word.
 
     SeedSequence hashes one entropy word at a time into a pool of four: the
     seed's words, padded to four, then the spawn key's. So the pool before
-    the last word is that of SeedSequence(those words), and only the index,
-    the last word, is hashed per row here; an index past 32 bits would take
-    two words and is left to SeedSequence. The pool then yields PCG64's
-    128-bit seed and increment, and PCG64 seeds as pcg_setseq_128_srandom_r.
+    the key rows' words is that of SeedSequence(those words), and only the
+    words of keys, one per key int, are hashed per row here; a key past 32
+    bits would take two words and is left to SeedSequence. The pool then
+    yields PCG64's 128-bit seed and increment, and PCG64 seeds as
+    pcg_setseq_128_srandom_r.
     """
-    # validates seed, prefix and first, and resolves a seed of None
-    ss = np.random.SeedSequence(seed, spawn_key=prefix + (first,))
-    if first + rows > _MASK32 + 1:
-        return [np.random.PCG64(np.random.SeedSequence(
-            seed, spawn_key=prefix + (first + j,))).state["state"]
-            for j in range(rows)]
+    # validates seed and prefix, and resolves a seed of None
+    ss = np.random.SeedSequence(seed, spawn_key=prefix)
+    keys = np.asarray(keys)
+    if keys.size and keys.min() < 0:
+        raise ValueError("stream keys must be nonnegative")
+    if keys.size and keys.max() > _MASK32:
+        states = [np.random.PCG64(np.random.SeedSequence(
+            ss.entropy, spawn_key=prefix + tuple(row))).state["state"]
+            for row in keys.tolist()]
+        return np.array([divmod(st[name], 1 << 64) for st in states
+                         for name in ("state", "inc")],
+                        np.uint64).reshape(len(keys), 4)
     words = _uint32_words(ss.entropy)
     words += [0] * (4 - len(words)) + _uint32_words(prefix)
-    u32, shift = np.uint32, np.uint32(16)
-    index = np.arange(first, first + rows).astype(u32)
     # SeedSequence's pool hash constant after words: four calls per word
     hash_a = _SS_INIT_A * pow(_SS_MULT_A, 4 * len(words), 1 << 32) & _MASK32
-    pool = []
-    for word in np.random.SeedSequence(words).pool.tolist():
-        v = index ^ u32(hash_a)
-        hash_a = hash_a * _SS_MULT_A & _MASK32
-        v *= u32(hash_a)
-        v ^= v >> shift
-        v = u32(_SS_MIX_L * word & _MASK32) - v * u32(_SS_MIX_R)
-        pool.append(v ^ (v >> shift))
+    pool = np.random.SeedSequence(words).pool[:, None]
+    for key in keys.astype(np.uint32).T:    # one word into each pool entry
+        v, hash_a = _hashmix(key, hash_a, _SS_MULT_A, 4)
+        pool = pool * np.uint32(_SS_MIX_L) - v * np.uint32(_SS_MIX_R)
+        pool ^= pool >> 16
     # generate_state(4, np.uint64): eight words from the pool, in pairs
-    hash_b, out = _SS_INIT_B, []
-    for i in range(8):
-        v = pool[i % 4] ^ u32(hash_b)
-        hash_b = hash_b * _SS_MULT_B & _MASK32
-        v *= u32(hash_b)
-        out.append((v ^ (v >> shift)).astype(np.uint64))
-    seeds = [out[i] | out[i + 1] << np.uint64(32) for i in range(0, 8, 2)]
-    states = []
-    for hi, lo, inc_hi, inc_lo in zip(*(q.tolist() for q in seeds)):
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        state = ((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append({"state": state, "inc": inc})
-    return states
+    out, _ = _hashmix(np.tile(pool, (2, 1)), _SS_INIT_B, _SS_MULT_B, 8)
+    out = out.astype(np.uint64)
+    seed_hi, seed_lo, inc_hi, inc_lo = out[0::2] | out[1::2] << np.uint64(32)
+    # inc = 2 * initseq + 1; state = (inc + initstate) * multiplier + inc
+    inc_hi = inc_hi << np.uint64(1) | inc_lo >> np.uint64(63)
+    inc_lo = inc_lo << np.uint64(1) | np.uint64(1)
+    state = _add128(*_mul128(*_add128(inc_hi, inc_lo, seed_hi, seed_lo),
+                             _PCG64_MULT), inc_hi, inc_lo)
+    return np.stack((*state, inc_hi, inc_lo), axis=-1)
 
 
-def _brownian_rows(seed, prefix, first, shape, dt, out=None):
+def _normal_rows(states, shape, dt, out=None):
     """Brownian increments over steps of length dt, of shape (rows, ...),
-    written into out (C-contiguous, of that shape) when it is given.
-    Row j is, bitwise, the increments that _stream_noise draws from
-    trajectory_rng(seed, prefix + (first + j,)), in row-major order.
+    written into out (C-contiguous, of that shape) when it is given. Row j
+    is, bitwise, the increments that _stream_noise draws from a PCG64
+    stream in the state states[j] (see _stream_states), in row-major order.
 
     One bit generator serves the block: its state is set per row."""
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
     state = bitgen.state
+    pcg = state["state"]
     out = np.empty(shape) if out is None else out
-    for row, pcg in zip(out, _pcg64_states(seed, tuple(prefix), first,
-                                           len(out))):
-        state["state"] = pcg
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(out, states.tolist()):
+        pcg["state"], pcg["inc"] = s_hi << 64 | s_lo, i_hi << 64 | i_lo
         bitgen.state = state
         gen.standard_normal(out=row)
     out *= np.sqrt(dt)
     return out
+
+
+def _brownian_rows(seed, prefix, first, shape, dt, out=None):
+    """_normal_rows of the streams trajectory_rng(seed, prefix + (first + j,)),
+    j < rows: the rows of out when it is given, else shape[0]."""
+    rows = shape[0] if out is None else len(out)
+    keys = np.arange(first, first + rows)[:, None]
+    return _normal_rows(_stream_states(seed, tuple(prefix), keys), shape, dt,
+                        out)
 
 
 def _stream_noise(rng_stream, epsilon, grid, m):
@@ -221,9 +257,7 @@ def _step(coeffs, domain, X, t, dt, dW, sq):
         kick = np.einsum("...dm,...m->...d", coeffs.sigma(t, X), dW)
         kick *= sq
         prop += kick
-    # a finite sum has only finite terms; an overflowing one is rechecked
-    if (not math.isfinite(np.add.reduce(prop, axis=None))
-            and not np.isfinite(prop).all()):
+    if not np.isfinite(prop).all():
         what = "state proposal" if np.isfinite(drift).all() else "drift"
         raise NumericalBlowup(f"non-finite {what} encountered")
     X = project(domain, prop)

@@ -106,8 +106,9 @@ def _sweep(coeffs, domain, x, grid, seed, skel, levels, sups, workers,
     Returns per level a dict of arrays: "kT" holds K_T per path, which is
     also sup K, as K never falls, and each key of sups (see _DEVIATIONS) the
     sup over the nodes of that deviation per path. "Y4" holds per node the
-    sums of y4(level position, node, states) and of its square, (2, n+1):
-    each call sums its rows, and the calls' sums are added in call order.
+    sums of y4(node, states, level positions of the rows), one value per
+    row, and of its square, (2, n+1): each call sums its rows per level, and
+    the calls' sums are added in call order.
     """
     d, m, _ = coeffs.dims
     n = grid.n_steps
@@ -128,16 +129,17 @@ def _sweep(coeffs, domain, x, grid, seed, skel, levels, sups, workers,
             eps[a:b] = e
         out = {key: np.zeros(rows) for key in sups}
         sums = np.zeros((2, n + 1, len(segs)))
+        level = np.repeat([li for li, _, _, _ in segs],
+                          [b - a for _, a, b, _ in segs])
+        firsts = [a for _, a, _, _ in segs]
 
         def reduce(i, X, K):
             for key in sups:
                 np.maximum(out[key], _DEVIATIONS[key](skel, i, X, K),
                            out=out[key])
             if y4:
-                dev = np.concatenate([y4(li, i, X[a:b])
-                                      for li, a, b, _ in segs])
-                sums[:, i] = np.add.reduceat([dev, dev * dev],
-                                             [a for _, a, _, _ in segs], axis=1)
+                dev = y4(i, X, level)
+                sums[:, i] = np.add.reduceat([dev, dev * dev], firsts, axis=1)
         x0 = np.broadcast_to(np.atleast_1d(np.asarray(x, float)), (rows, d))
         _, out["kT"], _ = _reflected_core(coeffs, domain, x0, eps, grid, noise,
                                           reducers=(reduce,))
@@ -205,20 +207,27 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
         nt = min(grid.n_steps, field_steps)     # time steps of the fields
         field_grid = TimeGrid(s=grid.s, T=grid.T, n_steps=nt)
         lattice = make_lattice(domain, field_nodes)
-        fields = [solve_bsde_grid(coeffs, domain, e, field_grid, lattice,
-                                  mc_per_node, rng_seed + 7919 * (ei + 1))
-                  .values for ei, e in enumerate(eps)]
+        shape = tuple(ax.size for ax in lattice)
+        cells = math.prod(shape)
+        # every level's field, stacked: (levels, nt+1, *shape, k)
+        fields = np.empty((eps.size, nt + 1) + shape + psi.shape[1:])
+        for ei, e in enumerate(eps):
+            fields[ei] = solve_bsde_grid(coeffs, domain, e, field_grid,
+                                         lattice, mc_per_node,
+                                         rng_seed + 7919 * (ei + 1)).values
         lo, hi = np.array([ax[[0, -1]] for ax in lattice]).T
 
-        def y4(ei, i, X):  # |u^eps(t_i, X) - psi_i|^4 for states X of level ei
+        def y4(i, X, level):  # |u^eps(t_i, X) - psi_i|^4, eps by row level
             if not (np.all(X >= lo - _PI_TOL) and np.all(X <= hi + _PI_TOL)):
                 raise OutOfLattice("path leaves the lattice hull")
-            # blend the two time slices around t_i with apply_pi's weight
+            # blend every level's two time slices around t_i with apply_pi's
+            # weight, and read each row in its level's blend
             pos = (grid.nodes[i] - grid.s) * (nt / (grid.T - grid.s))
-            c, v = min(int(pos), nt - 1), fields[ei]
-            u = _multilinear(lattice, v[c] + (pos - c) * (v[c + 1] - v[c]),
+            c = min(int(pos), nt - 1)
+            v = fields[:, c] + (pos - c) * (fields[:, c + 1] - fields[:, c])
+            u = _multilinear(lattice, v,
                              np.moveaxis(np.minimum(np.maximum(X, lo), hi),
-                                         -1, 0))
+                                         -1, 0), level * cells)
             return _norm(u - psi[i]) ** 4
 
     sups = {_STATS[name][0] for name in names if name != "Y4"} - {"kT"}

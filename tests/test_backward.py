@@ -1,5 +1,6 @@
 """Backward solvers: limit equation, lattice dynamic programming, value maps."""
 
+import math
 import os
 import subprocess
 import sys
@@ -380,6 +381,27 @@ class TestMultilinear:
         np.testing.assert_array_equal(
             got, apply_pi(field, np.clip(path, lo, hi), path_times=times.nodes))
         assert values.min() <= got.min() and got.max() <= values.max()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_offsets_read_stacked_lattices(self, d):
+        # six lattices stacked as (2, 3, *shape, k): a row with offset
+        # s * size reads the s-th, bitwise as a read of that slice alone
+        rng = np.random.default_rng(10 + d)
+        axes = tuple(np.linspace(-1.0 + a, 2.0 + a, 4 + a) for a in range(d))
+        shape = tuple(ax.size for ax in axes)
+        values = rng.standard_normal((2, 3) + shape + (2,))
+        coords = [rng.uniform(ax[0], ax[-1], 60) for ax in axes]
+        for q, ax in zip(coords, axes):   # nodes and hull edges too
+            q[:12] = rng.choice(ax, 12)
+        which = rng.integers(0, 6, 60)
+        got = _multilinear(axes, values, coords, which * math.prod(shape))
+        slices = values.reshape((6,) + shape + (2,))
+        for s in range(6):
+            rows = which == s
+            assert rows.any()
+            np.testing.assert_array_equal(
+                got[rows], _multilinear(axes, slices[s],
+                                        [q[rows] for q in coords]))
 
     def test_non_uniform_axis_raises(self):
         times = TimeGrid(0.0, 1.0, 2)

@@ -7,6 +7,7 @@ import json
 import os
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,12 +166,11 @@ class TestMain:
         monkeypatch.setenv("REFLECTAL_SEED", "99")
         main(["simulate-forward", "--config", cfg, "--out", out2])
         main(["simulate-forward", "--config", cfg, "--out", out3])
-        a = open(os.path.join(out1, "simulate-forward.csv"), "rb").read()
-        b = open(os.path.join(out2, "simulate-forward.csv"), "rb").read()
-        c = open(os.path.join(out3, "simulate-forward.csv"), "rb").read()
+        a, b, c = (Path(out, "simulate-forward.csv").read_bytes()
+                   for out in (out1, out2, out3))
         assert a != b          # seed override changes the draw
         assert b == c          # and stays deterministic
-        m = json.load(open(os.path.join(out2, "manifest.json")))
+        m = json.loads(Path(out2, "manifest.json").read_bytes())
         assert m["seed"] == 99
 
 

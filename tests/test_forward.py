@@ -10,7 +10,8 @@ from reflectal.coefficients import CoefficientSet, preset
 from reflectal.backward import make_lattice, solve_bsde_grid
 from reflectal.errors import MissingNoise, NumericalBlowup, StartOutsideDomain
 from reflectal.forward import (_K_NOISE_FLOOR, FreePath, TimeGrid,
-                               _brownian_rows, _norm, _reflected_core, _step,
+                               _brownian_rows, _norm, _normal_rows,
+                               _reflected_core, _step, _stream_states,
                                integrate_free_sde, integrate_reflected_sde,
                                integrate_skeleton_ode,
                                reflection_budget_identity,
@@ -460,15 +461,37 @@ class TestNonFinite:
         with pytest.raises(NumericalBlowup, match="non-finite drift"):
             call(self.inf_drift(), unit_interval())
 
-    @pytest.mark.parametrize("call", [
+    KICKS = [
         lambda co, dom: simulate_reflected_batch(
             co, dom, 0.0, [0.5], 1.0, TimeGrid(0.0, 1.0, 4), 1, 64),
         lambda co, dom: solve_bsde_grid(
             co, dom, 1.0, TimeGrid(0.0, 1.0, 2), make_lattice(dom, 5), 64, 3),
-    ])
+    ]
+
+    @pytest.mark.parametrize("call", KICKS)
     def test_overflowing_kick(self, call):
         with pytest.raises(NumericalBlowup, match="non-finite state proposal"):
             call(self.huge_sigma(), unit_interval())
+
+    @pytest.mark.parametrize("call", KICKS)
+    def test_overflowing_kick_warns_nothing(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalBlowup,
+                               match="non-finite state proposal"):
+                call(self.huge_sigma(), unit_interval())
+
+    def test_finite_proposals_with_an_overflowing_sum_pass_silently(self):
+        """64 finite proposals near -1e307 sum past the largest float; the
+        finiteness check passes them without a warning."""
+        co = replace(preset("zero-drift-unit-noise"),
+                     sigma=lambda t, x: np.full(np.shape(x) + (1,), 1e307))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X, dk, _ = _step(co, unit_interval(), np.full((64, 1), 0.5), 0.0,
+                             0.25, np.full((64, 1), -1.0), 1.0)
+        assert X.tolist() == [[0.0]] * 64
+        assert dk.tolist() == [1e307] * 64
 
     def test_huge_correction_books_a_finite_dk(self):
         """A finite proposal near -max float projects onto 0 and books its
@@ -557,6 +580,52 @@ class TestStreams:
         assert abs(lag.mean()) <= 5.0 / np.sqrt(lag.size)
         across = (_brownian_rows(2024, (2,), 0, (4000, 32), 1.0) * rows)
         assert abs(across.mean()) <= 5.0 / np.sqrt(across.size)
+
+
+class TestStreamStates:
+    """One seeding pass over a block of key rows gives each row the PCG64
+    state of trajectory_rng(seed, prefix + key row)."""
+
+    @staticmethod
+    def words(seed, key):
+        state = trajectory_rng(seed, key).bit_generator.state["state"]
+        return [w for name in ("state", "inc")
+                for w in divmod(state[name], 1 << 64)]
+
+    def check(self, seed, prefix, keys):
+        states = _stream_states(seed, prefix, np.array(keys))
+        assert states.dtype == np.uint64 and states.shape == (len(keys), 4)
+        for row, key in zip(states.tolist(), keys):
+            assert row == self.words(seed, prefix + tuple(key))
+        return states
+
+    @pytest.mark.parametrize("seed, prefix", [
+        (29, ()), (2**64 + 5, ()), ([1, 2**33], ()), (2**200 + 5, ()),
+        (7, (3,)), (2024, (1, 2**40))])
+    def test_two_word_keys(self, seed, prefix):
+        self.check(seed, prefix, [(i, j) for i in (0, 1, 5, 2**32 - 1)
+                                  for j in (0, 2, 80, 2**31)])
+
+    def test_three_word_keys(self):
+        self.check(11, (), [(0, 0, 0), (4, 0, 9), (0, 9, 4), (2**32 - 1,) * 3])
+
+    def test_key_word_past_32_bits(self):
+        # a key int of two words is left to SeedSequence, row by row
+        self.check(5, (2,), [(0, 2**32), (3, 1), (2**40 + 7, 0)])
+
+    @pytest.mark.parametrize("keys", [[(0, 1), (2, -1)], [(-3, 0)],
+                                      [(2**33, 0), (0, -1)]])
+    def test_negative_word_raises(self, keys):
+        with pytest.raises(ValueError):
+            _stream_states(3, (), np.array(keys))
+
+    def test_drawn_rows_are_the_streams(self):
+        keys = [(i, j) for i in range(3) for j in range(4)]
+        states = _stream_states(29, (), np.array(keys))
+        rows = _normal_rows(states, (len(keys), 16, 2), 0.25)
+        for row, key in zip(rows, keys):
+            np.testing.assert_array_equal(
+                row, trajectory_rng(29, key).standard_normal((16, 2)) * 0.5)
 
 
 def test_time_grid_nodes_built_once_and_read_only():

@@ -1,6 +1,7 @@
 """Convergence studies, tail studies, and the log-log fitter."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,6 +180,37 @@ class TestOnePassPerLevel:
             means.append(means_t[worst])
         assert rep.slope == pytest.approx(fit_loglog(LADDER, means)["slope"],
                                           rel=1e-10)
+
+    def test_y4_on_the_disc_matches_per_path_oracle(self, monkeypatch):
+        # a 2-D lattice read with per-row level offsets, in calls of 700
+        # paths that end inside levels and span two. The outward drift and
+        # g = 1 put the sup over t before T: at T every level's field is h,
+        # so a read of the wrong level's field would go unseen there
+        grid = TimeGrid(0.0, 1.0, 64)
+        monkeypatch.setattr(harness, "_PASS_STEPS", 700 * grid.n_steps)
+        co = replace(preset("ou-in-ball", {"theta": -1.0}),
+                     g=lambda t, x, y: np.ones_like(np.asarray(y, float)))
+        dom = make_domain("ball", center=[0.0, 0.0], radius=1.0)
+        x = [0.6, 0.0]
+        rep = convergence_study("Y4", co, dom, 0.0, x, LADDER, 1000, grid,
+                                self.SEED, field_steps=16, field_nodes=9,
+                                mc_per_node=64)
+        psi = solve_limit_bsde(
+            co, integrate_skeleton_ode(co, dom, 0.0, x, grid)).y_path
+        lattice = make_lattice(dom, 9)
+        for ei, e in enumerate(LADDER):
+            field = solve_bsde_grid(co, dom, e, TimeGrid(0.0, 1.0, 16),
+                                    lattice, 64, self.SEED + 7919 * (ei + 1))
+            xp, _ = simulate_reflected_batch(co, dom, 0.0, x, e, grid,
+                                             self.SEED, 1000, key_prefix=(ei,))
+            y = apply_pi(field, xp, path_times=grid.nodes)
+            samples = np.linalg.norm(y - psi[None], axis=-1) ** 4
+            means_t = samples.mean(axis=0)
+            worst = int(np.argmax(means_t))
+            se = samples[:, worst].std(ddof=1) / np.sqrt(1000)
+            assert worst < grid.n_steps
+            assert rep.errors[ei] == pytest.approx(means_t[worst], rel=1e-12)
+            assert rep.ci_halfwidth[ei] == pytest.approx(se, rel=1e-12)
 
     def test_y4_study_keeps_no_path(self):
         # Y4 reads the fields at every node while the kernel steps: its peak

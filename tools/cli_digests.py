@@ -5,9 +5,10 @@
 Runs one pinned config per command on the unit interval and on the unit
 disc, then three more convergence targets on the interval and Y4 on the
 disc, then a lattice solve whose drift drives its samples into the
-boundary, and last a `simulate-forward` on the disc whose 9,900 rows span
-several of the CLI's CSV write blocks, in process, with the package imported
-from this checkout's `src/`.
+boundary, a `simulate-forward` on the disc whose 9,900 rows span several of
+the CLI's CSV write blocks, and last a lattice solve on the disc with a seed
+past 64 bits, in process, with the package imported from this checkout's
+`src/`.
 Each run writes into a fixed relative `output_dir` under a temporary working
 directory, because `config_hash` covers that field. Prints one line per
 run with its `config_hash` (or the error it raised) and one line per CSV
@@ -66,6 +67,10 @@ LAST = [
     # one partial
     ("simulate-forward-blocks@disc", "disc",
      {"command": "simulate-forward", "n_paths": 300}),
+    # a seed of three 32-bit words: the lattice's one seeding pass hashes
+    # the seed's extra entropy words before the (step, node) key words
+    ("bsde-grid-wide-seed@disc", "disc",
+     {"command": "bsde-grid", "seed": 2**64 + 5}),
 ]
 
 BASE = {"interval": {"domain": INTERVAL, "x": 0.5},
