@@ -15,7 +15,8 @@ import numpy as np
 
 from .backward import apply_pi
 from .errors import ConstraintInfeasible, InfeasiblePath, SingularDiffusion
-from .forward import ReflectedTrajectory, integrate_skeleton_ode
+from .forward import (ReflectedTrajectory, _check_inside,
+                      integrate_skeleton_ode)
 from .geometry import project
 
 __all__ = ["ActionResult", "OptimizerOptions", "evaluate_action",
@@ -198,13 +199,17 @@ def minimize_action_endpoint(coeffs, domain, s, x, y, T, grid, opts=None):
     every iterate is feasible, so the returned value certifies an upper
     bound. Returns (ActionResult, info) where info carries the iteration
     log and a `stalled` flag when the line search gave up. T must be the
-    grid's end time.
+    grid's end time, and y, of x's dimension, must lie in the closed domain.
     """
     if T != grid.T:
         raise ValueError(f"T = {T} does not match the grid's end time {grid.T}")
     opts = opts or OptimizerOptions()
     x = np.atleast_1d(np.asarray(x, float))
     y = np.atleast_1d(np.asarray(y, float))
+    if y.shape != x.shape:
+        raise ValueError(f"target y {y} does not have the shape of x {x}")
+    _check_inside(domain, y, f"target {y} lies outside the domain",
+                  InfeasiblePath)
     lamgrid = np.linspace(0.0, 1.0, grid.n_steps + 1)[:, None]
 
     def objective(p):

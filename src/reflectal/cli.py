@@ -1,6 +1,6 @@
 """Batch front end: JSON experiment configs in, CSV + manifest out.
 
-Usage: reflectal <command> --config run.json [--workers N] [--out DIR]
+Usage: reflectal <command> --config run.json [--out DIR]
 
 Outputs are written to a temporary directory and renamed into place on
 success, so a failed run leaves only error.json behind. CSV numbers use the
@@ -54,7 +54,6 @@ class ExperimentConfig:
     n_paths: int = 1000
     seed: int = 0
     output_dir: str = "out"
-    workers: int = 1
     target: str = "X4"
     delta: float = 0.2
     y: tuple = None
@@ -131,7 +130,7 @@ def _optional(convert):
 _FIELDS = {
     "s": _real, "T": _real, "x": _point, "eps": _real,
     "eps_ladder": _optional(_ladder), "n_paths": _count(1), "seed": _count(0),
-    "output_dir": str, "workers": _count(1), "target": str,
+    "output_dir": str, "target": str,
     "delta": _real, "y": _optional(_point),
     "mc_per_node": _count(_MIN_MC_PER_NODE),
     "space_nodes": _count(_MIN_AXIS_NODES), "field_steps": _count(1),
@@ -209,11 +208,16 @@ def validate(config_text):
         domain = make_domain(**cfg.domain)
     except (TypeError, ValueError, ReflectalError) as exc:
         raise ConfigInvalid("/domain", str(exc)) from None
-    xarr = np.asarray(cfg.x, float)
-    if xarr.size != domain.dimension:
-        raise ConfigInvalid("/x", f"expected {domain.dimension} coordinates")
-    if float(np.linalg.norm(project(domain, xarr) - xarr)) > 1e-12:
-        raise ConfigInvalid("/x", "initial point lies outside the domain")
+    for key in ("x", "y"):      # the start and action-min's target
+        point = getattr(cfg, key)
+        if point is None:
+            continue
+        point = np.asarray(point, float)
+        if point.size != domain.dimension:
+            raise ConfigInvalid(f"/{key}",
+                                f"expected {domain.dimension} coordinates")
+        if float(np.linalg.norm(project(domain, point) - point)) > 1e-12:
+            raise ConfigInvalid(f"/{key}", "point lies outside the domain")
     return cfg
 
 
@@ -331,9 +335,8 @@ def _execute(cfg, out_dir):
     elif cfg.command == "convergence":
         report = convergence_study(
             cfg.target, coeffs, domain, cfg.s, x, ladder, cfg.n_paths,
-            grid, cfg.seed, workers=cfg.workers,
-            mc_per_node=cfg.mc_per_node, field_steps=cfg.field_steps,
-            field_nodes=cfg.space_nodes)
+            grid, cfg.seed, mc_per_node=cfg.mc_per_node,
+            field_steps=cfg.field_steps, field_nodes=cfg.space_nodes)
         write("convergence.csv", ["eps", "error", "ci_halfwidth"],
               report.epsilons, report.errors, report.ci_halfwidth)
         extra["convergence"] = {"target": report.target,
@@ -343,7 +346,7 @@ def _execute(cfg, out_dir):
 
     elif cfg.command == "tail":
         report = tail_study(coeffs, domain, cfg.s, x, cfg.delta, ladder,
-                            cfg.n_paths, grid, cfg.seed, workers=cfg.workers)
+                            cfg.n_paths, grid, cfg.seed)
         write("tail.csv", ["eps", "delta", "p_hat", "eps_log_p", "se"],
               report.epsilons, report.deltas, report.p_hat,
               report.eps_log_p, report.se)
@@ -416,7 +419,6 @@ def main(argv=None):
         description="reflected-SDE / BSDE / action-functional laboratory")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="JSON config file")
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--out", default=None, help="override output_dir")
     args = parser.parse_args(argv)
 
@@ -424,8 +426,6 @@ def main(argv=None):
         with open(args.config, "rb") as fh:
             cfg = validate(fh.read())
         overrides = {"command": args.command}
-        if args.workers is not None:
-            overrides["workers"] = args.workers
         if args.out is not None:
             overrides["output_dir"] = args.out
         env_seed = os.environ.get("REFLECTAL_SEED")

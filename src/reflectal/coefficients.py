@@ -3,7 +3,7 @@
 A CoefficientSet bundles the five functions driving the forward and backward
 dynamics. Conventions: state x has shape (..., d), value y shape (..., k),
 control z shape (..., k, m); all maps are vectorized over leading axes and
-must be pure (they are called concurrently from trajectory workers).
+must be pure: their values depend on their arguments only.
 
 The audits are sampling-based certificates: they estimate the Lipschitz /
 growth / ellipticity constants on a random grid and can only falsify the

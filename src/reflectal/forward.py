@@ -88,7 +88,7 @@ class SkorokhodDecomposition:
 
 def trajectory_rng(seed, index=0):
     """Keyed per-trajectory stream: depends only on (seed, index), never on
-    execution order or worker count. index may be an int or a tuple (e.g.
+    execution order or batching. index may be an int or a tuple (e.g.
     (ladder position, trajectory index)).
 
     The stream is PCG64 seeded by SeedSequence(seed, spawn_key=index), which
@@ -246,6 +246,13 @@ def _check_start(s, grid):
         raise ValueError(f"start time {s} is not the grid's start {grid.s}")
 
 
+def _check_inside(domain, point, message, error=StartOutsideDomain):
+    """Raise error(message) unless point (d,) lies in the closed domain, up
+    to the domain's boundary tolerance."""
+    if domain.signed_distance(point) < -domain.boundary_tol:
+        raise error(message)
+
+
 def _step(coeffs, domain, X, t, dt, dW, sq):
     """One projection Euler step of the states X (B, d) from time t, kicked
     by sigma dW scaled by sq = sqrt(epsilon) unless dW (B, m) is None.
@@ -315,10 +322,12 @@ def integrate_reflected_sde(coeffs, domain, s, x, epsilon, grid, rng_stream=None
     """One trajectory of the reflected small-noise SDE on a uniform grid.
 
     With epsilon = 0 this is exactly the skeleton ODE (no noise is drawn, so
-    the outputs agree bitwise with integrate_skeleton_ode).
+    the outputs agree bitwise with integrate_skeleton_ode). The start x must
+    lie in the closed domain.
     """
     _check_start(s, grid)
     x0 = np.atleast_1d(np.asarray(x, float))[None, :]
+    _check_inside(domain, x0[0], f"start {x0[0]} lies outside the domain")
     noise = _stream_noise(rng_stream, epsilon, grid, coeffs.dims[1])
     xp, kp, dirs = _reflected_core(coeffs, domain, x0, epsilon, grid, noise,
                                    _dirs=True)
@@ -339,8 +348,9 @@ def simulate_reflected_batch(coeffs, domain, s, x, epsilon, grid, seed,
     arrays of shape (n_paths, n+1, d) and (n_paths, n+1)."""
     _check_start(s, grid)
     d, m, _ = coeffs.dims
-    x0 = np.broadcast_to(np.atleast_1d(np.asarray(x, float)),
-                         (n_paths, d)).copy()
+    x = np.atleast_1d(np.asarray(x, float))
+    _check_inside(domain, x, f"start {x} lies outside the domain")
+    x0 = np.broadcast_to(x, (n_paths, d)).copy()
     noise = (_brownian_rows(seed, key_prefix, index_offset,
                             (n_paths, grid.n_steps, m), grid.dt)
              if epsilon > 0 else None)
@@ -368,8 +378,7 @@ def skorokhod_map(domain, phi_path):
     corrections; psi - rho reconstructs the input to roundoff.
     """
     vals = np.asarray(phi_path.values, float)
-    if domain.signed_distance(vals[0]) < -domain.boundary_tol:
-        raise StartOutsideDomain("free path must start in the closed domain")
+    _check_inside(domain, vals[0], "free path must start in the closed domain")
     d = vals.shape[1]
     unit = CoefficientSet(
         b=lambda t, x: np.zeros_like(x),

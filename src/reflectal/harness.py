@@ -2,14 +2,13 @@
 bounds, and rare-event tail probabilities against the variational certificate.
 
 All studies use per-trajectory streams keyed by (seed, ladder position,
-trajectory index), batched over a worker pool with an index-ordered
-reduction, so reports are bitwise reproducible regardless of worker count.
+trajectory index) and run their kernel calls in order, so reports are
+bitwise reproducible across reruns and whatever the cut into kernel calls.
 Paths are reduced while the kernel steps them and are not kept.
 """
 
 import math
 import mmap
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,13 +77,6 @@ def fit_loglog(xs, ys):
     return {"slope": float(slope), "intercept": float(intercept), "r2": r2}
 
 
-def _map_ordered(fn, items, workers):
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _mapped(shape):
     """np.empty(shape) in an anonymous mapping of its own, which goes back to
     the system when the array is freed. From the malloc heap, a freed block
@@ -95,8 +87,7 @@ def _mapped(shape):
     return np.frombuffer(buf, float, count=size).reshape(shape)
 
 
-def _sweep(coeffs, domain, x, grid, seed, skel, levels, sups, workers,
-           y4=None):
+def _sweep(coeffs, domain, x, grid, seed, skel, levels, sups, y4=None):
     """Simulate the levels, each (eps, key prefix, n_paths), and reduce every
     path while it is stepped; path j of a level draws from the stream
     (seed, prefix + (j,)). The paths of all levels form one row sequence,
@@ -107,31 +98,33 @@ def _sweep(coeffs, domain, x, grid, seed, skel, levels, sups, workers,
     also sup K, as K never falls, and each key of sups (see _DEVIATIONS) the
     sup over the nodes of that deviation per path. "Y4" holds per node the
     sums of y4(node, states, level positions of the rows), one value per
-    row, and of its square, (2, n+1): each call sums its rows per level, and
-    the calls' sums are added in call order.
+    row, and of its square, (2, n+1): each call adds its rows' sums per
+    level, in call order.
     """
     d, m, _ = coeffs.dims
     n = grid.n_steps
     starts = np.cumsum([0] + [count for _, _, count in levels]).tolist()
     step = max(1, _PASS_STEPS // n)
+    # per row of the whole sequence; each call reduces into its own slice
+    flat = {key: np.zeros(starts[-1]) for key in ("kT", *sups)}
+    y4_sums = np.zeros((len(levels), 2, n + 1))
 
-    def run(first):
+    def run(first):   # one call; its noise block is freed on return
         rows = min(step, starts[-1] - first)
-        # per level in the call: its position, rows a:b and first path j
+        # per level in the call: its position and rows a:b
         cut = np.clip(np.subtract(starts, first), 0, rows).tolist()
-        segs = [(li, a, b, first + a - starts[li])
-                for li, (a, b) in enumerate(zip(cut, cut[1:])) if a < b]
+        segs = [(li, a, b) for li, (a, b) in enumerate(zip(cut, cut[1:]))
+                if a < b]
         noise = _mapped((rows, n, m))
         eps = np.empty(rows)
-        for li, a, b, j in segs:
+        for li, a, b in segs:
             e, prefix, _ = levels[li]
-            _brownian_rows(seed, prefix, j, None, grid.dt, out=noise[a:b])
+            _brownian_rows(seed, prefix, first + a - starts[li], None, grid.dt,
+                           out=noise[a:b])
             eps[a:b] = e
-        out = {key: np.zeros(rows) for key in sups}
-        sums = np.zeros((2, n + 1, len(segs)))
-        level = np.repeat([li for li, _, _, _ in segs],
-                          [b - a for _, a, b, _ in segs])
-        firsts = [a for _, a, _, _ in segs]
+        out = {key: value[first:first + rows] for key, value in flat.items()}
+        lis, firsts, _ = zip(*segs)
+        level = np.repeat(lis, [b - a for _, a, b in segs])
 
         def reduce(i, X, K):
             for key in sups:
@@ -139,22 +132,16 @@ def _sweep(coeffs, domain, x, grid, seed, skel, levels, sups, workers,
                            out=out[key])
             if y4:
                 dev = y4(i, X, level)
-                sums[:, i] = np.add.reduceat([dev, dev * dev], firsts, axis=1)
+                y4_sums[lis, :, i] += np.add.reduceat([dev, dev * dev],
+                                                      firsts, axis=1).T
         x0 = np.broadcast_to(np.atleast_1d(np.asarray(x, float)), (rows, d))
-        _, out["kT"], _ = _reflected_core(coeffs, domain, x0, eps, grid, noise,
-                                          reducers=(reduce,))
-        return segs, out, sums
+        out["kT"][:] = _reflected_core(coeffs, domain, x0, eps, grid, noise,
+                                       reducers=(reduce,))[1]
 
-    results = [{"Y4": np.zeros((2, n + 1)),
-                **{key: np.empty(count) for key in ("kT", *sups)}}
-               for _, _, count in levels]
-    for segs, out, sums in _map_ordered(run, range(0, starts[-1], step),
-                                        workers):
-        for (li, a, b, j), level_sums in zip(segs, np.moveaxis(sums, -1, 0)):
-            results[li]["Y4"] += level_sums
-            for key, value in out.items():
-                results[li][key][j:j + b - a] = value[a:b]
-    return results
+    for first in range(0, starts[-1], step):
+        run(first)
+    return [{"Y4": y4_sums[li], **{key: v[a:b] for key, v in flat.items()}}
+            for li, (a, b) in enumerate(zip(starts, starts[1:]))]
 
 
 # deviation from the skeleton at node i, whose sup over the nodes _sweep keeps
@@ -184,7 +171,7 @@ def _validate_ladder(eps_ladder):
 
 
 def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
-                      grid, rng_seed, workers=1, field_steps=128,
+                      grid, rng_seed, field_steps=128,
                       field_nodes=33, mc_per_node=1024):
     """Estimate the target moment at every ladder level and fit its
     log-log slope (X4/K4/Y4) or report the per-level bound (Kmoment/Kexp).
@@ -233,7 +220,7 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
     sups = {_STATS[name][0] for name in names if name != "Y4"} - {"kT"}
     results = _sweep(coeffs, domain, x, grid, rng_seed, skel,
                      [(e, (ei,), n_paths) for ei, e in enumerate(eps)],
-                     sorted(sups), workers, y4)
+                     sorted(sups), y4)
 
     levels = {name: [] for name in names}     # (mean, se) per level
     for e, level in zip(eps, results):
@@ -297,7 +284,7 @@ def _exceedance_certificate(coeffs, domain, s, x, delta, grid_opt):
 
 
 def tail_study(coeffs, domain, s, x, delta, eps_ladder, n_paths, grid,
-               rng_seed, workers=1):
+               rng_seed):
     """Estimate P(sup_t |X^eps - skeleton| >= delta) along the ladder and
     compare eps ln p_hat against the variational certificate -S*."""
     eps = _validate_ladder(eps_ladder)
@@ -313,7 +300,7 @@ def tail_study(coeffs, domain, s, x, delta, eps_ladder, n_paths, grid,
         coeffs, domain, x, grid, rng_seed, skel,
         [(float(eps[-1]), (len(eps), 0), _PILOT_PATHS)]
         + [(float(e), (ei,), n_paths) for ei, e in enumerate(eps)],
-        ("dx",), workers)
+        ("dx",))
 
     # Adjust delta if the event is too rare or too common to estimate by
     # crude Monte Carlo. The 0.90 quantile puts the exceedance probability

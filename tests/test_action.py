@@ -207,6 +207,23 @@ class TestMinimizeEndpoint:
         assert res.action > 0.0
         assert res.action == pytest.approx(oracle, rel=0.02)
 
+    def test_target_outside_domain_raises(self):
+        # the cost to y = 1.7 is infinite; it is not the cost to y's
+        # projection 1.0, which is 0.125
+        co, dom = preset("zero-drift-unit-noise"), unit_interval()
+        grid = TimeGrid(0.0, 1.0, 8)
+        with pytest.raises(InfeasiblePath, match="target"):
+            minimize_action_endpoint(co, dom, 0.0, 0.5, 1.7, 1.0, grid)
+        res, _ = minimize_action_endpoint(co, dom, 0.0, 0.5, 1.0, 1.0, grid)
+        assert res.psi[-1, 0] == 1.0
+        assert res.action == pytest.approx(0.125, rel=1e-6)
+
+    def test_target_of_other_dimension_raises(self):
+        co, dom = preset("zero-drift-unit-noise"), unit_interval()
+        with pytest.raises(ValueError, match="shape of x"):
+            minimize_action_endpoint(co, dom, 0.0, [0.5], [0.5, 0.5], 1.0,
+                                     TimeGrid(0.0, 1.0, 8))
+
 
 class TestContractedRate:
     def _field(self, co, dom, n_steps=32, nodes=33):

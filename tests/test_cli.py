@@ -41,7 +41,6 @@ class TestValidate:
         assert cfg.x == (0.5,)
         assert cfg.n_steps == 1024
         assert cfg.n_paths == 1000
-        assert cfg.workers == 1
 
     def test_round_trip(self):
         cfg = validate(base_config())
@@ -124,12 +123,12 @@ class TestRun:
         assert err["error"] == "ConfigInvalid"
         assert err["field"] == "/y"
 
-    def test_convergence_worker_independence(self, tmp_path):
+    def test_convergence_rerun_identity(self, tmp_path):
         texts = []
-        for sub, workers in (("w1", 1), ("w3", 3)):
+        for sub in ("a", "b"):
             cfg = validate(base_config(
                 command="convergence", target="X4", n_paths=1000,
-                grid={"n_steps": 128}, workers=workers,
+                grid={"n_steps": 128},
                 eps_ladder=[0.1, 0.05, 0.025, 0.0125],
                 output_dir=str(tmp_path / sub)))
             run(cfg)
@@ -187,6 +186,10 @@ class TestValidateRejects:
         ({"domain": {"a": 0.0, "b": 1.0}}, "/domain"),
         ({"domain": {"kind": "interval", "a": 0.0, "b": 1.0, "width": 1.0}},
          "/domain"),
+        # an unknown key fails at its pointer, whatever its value
+        ({"workers": 1}, "/workers"),
+        ({"command": "action-min", "y": 1.7}, "/y"),
+        ({"command": "action-min", "y": [0.5, 0.5]}, "/y"),
     ])
     def test_bad_value_rejected(self, over, field):
         with pytest.raises(ConfigInvalid) as exc:
@@ -199,15 +202,15 @@ class TestValidateRejects:
         assert cfg.preset_params["T"] == 2.0
 
     def test_command_line_override_validated(self, tmp_path, capsys):
+        # argparse rejects a flag it does not know before anything is written
         p = tmp_path / "run.json"
         p.write_bytes(base_config(grid={"n_steps": 16}))
         out = tmp_path / "out"
-        rc = main(["skeleton", "--config", str(p), "--out", str(out),
-                   "--workers", "-3"])
-        assert rc == 1
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "ConfigInvalid"
-        assert err["message"].startswith("/workers")
+        with pytest.raises(SystemExit) as exc:
+            main(["skeleton", "--config", str(p), "--out", str(out),
+                  "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
         assert not out.exists()
 
 

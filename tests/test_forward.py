@@ -669,6 +669,46 @@ class TestStartTime:
         call(co, dom, 0.5, TimeGrid(0.5, 1.0, 16))
 
 
+class TestStartInDomain:
+    """A reflected path starts in the closed domain: a start outside it is
+    rejected rather than projected at the first step and booked into K.
+    The free SDE has no boundary and starts anywhere."""
+
+    GRID = TimeGrid(0.0, 1.0, 16)
+    CALLS = {
+        "reflected": lambda co, dom, x, g: integrate_reflected_sde(
+            co, dom, 0.0, x, 0.1, g, trajectory_rng(1)),
+        "skeleton": lambda co, dom, x, g: integrate_skeleton_ode(
+            co, dom, 0.0, x, g),
+        "batch": lambda co, dom, x, g: simulate_reflected_batch(
+            co, dom, 0.0, x, 0.1, g, 1, 4),
+    }
+    DOMAINS = {
+        "interval": (unit_interval, "zero-drift-unit-noise", {},
+                     [[2.5], [-3.0], [1.0 + 1e-6]], [[0.0], [1.0]]),
+        "disc": (lambda: make_domain("ball", center=[0.0, 0.0], radius=1.0),
+                 "ou-in-ball", {"theta": 1.0},
+                 [[1.2, 0.0], [0.8, 0.8]], [[1.0, 0.0], [0.0, -1.0]]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DOMAINS))
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_start_outside_raises_and_boundary_start_runs(self, call, case):
+        make_dom, name, params, outside, boundary = self.DOMAINS[case]
+        co, dom = preset(name, params), make_dom()
+        for x in outside:
+            with pytest.raises(StartOutsideDomain, match="outside"):
+                self.CALLS[call](co, dom, x, self.GRID)
+        for x in boundary:
+            self.CALLS[call](co, dom, x, self.GRID)
+
+    def test_free_sde_starts_anywhere(self):
+        co, dom = preset("zero-drift-unit-noise"), unit_interval()
+        free = integrate_free_sde(co, dom, 0.0, [2.5], 0.1, self.GRID,
+                                  trajectory_rng(1))
+        assert free.values[0, 0] == 2.5
+
+
 class TestKernelRowsAndReducers:
     """One epsilon per row, and reducers in place of stored paths."""
 

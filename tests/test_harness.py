@@ -10,7 +10,8 @@ from reflectal import harness
 from reflectal.backward import (apply_pi, make_lattice, solve_bsde_grid,
                                 solve_limit_bsde)
 from reflectal.coefficients import CoefficientSet, preset
-from reflectal.errors import DegenerateFit, InsufficientPaths
+from reflectal.errors import (DegenerateFit, InsufficientPaths,
+                              StartOutsideDomain)
 from reflectal.forward import (TimeGrid, integrate_skeleton_ode,
                                simulate_reflected_batch)
 from reflectal.geometry import make_domain
@@ -61,12 +62,12 @@ class TestFitLoglog:
 
 
 class TestConvergenceStudy:
-    def _study(self, target, n_paths=1000, seed=7, workers=1, ladder=LADDER,
+    def _study(self, target, n_paths=1000, seed=7, ladder=LADDER,
                n_steps=256, preset_name="constant-drift", params=None):
         co = preset(preset_name, params or {})
         return convergence_study(
             target, co, unit_interval(), 0.0, [0.5], ladder, n_paths,
-            TimeGrid(0.0, 1.0, n_steps), seed, workers=workers,
+            TimeGrid(0.0, 1.0, n_steps), seed,
             field_steps=32, field_nodes=17, mc_per_node=256)
 
     def test_x4_slope_fits(self):
@@ -81,13 +82,15 @@ class TestConvergenceStudy:
         assert rep.slope == 0.0
         assert rep.intercept == pytest.approx(np.log(max(rep.errors)))
 
-    def test_seed_determinism_and_worker_independence(self):
-        a = self._study("X4", workers=1)
-        b = self._study("X4", workers=3)
+    def test_seed_determinism_and_call_cut_independence(self, monkeypatch):
+        a = self._study("X4")
+        c = self._study("X4")
+        assert a.errors == c.errors
+        # calls of 300 paths: they end inside levels and span two
+        monkeypatch.setattr(harness, "_PASS_STEPS", 300 * 256)
+        b = self._study("X4")
         assert a.errors == b.errors
         assert a.slope == b.slope
-        c = self._study("X4", workers=1)
-        assert a.errors == c.errors
 
     def test_monotone_information(self):
         # appending a smaller epsilon leaves existing estimates untouched
@@ -136,34 +139,32 @@ class TestOnePassPerLevel:
     GRID = TimeGrid(0.0, 1.0, 256)
     SEED = 7
 
-    def _study(self, target, workers=1, grid=GRID, name="linear-bsde",
-               params=None):
+    def _study(self, target, grid=GRID, name="linear-bsde", params=None):
         co = preset(name, params or {"lam": 1.0, "g0": 1.0})
         return convergence_study(
             target, co, unit_interval(), 0.0, [0.5], LADDER, 1000, grid,
-            self.SEED, workers=workers, field_steps=32, field_nodes=17,
-            mc_per_node=256)
+            self.SEED, field_steps=32, field_nodes=17, mc_per_node=256)
 
     def test_tuple_call_equals_single_target_calls(self, monkeypatch):
-        # calls of 256 paths: they end inside levels and span two
-        monkeypatch.setattr(harness, "_PASS_STEPS", 256 * self.GRID.n_steps)
         # drift into the boundary, where g charges dK: every target estimable
         co = {"name": "boundary-g-constant", "params": {"v": 1.0, "g0": 1.0}}
-        singles = tuple(self._study(t, **co) for t in self.ORDER)
-        assert all(isinstance(r, ConvergenceReport) for r in singles)
-        assert [r.target for r in singles] == list(self.ORDER)
-        for workers in (1, 3):
-            assert self._study(self.ORDER, workers=workers, **co) == singles
+        # calls of 256 and of 700 paths: they end inside levels and span two
+        for rows in (256, 700):
+            monkeypatch.setattr(harness, "_PASS_STEPS",
+                                rows * self.GRID.n_steps)
+            singles = tuple(self._study(t, **co) for t in self.ORDER)
+            assert all(isinstance(r, ConvergenceReport) for r in singles)
+            assert [r.target for r in singles] == list(self.ORDER)
+            assert self._study(self.ORDER, **co) == singles
 
-    def test_y4_matches_per_path_oracle(self, monkeypatch):
-        monkeypatch.setattr(harness, "_PASS_STEPS", 256 * self.GRID.n_steps)
-        rep = self._study("Y4")
+    def _y4_samples(self):
+        """Per level, |u^eps(t_i, X_i) - psi_i|^4 per path and node of the
+        default Y4 study, from stored paths read with apply_pi."""
         co = preset("linear-bsde", {"lam": 1.0, "g0": 1.0})
         dom = unit_interval()
         skel = integrate_skeleton_ode(co, dom, 0.0, [0.5], self.GRID)
         psi = solve_limit_bsde(co, skel).y_path
         lattice = make_lattice(dom, 17)
-        means = []
         for ei, e in enumerate(LADDER):
             field = solve_bsde_grid(co, dom, e, TimeGrid(0.0, 1.0, 32),
                                     lattice, 256, self.SEED + 7919 * (ei + 1))
@@ -171,7 +172,13 @@ class TestOnePassPerLevel:
                                              self.GRID, self.SEED, 1000,
                                              key_prefix=(ei,))
             y = apply_pi(field, xp, path_times=self.GRID.nodes)
-            samples = np.linalg.norm(y - psi[None], axis=-1) ** 4
+            yield np.linalg.norm(y - psi[None], axis=-1) ** 4
+
+    def test_y4_matches_per_path_oracle(self, monkeypatch):
+        monkeypatch.setattr(harness, "_PASS_STEPS", 256 * self.GRID.n_steps)
+        rep = self._study("Y4")
+        means = []
+        for ei, samples in enumerate(self._y4_samples()):
             means_t = samples.mean(axis=0)
             worst = int(np.argmax(means_t))
             se = samples[:, worst].std(ddof=1) / np.sqrt(1000)
@@ -180,6 +187,24 @@ class TestOnePassPerLevel:
             means.append(means_t[worst])
         assert rep.slope == pytest.approx(fit_loglog(LADDER, means)["slope"],
                                           rel=1e-10)
+
+    def test_y4_sums_match_per_path_oracle_at_every_node(self, monkeypatch):
+        # The report keeps one node, the sup over t of the mean, and here it
+        # falls at T, where every level's field is h: only the sums at the
+        # other nodes can see a row read in the wrong level's field
+        monkeypatch.setattr(harness, "_PASS_STEPS", 256 * self.GRID.n_steps)
+        sweep, sweeps = harness._sweep, []
+
+        def spy(*args, **kwargs):
+            sweeps.append(sweep(*args, **kwargs))
+            return sweeps[-1]
+        monkeypatch.setattr(harness, "_sweep", spy)
+        self._study("Y4")
+        (levels,) = sweeps
+        for level, samples in zip(levels, self._y4_samples(), strict=True):
+            np.testing.assert_allclose(
+                level["Y4"], [samples.sum(axis=0), (samples ** 2).sum(axis=0)],
+                rtol=1e-12, atol=0)
 
     def test_y4_on_the_disc_matches_per_path_oracle(self, monkeypatch):
         # a 2-D lattice read with per-row level offsets, in calls of 700
@@ -241,11 +266,10 @@ class TestOnePassPerLevel:
 
 
 class TestTailStudy:
-    def _tail(self, delta, n_paths=2000, seed=5, workers=1):
+    def _tail(self, delta, n_paths=2000, seed=5):
         co = preset("zero-drift-unit-noise")
         return tail_study(co, unit_interval(), 0.0, [0.5], delta, LADDER,
-                          n_paths, TimeGrid(0.0, 1.0, 256), seed,
-                          workers=workers)
+                          n_paths, TimeGrid(0.0, 1.0, 256), seed)
 
     def test_basic_shape_and_signs(self):
         rep = self._tail(0.2)
@@ -271,11 +295,14 @@ class TestTailStudy:
         for pa, sa, pb, sb in zip(a.p_hat, a.se, b.p_hat, b.se):
             assert abs(pa - pb) <= 3.0 * np.hypot(sa, sb)
 
-    def test_worker_independence(self):
-        a = self._tail(0.2, workers=1)
-        b = self._tail(0.2, workers=3)
+    def test_call_cut_independence(self, monkeypatch):
+        a = self._tail(0.2)
+        # calls of 300 paths: they end inside the pilot and the levels
+        monkeypatch.setattr(harness, "_PASS_STEPS", 300 * 256)
+        b = self._tail(0.2)
         assert a.p_hat == b.p_hat
         assert a.eps_log_p == b.eps_log_p
+        assert a.deltas == b.deltas
 
 
 def test_tail_study_start_must_be_grid_start():
@@ -293,6 +320,19 @@ def test_convergence_study_start_must_be_grid_start():
     with pytest.raises(ValueError, match="grid's start"):
         convergence_study("X4", preset("constant-drift"), unit_interval(),
                           0.5, [0.5], LADDER, 1000, TimeGrid(0.0, 1.0, 16), 3)
+
+
+@pytest.mark.parametrize("study", [
+    lambda x: convergence_study("X4", preset("constant-drift"),
+                                unit_interval(), 0.0, x, LADDER, 1000,
+                                TimeGrid(0.0, 1.0, 16), 3),
+    lambda x: tail_study(preset("zero-drift-unit-noise"), unit_interval(),
+                         0.0, x, 0.3, LADDER, 200, TimeGrid(0.0, 1.0, 16), 3),
+])
+def test_study_start_outside_domain_raises(study):
+    # a start outside would be projected at the first step and booked in K
+    with pytest.raises(StartOutsideDomain):
+        study([4.0])
 
 
 def test_two_dimensional_ladder_rejected():
@@ -323,6 +363,12 @@ class TestStreamedStudies:
         # pilot, and span both
         monkeypatch.setattr(harness, "_PASS_STEPS", 700 * self.GRID.n_steps)
 
+    def _cut(self, monkeypatch, parts):
+        # calls of 700 // parts paths: both cuts end calls inside levels and
+        # inside the pilot, and span them
+        monkeypatch.setattr(harness, "_PASS_STEPS",
+                            700 // parts * self.GRID.n_steps)
+
     def _setup(self, case):
         make_dom, name, params, x = self.CASES[case]
         co, dom = preset(name, params), make_dom()
@@ -332,14 +378,14 @@ class TestStreamedStudies:
         return simulate_reflected_batch(co, dom, 0.0, x, e, self.GRID,
                                         self.SEED, n_paths, key_prefix=prefix)
 
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("parts", [1, 3])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_moments_equal_stored_path_maxima(self, case, workers):
+    def test_moments_equal_stored_path_maxima(self, case, parts, monkeypatch):
+        self._cut(monkeypatch, parts)
         co, dom, x, skel = self._setup(case)
         names = ("X4", "K4", "Kmoment", "Kexp")
         reports = convergence_study(names, co, dom, 0.0, x, LADDER,
-                                    self.N_PATHS, self.GRID, self.SEED,
-                                    workers=workers)
+                                    self.N_PATHS, self.GRID, self.SEED)
         contact = 0
         for ei, e in enumerate(LADDER):
             xp, kp = self._paths(co, dom, x, e, (ei,), self.N_PATHS)
@@ -358,12 +404,13 @@ class TestStreamedStudies:
                     v.std(ddof=1) / np.sqrt(self.N_PATHS))
         assert contact > 1000
 
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("parts", [1, 3])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_tail_equals_stored_path_maxima(self, case, workers):
+    def test_tail_equals_stored_path_maxima(self, case, parts, monkeypatch):
+        self._cut(monkeypatch, parts)
         co, dom, x, skel = self._setup(case)
         rep = tail_study(co, dom, 0.0, x, 0.25, LADDER, self.N_PATHS,
-                         self.GRID, self.SEED, workers=workers)
+                         self.GRID, self.SEED)
 
         def sups(e, prefix, n_paths):
             xp, _ = self._paths(co, dom, x, e, prefix, n_paths)
@@ -386,7 +433,7 @@ class TestStreamedStudies:
         kwargs = dict(field_steps=16, field_nodes=9, mc_per_node=64)
         both = convergence_study(("K4", "Y4"), co, dom, 0.0, [0.5], LADDER,
                                  self.N_PATHS, self.GRID, self.SEED,
-                                 workers=3, **kwargs)
+                                 **kwargs)
         skel = integrate_skeleton_ode(co, dom, 0.0, [0.5], self.GRID)
         psi = solve_limit_bsde(co, skel).y_path
         lattice = make_lattice(dom, 9)
@@ -421,12 +468,10 @@ class TestStreamedStudies:
             rel.append(v.std(ddof=1) / np.sqrt(self.N_PATHS) / v.mean())
         failing = [e for e, r in zip(LADDER, rel) if r > harness._MAX_REL_SE]
         assert len(failing) >= 2 and failing[0] != LADDER[0]
-        for workers in (1, 3):
-            with pytest.raises(InsufficientPaths,
-                               match=f"Kmoment: .* at eps={failing[0]} "):
-                convergence_study(("X4", "Kmoment"), co, dom, 0.0, x, LADDER,
-                                  self.N_PATHS, self.GRID, self.SEED,
-                                  workers=workers)
+        with pytest.raises(InsufficientPaths,
+                           match=f"Kmoment: .* at eps={failing[0]} "):
+            convergence_study(("X4", "Kmoment"), co, dom, 0.0, x, LADDER,
+                              self.N_PATHS, self.GRID, self.SEED)
 
 
 @pytest.mark.parametrize("delta", [-0.3, 0.0, float("nan")])
