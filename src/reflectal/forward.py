@@ -9,14 +9,16 @@ boundary. With epsilon = 0 the same code path is the skeleton ODE, so the
 noise-free reduction is bitwise.
 """
 
+import ctypes
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .errors import MissingNoise, NumericalBlowup, StartOutsideDomain
+from .errors import (MissingNoise, NumericalBlowup, StartOutsideDomain,
+                     UnknownStateLayout)
 from .geometry import project
 
 __all__ = ["TimeGrid", "ReflectedTrajectory", "FreePath",
@@ -36,6 +38,9 @@ _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = (1 << 32) - 1
+
+# rows that _normal_rows draws into its buffer before scaling them into out
+_GROUP_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -185,23 +190,62 @@ def _stream_states(seed, prefix, keys):
     return np.stack((*state, inc_hi, inc_lo), axis=-1)
 
 
+def _state_struct(bitgen):
+    """The four uint64 words of a PCG64 bit generator's state and increment,
+    as an array over its state struct, valid while bitgen lives: numpy's
+    bitgen.ctypes.state_address points at a struct whose first field points
+    at them."""
+    words = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+    return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(words))
+
+
+def _match_word_order(struct_words, state):
+    """The column order that puts _stream_states' words (state high, state
+    low, increment high, increment low) in the order of struct_words, the
+    struct of a bit generator whose state is the dict state["state"]."""
+    words = [w for name in ("state", "inc")
+             for w in divmod(state["state"][name], 1 << 64)]
+    for order in ((1, 0, 3, 2), (0, 1, 2, 3)):   # native 128-bit, or pairs
+        if [words[k] for k in order] == list(struct_words):
+            return order
+    raise UnknownStateLayout(
+        f"PCG64 state struct words {list(struct_words)} are no order of the "
+        f"state dict's {words}")
+
+
+@cache
+def _word_order():
+    """_match_word_order of the installed numpy's PCG64, probed once."""
+    bitgen = np.random.PCG64(0)
+    return _match_word_order(_state_struct(bitgen).tolist(), bitgen.state)
+
+
 def _normal_rows(states, shape, dt, out=None):
     """Brownian increments over steps of length dt, of shape (rows, ...),
-    written into out (C-contiguous, of that shape) when it is given. Row j
-    is, bitwise, the increments that _stream_noise draws from a PCG64
+    written into out, any array or view of that shape, when it is given.
+    Row j is, bitwise, the increments that _stream_noise draws from a PCG64
     stream in the state states[j] (see _stream_states), in row-major order.
 
-    One bit generator serves the block: its state is set per row."""
+    One bit generator serves the block: each row's words are written
+    straight into its state struct. Rows are drawn _GROUP_ROWS at a time
+    into one contiguous buffer, which is scaled into out, so that a
+    step-major out is written a group of rows per step."""
     bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    pcg = state["state"]
+    standard_normal = np.random.Generator(bitgen).standard_normal
+    struct = _state_struct(bitgen)
     out = np.empty(shape) if out is None else out
-    for row, (s_hi, s_lo, i_hi, i_lo) in zip(out, states.tolist()):
-        pcg["state"], pcg["inc"] = s_hi << 64 | s_lo, i_hi << 64 | i_lo
-        bitgen.state = state
-        gen.standard_normal(out=row)
-    out *= np.sqrt(dt)
+    words = states[:, _word_order()]
+    buf = np.empty((min(_GROUP_ROWS, len(out)),) + out.shape[1:])
+    sq = np.sqrt(dt)
+    for a in range(0, len(out), _GROUP_ROWS):
+        group = buf[:len(out) - a]
+        for row, word in zip(group, words[a:a + _GROUP_ROWS]):
+            struct[:] = word
+            standard_normal(out=row)
+        # with steps first, numpy walks a step-major out a group of rows per
+        # step; in the given order it walks one row per step
+        np.multiply(group.swapaxes(0, 1), sq,
+                    out=out[a:a + len(group)].swapaxes(0, 1))
     return out
 
 
@@ -244,6 +288,18 @@ def _norm(v):
 def _check_start(s, grid):
     if s != grid.s:
         raise ValueError(f"start time {s} is not the grid's start {grid.s}")
+
+
+def _start_point(coeffs, domain, x):
+    """x as a float vector, which must have as many coordinates as the
+    domain's and the coefficients' dimension."""
+    x = np.atleast_1d(np.asarray(x, float))
+    d = coeffs.dims[0]
+    if x.shape != (domain.dimension,) or x.shape != (d,):
+        raise ValueError(
+            f"start {x.tolist()} has {x.size} coordinates; the domain has "
+            f"{domain.dimension} and the coefficients {d}")
+    return x
 
 
 def _check_inside(domain, point, message, error=StartOutsideDomain):
@@ -326,7 +382,7 @@ def integrate_reflected_sde(coeffs, domain, s, x, epsilon, grid, rng_stream=None
     lie in the closed domain.
     """
     _check_start(s, grid)
-    x0 = np.atleast_1d(np.asarray(x, float))[None, :]
+    x0 = _start_point(coeffs, domain, x)[None, :]
     _check_inside(domain, x0[0], f"start {x0[0]} lies outside the domain")
     noise = _stream_noise(rng_stream, epsilon, grid, coeffs.dims[1])
     xp, kp, dirs = _reflected_core(coeffs, domain, x0, epsilon, grid, noise,
@@ -345,14 +401,18 @@ def simulate_reflected_batch(coeffs, domain, s, x, epsilon, grid, seed,
                              n_paths, index_offset=0, key_prefix=()):
     """n_paths reflected trajectories with per-trajectory streams derived
     from (seed, key_prefix + trajectory index). Returns (x_paths, k_paths)
-    arrays of shape (n_paths, n+1, d) and (n_paths, n+1)."""
+    arrays of shape (n_paths, n+1, d) and (n_paths, n+1).
+
+    The noise block is step-major, (n, n_paths, m) in memory, so the kernel
+    reads each step's increments contiguously."""
     _check_start(s, grid)
     d, m, _ = coeffs.dims
-    x = np.atleast_1d(np.asarray(x, float))
+    x = _start_point(coeffs, domain, x)
     _check_inside(domain, x, f"start {x} lies outside the domain")
     x0 = np.broadcast_to(x, (n_paths, d)).copy()
-    noise = (_brownian_rows(seed, key_prefix, index_offset,
-                            (n_paths, grid.n_steps, m), grid.dt)
+    noise = (_brownian_rows(seed, key_prefix, index_offset, None, grid.dt,
+                            out=np.empty((grid.n_steps, n_paths, m))
+                            .swapaxes(0, 1))
              if epsilon > 0 else None)
     xp, kp, _ = _reflected_core(coeffs, domain, x0, epsilon, grid, noise)
     return xp, kp
@@ -362,7 +422,7 @@ def integrate_free_sde(coeffs, domain, s, x, epsilon, grid, rng_stream=None):
     """Plain Euler-Maruyama without projection (the boundary-free companion):
     the projection scheme with the identity as its projection."""
     _check_start(s, grid)
-    x0 = np.atleast_1d(np.asarray(x, float))[None, :]
+    x0 = _start_point(coeffs, domain, x)[None, :]
     noise = _stream_noise(rng_stream, epsilon, grid, coeffs.dims[1])
     free = replace(domain, project_point=lambda p: p)
     xp, _, _ = _reflected_core(coeffs, free, x0, epsilon, grid, noise)

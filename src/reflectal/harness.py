@@ -81,7 +81,8 @@ def _mapped(shape):
     """np.empty(shape) in an anonymous mapping of its own, which goes back to
     the system when the array is freed. From the malloc heap, a freed block
     stays resident when the next request is no larger, and the next study's
-    larger block then adds to it."""
+    larger block then adds to it. _sweep maps its (n, rows, m) noise blocks
+    here."""
     size = math.prod(shape)
     buf = mmap.mmap(-1, 8 * max(size, 1))
     return np.frombuffer(buf, float, count=size).reshape(shape)
@@ -100,6 +101,10 @@ def _sweep(coeffs, domain, x, grid, seed, skel, levels, sups, y4=None):
     sums of y4(node, states, level positions of the rows), one value per
     row, and of its square, (2, n+1): each call adds its rows' sums per
     level, in call order.
+
+    Each call's noise block is step-major, (n, rows, m) in memory and
+    handed to the kernel as its (rows, n, m) view, so the kernel reads
+    each step's increments contiguously.
     """
     d, m, _ = coeffs.dims
     n = grid.n_steps
@@ -115,7 +120,7 @@ def _sweep(coeffs, domain, x, grid, seed, skel, levels, sups, y4=None):
         cut = np.clip(np.subtract(starts, first), 0, rows).tolist()
         segs = [(li, a, b) for li, (a, b) in enumerate(zip(cut, cut[1:]))
                 if a < b]
-        noise = _mapped((rows, n, m))
+        noise = _mapped((n, rows, m)).swapaxes(0, 1)
         eps = np.empty(rows)
         for li, a, b in segs:
             e, prefix, _ = levels[li]

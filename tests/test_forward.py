@@ -8,10 +8,12 @@ import pytest
 
 from reflectal.coefficients import CoefficientSet, preset
 from reflectal.backward import make_lattice, solve_bsde_grid
-from reflectal.errors import MissingNoise, NumericalBlowup, StartOutsideDomain
-from reflectal.forward import (_K_NOISE_FLOOR, FreePath, TimeGrid,
-                               _brownian_rows, _norm, _normal_rows,
-                               _reflected_core, _step, _stream_states,
+from reflectal.errors import (MissingNoise, NumericalBlowup,
+                              StartOutsideDomain, UnknownStateLayout)
+from reflectal.forward import (_GROUP_ROWS, _K_NOISE_FLOOR, FreePath, TimeGrid,
+                               _brownian_rows, _match_word_order, _norm,
+                               _normal_rows, _reflected_core, _state_struct,
+                               _step, _stream_states, _word_order,
                                integrate_free_sde, integrate_reflected_sde,
                                integrate_skeleton_ode,
                                reflection_budget_identity,
@@ -361,6 +363,25 @@ class TestKernelOracle:
         np.testing.assert_array_equal(xp, ref[0])
         np.testing.assert_array_equal(kp, ref[1])
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_step_major_noise_equals_row_major(self, case):
+        # the studies and batches hand the kernel a (B, n, m) view of an
+        # (n, B, m) block
+        make_dom, make_coeffs, x = self.CASES[case]
+        dom, co = make_dom(), make_coeffs()
+        grid = TimeGrid(0.0, 1.0, 200)
+        d, m, _ = co.dims
+        x0 = np.broadcast_to(np.asarray(x, float), (64, d)).copy()
+        noise = (np.random.default_rng(5).standard_normal((64, 200, m))
+                 * np.sqrt(grid.dt))
+        step_major = np.ascontiguousarray(noise.swapaxes(0, 1)).swapaxes(0, 1)
+        assert step_major.strides[1] == 64 * m * 8
+        ref = _reflected_core(co, dom, x0, 0.3, grid, noise, _dirs=True)
+        got = _reflected_core(co, dom, x0, 0.3, grid, step_major, _dirs=True)
+        assert np.count_nonzero(np.diff(ref[1], axis=1) > 0) > 100
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(a, b)
+
     def test_single_trajectory_keeps_directions(self):
         dom, co = unit_disc(), outward_drift_ball()
         grid = TimeGrid(0.0, 1.0, 100)
@@ -627,6 +648,50 @@ class TestStreamStates:
             np.testing.assert_array_equal(
                 row, trajectory_rng(29, key).standard_normal((16, 2)) * 0.5)
 
+    @pytest.mark.parametrize("rows", [1, _GROUP_ROWS - 1, _GROUP_ROWS,
+                                      _GROUP_ROWS + 1, 3 * _GROUP_ROWS + 5])
+    def test_step_major_rows_are_the_streams(self, rows):
+        states = _stream_states(31, (4,), np.arange(rows)[:, None])
+        out = np.empty((12, rows, 2)).swapaxes(0, 1)
+        assert _normal_rows(states, None, 0.25, out=out) is out
+        for j in range(rows):
+            np.testing.assert_array_equal(
+                out[j], trajectory_rng(31, (4, j)).standard_normal((12, 2))
+                * np.sqrt(0.25))
+
+    def test_state_written_in_place_is_the_streams_state(self):
+        states = _stream_states(29, (3,), np.array([[0], [7]]))
+        bitgen = np.random.PCG64(0)
+        gen = np.random.Generator(bitgen)
+        struct = _state_struct(bitgen)
+        for key, words in zip((0, 7), states):
+            rng = trajectory_rng(29, (3, key))
+            struct[:] = words[list(_word_order())]
+            assert bitgen.state == rng.bit_generator.state
+            gen.standard_normal(37)
+            rng.standard_normal(37)
+            assert bitgen.state == rng.bit_generator.state
+
+
+class TestStateLayoutProbe:
+    """The in-place state write knows the installed numpy's PCG64 struct,
+    and an unknown struct fails loudly rather than seeding wrong streams."""
+
+    def test_installed_numpy_is_recognised(self):
+        assert _word_order() in ((1, 0, 3, 2), (0, 1, 2, 3))
+        bitgen = np.random.PCG64(5)
+        assert _match_word_order(_state_struct(bitgen).tolist(),
+                                 bitgen.state) == _word_order()
+
+    @pytest.mark.parametrize("order", [(0, 1, 3, 2), (1, 0, 2, 3),
+                                       (2, 3, 0, 1), (3, 2, 1, 0)])
+    def test_unknown_order_raises(self, order):
+        state = np.random.PCG64(5).state
+        words = [w for name in ("state", "inc")
+                 for w in divmod(state["state"][name], 1 << 64)]
+        with pytest.raises(UnknownStateLayout, match="no order"):
+            _match_word_order([words[k] for k in order], state)
+
 
 def test_time_grid_nodes_built_once_and_read_only():
     grid = TimeGrid(0.0, 1.0, 8)
@@ -707,6 +772,34 @@ class TestStartInDomain:
         free = integrate_free_sde(co, dom, 0.0, [2.5], 0.1, self.GRID,
                                   trajectory_rng(1))
         assert free.values[0, 0] == 2.5
+
+
+class TestStartDimension:
+    """A start with as many coordinates as neither the domain nor the
+    coefficients is rejected by name, not broadcast or read in part."""
+
+    GRID = TimeGrid(0.0, 1.0, 8)
+    CALLS = dict(TestStartInDomain.CALLS, free=lambda co, dom, x, g:
+                 integrate_free_sde(co, dom, 0.0, x, 0.1, g, trajectory_rng(1)))
+    CASES = {
+        "interval": (unit_interval, ("constant-drift", {"v": 1.0}),
+                     [[0.5, 2.0], [0.5, 0.5], [], [[0.5]]]),
+        "disc": (unit_disc, ("ou-in-ball", {"theta": 1.0}),
+                 [[0.5], [0.5, 0.0, 0.0]]),
+        "disc, 1D coefficients": (unit_disc, ("constant-drift", {"v": 1.0}),
+                                  [[0.5], [0.5, 0.0]]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_wrong_dimension_raises(self, call, case):
+        make_dom, (name, params), starts = self.CASES[case]
+        co, dom = preset(name, params), make_dom()
+        for x in starts:
+            with pytest.raises(ValueError, match=(
+                    rf"has {np.size(x)} coordinates; the domain has "
+                    rf"{dom.dimension} and the coefficients {co.dims[0]}")):
+                self.CALLS[call](co, dom, x, self.GRID)
 
 
 class TestKernelRowsAndReducers:
