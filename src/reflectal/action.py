@@ -29,6 +29,7 @@ _INIT_STEP = 0.5
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 30
+_BATCH = 3              # backtracking trials per objective call
 _STALL_LIMIT = 50       # consecutive rejected iterations before giving up
 _PENALTIES = (10.0, 100.0, 1e3, 1e4, 1e5)   # contracted_rate's continuation
 _VIOLATION_TOL = 1e-3
@@ -64,7 +65,8 @@ def _action_terms(coeffs, domain, paths, grid):
     stack leaves the domain or meets a singular diffusion.
     """
     tol = max(domain.boundary_tol, 1e-12)
-    if np.any(domain.signed_distance(paths) < -tol):
+    dist = domain.signed_distance(paths)
+    if np.any(dist < -tol):
         raise InfeasiblePath("path leaves the closed domain")
 
     dt = grid.dt
@@ -80,8 +82,12 @@ def _action_terms(coeffs, domain, paths, grid):
         raise SingularDiffusion("sigma sigma* numerically singular on the path")
     ainv = np.linalg.inv(a)
 
-    on_bdry = np.abs(domain.signed_distance(right)) <= domain.boundary_tol
-    nvec = domain.grad_phi(right)
+    # only boundary steps carry a multiplier, so only they need the normal;
+    # elsewhere nvec = 0 gives lam = 0 and resid = r
+    on_bdry = np.abs(dist[..., 1:]) <= domain.boundary_tol
+    nvec = np.zeros_like(right)
+    if np.any(on_bdry):
+        nvec[on_bdry] = domain.grad_phi(right[on_bdry])
     anr = np.einsum("...ij,...j->...i", ainv, r)
     nan_ = np.einsum("...i,...ij,...j->...", nvec, ainv, nvec)
     safe = np.where(nan_ > 0, nan_, 1.0)
@@ -116,45 +122,95 @@ def evaluate_action(coeffs, domain, psi, grid=None):
                         integrand=integrand, feasible=True)
 
 
+def _node_sums(integrand, dt):
+    """Each node's share of the action, 0.5 dt (I_{j-1} + I_j): the terms
+    that node j enters, (..., n) -> (..., n+1)."""
+    half = 0.5 * dt * integrand
+    sums = np.zeros(half.shape[:-1] + (half.shape[-1] + 1,))
+    sums[..., :-1] = half
+    sums[..., 1:] += half
+    return sums
+
+
 def _fd_gradient(objective, path, domain, free):
     """Finite-difference gradient over the nodes `free` of a path.
 
-    objective maps a stack of paths (..., n+1, d) to their values (...,).
-    Component (j, c) differences the two paths whose node j is replaced by
+    objective maps a stack of paths (..., n+1, d) to (values, sums): the
+    values (...,) and each node's local sum (..., n+1), which may depend on
+    the node and its two neighbours only. Component (j, c) differences node
+    j's sum between the paths whose node j is replaced by
     project(path[j] +- fd e_c), with fd = _FD_REL_STEP * max(diameter, 1).
-    All 2 * len(free) * d of them go to the objective in one call. A
-    component whose two projected nodes coincide in coordinate c is left
-    at zero.
+    No two nodes of one parity share a term, so all even free nodes move
+    at once, then all odd ones (Curtis, Powell & Reid 1974): 4 * d paths
+    per gradient, in one objective call, whatever n is. A component whose
+    two projected nodes coincide in coordinate c is left at zero.
     """
     d = path.shape[1]
     bumps = _FD_REL_STEP * max(domain.diameter, 1.0) * np.eye(d)
     nodes = path[free, None, :]
     moved = project(domain, np.stack([nodes + bumps, nodes - bumps]))
-    perturbed = np.broadcast_to(path, moved.shape[:3] + path.shape).copy()
-    perturbed[:, np.arange(free.size)[:, None], np.arange(d),
-              free[:, None]] = moved              # (2, free, d, n+1, d)
-    values = objective(perturbed)
+    colour = free[:, None] % 2
+    coord = np.arange(d)
+    perturbed = np.broadcast_to(path, (2, 2, d) + path.shape).copy()
+    perturbed[:, colour, coord, free[:, None]] = moved  # (2, 2, d, n+1, d)
+    sums = objective(perturbed)[1][:, colour, coord, free[:, None]]
     moved_c = np.diagonal(moved, axis1=-2, axis2=-1)
     denom = moved_c[0] - moved_c[1]
     grad = np.zeros_like(path)
-    grad[free] = np.where(denom != 0.0, (values[0] - values[1])
+    grad[free] = np.where(denom != 0.0, (sums[0] - sums[1])
                           / np.where(denom != 0.0, denom, 1.0), 0.0)
     return grad
+
+
+def _backtrack(objective, path, value, grad, gnorm2, free, domain, eta):
+    """Armijo backtracking along -grad from the step eta, halving it up to
+    _MAX_BACKTRACKS times.
+
+    Trials are projected and evaluated _BATCH at a time, in one objective
+    call, and read in order: the first that lowers the value by the Armijo
+    decrement is accepted, and a trial equal to path (the step rounded away)
+    ends the search as a rejection before it is evaluated. This is the
+    sequential search's outcome, except that a batch may evaluate up to
+    _BATCH - 1 feasible trials past the accepted one. Returns (trial, value,
+    eta, accepted); a rejection returns path, the value and the step the
+    search stopped at, halved once more after a full run of failures.
+    """
+    etas = [eta]
+    for _ in range(_MAX_BACKTRACKS):
+        etas.append(etas[-1] * _BACKTRACK)
+    for first in range(0, _MAX_BACKTRACKS, _BATCH):
+        batch = etas[first:min(first + _BATCH, _MAX_BACKTRACKS)]
+        trials = np.broadcast_to(path, (len(batch),) + path.shape).copy()
+        trials[:, free] = project(
+            domain, path[free] - np.array(batch)[:, None, None] * grad[free])
+        same = np.all(trials == path, axis=(-2, -1))
+        stop = int(np.argmax(same)) if same.any() else len(batch)
+        values = objective(trials[:stop])[0] if stop else ()
+        for trial, tv, eta in zip(trials, values, batch):
+            tv = float(tv)
+            # a trial must lower the value: the Armijo decrement can round
+            # away
+            if tv < value and tv <= value - _ARMIJO_C * eta * gnorm2:
+                return trial, tv, eta, True
+        if stop < len(batch):
+            # the step rounded away: a rejection, as is every shorter one
+            return path, value, batch[stop], False
+    return path, value, etas[-1], False
 
 
 def _projected_descent(objective, path0, domain, pin_last, opts):
     """Projected gradient descent with finite-difference gradients and Armijo
     backtracking over the non-pinned nodes of a discretized path.
 
-    objective maps a stack of paths (..., n+1, d) to their values (...,).
-    Returns (best_path, best_value, log, stalled) where log rows are
-    (iteration, value, step).
+    objective maps a stack of paths (..., n+1, d) to (values, sums), as
+    _fd_gradient describes. Returns (best_path, best_value, log, stalled)
+    where log rows are (iteration, value, step).
     """
     path = project(domain, np.asarray(path0, float))
     n1 = path.shape[0]
     free = np.arange(1, n1 - 1 if pin_last else n1)
 
-    value = float(objective(path))
+    value = float(objective(path)[0])
     log = [(0, value, 0.0)]
     step = _INIT_STEP
     stalls = 0
@@ -164,25 +220,12 @@ def _projected_descent(objective, path0, domain, pin_last, opts):
         gnorm2 = float(np.sum(grad * grad))
         if gnorm2 <= opts.grad_tol**2:
             break
-        accepted = False
-        eta = step
-        for _ in range(_MAX_BACKTRACKS):
-            trial = path.copy()
-            trial[free] = project(domain, path[free] - eta * grad[free])
-            if np.array_equal(trial, path):
-                # the step rounded away: a rejection, as is every shorter one
-                break
-            tv = float(objective(trial))
-            # a trial must lower the value: the Armijo decrement can round away
-            if tv < value and tv <= value - _ARMIJO_C * eta * gnorm2:
-                path, value = trial, tv
-                accepted = True
-                step = min(eta * 2.0, 1e3)
-                break
-            eta *= _BACKTRACK
+        path, value, eta, accepted = _backtrack(
+            objective, path, value, grad, gnorm2, free, domain, step)
         log.append((it, value, eta if accepted else 0.0))
         if accepted:
             stalls = 0
+            step = min(eta * 2.0, 1e3)
         else:
             stalls += 1
             step = max(eta, 1e-16)
@@ -213,7 +256,8 @@ def minimize_action_endpoint(coeffs, domain, s, x, y, T, grid, opts=None):
     lamgrid = np.linspace(0.0, 1.0, grid.n_steps + 1)[:, None]
 
     def objective(p):
-        return _action_terms(coeffs, domain, p, grid)[0]
+        action, integrand = _action_terms(coeffs, domain, p, grid)[:2]
+        return action, _node_sums(integrand, grid.dt)
 
     # two feasible starts: the straight chord, and the drift skeleton bent
     # linearly in time toward the target (free when y is its own endpoint)
@@ -221,7 +265,8 @@ def minimize_action_endpoint(coeffs, domain, s, x, y, T, grid, opts=None):
     skel = integrate_skeleton_ode(coeffs, domain, s, x, grid).x_path
     bent = project(domain, skel + lamgrid * (y - skel[-1]))
     bent[-1] = project(domain, y)
-    path0 = min((straight, bent), key=objective)
+    starts = np.stack([straight, bent])
+    path0 = starts[np.argmin(objective(starts)[0])]
 
     best, value, log, stalled = _projected_descent(
         objective, path0, domain, pin_last=True, opts=opts)
@@ -236,7 +281,8 @@ def contracted_rate(coeffs, domain, field_limit, gamma, s, x, grid=None,
     whose image under the limit value map matches the given value path.
 
     Solved by penalty continuation on the squared constraint mismatch; the
-    start node is pinned at x, the rest of the path is free. The result's
+    start node is pinned at x, the rest of the path is free. grid, when
+    given, must be the field's time grid (same s, T and n_steps). The result's
     `stalled` flag is set when the line search gave up in any stage. Raises
     ConstraintInfeasible when the final sup-norm violation exceeds the
     tolerance (the preimage is empty at this resolution).
@@ -247,7 +293,11 @@ def contracted_rate(coeffs, domain, field_limit, gamma, s, x, grid=None,
     gamma = np.asarray(gamma, float)
     if gamma.ndim == 1:
         gamma = gamma[:, None]
-    grid = grid or field_limit.times
+    times = field_limit.times
+    grid = grid or times
+    # the penalty reads the field at its own nodes, so the action must too
+    if (grid.s, grid.T, grid.n_steps) != (times.s, times.T, times.n_steps):
+        raise ValueError(f"grid {grid} is not the field's time grid {times}")
     if gamma.shape[0] != grid.n_steps + 1:
         raise ValueError("gamma length does not match the grid")
 
@@ -255,9 +305,10 @@ def contracted_rate(coeffs, domain, field_limit, gamma, s, x, grid=None,
     stalled = False
     for pen in _PENALTIES:
         def objective(p, _pen=pen):
-            mismatch = apply_pi(field_limit, p) - gamma
-            return (_action_terms(coeffs, domain, p, grid)[0]
-                    + _pen * np.sum(mismatch**2, axis=(-2, -1)))
+            action, integrand = _action_terms(coeffs, domain, p, grid)[:2]
+            sq = (apply_pi(field_limit, p) - gamma)**2
+            return (action + _pen * np.sum(sq, axis=(-2, -1)),
+                    _node_sums(integrand, grid.dt) + _pen * np.sum(sq, axis=-1))
 
         path, _, _, stage_stalled = _projected_descent(
             objective, path, domain, pin_last=False, opts=opts)

@@ -1,5 +1,6 @@
 """Rate functional evaluation, endpoint minimization, contracted rate."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from reflectal import action
 from reflectal.action import (OptimizerOptions, _action_terms, _fd_gradient,
-                              _FD_REL_STEP, _projected_descent,
+                              _FD_REL_STEP, _node_sums, _projected_descent,
                               contracted_rate, evaluate_action,
                               minimize_action_endpoint)
 from reflectal.backward import apply_pi, limit_value_field, make_lattice
@@ -274,6 +275,25 @@ class TestContractedRate:
         with pytest.raises(ConstraintInfeasible):
             contracted_rate(co, dom, field, gamma, 0.0, [0.5], times)
 
+    def test_foreign_grid_raises(self):
+        # the action would use the foreign dt while the penalty reads the
+        # field at its own nodes: S' read 0.0025 on [0, 2] and 0.01 on
+        # [0, 0.5] where the answer on [0, 1] is a^2 / 2 = 0.005
+        dom = unit_interval()
+        co = preset("zero-drift-unit-noise")
+        field, times = self._field(co, dom, n_steps=8, nodes=9)
+        gamma = 0.5 + 0.1 * times.nodes
+        for foreign in (TimeGrid(0.0, 2.0, 8), TimeGrid(0.0, 0.5, 8),
+                        TimeGrid(0.0, 1.0, 16)):
+            with pytest.raises(ValueError, match="time grid"):
+                contracted_rate(co, dom, field, gamma, 0.0, [0.5], foreign)
+        want = contracted_rate(co, dom, field, gamma, 0.0, [0.5])
+        assert want["s_prime"] == pytest.approx(0.005, rel=1e-3)
+        for own in (times, TimeGrid(0.0, 1.0, 8)):
+            got = contracted_rate(co, dom, field, gamma, 0.0, [0.5], own)
+            assert got["s_prime"] == want["s_prime"]
+            assert np.array_equal(got["argmin_psi"], want["argmin_psi"])
+
     def test_contraction_bound(self):
         # the infimum over preimages never exceeds a particular preimage cost
         dom = unit_interval()
@@ -296,9 +316,11 @@ def test_minimize_endpoint_rejects_inconsistent_T():
                                  unit_interval(), 0.0, [0.5], [0.9], 2.0, grid)
 
 
-def per_node_gradient(objective, path, domain, free):
+def per_node_gradient(objective, path, domain, free, local=False):
     """Oracle: the finite-difference gradient built one node and one
-    coordinate at a time, each perturbed path evaluated on its own."""
+    coordinate at a time, each perturbed path evaluated on its own. It
+    differences the objective's values, or with local=True node j's local
+    sum."""
     d = path.shape[1]
     fd = _FD_REL_STEP * max(domain.diameter, 1.0)
     grad = np.zeros_like(path)
@@ -313,9 +335,36 @@ def per_node_gradient(objective, path, domain, free):
             denom = p_plus[j, c] - p_minus[j, c]
             if denom == 0.0:
                 continue
-            grad[j, c] = (float(objective(p_plus))
-                          - float(objective(p_minus))) / denom
+            if local:
+                grad[j, c] = (objective(p_plus)[1][j]
+                              - objective(p_minus)[1][j]) / denom
+            else:
+                grad[j, c] = (float(objective(p_plus)[0])
+                              - float(objective(p_minus)[0])) / denom
     return grad
+
+
+def action_objective(co, dom, grid):
+    """minimize_action_endpoint's objective: the values and node sums."""
+    def objective(p):
+        action_, integrand = _action_terms(co, dom, p, grid)[:2]
+        return action_, _node_sums(integrand, grid.dt)
+    return objective
+
+
+def gradient_tol(objective, path, domain):
+    """Largest gap allowed between the two-colour gradient and the per-node
+    oracle, fixed before either was run. A value F or a node sum is a
+    scaled sum of at most 2 n + 1 = 33 nonnegative terms here, which numpy
+    adds in eight running partial sums, so it is off by at most k eps |F|
+    with k = 8 (about 4 + 3 roundings, and one for the scaling). A
+    difference quotient over a denominator of at least fd (fd when one side
+    is projected back, 2 fd otherwise) is then off by at most
+    2 k eps |F| / fd, so the two gradients differ by at most
+    4 k eps |F| / fd = 32 eps |F| / fd."""
+    fd = _FD_REL_STEP * max(domain.diameter, 1.0)
+    value = abs(float(objective(path)[0]))
+    return 32.0 * np.finfo(float).eps * value / fd
 
 
 def ball():
@@ -369,21 +418,29 @@ class TestBatchedAction:
             _action_terms(co, dom, bad, grid)
 
     @pytest.mark.parametrize("case", range(2))
-    def test_gradient_equals_per_node_oracle_bitwise(self, case):
+    def test_gradient_matches_per_node_oracle(self, case):
         co, dom, grid, stack = batch_cases()[case]
-
-        def objective(p):
-            return _action_terms(co, dom, p, grid)[0]
-
+        objective = action_objective(co, dom, grid)
         for path in stack[[0, -4, -1]]:
             for free in (np.arange(1, grid.n_steps),
                          np.arange(1, grid.n_steps + 1)):
                 got = _fd_gradient(objective, path, dom, free)
                 want = per_node_gradient(objective, path, dom, free)
                 assert np.any(got != 0.0)
-                assert np.array_equal(got, want)
+                np.testing.assert_allclose(
+                    got, want, rtol=0.0, atol=gradient_tol(objective, path, dom))
 
-    def test_penalty_objective_gradient_bitwise(self):
+    @pytest.mark.parametrize("case", range(2))
+    def test_gradient_equals_local_sum_oracle_bitwise(self, case):
+        co, dom, grid, stack = batch_cases()[case]
+        objective = action_objective(co, dom, grid)
+        for path in stack[[0, -4, -1]]:
+            free = np.arange(1, grid.n_steps + 1)
+            assert np.array_equal(_fd_gradient(objective, path, dom, free),
+                                  per_node_gradient(objective, path, dom, free,
+                                                    local=True))
+
+    def test_penalty_objective_gradient_matches_oracle(self):
         dom = unit_interval()
         co = preset("zero-drift-unit-noise")
         times = TimeGrid(0.0, 1.0, 8)
@@ -392,13 +449,54 @@ class TestBatchedAction:
         path = np.clip(0.5 + 0.7 * times.nodes, 0.0, 1.0)[:, None]
 
         def objective(p):
-            mismatch = apply_pi(field, p) - gamma
-            return (_action_terms(co, dom, p, times)[0]
-                    + 100.0 * np.sum(mismatch**2, axis=(-2, -1)))
+            action_, integrand = _action_terms(co, dom, p, times)[:2]
+            sq = (apply_pi(field, p) - gamma)**2
+            return (action_ + 100.0 * np.sum(sq, axis=(-2, -1)),
+                    _node_sums(integrand, times.dt)
+                    + 100.0 * np.sum(sq, axis=-1))
 
         free = np.arange(1, 9)
-        assert np.array_equal(_fd_gradient(objective, path, dom, free),
-                              per_node_gradient(objective, path, dom, free))
+        got = _fd_gradient(objective, path, dom, free)
+        np.testing.assert_allclose(
+            got, per_node_gradient(objective, path, dom, free),
+            rtol=0.0, atol=gradient_tol(objective, path, dom))
+        assert np.array_equal(
+            got, per_node_gradient(objective, path, dom, free, local=True))
+
+    def test_gradient_stack_size_does_not_grow_with_n(self):
+        # one gradient on the disc at the CLI's default n_steps: the
+        # objective sees 4 d paths in one call, not 2 (n - 1) d
+        co, dom = preset("ou-in-ball", {"theta": 1.0}), ball()
+        grid = TimeGrid(0.0, 1.0, 1024)
+        t = grid.nodes[:, None]
+        path = 0.9 * np.hstack([np.cos(3.0 * t), np.sin(3.0 * t)]) * t
+        objective = action_objective(co, dom, grid)
+        seen = []
+
+        def spy(p):
+            seen.append(p.shape)
+            return objective(p)
+
+        tracemalloc.start()
+        try:
+            grad = _fd_gradient(spy, path, dom, np.arange(1, 1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seen == [(2, 2, 2, 1025, 2)]
+        # O(n d) memory: about 2 MB, where 2 (n - 1) d paths took 980 MB
+        assert peak < 16e6
+        assert np.all(np.isfinite(grad)) and np.any(grad != 0.0)
+
+
+def kinked_objective(start, offset):
+    """offset + sum(p - start) + 2 sum|p - start|, with node sums."""
+    def objective(p):
+        return (offset + np.sum(p - start, axis=(-2, -1))
+                + 2.0 * np.sum(np.abs(p - start), axis=(-2, -1)),
+                np.sum(p - start, axis=-1)
+                + 2.0 * np.sum(np.abs(p - start), axis=-1))
+    return objective
 
 
 def test_descent_reports_stall():
@@ -407,11 +505,7 @@ def test_descent_reports_stall():
     # the Armijo bound strictly negative even when the step rounds away
     dom = unit_interval()
     start = np.full((6, 1), 0.5)
-
-    def objective(p):
-        return (np.sum(p - start, axis=(-2, -1))
-                + 2.0 * np.sum(np.abs(p - start), axis=(-2, -1)))
-
+    objective = kinked_objective(start, 0.0)
     grad = _fd_gradient(objective, start, dom, np.arange(1, 6))
     assert grad[0, 0] == 0.0
     np.testing.assert_allclose(grad[1:], 1.0, rtol=1e-6)
@@ -427,11 +521,7 @@ def test_descent_stalls_when_steps_round_away():
     # rounds away the trial equals the current path, which is a rejection
     dom = unit_interval()
     start = np.full((6, 1), 0.5)
-
-    def objective(p):
-        return (3.0 + np.sum(p - start, axis=(-2, -1))
-                + 2.0 * np.sum(np.abs(p - start), axis=(-2, -1)))
-
+    objective = kinked_objective(start, 3.0)
     path, value, log, stalled = _projected_descent(
         objective, start, dom, pin_last=False, opts=OptimizerOptions())
     assert stalled
@@ -460,3 +550,187 @@ def test_contracted_rate_reports_stall_flag(monkeypatch):
     monkeypatch.setattr(action, "_projected_descent", third_stage_stalls)
     out = contracted_rate(co, dom, field, gamma, 0.0, [0.5], times)
     assert len(stages) == 5 and out["stalled"] is True
+
+
+def sequential_descent(objective, path0, domain, pin_last, opts):
+    """Oracle: the descent with one backtracking trial per objective call,
+    in the order the search tries them."""
+    path = project(domain, np.asarray(path0, float))
+    n1 = path.shape[0]
+    free = np.arange(1, n1 - 1 if pin_last else n1)
+    value = float(objective(path)[0])
+    log = [(0, value, 0.0)]
+    step = action._INIT_STEP
+    stalls = 0
+    stalled = False
+    for it in range(1, opts.max_iter + 1):
+        grad = action._fd_gradient(objective, path, domain, free)
+        gnorm2 = float(np.sum(grad * grad))
+        if gnorm2 <= opts.grad_tol**2:
+            break
+        accepted = False
+        eta = step
+        for _ in range(action._MAX_BACKTRACKS):
+            trial = path.copy()
+            trial[free] = project(domain, path[free] - eta * grad[free])
+            if np.array_equal(trial, path):
+                break
+            tv = float(objective(trial)[0])
+            if (tv < value
+                    and tv <= value - action._ARMIJO_C * eta * gnorm2):
+                path, value = trial, tv
+                accepted = True
+                step = min(eta * 2.0, 1e3)
+                break
+            eta *= action._BACKTRACK
+        log.append((it, value, eta if accepted else 0.0))
+        if accepted:
+            stalls = 0
+        else:
+            stalls += 1
+            step = max(eta, 1e-16)
+            if stalls >= action._STALL_LIMIT:
+                stalled = True
+                break
+    return path, value, log, stalled
+
+
+class TestBatchedLineSearch:
+    """_projected_descent against the one-trial-per-call oracle, both with
+    the same gradient function patched in, so only the line search can
+    differ."""
+
+    L = action._BATCH
+    start = np.full((6, 1), 0.5)
+
+    def run_both(self, monkeypatch, objective, gradient, path0=None,
+                 dom=None, pin_last=False, opts=OptimizerOptions(max_iter=60)):
+        path0 = self.start if path0 is None else path0
+        dom = dom or unit_interval()
+        runs = []
+        for descent in (sequential_descent, _projected_descent):
+            seen, grads_at = [], []
+
+            def spy(p):
+                seen.extend(np.reshape(p, (-1,) + path0.shape))
+                return objective(p)
+
+            def patched(obj, path, domain, free):
+                grads_at.append(len(seen))
+                return gradient(obj, path, domain, free)
+
+            monkeypatch.setattr(action, "_fd_gradient", patched)
+            out = descent(spy, path0, dom, pin_last=pin_last, opts=opts)
+            runs.append((out, seen, grads_at))
+        (want, seen_seq, at_seq), (got, seen_bat, grads_at) = runs
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1] and got[2] == want[2] and got[3] == want[3]
+        # per iteration, the batches evaluate the oracle's trials in its
+        # order, and after an accepted trial at most _BATCH - 1 more
+        assert len(at_seq) == len(grads_at)
+        for i, (row, a, b) in enumerate(zip(got[2][1:], at_seq, grads_at)):
+            trials = seen_seq[a:(at_seq + [len(seen_seq)])[i + 1]]
+            batched = seen_bat[b:(grads_at + [len(seen_bat)])[i + 1]]
+            extra = len(batched) - len(trials)
+            assert 0 <= extra <= (self.L - 1 if row[2] > 0 else 0)
+            assert all(np.array_equal(p, q) for p, q in zip(trials, batched))
+        return got, seen_bat, grads_at
+
+    @staticmethod
+    def constant_gradient(g):
+        def gradient(objective, path, domain, free):
+            grad = np.zeros_like(path)
+            grad[free] = g
+            return grad
+        return gradient
+
+    def threshold_objective(self, theta):
+        """1 - the largest rise of a node above 0.5 while it is at most
+        theta, 2 beyond: a trial is accepted exactly when its rise is at
+        most theta."""
+        def objective(p):
+            rise = np.max(p - self.start, axis=(-2, -1))
+            return (np.where(rise > theta, 2.0, 1.0 - rise),
+                    np.zeros(p.shape[:-1]))
+        return objective
+
+    @pytest.mark.parametrize("k", sorted({0, L - 1, L, 2 * L}))
+    def test_acceptance_at_trial_k_then_thirty_failures(self, monkeypatch, k):
+        # eta_k = 0.5^(k+1) is the first step with a rise eta_k / 4 of at
+        # most theta; after it every trial overshoots, so the next
+        # iteration rejects all thirty
+        eta = 0.5 ** (k + 1)
+        theta = 0.25 * eta
+        (path, value, log, stalled), seen, grads_at = self.run_both(
+            monkeypatch, self.threshold_objective(theta),
+            self.constant_gradient(-0.25))
+        assert log[1] == (1, 1.0 - theta, eta)
+        assert log[2] == (2, 1.0 - theta, 0.0)
+        assert grads_at[2] - grads_at[1] == action._MAX_BACKTRACKS
+        # iteration 3 starts from the step halved thirty times
+        step = 2.0 * eta * action._BACKTRACK ** action._MAX_BACKTRACKS
+        first = seen[grads_at[2]]
+        np.testing.assert_array_equal(first[1:], 0.5 + theta + 0.25 * step)
+        assert stalled and np.all(path[1:] == 0.5 + theta)
+
+    @pytest.mark.parametrize("k", sorted({0, L - 2, L - 1, L}))
+    def test_armijo_decides_at_trial_k(self, monkeypatch, k):
+        # the value 1 - a r + b r^2 of a rise r = eta / 4 falls for
+        # r < a / b, but by the Armijo decrement 5 c r / 4 only for
+        # r <= (a - 5 c / 4) / b; trial k lies between the two, trial k + 1
+        # below both
+        a, c = 2.5e-4, action._ARMIJO_C
+        eta = 0.5 ** (k + 1)
+        b = 0.75 * a / (0.25 * eta)
+
+        def objective(p):
+            rise = np.max(p - self.start, axis=(-2, -1))
+            return 1.0 - a * rise + b * rise**2, np.zeros(p.shape[:-1])
+
+        (path, value, log, stalled), seen, grads_at = self.run_both(
+            monkeypatch, objective, self.constant_gradient(-0.25),
+            opts=OptimizerOptions(max_iter=4))
+        at_k = float(objective(seen[grads_at[0] + k])[0])
+        assert 1.0 - c * eta * 5 * 0.25**2 < at_k < 1.0
+        assert log[1][2] == 0.5 * eta
+
+    @pytest.mark.parametrize("k", range(1, 2 * L + 2))
+    def test_step_rounds_away_at_trial_k(self, monkeypatch, k):
+        # every move up costs; at trial k the rise eta_k g falls below half
+        # the spacing of doubles above 0.5, so the trial equals the path
+        g = 1.5 * 2.0 ** (k - 54)
+
+        def uphill(p):
+            return (1.0 + np.sum(p - self.start, axis=(-2, -1)),
+                    np.zeros(p.shape[:-1]))
+
+        (path, value, log, stalled), seen, grads_at = self.run_both(
+            monkeypatch, uphill, self.constant_gradient(-g),
+            opts=OptimizerOptions(max_iter=3, grad_tol=0.0))
+        assert np.array_equal(path, self.start) and value == 1.0
+        # trials 0 .. k-1 were evaluated in the first iteration, trial k
+        # and the rest of its batch not
+        first_iter = seen[grads_at[0]:grads_at[1]]
+        assert len(first_iter) == k
+        assert not any(np.array_equal(p, self.start) for p in first_iter)
+        assert log[1:] == [(1, 1.0, 0.0), (2, 1.0, 0.0), (3, 1.0, 0.0)]
+
+    @pytest.mark.parametrize("offset", [0.0, 3.0])
+    def test_stall_objectives(self, monkeypatch, offset):
+        (path, value, log, stalled), _, _ = self.run_both(
+            monkeypatch, kinked_objective(self.start, offset), _fd_gradient,
+            opts=OptimizerOptions())
+        assert stalled and value == offset
+
+    def test_action_objective_on_the_disc(self, monkeypatch):
+        co, dom = preset("ou-in-ball", {"theta": 1.0}), ball()
+        grid = TimeGrid(0.0, 1.0, 8)
+        lam = grid.nodes[:, None]
+        path0 = project(dom, (1.0 - lam) * [0.25, 0.0] + lam * [0.5, 0.3])
+        (path, value, log, _), _, _ = self.run_both(
+            monkeypatch, action_objective(co, dom, grid), _fd_gradient,
+            path0=path0, dom=dom, pin_last=True,
+            opts=OptimizerOptions(max_iter=40))
+        steps = [step for _, _, step in log[1:]]
+        assert value < log[0][1]
+        assert any(0 < s < action._INIT_STEP for s in steps)

@@ -6,9 +6,10 @@ Runs one pinned config per command on the unit interval and on the unit
 disc, then three more convergence targets on the interval and Y4 on the
 disc, then a lattice solve whose drift drives its samples into the
 boundary, a `simulate-forward` on the disc whose 9,900 rows span several of
-the CLI's CSV write blocks, and last a lattice solve on the disc with a seed
-past 64 bits, in process, with the package imported from this checkout's
-`src/`.
+the CLI's CSV write blocks, a lattice solve on the disc with a seed past 64
+bits, an `action-min` on the disc at 64 steps, and last the `contracted-rate`
+case on the interval where the optimizer stalls, in process, with the
+package imported from this checkout's `src/`.
 Each run writes into a fixed relative `output_dir` under a temporary working
 directory, because `config_hash` covers that field. Prints one line per
 run with its `config_hash` (or the error it raised) and one line per CSV
@@ -71,6 +72,14 @@ LAST = [
     # the seed's extra entropy words before the (step, node) key words
     ("bsde-grid-wide-seed@disc", "disc",
      {"command": "bsde-grid", "seed": 2**64 + 5}),
+    # the action optimizer at 64 steps on the disc: 2 x 63 free coordinates
+    ("action-min-wide@disc", "disc",
+     {"command": "action-min", "grid": {"n_steps": 64}, "y": [0.5, 0.3]}),
+    # the skeleton's image under v = 1 pins nodes to the wall at x = 1: the
+    # optimizer stalls at value 0 in every penalty stage
+    ("contracted-rate-stall@interval", "interval",
+     {"command": "contracted-rate", "preset": DRIFT, "space_nodes": 17,
+      "field_steps": 16}),
 ]
 
 BASE = {"interval": {"domain": INTERVAL, "x": 0.5},
