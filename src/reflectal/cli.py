@@ -204,6 +204,11 @@ def validate(config_text):
                             f"must equal the config's T = {cfg.T}")
     if cfg.target not in TARGETS:
         raise ConfigInvalid("/target", f"must be one of {TARGETS}")
+    if (cfg.command == "convergence" and cfg.target == "Y4"
+            and cfg.n_steps % min(cfg.n_steps, cfg.field_steps)):
+        raise ConfigInvalid("/field_steps",
+                            f"must divide grid.n_steps = {cfg.n_steps} for "
+                            f"target Y4, got {cfg.field_steps}")
     try:
         domain = make_domain(**cfg.domain)
     except (TypeError, ValueError, ReflectalError) as exc:
@@ -227,21 +232,47 @@ def _names(prefix, width):
 
 
 _BLOCK_ROWS = 512   # rows formatted and written per fh.write
+_TABLE_VALUES = 1024  # most distinct values of a column whose reprs are tabled
+
+
+def _column_reader(col):
+    """(fmt, read) of one CSV column: read(a, b) gives the values of rows
+    a:b, which the row template writes with fmt. A column with at most
+    _TABLE_VALUES distinct bit patterns is read from a table of their reprs,
+    so that each is formatted once, with fmt "%s"; bit patterns keep 0.0 and
+    -0.0 apart, and each repr is of the column's own .tolist() value, so an
+    int or a bool keeps its text. Any other column is read as its .tolist()
+    values, with fmt "%r"."""
+    if col.dtype.kind in "biuf" and col.itemsize in (1, 2, 4, 8):
+        bits = col.view(f"u{col.itemsize}")
+        keys = np.sort(bits)
+        new = np.empty(keys.size, bool)
+        new[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        if np.count_nonzero(new) <= _TABLE_VALUES:
+            keys = keys[new]
+            table = np.array([repr(v) for v in keys.view(col.dtype).tolist()],
+                             dtype=object)
+            return "%s", lambda a, b: table[
+                np.searchsorted(keys, bits[a:b])].tolist()
+    return "%r", lambda a, b: col[a:b].tolist()
 
 
 def _write_csv(path, header, columns):
     """Write a CSV of one header row and the rows of columns, of equal
     length and one type each, (rows,) or (rows, width) for width columns;
-    returns the row count. Values reach the row template through numpy's
-    .tolist(), so a float prints as its shortest round-trip repr and an int
-    or bool as str, never as a numpy scalar; lines end in \\r\\n."""
+    returns the row count. Values are written as the repr of numpy's
+    .tolist() values, so a float prints as its shortest round-trip repr and
+    an int or bool as str, never as a numpy scalar; lines end in \\r\\n. A
+    column with few distinct values formats each of them once."""
     n = len(columns[0])
-    cols = [col for c in columns for col in np.atleast_2d(np.asarray(c).T)]
-    line = ",".join(["%r"] * len(cols)) + "\r\n"
+    fmts, readers = zip(*[_column_reader(col) for c in columns
+                          for col in np.atleast_2d(np.asarray(c).T)])
+    line = ",".join(fmts) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for a in range(0, n, _BLOCK_ROWS):
-            rows = zip(*[c[a:a + _BLOCK_ROWS].tolist() for c in cols])
+            rows = zip(*[read(a, a + _BLOCK_ROWS) for read in readers])
             fh.write("".join([line % row for row in rows]))
     return n
 

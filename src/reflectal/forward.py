@@ -19,7 +19,7 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .errors import (MissingNoise, NumericalBlowup, StartOutsideDomain,
                      UnknownStateLayout)
-from .geometry import project
+from .geometry import _norm, project
 
 __all__ = ["TimeGrid", "ReflectedTrajectory", "FreePath",
            "SkorokhodDecomposition", "integrate_reflected_sde",
@@ -265,24 +265,6 @@ def _stream_noise(rng_stream, epsilon, grid, m):
     if rng_stream is None:
         raise ValueError("epsilon > 0 requires an rng_stream")
     return rng_stream.standard_normal((1, grid.n_steps, m)) * np.sqrt(grid.dt)
-
-
-def _norm(v):
-    """np.linalg.norm(v, axis=-1), faster for small d: bitwise for d < 8
-    wherever no square overflows or underflows, and inf only where the
-    norm itself overflows."""
-    d = v.shape[-1]
-    if d == 1:
-        return np.abs(v[..., 0])
-    with np.errstate(over="ignore"):
-        out = np.sqrt(sum(v[..., j] ** 2 for j in range(d)))
-    big = np.isinf(out)
-    if big.any():   # rescale by the largest component where squares overflow
-        big &= np.isfinite(v).all(axis=-1)
-        w = v[big]
-        m = np.abs(w).max(axis=-1)
-        out[big] = m * np.sqrt(sum((w[..., j] / m) ** 2 for j in range(d)))
-    return out
 
 
 def _check_start(s, grid):

@@ -17,9 +17,9 @@ from .action import OptimizerOptions, minimize_action_endpoint
 from .backward import (_PI_TOL, _multilinear, make_lattice, solve_bsde_grid,
                        solve_limit_bsde)
 from .errors import DegenerateFit, InsufficientPaths, OutOfLattice
-from .forward import (TimeGrid, _brownian_rows, _norm, _reflected_core,
+from .forward import (TimeGrid, _brownian_rows, _reflected_core,
                       integrate_skeleton_ode)
-from .geometry import project
+from .geometry import _norm, project
 
 __all__ = ["ConvergenceReport", "TailReport", "convergence_study",
            "tail_study", "fit_loglog", "TARGETS"]
@@ -88,7 +88,8 @@ def _mapped(shape):
     return np.frombuffer(buf, float, count=size).reshape(shape)
 
 
-def _sweep(coeffs, domain, x, grid, seed, skel, levels, sups, y4=None):
+def _sweep(coeffs, domain, x, grid, seed, skel, levels, sups, y4=None,
+           y4_every=1):
     """Simulate the levels, each (eps, key prefix, n_paths), and reduce every
     path while it is stepped; path j of a level draws from the stream
     (seed, prefix + (j,)). The paths of all levels form one row sequence,
@@ -97,10 +98,11 @@ def _sweep(coeffs, domain, x, grid, seed, skel, levels, sups, y4=None):
 
     Returns per level a dict of arrays: "kT" holds K_T per path, which is
     also sup K, as K never falls, and each key of sups (see _DEVIATIONS) the
-    sup over the nodes of that deviation per path. "Y4" holds per node the
-    sums of y4(node, states, level positions of the rows), one value per
-    row, and of its square, (2, n+1): each call adds its rows' sums per
-    level, in call order.
+    sup over the nodes of that deviation per path. "Y4" holds per field
+    node j, the path node j * y4_every, the sums of y4(j, states, level
+    positions of the rows), one value per row, and of its square,
+    (2, n/y4_every + 1): each call adds its rows' sums per level, in call
+    order.
 
     Each call's noise block is step-major, (n, rows, m) in memory and
     handed to the kernel as its (rows, n, m) view, so the kernel reads
@@ -112,7 +114,7 @@ def _sweep(coeffs, domain, x, grid, seed, skel, levels, sups, y4=None):
     step = max(1, _PASS_STEPS // n)
     # per row of the whole sequence; each call reduces into its own slice
     flat = {key: np.zeros(starts[-1]) for key in ("kT", *sups)}
-    y4_sums = np.zeros((len(levels), 2, n + 1))
+    y4_sums = np.zeros((len(levels), 2, n // y4_every + 1))
 
     def run(first):   # one call; its noise block is freed on return
         rows = min(step, starts[-1] - first)
@@ -135,10 +137,10 @@ def _sweep(coeffs, domain, x, grid, seed, skel, levels, sups, y4=None):
             for key in sups:
                 np.maximum(out[key], _DEVIATIONS[key](skel, i, X, K),
                            out=out[key])
-            if y4:
-                dev = y4(i, X, level)
-                y4_sums[lis, :, i] += np.add.reduceat([dev, dev * dev],
-                                                      firsts, axis=1).T
+            if y4 and i % y4_every == 0:
+                dev = y4(i // y4_every, X, level)
+                y4_sums[lis, :, i // y4_every] += np.add.reduceat(
+                    [dev, dev * dev], firsts, axis=1).T
         x0 = np.broadcast_to(np.atleast_1d(np.asarray(x, float)), (rows, d))
         out["kT"][:] = _reflected_core(coeffs, domain, x0, eps, grid, noise,
                                        reducers=(reduce,))[1]
@@ -183,6 +185,11 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
 
     target is a name, which returns one report, or a tuple of names, which
     returns one report per name, in order, from one simulation per level.
+
+    Y4 is sup_t E|u^eps(t, X_t) - psi_t|^4 with the sup over the time nodes
+    of the fields u^eps, min(n_steps, field_steps) steps on the path's
+    horizon, which must divide the path's n_steps: at those nodes u^eps is
+    one lattice slice, read in space only.
     """
     names = (target,) if isinstance(target, str) else tuple(target)
     if not names or len(set(names)) < len(names) or set(names) - set(TARGETS):
@@ -193,39 +200,39 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
         raise ValueError("n_paths must be >= 1000")
 
     skel = integrate_skeleton_ode(coeffs, domain, s, x, grid)
-    y4 = None
+    y4, every = None, 1
     if "Y4" in names:
         psi = solve_limit_bsde(coeffs, skel).y_path      # (n+1, k)
         nt = min(grid.n_steps, field_steps)     # time steps of the fields
+        if grid.n_steps % nt:
+            raise ValueError(f"Y4 needs the field's {nt} time steps to "
+                             f"divide the path's {grid.n_steps}")
+        every = grid.n_steps // nt    # path steps per field step
         field_grid = TimeGrid(s=grid.s, T=grid.T, n_steps=nt)
         lattice = make_lattice(domain, field_nodes)
         shape = tuple(ax.size for ax in lattice)
         cells = math.prod(shape)
-        # every level's field, stacked: (levels, nt+1, *shape, k)
-        fields = np.empty((eps.size, nt + 1) + shape + psi.shape[1:])
+        # every level's field, by time node: (nt+1, levels, *shape, k)
+        fields = np.empty((nt + 1, eps.size) + shape + psi.shape[1:])
         for ei, e in enumerate(eps):
-            fields[ei] = solve_bsde_grid(coeffs, domain, e, field_grid,
-                                         lattice, mc_per_node,
-                                         rng_seed + 7919 * (ei + 1)).values
+            fields[:, ei] = solve_bsde_grid(coeffs, domain, e, field_grid,
+                                            lattice, mc_per_node,
+                                            rng_seed + 7919 * (ei + 1)).values
         lo, hi = np.array([ax[[0, -1]] for ax in lattice]).T
 
-        def y4(i, X, level):  # |u^eps(t_i, X) - psi_i|^4, eps by row level
+        def y4(j, X, level):  # |u^eps(t, X) - psi_t|^4 at field node j
             if not (np.all(X >= lo - _PI_TOL) and np.all(X <= hi + _PI_TOL)):
                 raise OutOfLattice("path leaves the lattice hull")
-            # blend every level's two time slices around t_i with apply_pi's
-            # weight, and read each row in its level's blend
-            pos = (grid.nodes[i] - grid.s) * (nt / (grid.T - grid.s))
-            c = min(int(pos), nt - 1)
-            v = fields[:, c] + (pos - c) * (fields[:, c + 1] - fields[:, c])
-            u = _multilinear(lattice, v,
+            # read each row in its level's field slice j
+            u = _multilinear(lattice, fields[j],
                              np.moveaxis(np.minimum(np.maximum(X, lo), hi),
                                          -1, 0), level * cells)
-            return _norm(u - psi[i]) ** 4
+            return _norm(u - psi[j * every]) ** 4
 
     sups = {_STATS[name][0] for name in names if name != "Y4"} - {"kT"}
     results = _sweep(coeffs, domain, x, grid, rng_seed, skel,
                      [(e, (ei,), n_paths) for ei, e in enumerate(eps)],
-                     sorted(sups), y4)
+                     sorted(sups), y4, every)
 
     levels = {name: [] for name in names}     # (mean, se) per level
     for e, level in zip(eps, results):

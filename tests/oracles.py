@@ -1,5 +1,5 @@
-"""Exact laws of Brownian motion, kept as test oracles; nothing in the
-package uses them.
+"""Exact laws of Brownian motion and of reflected Brownian motion, kept as
+test oracles; nothing in the package uses them.
 
 S = sup_{t<=T} |W_t| for a standard Brownian motion W started at 0. Its
 law is Feller's series, from the eigenfunction expansion of the heat
@@ -11,6 +11,19 @@ By scaling, S at T = 1 has the law of tau^(-1/2), where tau is the exit
 time of (-1, 1), and E exp(-s tau) = 1 / cosh(sqrt(2s)). So E S = sqrt(pi/2),
 E S^-2 = E tau = 1, and E S^4 = E tau^-2 = 6 beta(4), with Dirichlet's
 beta(4) = sum_k (-1)^k / (2k+1)^4; E S^4 is about 5.934.
+
+X = 1/2 + sqrt(eps) W reflected on [0, 1] has at time T the density
+p_T(1/2, y) of the Neumann heat kernel of (eps/2) d^2/dy^2,
+
+    p_T(x, y) = 1 + 2 sum_{k>=1} cos(k pi x) cos(k pi y) exp(-eps k^2 pi^2 T / 2).
+
+From x = 1/2 only even k = 2j count, and with a = 2 j pi,
+int_0^1 (y - 1/2)^4 cos(a y) dy = (1/a^2 - 24/a^4), so
+
+    E (X_T - 1/2)^4 = 1/80 + 2 sum_{j>=1} (-1)^j exp(-eps a^2 T / 2) (1/a^2 - 24/a^4).
+
+For linear-bsde, whose field at T is h(x) = x, this is E|Y_T - psi_T|^4
+from the start 1/2, where the skeleton rests.
 """
 
 import numpy as np
@@ -50,3 +63,16 @@ def sup_abs_moment(p):
     value, _ = quad(lambda a: abs(p) * a ** (p - 1) * prob(a), 0.0, _TOP,
                     epsabs=0.0, epsrel=1e-13, limit=200)
     return value + beyond
+
+
+def reflected_quartic(eps, T=1.0):
+    """E (X_T - 1/2)^4 for X = 1/2 + sqrt(eps) W reflected on [0, 1], by the
+    Neumann kernel's cosine series (module docstring), summed while
+    exp(-eps a^2 T / 2) >= 1e-40; by then the terms left are below 1e-42."""
+    if not (eps > 0 and T > 0):
+        raise ValueError("eps and T must be > 0")
+    # exp(-eps a^2 T / 2) < 1e-40 once a > sqrt(2 * 92.2 / (eps T))
+    a = 2.0 * np.pi * np.arange(1, int(np.sqrt(185.0 / (eps * T)) / 6.0) + 2)
+    sign = np.where(np.arange(a.size) % 2, 1.0, -1.0)
+    terms = sign * np.exp(-eps * a * a * T / 2.0) * (1.0 / a**2 - 24.0 / a**4)
+    return 1.0 / 80.0 + 2.0 * float(terms.sum())

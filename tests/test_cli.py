@@ -412,6 +412,19 @@ class TestSchema:
             validate(base_config(**over))
         assert exc.value.field == field
 
+    def test_y4_field_steps_must_divide_the_path_steps(self):
+        y4 = {"command": "convergence", "target": "Y4", "grid": 32}
+        for steps in (3, 5, 31):
+            with pytest.raises(ConfigInvalid) as exc:
+                validate(base_config(**y4, field_steps=steps))
+            assert exc.value.field == "/field_steps"
+        # a divisor, more field steps than path steps, another target or
+        # another command
+        for over in ({"field_steps": 8}, {"field_steps": 48},
+                     {"field_steps": 3, "target": "X4"},
+                     {"field_steps": 3, "command": "bsde-grid", "eps": 0.1}):
+            validate(base_config(**{**y4, **over}))
+
     def test_smallest_accepted_values(self):
         cfg = validate(base_config(field_steps=1, space_nodes=2,
                                    mc_per_node=64, delta=1e-9, eps_ladder=None,
@@ -558,6 +571,54 @@ class TestWriteCsv:
                               ((0, 1, 2), (0.0, 1.0, 2.5), [True] * 3)) == 3
         assert path.read_bytes() == (b"n,x,ok\r\n0,0.0,True\r\n"
                                      b"1,1.0,True\r\n2,2.5,True\r\n")
+
+    @pytest.mark.parametrize("rows", [0, 1, cli._BLOCK_ROWS + 1,
+                                      3 * cli._BLOCK_ROWS + 7])
+    def test_few_distinct_values_match_csv_writer(self, rows, tmp_path):
+        # columns whose reprs are tabled: signed zeros, NaN and infinities,
+        # ints and bools that must keep their own text, a column at the
+        # distinct-value threshold and one just past it
+        rng = np.random.default_rng(rows + 1)
+        pick = rng.integers(0, 1 << 30, rows)
+        zeros = np.array([0.0, -0.0, 0.5])[pick % 3]
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-300])[pick % 5]
+        ints = np.array([0, 1, -1, 2**62])[pick % 4]
+        flags = pick % 2 == 0
+        at = np.linspace(0.0, 1.0, cli._TABLE_VALUES)[pick % cli._TABLE_VALUES]
+        past = np.arange(cli._TABLE_VALUES + 1.0)[
+            pick % (cli._TABLE_VALUES + 1)]
+        if rows > cli._TABLE_VALUES:   # every value of both, in order
+            at[:cli._TABLE_VALUES] = np.linspace(0.0, 1.0, cli._TABLE_VALUES)
+            past[:cli._TABLE_VALUES + 1] = np.arange(cli._TABLE_VALUES + 1.0)
+        header = ["zero", "special", "i", "flag", "at", "past"]
+        columns = (zeros, special, ints, flags, at, past)
+        path = tmp_path / "table.csv"
+        assert cli._write_csv(path, header, columns) == rows
+        text = path.read_bytes().decode()
+        assert text == csv_reference(header, zip(*(c.tolist()
+                                                   for c in columns)))
+        assert text.count("\r\n") == rows + 1
+        if rows > cli._TABLE_VALUES:
+            assert cli._column_reader(at)[0] == "%s"
+            assert cli._column_reader(past)[0] == "%r"
+        if rows > 1:
+            assert "-0.0" in text and "True" in text and "False" in text
+
+    def test_column_reader_threshold(self):
+        at = np.arange(float(cli._TABLE_VALUES)).repeat(2)
+        fmt, read = cli._column_reader(at)
+        assert fmt == "%s"
+        assert read(3, 2 * cli._TABLE_VALUES) == [repr(v) for v in
+                                                  at[3:].tolist()]
+        assert cli._column_reader(np.append(at, -1.0))[0] == "%r"
+        # bit patterns, not values: 0.0 and -0.0, and two NaNs, stay apart
+        nans = np.array([0.0, -0.0]).view(np.int64) | 0x7FF8000000000000
+        fmt, read = cli._column_reader(
+            np.array([0.0, -0.0, 0.0, *nans.view(float)]))
+        assert read(0, 5) == ["0.0", "-0.0", "0.0", "nan", "nan"]
+        assert cli._column_reader(np.array([True, False]))[1](0, 2) == [
+            "True", "False"]
+        assert cli._column_reader(np.array(["a", "b"]))[0] == "%r"
 
     @pytest.mark.parametrize("n_paths, n_steps", [
         (1, cli._BLOCK_ROWS - 2), (1, cli._BLOCK_ROWS - 1),

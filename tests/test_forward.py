@@ -525,6 +525,21 @@ class TestNonFinite:
         assert X.tolist() == [[0.0]]
         assert dk.tolist() == [np.finfo(float).max]
 
+    def test_huge_disc_kick_lands_on_the_circle(self):
+        """sigma = 1e200 I on the disc: the proposal's squared norm
+        overflows, and the step still lands it on the circle, with a finite
+        dk and no warning (the projection used to send it to the centre)."""
+        co = replace(preset("ou-in-ball", {"theta": 0.0}),
+                     sigma=lambda t, x: 1e200 * np.broadcast_to(
+                         np.eye(2), np.shape(x) + (2,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X, dk, _ = _step(co, unit_disc(),
+                             np.array([[0.5, 0.0], [0.0, 0.5]]), 0.0, 0.25,
+                             np.array([[1.0, 0.0], [-3.0, 4.0]]), 1.0)
+        np.testing.assert_allclose(X, [[1.0, 0.0], [-0.6, 0.8]], rtol=1e-15)
+        np.testing.assert_allclose(dk, [1e200, 5e200], rtol=1e-15)
+
 
 class TestNorm:
     """_norm against np.linalg.norm, and past the overflow of the squares."""

@@ -1,6 +1,7 @@
 """Domain geometry: defining function, projection, convexity audit."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,80 @@ class TestProject:
                 outward = bd - t * n
                 np.testing.assert_allclose(project(dom, outward), bd,
                                            atol=1e-9)
+
+
+
+def bits(a):
+    """The float64 bit patterns of a, which tell 0.0 from -0.0 and keep NaN."""
+    return np.asarray(a, float).view(np.int64)
+
+
+class TestProjectionFormulas:
+    """The projections against the formulas they replace, bit for bit."""
+
+    @staticmethod
+    def rescaled_ball(center, radius, p):
+        """The ball projection as it was: every point scaled by r / rho
+        where rho > r and by 1 elsewhere, with rho from np.linalg.norm."""
+        rel = np.asarray(p, float) - center
+        rho = np.linalg.norm(rel, axis=-1)
+        scale = np.where(rho > radius,
+                         radius / np.where(rho > 0, rho, 1.0), 1.0)
+        return center + rel * scale[..., None]
+
+    @pytest.mark.parametrize("center, radius", [
+        ([0.0, 0.0], 1.0), ([0.3, -1.7], 0.25), ([1.0, 2.0, -0.5], 3.0)])
+    def test_ball_equals_rescaling_formula(self, center, radius):
+        c = np.array(center)
+        d = c.size
+        dom = make_domain("ball", center=center, radius=radius)
+        rng = np.random.default_rng(d)
+        dirs = rng.standard_normal((300, d))
+        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        # inside, on the sphere, just past it and far outside, the centre
+        # and NaN
+        radii = np.concatenate([rng.uniform(0, radius, 100), [radius] * 100,
+                                radius * rng.uniform(1, 1e3, 100)])
+        nan = c.copy()
+        nan[0] = np.nan
+        p = np.vstack([c + dirs * radii[:, None], c, nan,
+                       c + np.nextafter(radius, np.inf) * np.eye(d)])
+        # (n, d), (..., d) stacks, a strided view and a Fortran-ordered copy
+        for stack in (p, p[:300].reshape(10, 30, d), p[::2],
+                      np.asfortranarray(p)):
+            np.testing.assert_array_equal(
+                bits(project(dom, stack)),
+                bits(self.rescaled_ball(c, radius, stack)))
+        for point in (p[0], p[150], p[250], c, nan, p[-1]):  # single points
+            q = project(dom, point)
+            assert q.shape == (d,)
+            np.testing.assert_array_equal(
+                bits(q), bits(self.rescaled_ball(c, radius, point)))
+        assert np.isnan(project(dom, nan)[0])
+
+    def test_huge_point_lands_on_the_sphere(self):
+        # rho overflowed in np.linalg.norm, so r / rho was 0 and the point
+        # went to the centre, with an overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = project(unit_ball(), np.array([1e200, 0.0]))
+            qs = project(unit_ball(), np.array([[-3e200, 4e200], [0.5, 0.5]]))
+        assert q.tolist() == [1.0, 0.0]
+        np.testing.assert_allclose(qs, [[-0.6, 0.8], [0.5, 0.5]], rtol=1e-15)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0),
+                                      (-1.0, -0.0), (-2.5, 3.0)])
+    def test_interval_equals_clip(self, a, b):
+        dom = make_domain("interval", a=a, b=b)
+        special = [0.0, -0.0, a, b, np.nextafter(a, -np.inf),
+                   np.nextafter(b, np.inf), np.nan, -np.nan, np.inf, -np.inf,
+                   0.5 * (a + b), 1e300, -1e300]
+        p = np.array(special)[:, None]
+        np.testing.assert_array_equal(bits(project(dom, p)),
+                                      bits(np.clip(p, a, b)))
+        for v in special:
+            np.testing.assert_array_equal(bits(project(dom, [v])),
+                                          bits(np.clip([v], a, b)))
 
 
 class TestVerifyConvexity:

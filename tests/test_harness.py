@@ -18,6 +18,8 @@ from reflectal.geometry import make_domain
 from reflectal.harness import (ConvergenceReport, convergence_study,
                                fit_loglog, tail_study)
 
+from oracles import reflected_quartic, sup_abs_tail
+
 LADDER = (0.1, 0.05, 0.025, 0.0125)
 
 
@@ -191,7 +193,8 @@ class TestOnePassPerLevel:
     def test_y4_sums_match_per_path_oracle_at_every_node(self, monkeypatch):
         # The report keeps one node, the sup over t of the mean, and here it
         # falls at T, where every level's field is h: only the sums at the
-        # other nodes can see a row read in the wrong level's field
+        # other nodes can see a row read in the wrong level's field. Y4 is
+        # summed at the field's 33 time nodes, every 8th path node
         monkeypatch.setattr(harness, "_PASS_STEPS", 256 * self.GRID.n_steps)
         sweep, sweeps = harness._sweep, []
 
@@ -202,6 +205,7 @@ class TestOnePassPerLevel:
         self._study("Y4")
         (levels,) = sweeps
         for level, samples in zip(levels, self._y4_samples(), strict=True):
+            samples = samples[:, ::8]
             np.testing.assert_allclose(
                 level["Y4"], [samples.sum(axis=0), (samples ** 2).sum(axis=0)],
                 rtol=1e-12, atol=0)
@@ -228,12 +232,13 @@ class TestOnePassPerLevel:
                                     lattice, 64, self.SEED + 7919 * (ei + 1))
             xp, _ = simulate_reflected_batch(co, dom, 0.0, x, e, grid,
                                              self.SEED, 1000, key_prefix=(ei,))
-            y = apply_pi(field, xp, path_times=grid.nodes)
-            samples = np.linalg.norm(y - psi[None], axis=-1) ** 4
+            # Y4 reads the field's 17 time nodes, every 4th path node
+            y = apply_pi(field, xp[:, ::4], path_times=grid.nodes[::4])
+            samples = np.linalg.norm(y - psi[None, ::4], axis=-1) ** 4
             means_t = samples.mean(axis=0)
             worst = int(np.argmax(means_t))
             se = samples[:, worst].std(ddof=1) / np.sqrt(1000)
-            assert worst < grid.n_steps
+            assert worst < 16
             assert rep.errors[ei] == pytest.approx(means_t[worst], rel=1e-12)
             assert rep.ci_halfwidth[ei] == pytest.approx(se, rel=1e-12)
 
@@ -263,6 +268,82 @@ class TestOnePassPerLevel:
         rep = self._study("Y4", grid=half,
                           params={"lam": 1.0, "g0": 1.0, "T": 0.5})
         assert all(e > 0 for e in rep.errors)
+
+    def test_y4_field_steps_must_divide_path_steps(self):
+        co = preset("linear-bsde", {"lam": 1.0, "g0": 1.0})
+        for nt in (3, 24, 255):
+            with pytest.raises(ValueError, match=f"field's {nt} time steps"):
+                convergence_study("Y4", co, unit_interval(), 0.0, [0.5],
+                                  LADDER, 1000, self.GRID, self.SEED,
+                                  field_steps=nt, field_nodes=5,
+                                  mc_per_node=64)
+        # more field steps than path steps: the field takes the path's 16
+        # steps, and the other targets ignore field_steps
+        rep = convergence_study(("X4", "Y4"), co, unit_interval(), 0.0,
+                                [0.5], LADDER, 1000, TimeGrid(0.0, 1.0, 16),
+                                self.SEED, field_steps=24, field_nodes=5,
+                                mc_per_node=64)
+        assert [r.target for r in rep] == ["X4", "Y4"]
+        convergence_study("X4", co, unit_interval(), 0.0, [0.5], LADDER,
+                          1000, self.GRID, self.SEED, field_steps=3)
+
+
+class TestExactY4Ladder:
+    """Criterion 03's setup (linear-bsde, lambda = g0 = 1, from 1/2 on
+    [0, 1], its ladder) against the exact E|Y_T - psi_T|^4 of
+    oracles.reflected_quartic, at a Tier-1 size: 2,000 paths of 1,024
+    steps, and a field of 4 time steps. Written down before any run:
+
+    - What the report is. u^eps(T, .) = h(x) = x and psi_T = 1/2, so at
+      t = T the study's sample is (X_T - 1/2)^4, read exactly from the
+      linear lattice slice. With 4 field steps the other nodes are
+      t <= 3/4, where E|Y_t - psi_t|^4 is about (3/4)^2 of its value at T
+      (3 eps^2 t^2 for small eps) and lies tens of standard errors lower.
+      So the sup over the field's nodes is taken at T; the test checks it
+      against the sums at the last node, and no allowance for the sup's
+      selection is needed.
+    - The scheme's bias. The paths are projection Euler, not reflected
+      Brownian motion. They agree on a path that never reaches a wall. A
+      path reaches one with probability p_hit = P(sup |W| >=
+      1/(2 sqrt eps)) (Feller, oracles.sup_abs_tail), and there the mean
+      gap between the continuous and the grid-monitored regulator is
+      beta sqrt(eps dt), beta = -zeta(1/2) / sqrt(2 pi) = 0.5826
+      (Asmussen, Glynn & Pitman 1995), once per wall: at most twice that.
+      |f'| <= 1/2 on [0, 1] for f(y) = (y - 1/2)^4. So the bias is at most
+      b = 1/2 p_hit 2 beta sqrt(eps / 1024): 1.3e-3, 2.1e-4, 9.0e-6 and
+      3.2e-8 down the ladder.
+    - The noise. The four levels draw independent streams; each sample
+      mean of 2,000 values is taken as normal with the report's standard
+      error se. k = 4 gives P(|Z| > 4) = 6.3e-5 a level, below 2.6e-4 a run.
+
+    Every level must lie within k se + b of the exact value."""
+
+    N_PATHS = 2000
+    GRID = TimeGrid(0.0, 1.0, 1024)
+    SEED = 2024
+    K = 4.0
+    BETA = 0.5826
+
+    def test_every_level_within_k_se_of_exact(self, monkeypatch):
+        sweep, sweeps = harness._sweep, []
+
+        def spy(*args, **kwargs):
+            sweeps.append(sweep(*args, **kwargs))
+            return sweeps[-1]
+        monkeypatch.setattr(harness, "_sweep", spy)
+        co = preset("linear-bsde", {"lam": 1.0, "g0": 1.0})
+        rep = convergence_study("Y4", co, unit_interval(), 0.0, [0.5], LADDER,
+                                self.N_PATHS, self.GRID, self.SEED,
+                                field_steps=4, field_nodes=9, mc_per_node=64)
+        (levels,) = sweeps
+        for e, est, se, level in zip(LADDER, rep.errors, rep.ci_halfwidth,
+                                     levels, strict=True):
+            assert level["Y4"].shape == (2, 5)
+            assert est == level["Y4"][0, -1] / self.N_PATHS   # the sup is at T
+            p_hit = float(sup_abs_tail(0.5 / np.sqrt(e)))
+            bias = p_hit * self.BETA * np.sqrt(e * self.GRID.dt)
+            exact = reflected_quartic(e)
+            assert abs(est - exact) <= self.K * se + bias, (e, est, exact, se)
 
 
 class TestTailStudy:
@@ -447,8 +528,10 @@ class TestStreamedStudies:
                     co, dom, 0.0, [0.5], e, self.GRID, self.SEED,
                     min(300, self.N_PATHS - off), index_offset=off,
                     key_prefix=(ei,))
-                dev = np.linalg.norm(apply_pi(field, xp, self.GRID.nodes)
-                                     - psi[None], axis=-1) ** 4
+                # Y4 reads the field's 17 time nodes, every 4th path node
+                dev = np.linalg.norm(apply_pi(field, xp[:, ::4],
+                                              self.GRID.nodes[::4])
+                                     - psi[None, ::4], axis=-1) ** 4
                 total = total + dev.sum(axis=0)
                 squares = squares + (dev * dev).sum(axis=0)
                 k4.append(np.abs(kp - skel.k_path[None]).max(axis=1) ** 4)

@@ -7,9 +7,10 @@ disc, then three more convergence targets on the interval and Y4 on the
 disc, then a lattice solve whose drift drives its samples into the
 boundary, a `simulate-forward` on the disc whose 9,900 rows span several of
 the CLI's CSV write blocks, a lattice solve on the disc with a seed past 64
-bits, an `action-min` on the disc at 64 steps, and last the `contracted-rate`
-case on the interval where the optimizer stalls, in process, with the
-package imported from this checkout's `src/`.
+bits, an `action-min` on the disc at 64 steps, the `contracted-rate` case on
+the interval where the optimizer stalls, and last a Y4 convergence whose
+field steps do not divide its path steps, in process, with the package
+imported from this checkout's `src/`.
 Each run writes into a fixed relative `output_dir` under a temporary working
 directory, because `config_hash` covers that field. Prints one line per
 run with its `config_hash` (or the error it raised) and one line per CSV
@@ -80,6 +81,11 @@ LAST = [
     ("contracted-rate-stall@interval", "interval",
      {"command": "contracted-rate", "preset": DRIFT, "space_nodes": 17,
       "field_steps": 16}),
+    # Y4 reads the field at its time nodes, so 3 field steps cannot serve
+    # 32 path steps: the config fails at /field_steps
+    ("convergence-Y4-misaligned@interval", "interval",
+     {"command": "convergence", "preset": BSDE, "target": "Y4",
+      "field_steps": 3}),
 ]
 
 BASE = {"interval": {"domain": INTERVAL, "x": 0.5},
