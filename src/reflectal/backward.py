@@ -16,8 +16,7 @@ from itertools import product
 import numpy as np
 
 from .errors import FixedPointDivergence, NumericalBlowup, OutOfLattice
-from .forward import (TimeGrid, _normal_rows, _reflected_core, _step,
-                      _stream_states)
+from .forward import TimeGrid, _reflected_core, _step, trajectory_rng
 from .geometry import project
 
 __all__ = ["BsdePath", "ValueField", "make_lattice", "solve_limit_bsde",
@@ -143,8 +142,9 @@ def solve_bsde_grid(coeffs, domain, epsilon, times, space_grid, mc_per_node,
     """Lattice dynamic programming for the generalized BSDE, epsilon > 0.
 
     space_grid is a tuple of per-axis node arrays (see make_lattice).
-    Per-(step, node) noise streams are derived from rng_seed, so the result
-    is deterministic regardless of evaluation order.
+    Step i draws its (nodes, mc_per_node, m) samples from the stream
+    trajectory_rng(rng_seed, (i,)), so the result depends on rng_seed
+    alone.
     """
     if not epsilon > 0:
         raise ValueError("solve_bsde_grid requires epsilon > 0")
@@ -163,15 +163,15 @@ def solve_bsde_grid(coeffs, domain, epsilon, times, space_grid, mc_per_node,
 
     values = np.empty((n + 1, N, k))
     values[n] = coeffs.h(sim_start)
-    # node j at step i draws from trajectory_rng(rng_seed, (i, j)): every
-    # stream's state is computed here, in one pass
-    states = _stream_states(rng_seed, (), np.stack(
-        np.divmod(np.arange(n * N), N), axis=-1)).reshape(n, N, 4)
+    sq = np.sqrt(dt)
 
     for i in range(n - 1, -1, -1):
         t = t_nodes[i]
-        # one-step reflected transitions from every node
-        dW = _normal_rows(states[i], (N, mc_per_node, m), dt)
+        # one-step reflected transitions from every node, all drawn from
+        # the stream of step i
+        dW = trajectory_rng(rng_seed, (i,)).standard_normal(
+            (N, mc_per_node, m))
+        dW *= sq
         X, dk, _ = _step(coeffs, domain, starts, t, t_nodes[i + 1] - t,
                          dW.reshape(-1, m), np.sqrt(epsilon))
 

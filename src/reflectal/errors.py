@@ -29,11 +29,6 @@ class MissingNoise(ReflectalError):
     """Operation needs the Brownian increment record but it is absent."""
 
 
-class UnknownStateLayout(ReflectalError):
-    """numpy's PCG64 state struct holds its words in no order the in-place
-    state write knows."""
-
-
 class StartOutsideDomain(ReflectalError):
     """A path handed to the constraining map does not start inside the domain."""
 

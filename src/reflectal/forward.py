@@ -9,16 +9,15 @@ boundary. With epsilon = 0 the same code path is the skeleton ODE, so the
 noise-free reduction is bitwise.
 """
 
-import ctypes
 import math
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .errors import (MissingNoise, NumericalBlowup, StartOutsideDomain,
-                     UnknownStateLayout)
+from .errors import MissingNoise, NumericalBlowup, StartOutsideDomain
 from .geometry import _norm, project
 
 __all__ = ["TimeGrid", "ReflectedTrajectory", "FreePath",
@@ -31,16 +30,11 @@ __all__ = ["TimeGrid", "ReflectedTrajectory", "FreePath",
 # and are not booked into K
 _K_NOISE_FLOOR = 1e-14
 
-# SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's
-# multiplier, which _stream_states reproduces
-_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
-_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
-_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32 = (1 << 32) - 1
-
-# rows that _normal_rows draws into its buffer before scaling them into out
-_GROUP_ROWS = 16
+# paths per noise block: block b of a key prefix draws the noise of its
+# paths b*G .. b*G + G - 1 from one stream, step-major
+_BLOCK_PATHS = 128
+# steps of block noise drawn at a time into one reused buffer
+_CHUNK_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -97,165 +91,47 @@ def trajectory_rng(seed, index=0):
     (ladder position, trajectory index)).
 
     The stream is PCG64 seeded by SeedSequence(seed, spawn_key=index), which
-    hashes the seed and the index into the generator's state."""
+    hashes the seed and the index into the generator's state. Batches and
+    studies draw one such stream per block of paths (see _block_noise), and
+    a lattice solve one per time step."""
     key = index if isinstance(index, tuple) else (index,)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _uint32_words(value):
-    """The uint32 words that SeedSequence makes of a nonnegative int, or of
-    a sequence of them, least significant first."""
-    if not isinstance(value, (int, np.integer)):
-        return [w for v in value for w in _uint32_words(v)]
-    value = int(value)
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
+def _blocks(prefix, n_paths, first=0):
+    """(key, rows) of the noise blocks of paths first .. first + n_paths - 1
+    of the key prefix, first a whole number of blocks: block b holds paths
+    b*G .. b*G + G - 1, G = _BLOCK_PATHS, and the last one is cut to
+    n_paths."""
+    b = first // _BLOCK_PATHS
+    return [(tuple(prefix) + (b + a // _BLOCK_PATHS,),
+             min(_BLOCK_PATHS, n_paths - a))
+            for a in range(0, n_paths, _BLOCK_PATHS)]
 
 
-def _mul128(hi, lo, const):
-    """(hi, lo) * const mod 2^128 on arrays of uint64 words, most significant
-    first, const a nonnegative int. lo * const's low word carries into the
-    high word through the 32-bit halves of both factors."""
-    c_hi, c_lo = (np.uint64(w) for w in divmod(const, 1 << 64))
-    a1, a0, b1, b0 = lo >> 32, lo & _MASK32, c_lo >> 32, c_lo & _MASK32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    return carry + lo * c_hi + hi * c_lo, lo * c_lo
-
-
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo), lo
-
-
-def _hashmix(value, const, mult, calls):
-    """SeedSequence's hashmix of value in calls consecutive calls from the
-    hash constant const: row c of the (calls, ...) result is call c's hash
-    of value, or of value[c] when value has that many rows. Returns it and
-    the constant after the last call."""
-    h = [const * pow(mult, c, 1 << 32) & _MASK32 for c in range(calls + 1)]
-    xor, mul = (np.array(h[a:a + calls], np.uint32)[:, None] for a in (0, 1))
-    v = (value ^ xor) * mul
-    return v ^ v >> 16, h[-1]
-
-
-def _stream_states(seed, prefix, keys):
-    """PCG64 states of the streams trajectory_rng(seed, prefix + tuple(row))
-    for the rows of keys, a nonnegative integer array (rows, words), computed
-    together: a uint64 array (rows, 4) of the state and the increment of
-    PCG64().state["state"], each as its high and low word.
-
-    SeedSequence hashes one entropy word at a time into a pool of four: the
-    seed's words, padded to four, then the spawn key's. So the pool before
-    the key rows' words is that of SeedSequence(those words), and only the
-    words of keys, one per key int, are hashed per row here; a key past 32
-    bits would take two words and is left to SeedSequence. The pool then
-    yields PCG64's 128-bit seed and increment, and PCG64 seeds as
-    pcg_setseq_128_srandom_r.
-    """
-    # validates seed and prefix, and resolves a seed of None
-    ss = np.random.SeedSequence(seed, spawn_key=prefix)
-    keys = np.asarray(keys)
-    if keys.size and keys.min() < 0:
-        raise ValueError("stream keys must be nonnegative")
-    if keys.size and keys.max() > _MASK32:
-        states = [np.random.PCG64(np.random.SeedSequence(
-            ss.entropy, spawn_key=prefix + tuple(row))).state["state"]
-            for row in keys.tolist()]
-        return np.array([divmod(st[name], 1 << 64) for st in states
-                         for name in ("state", "inc")],
-                        np.uint64).reshape(len(keys), 4)
-    words = _uint32_words(ss.entropy)
-    words += [0] * (4 - len(words)) + _uint32_words(prefix)
-    # SeedSequence's pool hash constant after words: four calls per word
-    hash_a = _SS_INIT_A * pow(_SS_MULT_A, 4 * len(words), 1 << 32) & _MASK32
-    pool = np.random.SeedSequence(words).pool[:, None]
-    for key in keys.astype(np.uint32).T:    # one word into each pool entry
-        v, hash_a = _hashmix(key, hash_a, _SS_MULT_A, 4)
-        pool = pool * np.uint32(_SS_MIX_L) - v * np.uint32(_SS_MIX_R)
-        pool ^= pool >> 16
-    # generate_state(4, np.uint64): eight words from the pool, in pairs
-    out, _ = _hashmix(np.tile(pool, (2, 1)), _SS_INIT_B, _SS_MULT_B, 8)
-    out = out.astype(np.uint64)
-    seed_hi, seed_lo, inc_hi, inc_lo = out[0::2] | out[1::2] << np.uint64(32)
-    # inc = 2 * initseq + 1; state = (inc + initstate) * multiplier + inc
-    inc_hi = inc_hi << np.uint64(1) | inc_lo >> np.uint64(63)
-    inc_lo = inc_lo << np.uint64(1) | np.uint64(1)
-    state = _add128(*_mul128(*_add128(inc_hi, inc_lo, seed_hi, seed_lo),
-                             _PCG64_MULT), inc_hi, inc_lo)
-    return np.stack((*state, inc_hi, inc_lo), axis=-1)
-
-
-def _state_struct(bitgen):
-    """The four uint64 words of a PCG64 bit generator's state and increment,
-    as an array over its state struct, valid while bitgen lives: numpy's
-    bitgen.ctypes.state_address points at a struct whose first field points
-    at them."""
-    words = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
-    return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(words))
-
-
-def _match_word_order(struct_words, state):
-    """The column order that puts _stream_states' words (state high, state
-    low, increment high, increment low) in the order of struct_words, the
-    struct of a bit generator whose state is the dict state["state"]."""
-    words = [w for name in ("state", "inc")
-             for w in divmod(state["state"][name], 1 << 64)]
-    for order in ((1, 0, 3, 2), (0, 1, 2, 3)):   # native 128-bit, or pairs
-        if [words[k] for k in order] == list(struct_words):
-            return order
-    raise UnknownStateLayout(
-        f"PCG64 state struct words {list(struct_words)} are no order of the "
-        f"state dict's {words}")
-
-
-@cache
-def _word_order():
-    """_match_word_order of the installed numpy's PCG64, probed once."""
-    bitgen = np.random.PCG64(0)
-    return _match_word_order(_state_struct(bitgen).tolist(), bitgen.state)
-
-
-def _normal_rows(states, shape, dt, out=None):
-    """Brownian increments over steps of length dt, of shape (rows, ...),
-    written into out, any array or view of that shape, when it is given.
-    Row j is, bitwise, the increments that _stream_noise draws from a PCG64
-    stream in the state states[j] (see _stream_states), in row-major order.
-
-    One bit generator serves the block: each row's words are written
-    straight into its state struct. Rows are drawn _GROUP_ROWS at a time
-    into one contiguous buffer, which is scaled into out, so that a
-    step-major out is written a group of rows per step."""
-    bitgen = np.random.PCG64(0)
-    standard_normal = np.random.Generator(bitgen).standard_normal
-    struct = _state_struct(bitgen)
-    out = np.empty(shape) if out is None else out
-    words = states[:, _word_order()]
-    buf = np.empty((min(_GROUP_ROWS, len(out)),) + out.shape[1:])
+def _block_noise(seed, blocks, n, m, dt):
+    """Brownian increments over n steps of length dt for the rows of blocks,
+    a sequence of (key, rows): the first rows of the G = _BLOCK_PATHS rows
+    that the stream trajectory_rng(seed, key) draws step-major, (n, G, m).
+    Yields them as step-major chunks (c, total rows, m) of _CHUNK_STEPS
+    steps, the last one shorter, in one reused buffer, so a chunk must be
+    read before the next is asked for. Each block keeps its generator from
+    chunk to chunk, and a block draws all G rows, so the bits do not depend
+    on the chunk size or on how many of its rows are used."""
+    gens = [trajectory_rng(seed, key) for key, _ in blocks]
+    c = min(_CHUNK_STEPS, n)
+    buf = np.empty((c, sum(rows for _, rows in blocks), m))
+    draw = np.empty((c, _BLOCK_PATHS, m))
     sq = np.sqrt(dt)
-    for a in range(0, len(out), _GROUP_ROWS):
-        group = buf[:len(out) - a]
-        for row, word in zip(group, words[a:a + _GROUP_ROWS]):
-            struct[:] = word
-            standard_normal(out=row)
-        # with steps first, numpy walks a step-major out a group of rows per
-        # step; in the given order it walks one row per step
-        np.multiply(group.swapaxes(0, 1), sq,
-                    out=out[a:a + len(group)].swapaxes(0, 1))
-    return out
-
-
-def _brownian_rows(seed, prefix, first, shape, dt, out=None):
-    """_normal_rows of the streams trajectory_rng(seed, prefix + (first + j,)),
-    j < rows: the rows of out when it is given, else shape[0]."""
-    rows = shape[0] if out is None else len(out)
-    keys = np.arange(first, first + rows)[:, None]
-    return _normal_rows(_stream_states(seed, tuple(prefix), keys), shape, dt,
-                        out)
+    for first in range(0, n, c):
+        steps = min(c, n - first)
+        row = 0
+        for gen, (_, rows) in zip(gens, blocks):
+            gen.standard_normal(out=draw[:steps])
+            np.multiply(draw[:steps, :rows], sq,
+                        out=buf[:steps, row:row + rows])
+            row += rows
+        yield buf[:steps]
 
 
 def _stream_noise(rng_stream, epsilon, grid, m):
@@ -315,8 +191,10 @@ def _step(coeffs, domain, X, t, dt, dW, sq):
 def _reflected_core(coeffs, domain, x0, epsilon, grid, noise, _dirs=False,
                     reducers=None):
     """The one loop behind every forward path: _step at every node.
-    x0: (B, d); noise: (B, n, m) or None; epsilon: a scalar, or one value
-    per row, shape (B,), whose square root scales that row's kick.
+    x0: (B, d); epsilon: a scalar, or one value per row, shape (B,), whose
+    square root scales that row's kick. noise is None, an array (B, n, m),
+    or an iterable of step-major chunks (c, B, m) that hold the n steps in
+    order; the array is read as one chunk, its (n, B, m) view.
 
     Returns x_path (B, n+1, d), k_path (B, n+1), and dirs (B, n, d), the
     unit correction directions, built only when _dirs is set (else None).
@@ -340,14 +218,18 @@ def _reflected_core(coeffs, domain, x0, epsilon, grid, noise, _dirs=False,
             k_path[:, i] = K
         reducers = (keep,)
     dirs = np.zeros((B, n, d)) if _dirs else None
-    noisy = (eps > 0).any()
+    if (eps > 0).any():
+        chunks = ((noise.swapaxes(0, 1),) if isinstance(noise, np.ndarray)
+                  else noise)
+        steps = (dW for chunk in chunks for dW in chunk)
+    else:
+        steps = repeat(None, n)
     sq = np.sqrt(eps)[:, None] if eps.ndim else np.sqrt(eps)
     X, K = np.array(x0, float), np.zeros(B)
     for reduce in reducers:
         reduce(0, X, K)
-    for i in range(n):
-        X, dk, corr = _step(coeffs, domain, X, grid.nodes[i], grid.dt,
-                            noise[:, i] if noisy else None, sq)
+    for i, dW in zip(range(n), steps):
+        X, dk, corr = _step(coeffs, domain, X, grid.nodes[i], grid.dt, dW, sq)
         K += dk
         for reduce in reducers:
             reduce(i + 1, X, K)
@@ -381,20 +263,24 @@ def integrate_skeleton_ode(coeffs, domain, s, x, grid):
 
 def simulate_reflected_batch(coeffs, domain, s, x, epsilon, grid, seed,
                              n_paths, index_offset=0, key_prefix=()):
-    """n_paths reflected trajectories with per-trajectory streams derived
-    from (seed, key_prefix + trajectory index). Returns (x_paths, k_paths)
-    arrays of shape (n_paths, n+1, d) and (n_paths, n+1).
+    """n_paths reflected trajectories. Returns (x_paths, k_paths) arrays of
+    shape (n_paths, n+1, d) and (n_paths, n+1).
 
-    The noise block is step-major, (n, n_paths, m) in memory, so the kernel
-    reads each step's increments contiguously."""
+    Path j of the batch is path i = index_offset + j of key_prefix: row
+    i % G of the noise block trajectory_rng(seed, key_prefix + (i // G,)),
+    with G = _BLOCK_PATHS (see _block_noise). index_offset must be a whole
+    number of blocks, so that a batch cut into calls at whole blocks draws
+    the same paths."""
     _check_start(s, grid)
+    if index_offset < 0 or index_offset % _BLOCK_PATHS:
+        raise ValueError(f"index_offset must be a nonnegative multiple of "
+                         f"{_BLOCK_PATHS}, got {index_offset}")
     d, m, _ = coeffs.dims
     x = _start_point(coeffs, domain, x)
     _check_inside(domain, x, f"start {x} lies outside the domain")
     x0 = np.broadcast_to(x, (n_paths, d)).copy()
-    noise = (_brownian_rows(seed, key_prefix, index_offset, None, grid.dt,
-                            out=np.empty((grid.n_steps, n_paths, m))
-                            .swapaxes(0, 1))
+    noise = (_block_noise(seed, _blocks(key_prefix, n_paths, index_offset),
+                          grid.n_steps, m, grid.dt)
              if epsilon > 0 else None)
     xp, kp, _ = _reflected_core(coeffs, domain, x0, epsilon, grid, noise)
     return xp, kp

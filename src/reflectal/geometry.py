@@ -62,6 +62,7 @@ def _norm(v):
         out = np.sqrt(sum(v[..., j] ** 2 for j in range(d)))
     big = np.isinf(out)
     if big.any():   # rescale by the largest component where squares overflow
+        out = np.array(out)   # writable, also as the 0-d norm of one vector
         big &= np.isfinite(v).all(axis=-1)
         w = v[big]
         m = np.abs(w).max(axis=-1)
@@ -147,16 +148,14 @@ def _make_ball(center, radius):
     diam = 2.0 * radius
 
     def dist(p):
-        p = np.asarray(p, float)
-        return radius - np.linalg.norm(p - c, axis=-1)
+        return radius - _norm(np.asarray(p, float) - c)
 
     def phi(p):
         return _ramp(dist(p), w, radius)
 
     def grad(p):
-        p = np.asarray(p, float)
-        rel = p - c
-        rho = np.linalg.norm(rel, axis=-1)
+        rel = np.asarray(p, float) - c
+        rho = _norm(rel)
         safe = np.where(rho > 0, rho, 1.0)
         inward = -rel / safe[..., None]
         slope = _ramp_d1(radius - rho, w, radius)
@@ -166,7 +165,7 @@ def _make_ball(center, radius):
     def hess(p):
         p = np.asarray(p, float)
         rel = p - c
-        rho = np.linalg.norm(rel, axis=-1)
+        rho = _norm(rel)
         safe = np.where(rho > 0, rho, 1.0)
         n = rel / safe[..., None]
         eye = np.eye(d)

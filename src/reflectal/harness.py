@@ -1,14 +1,13 @@
 """Monte Carlo experiments: small-noise convergence orders, uniform moment
 bounds, and rare-event tail probabilities against the variational certificate.
 
-All studies use per-trajectory streams keyed by (seed, ladder position,
-trajectory index) and run their kernel calls in order, so reports are
+All studies draw their noise from block streams keyed by (seed, ladder
+position, block index) and run their kernel calls in order, so reports are
 bitwise reproducible across reruns and whatever the cut into kernel calls.
 Paths are reduced while the kernel steps them and are not kept.
 """
 
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,8 @@ from .action import OptimizerOptions, minimize_action_endpoint
 from .backward import (_PI_TOL, _multilinear, make_lattice, solve_bsde_grid,
                        solve_limit_bsde)
 from .errors import DegenerateFit, InsufficientPaths, OutOfLattice
-from .forward import (TimeGrid, _brownian_rows, _reflected_core,
-                      integrate_skeleton_ode)
+from .forward import (_BLOCK_PATHS, TimeGrid, _block_noise, _blocks,
+                      _reflected_core, integrate_skeleton_ode)
 from .geometry import _norm, project
 
 __all__ = ["ConvergenceReport", "TailReport", "convergence_study",
@@ -77,24 +76,14 @@ def fit_loglog(xs, ys):
     return {"slope": float(slope), "intercept": float(intercept), "r2": r2}
 
 
-def _mapped(shape):
-    """np.empty(shape) in an anonymous mapping of its own, which goes back to
-    the system when the array is freed. From the malloc heap, a freed block
-    stays resident when the next request is no larger, and the next study's
-    larger block then adds to it. _sweep maps its (n, rows, m) noise blocks
-    here."""
-    size = math.prod(shape)
-    buf = mmap.mmap(-1, 8 * max(size, 1))
-    return np.frombuffer(buf, float, count=size).reshape(shape)
-
-
 def _sweep(coeffs, domain, x, grid, seed, skel, levels, sups, y4=None,
            y4_every=1):
     """Simulate the levels, each (eps, key prefix, n_paths), and reduce every
-    path while it is stepped; path j of a level draws from the stream
-    (seed, prefix + (j,)). The paths of all levels form one row sequence,
-    cut into kernel calls of at most _PASS_STEPS path-steps, each row with
-    its level's eps.
+    path while it is stepped; path j of a level is row j % G of the noise
+    block (seed, prefix + (j // G,)), G = _BLOCK_PATHS. The blocks of all
+    levels, each level's last one cut to its paths, form one row sequence,
+    packed into kernel calls of whole blocks and at most _PASS_STEPS
+    path-steps (at least one block), each row with its level's eps.
 
     Returns per level a dict of arrays: "kT" holds K_T per path, which is
     also sup K, as K never falls, and each key of sups (see _DEVIATIONS) the
@@ -103,35 +92,26 @@ def _sweep(coeffs, domain, x, grid, seed, skel, levels, sups, y4=None,
     positions of the rows), one value per row, and of its square,
     (2, n/y4_every + 1): each call adds its rows' sums per level, in call
     order.
-
-    Each call's noise block is step-major, (n, rows, m) in memory and
-    handed to the kernel as its (rows, n, m) view, so the kernel reads
-    each step's increments contiguously.
     """
     d, m, _ = coeffs.dims
     n = grid.n_steps
     starts = np.cumsum([0] + [count for _, _, count in levels]).tolist()
-    step = max(1, _PASS_STEPS // n)
+    # (level position, stream key, rows) of every block, in sequence order
+    blocks = [(li, key, rows) for li, (_, prefix, count) in enumerate(levels)
+              for key, rows in _blocks(prefix, count)]
+    per_call = max(1, _PASS_STEPS // (n * _BLOCK_PATHS))
+    level_eps = np.array([e for e, _, _ in levels], float)
     # per row of the whole sequence; each call reduces into its own slice
     flat = {key: np.zeros(starts[-1]) for key in ("kT", *sups)}
     y4_sums = np.zeros((len(levels), 2, n // y4_every + 1))
 
-    def run(first):   # one call; its noise block is freed on return
-        rows = min(step, starts[-1] - first)
-        # per level in the call: its position and rows a:b
-        cut = np.clip(np.subtract(starts, first), 0, rows).tolist()
-        segs = [(li, a, b) for li, (a, b) in enumerate(zip(cut, cut[1:]))
-                if a < b]
-        noise = _mapped((n, rows, m)).swapaxes(0, 1)
-        eps = np.empty(rows)
-        for li, a, b in segs:
-            e, prefix, _ = levels[li]
-            _brownian_rows(seed, prefix, first + a - starts[li], None, grid.dt,
-                           out=noise[a:b])
-            eps[a:b] = e
-        out = {key: value[first:first + rows] for key, value in flat.items()}
-        lis, firsts, _ = zip(*segs)
-        level = np.repeat(lis, [b - a for _, a, b in segs])
+    def run(first, call):
+        level = np.repeat([li for li, _, _ in call],
+                          [rows for _, _, rows in call])
+        # the call's levels, ascending, and the row where each begins
+        lis, firsts = np.unique(level, return_index=True)
+        out = {key: value[first:first + level.size]
+               for key, value in flat.items()}
 
         def reduce(i, X, K):
             for key in sups:
@@ -141,12 +121,18 @@ def _sweep(coeffs, domain, x, grid, seed, skel, levels, sups, y4=None,
                 dev = y4(i // y4_every, X, level)
                 y4_sums[lis, :, i // y4_every] += np.add.reduceat(
                     [dev, dev * dev], firsts, axis=1).T
-        x0 = np.broadcast_to(np.atleast_1d(np.asarray(x, float)), (rows, d))
-        out["kT"][:] = _reflected_core(coeffs, domain, x0, eps, grid, noise,
-                                       reducers=(reduce,))[1]
+        x0 = np.broadcast_to(np.atleast_1d(np.asarray(x, float)),
+                             (level.size, d))
+        noise = _block_noise(seed, [(key, rows) for _, key, rows in call], n,
+                             m, grid.dt)
+        out["kT"][:] = _reflected_core(coeffs, domain, x0, level_eps[level],
+                                       grid, noise, reducers=(reduce,))[1]
 
-    for first in range(0, starts[-1], step):
-        run(first)
+    first = 0
+    for a in range(0, len(blocks), per_call):
+        call = blocks[a:a + per_call]
+        run(first, call)
+        first += sum(rows for _, _, rows in call)
     return [{"Y4": y4_sums[li], **{key: v[a:b] for key, v in flat.items()}}
             for li, (a, b) in enumerate(zip(starts, starts[1:]))]
 

@@ -113,17 +113,18 @@ class TestBsdeGrid:
         times = TimeGrid(0.0, 1.0, 1)
         eps, mc, seed = 0.09, 256, 11
         field = solve_bsde_grid(co, dom, eps, times, lat, mc, rng_seed=seed)
+        draws = trajectory_rng(seed, (0,)).standard_normal((2, mc, 1))
         for j, node in enumerate([0.0, 1.0]):
-            dW = (trajectory_rng(seed, (0, j)).standard_normal((mc, 1))
-                  * np.sqrt(times.dt))
+            dW = draws[j] * np.sqrt(times.dt)
             prop = node + np.sqrt(eps) * dW[:, 0]
             xn = np.clip(prop, 0.0, 1.0)
             assert abs(field.values[0, j, 0] - xn.mean()) <= 1e-12
 
-    def test_step_i_node_j_draws_from_its_own_stream(self):
+    def test_step_i_draws_from_its_own_stream(self):
         # linear h and no drivers: each slice is the sample mean of the
         # piecewise-linear next slice over the one-step transitions, which
-        # step i draws for node j from trajectory_rng(seed, (i, j))
+        # step i draws for all nodes, (nodes, mc), from
+        # trajectory_rng(seed, (i,)); node j takes row j
         dom = unit_interval()
         co = preset("zero-drift-unit-noise")
         nodes = np.array([0.0, 0.5, 1.0])
@@ -135,8 +136,9 @@ class TestBsdeGrid:
         for i in (2, 1, 0):
             nxt = ref
             ref = np.empty(3)
+            draws = trajectory_rng(seed, (i,)).standard_normal((3, mc))
             for j, node in enumerate(nodes):
-                dW = trajectory_rng(seed, (i, j)).standard_normal(mc)
+                dW = draws[j]
                 xn = np.clip(node + np.sqrt(eps * times.dt) * dW, 0.0, 1.0)
                 ref[j] = np.interp(xn, nodes, nxt).mean()
             np.testing.assert_allclose(field.values[i, :, 0], ref,

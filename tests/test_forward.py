@@ -6,16 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reflectal import forward
 from reflectal.coefficients import CoefficientSet, preset
 from reflectal.backward import make_lattice, solve_bsde_grid
-from reflectal.errors import (MissingNoise, NumericalBlowup,
-                              StartOutsideDomain, UnknownStateLayout)
-from reflectal.forward import (_GROUP_ROWS, _K_NOISE_FLOOR, FreePath, TimeGrid,
-                               _brownian_rows, _match_word_order, _norm,
-                               _normal_rows, _reflected_core, _state_struct,
-                               _step, _stream_states, _word_order,
-                               integrate_free_sde, integrate_reflected_sde,
-                               integrate_skeleton_ode,
+from reflectal.errors import MissingNoise, NumericalBlowup, StartOutsideDomain
+from reflectal.forward import (_BLOCK_PATHS, _K_NOISE_FLOOR, FreePath,
+                               TimeGrid, _block_noise, _blocks, _norm,
+                               _reflected_core, _step, integrate_free_sde,
+                               integrate_reflected_sde, integrate_skeleton_ode,
                                reflection_budget_identity,
                                simulate_reflected_batch, skorokhod_map,
                                trajectory_rng)
@@ -165,11 +163,18 @@ class TestReflectedSde:
         b = simulate_reflected_batch(co, dom, 0.0, [0.5], 0.05, grid, 99, 32)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
-        # batch splitting with index offsets reproduces the same trajectories
-        c0 = simulate_reflected_batch(co, dom, 0.0, [0.5], 0.05, grid, 99, 16)
-        c1 = simulate_reflected_batch(co, dom, 0.0, [0.5], 0.05, grid, 99, 16,
-                                      index_offset=16)
-        np.testing.assert_array_equal(np.concatenate([c0[0], c1[0]]), a[0])
+        # batch splitting at whole blocks, with index offsets, reproduces
+        # the same trajectories
+        n_paths = 2 * _BLOCK_PATHS + 8
+        a = simulate_reflected_batch(co, dom, 0.0, [0.5], 0.05, grid, 99,
+                                     n_paths)
+        c0 = simulate_reflected_batch(co, dom, 0.0, [0.5], 0.05, grid, 99,
+                                      _BLOCK_PATHS)
+        c1 = simulate_reflected_batch(co, dom, 0.0, [0.5], 0.05, grid, 99,
+                                      n_paths - _BLOCK_PATHS,
+                                      index_offset=_BLOCK_PATHS)
+        for whole, first, rest in zip(a, c0, c1):
+            np.testing.assert_array_equal(np.concatenate([first, rest]), whole)
 
 
 class TestFreeSde:
@@ -562,36 +567,80 @@ class TestNorm:
                                    rtol=1e-15)
         assert np.isnan(_norm(np.array([[np.nan, 1.0]]))).all()
 
+    def test_single_vector_past_overflow(self):
+        # a (d,) vector gives a 0-d result, which the rescaling writes into
+        assert _norm(np.array([1e200, 0.0])) == 1e200
+        assert _norm(np.array([-3e200, 4e200])) == pytest.approx(5e200,
+                                                                 rel=1e-15)
+        assert _norm(np.array([3.0, 4.0])) == 5.0
+
+    def test_huge_disc_start_raises_start_outside(self):
+        # the disc's signed distance at |x| = 1e200 is -1e200, not an
+        # overflow warning
+        with pytest.raises(StartOutsideDomain):
+            simulate_reflected_batch(outward_drift_ball(), unit_disc(), 0.0,
+                                     [1e200, 0.0], 0.1, TimeGrid(0.0, 1.0, 4),
+                                     1, 4)
+
+
+def block_rows(seed, key, n, m, dt):
+    """The (G, n, m) increments of block stream key: its step-major
+    (n, G, m) draws, scaled by sqrt(dt), path-major."""
+    draws = trajectory_rng(seed, key).standard_normal((n, _BLOCK_PATHS, m))
+    return (draws * np.sqrt(dt)).swapaxes(0, 1)
+
 
 class TestStreams:
-    """Path streams are keyed by (seed, index) alone."""
+    """Path noise comes from block streams keyed by (seed, index) alone:
+    path j of a key prefix is row j % G of the stream prefix + (j // G,)."""
 
     def test_batch_row_is_the_single_trajectory(self):
+        # a batch of one full and one partial block, from the second block
         dom, co = unit_interval(), preset("constant-drift", params={"v": 1.0})
         grid = TimeGrid(0.0, 1.0, 64)
+        n_paths = _BLOCK_PATHS + 5
         xp, kp = simulate_reflected_batch(co, dom, 0.0, [0.5], 0.2, grid,
-                                          seed=13, n_paths=8, index_offset=5,
+                                          seed=13, n_paths=n_paths,
+                                          index_offset=_BLOCK_PATHS,
                                           key_prefix=(2, 1))
-        for j in range(8):
-            tr = integrate_reflected_sde(co, dom, 0.0, [0.5], 0.2, grid,
-                                         trajectory_rng(13, (2, 1, 5 + j)))
-            np.testing.assert_array_equal(xp[j], tr.x_path)
-            np.testing.assert_array_equal(kp[j], tr.k_path)
+        rows = np.concatenate([block_rows(13, (2, 1, b), 64, 1, grid.dt)
+                               for b in (1, 2)])
+        for j in (0, 1, _BLOCK_PATHS - 1, _BLOCK_PATHS, n_paths - 1):
+            ref = reference_core(co, dom, np.array([[0.5]]), 0.2, grid,
+                                 rows[j][None])
+            np.testing.assert_array_equal(xp[j], ref[0][0])
+            np.testing.assert_array_equal(kp[j], ref[1][0])
 
     @pytest.mark.parametrize("seed, prefix, first", [
         (21, (4,), 3), (7, (), 0), (2024, (1, 2**40), 2**31),
         (2**200 + 5, (0, 0), 17), ([1, 2**33], (4,), 0),
-        (5, (2,), 2**32 - 3)])    # the last rows' indices take two words
-    def test_rows_equal_per_index_draws(self, seed, prefix, first):
-        rows = _brownian_rows(seed, prefix, first, (6, 10, 2), 0.25)
-        for j in range(6):
-            draws = trajectory_rng(seed, prefix + (first + j,)).standard_normal(
-                (10, 2))
-            np.testing.assert_array_equal(rows[j], draws * np.sqrt(0.25))
+        (5, (2,), 2**32 - 3)])
+    def test_rows_equal_per_index_draws(self, seed, prefix, first,
+                                        monkeypatch):
+        # blocks first and first + 1, the second cut to 5 rows, drawn 3
+        # steps at a time: the chunks are the blocks' rows, step-major
+        monkeypatch.setattr(forward, "_CHUNK_STEPS", 3)
+        blocks = [(prefix + (first,), _BLOCK_PATHS),
+                  (prefix + (first + 1,), 5)]
+        chunks = [c.copy() for c in _block_noise(seed, blocks, 10, 2, 0.25)]
+        assert [len(c) for c in chunks] == [3, 3, 3, 1]
+        ref = np.concatenate([block_rows(seed, key, 10, 2, 0.25)[:rows]
+                              for key, rows in blocks])
+        np.testing.assert_array_equal(np.concatenate(chunks).swapaxes(0, 1),
+                                      ref)
 
     def test_block_rejects_a_negative_index(self):
         with pytest.raises(ValueError):
-            _brownian_rows(3, (1,), -1, (2, 4, 1), 0.5)
+            next(_block_noise(3, [((1, -1), 4)], 4, 1, 0.5))
+
+    @pytest.mark.parametrize("offset", [-_BLOCK_PATHS, 1, _BLOCK_PATHS // 2,
+                                        _BLOCK_PATHS + 1])
+    def test_index_offset_must_be_whole_blocks(self, offset):
+        with pytest.raises(ValueError, match="multiple of"):
+            simulate_reflected_batch(preset("zero-drift-unit-noise"),
+                                     unit_interval(), 0.0, [0.5], 0.1,
+                                     TimeGrid(0.0, 1.0, 4), 3, 4,
+                                     index_offset=offset)
 
     def test_int_index_is_a_one_tuple(self):
         np.testing.assert_array_equal(
@@ -608,104 +657,17 @@ class TestStreams:
         assert not np.any(other_seed == base)
 
     def test_pooled_moments_and_cross_row_correlation(self):
-        rows = _brownian_rows(2024, (1,), 0, (4000, 32), 1.0)
-        n = rows.size
-        assert abs(rows.mean()) <= 5.0 / np.sqrt(n)
-        assert abs(rows.var() - 1.0) <= 5.0 * np.sqrt(2.0 / n)
-        lag = rows[1:] * rows[:-1]
-        assert abs(lag.mean()) <= 5.0 / np.sqrt(lag.size)
-        across = (_brownian_rows(2024, (2,), 0, (4000, 32), 1.0) * rows)
+        def rows(prefix):   # 4000 paths x 32 steps, path-major
+            chunks = _block_noise(2024, _blocks(prefix, 4000), 32, 1, 1.0)
+            return np.concatenate([c.copy() for c in chunks])[..., 0].T
+        first = rows((1,))
+        n = first.size
+        assert abs(first.mean()) <= 5.0 / np.sqrt(n)
+        assert abs(first.var() - 1.0) <= 5.0 * np.sqrt(2.0 / n)
+        for lag in (first[1:] * first[:-1], first[:, 1:] * first[:, :-1]):
+            assert abs(lag.mean()) <= 5.0 / np.sqrt(lag.size)
+        across = rows((2,)) * first
         assert abs(across.mean()) <= 5.0 / np.sqrt(across.size)
-
-
-class TestStreamStates:
-    """One seeding pass over a block of key rows gives each row the PCG64
-    state of trajectory_rng(seed, prefix + key row)."""
-
-    @staticmethod
-    def words(seed, key):
-        state = trajectory_rng(seed, key).bit_generator.state["state"]
-        return [w for name in ("state", "inc")
-                for w in divmod(state[name], 1 << 64)]
-
-    def check(self, seed, prefix, keys):
-        states = _stream_states(seed, prefix, np.array(keys))
-        assert states.dtype == np.uint64 and states.shape == (len(keys), 4)
-        for row, key in zip(states.tolist(), keys):
-            assert row == self.words(seed, prefix + tuple(key))
-        return states
-
-    @pytest.mark.parametrize("seed, prefix", [
-        (29, ()), (2**64 + 5, ()), ([1, 2**33], ()), (2**200 + 5, ()),
-        (7, (3,)), (2024, (1, 2**40))])
-    def test_two_word_keys(self, seed, prefix):
-        self.check(seed, prefix, [(i, j) for i in (0, 1, 5, 2**32 - 1)
-                                  for j in (0, 2, 80, 2**31)])
-
-    def test_three_word_keys(self):
-        self.check(11, (), [(0, 0, 0), (4, 0, 9), (0, 9, 4), (2**32 - 1,) * 3])
-
-    def test_key_word_past_32_bits(self):
-        # a key int of two words is left to SeedSequence, row by row
-        self.check(5, (2,), [(0, 2**32), (3, 1), (2**40 + 7, 0)])
-
-    @pytest.mark.parametrize("keys", [[(0, 1), (2, -1)], [(-3, 0)],
-                                      [(2**33, 0), (0, -1)]])
-    def test_negative_word_raises(self, keys):
-        with pytest.raises(ValueError):
-            _stream_states(3, (), np.array(keys))
-
-    def test_drawn_rows_are_the_streams(self):
-        keys = [(i, j) for i in range(3) for j in range(4)]
-        states = _stream_states(29, (), np.array(keys))
-        rows = _normal_rows(states, (len(keys), 16, 2), 0.25)
-        for row, key in zip(rows, keys):
-            np.testing.assert_array_equal(
-                row, trajectory_rng(29, key).standard_normal((16, 2)) * 0.5)
-
-    @pytest.mark.parametrize("rows", [1, _GROUP_ROWS - 1, _GROUP_ROWS,
-                                      _GROUP_ROWS + 1, 3 * _GROUP_ROWS + 5])
-    def test_step_major_rows_are_the_streams(self, rows):
-        states = _stream_states(31, (4,), np.arange(rows)[:, None])
-        out = np.empty((12, rows, 2)).swapaxes(0, 1)
-        assert _normal_rows(states, None, 0.25, out=out) is out
-        for j in range(rows):
-            np.testing.assert_array_equal(
-                out[j], trajectory_rng(31, (4, j)).standard_normal((12, 2))
-                * np.sqrt(0.25))
-
-    def test_state_written_in_place_is_the_streams_state(self):
-        states = _stream_states(29, (3,), np.array([[0], [7]]))
-        bitgen = np.random.PCG64(0)
-        gen = np.random.Generator(bitgen)
-        struct = _state_struct(bitgen)
-        for key, words in zip((0, 7), states):
-            rng = trajectory_rng(29, (3, key))
-            struct[:] = words[list(_word_order())]
-            assert bitgen.state == rng.bit_generator.state
-            gen.standard_normal(37)
-            rng.standard_normal(37)
-            assert bitgen.state == rng.bit_generator.state
-
-
-class TestStateLayoutProbe:
-    """The in-place state write knows the installed numpy's PCG64 struct,
-    and an unknown struct fails loudly rather than seeding wrong streams."""
-
-    def test_installed_numpy_is_recognised(self):
-        assert _word_order() in ((1, 0, 3, 2), (0, 1, 2, 3))
-        bitgen = np.random.PCG64(5)
-        assert _match_word_order(_state_struct(bitgen).tolist(),
-                                 bitgen.state) == _word_order()
-
-    @pytest.mark.parametrize("order", [(0, 1, 3, 2), (1, 0, 2, 3),
-                                       (2, 3, 0, 1), (3, 2, 1, 0)])
-    def test_unknown_order_raises(self, order):
-        state = np.random.PCG64(5).state
-        words = [w for name in ("state", "inc")
-                 for w in divmod(state["state"][name], 1 << 64)]
-        with pytest.raises(UnknownStateLayout, match="no order"):
-            _match_word_order([words[k] for k in order], state)
 
 
 def test_time_grid_nodes_built_once_and_read_only():

@@ -188,6 +188,23 @@ class TestProjectionFormulas:
         assert q.tolist() == [1.0, 0.0]
         np.testing.assert_allclose(qs, [[-0.6, 0.8], [0.5, 0.5]], rtol=1e-15)
 
+    def test_huge_point_distance_and_normal(self):
+        # |p - c| = 1e200 overflowed in np.linalg.norm: the distance was
+        # -inf and the normal [-0, -0], with an overflow warning
+        dom = unit_ball()
+        p = np.array([1e200, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = dom.signed_distance(p)
+            grad = dom.grad_phi(p)
+            hess = dom.hess_phi(np.array([[0.0, -1e200], [0.5, 0.0]]))
+        assert dist == 1.0 - 1e200
+        assert grad.tolist() == [-1.0, 0.0]
+        np.testing.assert_allclose(hess[0], [[-1e-200, 0.0], [0.0, 0.0]],
+                                   rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(
+            hess[1], dom.hess_phi(np.array([0.5, 0.0])))
+
     @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0),
                                       (-1.0, -0.0), (-2.5, 3.0)])
     def test_interval_equals_clip(self, a, b):

@@ -6,14 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reflectal import harness
+from reflectal import forward, harness
 from reflectal.backward import (apply_pi, make_lattice, solve_bsde_grid,
                                 solve_limit_bsde)
 from reflectal.coefficients import CoefficientSet, preset
 from reflectal.errors import (DegenerateFit, InsufficientPaths,
                               StartOutsideDomain)
-from reflectal.forward import (TimeGrid, integrate_skeleton_ode,
-                               simulate_reflected_batch)
+from reflectal.forward import (_BLOCK_PATHS, TimeGrid, _reflected_core,
+                               integrate_skeleton_ode,
+                               simulate_reflected_batch, trajectory_rng)
 from reflectal.geometry import make_domain
 from reflectal.harness import (ConvergenceReport, convergence_study,
                                fit_loglog, tail_study)
@@ -88,8 +89,8 @@ class TestConvergenceStudy:
         a = self._study("X4")
         c = self._study("X4")
         assert a.errors == c.errors
-        # calls of 300 paths: they end inside levels and span two
-        monkeypatch.setattr(harness, "_PASS_STEPS", 300 * 256)
+        # calls of 3 blocks: they end inside levels and span two
+        monkeypatch.setattr(harness, "_PASS_STEPS", 3 * _BLOCK_PATHS * 256)
         b = self._study("X4")
         assert a.errors == b.errors
         assert a.slope == b.slope
@@ -150,10 +151,10 @@ class TestOnePassPerLevel:
     def test_tuple_call_equals_single_target_calls(self, monkeypatch):
         # drift into the boundary, where g charges dK: every target estimable
         co = {"name": "boundary-g-constant", "params": {"v": 1.0, "g0": 1.0}}
-        # calls of 256 and of 700 paths: they end inside levels and span two
-        for rows in (256, 700):
+        # calls of 3 and of 5 blocks: they end inside levels and span two
+        for blocks in (3, 5):
             monkeypatch.setattr(harness, "_PASS_STEPS",
-                                rows * self.GRID.n_steps)
+                                blocks * _BLOCK_PATHS * self.GRID.n_steps)
             singles = tuple(self._study(t, **co) for t in self.ORDER)
             assert all(isinstance(r, ConvergenceReport) for r in singles)
             assert [r.target for r in singles] == list(self.ORDER)
@@ -211,12 +212,13 @@ class TestOnePassPerLevel:
                 rtol=1e-12, atol=0)
 
     def test_y4_on_the_disc_matches_per_path_oracle(self, monkeypatch):
-        # a 2-D lattice read with per-row level offsets, in calls of 700
-        # paths that end inside levels and span two. The outward drift and
+        # a 2-D lattice read with per-row level offsets, in calls of 5
+        # blocks that end inside levels and span two. The outward drift and
         # g = 1 put the sup over t before T: at T every level's field is h,
         # so a read of the wrong level's field would go unseen there
         grid = TimeGrid(0.0, 1.0, 64)
-        monkeypatch.setattr(harness, "_PASS_STEPS", 700 * grid.n_steps)
+        monkeypatch.setattr(harness, "_PASS_STEPS",
+                            5 * _BLOCK_PATHS * grid.n_steps)
         co = replace(preset("ou-in-ball", {"theta": -1.0}),
                      g=lambda t, x, y: np.ones_like(np.asarray(y, float)))
         dom = make_domain("ball", center=[0.0, 0.0], radius=1.0)
@@ -378,8 +380,8 @@ class TestTailStudy:
 
     def test_call_cut_independence(self, monkeypatch):
         a = self._tail(0.2)
-        # calls of 300 paths: they end inside the pilot and the levels
-        monkeypatch.setattr(harness, "_PASS_STEPS", 300 * 256)
+        # calls of 3 blocks: they end inside the pilot and the levels
+        monkeypatch.setattr(harness, "_PASS_STEPS", 3 * _BLOCK_PATHS * 256)
         b = self._tail(0.2)
         assert a.p_hat == b.p_hat
         assert a.eps_log_p == b.eps_log_p
@@ -440,15 +442,16 @@ class TestStreamedStudies:
 
     @pytest.fixture(autouse=True)
     def packed(self, monkeypatch):
-        # calls of at most 700 paths end inside levels and inside the tail's
-        # pilot, and span both
-        monkeypatch.setattr(harness, "_PASS_STEPS", 700 * self.GRID.n_steps)
+        # calls of 5 blocks end inside levels and inside the tail's pilot,
+        # and span both
+        monkeypatch.setattr(harness, "_PASS_STEPS",
+                            5 * _BLOCK_PATHS * self.GRID.n_steps)
 
     def _cut(self, monkeypatch, parts):
-        # calls of 700 // parts paths: both cuts end calls inside levels and
-        # inside the pilot, and span them
+        # calls of 2 * parts + 1 blocks: both cuts end calls inside levels
+        # and inside the pilot, and span them
         monkeypatch.setattr(harness, "_PASS_STEPS",
-                            700 // parts * self.GRID.n_steps)
+                            (2 * parts + 1) * _BLOCK_PATHS * self.GRID.n_steps)
 
     def _setup(self, case):
         make_dom, name, params, x = self.CASES[case]
@@ -523,10 +526,11 @@ class TestStreamedStudies:
                                     lattice, 64, self.SEED + 7919 * (ei + 1))
             total = squares = 0.0
             k4 = []
-            for off in range(0, self.N_PATHS, 300):   # 300 paths at a time
+            piece = 2 * _BLOCK_PATHS   # two blocks at a time
+            for off in range(0, self.N_PATHS, piece):
                 xp, kp = simulate_reflected_batch(
                     co, dom, 0.0, [0.5], e, self.GRID, self.SEED,
-                    min(300, self.N_PATHS - off), index_offset=off,
+                    min(piece, self.N_PATHS - off), index_offset=off,
                     key_prefix=(ei,))
                 # Y4 reads the field's 17 time nodes, every 4th path node
                 dev = np.linalg.norm(apply_pi(field, xp[:, ::4],
@@ -540,15 +544,72 @@ class TestStreamedStudies:
             assert both[1].errors[ei] == pytest.approx(mean, rel=1e-12)
             assert both[0].errors[ei] == float(np.concatenate(k4).mean())
 
-    def test_insufficient_paths_names_first_failing_level(self):
+    def test_level_rows_are_block_rows(self):
+        # row j of a level is row j % G of the block stream
+        # prefix + (j // G,), drawn step-major, whatever the level's size
+        co, dom, x, skel = self._setup("disc")
+        levels = [(0.3, (4,), _BLOCK_PATHS + 3), (0.2, (5, 1), 5)]
+        sweep = harness._sweep(co, dom, x, self.GRID, self.SEED, skel, levels,
+                               ("dk", "dx"))
+        n, dt = self.GRID.n_steps, self.GRID.dt
+        for (e, prefix, count), level in zip(levels, sweep, strict=True):
+            assert level["kT"].shape == (count,)
+            for j in {0, min(_BLOCK_PATHS, count) - 1, count - 1}:
+                draws = trajectory_rng(self.SEED, prefix + (j // _BLOCK_PATHS,)
+                                       ).standard_normal((n, _BLOCK_PATHS, 2))
+                xp, kp, _ = _reflected_core(co, dom, np.array([x]), e,
+                                            self.GRID,
+                                            draws[None, :, j % _BLOCK_PATHS]
+                                            * np.sqrt(dt))
+                assert level["kT"][j] == kp[0, -1]
+                assert level["dx"][j] == np.linalg.norm(
+                    xp[0] - skel.x_path, axis=-1).max()
+                assert level["dk"][j] == np.abs(kp[0] - skel.k_path).max()
+
+    @pytest.mark.parametrize("blocks, chunk", [(1, 1), (3, 7), (5, 64),
+                                               (64, 1000)])
+    def test_reports_do_not_depend_on_cut_or_chunk(self, blocks, chunk,
+                                                   monkeypatch):
+        # calls of whole blocks, and noise drawn chunk steps at a time
+        co, dom, x, _ = self._setup("interval")
+        args = (co, dom, 0.0, x)
+        names = ("X4", "K4", "Kmoment", "Kexp")
+        ref = (convergence_study(names, *args, LADDER, self.N_PATHS,
+                                 self.GRID, self.SEED),
+               tail_study(*args, 0.25, LADDER, self.N_PATHS, self.GRID,
+                          self.SEED))
+        monkeypatch.setattr(harness, "_PASS_STEPS",
+                            blocks * _BLOCK_PATHS * self.GRID.n_steps)
+        monkeypatch.setattr(forward, "_CHUNK_STEPS", chunk)
+        got = (convergence_study(names, *args, LADDER, self.N_PATHS,
+                                 self.GRID, self.SEED),
+               tail_study(*args, 0.25, LADDER, self.N_PATHS, self.GRID,
+                          self.SEED))
+        assert got == ref
+
+    @pytest.mark.parametrize("chunk", [1, 5, 1000])
+    def test_y4_does_not_depend_on_chunk(self, chunk, monkeypatch):
+        # the chunk size leaves the call cut, and so Y4's sums, as they are
+        co = preset("boundary-g-constant", {"v": 1.0, "g0": 1.0})
+        study = ("Y4", co, unit_interval(), 0.0, [0.5], LADDER, self.N_PATHS,
+                 self.GRID, self.SEED)
+        kwargs = dict(field_steps=16, field_nodes=9, mc_per_node=64)
+        ref = convergence_study(*study, **kwargs)
+        monkeypatch.setattr(forward, "_CHUNK_STEPS", chunk)
+        assert convergence_study(*study, **kwargs) == ref
+
+    def test_insufficient_paths_names_first_failing_level(self, monkeypatch):
         # unit noise from 0.25: K_T > 0 on fewer paths as eps falls, so the
-        # relative standard error of E[K_T^4] grows down the ladder
+        # relative standard error of E[K_T^4] grows down the ladder. The
+        # first level's, 0.14 to 0.24 over seeds, is the limit: that level
+        # passes whatever the draw, and a later one must be named
         co, dom, x = preset("zero-drift-unit-noise"), unit_interval(), [0.25]
         rel = []
         for ei, e in enumerate(LADDER):
             _, kp = self._paths(co, dom, x, e, (ei,), self.N_PATHS)
             v = kp[:, -1] ** 4
             rel.append(v.std(ddof=1) / np.sqrt(self.N_PATHS) / v.mean())
+        monkeypatch.setattr(harness, "_MAX_REL_SE", rel[0])
         failing = [e for e, r in zip(LADDER, rel) if r > harness._MAX_REL_SE]
         assert len(failing) >= 2 and failing[0] != LADDER[0]
         with pytest.raises(InsufficientPaths,

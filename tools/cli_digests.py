@@ -8,9 +8,10 @@ disc, then a lattice solve whose drift drives its samples into the
 boundary, a `simulate-forward` on the disc whose 9,900 rows span several of
 the CLI's CSV write blocks, a lattice solve on the disc with a seed past 64
 bits, an `action-min` on the disc at 64 steps, the `contracted-rate` case on
-the interval where the optimizer stalls, and last a Y4 convergence whose
-field steps do not divide its path steps, in process, with the package
-imported from this checkout's `src/`.
+the interval where the optimizer stalls, a Y4 convergence whose field steps
+do not divide its path steps, and last a `simulate-forward` on the interval
+whose paths end inside a noise block and whose steps span three noise
+chunks, in process, with the package imported from this checkout's `src/`.
 Each run writes into a fixed relative `output_dir` under a temporary working
 directory, because `config_hash` covers that field. Prints one line per
 run with its `config_hash` (or the error it raised) and one line per CSV
@@ -69,8 +70,7 @@ LAST = [
     # one partial
     ("simulate-forward-blocks@disc", "disc",
      {"command": "simulate-forward", "n_paths": 300}),
-    # a seed of three 32-bit words: the lattice's one seeding pass hashes
-    # the seed's extra entropy words before the (step, node) key words
+    # a seed of three 32-bit words, which seeds every step's stream
     ("bsde-grid-wide-seed@disc", "disc",
      {"command": "bsde-grid", "seed": 2**64 + 5}),
     # the action optimizer at 64 steps on the disc: 2 x 63 free coordinates
@@ -86,6 +86,11 @@ LAST = [
     ("convergence-Y4-misaligned@interval", "interval",
      {"command": "convergence", "preset": BSDE, "target": "Y4",
       "field_steps": 3}),
+    # 200 paths, one noise block of 128 and 72 rows of the next, and 160
+    # steps, drawn in chunks of 64, 64 and 32
+    ("simulate-forward-partial-block@interval", "interval",
+     {"command": "simulate-forward", "preset": DRIFT, "n_paths": 200,
+      "grid": {"n_steps": 160}}),
 ]
 
 BASE = {"interval": {"domain": INTERVAL, "x": 0.5},
