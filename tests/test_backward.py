@@ -120,7 +120,7 @@ class TestBsdeGrid:
             xn = np.clip(prop, 0.0, 1.0)
             assert abs(field.values[0, j, 0] - xn.mean()) <= 1e-12
 
-    def test_step_i_draws_from_its_own_stream(self):
+    def test_step_i_node_j_draws_from_its_own_stream(self):
         # linear h and no drivers: each slice is the sample mean of the
         # piecewise-linear next slice over the one-step transitions, which
         # step i draws for all nodes, (nodes, mc), from

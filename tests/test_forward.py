@@ -670,6 +670,99 @@ class TestStreams:
         assert abs(across.mean()) <= 5.0 / np.sqrt(across.size)
 
 
+class TestStreamStates:
+    """Each block of a noise draw is seeded as trajectory_rng(seed, key):
+    its rows are that stream's step-major draws, and the generator it keeps
+    from chunk to chunk stays in that stream's state."""
+
+    @staticmethod
+    def check(seed, prefix, keys, rows=3, n=6):
+        blocks = [(prefix + tuple(key), rows) for key in keys]
+        chunks = [c.copy() for c in _block_noise(seed, blocks, n, 2, 0.25)]
+        got = np.concatenate(chunks).swapaxes(0, 1)
+        assert got.shape == (len(keys) * rows, n, 2)
+        ref = np.concatenate([block_rows(seed, key, n, 2, 0.25)[:rows]
+                              for key, _ in blocks])
+        np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("seed, prefix", [
+        (29, ()), (2**64 + 5, ()), ([1, 2**33], ()), (2**200 + 5, ()),
+        (7, (3,)), (2024, (1, 2**40))])
+    def test_two_word_keys(self, seed, prefix):
+        self.check(seed, prefix, [(i, j) for i in (0, 1, 5, 2**32 - 1)
+                                  for j in (0, 2, 80, 2**31)])
+
+    def test_three_word_keys(self):
+        self.check(11, (), [(0, 0, 0), (4, 0, 9), (0, 9, 4), (2**32 - 1,) * 3])
+
+    def test_key_word_past_32_bits(self):
+        self.check(5, (2,), [(0, 2**32), (3, 1), (2**40 + 7, 0)])
+
+    @pytest.mark.parametrize("keys", [[(0, 1), (2, -1)], [(-3, 0)],
+                                      [(2**33, 0), (0, -1)]])
+    def test_negative_word_raises(self, keys):
+        with pytest.raises(ValueError):
+            next(_block_noise(3, [(key, 2) for key in keys], 4, 1, 0.5))
+
+    def test_drawn_rows_are_the_streams(self):
+        # block k gives its first k + 1 rows, each the stream's column
+        keys = [(i, j) for i in range(3) for j in range(4)]
+        blocks = [(key, k + 1) for k, key in enumerate(keys)]
+        (chunk,) = _block_noise(29, blocks, 16, 2, 0.25)
+        row = 0
+        for key, rows in blocks:
+            draws = trajectory_rng(29, key).standard_normal(
+                (16, _BLOCK_PATHS, 2))
+            np.testing.assert_array_equal(chunk[:, row:row + rows],
+                                          draws[:, :rows] * 0.5)
+            row += rows
+
+    @pytest.mark.parametrize("rows", [1, 15, 16, 17, 53])
+    def test_step_major_rows_are_the_streams(self, rows, monkeypatch):
+        # blocks 1 and 2 of prefix (4,), the second cut to rows, drawn 5
+        # steps at a time into one buffer: path j of the chunks is row
+        # j % G of block j // G
+        monkeypatch.setattr(forward, "_CHUNK_STEPS", 5)
+        n_paths = _BLOCK_PATHS + rows
+        blocks = _blocks((4,), n_paths, _BLOCK_PATHS)
+        assert blocks == [((4, 1), _BLOCK_PATHS), ((4, 2), rows)]
+        chunks = list(_block_noise(31, blocks, 12, 2, 0.25))
+        assert [c.shape for c in chunks] == [(5, n_paths, 2), (5, n_paths, 2),
+                                             (2, n_paths, 2)]
+        assert all(np.shares_memory(c, chunks[0]) for c in chunks)
+        steps = [c.copy() for c in _block_noise(31, blocks, 12, 2, 0.25)]
+        out = np.concatenate(steps)
+        draws = {b: trajectory_rng(31, (4, b)).standard_normal(
+            (12, _BLOCK_PATHS, 2)) for b in (1, 2)}
+        for j in range(n_paths):
+            b, r = divmod(_BLOCK_PATHS + j, _BLOCK_PATHS)
+            np.testing.assert_array_equal(out[:, j],
+                                          draws[b][:, r] * np.sqrt(0.25))
+
+    def test_state_written_in_place_is_the_streams_state(self, monkeypatch):
+        # after drawing 10 steps 3 at a time into the reused buffer, each
+        # block's generator is where one draw of (10, G, m) leaves the
+        # stream, however few of its rows were used
+        made = []
+
+        def recording_rng(seed, index=0):
+            made.append((index, trajectory_rng(seed, index)))
+            return made[-1][1]
+
+        monkeypatch.setattr(forward, "trajectory_rng", recording_rng)
+        monkeypatch.setattr(forward, "_CHUNK_STEPS", 3)
+        for _ in _block_noise(29, [((3, 0), 1), ((3, 7), 5)], 10, 1, 0.5):
+            pass
+        assert [key for key, _ in made] == [(3, 0), (3, 7)]
+        for key, gen in made:
+            rng = trajectory_rng(29, key)
+            rng.standard_normal((10, _BLOCK_PATHS, 1))
+            assert gen.bit_generator.state == rng.bit_generator.state
+            gen.standard_normal(37)
+            rng.standard_normal(37)
+            assert gen.bit_generator.state == rng.bit_generator.state
+
+
 def test_time_grid_nodes_built_once_and_read_only():
     grid = TimeGrid(0.0, 1.0, 8)
     nodes = grid.nodes
