@@ -15,9 +15,8 @@ import numpy as np
 
 from .backward import apply_pi
 from .errors import ConstraintInfeasible, InfeasiblePath, SingularDiffusion
-from .forward import (ReflectedTrajectory, _check_inside,
-                      integrate_skeleton_ode)
-from .geometry import project
+from .forward import ReflectedTrajectory, integrate_skeleton_ode
+from .geometry import _check_dims, _check_inside, project
 
 __all__ = ["ActionResult", "OptimizerOptions", "evaluate_action",
            "minimize_action_endpoint", "contracted_rate"]
@@ -41,7 +40,6 @@ class ActionResult:
     phi: np.ndarray        # (n+1, d) recovered free path, phi = psi - rho
     action: float
     integrand: np.ndarray  # (n,) per-step quadratic form values, >= 0
-    feasible: bool
 
 
 @dataclass(frozen=True)
@@ -64,9 +62,8 @@ def _action_terms(coeffs, domain, paths, grid):
     the inward normals at the right nodes. Raises when any path of the
     stack leaves the domain or meets a singular diffusion.
     """
-    tol = max(domain.boundary_tol, 1e-12)
     dist = domain.signed_distance(paths)
-    if np.any(dist < -tol):
+    if np.any(dist < -domain.boundary_tol):
         raise InfeasiblePath("path leaves the closed domain")
 
     dt = grid.dt
@@ -113,13 +110,14 @@ def evaluate_action(coeffs, domain, psi, grid=None):
     grid = grid or tg
     if grid is None:
         raise ValueError("a TimeGrid is required when psi is a bare array")
-    if path.ndim != 2 or path.shape[0] != grid.n_steps + 1:
-        raise ValueError("path shape does not match the grid")
+    _check_dims(coeffs, domain)
+    if path.shape != (grid.n_steps + 1, domain.dimension):
+        raise ValueError("path shape does not match the grid and the domain")
     action, integrand, lam, nvec = _action_terms(coeffs, domain, path, grid)
     drho = (lam * grid.dt)[:, None] * nvec
     rho = np.concatenate([np.zeros((1, path.shape[1])), np.cumsum(drho, axis=0)])
     return ActionResult(psi=path.copy(), phi=path - rho, action=float(action),
-                        integrand=integrand, feasible=True)
+                        integrand=integrand)
 
 
 def _node_sums(integrand, dt):
@@ -275,14 +273,13 @@ def minimize_action_endpoint(coeffs, domain, s, x, y, T, grid, opts=None):
     return result, info
 
 
-def contracted_rate(coeffs, domain, field_limit, gamma, s, x, grid=None,
-                    opts=None):
+def contracted_rate(coeffs, domain, field_limit, gamma, s, x, opts=None):
     """Upper bound of the contracted rate: the cheapest constrained path
     whose image under the limit value map matches the given value path.
 
     Solved by penalty continuation on the squared constraint mismatch; the
-    start node is pinned at x, the rest of the path is free. grid, when
-    given, must be the field's time grid (same s, T and n_steps). The result's
+    start node is pinned at x, the rest of the path is free. The path lives
+    on the field's time grid, at whose nodes gamma is given. The result's
     `stalled` flag is set when the line search gave up in any stage. Raises
     ConstraintInfeasible when the final sup-norm violation exceeds the
     tolerance (the preimage is empty at this resolution).
@@ -293,11 +290,7 @@ def contracted_rate(coeffs, domain, field_limit, gamma, s, x, grid=None,
     gamma = np.asarray(gamma, float)
     if gamma.ndim == 1:
         gamma = gamma[:, None]
-    times = field_limit.times
-    grid = grid or times
-    # the penalty reads the field at its own nodes, so the action must too
-    if (grid.s, grid.T, grid.n_steps) != (times.s, times.T, times.n_steps):
-        raise ValueError(f"grid {grid} is not the field's time grid {times}")
+    grid = field_limit.times
     if gamma.shape[0] != grid.n_steps + 1:
         raise ValueError("gamma length does not match the grid")
 
@@ -319,6 +312,5 @@ def contracted_rate(coeffs, domain, field_limit, gamma, s, x, grid=None,
         raise ConstraintInfeasible(
             f"constraint violation {viol:.3e} exceeds "
             f"{_VIOLATION_TOL:.1e}; preimage is empty at this resolution")
-    result = evaluate_action(coeffs, domain, path, grid)
-    return {"s_prime": result.action, "argmin_psi": path,
-            "violation": viol, "action_result": result, "stalled": stalled}
+    return {"s_prime": evaluate_action(coeffs, domain, path, grid).action,
+            "argmin_psi": path, "violation": viol, "stalled": stalled}

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import FixedPointDivergence, NumericalBlowup, OutOfLattice
 from .forward import TimeGrid, _reflected_core, _step, trajectory_rng
-from .geometry import project
+from .geometry import _check_dims, project
 
 __all__ = ["BsdePath", "ValueField", "make_lattice", "solve_limit_bsde",
            "solve_bsde_grid", "limit_value_field", "apply_pi"]
@@ -97,6 +97,15 @@ def _multilinear(axes, values, coords, offset=0):
     return corners[0]
 
 
+def _hull_clip(axes, points):
+    """points (..., D) clipped to the hull of the lattice axes; a point more
+    than _PI_TOL outside it, or NaN, raises OutOfLattice."""
+    lo, hi = np.array([(ax[0], ax[-1]) for ax in axes]).T
+    if not (np.all(points >= lo - _PI_TOL) and np.all(points <= hi + _PI_TOL)):
+        raise OutOfLattice("path leaves the lattice hull")
+    return np.minimum(np.maximum(points, lo), hi)
+
+
 def _check_horizon(coeffs, times):
     if times.T != coeffs.T:
         raise ValueError(f"time grid ends at {times.T}, not at T = {coeffs.T}")
@@ -151,6 +160,7 @@ def solve_bsde_grid(coeffs, domain, epsilon, times, space_grid, mc_per_node,
     if mc_per_node < _MIN_MC_PER_NODE:
         raise ValueError(f"mc_per_node must be >= {_MIN_MC_PER_NODE}")
     _check_horizon(coeffs, times)
+    _check_dims(coeffs, domain)
     d, m, k = coeffs.dims
     axes = _uniform_axes(space_grid)
     nodes, shape = _lattice_nodes(axes)
@@ -208,6 +218,7 @@ def limit_value_field(coeffs, domain, times, space_grid):
     """Deterministic limit field u(t, x) on the lattice: skeleton from each
     (t_i, node) followed by the limit backward equation, read at its start."""
     _check_horizon(coeffs, times)
+    _check_dims(coeffs, domain)
     k = coeffs.dims[2]
     axes = _uniform_axes(space_grid)
     nodes, shape = _lattice_nodes(axes)
@@ -238,10 +249,7 @@ def apply_pi(field, path_values, path_times=None):
         raise ValueError("path dimension does not match the field lattice")
     if t_nodes.shape != vals.shape[-2:-1]:
         raise ValueError("path_times needs one entry per path node")
-    lo, hi = np.array([ax[[0, -1]] for ax in field.axes]).T
-    if not (np.all(vals >= lo - _PI_TOL) and np.all(vals <= hi + _PI_TOL)):
-        raise OutOfLattice("path leaves the lattice hull")
-    clipped = np.minimum(np.maximum(vals, lo), hi)
+    clipped = _hull_clip(field.axes, vals)
     t_lo, t_hi = field.times.s, field.times.T
     if not (np.all(t_nodes >= t_lo - _PI_TOL)
             and np.all(t_nodes <= t_hi + _PI_TOL)):

@@ -18,7 +18,7 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field, replace
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -31,8 +31,9 @@ from .coefficients import PRESET_NAMES, audit_assumptions, preset
 from .errors import ConfigInvalid, ReflectalError
 from .forward import (TimeGrid, integrate_skeleton_ode,
                       simulate_reflected_batch)
-from .geometry import make_domain, project
-from .harness import TARGETS, _validate_ladder, convergence_study, tail_study
+from .geometry import _check_dims, _check_inside, make_domain
+from .harness import (_MIN_PATHS, TARGETS, _validate_ladder,
+                      convergence_study, tail_study)
 
 COMMANDS = ("audit", "skeleton", "simulate-forward", "bsde-limit",
             "bsde-grid", "action-eval", "action-min", "contracted-rate",
@@ -81,7 +82,7 @@ def _parse(pointer, convert, value):
     """convert(value), with a failure reported as ConfigInvalid at pointer."""
     try:
         return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, ReflectalError) as exc:
         raise ConfigInvalid(pointer,
                             f"not a valid value: {value!r} ({exc})") from None
 
@@ -197,32 +198,33 @@ def validate(config_text):
         raise ConfigInvalid("/eps", f"must be > 0 for bsde-grid, got {cfg.eps}")
     if not cfg.delta > 0:
         raise ConfigInvalid("/delta", f"must be > 0, got {cfg.delta}")
-    _parse("/preset/params", lambda p: preset(cfg.preset_name, p),
-           cfg.preset_params)
+    coeffs = _parse("/preset/params", lambda p: preset(cfg.preset_name, p),
+                    cfg.preset_params)
     if float(cfg.preset_params.get("T", cfg.T)) != cfg.T:
         raise ConfigInvalid("/preset/params/T",
                             f"must equal the config's T = {cfg.T}")
     if cfg.target not in TARGETS:
         raise ConfigInvalid("/target", f"must be one of {TARGETS}")
+    if cfg.command == "convergence" and cfg.n_paths < _MIN_PATHS:
+        raise ConfigInvalid("/n_paths", f"must be >= {_MIN_PATHS} for "
+                            f"convergence, got {cfg.n_paths}")
     if (cfg.command == "convergence" and cfg.target == "Y4"
             and cfg.n_steps % min(cfg.n_steps, cfg.field_steps)):
         raise ConfigInvalid("/field_steps",
                             f"must divide grid.n_steps = {cfg.n_steps} for "
                             f"target Y4, got {cfg.field_steps}")
-    try:
-        domain = make_domain(**cfg.domain)
-    except (TypeError, ValueError, ReflectalError) as exc:
-        raise ConfigInvalid("/domain", str(exc)) from None
+    domain = _parse("/domain", lambda desc: make_domain(**desc), cfg.domain)
+    _parse("/preset/name", lambda name: _check_dims(coeffs, domain),
+           cfg.preset_name)
     for key in ("x", "y"):      # the start and action-min's target
         point = getattr(cfg, key)
         if point is None:
             continue
-        point = np.asarray(point, float)
-        if point.size != domain.dimension:
+        if len(point) != domain.dimension:
             raise ConfigInvalid(f"/{key}",
                                 f"expected {domain.dimension} coordinates")
-        if float(np.linalg.norm(project(domain, point) - point)) > 1e-12:
-            raise ConfigInvalid(f"/{key}", "point lies outside the domain")
+        _check_inside(domain, np.asarray(point), "point lies outside the "
+                      "domain", partial(ConfigInvalid, f"/{key}"))
     return cfg
 
 
@@ -356,7 +358,7 @@ def _execute(cfg, out_dir):
         field_v = limit_value_field(coeffs, domain, times, lattice)
         skel = integrate_skeleton_ode(coeffs, domain, cfg.s, x, times)
         gamma = apply_pi(field_v, skel.x_path)
-        res = contracted_rate(coeffs, domain, field_v, gamma, cfg.s, x, times)
+        res = contracted_rate(coeffs, domain, field_v, gamma, cfg.s, x)
         write("contracted-rate.csv", ["t", *_names("psi", d)],
               times.nodes, res["argmin_psi"])
         extra["s_prime"] = res["s_prime"]

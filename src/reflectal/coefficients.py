@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AuditFailure, UnknownPreset
+from .geometry import _check_dims
 
 __all__ = ["CoefficientSet", "AssumptionAudit", "audit_assumptions",
            "preset", "PRESET_NAMES"]
@@ -69,6 +70,7 @@ def audit_assumptions(coeffs, domain, grid=None, rng_seed=0, strict=False):
     if n_space < 10 or n_time < 10:
         raise ValueError("audit grid needs >= 10 points per axis")
 
+    _check_dims(coeffs, domain)
     d, m, k = coeffs.dims
     rng = np.random.default_rng(rng_seed)
     xs = domain.sample_closure(n_space, rng)
@@ -77,8 +79,10 @@ def audit_assumptions(coeffs, domain, grid=None, rng_seed=0, strict=False):
     flags = []
     witness = None
 
-    # (H1'_{b,sigma}): Lipschitz and linear growth of b, sigma in x.
+    # (H1'_{b,sigma}): Lipschitz and linear growth of b, sigma in x, and
+    # (H2_sigma): uniform ellipticity of sigma sigma*.
     L1 = 0.0
+    iota = np.inf
     for t in ts:
         b1, b2 = coeffs.b(t, xs), coeffs.b(t, xs2)
         s1, s2 = coeffs.sigma(t, xs), coeffs.sigma(t, xs2)
@@ -92,15 +96,9 @@ def audit_assumptions(coeffs, domain, grid=None, rng_seed=0, strict=False):
                    + np.linalg.norm(s1, axis=(-2, -1)))
                   / (1.0 + np.linalg.norm(xs, axis=-1)))
         L1 = max(L1, float(np.max(growth)))
-    pass_h1 = np.isfinite(L1)
-
-    # (H2_sigma): uniform ellipticity of sigma sigma*.
-    iota = np.inf
-    for t in ts:
-        s = coeffs.sigma(t, xs)
-        a = s @ np.swapaxes(s, -1, -2)
-        ev = np.linalg.eigvalsh(a)[..., 0]
+        ev = np.linalg.eigvalsh(s1 @ np.swapaxes(s1, -1, -2))[..., 0]
         iota = min(iota, float(np.min(ev)))
+    pass_h1 = np.isfinite(L1)
     iota = max(iota, 0.0)
     pass_h2 = iota >= _IOTA_FLOOR
     if not pass_h2:

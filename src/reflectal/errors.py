@@ -30,7 +30,7 @@ class MissingNoise(ReflectalError):
 
 
 class StartOutsideDomain(ReflectalError):
-    """A path handed to the constraining map does not start inside the domain."""
+    """A start, or a path's first node, lies outside the closed domain."""
 
 
 class FixedPointDivergence(ReflectalError):

@@ -17,8 +17,8 @@ from itertools import repeat
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .errors import MissingNoise, NumericalBlowup, StartOutsideDomain
-from .geometry import _norm, project
+from .errors import MissingNoise, NumericalBlowup
+from .geometry import _check_dims, _check_inside, _norm, project
 
 __all__ = ["TimeGrid", "ReflectedTrajectory", "FreePath",
            "SkorokhodDecomposition", "integrate_reflected_sde",
@@ -143,28 +143,16 @@ def _stream_noise(rng_stream, epsilon, grid, m):
     return rng_stream.standard_normal((1, grid.n_steps, m)) * np.sqrt(grid.dt)
 
 
-def _check_start(s, grid):
+def _start(coeffs, domain, s, x, grid, inside=True):
+    """x as a float vector, a start at the grid's start time s that passes
+    _check_dims and, unless inside is False, _check_inside."""
     if s != grid.s:
         raise ValueError(f"start time {s} is not the grid's start {grid.s}")
-
-
-def _start_point(coeffs, domain, x):
-    """x as a float vector, which must have as many coordinates as the
-    domain's and the coefficients' dimension."""
     x = np.atleast_1d(np.asarray(x, float))
-    d = coeffs.dims[0]
-    if x.shape != (domain.dimension,) or x.shape != (d,):
-        raise ValueError(
-            f"start {x.tolist()} has {x.size} coordinates; the domain has "
-            f"{domain.dimension} and the coefficients {d}")
+    _check_dims(coeffs, domain, x)
+    if inside:
+        _check_inside(domain, x, f"start {x} lies outside the domain")
     return x
-
-
-def _check_inside(domain, point, message, error=StartOutsideDomain):
-    """Raise error(message) unless point (d,) lies in the closed domain, up
-    to the domain's boundary tolerance."""
-    if domain.signed_distance(point) < -domain.boundary_tol:
-        raise error(message)
 
 
 def _step(coeffs, domain, X, t, dt, dW, sq):
@@ -245,9 +233,7 @@ def integrate_reflected_sde(coeffs, domain, s, x, epsilon, grid, rng_stream=None
     the outputs agree bitwise with integrate_skeleton_ode). The start x must
     lie in the closed domain.
     """
-    _check_start(s, grid)
-    x0 = _start_point(coeffs, domain, x)[None, :]
-    _check_inside(domain, x0[0], f"start {x0[0]} lies outside the domain")
+    x0 = _start(coeffs, domain, s, x, grid)[None, :]
     noise = _stream_noise(rng_stream, epsilon, grid, coeffs.dims[1])
     xp, kp, dirs = _reflected_core(coeffs, domain, x0, epsilon, grid, noise,
                                    _dirs=True)
@@ -271,13 +257,11 @@ def simulate_reflected_batch(coeffs, domain, s, x, epsilon, grid, seed,
     with G = _BLOCK_PATHS (see _block_noise). index_offset must be a whole
     number of blocks, so that a batch cut into calls at whole blocks draws
     the same paths."""
-    _check_start(s, grid)
+    x = _start(coeffs, domain, s, x, grid)
     if index_offset < 0 or index_offset % _BLOCK_PATHS:
         raise ValueError(f"index_offset must be a nonnegative multiple of "
                          f"{_BLOCK_PATHS}, got {index_offset}")
     d, m, _ = coeffs.dims
-    x = _start_point(coeffs, domain, x)
-    _check_inside(domain, x, f"start {x} lies outside the domain")
     x0 = np.broadcast_to(x, (n_paths, d)).copy()
     noise = (_block_noise(seed, _blocks(key_prefix, n_paths, index_offset),
                           grid.n_steps, m, grid.dt)
@@ -289,8 +273,7 @@ def simulate_reflected_batch(coeffs, domain, s, x, epsilon, grid, seed,
 def integrate_free_sde(coeffs, domain, s, x, epsilon, grid, rng_stream=None):
     """Plain Euler-Maruyama without projection (the boundary-free companion):
     the projection scheme with the identity as its projection."""
-    _check_start(s, grid)
-    x0 = _start_point(coeffs, domain, x)[None, :]
+    x0 = _start(coeffs, domain, s, x, grid, inside=False)[None, :]
     noise = _stream_noise(rng_stream, epsilon, grid, coeffs.dims[1])
     free = replace(domain, project_point=lambda p: p)
     xp, _, _ = _reflected_core(coeffs, free, x0, epsilon, grid, noise)

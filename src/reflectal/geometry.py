@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AuditFailure, InvalidShape
+from .errors import AuditFailure, InvalidShape, StartOutsideDomain
 
 __all__ = ["DomainSpec", "make_domain", "project", "verify_convexity"]
 
@@ -41,7 +41,6 @@ class DomainSpec:
     phi: Callable
     grad_phi: Callable
     hess_phi: Callable
-    alpha: float
     boundary_tol: float
     diameter: float
     bbox: tuple
@@ -133,7 +132,7 @@ def _make_interval(a, b):
         return np.where(rng.random(n) < 0.5, a, b)[:, None]
 
     return DomainSpec(
-        dimension=1, phi=phi, grad_phi=grad, hess_phi=hess, alpha=_ALPHA,
+        dimension=1, phi=phi, grad_phi=grad, hess_phi=hess,
         boundary_tol=_BOUNDARY_REL_TOL * diam, diameter=diam,
         bbox=(np.array([a]), np.array([b])), signed_distance=dist,
         project_point=proj, sample_closure=closure, sample_boundary=boundary)
@@ -198,7 +197,7 @@ def _make_ball(center, radius):
         return c + radius * directions(n, rng)
 
     return DomainSpec(
-        dimension=d, phi=phi, grad_phi=grad, hess_phi=hess, alpha=_ALPHA,
+        dimension=d, phi=phi, grad_phi=grad, hess_phi=hess,
         boundary_tol=_BOUNDARY_REL_TOL * diam, diameter=diam,
         bbox=(c - radius, c + radius), signed_distance=dist,
         project_point=proj, sample_closure=closure, sample_boundary=boundary)
@@ -227,12 +226,30 @@ def project(domain, p):
     return domain.project_point(np.asarray(p, float))
 
 
+def _check_inside(domain, point, message, error=StartOutsideDomain):
+    """Raise error(message) unless point (d,) lies in the closed domain, up
+    to the domain's boundary tolerance."""
+    if domain.signed_distance(point) < -domain.boundary_tol:
+        raise error(message)
+
+
+def _check_dims(coeffs, domain, start=None):
+    """Raise ValueError unless the coefficients and the domain have one
+    dimension and start, a float array when given, has that many entries."""
+    d, dim = coeffs.dims[0], domain.dimension
+    if d != dim or start is not None and start.shape != (d,):
+        what = ("dimensions differ" if start is None else
+                f"start {start.tolist()} has {start.size} coordinates")
+        raise ValueError(f"{what}; the domain has {dim} and the "
+                         f"coefficients {d}")
+
+
 def verify_convexity(domain, n_samples, rng_seed):
     """Smallest alpha making 2<x'-x, grad phi(x)> + alpha |x-x'|^2 >= 0
     over sampled boundary points x and closure points x'.
 
-    Raises AuditFailure when the estimate exceeds the domain's declared
-    alpha, reporting the worst sampled pair.
+    Raises AuditFailure when the estimate exceeds the convexity slack
+    _ALPHA, reporting the worst sampled pair.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
@@ -249,8 +266,8 @@ def verify_convexity(domain, n_samples, rng_seed):
     alpha_min = float(need[worst])
     report = {"alpha_min": alpha_min,
               "worst_pair": (xb[worst].copy(), xc[worst].copy())}
-    if alpha_min > domain.alpha:
+    if alpha_min > _ALPHA:
         raise AuditFailure(
             f"convexity constant {alpha_min:.3e} exceeds declared "
-            f"alpha {domain.alpha:.3e}", witness=report)
+            f"alpha {_ALPHA:.3e}", witness=report)
     return report

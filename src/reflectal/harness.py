@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import OptimizerOptions, minimize_action_endpoint
-from .backward import (_PI_TOL, _multilinear, make_lattice, solve_bsde_grid,
-                       solve_limit_bsde)
-from .errors import DegenerateFit, InsufficientPaths, OutOfLattice
+from .backward import (_hull_clip, _multilinear, make_lattice,
+                       solve_bsde_grid, solve_limit_bsde)
+from .errors import DegenerateFit, InsufficientPaths
 from .forward import (_BLOCK_PATHS, TimeGrid, _block_noise, _blocks,
                       _reflected_core, integrate_skeleton_ode)
 from .geometry import _norm, project
@@ -30,6 +30,7 @@ _KEXP_BETA = 1.0        # Kexp estimates E[exp(beta K_T)]
 _MAX_REL_SE = 0.2       # largest relative standard error a level may report
 _PILOT_PATHS = 1000     # tail pilot at the smallest epsilon
 _OPT_STEPS = 64         # time steps of the tail certificate's optimizer grid
+_MIN_PATHS = 1000       # paths per level of a convergence study
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,9 @@ def fit_loglog(xs, ys):
     ys = np.asarray(ys, float)
     if xs.size < 3:
         raise ValueError("need at least 3 points")
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise ValueError("all points must be positive")
+    finite = np.isfinite(xs).all() and np.isfinite(ys).all()
+    if not finite or np.any(xs <= 0) or np.any(ys <= 0):
+        raise ValueError("all points must be positive and finite")
     lx, ly = np.log(xs), np.log(ys)
     if np.ptp(lx) == 0:
         raise DegenerateFit("all abscissae identical")
@@ -182,8 +184,8 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
         raise ValueError(f"targets must be distinct names from {TARGETS}, "
                          f"got {target!r}")
     eps = _validate_ladder(eps_ladder)
-    if n_paths < 1000:
-        raise ValueError("n_paths must be >= 1000")
+    if n_paths < _MIN_PATHS:
+        raise ValueError(f"n_paths must be >= {_MIN_PATHS}")
 
     skel = integrate_skeleton_ode(coeffs, domain, s, x, grid)
     y4, every = None, 1
@@ -204,15 +206,12 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
             fields[:, ei] = solve_bsde_grid(coeffs, domain, e, field_grid,
                                             lattice, mc_per_node,
                                             rng_seed + 7919 * (ei + 1)).values
-        lo, hi = np.array([ax[[0, -1]] for ax in lattice]).T
 
         def y4(j, X, level):  # |u^eps(t, X) - psi_t|^4 at field node j
-            if not (np.all(X >= lo - _PI_TOL) and np.all(X <= hi + _PI_TOL)):
-                raise OutOfLattice("path leaves the lattice hull")
             # read each row in its level's field slice j
             u = _multilinear(lattice, fields[j],
-                             np.moveaxis(np.minimum(np.maximum(X, lo), hi),
-                                         -1, 0), level * cells)
+                             np.moveaxis(_hull_clip(lattice, X), -1, 0),
+                             level * cells)
             return _norm(u - psi[j * every]) ** 4
 
     sups = {_STATS[name][0] for name in names if name != "Y4"} - {"kT"}

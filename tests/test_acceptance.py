@@ -177,7 +177,7 @@ def test_criterion_07_zero_cost_skeleton_all_presets():
         lat = make_lattice(dom, 17 if co.dims[0] > 1 else 33)
         field = limit_value_field(co, dom, times, lat)
         gamma = apply_pi(field, skel.x_path)
-        out = contracted_rate(co, dom, field, gamma, 0.0, x, times)
+        out = contracted_rate(co, dom, field, gamma, 0.0, x)
         worst_sp = max(worst_sp, out["s_prime"])
     ok = bool(audited) and worst_s <= 1e-6 and worst_sp <= 1e-6
     assert report(7, "S(skeleton) and contracted rate <= 1e-6", ok,

@@ -15,7 +15,7 @@ import pytest
 from reflectal import cli
 from reflectal.cli import (ExperimentConfig, main, run, serialize, validate)
 from reflectal.coefficients import preset
-from reflectal.errors import ConfigInvalid
+from reflectal.errors import ConfigInvalid, StartOutsideDomain
 from reflectal.forward import TimeGrid, simulate_reflected_batch
 from reflectal.geometry import make_domain
 
@@ -190,11 +190,34 @@ class TestValidateRejects:
         ({"workers": 1}, "/workers"),
         ({"command": "action-min", "y": 1.7}, "/y"),
         ({"command": "action-min", "y": [0.5, 0.5]}, "/y"),
+        ({"command": "convergence", "n_paths": 999}, "/n_paths"),
     ])
     def test_bad_value_rejected(self, over, field):
         with pytest.raises(ConfigInvalid) as exc:
             validate(base_config(**over))
         assert exc.value.field == field
+
+    @pytest.mark.parametrize("offset, inside", [(5e-10, True), (2e-9, False)])
+    def test_boundary_tolerance_matches_the_library(self, offset, inside):
+        # on [0, 1] the boundary tolerance is 1e-9 x the diameter, for the
+        # config's start as for the library's
+        x = 1.0 + offset
+        co = preset("constant-drift", {"v": 1.0})
+        dom = make_domain("interval", a=0.0, b=1.0)
+
+        def batch():
+            return simulate_reflected_batch(co, dom, 0.0, [x], 0.0,
+                                            TimeGrid(0.0, 1.0, 4), 0, 1)
+        if inside:
+            assert validate(base_config(x=x)).x == (x,)
+            batch()
+            return
+        with pytest.raises(ConfigInvalid) as exc:
+            validate(base_config(x=x))
+        assert exc.value.field == "/x"
+        assert exc.value.reason == "point lies outside the domain"
+        with pytest.raises(StartOutsideDomain):
+            batch()
 
     def test_matching_preset_T_accepted(self):
         cfg = validate(base_config(T=2.0, preset={
@@ -249,6 +272,21 @@ class TestMainRejects:
         assert rc == 1
         assert err["error"] == "ConfigInvalid"
         assert err["message"].startswith("/seed:")
+
+    @pytest.mark.parametrize("command", ["audit", "skeleton", "bsde-limit",
+                                         "bsde-grid", "action-eval",
+                                         "contracted-rate"])
+    def test_model_of_other_dimension(self, tmp_path, capsys, command):
+        # ou-in-ball is 2-D: on the unit interval each command fails at
+        # validation, with no traceback and no output
+        rc, err = self._main(tmp_path, capsys, command=command,
+                             preset={"name": "ou-in-ball"}, space_nodes=5,
+                             field_steps=4, mc_per_node=64)
+        assert rc == 1
+        assert err["error"] == "ConfigInvalid"
+        assert err["message"] == (
+            "/preset/name: not a valid value: 'ou-in-ball' (dimensions "
+            "differ; the domain has 1 and the coefficients 2)")
 
     def test_bsde_grid_zero_eps(self, tmp_path, capsys):
         rc, err = self._main(tmp_path, capsys, command="bsde-grid", eps=0.0,

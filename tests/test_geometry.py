@@ -6,7 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
+from reflectal.action import evaluate_action
+from reflectal.backward import (limit_value_field, make_lattice,
+                                solve_bsde_grid)
+from reflectal.coefficients import audit_assumptions, preset
 from reflectal.errors import AuditFailure, InvalidShape
+from reflectal.forward import TimeGrid
 from reflectal.geometry import make_domain, project, verify_convexity
 
 
@@ -235,3 +240,32 @@ class TestVerifyConvexity:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             verify_convexity(unit_ball(), 1, rng_seed=0)
+
+
+class TestModelDimension:
+    """Coefficients whose state dimension is not the domain's are rejected
+    by every entry point that takes both, not broadcast or read in part."""
+
+    GRID = TimeGrid(0.0, 1.0, 4)
+    CALLS = {
+        "audit": lambda co, dom, g: audit_assumptions(co, dom),
+        "limit field": lambda co, dom, g: limit_value_field(
+            co, dom, g, make_lattice(dom, 5)),
+        "lattice solve": lambda co, dom, g: solve_bsde_grid(
+            co, dom, 0.1, g, make_lattice(dom, 5), 64, 0),
+        "action": lambda co, dom, g: evaluate_action(
+            co, dom, np.full((5, 1), 0.5), g),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_disc_model_on_interval_raises(self, call):
+        co = preset("ou-in-ball")
+        with pytest.raises(ValueError, match=(
+                "dimensions differ; the domain has 1 and the coefficients 2")):
+            self.CALLS[call](co, unit_interval(), self.GRID)
+
+    def test_action_path_of_other_dimension_raises(self):
+        co = preset("zero-drift-unit-noise")
+        with pytest.raises(ValueError, match="path shape"):
+            evaluate_action(co, unit_interval(), np.full((5, 2), 0.5),
+                            self.GRID)

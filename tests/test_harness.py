@@ -6,11 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reflectal import forward, harness
-from reflectal.backward import (apply_pi, make_lattice, solve_bsde_grid,
-                                solve_limit_bsde)
+from reflectal import backward, forward, harness
+from reflectal.backward import (apply_pi, limit_value_field, make_lattice,
+                                solve_bsde_grid, solve_limit_bsde)
 from reflectal.coefficients import CoefficientSet, preset
-from reflectal.errors import (DegenerateFit, InsufficientPaths,
+from reflectal.errors import (DegenerateFit, InsufficientPaths, OutOfLattice,
                               StartOutsideDomain)
 from reflectal.forward import (_BLOCK_PATHS, TimeGrid, _reflected_core,
                                integrate_skeleton_ode,
@@ -60,6 +60,12 @@ class TestFitLoglog:
             fit_loglog([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             fit_loglog([1.0, 2.0, -3.0], [1.0, 2.0, 3.0])
+        for xs, ys in (([1.0, 2.0, 3.0], [1.0, np.nan, 3.0]),
+                       ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]),
+                       ([1.0, 2.0, np.inf], [1.0, 2.0, 3.0]),
+                       ([1.0, 2.0, 3.0], [1.0, 2.0, np.inf])):
+            with pytest.raises(ValueError, match="finite"):
+                fit_loglog(xs, ys)
         with pytest.raises(DegenerateFit):
             fit_loglog([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
@@ -630,3 +636,41 @@ def test_tail_study_rejects_no_paths():
     with pytest.raises(ValueError, match="n_paths"):
         tail_study(preset("zero-drift-unit-noise"), unit_interval(), 0.0,
                    [0.5], 0.3, LADDER, 0, TimeGrid(0.0, 1.0, 16), 3)
+
+
+class TestLatticeHull:
+    """apply_pi and the Y4 reader share backward's lattice-hull check. The
+    domain's bounding box is cut to [0, 0.5], so the lattice hull ends at
+    0.5, and the path starts just above it, inside the domain; at a tiny
+    epsilon it stays there."""
+
+    LADDER = (1e-20, 5e-21, 2.5e-21, 1.25e-21)
+
+    def _readers(self, x):
+        dom = replace(make_domain("interval", a=0.0, b=1.0),
+                      bbox=(np.array([0.0]), np.array([0.5])))
+        co = preset("linear-bsde")
+        times = TimeGrid(0.0, 1.0, 4)
+        field = limit_value_field(co, dom, times, make_lattice(dom, 3))
+        return {
+            "apply_pi": lambda: apply_pi(field, np.full((5, 1), x)),
+            "Y4": lambda: convergence_study(
+                "Y4", co, dom, 0.0, [x], self.LADDER, 1000, times, 1,
+                field_steps=4, field_nodes=3, mc_per_node=64),
+        }
+
+    @pytest.mark.parametrize("reader", ["apply_pi", "Y4"])
+    def test_point_outside_hull_raises(self, reader):
+        x = 0.5 + 2 * backward._PI_TOL
+        with pytest.raises(OutOfLattice, match="path leaves the lattice hull"):
+            self._readers(x)[reader]()
+
+    @pytest.mark.parametrize("reader", ["apply_pi", "Y4"])
+    def test_one_tolerance(self, reader, monkeypatch):
+        # a point within the hull tolerance is read; with backward's
+        # tolerance narrowed below its distance, both readers reject it
+        x = 0.5 + 0.5 * backward._PI_TOL
+        self._readers(x)[reader]()
+        monkeypatch.setattr(backward, "_PI_TOL", 0.25 * backward._PI_TOL)
+        with pytest.raises(OutOfLattice, match="path leaves the lattice hull"):
+            self._readers(x)[reader]()
