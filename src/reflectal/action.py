@@ -29,6 +29,7 @@ _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 30
 _BATCH = 3              # backtracking trials per objective call
+_GUESS = 1              # the first batch's trial whose gradient rides along
 _STALL_LIMIT = 50       # consecutive rejected iterations before giving up
 _PENALTIES = (10.0, 100.0, 1e3, 1e4, 1e5)   # contracted_rate's continuation
 _VIOLATION_TOL = 1e-3
@@ -47,11 +48,14 @@ class OptimizerOptions:
     max_iter: int = 400
     grad_tol: float = 1e-10
 
-
-def _as_path(psi):
-    if isinstance(psi, ReflectedTrajectory):
-        return np.asarray(psi.x_path, float), psi.grid
-    return np.asarray(psi, float), None
+    def __post_init__(self):
+        if (not isinstance(self.max_iter, (int, np.integer))
+                or isinstance(self.max_iter, bool) or self.max_iter < 0):
+            raise ValueError(
+                f"max_iter must be an int >= 0, got {self.max_iter!r}")
+        if not (np.isfinite(self.grad_tol) and self.grad_tol >= 0):
+            raise ValueError(
+                f"grad_tol must be finite and >= 0, got {self.grad_tol!r}")
 
 
 def _action_terms(coeffs, domain, paths, grid):
@@ -104,12 +108,18 @@ def evaluate_action(coeffs, domain, psi, grid=None):
     Forward differences for the velocity, drift at the left node, inverse
     diffusion at the left node, boundary multiplier resolved at the right
     node. A noise-free skeleton produced by the same Euler scheme scores
-    exactly zero up to roundoff.
+    exactly zero up to roundoff. A grid given with a ReflectedTrajectory
+    must be the trajectory's own.
     """
-    path, tg = _as_path(psi)
-    grid = grid or tg
-    if grid is None:
+    if isinstance(psi, ReflectedTrajectory):
+        if grid is not None and grid != psi.grid:
+            raise ValueError(f"grid {grid} is not the trajectory's grid "
+                             f"{psi.grid}")
+        path, grid = np.asarray(psi.x_path, float), psi.grid
+    elif grid is None:
         raise ValueError("a TimeGrid is required when psi is a bare array")
+    else:
+        path = np.asarray(psi, float)
     _check_dims(coeffs, domain)
     if path.shape != (grid.n_steps + 1, domain.dimension):
         raise ValueError("path shape does not match the grid and the domain")
@@ -130,18 +140,16 @@ def _node_sums(integrand, dt):
     return sums
 
 
-def _fd_gradient(objective, path, domain, free):
-    """Finite-difference gradient over the nodes `free` of a path.
+def _fd_stencils(path, domain, free):
+    """The finite-difference stencils of a path over the nodes `free`.
 
-    objective maps a stack of paths (..., n+1, d) to (values, sums): the
-    values (...,) and each node's local sum (..., n+1), which may depend on
-    the node and its two neighbours only. Component (j, c) differences node
-    j's sum between the paths whose node j is replaced by
-    project(path[j] +- fd e_c), with fd = _FD_REL_STEP * max(diameter, 1).
-    No two nodes of one parity share a term, so all even free nodes move
-    at once, then all odd ones (Curtis, Powell & Reid 1974): 4 * d paths
-    per gradient, in one objective call, whatever n is. A component whose
-    two projected nodes coincide in coordinate c is left at zero.
+    Returns (paths, read): paths (2, 2, d, n+1, d) replace node j of path by
+    project(path[j] +- fd e_c), with fd = _FD_REL_STEP * max(diameter, 1),
+    and read maps their node sums (2, 2, d, n+1) to the gradient. No two
+    nodes of one parity share a term, so all even free nodes move at once,
+    then all odd ones (Curtis, Powell & Reid 1974): 4 * d paths per
+    gradient, whatever n is. A component whose two projected nodes coincide
+    in coordinate c is left at zero.
     """
     d = path.shape[1]
     bumps = _FD_REL_STEP * max(domain.diameter, 1.0) * np.eye(d)
@@ -150,14 +158,31 @@ def _fd_gradient(objective, path, domain, free):
     colour = free[:, None] % 2
     coord = np.arange(d)
     perturbed = np.broadcast_to(path, (2, 2, d) + path.shape).copy()
-    perturbed[:, colour, coord, free[:, None]] = moved  # (2, 2, d, n+1, d)
-    sums = objective(perturbed)[1][:, colour, coord, free[:, None]]
-    moved_c = np.diagonal(moved, axis1=-2, axis2=-1)
-    denom = moved_c[0] - moved_c[1]
-    grad = np.zeros_like(path)
-    grad[free] = np.where(denom != 0.0, (sums[0] - sums[1])
-                          / np.where(denom != 0.0, denom, 1.0), 0.0)
-    return grad
+    perturbed[:, colour, coord, free[:, None]] = moved
+
+    def read(sums):
+        sums = sums[:, colour, coord, free[:, None]]
+        moved_c = np.diagonal(moved, axis1=-2, axis2=-1)
+        denom = moved_c[0] - moved_c[1]
+        grad = np.zeros_like(path)
+        grad[free] = np.where(denom != 0.0, (sums[0] - sums[1])
+                              / np.where(denom != 0.0, denom, 1.0), 0.0)
+        return grad
+
+    return perturbed, read
+
+
+def _fd_gradient(objective, path, domain, free):
+    """Finite-difference gradient over the nodes `free` of a path, in one
+    objective call on _fd_stencils' paths.
+
+    objective maps a stack of paths (..., n+1, d) to (values, sums): the
+    values (...,) and each node's local sum (..., n+1), which may depend on
+    the node and its two neighbours only. Component (j, c) differences node
+    j's sum between the stencil paths that move node j along e_c.
+    """
+    paths, read = _fd_stencils(path, domain, free)
+    return read(objective(paths)[1])
 
 
 def _backtrack(objective, path, value, grad, gnorm2, free, domain, eta):
@@ -169,9 +194,15 @@ def _backtrack(objective, path, value, grad, gnorm2, free, domain, eta):
     decrement is accepted, and a trial equal to path (the step rounded away)
     ends the search as a rejection before it is evaluated. This is the
     sequential search's outcome, except that a batch may evaluate up to
-    _BATCH - 1 feasible trials past the accepted one. Returns (trial, value,
-    eta, accepted); a rejection returns path, the value and the step the
-    search stopped at, halved once more after a full run of failures.
+    _BATCH - 1 feasible trials past the accepted one.
+
+    The first batch's trial _GUESS, at the step the last accepted search
+    took (the descent doubles that step), carries its _fd_stencils into the
+    same call. Returns (trial, value, eta, accepted, grad): on acceptance,
+    grad is the trial's gradient when it is trial _GUESS and None
+    otherwise; a rejection returns path, the value, the step the search
+    stopped at (halved once more after a full run of failures) and the
+    given grad, since the path has not moved.
     """
     etas = [eta]
     for _ in range(_MAX_BACKTRACKS):
@@ -183,17 +214,27 @@ def _backtrack(objective, path, value, grad, gnorm2, free, domain, eta):
             domain, path[free] - np.array(batch)[:, None, None] * grad[free])
         same = np.all(trials == path, axis=(-2, -1))
         stop = int(np.argmax(same)) if same.any() else len(batch)
-        values = objective(trials[:stop])[0] if stop else ()
-        for trial, tv, eta in zip(trials, values, batch):
+        stack = trials[:stop]
+        guess = first == 0 and stop > _GUESS
+        if guess:
+            stencils, read = _fd_stencils(trials[_GUESS], domain, free)
+            stack = np.concatenate(
+                [stack, stencils.reshape((-1,) + path.shape)])
+        values, sums = objective(stack) if stop else ((), None)
+        # the stencils' values follow the trials'
+        for k, (trial, tv, eta) in enumerate(zip(trials, values[:stop], batch)):
             tv = float(tv)
             # a trial must lower the value: the Armijo decrement can round
             # away
             if tv < value and tv <= value - _ARMIJO_C * eta * gnorm2:
-                return trial, tv, eta, True
+                if guess and k == _GUESS:
+                    return trial, tv, eta, True, read(
+                        sums[stop:].reshape(stencils.shape[:-1]))
+                return trial, tv, eta, True, None
         if stop < len(batch):
             # the step rounded away: a rejection, as is every shorter one
-            return path, value, batch[stop], False
-    return path, value, etas[-1], False
+            return path, value, batch[stop], False, grad
+    return path, value, etas[-1], False, grad
 
 
 def _projected_descent(objective, path0, domain, pin_last, opts):
@@ -201,8 +242,11 @@ def _projected_descent(objective, path0, domain, pin_last, opts):
     backtracking over the non-pinned nodes of a discretized path.
 
     objective maps a stack of paths (..., n+1, d) to (values, sums), as
-    _fd_gradient describes. Returns (best_path, best_value, log, stalled)
-    where log rows are (iteration, value, step).
+    _fd_gradient describes. An iteration makes one objective call when the
+    line search accepts its trial _GUESS, whose gradient comes with it;
+    otherwise the next iteration computes the gradient, except after a
+    rejection, which keeps it. Returns (best_path, best_value, log,
+    stalled) where log rows are (iteration, value, step).
     """
     path = project(domain, np.asarray(path0, float))
     n1 = path.shape[0]
@@ -213,12 +257,14 @@ def _projected_descent(objective, path0, domain, pin_last, opts):
     step = _INIT_STEP
     stalls = 0
     stalled = False
+    grad = None
     for it in range(1, opts.max_iter + 1):
-        grad = _fd_gradient(objective, path, domain, free)
+        if grad is None:
+            grad = _fd_gradient(objective, path, domain, free)
         gnorm2 = float(np.sum(grad * grad))
         if gnorm2 <= opts.grad_tol**2:
             break
-        path, value, eta, accepted = _backtrack(
+        path, value, eta, accepted, grad = _backtrack(
             objective, path, value, grad, gnorm2, free, domain, step)
         log.append((it, value, eta if accepted else 0.0))
         if accepted:

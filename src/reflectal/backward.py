@@ -250,11 +250,13 @@ def apply_pi(field, path_values, path_times=None):
     if t_nodes.shape != vals.shape[-2:-1]:
         raise ValueError("path_times needs one entry per path node")
     clipped = _hull_clip(field.axes, vals)
-    t_lo, t_hi = field.times.s, field.times.T
-    if not (np.all(t_nodes >= t_lo - _PI_TOL)
-            and np.all(t_nodes <= t_hi + _PI_TOL)):
-        raise OutOfLattice("path times leave the field's time range")
-    tq = np.broadcast_to(np.minimum(np.maximum(t_nodes, t_lo), t_hi),
-                         vals.shape[:-1])
+    if path_times is not None:
+        # the field's own nodes lie in [s, T], with linspace's exact ends
+        t_lo, t_hi = field.times.s, field.times.T
+        if not (np.all(t_nodes >= t_lo - _PI_TOL)
+                and np.all(t_nodes <= t_hi + _PI_TOL)):
+            raise OutOfLattice("path times leave the field's time range")
+        t_nodes = np.minimum(np.maximum(t_nodes, t_lo), t_hi)
+    tq = np.broadcast_to(t_nodes, vals.shape[:-1])
     return _multilinear((field.times.nodes,) + field.axes, field.values,
                         (tq, *np.moveaxis(clipped, -1, 0)))

@@ -8,7 +8,8 @@ import pytest
 
 from reflectal import action
 from reflectal.action import (OptimizerOptions, _action_terms, _fd_gradient,
-                              _FD_REL_STEP, _node_sums, _projected_descent,
+                              _fd_stencils, _FD_REL_STEP, _node_sums,
+                              _projected_descent,
                               contracted_rate, evaluate_action,
                               minimize_action_endpoint)
 from reflectal.backward import apply_pi, limit_value_field, make_lattice
@@ -99,6 +100,22 @@ class TestEvaluateAction:
         res = evaluate_action(co, dom, skel)
         assert res.action <= 1e-10
 
+    def test_trajectory_with_foreign_grid_raises(self):
+        # the v = 1 skeleton costs 0 on its own grid; a grid of the same
+        # step count but twice the horizon would read it at 0.1875
+        dom = unit_interval()
+        co = preset("constant-drift", params={"v": 1.0})
+        grid = TimeGrid(0.0, 1.0, 8)
+        skel = integrate_skeleton_ode(co, dom, 0.0, [0.2], grid)
+        own = evaluate_action(co, dom, skel).action
+        assert own <= 1e-30
+        assert evaluate_action(co, dom, skel, TimeGrid(0, 1, 8)).action == own
+        with pytest.raises(ValueError, match="trajectory's grid"):
+            evaluate_action(co, dom, skel, TimeGrid(0.0, 2.0, 8))
+        assert evaluate_action(co, dom, skel.x_path,
+                               TimeGrid(0.0, 2.0, 8)).action == pytest.approx(
+                                   0.1875, rel=1e-12)
+
     def test_boundary_slide_matches_lambda_scan_oracle(self):
         # move to the boundary of the ball, then slide along the arc
         dom = make_domain("ball", center=[0.0, 0.0], radius=1.0)
@@ -172,6 +189,23 @@ class TestEvaluateAction:
             scaled = evaluate_action(scaled_sigma_set(c), dom, path,
                                      grid).action
             assert scaled == pytest.approx(base / c ** 2, rel=1e-12)
+
+
+class TestOptimizerOptions:
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iter": -3}, {"max_iter": 2.5}, {"max_iter": 50.0},
+        {"max_iter": True}, {"max_iter": "50"}, {"grad_tol": -1.0},
+        {"grad_tol": np.nan}, {"grad_tol": np.inf}])
+    def test_invalid_options_raise(self, kwargs):
+        with pytest.raises(ValueError):
+            OptimizerOptions(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"max_iter": 0}, {"max_iter": 50}, {"max_iter": np.int64(7)},
+        {"grad_tol": 0.0, "max_iter": 20}, {"grad_tol": 1}])
+    def test_valid_options_kept(self, kwargs):
+        opts = OptimizerOptions(**kwargs)
+        assert all(getattr(opts, k) == v for k, v in kwargs.items())
 
 
 class TestMinimizeEndpoint:
@@ -587,52 +621,73 @@ def sequential_descent(objective, path0, domain, pin_last, opts):
 
 class TestBatchedLineSearch:
     """_projected_descent against the one-trial-per-call oracle, both with
-    the same gradient function patched in, so only the line search can
+    the same stencil builder patched in, so only the line search can
     differ."""
 
     L = action._BATCH
     start = np.full((6, 1), 0.5)
 
-    def run_both(self, monkeypatch, objective, gradient, path0=None,
-                 dom=None, pin_last=False, opts=OptimizerOptions(max_iter=60)):
+    def run_both(self, monkeypatch, objective, stencils=_fd_stencils,
+                 path0=None, dom=None, pin_last=False,
+                 opts=OptimizerOptions(max_iter=60)):
         path0 = self.start if path0 is None else path0
         dom = dom or unit_interval()
+        originals = {"_fd_gradient": action._fd_gradient,
+                     "_backtrack": action._backtrack}
         runs = []
-        for descent in (sequential_descent, _projected_descent):
-            seen, grads_at = [], []
+        # the oracle starts an iteration with a gradient, the descent a
+        # line search that may already hold it
+        for descent, starter in ((sequential_descent, "_fd_gradient"),
+                                 (_projected_descent, "_backtrack")):
+            seen, starts, pending = [], [], [0]
 
             def spy(p):
-                seen.extend(np.reshape(p, (-1,) + path0.shape))
+                # the stencil paths come last in their call; keep the trials
+                stack = np.reshape(p, (-1,) + path0.shape)
+                seen.extend(stack[:len(stack) - pending[0]])
+                pending[0] = 0
                 return objective(p)
 
-            def patched(obj, path, domain, free):
-                grads_at.append(len(seen))
-                return gradient(obj, path, domain, free)
+            def counted(path, domain, free):
+                paths, read = stencils(path, domain, free)
+                pending[0] = paths.size // path.size
+                return paths, read
 
-            monkeypatch.setattr(action, "_fd_gradient", patched)
+            def marked(*args, _fn=originals[starter], _starts=starts):
+                _starts.append(len(seen))
+                return _fn(*args)
+
+            monkeypatch.setattr(action, "_fd_stencils", counted)
+            for name, fn in originals.items():
+                monkeypatch.setattr(action, name,
+                                    marked if name == starter else fn)
             out = descent(spy, path0, dom, pin_last=pin_last, opts=opts)
-            runs.append((out, seen, grads_at))
-        (want, seen_seq, at_seq), (got, seen_bat, grads_at) = runs
+            runs.append((out, seen, starts))
+        (want, seen_seq, at_seq), (got, seen_bat, starts) = runs
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1] and got[2] == want[2] and got[3] == want[3]
         # per iteration, the batches evaluate the oracle's trials in its
-        # order, and after an accepted trial at most _BATCH - 1 more
-        assert len(at_seq) == len(grads_at)
-        for i, (row, a, b) in enumerate(zip(got[2][1:], at_seq, grads_at)):
+        # order, and after an accepted trial at most _BATCH - 1 more; the
+        # oracle's last gradient may end the run without a search
+        assert len(starts) == len(got[2]) - 1
+        assert len(at_seq) - len(starts) in (0, 1)
+        for i, (row, a, b) in enumerate(zip(got[2][1:], at_seq, starts)):
             trials = seen_seq[a:(at_seq + [len(seen_seq)])[i + 1]]
-            batched = seen_bat[b:(grads_at + [len(seen_bat)])[i + 1]]
+            batched = seen_bat[b:(starts + [len(seen_bat)])[i + 1]]
             extra = len(batched) - len(trials)
             assert 0 <= extra <= (self.L - 1 if row[2] > 0 else 0)
             assert all(np.array_equal(p, q) for p, q in zip(trials, batched))
-        return got, seen_bat, grads_at
+        return got, seen_bat, starts
 
     @staticmethod
     def constant_gradient(g):
-        def gradient(objective, path, domain, free):
+        """A stencil builder of no paths whose read-out is g at the free
+        nodes."""
+        def stencils(path, domain, free):
             grad = np.zeros_like(path)
             grad[free] = g
-            return grad
-        return gradient
+            return np.empty((0,) + path.shape), lambda sums: grad
+        return stencils
 
     def threshold_objective(self, theta):
         """1 - the largest rise of a node above 0.5 while it is at most
@@ -651,15 +706,15 @@ class TestBatchedLineSearch:
         # iteration rejects all thirty
         eta = 0.5 ** (k + 1)
         theta = 0.25 * eta
-        (path, value, log, stalled), seen, grads_at = self.run_both(
+        (path, value, log, stalled), seen, starts = self.run_both(
             monkeypatch, self.threshold_objective(theta),
             self.constant_gradient(-0.25))
         assert log[1] == (1, 1.0 - theta, eta)
         assert log[2] == (2, 1.0 - theta, 0.0)
-        assert grads_at[2] - grads_at[1] == action._MAX_BACKTRACKS
+        assert starts[2] - starts[1] == action._MAX_BACKTRACKS
         # iteration 3 starts from the step halved thirty times
         step = 2.0 * eta * action._BACKTRACK ** action._MAX_BACKTRACKS
-        first = seen[grads_at[2]]
+        first = seen[starts[2]]
         np.testing.assert_array_equal(first[1:], 0.5 + theta + 0.25 * step)
         assert stalled and np.all(path[1:] == 0.5 + theta)
 
@@ -677,10 +732,10 @@ class TestBatchedLineSearch:
             rise = np.max(p - self.start, axis=(-2, -1))
             return 1.0 - a * rise + b * rise**2, np.zeros(p.shape[:-1])
 
-        (path, value, log, stalled), seen, grads_at = self.run_both(
+        (path, value, log, stalled), seen, starts = self.run_both(
             monkeypatch, objective, self.constant_gradient(-0.25),
             opts=OptimizerOptions(max_iter=4))
-        at_k = float(objective(seen[grads_at[0] + k])[0])
+        at_k = float(objective(seen[starts[0] + k])[0])
         assert 1.0 - c * eta * 5 * 0.25**2 < at_k < 1.0
         assert log[1][2] == 0.5 * eta
 
@@ -694,13 +749,13 @@ class TestBatchedLineSearch:
             return (1.0 + np.sum(p - self.start, axis=(-2, -1)),
                     np.zeros(p.shape[:-1]))
 
-        (path, value, log, stalled), seen, grads_at = self.run_both(
+        (path, value, log, stalled), seen, starts = self.run_both(
             monkeypatch, uphill, self.constant_gradient(-g),
             opts=OptimizerOptions(max_iter=3, grad_tol=0.0))
         assert np.array_equal(path, self.start) and value == 1.0
         # trials 0 .. k-1 were evaluated in the first iteration, trial k
         # and the rest of its batch not
-        first_iter = seen[grads_at[0]:grads_at[1]]
+        first_iter = seen[starts[0]:starts[1]]
         assert len(first_iter) == k
         assert not any(np.array_equal(p, self.start) for p in first_iter)
         assert log[1:] == [(1, 1.0, 0.0), (2, 1.0, 0.0), (3, 1.0, 0.0)]
@@ -708,7 +763,7 @@ class TestBatchedLineSearch:
     @pytest.mark.parametrize("offset", [0.0, 3.0])
     def test_stall_objectives(self, monkeypatch, offset):
         (path, value, log, stalled), _, _ = self.run_both(
-            monkeypatch, kinked_objective(self.start, offset), _fd_gradient,
+            monkeypatch, kinked_objective(self.start, offset),
             opts=OptimizerOptions())
         assert stalled and value == offset
 
@@ -718,9 +773,117 @@ class TestBatchedLineSearch:
         lam = grid.nodes[:, None]
         path0 = project(dom, (1.0 - lam) * [0.25, 0.0] + lam * [0.5, 0.3])
         (path, value, log, _), _, _ = self.run_both(
-            monkeypatch, action_objective(co, dom, grid), _fd_gradient,
-            path0=path0, dom=dom, pin_last=True,
+            monkeypatch, action_objective(co, dom, grid), path0=path0, dom=dom, pin_last=True,
             opts=OptimizerOptions(max_iter=40))
         steps = [step for _, _, step in log[1:]]
         assert value < log[0][1]
         assert any(0 < s < action._INIT_STEP for s in steps)
+
+
+class TestGradientReuse:
+    """The line search's trial _GUESS carries its gradient into the next
+    iteration, and a rejected search keeps the gradient it was given."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Patch the descent's seams to log, in order, "O" per objective
+        call (through _action_terms or a wrapped objective), "G" per
+        gradient call, and per line search ("S", eta, free, domain, objective)
+        at its start and ("E", accepted, eta, trial, grad) at its end."""
+        events = []
+        terms, gradient, search = (action._action_terms, action._fd_gradient,
+                                   action._backtrack)
+
+        def counted_terms(*args):
+            events.append(("O",))
+            return terms(*args)
+
+        def counted_gradient(*args):
+            events.append(("G",))
+            return gradient(*args)
+
+        def counted_search(objective, path, value, grad, gnorm2, free,
+                           domain, eta):
+            events.append(("S", eta, free, domain, objective))
+            out = search(objective, path, value, grad, gnorm2, free, domain,
+                         eta)
+            events.append(("E", out[3], out[2], out[0], out[4]))
+            return out
+
+        monkeypatch.setattr(action, "_action_terms", counted_terms)
+        monkeypatch.setattr(action, "_fd_gradient", counted_gradient)
+        monkeypatch.setattr(action, "_backtrack", counted_search)
+        return events
+
+    @staticmethod
+    def iterations(events):
+        """Each line search with the events from the previous one's end."""
+        out, since = [], []
+        for ev in events:
+            since.append(ev)
+            if ev[0] == "E":
+                start = next(e for e in since if e[0] == "S")
+                out.append((start, ev, [e[0] for e in since]))
+                since = []
+        return out
+
+    def test_fused_gradient_equals_fd_gradient_bitwise(self, monkeypatch):
+        # the disc action and the contracted rate's penalty objective
+        co, dom = preset("ou-in-ball", {"theta": 1.0}), ball()
+        grid = TimeGrid(0.0, 1.0, 8)
+        lam = grid.nodes[:, None]
+        path0 = project(dom, (1.0 - lam) * [0.25, 0.0] + lam * [0.5, 0.3])
+        events = self.record(monkeypatch)
+        _projected_descent(action_objective(co, dom, grid), path0, dom,
+                           pin_last=True, opts=OptimizerOptions(max_iter=40))
+        dom1 = unit_interval()
+        co1 = preset("zero-drift-unit-noise")
+        field = limit_value_field(co1, dom1, TimeGrid(0.0, 1.0, 4),
+                                  make_lattice(dom1, 9))
+        gamma = 0.5 + 0.15 * field.times.nodes
+        contracted_rate(co1, dom1, field, gamma, 0.0, [0.5],
+                        opts=OptimizerOptions(max_iter=20, grad_tol=0.0))
+        fused = [(s, e) for s, e, _ in self.iterations(events)
+                 if e[4] is not None and e[1]]
+        assert len(fused) > 20
+        assert {s[3].dimension for s, _ in fused} == {1, 2}
+        for (_, _, free, domain, objective), (_, _, _, trial, grad) in fused:
+            assert np.array_equal(grad,
+                                  _fd_gradient(objective, trial, domain, free))
+
+    def test_one_call_per_iteration_when_the_guess_is_accepted(
+            self, monkeypatch):
+        # the linear drift toward the far wall, from 0.5 to 0.9 in 32 steps
+        dom, co = unit_interval(), preset("linear-drift", {"rate": 1.0})
+        grid = TimeGrid(0.0, 1.0, 32)
+        events = self.record(monkeypatch)
+        minimize_action_endpoint(co, dom, 0.0, [0.5], [0.9], 1.0, grid,
+                                 OptimizerOptions(max_iter=100))
+        its = self.iterations(events)
+        assert len(its) == 100
+        hits = 0
+        prev_grad = None
+        for start, end, seen in its:
+            guessed = end[1] and end[2] == start[1] * action._BACKTRACK
+            assert (end[4] is not None) == guessed
+            # a gradient that came with the last search is not recomputed
+            assert seen.count("G") == (0 if prev_grad is not None else 1)
+            if prev_grad is not None and guessed:
+                assert seen.count("O") == 1
+                hits += 1
+            prev_grad = end[4]
+        # 77 of the 100 iterations follow a hit and hit themselves
+        assert hits > len(its) // 2
+
+    def test_rejected_search_keeps_its_gradient(self, monkeypatch):
+        # every search of the kinked objective is rejected: one gradient for
+        # all fifty iterations
+        dom, start = unit_interval(), np.full((6, 1), 0.5)
+        events = self.record(monkeypatch)
+        path, value, log, stalled = _projected_descent(
+            kinked_objective(start, 0.0), start, dom, pin_last=False,
+            opts=OptimizerOptions())
+        assert stalled and len(log) == action._STALL_LIMIT + 1
+        its = self.iterations(events)
+        assert [seen.count("G") for _, _, seen in its] == [1] + [0] * 49
+        assert all(not end[1] and end[4] is not None for _, end, _ in its)

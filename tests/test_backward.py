@@ -267,6 +267,24 @@ class TestApplyPi:
         with pytest.raises(ValueError, match="one entry per path node"):
             apply_pi(self._field(), np.full((5, 1), 0.5), path_times=times)
 
+    @pytest.mark.parametrize("s, T, n", [(0.0, 1.0, 4), (0.1, 0.7, 6),
+                                         (-0.3, 2.9, 7)])
+    def test_default_times_are_the_field_nodes_bitwise(self, s, T, n):
+        # without path_times the field's own nodes are read unclipped: the
+        # same bits as passing them explicitly through the range check
+        dom = make_domain("ball", center=[0.0, 0.0], radius=1.0)
+        times = TimeGrid(s, T, n)
+        axes = make_lattice(dom, 5)
+        rng = np.random.default_rng(n)
+        field = ValueField(times=times, axes=axes,
+                           values=rng.standard_normal((n + 1, 5, 5, 2)),
+                           epsilon=0.0)
+        paths = rng.uniform(-1.0, 1.0, (3, n + 1, 2))
+        paths[0, 0] = [1.0, -1.0]
+        assert np.array_equal(apply_pi(field, paths),
+                              apply_pi(field, paths,
+                                       path_times=times.nodes))
+
     def test_modulus_of_continuity(self):
         # perturbed paths move the read values by at most Lip * delta, with
         # the Lipschitz constant estimated from the lattice itself

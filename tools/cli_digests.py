@@ -10,10 +10,11 @@ the CLI's CSV write blocks, a lattice solve on the disc with a seed past 64
 bits, an `action-min` on the disc at 64 steps, the `contracted-rate` case on
 the interval where the optimizer stalls, a Y4 convergence whose field steps
 do not divide its path steps, a `simulate-forward` on the interval whose
-paths end inside a noise block and whose steps span three noise chunks, and
-last two configs that fail validation, a 2-D model on the interval and a
-convergence study with 10 paths, in process, with the package imported from
-this checkout's `src/`. Each run writes into a fixed relative `output_dir`
+paths end inside a noise block and whose steps span three noise chunks, an
+`action-min` on the interval under a linear drift, and last two configs
+that fail validation, a 2-D model on the interval and a convergence study
+with 10 paths, in process, with the package imported from this checkout's
+`src/`. Each run writes into a fixed relative `output_dir`
 under a temporary working directory, because `config_hash` covers that
 field. Prints one line per run with its `config_hash` (or the error it
 raised) and one line per CSV with the file's sha256, so two checkouts can
@@ -93,6 +94,12 @@ LAST = [
     ("simulate-forward-partial-block@interval", "interval",
      {"command": "simulate-forward", "preset": DRIFT, "n_paths": 200,
       "grid": {"n_steps": 160}}),
+    # the action optimizer on an OU drift toward the far wall, 32 steps:
+    # every iteration accepts a trial, nearly always at the last step
+    ("action-min-ou@interval", "interval",
+     {"command": "action-min", "preset": {"name": "linear-drift",
+                                          "params": {"rate": 1.0}},
+      "y": 0.9}),
     # a 2-D model on the unit interval: the config fails at /preset/name
     ("audit-dims@interval", "interval", {"command": "audit", "preset": OU}),
     # a convergence study needs 1000 paths per level: the config fails at
