@@ -239,7 +239,7 @@ _TABLE_VALUES = 1024  # most distinct values of a column whose reprs are tabled
 
 def _column_reader(col):
     """(fmt, read) of one CSV column: read(a, b) gives the values of rows
-    a:b, which the row template writes with fmt. A column with at most
+    a:b, which _write_csv writes as fmt % value. A column with at most
     _TABLE_VALUES distinct bit patterns is read from a table of their reprs,
     so that each is formatted once, with fmt "%s"; bit patterns keep 0.0 and
     -0.0 apart, and each repr is of the column's own .tolist() value, so an
@@ -266,16 +266,19 @@ def _write_csv(path, header, columns):
     returns the row count. Values are written as the repr of numpy's
     .tolist() values, so a float prints as its shortest round-trip repr and
     an int or bool as str, never as a numpy scalar; lines end in \\r\\n. A
-    column with few distinct values formats each of them once."""
+    column with few distinct values formats each of them once. A block of
+    rows is built column by column: each column's texts, fmt % value, in one
+    list, then the rows joined."""
     n = len(columns[0])
-    fmts, readers = zip(*[_column_reader(col) for c in columns
-                          for col in np.atleast_2d(np.asarray(c).T)])
-    line = ",".join(fmts) + "\r\n"
+    readers = [_column_reader(col) for c in columns
+               for col in np.atleast_2d(np.asarray(c).T)]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for a in range(0, n, _BLOCK_ROWS):
-            rows = zip(*[read(a, a + _BLOCK_ROWS) for read in readers])
-            fh.write("".join([line % row for row in rows]))
+            b = a + _BLOCK_ROWS
+            texts = [read(a, b) if fmt == "%s" else list(map(repr, read(a, b)))
+                     for fmt, read in readers]
+            fh.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")
     return n
 
 

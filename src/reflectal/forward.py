@@ -117,19 +117,22 @@ def _block_noise(seed, blocks, n, m, dt):
     steps, the last one shorter, in one reused buffer, so a chunk must be
     read before the next is asked for. Each block keeps its generator from
     chunk to chunk, and a block draws all G rows, so the bits do not depend
-    on the chunk size or on how many of its rows are used."""
-    gens = [trajectory_rng(seed, key) for key, _ in blocks]
+    on the chunk size or on how many of its rows are used. A block whose
+    key is None is drawn by no stream: its rows stay zero."""
+    gens = [None if key is None else trajectory_rng(seed, key)
+            for key, _ in blocks]
     c = min(_CHUNK_STEPS, n)
-    buf = np.empty((c, sum(rows for _, rows in blocks), m))
+    buf = np.zeros((c, sum(rows for _, rows in blocks), m))
     draw = np.empty((c, _BLOCK_PATHS, m))
     sq = np.sqrt(dt)
     for first in range(0, n, c):
         steps = min(c, n - first)
         row = 0
         for gen, (_, rows) in zip(gens, blocks):
-            gen.standard_normal(out=draw[:steps])
-            np.multiply(draw[:steps, :rows], sq,
-                        out=buf[:steps, row:row + rows])
+            if gen is not None:
+                gen.standard_normal(out=draw[:steps])
+                np.multiply(draw[:steps, :rows], sq,
+                            out=buf[:steps, row:row + rows])
             row += rows
         yield buf[:steps]
 

@@ -4,7 +4,8 @@ bounds, and rare-event tail probabilities against the variational certificate.
 All studies draw their noise from block streams keyed by (seed, ladder
 position, block index) and run their kernel calls in order, so reports are
 bitwise reproducible across reruns and whatever the cut into kernel calls.
-Paths are reduced while the kernel steps them and are not kept.
+Paths are reduced while the kernel steps them and are not kept; each kernel
+call steps the noise-free skeleton as its row 0.
 """
 
 import math
@@ -17,7 +18,7 @@ from .backward import (_hull_clip, _multilinear, make_lattice,
                        solve_bsde_grid, solve_limit_bsde)
 from .errors import DegenerateFit, InsufficientPaths
 from .forward import (_BLOCK_PATHS, TimeGrid, _block_noise, _blocks,
-                      _reflected_core, integrate_skeleton_ode)
+                      _reflected_core, _start, integrate_skeleton_ode)
 from .geometry import _norm, project
 
 __all__ = ["ConvergenceReport", "TailReport", "convergence_study",
@@ -78,14 +79,18 @@ def fit_loglog(xs, ys):
     return {"slope": float(slope), "intercept": float(intercept), "r2": r2}
 
 
-def _sweep(coeffs, domain, x, grid, seed, skel, levels, sups, y4=None,
+def _sweep(coeffs, domain, x, grid, seed, levels, sups, y4=None,
            y4_every=1):
-    """Simulate the levels, each (eps, key prefix, n_paths), and reduce every
-    path while it is stepped; path j of a level is row j % G of the noise
-    block (seed, prefix + (j // G,)), G = _BLOCK_PATHS. The blocks of all
-    levels, each level's last one cut to its paths, form one row sequence,
-    packed into kernel calls of whole blocks and at most _PASS_STEPS
-    path-steps (at least one block), each row with its level's eps.
+    """Simulate the levels, each (eps, key prefix, n_paths), from the start
+    x, and reduce every path while it is stepped; path j of a level is row
+    j % G of the noise block (seed, prefix + (j // G,)), G = _BLOCK_PATHS.
+    The blocks of all levels, each level's last one cut to its paths, form
+    one row sequence, packed into kernel calls of whole blocks and at most
+    _PASS_STEPS path-steps (at least one block), each row with its level's
+    eps. Row 0 of every call is the skeleton: x stepped with eps = 0 and a
+    zero noise row, which no stream draws, so it takes exactly the skeleton
+    ODE's steps, and the reducers read the skeleton at node i from the same
+    call as the paths.
 
     Returns per level a dict of arrays: "kT" holds K_T per path, which is
     also sup K, as K never falls, and each key of sups (see _DEVIATIONS) the
@@ -117,18 +122,18 @@ def _sweep(coeffs, domain, x, grid, seed, skel, levels, sups, y4=None,
 
         def reduce(i, X, K):
             for key in sups:
-                np.maximum(out[key], _DEVIATIONS[key](skel, i, X, K),
-                           out=out[key])
+                np.maximum(out[key], _DEVIATIONS[key](X, K), out=out[key])
             if y4 and i % y4_every == 0:
-                dev = y4(i // y4_every, X, level)
+                dev = y4(i // y4_every, X[1:], level)
                 y4_sums[lis, :, i // y4_every] += np.add.reduceat(
                     [dev, dev * dev], firsts, axis=1).T
-        x0 = np.broadcast_to(np.atleast_1d(np.asarray(x, float)),
-                             (level.size, d))
-        noise = _block_noise(seed, [(key, rows) for _, key, rows in call], n,
-                             m, grid.dt)
-        out["kT"][:] = _reflected_core(coeffs, domain, x0, level_eps[level],
-                                       grid, noise, reducers=(reduce,))[1]
+        # row 0, the skeleton, has eps = 0 and noise that no stream draws
+        x0 = np.broadcast_to(x, (level.size + 1, d))
+        eps = np.concatenate(([0.0], level_eps[level]))
+        keys = [(None, 1)] + [(key, rows) for _, key, rows in call]
+        noise = _block_noise(seed, keys, n, m, grid.dt)
+        out["kT"][:] = _reflected_core(coeffs, domain, x0, eps, grid, noise,
+                                       reducers=(reduce,))[1][1:]
 
     first = 0
     for a in range(0, len(blocks), per_call):
@@ -139,10 +144,11 @@ def _sweep(coeffs, domain, x, grid, seed, skel, levels, sups, y4=None,
             for li, (a, b) in enumerate(zip(starts, starts[1:]))]
 
 
-# deviation from the skeleton at node i, whose sup over the nodes _sweep keeps
+# deviation of rows 1.. from the skeleton, row 0, at a node, whose sup over
+# the nodes _sweep keeps
 _DEVIATIONS = {
-    "dx": lambda skel, i, X, K: _norm(X - skel.x_path[i]),
-    "dk": lambda skel, i, X, K: np.abs(K - skel.k_path[i]),
+    "dx": lambda X, K: _norm(X[1:] - X[0]),
+    "dk": lambda X, K: np.abs(K[1:] - K[0]),
 }
 
 # per-path statistic: the reduction of _sweep it reads and its transform
@@ -158,8 +164,9 @@ def _validate_ladder(eps_ladder):
     eps = np.asarray(eps_ladder, float)
     if eps.ndim != 1 or eps.size < 4:
         raise ValueError("epsilon ladder needs at least 4 levels")
-    if np.any(eps <= 0) or np.any(eps >= 1):
-        raise ValueError("epsilon ladder must lie in (0, 1)")
+    if not np.all((eps > 0) & (eps < 1)):     # false for nan as well
+        raise ValueError(f"epsilon ladder must lie in (0, 1), got "
+                         f"{eps.tolist()}")
     if np.any(np.diff(eps) >= 0):
         raise ValueError("epsilon ladder must be strictly decreasing")
     return eps
@@ -187,9 +194,12 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
     if n_paths < _MIN_PATHS:
         raise ValueError(f"n_paths must be >= {_MIN_PATHS}")
 
-    skel = integrate_skeleton_ode(coeffs, domain, s, x, grid)
+    x = _start(coeffs, domain, s, x, grid)
     y4, every = None, 1
     if "Y4" in names:
+        if not field_steps >= 1:
+            raise ValueError(f"field_steps must be >= 1, got {field_steps!r}")
+        skel = integrate_skeleton_ode(coeffs, domain, s, x, grid)
         psi = solve_limit_bsde(coeffs, skel).y_path      # (n+1, k)
         nt = min(grid.n_steps, field_steps)     # time steps of the fields
         if grid.n_steps % nt:
@@ -215,7 +225,7 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
             return _norm(u - psi[j * every]) ** 4
 
     sups = {_STATS[name][0] for name in names if name != "Y4"} - {"kT"}
-    results = _sweep(coeffs, domain, x, grid, rng_seed, skel,
+    results = _sweep(coeffs, domain, x, grid, rng_seed,
                      [(e, (ei,), n_paths) for ei, e in enumerate(eps)],
                      sorted(sups), y4, every)
 
@@ -289,12 +299,12 @@ def tail_study(coeffs, domain, s, x, delta, eps_ladder, n_paths, grid,
         raise ValueError(f"delta must be > 0, got {delta!r}")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    skel = integrate_skeleton_ode(coeffs, domain, s, x, grid)
+    x = _start(coeffs, domain, s, x, grid)
 
     # The pilot at the smallest eps runs in the same pass as the levels:
     # sup |X - skeleton| does not depend on delta, which is decided after.
     pilot, *results = _sweep(
-        coeffs, domain, x, grid, rng_seed, skel,
+        coeffs, domain, x, grid, rng_seed,
         [(float(eps[-1]), (len(eps), 0), _PILOT_PATHS)]
         + [(float(e), (ei,), n_paths) for ei, e in enumerate(eps)],
         ("dx",))

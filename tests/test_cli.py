@@ -444,6 +444,7 @@ class TestSchema:
         ({"delta": 0.0}, "/delta"),
         ({"delta": float("nan")}, "/delta"),
         ({"grid": 0}, "/grid"),
+        ({"eps_ladder": [0.1, float("nan"), 0.05, 0.01]}, "/eps_ladder"),
     ])
     def test_rejected_at_pointer(self, over, field):
         with pytest.raises(ConfigInvalid) as exc:

@@ -762,6 +762,28 @@ class TestStreamStates:
             rng.standard_normal(37)
             assert gen.bit_generator.state == rng.bit_generator.state
 
+    def test_none_key_rows_stay_zero_and_draw_no_stream(self, monkeypatch):
+        # a block keyed None is drawn by no stream: its rows are zero in
+        # every chunk, and the other blocks' rows are as drawn without it
+        made = []
+
+        def recording_rng(seed, index=0):
+            made.append(index)
+            return trajectory_rng(seed, index)
+
+        monkeypatch.setattr(forward, "_CHUNK_STEPS", 4)
+        blocks = [((3, 0), 2), ((3, 1), 3)]
+        ref = np.concatenate([c.copy() for c in
+                              _block_noise(29, blocks, 10, 2, 0.5)])
+        monkeypatch.setattr(forward, "trajectory_rng", recording_rng)
+        mixed = [(None, 1), blocks[0], (None, 2), blocks[1]]
+        got = np.concatenate([c.copy() for c in
+                              _block_noise(29, mixed, 10, 2, 0.5)])
+        assert made == [(3, 0), (3, 1)]
+        assert got.shape == (10, 8, 2)
+        assert not got[:, [0, 3, 4]].any()
+        np.testing.assert_array_equal(got[:, [1, 2, 5, 6, 7]], ref)
+
 
 def test_time_grid_nodes_built_once_and_read_only():
     grid = TimeGrid(0.0, 1.0, 8)

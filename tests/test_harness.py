@@ -16,8 +16,8 @@ from reflectal.forward import (_BLOCK_PATHS, TimeGrid, _reflected_core,
                                integrate_skeleton_ode,
                                simulate_reflected_batch, trajectory_rng)
 from reflectal.geometry import make_domain
-from reflectal.harness import (ConvergenceReport, convergence_study,
-                               fit_loglog, tail_study)
+from reflectal.harness import (TARGETS, ConvergenceReport,
+                               convergence_study, fit_loglog, tail_study)
 
 from oracles import reflected_quartic, sup_abs_tail
 
@@ -141,6 +141,18 @@ class TestConvergenceStudy:
             self._study("X4", n_paths=100)
         with pytest.raises(ValueError):
             self._study("nope")
+
+    @pytest.mark.parametrize("ladder", [
+        (0.1, float("nan"), 0.05, 0.01), (float("nan"),) * 4,
+        (0.1, 0.05, 0.025, float("nan"))])
+    def test_non_finite_level_rejected(self, ladder):
+        # every comparison with nan is false, so a nan level slips through
+        # any test that asks for a failed comparison
+        with pytest.raises(ValueError, match=r"lie in \(0, 1\)"):
+            self._study("X4", ladder=ladder)
+        with pytest.raises(ValueError, match=r"lie in \(0, 1\)"):
+            tail_study(preset("zero-drift-unit-noise"), unit_interval(), 0.0,
+                       [0.5], 0.3, ladder, 200, TimeGrid(0.0, 1.0, 16), 3)
 
 
 class TestOnePassPerLevel:
@@ -295,6 +307,14 @@ class TestOnePassPerLevel:
         convergence_study("X4", co, unit_interval(), 0.0, [0.5], LADDER,
                           1000, self.GRID, self.SEED, field_steps=3)
 
+    @pytest.mark.parametrize("nt", [0, -4])
+    def test_y4_field_steps_must_be_positive(self, nt):
+        co = preset("linear-bsde", {"lam": 1.0, "g0": 1.0})
+        with pytest.raises(ValueError, match="field_steps must be >= 1"):
+            convergence_study("Y4", co, unit_interval(), 0.0, [0.5], LADDER,
+                              1000, self.GRID, self.SEED, field_steps=nt,
+                              field_nodes=5, mc_per_node=64)
+
 
 class TestExactY4Ladder:
     """Criterion 03's setup (linear-bsde, lambda = g0 = 1, from 1/2 on
@@ -431,6 +451,40 @@ def test_two_dimensional_ladder_rejected():
                           TimeGrid(0.0, 1.0, 16), 3)
 
 
+class TestSkeletonRidesInTheSweep:
+    """Every kernel call of a study steps the skeleton as its row 0, so the
+    studies integrate no separate skeleton on the study grid: only Y4, whose
+    psi needs the whole skeleton before the sweep, integrates one."""
+
+    GRID = TimeGrid(0.0, 1.0, 64)
+
+    @pytest.fixture
+    def skeletons(self, monkeypatch):
+        grids, real = [], harness.integrate_skeleton_ode
+
+        def spy(coeffs, domain, s, x, grid):
+            grids.append(grid)
+            return real(coeffs, domain, s, x, grid)
+        monkeypatch.setattr(harness, "integrate_skeleton_ode", spy)
+        return grids
+
+    @pytest.mark.parametrize("target, calls", [
+        ("X4", 0), ("K4", 0), ("Kmoment", 0), ("Kexp", 0), ("Y4", 1),
+        (("X4", "K4", "Kmoment", "Kexp"), 0), (TARGETS, 1)])
+    def test_convergence_study(self, target, calls, skeletons):
+        co = preset("boundary-g-constant", {"v": 1.0, "g0": 1.0})
+        convergence_study(target, co, unit_interval(), 0.0, [0.5], LADDER,
+                          1000, self.GRID, 3, field_steps=16, field_nodes=5,
+                          mc_per_node=64)
+        assert skeletons == [self.GRID] * calls
+
+    def test_tail_study(self, skeletons):
+        # only the certificate integrates one, on its optimizer grid
+        tail_study(preset("zero-drift-unit-noise"), unit_interval(), 0.0,
+                   [0.5], 0.3, LADDER, 200, self.GRID, 3)
+        assert skeletons == [TimeGrid(0.0, 1.0, harness._OPT_STEPS)]
+
+
 class TestStreamedStudies:
     """The studies reduce each path while the kernel steps it, in packed
     calls that mix ladder levels and chunks. Their oracle is the stored-path
@@ -552,11 +606,13 @@ class TestStreamedStudies:
 
     def test_level_rows_are_block_rows(self):
         # row j of a level is row j % G of the block stream
-        # prefix + (j // G,), drawn step-major, whatever the level's size
+        # prefix + (j // G,), drawn step-major, whatever the level's size;
+        # its deviations are taken from the skeleton that each call steps
+        # as its row 0, which must be integrate_skeleton_ode's path bitwise
         co, dom, x, skel = self._setup("disc")
         levels = [(0.3, (4,), _BLOCK_PATHS + 3), (0.2, (5, 1), 5)]
-        sweep = harness._sweep(co, dom, x, self.GRID, self.SEED, skel, levels,
-                               ("dk", "dx"))
+        sweep = harness._sweep(co, dom, np.array(x), self.GRID, self.SEED,
+                               levels, ("dk", "dx"))
         n, dt = self.GRID.n_steps, self.GRID.dt
         for (e, prefix, count), level in zip(levels, sweep, strict=True):
             assert level["kT"].shape == (count,)

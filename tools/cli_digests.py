@@ -11,10 +11,11 @@ bits, an `action-min` on the disc at 64 steps, the `contracted-rate` case on
 the interval where the optimizer stalls, a Y4 convergence whose field steps
 do not divide its path steps, a `simulate-forward` on the interval whose
 paths end inside a noise block and whose steps span three noise chunks, an
-`action-min` on the interval under a linear drift, and last two configs
-that fail validation, a 2-D model on the interval and a convergence study
-with 10 paths, in process, with the package imported from this checkout's
-`src/`. Each run writes into a fixed relative `output_dir`
+`action-min` on the interval under a linear drift, a K4 convergence on the
+disc whose skeleton reaches the wall, and last three configs that fail
+validation, a 2-D model on the interval, a convergence study with 10 paths
+and one with a NaN in its epsilon ladder, in process, with the package
+imported from this checkout's `src/`. Each run writes into a fixed relative `output_dir`
 under a temporary working directory, because `config_hash` covers that
 field. Prints one line per run with its `config_hash` (or the error it
 raised) and one line per CSV with the file's sha256, so two checkouts can
@@ -100,12 +101,22 @@ LAST = [
      {"command": "action-min", "preset": {"name": "linear-drift",
                                           "params": {"rate": 1.0}},
       "y": 0.9}),
+    # K4 on the disc under an outward drift, from 0.6: the skeleton, which
+    # each kernel call steps as its row 0, reaches the wall, so its K grows
+    ("convergence-K4@disc", "disc",
+     {"command": "convergence", "target": "K4", "x": [0.6, 0.0],
+      "preset": {"name": "ou-in-ball", "params": {"theta": -1.0}}}),
     # a 2-D model on the unit interval: the config fails at /preset/name
     ("audit-dims@interval", "interval", {"command": "audit", "preset": OU}),
     # a convergence study needs 1000 paths per level: the config fails at
     # /n_paths
     ("convergence-few-paths@interval", "interval",
      {"command": "convergence", "preset": DRIFT, "n_paths": 10}),
+    # a NaN level, which Python's JSON reader takes: the config fails at
+    # /eps_ladder
+    ("convergence-nan-ladder@interval", "interval",
+     {"command": "convergence", "preset": DRIFT,
+      "eps_ladder": [0.1, float("nan"), 0.05, 0.01]}),
 ]
 
 BASE = {"interval": {"domain": INTERVAL, "x": 0.5},
