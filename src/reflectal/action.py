@@ -14,8 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backward import apply_pi
+from .coefficients import _Constant
 from .errors import ConstraintInfeasible, InfeasiblePath, SingularDiffusion
-from .forward import ReflectedTrajectory, integrate_skeleton_ode
+from .forward import (ReflectedTrajectory, _check_count,
+                      integrate_skeleton_ode)
 from .geometry import _check_dims, _check_inside, project
 
 __all__ = ["ActionResult", "OptimizerOptions", "evaluate_action",
@@ -49,10 +51,7 @@ class OptimizerOptions:
     grad_tol: float = 1e-10
 
     def __post_init__(self):
-        if (not isinstance(self.max_iter, (int, np.integer))
-                or isinstance(self.max_iter, bool) or self.max_iter < 0):
-            raise ValueError(
-                f"max_iter must be an int >= 0, got {self.max_iter!r}")
+        _check_count("max_iter", self.max_iter, 0)
         if not (np.isfinite(self.grad_tol) and self.grad_tol >= 0):
             raise ValueError(
                 f"grad_tol must be finite and >= 0, got {self.grad_tol!r}")
@@ -75,13 +74,24 @@ def _action_terms(coeffs, domain, paths, grid):
     right = paths[..., 1:, :]
     ts = np.broadcast_to(grid.nodes[:-1], left.shape[:-1])
     v = (right - left) / dt
-    r = v - coeffs.b(ts, left)
+    b, sigma = coeffs.b, coeffs.sigma
+    r = v - (b.value if isinstance(b, _Constant) else b(ts, left))
 
-    sig = coeffs.sigma(ts, left)
-    a = sig @ np.swapaxes(sig, -1, -2)
-    if np.any(np.linalg.eigvalsh(a)[..., 0] < _EIG_FLOOR):
-        raise SingularDiffusion("sigma sigma* numerically singular on the path")
-    ainv = np.linalg.inv(a)
+    # sigma = I needs no sigma sigma*, eigenvalue check or inverse: each
+    # product by the identity is exact, so the bits are the general route's
+    unit = isinstance(sigma, _Constant) and sigma.unit
+    if not unit:
+        sig = sigma(ts, left)
+        a = sig @ np.swapaxes(sig, -1, -2)
+        if np.any(np.linalg.eigvalsh(a)[..., 0] < _EIG_FLOOR):
+            raise SingularDiffusion(
+                "sigma sigma* numerically singular on the path")
+        ainv = np.linalg.inv(a)
+
+    def quad(u):   # u* (sigma sigma*)^-1 u
+        if unit:
+            return np.einsum("...i,...i->...", u, u)
+        return np.einsum("...i,...ij,...j->...", u, ainv, u)
 
     # only boundary steps carry a multiplier, so only they need the normal;
     # elsewhere nvec = 0 gives lam = 0 and resid = r
@@ -89,15 +99,14 @@ def _action_terms(coeffs, domain, paths, grid):
     nvec = np.zeros_like(right)
     if np.any(on_bdry):
         nvec[on_bdry] = domain.grad_phi(right[on_bdry])
-    anr = np.einsum("...ij,...j->...i", ainv, r)
-    nan_ = np.einsum("...i,...ij,...j->...", nvec, ainv, nvec)
+    anr = r if unit else np.einsum("...ij,...j->...i", ainv, r)
+    nan_ = quad(nvec)
     safe = np.where(nan_ > 0, nan_, 1.0)
     lam = np.where(on_bdry & (nan_ > 0),
                    np.maximum(0.0, np.einsum("...i,...i->...", nvec, anr) / safe),
                    0.0)
     resid = r - lam[..., None] * nvec
-    integrand = np.einsum("...i,...ij,...j->...", resid, ainv, resid)
-    integrand = np.maximum(integrand, 0.0)
+    integrand = np.maximum(quad(resid), 0.0)
     action = 0.5 * dt * np.sum(integrand, axis=-1)
     return action, integrand, lam, nvec
 

@@ -27,7 +27,7 @@ from .action import contracted_rate, evaluate_action, minimize_action_endpoint
 from .backward import (_MIN_AXIS_NODES, _MIN_MC_PER_NODE, _lattice_nodes,
                        apply_pi, limit_value_field, make_lattice,
                        solve_bsde_grid, solve_limit_bsde)
-from .coefficients import PRESET_NAMES, audit_assumptions, preset
+from .coefficients import PRESET_NAMES, _param, audit_assumptions, preset
 from .errors import ConfigInvalid, ReflectalError
 from .forward import (TimeGrid, integrate_skeleton_ode,
                       simulate_reflected_batch)
@@ -198,6 +198,9 @@ def validate(config_text):
         raise ConfigInvalid("/eps", f"must be > 0 for bsde-grid, got {cfg.eps}")
     if not cfg.delta > 0:
         raise ConfigInvalid("/delta", f"must be > 0, got {cfg.delta}")
+    for key, value in cfg.preset_params.items():
+        if isinstance(value, float):    # JSON reads NaN and Infinity as floats
+            _parse(f"/preset/params/{key}", partial(_param, key), value)
     coeffs = _parse("/preset/params", lambda p: preset(cfg.preset_name, p),
                     cfg.preset_params)
     if float(cfg.preset_params.get("T", cfg.T)) != cfg.T:

@@ -10,7 +10,8 @@ growth / ellipticity constants on a random grid and can only falsify the
 standing assumptions, never prove them.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -174,16 +175,29 @@ def audit_assumptions(coeffs, domain, grid=None, rng_seed=0, strict=False):
     return audit
 
 
-def _constant(value, shape):
+@dataclass(frozen=True, eq=False)
+class _Constant:
     """(t, x[, y]) -> value of the given shape, over the leading axes of the
-    last argument: a constant drift (d,), diffusion (d, m) or g (k,)."""
-    value = np.broadcast_to(np.asarray(value, float), shape)
+    last argument: a constant drift (d,), diffusion (d, m) or g (k,).
 
-    def const(t, *args):
-        out = np.empty(np.shape(args[-1])[:-1] + shape)
-        out[...] = value
+    The kernel and the action read value directly instead of calling, and
+    take unit, derived from value, to mean sigma = I: the kick is the noise
+    itself and sigma sigma* is the identity."""
+    value: np.ndarray
+    shape: InitVar[tuple]
+    unit: bool = field(init=False)
+
+    def __post_init__(self, shape):
+        value = np.broadcast_to(np.asarray(self.value, float), shape)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "unit", len(shape) == 2
+                           and shape[0] == shape[1]
+                           and bool(np.array_equal(value, np.eye(shape[0]))))
+
+    def __call__(self, t, *args):
+        out = np.empty(np.shape(args[-1])[:-1] + self.value.shape)
+        out[...] = self.value
         return out
-    return const
 
 
 def _zero(t, x, y, *z):
@@ -210,7 +224,7 @@ def _zero_drift_unit_noise(p):
 
 
 def _constant_drift(p):
-    return dict(b=_constant(p["v"], (1,)),
+    return dict(b=_Constant(p["v"], (1,)),
                 meta={"L1_doc": max(abs(p["v"]), 1.0) + 1.0})
 
 
@@ -228,12 +242,12 @@ def _linear_bsde(p):
     def f(t, x, y, z):
         return -lam * np.asarray(y, float)
 
-    return dict(f=f, g=_constant(p["g0"], (1,)),
+    return dict(f=f, g=_Constant(p["g0"], (1,)),
                 meta={"L3_doc": max(lam, abs(p["g0"]), 1.0) + 1.0})
 
 
 def _boundary_g_constant(p):
-    return dict(b=_constant(p["v"], (1,)), g=_constant(p["g0"], (1,)),
+    return dict(b=_Constant(p["v"], (1,)), g=_Constant(p["g0"], (1,)),
                 meta={"L1_doc": max(abs(p["v"]), 1.0) + 1.0,
                       "L3_doc": max(abs(p["g0"]), 1.0) + 1.0})
 
@@ -252,11 +266,21 @@ _REGISTRY = {
 PRESET_NAMES = tuple(sorted(_REGISTRY))
 
 
+def _param(key, value):
+    """A preset parameter or the horizon T as a float, which must be
+    finite: a NaN or infinite value fails with ValueError naming key."""
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"parameter {key!r} must be finite, got {out}")
+    return out
+
+
 def preset(name, params=None):
     """Look up a fully wired CoefficientSet by registry name.
 
     params may set the preset's own parameters (see _REGISTRY) and the
-    horizon T (default 1); any other key raises ValueError.
+    horizon T (default 1), each a finite number; any other key, and a NaN
+    or infinite value, raises ValueError.
     """
     try:
         dims, defaults, builder = _REGISTRY[name]
@@ -269,12 +293,12 @@ def preset(name, params=None):
     if unknown:
         raise ValueError(f"unknown parameters {unknown} of preset {name!r}; "
                          f"known: {sorted(defaults) + ['T']}")
-    T = float(params.get("T", 1.0))
-    merged = {key: float(params.get(key, value))
+    T = _param("T", params.get("T", 1.0))
+    merged = {key: _param(key, params.get(key, value))
               for key, value in defaults.items()}
     d, m, _ = dims
-    parts = {"b": _constant(0.0, (d,)),
-             "sigma": _constant(np.eye(d, m), (d, m)),
+    parts = {"b": _Constant(0.0, (d,)),
+             "sigma": _Constant(np.eye(d, m), (d, m)),
              "f": _zero, "g": _zero, "h": _first_coord, **builder(merged)}
     parts["meta"] = {"L1_doc": 1.0, "L3_doc": 1.0, "iota_doc": 1.0,
                      **parts.get("meta", {})}

@@ -16,7 +16,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, _Constant
 from .errors import MissingNoise, NumericalBlowup
 from .geometry import _check_dims, _check_inside, _norm, project
 
@@ -37,6 +37,14 @@ _BLOCK_PATHS = 128
 _CHUNK_STEPS = 64
 
 
+def _check_count(name, value, low):
+    """Raise ValueError unless value is an int (a bool is not) >= low."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     s: float
@@ -44,8 +52,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+        _check_count("n_steps", self.n_steps, 1)
         if not (math.isfinite(self.s) and math.isfinite(self.T)):
             raise ValueError(f"s and T must be finite, got {self.s}, {self.T}")
         if not self.T > self.s:
@@ -162,12 +169,19 @@ def _step(coeffs, domain, X, t, dt, dW, sq):
     """One projection Euler step of the states X (B, d) from time t, kicked
     by sigma dW scaled by sq = sqrt(epsilon) unless dW (B, m) is None.
     Returns the projected states, the budget increments dk (B,), zero at or
-    below the noise floor, and the projection's corrections (B, d)."""
-    drift = coeffs.b(t, X)
+    below the noise floor, and the projection's corrections (B, d).
+
+    A constant drift is read as its (d,) value, and sigma = I kicks by
+    dW * sq: both are exact, so they give the bits of the general route."""
+    b, sigma = coeffs.b, coeffs.sigma
+    drift = b.value if isinstance(b, _Constant) else b(t, X)
     prop = X + drift * dt
     if dW is not None:
-        kick = np.einsum("...dm,...m->...d", coeffs.sigma(t, X), dW)
-        kick *= sq
+        if isinstance(sigma, _Constant) and sigma.unit:
+            kick = dW * sq
+        else:
+            kick = np.einsum("...dm,...m->...d", sigma(t, X), dW)
+            kick *= sq
         prop += kick
     if not np.isfinite(prop).all():
         what = "state proposal" if np.isfinite(drift).all() else "drift"
@@ -295,8 +309,7 @@ def skorokhod_map(domain, phi_path):
     _check_inside(domain, vals[0], "free path must start in the closed domain")
     d = vals.shape[1]
     unit = CoefficientSet(
-        b=lambda t, x: np.zeros_like(x),
-        sigma=lambda t, x: np.broadcast_to(np.eye(d), x.shape + (d,)),
+        b=_Constant(0.0, (d,)), sigma=_Constant(np.eye(d), (d, d)),
         f=None, g=None, h=None, dims=(d, d, 0), T=phi_path.grid.T)
     psi, tv, _ = _reflected_core(unit, domain, project(domain, vals[:1]), 1.0,
                                  phi_path.grid, np.diff(vals, axis=0)[None])

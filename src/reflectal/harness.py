@@ -18,7 +18,8 @@ from .backward import (_hull_clip, _multilinear, make_lattice,
                        solve_bsde_grid, solve_limit_bsde)
 from .errors import DegenerateFit, InsufficientPaths
 from .forward import (_BLOCK_PATHS, TimeGrid, _block_noise, _blocks,
-                      _reflected_core, _start, integrate_skeleton_ode)
+                      _check_count, _reflected_core, _start,
+                      integrate_skeleton_ode)
 from .geometry import _norm, project
 
 __all__ = ["ConvergenceReport", "TailReport", "convergence_study",
@@ -197,8 +198,7 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
     x = _start(coeffs, domain, s, x, grid)
     y4, every = None, 1
     if "Y4" in names:
-        if not field_steps >= 1:
-            raise ValueError(f"field_steps must be >= 1, got {field_steps!r}")
+        _check_count("field_steps", field_steps, 1)
         skel = integrate_skeleton_ode(coeffs, domain, s, x, grid)
         psi = solve_limit_bsde(coeffs, skel).y_path      # (n+1, k)
         nt = min(grid.n_steps, field_steps)     # time steps of the fields

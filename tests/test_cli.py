@@ -445,6 +445,12 @@ class TestSchema:
         ({"delta": float("nan")}, "/delta"),
         ({"grid": 0}, "/grid"),
         ({"eps_ladder": [0.1, float("nan"), 0.05, 0.01]}, "/eps_ladder"),
+        ({"preset": {"name": "constant-drift", "params": {"v": float("nan")}}},
+         "/preset/params/v"),
+        ({"preset": {"name": "linear-drift",
+                     "params": {"rate": float("inf")}}}, "/preset/params/rate"),
+        ({"preset": {"name": "constant-drift",
+                     "params": {"T": float("nan")}}}, "/preset/params/T"),
     ])
     def test_rejected_at_pointer(self, over, field):
         with pytest.raises(ConfigInvalid) as exc:

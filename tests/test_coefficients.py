@@ -110,6 +110,17 @@ class TestPresets:
         np.testing.assert_allclose(got, [[-2.0]])
         assert co.g(0.0, np.array([[0.5]]), y)[0, 0] == 0.0
 
+    @pytest.mark.parametrize("name, key", [
+        ("constant-drift", "v"), ("linear-drift", "rate"),
+        ("ou-in-ball", "theta"), ("linear-bsde", "lam"),
+        ("linear-bsde", "g0"), ("boundary-g-constant", "g0"),
+        ("zero-drift-unit-noise", "T")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")])
+    def test_non_finite_parameter_rejected(self, name, key, value):
+        with pytest.raises(ValueError, match=f"'{key}' must be finite"):
+            preset(name, {key: value})
+
     def test_every_preset_passes_own_audit(self):
         for name in PRESET_NAMES:
             co = preset(name)

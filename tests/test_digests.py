@@ -1,0 +1,46 @@
+"""The determinism contract, pinned: the CLI's outputs on the configs of
+tools/cli_digests.py hash to the lines of data/cli_digests.txt.
+
+A change that moves an output on purpose regenerates the file with
+`python3 tools/cli_digests.py > tests/data/cli_digests.txt`, run from the
+repository root, and names the moved lines in CHANGES.md.
+"""
+
+import importlib.util
+import os
+
+import numpy as np
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+PINNED = os.path.join(HERE, "data", "cli_digests.txt")
+TOOL = os.path.join(os.path.dirname(HERE), "tools", "cli_digests.py")
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("cli_digests", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _by_key(lines):
+    """Each line under its run name and item (config_hash, error or a CSV
+    name), its first two words."""
+    return {tuple(line.split(" ", 2)[:2]): line for line in lines}
+
+
+def test_cli_outputs_match_pinned_digests():
+    tool = _tool()
+    with open(PINNED) as fh:
+        header, *pinned = fh.read().splitlines()
+    # numpy does not promise Generator streams across versions (NEP 19)
+    assert header == tool.header(), (
+        f"{PINNED} was made under {header.lstrip('# ')}, this run has "
+        f"numpy {np.__version__}: check the outputs under the new numpy, "
+        f"then regenerate the file")
+    want, got = _by_key(pinned), _by_key(tool.digest_lines())
+    moved = [f"  pinned: {want.get(key)}\n  now:    {got.get(key)}"
+             for key in dict.fromkeys([*want, *got])
+             if want.get(key) != got.get(key)]
+    assert not moved, (f"{len(moved)} digest lines differ from {PINNED}:\n"
+                       + "\n".join(moved))

@@ -804,6 +804,22 @@ def test_time_grid_rejects_non_finite_ends(s, T):
         TimeGrid(s, T, 8)
 
 
+@pytest.mark.parametrize("n", [4.5, 4.0, True, False, "4", None])
+def test_time_grid_rejects_a_step_count_that_is_not_an_int(n):
+    with pytest.raises(ValueError, match="n_steps must be an int"):
+        TimeGrid(0.0, 1.0, n)
+
+
+@pytest.mark.parametrize("n", [0, -3, np.int64(0)])
+def test_time_grid_rejects_fewer_than_one_step(n):
+    with pytest.raises(ValueError, match="n_steps must be >= 1"):
+        TimeGrid(0.0, 1.0, n)
+
+
+def test_time_grid_takes_numpy_ints():
+    assert TimeGrid(0.0, 1.0, np.int64(4)).dt == 0.25
+
+
 class TestStartTime:
     """Every integrator runs on its grid, so a start time s other than the
     grid's start is rejected rather than ignored."""

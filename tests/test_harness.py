@@ -478,6 +478,16 @@ class TestSkeletonRidesInTheSweep:
                           mc_per_node=64)
         assert skeletons == [self.GRID] * calls
 
+    @pytest.mark.parametrize("nt", [4.0, 4.5, True, "4"])
+    def test_y4_field_steps_must_be_an_int(self, nt, skeletons):
+        # refused before the skeleton and psi are built
+        co = preset("linear-bsde", {"lam": 1.0, "g0": 1.0})
+        with pytest.raises(ValueError, match="field_steps must be an int"):
+            convergence_study("Y4", co, unit_interval(), 0.0, [0.5], LADDER,
+                              1000, self.GRID, 3, field_steps=nt,
+                              field_nodes=5, mc_per_node=64)
+        assert skeletons == []
+
     def test_tail_study(self, skeletons):
         # only the certificate integrates one, on its optimizer grid
         tail_study(preset("zero-drift-unit-noise"), unit_interval(), 0.0,

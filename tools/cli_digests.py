@@ -1,6 +1,6 @@
 """SHA-256 digests of the CLI's outputs on a fixed set of small configs.
 
-    python3 tools/cli_digests.py > digests.txt
+    python3 tools/cli_digests.py > tests/data/cli_digests.txt
 
 Runs one pinned config per command on the unit interval and on the unit
 disc, then three more convergence targets on the interval and Y4 on the
@@ -17,12 +17,20 @@ validation, a 2-D model on the interval, a convergence study with 10 paths
 and one with a NaN in its epsilon ladder, in process, with the package
 imported from this checkout's `src/`. Each run writes into a fixed relative `output_dir`
 under a temporary working directory, because `config_hash` covers that
-field. Prints one line per run with its `config_hash` (or the error it
-raised) and one line per CSV with the file's sha256, so two checkouts can
-be compared with one diff.
+field. Prints a header line with the numpy version, then one line per run with
+its `config_hash` (or the error it raised) and one line per CSV with the
+file's sha256, so two checkouts can be compared with one diff.
 
 The digests depend on numpy's Generator streams, which numpy does not
 promise to keep across versions: compare runs made with one numpy only.
+
+`tests/data/cli_digests.txt` holds this output, and
+`tests/test_digests.py` reruns the configs and names every line that
+differs from it. A change that moves CLI outputs on purpose regenerates
+the file with the command above and lists the moved lines, before and
+after, in CHANGES.md. The test fails, and does not skip, under a numpy
+other than the header's: regenerate the file on a checkout whose outputs
+are known good, under the new numpy.
 """
 
 import hashlib
@@ -143,24 +151,46 @@ def configs():
                      "output_dir": os.path.join("runs", name)}
 
 
-def main():
-    sys.path.insert(0, os.path.join(ROOT, "src"))
+def header():
+    """The first line of the output: the numpy version the digests were
+    made with."""
+    import numpy
+    return f"# numpy {numpy.__version__}"
+
+
+def digest_lines():
+    """The output lines after the header, as a list. The runs write under a
+    temporary working directory, and the caller's one is restored."""
     from reflectal import cli
     from reflectal.errors import ReflectalError
 
+    lines = []
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        for name, cfg in configs():
-            try:
-                manifest = cli.run(cli.validate(json.dumps(cfg)))
-            except ReflectalError as exc:
-                print(f"{name} error {type(exc).__name__}: {exc}")
-                continue
-            print(f"{name} config_hash {manifest['config_hash']}")
-            for fname in sorted(manifest["outputs"]):
-                with open(os.path.join(cfg["output_dir"], fname), "rb") as fh:
-                    digest = hashlib.sha256(fh.read()).hexdigest()
-                print(f"{name} {fname} {digest}")
+        try:
+            for name, cfg in configs():
+                try:
+                    manifest = cli.run(cli.validate(json.dumps(cfg)))
+                except ReflectalError as exc:
+                    lines.append(f"{name} error {type(exc).__name__}: {exc}")
+                    continue
+                lines.append(f"{name} config_hash {manifest['config_hash']}")
+                for fname in sorted(manifest["outputs"]):
+                    path = os.path.join(cfg["output_dir"], fname)
+                    with open(path, "rb") as fh:
+                        digest = hashlib.sha256(fh.read()).hexdigest()
+                    lines.append(f"{name} {fname} {digest}")
+        finally:
+            os.chdir(cwd)
+    return lines
+
+
+def main():
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    print(header())
+    for line in digest_lines():
+        print(line)
 
 
 if __name__ == "__main__":
