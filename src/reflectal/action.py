@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import apply_pi
+from .backward import _pi_reader
 from .coefficients import _Constant
 from .errors import ConstraintInfeasible, InfeasiblePath, SingularDiffusion
 from .forward import (ReflectedTrajectory, _check_count,
@@ -63,27 +63,31 @@ def _action_terms(coeffs, domain, paths, grid):
     Returns (action, integrand, lam, nvec) with leading axes (...,): the
     cost, the per-step quadratic form values, the boundary multipliers and
     the inward normals at the right nodes. Raises when any path of the
-    stack leaves the domain or meets a singular diffusion.
+    stack leaves the domain, holds a non-finite node or meets a singular
+    diffusion.
     """
+    tol = domain.boundary_tol
     dist = domain.signed_distance(paths)
-    if np.any(dist < -domain.boundary_tol):
+    # a NaN distance, from a non-finite node, is not inside either
+    if not (dist >= -tol).all():
         raise InfeasiblePath("path leaves the closed domain")
 
     dt = grid.dt
     left = paths[..., :-1, :]
     right = paths[..., 1:, :]
-    ts = np.broadcast_to(grid.nodes[:-1], left.shape[:-1])
     v = (right - left) / dt
     b, sigma = coeffs.b, coeffs.sigma
+    unit = isinstance(sigma, _Constant) and sigma.unit
+    if not (unit and isinstance(b, _Constant)):
+        ts = np.broadcast_to(grid.nodes[:-1], left.shape[:-1])
     r = v - (b.value if isinstance(b, _Constant) else b(ts, left))
 
     # sigma = I needs no sigma sigma*, eigenvalue check or inverse: each
     # product by the identity is exact, so the bits are the general route's
-    unit = isinstance(sigma, _Constant) and sigma.unit
     if not unit:
         sig = sigma(ts, left)
-        a = sig @ np.swapaxes(sig, -1, -2)
-        if np.any(np.linalg.eigvalsh(a)[..., 0] < _EIG_FLOOR):
+        a = sig @ sig.swapaxes(-1, -2)
+        if (np.linalg.eigvalsh(a)[..., 0] < _EIG_FLOOR).any():
             raise SingularDiffusion(
                 "sigma sigma* numerically singular on the path")
         ainv = np.linalg.inv(a)
@@ -94,20 +98,24 @@ def _action_terms(coeffs, domain, paths, grid):
         return np.einsum("...i,...ij,...j->...", u, ainv, u)
 
     # only boundary steps carry a multiplier, so only they need the normal;
-    # elsewhere nvec = 0 gives lam = 0 and resid = r
-    on_bdry = np.abs(dist[..., 1:]) <= domain.boundary_tol
+    # elsewhere nvec = 0 gives lam = 0 and resid = r - 0.0 * 0 = r in every
+    # bit, so a stack with no right node on the boundary skips the block
+    on_bdry = np.abs(dist[..., 1:]) <= tol
     nvec = np.zeros_like(right)
-    if np.any(on_bdry):
+    if on_bdry.any():
         nvec[on_bdry] = domain.grad_phi(right[on_bdry])
-    anr = r if unit else np.einsum("...ij,...j->...i", ainv, r)
-    nan_ = quad(nvec)
-    safe = np.where(nan_ > 0, nan_, 1.0)
-    lam = np.where(on_bdry & (nan_ > 0),
-                   np.maximum(0.0, np.einsum("...i,...i->...", nvec, anr) / safe),
-                   0.0)
-    resid = r - lam[..., None] * nvec
+        anr = r if unit else np.einsum("...ij,...j->...i", ainv, r)
+        nan_ = quad(nvec)
+        safe = np.where(nan_ > 0, nan_, 1.0)
+        lam = np.where(on_bdry & (nan_ > 0),
+                       np.maximum(0.0, np.einsum("...i,...i->...", nvec, anr)
+                                  / safe),
+                       0.0)
+        resid = r - lam[..., None] * nvec
+    else:
+        lam, resid = np.zeros(on_bdry.shape), r
     integrand = np.maximum(quad(resid), 0.0)
-    action = 0.5 * dt * np.sum(integrand, axis=-1)
+    action = 0.5 * dt * integrand.sum(axis=-1)
     return action, integrand, lam, nvec
 
 
@@ -149,54 +157,65 @@ def _node_sums(integrand, dt):
     return sums
 
 
-def _fd_stencils(path, domain, free):
-    """The finite-difference stencils of a path over the nodes `free`.
+class _Stencils:
+    """The finite-difference stencils over the nodes `free` of a descent's
+    paths (n+1, d), with the bumps and index arrays built once per descent.
 
-    Returns (paths, read): paths (2, 2, d, n+1, d) replace node j of path by
-    project(path[j] +- fd e_c), with fd = _FD_REL_STEP * max(diameter, 1),
-    and read maps their node sums (2, 2, d, n+1) to the gradient. No two
-    nodes of one parity share a term, so all even free nodes move at once,
-    then all odd ones (Curtis, Powell & Reid 1974): 4 * d paths per
-    gradient, whatever n is. A component whose two projected nodes coincide
-    in coordinate c is left at zero.
+    Called on a path, returns (paths, read): paths (2, 2, d, n+1, d) replace
+    node j of path by project(path[j] +- fd e_c), with fd = _FD_REL_STEP *
+    max(diameter, 1), and read maps their node sums (2, 2, d, n+1) to the
+    gradient. No two nodes of one parity share a term, so all even free
+    nodes move at once, then all odd ones (Curtis, Powell & Reid 1974):
+    4 * d paths per gradient, whatever n is. A component whose two projected
+    nodes coincide in coordinate c is left at zero.
     """
-    d = path.shape[1]
-    bumps = _FD_REL_STEP * max(domain.diameter, 1.0) * np.eye(d)
-    nodes = path[free, None, :]
-    moved = project(domain, np.stack([nodes + bumps, nodes - bumps]))
-    colour = free[:, None] % 2
-    coord = np.arange(d)
-    perturbed = np.broadcast_to(path, (2, 2, d) + path.shape).copy()
-    perturbed[:, colour, coord, free[:, None]] = moved
 
-    def read(sums):
-        sums = sums[:, colour, coord, free[:, None]]
-        moved_c = np.diagonal(moved, axis1=-2, axis2=-1)
-        denom = moved_c[0] - moved_c[1]
-        grad = np.zeros_like(path)
-        grad[free] = np.where(denom != 0.0, (sums[0] - sums[1])
-                              / np.where(denom != 0.0, denom, 1.0), 0.0)
-        return grad
+    def __init__(self, domain, free):
+        self.domain, self.free = domain, free
+        d = domain.dimension
+        fd = _FD_REL_STEP * max(domain.diameter, 1.0) * np.eye(d)
+        self._bumps = np.stack([fd, -fd])[:, None]      # (2, 1, d, d)
+        self._lead = (2, 2, d)
+        # (sign, parity, c, node) of each free node j moved along each e_c
+        self._at = (slice(None), free[:, None] % 2, np.arange(d),
+                    free[:, None])
 
-    return perturbed, read
+    def __call__(self, path):
+        free, at = self.free, self._at
+        moved = project(self.domain, path[free, None, :] + self._bumps)
+        perturbed = np.empty(self._lead + path.shape)
+        perturbed[...] = path
+        perturbed[at] = moved
+
+        def read(sums):
+            sums = sums[at]
+            moved_c = moved.diagonal(0, -2, -1)
+            denom = moved_c[0] - moved_c[1]
+            nonzero = denom != 0.0
+            grad = np.zeros_like(path)
+            grad[free] = np.where(nonzero, (sums[0] - sums[1])
+                                  / np.where(nonzero, denom, 1.0), 0.0)
+            return grad
+
+        return perturbed, read
 
 
-def _fd_gradient(objective, path, domain, free):
-    """Finite-difference gradient over the nodes `free` of a path, in one
-    objective call on _fd_stencils' paths.
+def _fd_gradient(objective, path, stencils):
+    """Finite-difference gradient over the free nodes of a path, in one
+    objective call on the paths of stencils, a _Stencils.
 
     objective maps a stack of paths (..., n+1, d) to (values, sums): the
     values (...,) and each node's local sum (..., n+1), which may depend on
     the node and its two neighbours only. Component (j, c) differences node
     j's sum between the stencil paths that move node j along e_c.
     """
-    paths, read = _fd_stencils(path, domain, free)
+    paths, read = stencils(path)
     return read(objective(paths)[1])
 
 
-def _backtrack(objective, path, value, grad, gnorm2, free, domain, eta):
+def _backtrack(objective, path, value, grad, gnorm2, stencils, eta):
     """Armijo backtracking along -grad from the step eta, halving it up to
-    _MAX_BACKTRACKS times.
+    _MAX_BACKTRACKS times, over the free nodes of stencils, a _Stencils.
 
     Trials are projected and evaluated _BATCH at a time, in one objective
     call, and read in order: the first that lowers the value by the Armijo
@@ -206,29 +225,31 @@ def _backtrack(objective, path, value, grad, gnorm2, free, domain, eta):
     _BATCH - 1 feasible trials past the accepted one.
 
     The first batch's trial _GUESS, at the step the last accepted search
-    took (the descent doubles that step), carries its _fd_stencils into the
+    took (the descent doubles that step), carries its stencils into the
     same call. Returns (trial, value, eta, accepted, grad): on acceptance,
     grad is the trial's gradient when it is trial _GUESS and None
     otherwise; a rejection returns path, the value, the step the search
     stopped at (halved once more after a full run of failures) and the
     given grad, since the path has not moved.
     """
+    free, domain = stencils.free, stencils.domain
+    nodes, down = path[free], grad[free]
     etas = [eta]
     for _ in range(_MAX_BACKTRACKS):
         etas.append(etas[-1] * _BACKTRACK)
     for first in range(0, _MAX_BACKTRACKS, _BATCH):
         batch = etas[first:min(first + _BATCH, _MAX_BACKTRACKS)]
-        trials = np.broadcast_to(path, (len(batch),) + path.shape).copy()
+        trials = np.empty((len(batch),) + path.shape)
+        trials[...] = path
         trials[:, free] = project(
-            domain, path[free] - np.array(batch)[:, None, None] * grad[free])
-        same = np.all(trials == path, axis=(-2, -1))
-        stop = int(np.argmax(same)) if same.any() else len(batch)
+            domain, nodes - np.array(batch)[:, None, None] * down)
+        same = (trials == path).all(axis=(-2, -1))
+        stop = int(same.argmax()) if same.any() else len(batch)
         stack = trials[:stop]
         guess = first == 0 and stop > _GUESS
         if guess:
-            stencils, read = _fd_stencils(trials[_GUESS], domain, free)
-            stack = np.concatenate(
-                [stack, stencils.reshape((-1,) + path.shape)])
+            paths, read = stencils(trials[_GUESS])
+            stack = np.concatenate([stack, paths.reshape((-1,) + path.shape)])
         values, sums = objective(stack) if stop else ((), None)
         # the stencils' values follow the trials'
         for k, (trial, tv, eta) in enumerate(zip(trials, values[:stop], batch)):
@@ -238,7 +259,7 @@ def _backtrack(objective, path, value, grad, gnorm2, free, domain, eta):
             if tv < value and tv <= value - _ARMIJO_C * eta * gnorm2:
                 if guess and k == _GUESS:
                     return trial, tv, eta, True, read(
-                        sums[stop:].reshape(stencils.shape[:-1]))
+                        sums[stop:].reshape(paths.shape[:-1]))
                 return trial, tv, eta, True, None
         if stop < len(batch):
             # the step rounded away: a rejection, as is every shorter one
@@ -259,7 +280,7 @@ def _projected_descent(objective, path0, domain, pin_last, opts):
     """
     path = project(domain, np.asarray(path0, float))
     n1 = path.shape[0]
-    free = np.arange(1, n1 - 1 if pin_last else n1)
+    stencils = _Stencils(domain, np.arange(1, n1 - 1 if pin_last else n1))
 
     value = float(objective(path)[0])
     log = [(0, value, 0.0)]
@@ -269,12 +290,12 @@ def _projected_descent(objective, path0, domain, pin_last, opts):
     grad = None
     for it in range(1, opts.max_iter + 1):
         if grad is None:
-            grad = _fd_gradient(objective, path, domain, free)
-        gnorm2 = float(np.sum(grad * grad))
+            grad = _fd_gradient(objective, path, stencils)
+        gnorm2 = float((grad * grad).sum())
         if gnorm2 <= opts.grad_tol**2:
             break
         path, value, eta, accepted, grad = _backtrack(
-            objective, path, value, grad, gnorm2, free, domain, step)
+            objective, path, value, grad, gnorm2, stencils, step)
         log.append((it, value, eta if accepted else 0.0))
         if accepted:
             stalls = 0
@@ -334,35 +355,41 @@ def contracted_rate(coeffs, domain, field_limit, gamma, s, x, opts=None):
 
     Solved by penalty continuation on the squared constraint mismatch; the
     start node is pinned at x, the rest of the path is free. The path lives
-    on the field's time grid, at whose nodes gamma is given. The result's
-    `stalled` flag is set when the line search gave up in any stage. Raises
+    on the field's time grid, at whose nodes gamma is given: finite, of
+    shape (n+1, k) for a field of k values, or (n+1,) when k = 1. The field
+    is read through one reader for the whole call. The result's `stalled`
+    flag is set when the line search gave up in any stage. Raises
     ConstraintInfeasible when the final sup-norm violation exceeds the
     tolerance (the preimage is empty at this resolution).
     """
     opts = opts or OptimizerOptions()
     if field_limit.epsilon != 0.0:
         raise ValueError("contracted_rate needs the deterministic limit field")
-    gamma = np.asarray(gamma, float)
-    if gamma.ndim == 1:
-        gamma = gamma[:, None]
     grid = field_limit.times
-    if gamma.shape[0] != grid.n_steps + 1:
-        raise ValueError("gamma length does not match the grid")
+    given = np.asarray(gamma, float)
+    gamma = given[:, None] if given.ndim == 1 else given
+    want = (grid.n_steps + 1, field_limit.values.shape[-1])
+    if gamma.shape != want:
+        raise ValueError(f"gamma of shape {given.shape} does not match the "
+                         f"field's {want[0]} time nodes and {want[1]} values")
+    if not np.isfinite(gamma).all():
+        raise ValueError("gamma must be finite")
+    read = _pi_reader(field_limit)
 
     path = integrate_skeleton_ode(coeffs, domain, s, x, grid).x_path
     stalled = False
     for pen in _PENALTIES:
         def objective(p, _pen=pen):
             action, integrand = _action_terms(coeffs, domain, p, grid)[:2]
-            sq = (apply_pi(field_limit, p) - gamma)**2
-            return (action + _pen * np.sum(sq, axis=(-2, -1)),
-                    _node_sums(integrand, grid.dt) + _pen * np.sum(sq, axis=-1))
+            sq = (read(p) - gamma)**2
+            return (action + _pen * sq.sum(axis=(-2, -1)),
+                    _node_sums(integrand, grid.dt) + _pen * sq.sum(axis=-1))
 
         path, _, _, stage_stalled = _projected_descent(
             objective, path, domain, pin_last=False, opts=opts)
         stalled = stalled or stage_stalled
 
-    viol = float(np.max(np.abs(apply_pi(field_limit, path) - gamma)))
+    viol = float(np.abs(read(path) - gamma).max())
     if viol > _VIOLATION_TOL:
         raise ConstraintInfeasible(
             f"constraint violation {viol:.3e} exceeds "

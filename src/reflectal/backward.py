@@ -76,8 +76,10 @@ def _multilinear(axes, values, coords, offset=0):
     at points inside the lattice hull, given as one coordinate array per
     axis, all of one broadcast shape (...); returns (..., k). The leading
     stack axes, if any, hold lattices laid end to end in row-major order,
-    and offset (an int or an array broadcastable to (...)) is the flat
-    index of each point's lattice: s times the lattice size reads the s-th.
+    and offset (an int or an array) is the flat index of each point's
+    lattice: s times the lattice size reads the s-th. An offset array
+    broadcasts with the coordinates, and the result takes their joint
+    shape.
     The 2^D corner values are gathered by index arithmetic and reduced one
     axis at a time."""
     shape = values.shape[-1 - len(axes):-1]
@@ -97,13 +99,19 @@ def _multilinear(axes, values, coords, offset=0):
     return corners[0]
 
 
-def _hull_clip(axes, points):
-    """points (..., D) clipped to the hull of the lattice axes; a point more
-    than _PI_TOL outside it, or NaN, raises OutOfLattice."""
+def _hull_clipper(axes):
+    """clip(points) for the hull of the lattice axes: points (..., D)
+    clipped to the hull; a point more than _PI_TOL outside it, or NaN,
+    raises OutOfLattice."""
     lo, hi = np.array([(ax[0], ax[-1]) for ax in axes]).T
-    if not (np.all(points >= lo - _PI_TOL) and np.all(points <= hi + _PI_TOL)):
-        raise OutOfLattice("path leaves the lattice hull")
-    return np.minimum(np.maximum(points, lo), hi)
+    lo_tol, hi_tol = lo - _PI_TOL, hi + _PI_TOL
+
+    def clip(points):
+        if not ((points >= lo_tol).all() and (points <= hi_tol).all()):
+            raise OutOfLattice("path leaves the lattice hull")
+        return np.minimum(np.maximum(points, lo), hi)
+
+    return clip
 
 
 def _check_horizon(coeffs, times):
@@ -238,25 +246,54 @@ def limit_value_field(coeffs, domain, times, space_grid):
                       epsilon=0.0)
 
 
+def _pi_reader(field, path_times=None):
+    """apply_pi's reader of one field at one time per path node:
+    read(path_values) reads the field along paths (..., n+1, d) at
+    path_times, by default the field's own time nodes. What depends on the
+    times alone, each node's time cell and weight and the flat offsets of
+    its two time slices, and the lattice hull are worked out once.
+
+    read makes one spatial _multilinear read of both time slices, through
+    its offset, and blends them in time last. That is the reduction order of
+    one read over the lattice in (t, x), so the bits are those of that read.
+    """
+    times = field.times
+    t_nodes = times.nodes if path_times is None else np.asarray(path_times)
+    if t_nodes.ndim != 1:
+        raise ValueError("path_times needs one entry per path node")
+    if path_times is not None:
+        # the field's own nodes lie in [s, T], with linspace's exact ends
+        if not ((t_nodes >= times.s - _PI_TOL).all()
+                and (t_nodes <= times.T + _PI_TOL).all()):
+            raise OutOfLattice("path times leave the field's time range")
+        t_nodes = np.minimum(np.maximum(t_nodes, times.s), times.T)
+    ax = times.nodes
+    pos = (t_nodes - ax[0]) * ((ax.size - 1) / (ax[-1] - ax[0]))
+    cell = np.minimum(np.maximum(pos.astype(np.intp), 0), ax.size - 2)
+    weight = (pos - cell)[:, None]
+    cells = math.prod(field.values.shape[1:-1])     # lattice nodes per slice
+    offsets = cell * cells + np.array([[0], [cells]])    # (2, n+1)
+    clip = _hull_clipper(field.axes)
+    dim = len(field.axes)
+
+    def read(path_values):
+        vals = np.asarray(path_values, float)
+        if vals.shape[-1] != dim:
+            raise ValueError("path dimension does not match the field lattice")
+        if vals.shape[-2:-1] != t_nodes.shape:
+            raise ValueError("path_times needs one entry per path node")
+        clipped = clip(vals)
+        lead = offsets.reshape((2,) + (1,) * (vals.ndim - 2) + t_nodes.shape)
+        lo, hi = _multilinear(field.axes, field.values,
+                              [clipped[..., a] for a in range(dim)], lead)
+        return lo + weight * (hi - lo)
+
+    return read
+
+
 def apply_pi(field, path_values, path_times=None):
     """Read the value field along a constrained path (multilinear in time
     and space). path_values: (..., n+1, d); path_times, one per path node,
     defaults to the field's time nodes. Returns (..., n+1, k); a point or
     time outside the field, or NaN, raises OutOfLattice."""
-    t_nodes = field.times.nodes if path_times is None else np.asarray(path_times)
-    vals = np.asarray(path_values, float)
-    if vals.shape[-1] != len(field.axes):
-        raise ValueError("path dimension does not match the field lattice")
-    if t_nodes.shape != vals.shape[-2:-1]:
-        raise ValueError("path_times needs one entry per path node")
-    clipped = _hull_clip(field.axes, vals)
-    if path_times is not None:
-        # the field's own nodes lie in [s, T], with linspace's exact ends
-        t_lo, t_hi = field.times.s, field.times.T
-        if not (np.all(t_nodes >= t_lo - _PI_TOL)
-                and np.all(t_nodes <= t_hi + _PI_TOL)):
-            raise OutOfLattice("path times leave the field's time range")
-        t_nodes = np.minimum(np.maximum(t_nodes, t_lo), t_hi)
-    tq = np.broadcast_to(t_nodes, vals.shape[:-1])
-    return _multilinear((field.times.nodes,) + field.axes, field.values,
-                        (tq, *np.moveaxis(clipped, -1, 0)))
+    return _pi_reader(field, path_times)(path_values)

@@ -228,8 +228,8 @@ def project(domain, p):
 
 def _check_inside(domain, point, message, error=StartOutsideDomain):
     """Raise error(message) unless point (d,) lies in the closed domain, up
-    to the domain's boundary tolerance."""
-    if domain.signed_distance(point) < -domain.boundary_tol:
+    to the domain's boundary tolerance. A non-finite point lies outside."""
+    if not domain.signed_distance(point) >= -domain.boundary_tol:
         raise error(message)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import OptimizerOptions, minimize_action_endpoint
-from .backward import (_hull_clip, _multilinear, make_lattice,
+from .backward import (_hull_clipper, _multilinear, make_lattice,
                        solve_bsde_grid, solve_limit_bsde)
 from .errors import DegenerateFit, InsufficientPaths
 from .forward import (_BLOCK_PATHS, TimeGrid, _block_noise, _blocks,
@@ -210,6 +210,7 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
         lattice = make_lattice(domain, field_nodes)
         shape = tuple(ax.size for ax in lattice)
         cells = math.prod(shape)
+        clip = _hull_clipper(lattice)
         # every level's field, by time node: (nt+1, levels, *shape, k)
         fields = np.empty((nt + 1, eps.size) + shape + psi.shape[1:])
         for ei, e in enumerate(eps):
@@ -220,7 +221,7 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
         def y4(j, X, level):  # |u^eps(t, X) - psi_t|^4 at field node j
             # read each row in its level's field slice j
             u = _multilinear(lattice, fields[j],
-                             np.moveaxis(_hull_clip(lattice, X), -1, 0),
+                             np.moveaxis(clip(X), -1, 0),
                              level * cells)
             return _norm(u - psi[j * every]) ** 4
 

@@ -8,8 +8,8 @@ import pytest
 
 from reflectal import action
 from reflectal.action import (OptimizerOptions, _action_terms, _fd_gradient,
-                              _fd_stencils, _FD_REL_STEP, _node_sums,
-                              _projected_descent,
+                              _FD_REL_STEP, _node_sums, _projected_descent,
+                              _Stencils,
                               contracted_rate, evaluate_action,
                               minimize_action_endpoint)
 from reflectal.backward import apply_pi, limit_value_field, make_lattice
@@ -368,6 +368,11 @@ def per_node_gradient(objective, path, domain, free, local=False):
     return grad
 
 
+def fd_gradient(objective, path, domain, free):
+    """_fd_gradient on the stencils of a descent over the nodes free."""
+    return _fd_gradient(objective, path, _Stencils(domain, free))
+
+
 def action_objective(co, dom, grid):
     """minimize_action_endpoint's objective: the values and node sums."""
     def objective(p):
@@ -448,7 +453,7 @@ class TestBatchedAction:
         for path in stack[[0, -4, -1]]:
             for free in (np.arange(1, grid.n_steps),
                          np.arange(1, grid.n_steps + 1)):
-                got = _fd_gradient(objective, path, dom, free)
+                got = fd_gradient(objective, path, dom, free)
                 want = per_node_gradient(objective, path, dom, free)
                 assert np.any(got != 0.0)
                 np.testing.assert_allclose(
@@ -460,7 +465,7 @@ class TestBatchedAction:
         objective = action_objective(co, dom, grid)
         for path in stack[[0, -4, -1]]:
             free = np.arange(1, grid.n_steps + 1)
-            assert np.array_equal(_fd_gradient(objective, path, dom, free),
+            assert np.array_equal(fd_gradient(objective, path, dom, free),
                                   per_node_gradient(objective, path, dom, free,
                                                     local=True))
 
@@ -480,7 +485,7 @@ class TestBatchedAction:
                     + 100.0 * np.sum(sq, axis=-1))
 
         free = np.arange(1, 9)
-        got = _fd_gradient(objective, path, dom, free)
+        got = fd_gradient(objective, path, dom, free)
         np.testing.assert_allclose(
             got, per_node_gradient(objective, path, dom, free),
             rtol=0.0, atol=gradient_tol(objective, path, dom))
@@ -503,7 +508,7 @@ class TestBatchedAction:
 
         tracemalloc.start()
         try:
-            grad = _fd_gradient(spy, path, dom, np.arange(1, 1024))
+            grad = fd_gradient(spy, path, dom, np.arange(1, 1024))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -530,7 +535,7 @@ def test_descent_reports_stall():
     dom = unit_interval()
     start = np.full((6, 1), 0.5)
     objective = kinked_objective(start, 0.0)
-    grad = _fd_gradient(objective, start, dom, np.arange(1, 6))
+    grad = fd_gradient(objective, start, dom, np.arange(1, 6))
     assert grad[0, 0] == 0.0
     np.testing.assert_allclose(grad[1:], 1.0, rtol=1e-6)
     path, value, log, stalled = _projected_descent(
@@ -582,13 +587,14 @@ def sequential_descent(objective, path0, domain, pin_last, opts):
     path = project(domain, np.asarray(path0, float))
     n1 = path.shape[0]
     free = np.arange(1, n1 - 1 if pin_last else n1)
+    stencils = action._Stencils(domain, free)
     value = float(objective(path)[0])
     log = [(0, value, 0.0)]
     step = action._INIT_STEP
     stalls = 0
     stalled = False
     for it in range(1, opts.max_iter + 1):
-        grad = action._fd_gradient(objective, path, domain, free)
+        grad = action._fd_gradient(objective, path, stencils)
         gnorm2 = float(np.sum(grad * grad))
         if gnorm2 <= opts.grad_tol**2:
             break
@@ -627,7 +633,7 @@ class TestBatchedLineSearch:
     L = action._BATCH
     start = np.full((6, 1), 0.5)
 
-    def run_both(self, monkeypatch, objective, stencils=_fd_stencils,
+    def run_both(self, monkeypatch, objective, stencils=_Stencils,
                  path0=None, dom=None, pin_last=False,
                  opts=OptimizerOptions(max_iter=60)):
         path0 = self.start if path0 is None else path0
@@ -648,16 +654,17 @@ class TestBatchedLineSearch:
                 pending[0] = 0
                 return objective(p)
 
-            def counted(path, domain, free):
-                paths, read = stencils(path, domain, free)
-                pending[0] = paths.size // path.size
-                return paths, read
+            class Counted(stencils):
+                def __call__(self, path):
+                    paths, read = super().__call__(path)
+                    pending[0] = paths.size // path.size
+                    return paths, read
 
             def marked(*args, _fn=originals[starter], _starts=starts):
                 _starts.append(len(seen))
                 return _fn(*args)
 
-            monkeypatch.setattr(action, "_fd_stencils", counted)
+            monkeypatch.setattr(action, "_Stencils", Counted)
             for name, fn in originals.items():
                 monkeypatch.setattr(action, name,
                                     marked if name == starter else fn)
@@ -681,13 +688,13 @@ class TestBatchedLineSearch:
 
     @staticmethod
     def constant_gradient(g):
-        """A stencil builder of no paths whose read-out is g at the free
-        nodes."""
-        def stencils(path, domain, free):
-            grad = np.zeros_like(path)
-            grad[free] = g
-            return np.empty((0,) + path.shape), lambda sums: grad
-        return stencils
+        """Stencils of no paths whose read-out is g at the free nodes."""
+        class Constant(_Stencils):
+            def __call__(self, path):
+                grad = np.zeros_like(path)
+                grad[self.free] = g
+                return np.empty((0,) + path.shape), lambda sums: grad
+        return Constant
 
     def threshold_objective(self, theta):
         """1 - the largest rise of a node above 0.5 while it is at most
@@ -802,11 +809,11 @@ class TestGradientReuse:
             events.append(("G",))
             return gradient(*args)
 
-        def counted_search(objective, path, value, grad, gnorm2, free,
-                           domain, eta):
-            events.append(("S", eta, free, domain, objective))
-            out = search(objective, path, value, grad, gnorm2, free, domain,
-                         eta)
+        def counted_search(objective, path, value, grad, gnorm2, stencils,
+                           eta):
+            events.append(("S", eta, stencils.free, stencils.domain,
+                           objective))
+            out = search(objective, path, value, grad, gnorm2, stencils, eta)
             events.append(("E", out[3], out[2], out[0], out[4]))
             return out
 
@@ -849,7 +856,7 @@ class TestGradientReuse:
         assert {s[3].dimension for s, _ in fused} == {1, 2}
         for (_, _, free, domain, objective), (_, _, _, trial, grad) in fused:
             assert np.array_equal(grad,
-                                  _fd_gradient(objective, trial, domain, free))
+                                  fd_gradient(objective, trial, domain, free))
 
     def test_one_call_per_iteration_when_the_guess_is_accepted(
             self, monkeypatch):
@@ -887,3 +894,145 @@ class TestGradientReuse:
         its = self.iterations(events)
         assert [seen.count("G") for _, _, seen in its] == [1] + [0] * 49
         assert all(not end[1] and end[4] is not None for _, end, _ in its)
+
+
+def general_sigma(co):
+    """co with a state-dependent sigma, a plain function: the general
+    route, with sigma sigma* and its inverse at every node."""
+    d = co.dims[0]
+
+    def sigma(t, x):
+        x = np.asarray(x, float)
+        s = np.broadcast_to(0.8 * np.eye(d) + 0.1, x.shape + (d,)).copy()
+        s[..., 0, 0] += 0.3 * x[..., 0] ** 2
+        return s
+    return replace(co, sigma=sigma)
+
+
+def _no_normal(p):
+    raise AssertionError("the boundary-free route read a normal")
+
+
+@pytest.mark.parametrize("sigma", ["unit", "general"])
+@pytest.mark.parametrize("case", range(2))
+def test_boundary_free_route_equals_full_route_bitwise(case, sigma):
+    # alone, a path with no right node on the boundary takes the route that
+    # reads no normal; stacked under a path on the wall, it rides the
+    # multiplier block, whose zero multipliers must give the same bits
+    co, dom, grid, stack = batch_cases()[case]
+    co = co if sigma == "unit" else general_sigma(co)
+    walled = (np.abs(dom.signed_distance(stack[:, 1:]))
+              <= dom.boundary_tol).any(axis=-1)
+    inner, wall = stack[~walled], stack[walled][-1]
+    assert len(inner) >= 3
+    normal_free = replace(dom, grad_phi=_no_normal)
+    for path in inner:
+        alone = _action_terms(co, normal_free, path, grid)
+        stacked = _action_terms(co, dom, np.stack([wall, path]), grid)
+        assert np.any(stacked[2][0] > 0) and np.all(stacked[2][1] == 0)
+        for got, want in zip(alone, stacked):
+            got, want = np.asarray(got), np.asarray(want[1])
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+class TestNonFiniteIsOutside:
+    """A non-finite node or point does not meet the membership rule,
+    signed distance at least -boundary_tol, so it is outside."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_evaluate_action_rejects_a_non_finite_path(self, bad):
+        grid = TimeGrid(0.0, 1.0, 4)
+        for path in (np.full((5, 1), np.nan), np.full((5, 1), 0.5)):
+            path[2, 0] = bad
+            with pytest.raises(InfeasiblePath):
+                evaluate_action(preset("zero-drift-unit-noise"),
+                                unit_interval(), path, grid)
+
+    def test_evaluate_action_rejects_a_nan_node_on_the_disc(self):
+        grid = TimeGrid(0.0, 1.0, 4)
+        path = np.zeros((5, 2))
+        path[3, 1] = np.nan
+        with pytest.raises(InfeasiblePath):
+            evaluate_action(preset("ou-in-ball"), ball(), path, grid)
+
+    @pytest.mark.parametrize("y", [[np.nan], [np.inf]])
+    def test_minimize_rejects_a_non_finite_target(self, y):
+        with pytest.raises(InfeasiblePath, match="target"):
+            minimize_action_endpoint(preset("zero-drift-unit-noise"),
+                                     unit_interval(), 0.0, [0.5], y, 1.0,
+                                     TimeGrid(0.0, 1.0, 8))
+
+
+class TestContractedRateInputs:
+    @staticmethod
+    def case():
+        dom = unit_interval()
+        co = preset("zero-drift-unit-noise")
+        times = TimeGrid(0.0, 1.0, 4)
+        field = limit_value_field(co, dom, times, make_lattice(dom, 9))
+        return co, dom, field, 0.5 + 0.15 * times.nodes
+
+    @pytest.mark.parametrize("shape", [(5, 2), (5, 1, 1), (4,), (6, 1),
+                                       (1, 5), ()])
+    def test_gamma_of_another_shape_rejected(self, shape):
+        co, dom, field, _ = self.case()
+        bad = np.full(shape, 0.5)
+        with pytest.raises(ValueError, match="gamma of shape"):
+            contracted_rate(co, dom, field, bad, 0.0, [0.5])
+
+    def test_one_column_gamma_needs_a_one_value_field(self):
+        co, dom, field, gamma = self.case()
+        wide = replace(field, values=np.repeat(field.values, 2, axis=-1))
+        with pytest.raises(ValueError, match="2 values"):
+            contracted_rate(co, dom, wide, gamma, 0.0, [0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gamma_rejected(self, bad):
+        co, dom, field, gamma = self.case()
+        gamma[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            contracted_rate(co, dom, field, gamma, 0.0, [0.5])
+
+    def test_one_reader_per_call(self, monkeypatch):
+        co, dom, field, gamma = self.case()
+        built = []
+
+        def spy(*args):
+            built.append(args)
+            return reader(*args)
+
+        reader = action._pi_reader
+        monkeypatch.setattr(action, "_pi_reader", spy)
+        opts = OptimizerOptions(max_iter=5)
+        vector = contracted_rate(co, dom, field, gamma, 0.0, [0.5], opts)
+        assert len(built) == 1 and built[0] == (field,)
+        column = contracted_rate(co, dom, field, gamma[:, None], 0.0, [0.5],
+                                 opts)
+        assert len(built) == 2
+        assert vector["argmin_psi"].tobytes() == column["argmin_psi"].tobytes()
+
+
+def test_one_stencil_set_per_descent(monkeypatch):
+    # the bumps and index arrays are built once per descent, not per
+    # gradient: one set for the endpoint minimizer, one per penalty stage
+    built = []
+
+    class Counted(_Stencils):
+        def __init__(self, domain, free):
+            built.append(free)
+            super().__init__(domain, free)
+
+    monkeypatch.setattr(action, "_Stencils", Counted)
+    dom, co = unit_interval(), preset("linear-drift", {"rate": 1.0})
+    _, info = minimize_action_endpoint(co, dom, 0.0, [0.5], [0.9], 1.0,
+                                       TimeGrid(0.0, 1.0, 8),
+                                       OptimizerOptions(max_iter=20))
+    assert info["n_iter"] > 1 and len(built) == 1
+    assert np.array_equal(built[0], np.arange(1, 8))
+    co0 = preset("zero-drift-unit-noise")
+    field = limit_value_field(co0, dom, TimeGrid(0.0, 1.0, 4),
+                              make_lattice(dom, 9))
+    contracted_rate(co0, dom, field, 0.5 + 0.15 * field.times.nodes, 0.0,
+                    [0.5], OptimizerOptions(max_iter=5))
+    assert len(built) == 1 + len(action._PENALTIES)

@@ -10,8 +10,8 @@ import pytest
 from scipy.interpolate import RegularGridInterpolator
 
 import reflectal
-from reflectal.backward import (ValueField, _multilinear, apply_pi,
-                                limit_value_field, make_lattice,
+from reflectal.backward import (ValueField, _multilinear, _pi_reader,
+                                apply_pi, limit_value_field, make_lattice,
                                 solve_bsde_grid, solve_limit_bsde)
 from reflectal.coefficients import CoefficientSet, preset
 from reflectal.errors import FixedPointDivergence, OutOfLattice
@@ -436,6 +436,71 @@ class TestMultilinear:
         with pytest.raises(ValueError, match="uniform"):
             solve_bsde_grid(preset("linear-bsde"), dom, 0.1, times, (uneven,),
                             64, rng_seed=0)
+
+
+class TestPiReader:
+    """A reader built once reads what apply_pi reads, and both give the bits
+    of one multilinear read of the field as a lattice over (t, x): the two
+    time slices are read in space, then blended in time last."""
+
+    @staticmethod
+    def field(dom, n_nodes):
+        times = TimeGrid(0.1, 0.9, 6)
+        axes = make_lattice(dom, n_nodes)
+        values = np.random.default_rng(len(axes)).standard_normal(
+            (7,) + (n_nodes,) * len(axes) + (2,))
+        return ValueField(times=times, axes=axes, values=values, epsilon=0.0)
+
+    @pytest.mark.parametrize("explicit", [False, True],
+                             ids=["field-times", "path-times"])
+    @pytest.mark.parametrize("dom, n_nodes", LATTICES)
+    def test_reader_equals_apply_pi_and_one_lattice_read(self, dom, n_nodes,
+                                                         explicit):
+        field = self.field(dom, n_nodes)
+        times, d = field.times, len(field.axes)
+        rng = np.random.default_rng(20 + d)
+        t_q = None
+        if explicit:    # the ends within the range check's slack
+            t_q = np.sort(rng.uniform(times.s, times.T, 7))
+            t_q[[0, -1]] = times.s - 5e-10, times.T + 5e-10
+        read = _pi_reader(field, t_q)
+        lo, hi = dom.bbox
+        t_read = times.nodes if t_q is None else np.clip(t_q, times.s,
+                                                         times.T)
+        for shape in ((7, d), (3, 7, d), (2, 2, 7, d)):
+            paths = rng.uniform(lo, hi, shape)
+            paths[..., 0, :] = lo            # hull corners, and points just
+            paths[..., 1, :] = hi            # past the hull
+            paths[..., 2, 0] = hi[0] + 5e-10
+            paths[..., 3, -1] = lo[-1] - 5e-10
+            got = read(paths)
+            assert got.shape == shape[:-1] + (2,)
+            want = apply_pi(field, paths, path_times=t_q)
+            assert got.tobytes() == want.tobytes()
+            clipped = np.clip(paths, lo, hi)
+            lattice = _multilinear(
+                (times.nodes,) + field.axes, field.values,
+                (np.broadcast_to(t_read, shape[:-1]),
+                 *np.moveaxis(clipped, -1, 0)))
+            assert got.tobytes() == lattice.tobytes()
+
+    @pytest.mark.parametrize("explicit", [False, True],
+                             ids=["field-times", "path-times"])
+    @pytest.mark.parametrize("dom, n_nodes", LATTICES)
+    def test_reader_and_apply_pi_reject_nan_and_outside(self, dom, n_nodes,
+                                                        explicit):
+        field = self.field(dom, n_nodes)
+        d = len(field.axes)
+        t_q = np.linspace(0.1, 0.9, 7) if explicit else None
+        read = _pi_reader(field, t_q)
+        lo, hi = dom.bbox
+        for bad in (np.nan, hi[-1] + 2e-9, lo[0] - 1.0):
+            paths = np.full((3, 7, d), 0.5 * (lo + hi))
+            paths[1, 4, -1] = bad
+            with pytest.raises(OutOfLattice, match="hull"):
+                read(paths)
+            with pytest.raises(OutOfLattice, match="hull"):
+                apply_pi(field, paths, path_times=t_q)
 
 
 def test_package_import_loads_no_scipy():

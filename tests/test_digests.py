@@ -7,9 +7,12 @@ repository root, and names the moved lines in CHANGES.md.
 """
 
 import importlib.util
+import json
 import os
 
 import numpy as np
+
+from reflectal import action, cli
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PINNED = os.path.join(HERE, "data", "cli_digests.txt")
@@ -44,3 +47,25 @@ def test_cli_outputs_match_pinned_digests():
              if want.get(key) != got.get(key)]
     assert not moved, (f"{len(moved)} digest lines differ from {PINNED}:\n"
                        + "\n".join(moved))
+
+
+def test_a_digest_pins_the_multiplier_route_in_2d(monkeypatch, tmp_path):
+    # the disc action-min toward the unit circle under an outward drift is
+    # the pinned run whose 2-D objective stacks hold a node on the wall,
+    # with positive multipliers, so a change to the multiplier block moves
+    # its digests
+    config = dict(_tool().configs())["action-min-wall@disc"]
+    terms, seen = action._action_terms, []
+
+    def spy(coeffs, domain, paths, grid):
+        out = terms(coeffs, domain, paths, grid)
+        dist = domain.signed_distance(paths[..., 1:, :])
+        seen.append(((abs(dist) <= domain.boundary_tol).any(),
+                     (out[2] > 0).any()))
+        return out
+
+    monkeypatch.setattr(action, "_action_terms", spy)
+    monkeypatch.chdir(tmp_path)
+    cli.run(cli.validate(json.dumps(config)))
+    assert config["domain"]["kind"] == "ball" and seen
+    assert all(on_wall and positive for on_wall, positive in seen)

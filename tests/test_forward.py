@@ -875,6 +875,24 @@ class TestStartInDomain:
         for x in boundary:
             self.CALLS[call](co, dom, x, self.GRID)
 
+    @pytest.mark.parametrize("case", sorted(DOMAINS))
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_non_finite_start_raises(self, call, case):
+        make_dom, name, params, _, boundary = self.DOMAINS[case]
+        co, dom = preset(name, params), make_dom()
+        for bad in (np.nan, np.inf):
+            x = np.array(boundary[0], float)
+            x[-1] = bad
+            with pytest.raises(StartOutsideDomain, match="outside"):
+                self.CALLS[call](co, dom, x, self.GRID)
+
+    def test_skorokhod_map_rejects_a_nan_start(self):
+        vals = np.full((self.GRID.n_steps + 1, 1), 0.5)
+        vals[0, 0] = np.nan
+        with pytest.raises(StartOutsideDomain, match="closed domain"):
+            skorokhod_map(unit_interval(), FreePath(grid=self.GRID,
+                                                    values=vals))
+
     def test_free_sde_starts_anywhere(self):
         co, dom = preset("zero-drift-unit-noise"), unit_interval()
         free = integrate_free_sde(co, dom, 0.0, [2.5], 0.1, self.GRID,

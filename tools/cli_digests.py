@@ -12,9 +12,11 @@ the interval where the optimizer stalls, a Y4 convergence whose field steps
 do not divide its path steps, a `simulate-forward` on the interval whose
 paths end inside a noise block and whose steps span three noise chunks, an
 `action-min` on the interval under a linear drift, a K4 convergence on the
-disc whose skeleton reaches the wall, and last three configs that fail
+disc whose skeleton reaches the wall, three configs that fail
 validation, a 2-D model on the interval, a convergence study with 10 paths
-and one with a NaN in its epsilon ladder, in process, with the package
+and one with a NaN in its epsilon ladder, and last an `action-min` on the
+disc under an outward drift whose target lies on the unit circle, in
+process, with the package
 imported from this checkout's `src/`. Each run writes into a fixed relative `output_dir`
 under a temporary working directory, because `config_hash` covers that
 field. Prints a header line with the numpy version, then one line per run with
@@ -125,6 +127,12 @@ LAST = [
     ("convergence-nan-ladder@interval", "interval",
      {"command": "convergence", "preset": DRIFT,
       "eps_ladder": [0.1, float("nan"), 0.05, 0.01]}),
+    # the action optimizer toward a target on the unit circle under an
+    # outward drift, 16 steps: every stack holds a node on the wall, and the
+    # optimum rides it, so 2-D boundary multipliers are positive
+    ("action-min-wall@disc", "disc",
+     {"command": "action-min", "grid": {"n_steps": 16}, "y": [0.6, 0.8],
+      "preset": {"name": "ou-in-ball", "params": {"theta": -2.0}}}),
 ]
 
 BASE = {"interval": {"domain": INTERVAL, "x": 0.5},
