@@ -234,11 +234,12 @@ def _backtrack(objective, path, value, grad, gnorm2, stencils, eta):
     """
     free, domain = stencils.free, stencils.domain
     nodes, down = path[free], grad[free]
-    etas = [eta]
-    for _ in range(_MAX_BACKTRACKS):
-        etas.append(etas[-1] * _BACKTRACK)
     for first in range(0, _MAX_BACKTRACKS, _BATCH):
-        batch = etas[first:min(first + _BATCH, _MAX_BACKTRACKS)]
+        # the batch's steps, halving on from the last one: eta, eta/2, ...
+        batch = []
+        for _ in range(min(_BATCH, _MAX_BACKTRACKS - first)):
+            batch.append(eta)
+            eta *= _BACKTRACK
         trials = np.empty((len(batch),) + path.shape)
         trials[...] = path
         trials[:, free] = project(
@@ -252,19 +253,20 @@ def _backtrack(objective, path, value, grad, gnorm2, stencils, eta):
             stack = np.concatenate([stack, paths.reshape((-1,) + path.shape)])
         values, sums = objective(stack) if stop else ((), None)
         # the stencils' values follow the trials'
-        for k, (trial, tv, eta) in enumerate(zip(trials, values[:stop], batch)):
+        for k, (trial, tv, step) in enumerate(zip(trials, values[:stop],
+                                                   batch)):
             tv = float(tv)
             # a trial must lower the value: the Armijo decrement can round
             # away
-            if tv < value and tv <= value - _ARMIJO_C * eta * gnorm2:
+            if tv < value and tv <= value - _ARMIJO_C * step * gnorm2:
                 if guess and k == _GUESS:
-                    return trial, tv, eta, True, read(
+                    return trial, tv, step, True, read(
                         sums[stop:].reshape(paths.shape[:-1]))
-                return trial, tv, eta, True, None
+                return trial, tv, step, True, None
         if stop < len(batch):
             # the step rounded away: a rejection, as is every shorter one
             return path, value, batch[stop], False, grad
-    return path, value, etas[-1], False, grad
+    return path, value, eta, False, grad
 
 
 def _projected_descent(objective, path0, domain, pin_last, opts):

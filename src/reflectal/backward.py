@@ -15,6 +15,7 @@ from itertools import product
 
 import numpy as np
 
+from .coefficients import _Constant
 from .errors import FixedPointDivergence, NumericalBlowup, OutOfLattice
 from .forward import TimeGrid, _reflected_core, _step, trajectory_rng
 from .geometry import _check_dims, project
@@ -28,6 +29,10 @@ _PI_TOL = 1e-9         # slack of apply_pi's lattice-hull and time-range checks
 _UNIFORM_TOL = 1e-9    # largest spacing deviation of a lattice axis, per step
 _MIN_AXIS_NODES = 2    # nodes per lattice axis
 _MIN_MC_PER_NODE = 64  # one-step samples per lattice node in solve_bsde_grid
+# one-step samples of one lattice pass, which holds at least one level:
+# four levels of the CLI's default 1-D lattice (33 nodes x 256 samples) fit,
+# and a level of its 2-D one (33^2 nodes) passes alone, as it did unbatched
+_LADDER_SAMPLES = 2**16
 
 
 @dataclass(frozen=True)
@@ -161,65 +166,147 @@ def solve_bsde_grid(coeffs, domain, epsilon, times, space_grid, mc_per_node,
     space_grid is a tuple of per-axis node arrays (see make_lattice).
     Step i draws its (nodes, mc_per_node, m) samples from the stream
     trajectory_rng(rng_seed, (i,)), so the result depends on rng_seed
-    alone.
+    alone. This is the one-level case of _solve_ladder.
     """
-    if not epsilon > 0:
+    values = _solve_ladder(coeffs, domain, [epsilon], [rng_seed], times,
+                           space_grid, mc_per_node)
+    return ValueField(times=times, axes=space_grid, values=values[:, 0],
+                      epsilon=float(epsilon))
+
+
+def _solve_ladder(coeffs, domain, epsilons, seeds, times, space_grid,
+                  mc_per_node):
+    """The lattice fields of the levels (epsilons[l], seeds[l]), all on one
+    time grid and lattice: values (n+1, L, *lattice_shape, k), whose level
+    l is solve_bsde_grid's field at that epsilon and seed, bit for bit.
+
+    The levels are stepped together, as one stack of one-step samples, in
+    passes of as many levels as _LADDER_SAMPLES samples hold (at least
+    one); every sample, and each level's fixed-point stop, is its own, so
+    no cut into passes changes a bit. A failing level raises as it would
+    alone: the error is that of the first level in ladder order that
+    fails, at the step where its own backward sweep first fails.
+    """
+    eps = np.asarray(epsilons, float)
+    if not (eps > 0).all():
         raise ValueError("solve_bsde_grid requires epsilon > 0")
     if mc_per_node < _MIN_MC_PER_NODE:
         raise ValueError(f"mc_per_node must be >= {_MIN_MC_PER_NODE}")
     _check_horizon(coeffs, times)
     _check_dims(coeffs, domain)
-    d, m, k = coeffs.dims
     axes = _uniform_axes(space_grid)
     nodes, shape = _lattice_nodes(axes)
     N = nodes.shape[0]
     sim_start = project(domain, nodes)    # lattice hull may exceed the domain
-    starts = np.repeat(sim_start, mc_per_node, axis=0)
     n = times.n_steps
-    dt = times.dt
-    t_nodes = times.nodes
-
-    values = np.empty((n + 1, N, k))
+    values = np.empty((n + 1, eps.size, N, coeffs.dims[2]))
     values[n] = coeffs.h(sim_start)
+    per_pass = max(1, _LADDER_SAMPLES // (N * mc_per_node))
+    for first in range(0, eps.size, per_pass):
+        part = slice(first, first + per_pass)
+        failure = _lattice_pass(coeffs, domain, eps[part], seeds[part], times,
+                                axes, sim_start, mc_per_node, values[:, part])
+        if failure is not None:
+            raise failure
+    return values.reshape((n + 1, eps.size) + shape + values.shape[-1:])
+
+
+def _lattice_pass(coeffs, domain, eps, seeds, times, axes, sim_start, mc,
+                  values):
+    """Step the levels (eps[l], seeds[l]) back from their terminal slices
+    values[n] into values[:n], values (n+1, L, nodes, k), as one stack of
+    one-step samples, (L, nodes * mc, d): level l's are the transitions of
+    solve_bsde_grid at eps[l], drawn from trajectory_rng(seeds[l], (i,)) at
+    step i and kicked by sqrt(eps[l]), one (L, 1, 1) scale, which makes no
+    per-sample array.
+
+    Returns None, or the error of the first level in ladder order that
+    fails. A level that fails at step i is dropped from the stack with
+    every later level, since only an earlier one can still fail first in
+    ladder order; the earlier ones step on.
+    """
+    d, m, k = coeffs.dims
+    L, N = values.shape[1:3]
+    shape = tuple(ax.size for ax in axes)
+    rows = N * mc                                  # samples per level
+    x = np.tile(sim_start, (L, 1))
+    starts = np.broadcast_to(np.repeat(sim_start, mc, axis=0), (L, rows, d))
+    root = np.sqrt(eps)[:, None, None]             # each level's sqrt(eps)
+    offsets = np.arange(L)[:, None, None] * N      # each level's lattice
+    noise = np.empty((L, N, mc, m))
+    t_nodes = times.nodes
+    dt = times.dt
     sq = np.sqrt(dt)
-
-    for i in range(n - 1, -1, -1):
+    failure = None
+    for i in range(times.n_steps - 1, -1, -1):
         t = t_nodes[i]
-        # one-step reflected transitions from every node, all drawn from
-        # the stream of step i
-        dW = trajectory_rng(rng_seed, (i,)).standard_normal(
-            (N, mc_per_node, m))
+        # one-step reflected transitions from every node, each level's
+        # drawn from its stream of step i
+        dW = noise[:L]
+        for level, seed in enumerate(seeds[:L]):
+            trajectory_rng(seed, (i,)).standard_normal(out=dW[level])
         dW *= sq
-        X, dk, _ = _step(coeffs, domain, starts, t, t_nodes[i + 1] - t,
-                         dW.reshape(-1, m), np.sqrt(epsilon))
+        X, dk = _step(coeffs, domain, starts[:L], t, t_nodes[i + 1] - t,
+                      dW.reshape(L, rows, m), root[:L])[:2]
 
-        u_next = _multilinear(axes, values[i + 1].reshape(shape + (k,)),
-                              X.T.reshape(d, N, mc_per_node))  # (N, mc, k)
+        u_next = _multilinear(axes, values[i + 1, :L].reshape(
+                                  (L,) + shape + (k,)),
+                              np.moveaxis(X, -1, 0).reshape(d, L, N, mc),
+                              offsets[:L])
+        u_next = u_next.reshape(L * N, mc, k)
+        # sample means, with mean's bits: the sums over axis 1, then / mc
+        base = np.add.reduce(u_next, axis=1) / mc           # (L*N, k)
+        kbar = (np.add.reduce(dk.reshape(L * N, mc), axis=1) / mc)[:, None]
+        z_hat = np.einsum("nck,ncm->nkm", u_next,
+                          dW.reshape(L * N, mc, m)) / (mc * dt)
 
-        base = u_next.mean(axis=1)                         # (N, k)
-        kbar = dk.reshape(N, mc_per_node).mean(axis=1)[:, None]
-        z_hat = np.einsum("nck,ncm->nkm", u_next, dW) / (mc_per_node * dt)
-
-        y = base
-        for _ in range(_MAX_FP_ITER):
-            y_new = (base + coeffs.f(t, sim_start, y, z_hat) * dt
-                     + coeffs.g(t, sim_start, y) * kbar)
-            delta = np.abs(y_new - y)
-            y = y_new
-            if float(delta.max()) < _FP_TOL:
+        y, stuck, change = _fixed_point(coeffs, t, x[:L * N], base, z_hat,
+                                        kbar, dt, L)
+        values[i, :L] = y.reshape(L, N, k)
+        finite = np.isfinite(y).reshape(L, -1).all(axis=1)
+        failed = np.flatnonzero(stuck | ~finite)
+        if failed.size:
+            L = int(failed[0])
+            if stuck[L]:
+                worst = int(np.argmax(change.reshape(-1, N, k)[L].max(-1)))
+                failure = FixedPointDivergence(
+                    f"implicit step at eps={eps[L]:.6g}, t={t:.6g}, node "
+                    f"{sim_start[worst]} did not converge within "
+                    f"{_MAX_FP_ITER} iterations")
+            else:
+                failure = NumericalBlowup(
+                    f"value slice became non-finite at eps={eps[L]:.6g}")
+            if L == 0:
                 break
-        else:
-            worst = int(np.argmax(delta.max(axis=-1)))
-            raise FixedPointDivergence(
-                f"implicit step at t={t:.6g}, node {sim_start[worst]} "
-                f"did not converge within {_MAX_FP_ITER} iterations")
-        if not np.all(np.isfinite(y)):
-            raise NumericalBlowup("value slice became non-finite")
-        values[i] = y
+    return failure
 
-    return ValueField(times=times, axes=axes,
-                      values=values.reshape((n + 1,) + shape + (k,)),
-                      epsilon=float(epsilon))
+
+def _fixed_point(coeffs, t, x, base, z_hat, kbar, dt, L):
+    """Iterate y = base + f(t, x, y, z_hat) dt + g(t, x, y) kbar from
+    y = base, on a stack whose rows are L equal blocks, one per level. A
+    level settles after the first iteration that changes none of its
+    entries by _FP_TOL or more, and later iterations leave its rows as they
+    are. A constant g is read as its value.
+
+    Returns y (rows, k), which levels did not settle within _MAX_FP_ITER
+    iterations, (L,), and the last iteration's |change| (rows, k).
+    """
+    g = coeffs.g
+    gk = g.value * kbar if isinstance(g, _Constant) else None
+    y = base
+    settled = [False] * L
+    for _ in range(_MAX_FP_ITER):
+        g_term = gk if gk is not None else g(t, x, y) * kbar
+        y_new = base + coeffs.f(t, x, y, z_hat) * dt + g_term
+        change = np.abs(y_new - y)
+        if any(settled):     # the settled levels keep their rows
+            y_new.reshape(L, -1)[settled] = y.reshape(L, -1)[settled]
+        y = y_new
+        now = np.maximum.reduce(change.reshape(L, -1), axis=1) < _FP_TOL
+        settled = [a or b for a, b in zip(settled, now.tolist())]
+        if all(settled):
+            break
+    return y, ~np.array(settled), change
 
 
 def limit_value_field(coeffs, domain, times, space_grid):

@@ -166,13 +166,16 @@ def _start(coeffs, domain, s, x, grid, inside=True):
 
 
 def _step(coeffs, domain, X, t, dt, dW, sq):
-    """One projection Euler step of the states X (B, d) from time t, kicked
-    by sigma dW scaled by sq = sqrt(epsilon) unless dW (B, m) is None.
-    Returns the projected states, the budget increments dk (B,), zero at or
-    below the noise floor, and the projection's corrections (B, d).
+    """One projection Euler step of the states X (..., d) from time t,
+    kicked by sigma dW scaled by sq = sqrt(epsilon), a scalar or an array
+    that broadcasts with the kick, unless dW (..., m) is None. Returns the
+    projected states, the budget increments dk (...), zero at or below the
+    noise floor, and the projection's corrections (..., d).
 
     A constant drift is read as its (d,) value, and sigma = I kicks by
-    dW * sq: both are exact, so they give the bits of the general route."""
+    dW * sq: both are exact, so they give the bits of the general route.
+    A projection that returns its input object, as the free path's
+    identity does, moved nothing: dk and the corrections are zero."""
     b, sigma = coeffs.b, coeffs.sigma
     drift = b.value if isinstance(b, _Constant) else b(t, X)
     prop = X + drift * dt
@@ -187,6 +190,8 @@ def _step(coeffs, domain, X, t, dt, dW, sq):
         what = "state proposal" if np.isfinite(drift).all() else "drift"
         raise NumericalBlowup(f"non-finite {what} encountered")
     X = project(domain, prop)
+    if X is prop:
+        return X, np.zeros(X.shape[:-1]), np.zeros_like(X)
     corr = X - prop
     dk = _norm(corr)
     dk *= dk > _K_NOISE_FLOOR * max(1.0, domain.diameter)
@@ -229,7 +234,11 @@ def _reflected_core(coeffs, domain, x0, epsilon, grid, noise, _dirs=False,
         steps = (dW for chunk in chunks for dW in chunk)
     else:
         steps = repeat(None, n)
-    sq = np.sqrt(eps)[:, None] if eps.ndim else np.sqrt(eps)
+    sq = np.sqrt(eps)
+    if eps.ndim:
+        # per row, as (B, d): an elementwise scale of the kick costs about
+        # a quarter of a (B, d) x (B, 1) broadcast in 2-D, for the same bits
+        sq = np.repeat(sq[:, None], d, axis=1)
     X, K = np.array(x0, float), np.zeros(B)
     for reduce in reducers:
         reduce(0, X, K)

@@ -175,14 +175,22 @@ def _make_ball(center, radius):
         h = s2[..., None, None] * nn - (s1 / safe)[..., None, None] * (eye - nn)
         return np.where(rho[..., None, None] > 0, h, 0.0)
 
+    # a centre of +0.0 entries only: x - c is x and c + x is x + 0.0 in
+    # every bit, -0.0 and NaN included, so the projection makes no (N, d)
+    # by (d,) broadcast; a -0.0 entry takes the general route
+    centred = not any(c.tobytes())
+
     def proj(p):   # only the points outside the ball are rescaled
-        rel = np.asarray(p, float) - c
+        rel = np.asarray(p, float)
+        if not centred:
+            rel = rel - c
         flat = rel.reshape(-1, d)
-        out = c + flat
+        out = flat + 0.0 if centred else c + flat
         rho = _norm(flat)
         far = np.flatnonzero(rho > radius)
         if far.size:
-            out[far] = c + flat[far] * (radius / rho[far])[:, None]
+            moved = flat[far] * (radius / rho[far])[:, None]
+            out[far] = moved + 0.0 if centred else c + moved
         return out.reshape(rel.shape)
 
     def directions(n, rng):

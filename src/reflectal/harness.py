@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import OptimizerOptions, minimize_action_endpoint
-from .backward import (_hull_clipper, _multilinear, make_lattice,
-                       solve_bsde_grid, solve_limit_bsde)
+from .backward import (_hull_clipper, _multilinear, _solve_ladder,
+                       make_lattice, solve_limit_bsde)
 from .errors import DegenerateFit, InsufficientPaths
 from .forward import (_BLOCK_PATHS, TimeGrid, _block_noise, _blocks,
                       _check_count, _reflected_core, _start,
@@ -208,15 +208,14 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
         every = grid.n_steps // nt    # path steps per field step
         field_grid = TimeGrid(s=grid.s, T=grid.T, n_steps=nt)
         lattice = make_lattice(domain, field_nodes)
-        shape = tuple(ax.size for ax in lattice)
-        cells = math.prod(shape)
+        cells = math.prod(ax.size for ax in lattice)
         clip = _hull_clipper(lattice)
-        # every level's field, by time node: (nt+1, levels, *shape, k)
-        fields = np.empty((nt + 1, eps.size) + shape + psi.shape[1:])
-        for ei, e in enumerate(eps):
-            fields[:, ei] = solve_bsde_grid(coeffs, domain, e, field_grid,
-                                            lattice, mc_per_node,
-                                            rng_seed + 7919 * (ei + 1)).values
+        # every level's field, by time node: (nt+1, levels, *lattice, k),
+        # level i solve_bsde_grid's at the seed rng_seed + 7919 (i + 1)
+        fields = _solve_ladder(coeffs, domain, eps,
+                               [rng_seed + 7919 * (ei + 1)
+                                for ei in range(eps.size)],
+                               field_grid, lattice, mc_per_node)
 
         def y4(j, X, level):  # |u^eps(t, X) - psi_t|^4 at field node j
             # read each row in its level's field slice j

@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
 import reflectal
+from reflectal import backward
 from reflectal.backward import (ValueField, _multilinear, _pi_reader,
                                 apply_pi, limit_value_field, make_lattice,
                                 solve_bsde_grid, solve_limit_bsde)
@@ -200,6 +202,124 @@ class TestBsdeGrid:
         with pytest.raises(FixedPointDivergence):
             solve_bsde_grid(co, dom, 0.1, TimeGrid(0, 1, 1),
                             make_lattice(dom, 5), 64, rng_seed=0)
+
+
+class TestSolveLadder:
+    """The lattice steps a ladder of levels as one sample stack: each
+    level's field equals its own solve_bsde_grid bit for bit."""
+
+    LADDER = (0.1, 0.05, 0.025, 0.0125)
+
+    @staticmethod
+    def counting(co, calls):
+        """co with an f that logs the rows of each call."""
+        f = co.f
+
+        def spy(t, x, y, z):
+            calls.append(len(y))
+            return f(t, x, y, z)
+        return replace(co, f=spy)
+
+    def alone(self, co, dom, times, lat, mc, seeds):
+        return [solve_bsde_grid(co, dom, e, times, lat, mc, seed).values
+                for e, seed in zip(self.LADDER, seeds)]
+
+    def test_levels_equal_their_own_solves_in_1d(self):
+        # g0 != 0 is read as the constant g's value; the levels end their
+        # fixed-point iterations after different counts
+        dom = unit_interval()
+        co = preset("linear-bsde", params={"lam": 1.0, "g0": 1.0})
+        times, lat = TimeGrid(0, 1, 8), make_lattice(dom, 9)
+        seeds = (3, 4, 5, 6)
+        counts = []
+        for e, seed in zip(self.LADDER, seeds):
+            calls = []
+            solve_bsde_grid(self.counting(co, calls), dom, e, times, lat, 64,
+                            seed)
+            counts.append(len(calls))
+        assert len(set(counts)) > 1
+        calls = []
+        got = backward._solve_ladder(self.counting(co, calls), dom,
+                                     self.LADDER, seeds, times, lat, 64)
+        # every call sees the whole stack, for as long as some level moves:
+        # a settled level keeps its rows, so each level's bits are its own
+        assert set(calls) == {4 * 9} and len(calls) >= max(counts)
+        assert got.shape == (9, 4, 9, 1)
+        for level, want in enumerate(self.alone(co, dom, times, lat, 64,
+                                                seeds)):
+            assert got[:, level].tobytes() == want.tobytes()
+
+    def test_levels_equal_their_own_solves_in_2d(self):
+        dom = make_domain("ball", center=[0.0, 0.0], radius=1.0)
+        co = preset("ou-in-ball", params={"theta": 1.0})
+        times, lat = TimeGrid(0, 1, 4), make_lattice(dom, 5)
+        seeds = (7, 8, 9, 10)
+        got = backward._solve_ladder(co, dom, self.LADDER, seeds, times, lat,
+                                     64)
+        assert got.shape == (5, 4, 5, 5, 1)
+        for level, want in enumerate(self.alone(co, dom, times, lat, 64,
+                                                seeds)):
+            assert got[:, level].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("budget", [1, 2 * 9 * 64, 3 * 9 * 64])
+    def test_passes_do_not_change_a_bit(self, budget, monkeypatch):
+        # one level, two and three levels per pass against one pass of four
+        dom = unit_interval()
+        co = preset("boundary-g-constant", params={"v": 1.0, "g0": 1.0})
+        args = (co, dom, self.LADDER, (1, 2, 3, 4), TimeGrid(0, 1, 8),
+                make_lattice(dom, 9), 64)
+        whole = backward._solve_ladder(*args)
+        passes = []
+        lattice_pass = backward._lattice_pass
+
+        def spy(co, dom, eps, *rest):
+            passes.append(len(eps))
+            return lattice_pass(co, dom, eps, *rest)
+
+        monkeypatch.setattr(backward, "_lattice_pass", spy)
+        monkeypatch.setattr(backward, "_LADDER_SAMPLES", budget)
+        assert backward._solve_ladder(*args).tobytes() == whole.tobytes()
+        assert passes == {1: [1] * 4, 2 * 9 * 64: [2, 2],
+                          3 * 9 * 64: [3, 1]}[budget]
+
+    @staticmethod
+    def steep_in_z():
+        """linear-bsde whose f is -50 y where |z| passes a threshold, 0.6
+        from t = 0.5 on and 0.25 before: lam dt = 50 makes the implicit
+        iteration diverge at the nodes and times where the level's noise
+        makes z large enough."""
+        co = preset("linear-bsde")
+
+        def f(t, x, y, z):
+            steep = np.abs(z[..., 0]) > (0.25 if t < 0.5 else 0.6)
+            return -50.0 * np.asarray(y) * steep
+        return replace(co, f=f, h=lambda x: np.asarray(x, float) - 0.5)
+
+    @pytest.mark.parametrize("budget", [1, 2**16])
+    def test_divergence_names_the_first_failing_level(self, budget,
+                                                      monkeypatch):
+        # level 2 fails first in the backward sweep, at t = 0.75, level 1
+        # later, at t = 0.25, and level 0 never: the ladder raises level
+        # 1's error, as solving the levels one by one does
+        monkeypatch.setattr(backward, "_LADDER_SAMPLES", budget)
+        dom = unit_interval()
+        co = self.steep_in_z()
+        ladder, seeds = (0.001, 0.1, 0.8), (2, 2, 2)
+        times, lat = TimeGrid(0, 1, 4), make_lattice(dom, 5)
+        outcomes = []
+        for e, seed in zip(ladder, seeds):
+            try:
+                solve_bsde_grid(co, dom, e, times, lat, 256, seed)
+                outcomes.append(None)
+            except FixedPointDivergence as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] is None
+        assert outcomes[1].startswith("implicit step at eps=0.1, t=0.25, "
+                                      "node [")
+        assert outcomes[2].startswith("implicit step at eps=0.8, t=0.75, ")
+        with pytest.raises(FixedPointDivergence) as info:
+            backward._solve_ladder(co, dom, ladder, seeds, times, lat, 256)
+        assert str(info.value) == outcomes[1]
 
 
 class TestApplyPi:

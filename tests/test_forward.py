@@ -201,6 +201,23 @@ class TestFreeSde:
         assert abs(var - 1.0) <= 3 * se_var
 
 
+    def test_identity_projection_books_nothing(self, monkeypatch):
+        # a projection that returns its input moved nothing: _step books
+        # zero dk and zero corrections without computing them (no norm is
+        # taken), and the state is the proposal itself
+        def no_norm(v):
+            raise AssertionError("the correction's norm was taken")
+
+        monkeypatch.setattr(forward, "_norm", no_norm)
+        dom = replace(unit_interval(), project_point=lambda p: p)
+        co = preset("constant-drift", params={"v": 1.0})
+        X = np.array([[-3.0], [0.5], [7.0]])
+        dW = np.array([[0.1], [-0.2], [0.3]])
+        x, dk, corr = _step(co, dom, X, 0.0, 0.25, dW, 0.5)
+        np.testing.assert_array_equal(x, X + 1.0 * 0.25 + dW * 0.5)
+        assert dk.tolist() == [0.0] * 3 and corr.tolist() == [[0.0]] * 3
+
+
 class TestSkorokhodMap:
     def test_ramp_closed_form(self):
         dom = unit_interval()

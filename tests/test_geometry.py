@@ -183,6 +183,33 @@ class TestProjectionFormulas:
                 bits(q), bits(self.rescaled_ball(c, radius, point)))
         assert np.isnan(project(dom, nan)[0])
 
+    @pytest.mark.parametrize("center", [
+        [0.0, 0.0], [-0.0, 0.0], [0.0, -0.0, 0.0], [0.5, -0.25]])
+    def test_centred_and_shifted_routes_equal_the_formula(self, center):
+        # a centre of +0.0 entries skips the vector subtract and adds 0.0;
+        # one with a -0.0 entry, or off the origin, takes the general route.
+        # Both must keep the formula's signed zeros, NaN and rescaling
+        c = np.array(center)
+        d = c.size
+        dom = make_domain("ball", center=center, radius=1.0)
+        signs = np.array(np.meshgrid(*[[0.0, -0.0]] * d)).reshape(d, -1).T
+        p = np.vstack([
+            signs,                                   # every mix of +-0.0
+            c + signs,                               # and shifted by c
+            np.where(signs == 0, 3.0, -0.0)[1:],     # outside, with -0.0
+            np.full(d, np.nan), np.r_[np.nan, -0.0 * np.ones(d - 1)],
+            c + np.eye(d) * np.nextafter(1.0, np.inf),   # just past
+            c - np.eye(d) * 0.5,                         # inside
+        ])
+        for stack in (p, p[::2], p[:, None, :]):
+            np.testing.assert_array_equal(
+                bits(project(dom, stack)),
+                bits(self.rescaled_ball(c, 1.0, stack)))
+        for point in p:
+            np.testing.assert_array_equal(
+                bits(project(dom, point)),
+                bits(self.rescaled_ball(c, 1.0, point)))
+
     def test_huge_point_lands_on_the_sphere(self):
         # rho overflowed in np.linalg.norm, so r / rho was 0 and the point
         # went to the centre, with an overflow warning

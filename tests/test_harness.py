@@ -276,6 +276,30 @@ class TestOnePassPerLevel:
             tracemalloc.stop()
         assert peak < 2048 * 1025 * 8
 
+    def test_y4_makes_one_lattice_call(self, monkeypatch):
+        # the fields of all levels come from one ladder solve, stepped in
+        # one lattice pass, with level i at the seed SEED + 7919 (i + 1)
+        calls, passes = [], []
+        solve, lattice_pass = harness._solve_ladder, backward._lattice_pass
+
+        def spy_solve(co, dom, eps, seeds, *rest):
+            calls.append((tuple(eps), tuple(seeds)))
+            return solve(co, dom, eps, seeds, *rest)
+
+        def spy_pass(co, dom, eps, *rest):
+            passes.append(len(eps))
+            return lattice_pass(co, dom, eps, *rest)
+
+        monkeypatch.setattr(harness, "_solve_ladder", spy_solve)
+        monkeypatch.setattr(backward, "_lattice_pass", spy_pass)
+        convergence_study("Y4", preset("linear-bsde", {"lam": 1.0, "g0": 1.0}),
+                          unit_interval(), 0.0, [0.5], LADDER, 1000,
+                          TimeGrid(0.0, 1.0, 64), self.SEED, field_steps=16,
+                          field_nodes=9, mc_per_node=64)
+        assert calls == [(LADDER, tuple(self.SEED + 7919 * (i + 1)
+                                        for i in range(len(LADDER))))]
+        assert passes == [len(LADDER)]
+
     @pytest.mark.parametrize("target", [(), ("X4", "nope"), ("K4", "X4", "K4")])
     def test_bad_target_tuples_rejected(self, target):
         with pytest.raises(ValueError):

@@ -14,10 +14,11 @@ paths end inside a noise block and whose steps span three noise chunks, an
 `action-min` on the interval under a linear drift, a K4 convergence on the
 disc whose skeleton reaches the wall, three configs that fail
 validation, a 2-D model on the interval, a convergence study with 10 paths
-and one with a NaN in its epsilon ladder, and last an `action-min` on the
-disc under an outward drift whose target lies on the unit circle, in
-process, with the package
-imported from this checkout's `src/`. Each run writes into a fixed relative `output_dir`
+and one with a NaN in its epsilon ladder, an `action-min` on the disc under
+an outward drift whose target lies on the unit circle, and last Y4 on the
+interval under a drift into the wall with a constant g, and Y4 on a disc
+centred off the origin, in process, with the package imported from this
+checkout's `src/`. Each run writes into a fixed relative `output_dir`
 under a temporary working directory, because `config_hash` covers that
 field. Prints a header line with the numpy version, then one line per run with
 its `config_hash` (or the error it raised) and one line per CSV with the
@@ -133,6 +134,18 @@ LAST = [
     ("action-min-wall@disc", "disc",
      {"command": "action-min", "grid": {"n_steps": 16}, "y": [0.6, 0.8],
       "preset": {"name": "ou-in-ball", "params": {"theta": -2.0}}}),
+    # Y4 under a drift into the wall at x = 1 with g0 = 1: every level's
+    # lattice charges g dK through the constant g's value; 9 nodes, as 5
+    # leave the relative standard error above 0.2 at eps = 0.1
+    ("convergence-Y4-contact@interval", "interval",
+     {"command": "convergence", "target": "Y4", "space_nodes": 9,
+      "preset": {"name": "boundary-g-constant",
+                 "params": {"v": 1.0, "g0": 1.0}}}),
+    # Y4 on a disc centred off the origin: the lattice and the paths take
+    # the ball projection's general route, which subtracts the centre
+    ("convergence-Y4-shifted@disc", "disc",
+     {"command": "convergence", "target": "Y4", "x": [0.75, -0.25],
+      "domain": {"kind": "ball", "center": [0.5, -0.25], "radius": 1.0}}),
 ]
 
 BASE = {"interval": {"domain": INTERVAL, "x": 0.5},
