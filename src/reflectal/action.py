@@ -101,7 +101,7 @@ def _action_terms(coeffs, domain, paths, grid):
     # elsewhere nvec = 0 gives lam = 0 and resid = r - 0.0 * 0 = r in every
     # bit, so a stack with no right node on the boundary skips the block
     on_bdry = np.abs(dist[..., 1:]) <= tol
-    nvec = np.zeros_like(right)
+    nvec = np.zeros(right.shape)
     if on_bdry.any():
         nvec[on_bdry] = domain.grad_phi(right[on_bdry])
         anr = r if unit else np.einsum("...ij,...j->...i", ainv, r)
@@ -192,7 +192,7 @@ class _Stencils:
             moved_c = moved.diagonal(0, -2, -1)
             denom = moved_c[0] - moved_c[1]
             nonzero = denom != 0.0
-            grad = np.zeros_like(path)
+            grad = np.zeros(path.shape)
             grad[free] = np.where(nonzero, (sums[0] - sums[1])
                                   / np.where(nonzero, denom, 1.0), 0.0)
             return grad
@@ -320,6 +320,13 @@ def minimize_action_endpoint(coeffs, domain, s, x, y, T, grid, opts=None):
     log and a `stalled` flag when the line search gave up. T must be the
     grid's end time, and y, of x's dimension, must lie in the closed domain.
     """
+    return _minimize_endpoint(coeffs, domain, s, x, y, T, grid, opts)
+
+
+def _minimize_endpoint(coeffs, domain, s, x, y, T, grid, opts=None,
+                       skeleton=None):
+    """minimize_action_endpoint, given the skeleton's x_path from (s, x) on
+    grid, which it integrates when skeleton is None."""
     if T != grid.T:
         raise ValueError(f"T = {T} does not match the grid's end time {grid.T}")
     opts = opts or OptimizerOptions()
@@ -327,7 +334,7 @@ def minimize_action_endpoint(coeffs, domain, s, x, y, T, grid, opts=None):
     y = np.atleast_1d(np.asarray(y, float))
     if y.shape != x.shape:
         raise ValueError(f"target y {y} does not have the shape of x {x}")
-    _check_inside(domain, y, f"target {y} lies outside the domain",
+    _check_inside(domain, y, "target {} lies outside the domain",
                   InfeasiblePath)
     lamgrid = np.linspace(0.0, 1.0, grid.n_steps + 1)[:, None]
 
@@ -338,7 +345,8 @@ def minimize_action_endpoint(coeffs, domain, s, x, y, T, grid, opts=None):
     # two feasible starts: the straight chord, and the drift skeleton bent
     # linearly in time toward the target (free when y is its own endpoint)
     straight = project(domain, (1.0 - lamgrid) * x + lamgrid * y)
-    skel = integrate_skeleton_ode(coeffs, domain, s, x, grid).x_path
+    skel = (integrate_skeleton_ode(coeffs, domain, s, x, grid).x_path
+            if skeleton is None else skeleton)
     bent = project(domain, skel + lamgrid * (y - skel[-1]))
     bent[-1] = project(domain, y)
     starts = np.stack([straight, bent])

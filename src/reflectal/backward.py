@@ -76,32 +76,57 @@ def _lattice_nodes(axes):
     return np.stack([g.ravel() for g in grids], axis=-1), shape
 
 
-def _multilinear(axes, values, coords, offset=0):
-    """Multilinear read of values (*stack, *lattice_shape, k) on uniform axes
-    at points inside the lattice hull, given as one coordinate array per
-    axis, all of one broadcast shape (...); returns (..., k). The leading
+def _interpolation_plan(axes):
+    """read(values, coords, offset=0), the multilinear reader of one
+    lattice, with what depends on the axes alone worked out once: each
+    axis's origin, scale, last cell and stride, and the flat offsets of the
+    2^D corners of a cell.
+
+    read reads values (*stack, *lattice_shape, k) on the uniform axes at
+    points inside the lattice hull, given as one coordinate array per axis,
+    all of one broadcast shape (...), and returns (..., k). The leading
     stack axes, if any, hold lattices laid end to end in row-major order,
     and offset (an int or an array) is the flat index of each point's
     lattice: s times the lattice size reads the s-th. An offset array
     broadcasts with the coordinates, and the result takes their joint
-    shape.
-    The 2^D corner values are gathered by index arithmetic and reduced one
-    axis at a time."""
-    shape = values.shape[-1 - len(axes):-1]
-    flat = values.reshape(-1, values.shape[-1])
+    shape. The 2^D corner values are gathered by index arithmetic and
+    reduced one axis at a time, the last axis first, as lo + w (hi - lo).
+    """
+    shape = [ax.size for ax in axes]
     strides = [math.prod(shape[a + 1:]) for a in range(len(axes))]
-    base, weights = offset, []
-    for ax, q, stride in zip(axes, coords, strides):
-        pos = (q - ax[0]) * ((ax.size - 1) / (ax[-1] - ax[0]))
-        cell = np.minimum(np.maximum(pos.astype(np.intp), 0), ax.size - 2)
-        base = base + cell * stride
-        weights.append((pos - cell)[..., None])
-    corners = [flat.take(base + sum(b * s for b, s in zip(bits, strides)),
-                         axis=0)
+    plan = [(ax[0], (ax.size - 1) / (ax[-1] - ax[0]), ax.size - 2, stride)
+            for ax, stride in zip(axes, strides)]
+    corners = [sum(b * s for b, s in zip(bits, strides))
                for bits in product((0, 1), repeat=len(axes))]
-    for w in reversed(weights):
-        corners = [lo + w * (hi - lo) for lo, hi in zip(corners[::2], corners[1::2])]
-    return corners[0]
+
+    def read(values, coords, offset=0):
+        flat = values.reshape(-1, values.shape[-1])
+        base, weights = offset, []
+        for q, (origin, scale, last, stride) in zip(coords, plan):
+            pos = (q - origin) * scale
+            cell = np.minimum(np.maximum(pos.astype(np.intp), 0), last)
+            base = base + (cell * stride if stride > 1 else cell)
+            weights.append((pos - cell)[..., None])
+        vals = [flat.take(base + c if c else base, axis=0) for c in corners]
+        for w in reversed(weights):
+            vals = [_blend(lo, hi, w) for lo, hi in zip(vals[::2], vals[1::2])]
+        return vals[0]
+
+    return read
+
+
+def _blend(lo, hi, w):
+    """lo + w * (hi - lo), in place in hi - lo's buffer, which must hold
+    the result's shape."""
+    out = np.subtract(hi, lo)
+    np.multiply(w, out, out=out)
+    return np.add(lo, out, out=out)
+
+
+def _multilinear(axes, values, coords, offset=0):
+    """One read of values at coords through a plan of the axes built for
+    it: see _interpolation_plan."""
+    return _interpolation_plan(axes)(values, coords, offset)
 
 
 def _hull_clipper(axes):
@@ -112,7 +137,7 @@ def _hull_clipper(axes):
     lo_tol, hi_tol = lo - _PI_TOL, hi + _PI_TOL
 
     def clip(points):
-        if not ((points >= lo_tol).all() and (points <= hi_tol).all()):
+        if not ((points >= lo_tol) & (points <= hi_tol)).all():
             raise OutOfLattice("path leaves the lattice hull")
         return np.minimum(np.maximum(points, lo), hi)
 
@@ -234,6 +259,7 @@ def _lattice_pass(coeffs, domain, eps, seeds, times, axes, sim_start, mc,
     root = np.sqrt(eps)[:, None, None]             # each level's sqrt(eps)
     offsets = np.arange(L)[:, None, None] * N      # each level's lattice
     noise = np.empty((L, N, mc, m))
+    interpolate = _interpolation_plan(axes)
     t_nodes = times.nodes
     dt = times.dt
     sq = np.sqrt(dt)
@@ -249,10 +275,9 @@ def _lattice_pass(coeffs, domain, eps, seeds, times, axes, sim_start, mc,
         X, dk = _step(coeffs, domain, starts[:L], t, t_nodes[i + 1] - t,
                       dW.reshape(L, rows, m), root[:L])[:2]
 
-        u_next = _multilinear(axes, values[i + 1, :L].reshape(
-                                  (L,) + shape + (k,)),
-                              np.moveaxis(X, -1, 0).reshape(d, L, N, mc),
-                              offsets[:L])
+        u_next = interpolate(values[i + 1, :L].reshape((L,) + shape + (k,)),
+                             np.moveaxis(X, -1, 0).reshape(d, L, N, mc),
+                             offsets[:L])
         u_next = u_next.reshape(L * N, mc, k)
         # sample means, with mean's bits: the sums over axis 1, then / mc
         base = np.add.reduce(u_next, axis=1) / mc           # (L*N, k)
@@ -338,10 +363,11 @@ def _pi_reader(field, path_times=None):
     read(path_values) reads the field along paths (..., n+1, d) at
     path_times, by default the field's own time nodes. What depends on the
     times alone, each node's time cell and weight and the flat offsets of
-    its two time slices, and the lattice hull are worked out once.
+    its two time slices, the lattice hull and the lattice's interpolation
+    plan are worked out once.
 
-    read makes one spatial _multilinear read of both time slices, through
-    its offset, and blends them in time last. That is the reduction order of
+    read makes one spatial read of both time slices, through the plan's
+    offset, and blends them in time last. That is the reduction order of
     one read over the lattice in (t, x), so the bits are those of that read.
     """
     times = field.times
@@ -361,6 +387,7 @@ def _pi_reader(field, path_times=None):
     cells = math.prod(field.values.shape[1:-1])     # lattice nodes per slice
     offsets = cell * cells + np.array([[0], [cells]])    # (2, n+1)
     clip = _hull_clipper(field.axes)
+    interpolate = _interpolation_plan(field.axes)
     dim = len(field.axes)
 
     def read(path_values):
@@ -371,9 +398,9 @@ def _pi_reader(field, path_times=None):
             raise ValueError("path_times needs one entry per path node")
         clipped = clip(vals)
         lead = offsets.reshape((2,) + (1,) * (vals.ndim - 2) + t_nodes.shape)
-        lo, hi = _multilinear(field.axes, field.values,
-                              [clipped[..., a] for a in range(dim)], lead)
-        return lo + weight * (hi - lo)
+        lo, hi = interpolate(field.values,
+                             [clipped[..., a] for a in range(dim)], lead)
+        return _blend(lo, hi, weight)
 
     return read
 

@@ -161,7 +161,7 @@ def _start(coeffs, domain, s, x, grid, inside=True):
     x = np.atleast_1d(np.asarray(x, float))
     _check_dims(coeffs, domain, x)
     if inside:
-        _check_inside(domain, x, f"start {x} lies outside the domain")
+        _check_inside(domain, x, "start {} lies outside the domain")
     return x
 
 

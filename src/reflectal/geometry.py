@@ -57,8 +57,15 @@ def _norm(v):
     d = v.shape[-1]
     if d == 1:
         return np.abs(v[..., 0])
+    # the squares summed in place: 0 + x is x and x ** 2 is x * x in every
+    # bit, so these are the bits of np.sqrt(sum(v[..., j] ** 2 ...))
     with np.errstate(over="ignore"):
-        out = np.sqrt(sum(v[..., j] ** 2 for j in range(d)))
+        c = v[..., 0]
+        out = c * c
+        for j in range(1, d):
+            c = v[..., j]
+            out += c * c
+        out = np.sqrt(out)
     big = np.isinf(out)
     if big.any():   # rescale by the largest component where squares overflow
         out = np.array(out)   # writable, also as the 0-d norm of one vector
@@ -145,15 +152,24 @@ def _make_ball(center, radius):
     d = c.size
     w = 0.5 * radius
     diam = 2.0 * radius
+    # a centre of +0.0 entries only: x - c is x and c + x is x + 0.0 in
+    # every bit, -0.0 and NaN included, so the centred ball subtracts no
+    # centre and its projection makes no (N, d) by (d,) broadcast; a -0.0
+    # entry takes the general route
+    centred = not any(c.tobytes())
+
+    def offset(p):   # p - c
+        p = np.asarray(p, float)
+        return p if centred else p - c
 
     def dist(p):
-        return radius - _norm(np.asarray(p, float) - c)
+        return radius - _norm(offset(p))
 
     def phi(p):
         return _ramp(dist(p), w, radius)
 
     def grad(p):
-        rel = np.asarray(p, float) - c
+        rel = offset(p)
         rho = _norm(rel)
         safe = np.where(rho > 0, rho, 1.0)
         inward = -rel / safe[..., None]
@@ -163,7 +179,7 @@ def _make_ball(center, radius):
 
     def hess(p):
         p = np.asarray(p, float)
-        rel = p - c
+        rel = offset(p)
         rho = _norm(rel)
         safe = np.where(rho > 0, rho, 1.0)
         n = rel / safe[..., None]
@@ -175,15 +191,8 @@ def _make_ball(center, radius):
         h = s2[..., None, None] * nn - (s1 / safe)[..., None, None] * (eye - nn)
         return np.where(rho[..., None, None] > 0, h, 0.0)
 
-    # a centre of +0.0 entries only: x - c is x and c + x is x + 0.0 in
-    # every bit, -0.0 and NaN included, so the projection makes no (N, d)
-    # by (d,) broadcast; a -0.0 entry takes the general route
-    centred = not any(c.tobytes())
-
     def proj(p):   # only the points outside the ball are rescaled
-        rel = np.asarray(p, float)
-        if not centred:
-            rel = rel - c
+        rel = offset(p)
         flat = rel.reshape(-1, d)
         out = flat + 0.0 if centred else c + flat
         rho = _norm(flat)
@@ -235,10 +244,11 @@ def project(domain, p):
 
 
 def _check_inside(domain, point, message, error=StartOutsideDomain):
-    """Raise error(message) unless point (d,) lies in the closed domain, up
-    to the domain's boundary tolerance. A non-finite point lies outside."""
+    """Raise error(message.format(point)) unless point (d,) lies in the
+    closed domain, up to the domain's boundary tolerance; the message is
+    formatted only then. A non-finite point lies outside."""
     if not domain.signed_distance(point) >= -domain.boundary_tol:
-        raise error(message)
+        raise error(message.format(point))
 
 
 def _check_dims(coeffs, domain, start=None):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import OptimizerOptions, minimize_action_endpoint
-from .backward import (_hull_clipper, _multilinear, _solve_ladder,
+from .action import OptimizerOptions, _minimize_endpoint
+from .backward import (_hull_clipper, _interpolation_plan, _solve_ladder,
                        make_lattice, solve_limit_bsde)
 from .errors import DegenerateFit, InsufficientPaths
 from .forward import (_BLOCK_PATHS, TimeGrid, _block_noise, _blocks,
@@ -210,6 +210,7 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
         lattice = make_lattice(domain, field_nodes)
         cells = math.prod(ax.size for ax in lattice)
         clip = _hull_clipper(lattice)
+        interpolate = _interpolation_plan(lattice)
         # every level's field, by time node: (nt+1, levels, *lattice, k),
         # level i solve_bsde_grid's at the seed rng_seed + 7919 (i + 1)
         fields = _solve_ladder(coeffs, domain, eps,
@@ -219,9 +220,8 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
 
         def y4(j, X, level):  # |u^eps(t, X) - psi_t|^4 at field node j
             # read each row in its level's field slice j
-            u = _multilinear(lattice, fields[j],
-                             np.moveaxis(clip(X), -1, 0),
-                             level * cells)
+            u = interpolate(fields[j], np.moveaxis(clip(X), -1, 0),
+                            level * cells)
             return _norm(u - psi[j * every]) ** 4
 
     sups = {_STATS[name][0] for name in names if name != "Y4"} - {"kT"}
@@ -271,9 +271,10 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
 
 def _exceedance_certificate(coeffs, domain, s, x, delta, grid_opt):
     """S* = cheapest endpoint-pinned cost among targets at sup distance
-    >= delta from the skeleton (an upper bound for the tail rate)."""
-    skel = integrate_skeleton_ode(coeffs, domain, s, x, grid_opt)
-    end = skel.x_path[-1]
+    >= delta from the skeleton (an upper bound for the tail rate). The one
+    skeleton serves every endpoint minimization's bent start."""
+    skel = integrate_skeleton_ode(coeffs, domain, s, x, grid_opt).x_path
+    end = skel[-1]
     d = end.size
     best = np.inf
     for c in range(d):
@@ -283,9 +284,9 @@ def _exceedance_certificate(coeffs, domain, s, x, delta, grid_opt):
             target = project(domain, target)
             if np.linalg.norm(target - end) < delta * (1 - 1e-9):
                 continue  # projection pulled the target inside the tube
-            res, _ = minimize_action_endpoint(
+            res, _ = _minimize_endpoint(
                 coeffs, domain, s, x, target, grid_opt.T, grid_opt,
-                opts=OptimizerOptions(max_iter=200))
+                OptimizerOptions(max_iter=200), skel)
             best = min(best, res.action)
     return best
 

@@ -252,6 +252,24 @@ class TestMinimizeEndpoint:
         assert res.psi[-1, 0] == 1.0
         assert res.action == pytest.approx(0.125, rel=1e-6)
 
+    def test_target_outside_message_is_unchanged(self):
+        # formatted only when the check fails, as the f-string it was
+        disc = make_domain("ball", center=[0.0, 0.0], radius=1.0)
+        co = preset("ou-in-ball", {"theta": 1.0})
+        grid = TimeGrid(0.0, 1.0, 8)
+        for y, text in (([1.2, 0.0], "[1.2 0. ]"),
+                        ([1.0, np.nan], "[ 1. nan]"),
+                        ([-0.0, 1e200], "[-0.e+000  1.e+200]")):
+            with pytest.raises(InfeasiblePath) as exc:
+                minimize_action_endpoint(co, disc, 0.0, [0.0, 0.0], y, 1.0,
+                                         grid)
+            assert str(exc.value) == f"target {text} lies outside the domain"
+        with pytest.raises(InfeasiblePath) as exc:
+            minimize_action_endpoint(preset("zero-drift-unit-noise"),
+                                     make_domain("interval", a=0.0, b=1.0),
+                                     0.0, 0.5, 1.7, 1.0, grid)
+        assert str(exc.value) == "target [1.7] lies outside the domain"
+
     def test_target_of_other_dimension_raises(self):
         co, dom = preset("zero-drift-unit-noise"), unit_interval()
         with pytest.raises(ValueError, match="shape of x"):

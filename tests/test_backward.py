@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -621,6 +622,128 @@ class TestPiReader:
                 read(paths)
             with pytest.raises(OutOfLattice, match="hull"):
                 apply_pi(field, paths, path_times=t_q)
+
+
+def multilinear_formula(axes, values, coords, offset=0):
+    """The multilinear read as one formula, with its strides, corner
+    offsets and per-axis scales worked out on every call: the oracle of the
+    interpolation plan."""
+    shape = values.shape[-1 - len(axes):-1]
+    flat = values.reshape(-1, values.shape[-1])
+    strides = [math.prod(shape[a + 1:]) for a in range(len(axes))]
+    base, weights = offset, []
+    for ax, q, stride in zip(axes, coords, strides):
+        pos = (q - ax[0]) * ((ax.size - 1) / (ax[-1] - ax[0]))
+        cell = np.minimum(np.maximum(pos.astype(np.intp), 0), ax.size - 2)
+        base = base + cell * stride
+        weights.append((pos - cell)[..., None])
+    corners = [flat.take(base + sum(b * s for b, s in zip(bits, strides)),
+                         axis=0)
+               for bits in product((0, 1), repeat=len(axes))]
+    for w in reversed(weights):
+        corners = [lo + w * (hi - lo)
+                   for lo, hi in zip(corners[::2], corners[1::2])]
+    return corners[0]
+
+
+class TestInterpolationPlan:
+    """A plan built once reads what the formula reads, bit for bit, at any
+    point, offset and values, and each reader, lattice pass and Y4 study
+    builds one."""
+
+    # the first axis starts at 0.0, so +0.0 and -0.0 coordinates land on a
+    # node with weights of either sign
+    AXES = (np.linspace(0.0, 1.3, 5), np.linspace(-0.7, 0.5, 4),
+            np.linspace(-1.1, 2.0, 6))
+
+    @classmethod
+    def case(cls, d, n=90, seed=0):
+        """Axes, values (2, 3, *lattice, 2) holding signed zeros, and n
+        points with their stacked offsets."""
+        rng = np.random.default_rng(seed + d)
+        axes = cls.AXES[:d]
+        shape = tuple(ax.size for ax in axes)
+        values = rng.standard_normal((2, 3) + shape + (2,))
+        values.reshape(-1)[::7] = 0.0
+        values.reshape(-1)[3::7] = -0.0
+        coords = []
+        for ax in axes:
+            q = rng.uniform(ax[0], ax[-1], n)
+            q[:10] = rng.choice(ax, 10)                      # nodes
+            q[10:14] = ax[0], ax[-1], ax[0], ax[-1]          # hull edges
+            q[14:24] = rng.uniform(ax[-2], ax[-1], 10)       # top cell
+            q[24:28] = 0.0, -0.0, 0.0, -0.0
+            q[28:32] = (ax[0] - 5e-10, ax[-1] + 5e-10,       # in the clip
+                        ax[0] - 1e-12, ax[-1] + 1e-12)       # slack
+            coords.append(rng.permutation(q) if coords else q)
+        which = rng.integers(0, 6, n)
+        return axes, values, coords, which * math.prod(shape)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_plan_equals_the_formula(self, d):
+        axes, values, coords, offsets = self.case(d)
+        read = backward._interpolation_plan(axes)
+        want = multilinear_formula(axes, values, coords, offsets)
+        assert read(values, coords, offsets).tobytes() == want.tobytes()
+        assert (_multilinear(axes, values, coords, offsets).tobytes()
+                == want.tobytes())
+        # one lattice, no offset; and stacked offsets that broadcast with
+        # the coordinates, as the reader's two time slices do
+        one = values[1, 2]
+        assert (read(one, coords).tobytes()
+                == multilinear_formula(axes, one, coords).tobytes())
+        lead = np.array([[0], [5]]) * math.prod(one.shape[:-1])
+        got = read(values, coords, lead)
+        assert got.shape == (2, coords[0].size, 2)
+        assert got.tobytes() == multilinear_formula(
+            axes, values, coords, lead).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_plan_reads_other_values(self, d):
+        # the lattice pass reads a new slice through the plan at every step
+        axes, values, coords, offsets = self.case(d)
+        read = backward._interpolation_plan(axes)
+        for seed in (1, 2, 3):
+            other = self.case(d, seed=seed)[1]
+            assert (read(other, coords, offsets).tobytes()
+                    == multilinear_formula(axes, other, coords,
+                                           offsets).tobytes())
+
+    @staticmethod
+    def spy(monkeypatch, module):
+        """The axes of every plan that module builds."""
+        built, plan = [], module._interpolation_plan
+
+        def spy(axes):
+            built.append(axes)
+            return plan(axes)
+        monkeypatch.setattr(module, "_interpolation_plan", spy)
+        return built
+
+    def test_one_plan_per_reader(self, monkeypatch):
+        field = TestPiReader.field(*LATTICES[1])
+        built = self.spy(monkeypatch, backward)
+        read = _pi_reader(field)
+        paths = np.zeros((3, 7, 2))
+        for _ in range(3):
+            read(paths)
+        assert built == [field.axes]
+        apply_pi(field, paths)
+        apply_pi(field, paths)
+        assert len(built) == 3
+
+    @pytest.mark.parametrize("budget, passes", [(2**16, 1), (2 * 9 * 64, 2)])
+    def test_one_plan_per_lattice_pass(self, budget, passes, monkeypatch):
+        dom = unit_interval()
+        lattice = make_lattice(dom, 9)
+        monkeypatch.setattr(backward, "_LADDER_SAMPLES", budget)
+        built = self.spy(monkeypatch, backward)
+        backward._solve_ladder(preset("linear-bsde"), dom,
+                               (0.1, 0.05, 0.025, 0.0125), (1, 2, 3, 4),
+                               TimeGrid(0, 1, 8), lattice, 64)
+        assert len(built) == passes
+        for axes in built:
+            assert [ax.tolist() for ax in axes] == [lattice[0].tolist()]
 
 
 def test_package_import_loads_no_scipy():

@@ -563,6 +563,25 @@ class TestNonFinite:
         np.testing.assert_allclose(dk, [1e200, 5e200], rtol=1e-15)
 
 
+def norm_formula(v):
+    """_norm as a generator sum of squares, rescaled by the largest
+    component where the squares overflow: the oracle of the in-place
+    sum."""
+    d = v.shape[-1]
+    if d == 1:
+        return np.abs(v[..., 0])
+    with np.errstate(over="ignore"):
+        out = np.sqrt(sum(v[..., j] ** 2 for j in range(d)))
+    big = np.isinf(out)
+    if big.any():
+        out = np.array(out)
+        big &= np.isfinite(v).all(axis=-1)
+        w = v[big]
+        m = np.abs(w).max(axis=-1)
+        out[big] = m * np.sqrt(sum((w[..., j] / m) ** 2 for j in range(d)))
+    return out
+
+
 class TestNorm:
     """_norm against np.linalg.norm, and past the overflow of the squares."""
 
@@ -572,6 +591,30 @@ class TestNorm:
         v = rng.standard_normal((500, d)) * 10.0 ** rng.integers(
             -150, 150, (500, 1))
         np.testing.assert_array_equal(_norm(v), np.linalg.norm(v, axis=-1))
+
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    def test_bitwise_equal_to_the_generator_sum(self, d):
+        rng = np.random.default_rng(40 + d)
+        v = rng.standard_normal((300, d)) * 10.0 ** rng.integers(
+            -160, 160, (300, 1))
+        special = [1e200, -1e200, np.nan, np.inf, -np.inf, -0.0, 0.0,
+                   np.finfo(float).max, 5e-324]
+        v[:90] = rng.choice(special, (90, d))     # random mixes of them
+        v[90:100] = -0.0
+        v[100:110, 0] = 1e200                    # rows that overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # norms past the largest float
+            got = _norm(v)
+            want = norm_formula(v)
+            assert got.tobytes() == want.tobytes()
+            for row in v[:110]:                     # 0-d results
+                one = _norm(row)
+                assert np.ndim(one) == 0
+                assert np.float64(one).tobytes() == np.float64(
+                    norm_formula(row)).tobytes()
+            for lead in ((4, 75), (2, 3, 50)):
+                stack = v.reshape(lead + (d,))
+                assert _norm(stack).tobytes() == norm_formula(stack).tobytes()
 
     def test_overflowing_squares_rescale(self):
         big = np.finfo(float).max
@@ -902,6 +945,23 @@ class TestStartInDomain:
             x[-1] = bad
             with pytest.raises(StartOutsideDomain, match="outside"):
                 self.CALLS[call](co, dom, x, self.GRID)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_failure_messages_are_unchanged(self, call):
+        # the message is formatted only when the check fails, as the
+        # f-string it was: the start as numpy prints it
+        co = preset("ou-in-ball", {"theta": 1.0})
+        dom = self.DOMAINS["disc"][0]()
+        for x, text in (([1.2, 0.0], "[1.2 0. ]"),
+                        ([1.0, np.nan], "[ 1. nan]"),
+                        ([-0.0, 1e200], "[-0.e+000  1.e+200]")):
+            with pytest.raises(StartOutsideDomain) as exc:
+                self.CALLS[call](co, dom, x, self.GRID)
+            assert str(exc.value) == f"start {text} lies outside the domain"
+        with pytest.raises(StartOutsideDomain) as exc:
+            self.CALLS[call](preset("zero-drift-unit-noise"), unit_interval(),
+                             2.5, self.GRID)
+        assert str(exc.value) == "start [2.5] lies outside the domain"
 
     def test_skorokhod_map_rejects_a_nan_start(self):
         vals = np.full((self.GRID.n_steps + 1, 1), 0.5)

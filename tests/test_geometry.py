@@ -12,7 +12,8 @@ from reflectal.backward import (limit_value_field, make_lattice,
 from reflectal.coefficients import audit_assumptions, preset
 from reflectal.errors import AuditFailure, InvalidShape
 from reflectal.forward import TimeGrid
-from reflectal.geometry import make_domain, project, verify_convexity
+from reflectal.geometry import (_norm, _ramp_d1, _ramp_d2, make_domain,
+                                project, verify_convexity)
 
 
 def unit_interval():
@@ -209,6 +210,43 @@ class TestProjectionFormulas:
             np.testing.assert_array_equal(
                 bits(project(dom, point)),
                 bits(self.rescaled_ball(c, 1.0, point)))
+
+    @pytest.mark.parametrize("center", [
+        [0.0, 0.0], [-0.0, 0.0], [0.0, -0.0, 0.0], [0.5, -0.25]])
+    def test_centred_distance_and_normal_equal_the_formula(self, center):
+        # a centre of +0.0 entries subtracts nothing: p - c is p in every
+        # bit, so the distance, the normal and the Hessian are unchanged
+        c = np.array(center)
+        d = c.size
+        dom = make_domain("ball", center=center, radius=1.0)
+        signs = np.array(np.meshgrid(*[[0.0, -0.0]] * d)).reshape(d, -1).T
+        p = np.vstack([signs, c + signs, np.full(d, np.nan),
+                       np.r_[np.nan, -0.0 * np.ones(d - 1)],
+                       np.where(signs == 0, 3.0, -0.0)[1:],
+                       c + np.eye(d) * np.nextafter(1.0, np.inf),
+                       c - np.eye(d) * 0.5, c + 0.9 * np.eye(d),
+                       np.where(np.eye(d) > 0, 0.5, -0.0),   # -0.0 beside
+                       np.where(np.eye(d) > 0, -2.0, -0.0)])  # a number
+        for stack in (p, p[:, None, :], p[0]):
+            rel = stack - c
+            rho = _norm(rel)
+            safe = np.where(rho > 0, rho, 1.0)
+            slope = _ramp_d1(1.0 - rho, 0.5, 1.0)
+            grad = np.where(rho[..., None] > 0,
+                            slope[..., None] * (-rel / safe[..., None]), 0.0)
+            np.testing.assert_array_equal(bits(dom.signed_distance(stack)),
+                                          bits(1.0 - rho))
+            np.testing.assert_array_equal(bits(dom.grad_phi(stack)),
+                                          bits(grad))
+            n = rel / safe[..., None]
+            nn = n[..., :, None] * n[..., None, :]
+            dd = 1.0 - rho
+            s1, s2 = _ramp_d1(dd, 0.5, 1.0), _ramp_d2(dd, 0.5, 1.0)
+            hess = np.where(rho[..., None, None] > 0,
+                            s2[..., None, None] * nn - (s1 / safe)[
+                                ..., None, None] * (np.eye(d) - nn), 0.0)
+            np.testing.assert_array_equal(bits(dom.hess_phi(stack)),
+                                          bits(hess))
 
     def test_huge_point_lands_on_the_sphere(self):
         # rho overflowed in np.linalg.norm, so r / rho was 0 and the point

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reflectal import backward, forward, harness
+from reflectal import action, backward, forward, harness
+from reflectal.action import OptimizerOptions, minimize_action_endpoint
 from reflectal.backward import (apply_pi, limit_value_field, make_lattice,
                                 solve_bsde_grid, solve_limit_bsde)
 from reflectal.coefficients import CoefficientSet, preset
@@ -15,7 +16,7 @@ from reflectal.errors import (DegenerateFit, InsufficientPaths, OutOfLattice,
 from reflectal.forward import (_BLOCK_PATHS, TimeGrid, _reflected_core,
                                integrate_skeleton_ode,
                                simulate_reflected_batch, trajectory_rng)
-from reflectal.geometry import make_domain
+from reflectal.geometry import make_domain, project
 from reflectal.harness import (TARGETS, ConvergenceReport,
                                convergence_study, fit_loglog, tail_study)
 
@@ -300,6 +301,23 @@ class TestOnePassPerLevel:
                                         for i in range(len(LADDER))))]
         assert passes == [len(LADDER)]
 
+    def test_y4_builds_one_plan_per_study(self, monkeypatch):
+        # the study reads every field node through one interpolation plan,
+        # and the lattice's one pass builds one of its own
+        built = {harness: [], backward: []}
+        for module, axes in built.items():
+            def spy(lattice, _plan=module._interpolation_plan, _axes=axes):
+                _axes.append(lattice)
+                return _plan(lattice)
+            monkeypatch.setattr(module, "_interpolation_plan", spy)
+        convergence_study("Y4", preset("linear-bsde", {"lam": 1.0, "g0": 1.0}),
+                          unit_interval(), 0.0, [0.5], LADDER, 1000,
+                          TimeGrid(0.0, 1.0, 64), self.SEED, field_steps=16,
+                          field_nodes=9, mc_per_node=64)
+        lattice = [make_lattice(unit_interval(), 9)[0].tolist()]
+        for axes in built.values():
+            assert [[ax.tolist() for ax in a] for a in axes] == [lattice]
+
     @pytest.mark.parametrize("target", [(), ("X4", "nope"), ("K4", "X4", "K4")])
     def test_bad_target_tuples_rejected(self, target):
         with pytest.raises(ValueError):
@@ -436,6 +454,54 @@ class TestTailStudy:
         assert a.p_hat == b.p_hat
         assert a.eps_log_p == b.eps_log_p
         assert a.deltas == b.deltas
+
+
+def old_certificate(coeffs, domain, s, x, delta, grid_opt):
+    """The exceedance certificate through the public endpoint minimizer,
+    which integrates the skeleton once more for each target."""
+    end = integrate_skeleton_ode(coeffs, domain, s, x, grid_opt).x_path[-1]
+    best = np.inf
+    for c in range(end.size):
+        for sign in (-1.0, 1.0):
+            target = end.copy()
+            target[c] += sign * delta
+            target = project(domain, target)
+            if np.linalg.norm(target - end) < delta * (1 - 1e-9):
+                continue
+            res, _ = minimize_action_endpoint(
+                coeffs, domain, s, x, target, grid_opt.T, grid_opt,
+                opts=OptimizerOptions(max_iter=200))
+            best = min(best, res.action)
+    return best
+
+
+class TestOneSkeletonPerCertificate:
+    """The tail certificate integrates its skeleton once and hands it to
+    every endpoint minimization, with the report's bits unchanged."""
+
+    @pytest.mark.parametrize("case", ["interval", "disc"])
+    def test_one_integration_and_same_report(self, case, monkeypatch):
+        if case == "interval":
+            co, x = preset("constant-drift", {"v": 1.0}), [0.5]
+            dom = unit_interval()
+        else:
+            co, x = preset("ou-in-ball", {"theta": 1.0}), [0.25, 0.0]
+            dom = make_domain("ball", center=[0.0, 0.0], radius=1.0)
+        args = (co, dom, 0.0, x, 0.3, LADDER, 200, TimeGrid(0.0, 1.0, 16), 5)
+        grids = []
+        for module in (harness, action):
+            def spy(coeffs, domain, s, x, grid,
+                    _real=module.integrate_skeleton_ode):
+                grids.append(grid)
+                return _real(coeffs, domain, s, x, grid)
+            monkeypatch.setattr(module, "integrate_skeleton_ode", spy)
+        report = tail_study(*args)
+        assert np.isfinite(report.rate_bound)
+        assert grids == [TimeGrid(0.0, 1.0, harness._OPT_STEPS)]
+        monkeypatch.undo()
+        monkeypatch.setattr(harness, "_exceedance_certificate",
+                            old_certificate)
+        assert repr(tail_study(*args)) == repr(report)
 
 
 def test_tail_study_start_must_be_grid_start():

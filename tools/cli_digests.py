@@ -16,8 +16,9 @@ disc whose skeleton reaches the wall, three configs that fail
 validation, a 2-D model on the interval, a convergence study with 10 paths
 and one with a NaN in its epsilon ladder, an `action-min` on the disc under
 an outward drift whose target lies on the unit circle, and last Y4 on the
-interval under a drift into the wall with a constant g, and Y4 on a disc
-centred off the origin, in process, with the package imported from this
+interval under a drift into the wall with a constant g, Y4 on a disc
+centred off the origin, and an `action-min` and a `contracted-rate` on
+that disc, in process, with the package imported from this
 checkout's `src/`. Each run writes into a fixed relative `output_dir`
 under a temporary working directory, because `config_hash` covers that
 field. Prints a header line with the numpy version, then one line per run with
@@ -46,6 +47,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 INTERVAL = {"kind": "interval", "a": 0.0, "b": 1.0}
 DISC = {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}
+SHIFTED = {"kind": "ball", "center": [0.5, -0.25], "radius": 1.0}
 DRIFT = {"name": "constant-drift", "params": {"v": 1.0}}
 NOISE = {"name": "zero-drift-unit-noise"}
 BSDE = {"name": "linear-bsde", "params": {"lam": 1.0, "g0": 0.5}}
@@ -145,7 +147,16 @@ LAST = [
     # the ball projection's general route, which subtracts the centre
     ("convergence-Y4-shifted@disc", "disc",
      {"command": "convergence", "target": "Y4", "x": [0.75, -0.25],
-      "domain": {"kind": "ball", "center": [0.5, -0.25], "radius": 1.0}}),
+      "domain": SHIFTED}),
+    # the action optimizer on the shifted disc: the feasibility check and
+    # the boundary test take the signed distance's general route
+    ("action-min-shifted@disc", "disc",
+     {"command": "action-min", "domain": SHIFTED, "x": [0.75, -0.25],
+      "y": [1.0, 0.3], "grid": {"n_steps": 8}}),
+    # the contracted rate on the shifted disc: the limit field is read in
+    # 2-D on a lattice whose hull is off the origin
+    ("contracted-rate-shifted@disc", "disc",
+     {"command": "contracted-rate", "domain": SHIFTED, "x": [0.75, -0.25]}),
 ]
 
 BASE = {"interval": {"domain": INTERVAL, "x": 0.5},
