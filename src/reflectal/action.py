@@ -9,6 +9,7 @@ family along the inward normal and the pointwise minimizer of the convex
 quadratic realizes the infimum at grid resolution.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,8 @@ _FD_REL_STEP = 1e-6     # finite-difference step, times max(diameter, 1)
 _INIT_STEP = 0.5
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
-_MAX_BACKTRACKS = 30
 _BATCH = 3              # backtracking trials per objective call
 _GUESS = 1              # the first batch's trial whose gradient rides along
-_STALL_LIMIT = 50       # consecutive rejected iterations before giving up
 _PENALTIES = (10.0, 100.0, 1e3, 1e4, 1e5)   # contracted_rate's continuation
 _VIOLATION_TOL = 1e-3
 
@@ -214,38 +213,40 @@ def _fd_gradient(objective, path, stencils):
 
 
 def _backtrack(objective, path, value, grad, gnorm2, stencils, eta):
-    """Armijo backtracking along -grad from the step eta, halving it up to
-    _MAX_BACKTRACKS times, over the free nodes of stencils, a _Stencils.
+    """Armijo backtracking along -grad from the step eta, halving it until a
+    trial is accepted or the step rounds away, over the free nodes of
+    stencils, a _Stencils.
 
     Trials are projected and evaluated _BATCH at a time, in one objective
     call, and read in order: the first that lowers the value by the Armijo
-    decrement is accepted, and a trial equal to path (the step rounded away)
-    ends the search as a rejection before it is evaluated. This is the
-    sequential search's outcome, except that a batch may evaluate up to
-    _BATCH - 1 feasible trials past the accepted one.
+    decrement is accepted. The step has rounded away, before its trial is
+    evaluated, when the trial equals path or the step leaves the free nodes
+    unmoved before their projection (which need not fix the path in every
+    bit); every shorter step gives that trial again. This is the sequential
+    search's outcome, except that a batch may evaluate up to _BATCH - 1
+    feasible trials past the accepted one.
 
     The first batch's trial _GUESS, at the step the last accepted search
     took (the descent doubles that step), carries its stencils into the
-    same call. Returns (trial, value, eta, accepted, grad): on acceptance,
-    grad is the trial's gradient when it is trial _GUESS and None
-    otherwise; a rejection returns path, the value, the step the search
-    stopped at (halved once more after a full run of failures) and the
-    given grad, since the path has not moved.
+    same call. Returns (trial, value, eta, grad), grad being the trial's
+    gradient when it is trial _GUESS and None otherwise, or None when the
+    step rounds away.
     """
     free, domain = stencils.free, stencils.domain
     nodes, down = path[free], grad[free]
-    for first in range(0, _MAX_BACKTRACKS, _BATCH):
+    for first in itertools.count(0, _BATCH):
         # the batch's steps, halving on from the last one: eta, eta/2, ...
         batch = []
-        for _ in range(min(_BATCH, _MAX_BACKTRACKS - first)):
+        for _ in range(_BATCH):
             batch.append(eta)
             eta *= _BACKTRACK
-        trials = np.empty((len(batch),) + path.shape)
+        moved = nodes - np.array(batch)[:, None, None] * down
+        trials = np.empty((_BATCH,) + path.shape)
         trials[...] = path
-        trials[:, free] = project(
-            domain, nodes - np.array(batch)[:, None, None] * down)
-        same = (trials == path).all(axis=(-2, -1))
-        stop = int(same.argmax()) if same.any() else len(batch)
+        trials[:, free] = project(domain, moved)
+        same = ((trials == path).all(axis=(-2, -1))
+                | (moved == nodes).all(axis=(-2, -1)))
+        stop = int(same.argmax()) if same.any() else _BATCH
         stack = trials[:stop]
         guess = first == 0 and stop > _GUESS
         if guess:
@@ -260,13 +261,11 @@ def _backtrack(objective, path, value, grad, gnorm2, stencils, eta):
             # away
             if tv < value and tv <= value - _ARMIJO_C * step * gnorm2:
                 if guess and k == _GUESS:
-                    return trial, tv, step, True, read(
+                    return trial, tv, step, read(
                         sums[stop:].reshape(paths.shape[:-1]))
-                return trial, tv, step, True, None
-        if stop < len(batch):
-            # the step rounded away: a rejection, as is every shorter one
-            return path, value, batch[stop], False, grad
-    return path, value, eta, False, grad
+                return trial, tv, step, None
+        if stop < _BATCH:
+            return None
 
 
 def _projected_descent(objective, path0, domain, pin_last, opts):
@@ -276,9 +275,10 @@ def _projected_descent(objective, path0, domain, pin_last, opts):
     objective maps a stack of paths (..., n+1, d) to (values, sums), as
     _fd_gradient describes. An iteration makes one objective call when the
     line search accepts its trial _GUESS, whose gradient comes with it;
-    otherwise the next iteration computes the gradient, except after a
-    rejection, which keeps it. Returns (best_path, best_value, log,
-    stalled) where log rows are (iteration, value, step).
+    otherwise the next iteration computes the gradient. A search whose
+    step rounds away ends the descent as stalled, since every later one
+    would repeat it. Returns (best_path, best_value, log, stalled) where
+    log rows are (iteration, value, step), step 0 on a stalled row.
     """
     path = project(domain, np.asarray(path0, float))
     n1 = path.shape[0]
@@ -287,8 +287,6 @@ def _projected_descent(objective, path0, domain, pin_last, opts):
     value = float(objective(path)[0])
     log = [(0, value, 0.0)]
     step = _INIT_STEP
-    stalls = 0
-    stalled = False
     grad = None
     for it in range(1, opts.max_iter + 1):
         if grad is None:
@@ -296,19 +294,15 @@ def _projected_descent(objective, path0, domain, pin_last, opts):
         gnorm2 = float((grad * grad).sum())
         if gnorm2 <= opts.grad_tol**2:
             break
-        path, value, eta, accepted, grad = _backtrack(
-            objective, path, value, grad, gnorm2, stencils, step)
-        log.append((it, value, eta if accepted else 0.0))
-        if accepted:
-            stalls = 0
-            step = min(eta * 2.0, 1e3)
-        else:
-            stalls += 1
-            step = max(eta, 1e-16)
-            if stalls >= _STALL_LIMIT:
-                stalled = True
-                break
-    return path, value, log, stalled
+        found = _backtrack(objective, path, value, grad, gnorm2, stencils,
+                           step)
+        if found is None:
+            log.append((it, value, 0.0))
+            return path, value, log, True
+        path, value, eta, grad = found
+        log.append((it, value, eta))
+        step = min(eta * 2.0, 1e3)
+    return path, value, log, False
 
 
 def minimize_action_endpoint(coeffs, domain, s, x, y, T, grid, opts=None):
@@ -317,7 +311,8 @@ def minimize_action_endpoint(coeffs, domain, s, x, y, T, grid, opts=None):
     Minimizes over the interior nodes of a discretized path from x to y;
     every iterate is feasible, so the returned value certifies an upper
     bound. Returns (ActionResult, info) where info carries the iteration
-    log and a `stalled` flag when the line search gave up. T must be the
+    log and a `stalled` flag, set when a line search's step rounded away,
+    which ended the descent. T must be the
     grid's end time, and y, of x's dimension, must lie in the closed domain.
     """
     return _minimize_endpoint(coeffs, domain, s, x, y, T, grid, opts)
@@ -368,7 +363,7 @@ def contracted_rate(coeffs, domain, field_limit, gamma, s, x, opts=None):
     on the field's time grid, at whose nodes gamma is given: finite, of
     shape (n+1, k) for a field of k values, or (n+1,) when k = 1. The field
     is read through one reader for the whole call. The result's `stalled`
-    flag is set when the line search gave up in any stage. Raises
+    flag is set when a line search's step rounded away in any stage. Raises
     ConstraintInfeasible when the final sup-norm violation exceeds the
     tolerance (the preimage is empty at this resolution).
     """

@@ -17,7 +17,8 @@ import numpy as np
 
 from .coefficients import _Constant
 from .errors import FixedPointDivergence, NumericalBlowup, OutOfLattice
-from .forward import TimeGrid, _reflected_core, _step, trajectory_rng
+from .forward import (TimeGrid, _check_count, _reflected_core, _step,
+                      trajectory_rng)
 from .geometry import _check_dims, project
 
 __all__ = ["BsdePath", "ValueField", "make_lattice", "solve_limit_bsde",
@@ -66,7 +67,9 @@ def _uniform_axes(space_grid):
 
 
 def make_lattice(domain, n_per_axis):
-    """Per-axis uniform lattice over the bounding box of the closed domain."""
+    """Per-axis uniform lattice over the bounding box of the closed domain,
+    of n_per_axis nodes per axis, an int >= _MIN_AXIS_NODES."""
+    _check_count("n_per_axis", n_per_axis, _MIN_AXIS_NODES)
     return tuple(np.linspace(lo, hi, n_per_axis) for lo, hi in zip(*domain.bbox))
 
 
@@ -215,8 +218,7 @@ def _solve_ladder(coeffs, domain, epsilons, seeds, times, space_grid,
     eps = np.asarray(epsilons, float)
     if not (eps > 0).all():
         raise ValueError("solve_bsde_grid requires epsilon > 0")
-    if mc_per_node < _MIN_MC_PER_NODE:
-        raise ValueError(f"mc_per_node must be >= {_MIN_MC_PER_NODE}")
+    _check_count("mc_per_node", mc_per_node, _MIN_MC_PER_NODE)
     _check_horizon(coeffs, times)
     _check_dims(coeffs, domain)
     axes = _uniform_axes(space_grid)

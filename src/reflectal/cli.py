@@ -31,7 +31,7 @@ from .coefficients import PRESET_NAMES, _param, audit_assumptions, preset
 from .errors import ConfigInvalid, ReflectalError
 from .forward import (TimeGrid, integrate_skeleton_ode,
                       simulate_reflected_batch)
-from .geometry import _check_dims, _check_inside, make_domain
+from .geometry import _check_dims, _check_inside, _refuse_bool, make_domain
 from .harness import (_MIN_PATHS, TARGETS, _validate_ladder,
                       convergence_study, tail_study)
 
@@ -89,6 +89,7 @@ def _parse(pointer, convert, value):
 
 def _point(value):
     """A finite number or a flat list of them, as a tuple of floats."""
+    _refuse_bool("a point", value)
     point = np.atleast_1d(value).astype(float)
     if point.ndim > 1 or not np.isfinite(point).all():
         raise ValueError("expected a finite number or a flat list of them")
@@ -97,6 +98,7 @@ def _point(value):
 
 def _real(value):
     """A finite float."""
+    _refuse_bool("a real", value)
     out = float(value)
     if not np.isfinite(out):
         raise ValueError("expected a finite number")
@@ -198,8 +200,9 @@ def validate(config_text):
         raise ConfigInvalid("/eps", f"must be > 0 for bsde-grid, got {cfg.eps}")
     if not cfg.delta > 0:
         raise ConfigInvalid("/delta", f"must be > 0, got {cfg.delta}")
+    # JSON reads NaN and Infinity as floats, and true and false as bools
     for key, value in cfg.preset_params.items():
-        if isinstance(value, float):    # JSON reads NaN and Infinity as floats
+        if isinstance(value, (float, bool)):
             _parse(f"/preset/params/{key}", partial(_param, key), value)
     coeffs = _parse("/preset/params", lambda p: preset(cfg.preset_name, p),
                     cfg.preset_params)

@@ -16,7 +16,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import AuditFailure, UnknownPreset
-from .geometry import _check_dims
+from .geometry import _check_dims, _refuse_bool
 
 __all__ = ["CoefficientSet", "AssumptionAudit", "audit_assumptions",
            "preset", "PRESET_NAMES"]
@@ -34,7 +34,6 @@ class CoefficientSet:
     dims: tuple          # (d, m, k)
     T: float
     name: str = "custom"
-    params: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)  # documented constants etc.
 
 
@@ -268,7 +267,9 @@ PRESET_NAMES = tuple(sorted(_REGISTRY))
 
 def _param(key, value):
     """A preset parameter or the horizon T as a float, which must be
-    finite: a NaN or infinite value fails with ValueError naming key."""
+    finite: a boolean, a NaN or an infinite value fails with ValueError
+    naming key."""
+    _refuse_bool(f"parameter {key!r}", value)
     out = float(value)
     if not math.isfinite(out):
         raise ValueError(f"parameter {key!r} must be finite, got {out}")
@@ -279,8 +280,8 @@ def preset(name, params=None):
     """Look up a fully wired CoefficientSet by registry name.
 
     params may set the preset's own parameters (see _REGISTRY) and the
-    horizon T (default 1), each a finite number; any other key, and a NaN
-    or infinite value, raises ValueError.
+    horizon T (default 1), each a finite number; any other key, and a
+    boolean, NaN or infinite value, raises ValueError.
     """
     try:
         dims, defaults, builder = _REGISTRY[name]
@@ -302,4 +303,4 @@ def preset(name, params=None):
              "f": _zero, "g": _zero, "h": _first_coord, **builder(merged)}
     parts["meta"] = {"L1_doc": 1.0, "L3_doc": 1.0, "iota_doc": 1.0,
                      **parts.get("meta", {})}
-    return CoefficientSet(dims=dims, T=T, name=name, params=params, **parts)
+    return CoefficientSet(dims=dims, T=T, name=name, **parts)

@@ -284,9 +284,11 @@ def simulate_reflected_batch(coeffs, domain, s, x, epsilon, grid, seed,
     number of blocks, so that a batch cut into calls at whole blocks draws
     the same paths."""
     x = _start(coeffs, domain, s, x, grid)
+    _check_count("n_paths", n_paths, 1)
     if index_offset < 0 or index_offset % _BLOCK_PATHS:
         raise ValueError(f"index_offset must be a nonnegative multiple of "
                          f"{_BLOCK_PATHS}, got {index_offset}")
+    _check_count("index_offset", index_offset, 0)
     d, m, _ = coeffs.dims
     x0 = np.broadcast_to(x, (n_paths, d)).copy()
     noise = (_block_noise(seed, _blocks(key_prefix, n_paths, index_offset),

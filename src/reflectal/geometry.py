@@ -220,16 +220,29 @@ def _make_ball(center, radius):
         project_point=proj, sample_closure=closure, sample_boundary=boundary)
 
 
+def _refuse_bool(name, value):
+    """Raise ValueError when value, a number or a nest of them, holds a
+    boolean: true and false, as JSON or numpy gives them, are not numbers."""
+    if any(isinstance(v, (bool, np.bool_))
+           for v in np.ravel(np.asarray(value, dtype=object))):
+        raise ValueError(f"{name} must be a number, not a boolean, "
+                         f"got {value!r}")
+
+
 def make_domain(kind, *, a=None, b=None, center=None, radius=None):
     """Build a DomainSpec for an interval or a ball."""
     kind = str(kind).lower()
     if kind == "interval":
         if a is None or b is None:
             raise InvalidShape("interval requires endpoints a and b")
+        _refuse_bool("a", a)
+        _refuse_bool("b", b)
         return _make_interval(float(a), float(b))
     if kind == "ball":
         if center is None or radius is None:
             raise InvalidShape("ball requires center and radius")
+        _refuse_bool("center", center)
+        _refuse_bool("radius", radius)
         return _make_ball(center, radius)
     raise InvalidShape(f"unknown domain kind {kind!r}")
 

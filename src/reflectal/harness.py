@@ -192,8 +192,7 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
         raise ValueError(f"targets must be distinct names from {TARGETS}, "
                          f"got {target!r}")
     eps = _validate_ladder(eps_ladder)
-    if n_paths < _MIN_PATHS:
-        raise ValueError(f"n_paths must be >= {_MIN_PATHS}")
+    _check_count("n_paths", n_paths, _MIN_PATHS)
 
     x = _start(coeffs, domain, s, x, grid)
     y4, every = None, 1
@@ -298,8 +297,7 @@ def tail_study(coeffs, domain, s, x, delta, eps_ladder, n_paths, grid,
     eps = _validate_ladder(eps_ladder)
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta!r}")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    _check_count("n_paths", n_paths, 1)
     x = _start(coeffs, domain, s, x, grid)
 
     # The pilot at the smallest eps runs in the same pass as the levels:

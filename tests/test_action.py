@@ -560,12 +560,14 @@ def test_descent_reports_stall():
         objective, start, dom, pin_last=False, opts=OptimizerOptions())
     assert stalled
     assert np.array_equal(path, start) and value == 0.0
-    assert len(log) == 51 and all(step == 0.0 for _, _, step in log[1:])
+    # the first search fails, and the descent ends there
+    assert log == [(0, 0.0, 0.0), (1, 0.0, 0.0)]
 
 
 def test_descent_stalls_when_steps_round_away():
     # the kinked objective above, shifted to start at value 3: once the step
-    # rounds away the trial equals the current path, which is a rejection
+    # rounds away the trial equals the current path, which ends the search
+    # and the descent
     dom = unit_interval()
     start = np.full((6, 1), 0.5)
     objective = kinked_objective(start, 3.0)
@@ -573,8 +575,37 @@ def test_descent_stalls_when_steps_round_away():
         objective, start, dom, pin_last=False, opts=OptimizerOptions())
     assert stalled
     assert np.array_equal(path, start) and value == 3.0
-    assert len(log) == action._STALL_LIMIT + 1
-    assert all(step == 0.0 for _, _, step in log[1:])
+    assert log == [(0, 3.0, 0.0), (1, 3.0, 0.0)]
+
+
+def test_stall_at_the_last_iteration_is_reported():
+    # a search that fails in iteration max_iter still ends the descent as
+    # stalled
+    dom = unit_interval()
+    start = np.full((6, 1), 0.5)
+    path, value, log, stalled = _projected_descent(
+        kinked_objective(start, 0.0), start, dom, pin_last=False,
+        opts=OptimizerOptions(max_iter=1))
+    assert stalled and log == [(0, 0.0, 0.0), (1, 0.0, 0.0)]
+
+
+def test_steep_slope_descends_to_the_wall_then_stalls():
+    # 1e10 times the sum of the nodes: the first search halves until the
+    # drop to the wall at 0 meets the Armijo decrement; there every trial
+    # is projected back onto the path, though no step ever rounds away
+    # before the projection, and the second search ends the descent
+    dom = unit_interval()
+    start = np.full((6, 1), 0.5)
+    slope = 1e10
+
+    def objective(p):
+        return slope * np.sum(p, axis=(-2, -1)), slope * p[..., 0]
+
+    path, value, log, stalled = _projected_descent(
+        objective, start, dom, pin_last=False, opts=OptimizerOptions())
+    assert stalled
+    assert np.all(path[1:] == 0.0) and value == slope * 0.5
+    assert [step > 0.0 for _, _, step in log[1:]] == [True, False]
 
 
 def test_contracted_rate_reports_stall_flag(monkeypatch):
@@ -601,7 +632,9 @@ def test_contracted_rate_reports_stall_flag(monkeypatch):
 
 def sequential_descent(objective, path0, domain, pin_last, opts):
     """Oracle: the descent with one backtracking trial per objective call,
-    in the order the search tries them."""
+    in the order the search tries them. A search halves its step until a
+    trial is accepted or the step rounds away, which ends the descent as
+    stalled."""
     path = project(domain, np.asarray(path0, float))
     n1 = path.shape[0]
     free = np.arange(1, n1 - 1 if pin_last else n1)
@@ -609,38 +642,29 @@ def sequential_descent(objective, path0, domain, pin_last, opts):
     value = float(objective(path)[0])
     log = [(0, value, 0.0)]
     step = action._INIT_STEP
-    stalls = 0
-    stalled = False
     for it in range(1, opts.max_iter + 1):
         grad = action._fd_gradient(objective, path, stencils)
         gnorm2 = float(np.sum(grad * grad))
         if gnorm2 <= opts.grad_tol**2:
             break
-        accepted = False
         eta = step
-        for _ in range(action._MAX_BACKTRACKS):
+        while True:
+            moved = path[free] - eta * grad[free]
             trial = path.copy()
-            trial[free] = project(domain, path[free] - eta * grad[free])
-            if np.array_equal(trial, path):
-                break
+            trial[free] = project(domain, moved)
+            if (np.array_equal(trial, path)
+                    or np.array_equal(moved, path[free])):
+                log.append((it, value, 0.0))
+                return path, value, log, True
             tv = float(objective(trial)[0])
             if (tv < value
                     and tv <= value - action._ARMIJO_C * eta * gnorm2):
                 path, value = trial, tv
-                accepted = True
-                step = min(eta * 2.0, 1e3)
                 break
             eta *= action._BACKTRACK
-        log.append((it, value, eta if accepted else 0.0))
-        if accepted:
-            stalls = 0
-        else:
-            stalls += 1
-            step = max(eta, 1e-16)
-            if stalls >= action._STALL_LIMIT:
-                stalled = True
-                break
-    return path, value, log, stalled
+        log.append((it, value, eta))
+        step = min(eta * 2.0, 1e3)
+    return path, value, log, False
 
 
 class TestBatchedLineSearch:
@@ -724,23 +748,22 @@ class TestBatchedLineSearch:
                     np.zeros(p.shape[:-1]))
         return objective
 
-    @pytest.mark.parametrize("k", sorted({0, L - 1, L, 2 * L}))
-    def test_acceptance_at_trial_k_then_thirty_failures(self, monkeypatch, k):
+    @pytest.mark.parametrize("k", sorted({0, L - 1, L, 2 * L, 31, 32, 47}))
+    def test_acceptance_at_trial_k_then_a_stall(self, monkeypatch, k):
         # eta_k = 0.5^(k+1) is the first step with a rise eta_k / 4 of at
-        # most theta; after it every trial overshoots, so the next
-        # iteration rejects all thirty
+        # most theta, and one search halves k times to reach it, past
+        # thirty halvings too; after it every trial overshoots until the
+        # step rounds away, so the next iteration ends the descent
         eta = 0.5 ** (k + 1)
         theta = 0.25 * eta
         (path, value, log, stalled), seen, starts = self.run_both(
             monkeypatch, self.threshold_objective(theta),
             self.constant_gradient(-0.25))
-        assert log[1] == (1, 1.0 - theta, eta)
-        assert log[2] == (2, 1.0 - theta, 0.0)
-        assert starts[2] - starts[1] == action._MAX_BACKTRACKS
-        # iteration 3 starts from the step halved thirty times
-        step = 2.0 * eta * action._BACKTRACK ** action._MAX_BACKTRACKS
-        first = seen[starts[2]]
-        np.testing.assert_array_equal(first[1:], 0.5 + theta + 0.25 * step)
+        assert log == [(0, 1.0, 0.0), (1, 1.0 - theta, eta),
+                       (2, 1.0 - theta, 0.0)]
+        # the first search evaluates whole batches through trial k
+        assert starts[1] - starts[0] == self.L * (k // self.L + 1)
+        np.testing.assert_array_equal(seen[starts[0] + k][1:], 0.5 + theta)
         assert stalled and np.all(path[1:] == 0.5 + theta)
 
     @pytest.mark.parametrize("k", sorted({0, L - 2, L - 1, L}))
@@ -778,12 +801,41 @@ class TestBatchedLineSearch:
             monkeypatch, uphill, self.constant_gradient(-g),
             opts=OptimizerOptions(max_iter=3, grad_tol=0.0))
         assert np.array_equal(path, self.start) and value == 1.0
-        # trials 0 .. k-1 were evaluated in the first iteration, trial k
-        # and the rest of its batch not
-        first_iter = seen[starts[0]:starts[1]]
+        # trials 0 .. k-1 were evaluated in the one search, trial k and the
+        # rest of its batch not
+        assert len(starts) == 1
+        first_iter = seen[starts[0]:]
         assert len(first_iter) == k
         assert not any(np.array_equal(p, self.start) for p in first_iter)
-        assert log[1:] == [(1, 1.0, 0.0), (2, 1.0, 0.0), (3, 1.0, 0.0)]
+        assert stalled and log == [(0, 1.0, 0.0), (1, 1.0, 0.0)]
+
+    def test_step_rounds_away_before_a_projection_that_moves_the_path(
+            self, monkeypatch):
+        # the disc's projection moves some of its own outputs again in the
+        # last bit, so no trial equals such a path: the search ends when
+        # the step leaves the nodes unmoved before their projection
+        dom = ball()
+        t = np.linspace(0.0, 1.0, 1000)
+        far = 2.0 * np.stack([np.cos(t), np.sin(t)], axis=-1)
+        once = project(dom, far)
+        moves = (project(dom, once) != once).any(axis=-1)
+        assert moves.any()
+        path0 = np.repeat(far[moves][:1], 3, axis=0)
+        path = project(dom, path0)
+        assert not np.array_equal(project(dom, path), path)
+
+        def only_the_path(p):   # every other stack member costs more
+            at = (p == path).all(axis=(-2, -1))
+            return np.where(at, 1.0, 2.0), np.zeros(p.shape[:-1])
+
+        (got, value, log, stalled), seen, starts = self.run_both(
+            monkeypatch, only_the_path,
+            self.constant_gradient(np.array([0.3, -0.2])), path0=path0,
+            dom=dom)
+        assert stalled and log == [(0, 1.0, 0.0), (1, 1.0, 0.0)]
+        assert np.array_equal(got, path) and len(starts) == 1
+        trials = seen[starts[0]:]
+        assert trials and not any(np.array_equal(p, path) for p in trials)
 
     @pytest.mark.parametrize("offset", [0.0, 3.0])
     def test_stall_objectives(self, monkeypatch, offset):
@@ -791,6 +843,7 @@ class TestBatchedLineSearch:
             monkeypatch, kinked_objective(self.start, offset),
             opts=OptimizerOptions())
         assert stalled and value == offset
+        assert log == [(0, offset, 0.0), (1, offset, 0.0)]
 
     def test_action_objective_on_the_disc(self, monkeypatch):
         co, dom = preset("ou-in-ball", {"theta": 1.0}), ball()
@@ -807,14 +860,15 @@ class TestBatchedLineSearch:
 
 class TestGradientReuse:
     """The line search's trial _GUESS carries its gradient into the next
-    iteration, and a rejected search keeps the gradient it was given."""
+    iteration, and a failed search ends the descent."""
 
     @staticmethod
     def record(monkeypatch):
         """Patch the descent's seams to log, in order, "O" per objective
         call (through _action_terms or a wrapped objective), "G" per
         gradient call, and per line search ("S", eta, free, domain, objective)
-        at its start and ("E", accepted, eta, trial, grad) at its end."""
+        at its start and ("E", accepted, eta, trial, grad) at its end, with
+        eta 0 and trial and grad None when the step rounded away."""
         events = []
         terms, gradient, search = (action._action_terms, action._fd_gradient,
                                    action._backtrack)
@@ -832,7 +886,8 @@ class TestGradientReuse:
             events.append(("S", eta, stencils.free, stencils.domain,
                            objective))
             out = search(objective, path, value, grad, gnorm2, stencils, eta)
-            events.append(("E", out[3], out[2], out[0], out[4]))
+            trial, _, step, grad = out or (None, None, 0.0, None)
+            events.append(("E", out is not None, step, trial, grad))
             return out
 
         monkeypatch.setattr(action, "_action_terms", counted_terms)
@@ -900,18 +955,28 @@ class TestGradientReuse:
         # 77 of the 100 iterations follow a hit and hit themselves
         assert hits > len(its) // 2
 
-    def test_rejected_search_keeps_its_gradient(self, monkeypatch):
-        # every search of the kinked objective is rejected: one gradient for
-        # all fifty iterations
-        dom, start = unit_interval(), np.full((6, 1), 0.5)
+    def test_no_objective_call_follows_a_failed_search(self, monkeypatch):
+        # the disc action toward the unit circle under an outward drift
+        # stalls: its last search fails, and the only objective call after
+        # it is evaluate_action's on the returned path
+        co, dom = preset("ou-in-ball", {"theta": -2.0}), ball()
         events = self.record(monkeypatch)
-        path, value, log, stalled = _projected_descent(
-            kinked_objective(start, 0.0), start, dom, pin_last=False,
-            opts=OptimizerOptions())
-        assert stalled and len(log) == action._STALL_LIMIT + 1
+        evaluate = action.evaluate_action
+
+        def counted_evaluate(*args):
+            events.append(("V",))
+            return evaluate(*args)
+
+        monkeypatch.setattr(action, "evaluate_action", counted_evaluate)
+        _, info = minimize_action_endpoint(co, dom, 0.0, [0.25, 0.0],
+                                           [0.6, 0.8], 1.0,
+                                           TimeGrid(0.0, 1.0, 16))
         its = self.iterations(events)
-        assert [seen.count("G") for _, _, seen in its] == [1] + [0] * 49
-        assert all(not end[1] and end[4] is not None for _, end, _ in its)
+        assert info["stalled"] and len(its) == info["n_iter"]
+        assert [end[1] for _, end, _ in its] == [True] * (len(its) - 1) + [
+            False]
+        last = max(i for i, ev in enumerate(events) if ev[0] == "E")
+        assert events[last + 1:] == [("V",), ("O",)]
 
 
 def general_sigma(co):

@@ -755,3 +755,17 @@ def test_package_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("n", [5.0, True, 1])
+def test_make_lattice_node_count_must_be_a_count(n):
+    with pytest.raises(ValueError, match="n_per_axis must be"):
+        make_lattice(unit_interval(), n)
+
+
+@pytest.mark.parametrize("mc", [64.0, True, 63])
+def test_solve_bsde_grid_mc_per_node_must_be_a_count(mc):
+    dom = unit_interval()
+    with pytest.raises(ValueError, match="mc_per_node must be"):
+        solve_bsde_grid(preset("zero-drift-unit-noise"), dom, 0.1,
+                        TimeGrid(0.0, 1.0, 4), make_lattice(dom, 5), mc, 3)

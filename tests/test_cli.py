@@ -531,6 +531,23 @@ class TestIntegralCountsAndFlatPoints:
         ({"T": float("inf")}, "/T"),
         ({"eps": float("inf")}, "/eps"),
         ({"command": "tail", "delta": float("inf")}, "/delta"),
+        # JSON's true and false are not numbers, though float() takes them
+        ({"eps": True}, "/eps"),
+        ({"x": True}, "/x"),
+        ({"x": [False]}, "/x"),
+        ({"s": False}, "/s"),
+        ({"T": True}, "/T"),
+        ({"command": "tail", "delta": True}, "/delta"),
+        ({"command": "action-min", "y": [True]}, "/y"),
+        ({"domain": {"kind": "interval", "a": False, "b": True}}, "/domain"),
+        ({"domain": {"kind": "ball", "center": [0.0, True], "radius": 1.0}},
+         "/domain"),
+        ({"domain": {"kind": "ball", "center": [0.0, 0.0], "radius": True}},
+         "/domain"),
+        ({"preset": {"name": "constant-drift", "params": {"v": True}}},
+         "/preset/params/v"),
+        ({"preset": {"name": "constant-drift", "params": {"T": True}}},
+         "/preset/params/T"),
     ]
 
     @pytest.mark.parametrize("over, field", CASES)

@@ -121,6 +121,13 @@ class TestPresets:
         with pytest.raises(ValueError, match=f"'{key}' must be finite"):
             preset(name, {key: value})
 
+    @pytest.mark.parametrize("key", ["v", "T"])
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_boolean_parameter_rejected(self, key, value):
+        # a boolean is not a number, though float() takes it
+        with pytest.raises(ValueError, match=f"'{key}' must be a number"):
+            preset("constant-drift", {key: value})
+
     def test_every_preset_passes_own_audit(self):
         for name in PRESET_NAMES:
             co = preset(name)

@@ -702,6 +702,22 @@ class TestStreams:
                                      TimeGrid(0.0, 1.0, 4), 3, 4,
                                      index_offset=offset)
 
+    @pytest.mark.parametrize("offset", [float(_BLOCK_PATHS), 0.0, False,
+                                        np.float64(0.0)])
+    def test_index_offset_must_be_an_int(self, offset):
+        with pytest.raises(ValueError, match="index_offset must be an int"):
+            simulate_reflected_batch(preset("zero-drift-unit-noise"),
+                                     unit_interval(), 0.0, [0.5], 0.1,
+                                     TimeGrid(0.0, 1.0, 4), 3, 4,
+                                     index_offset=offset)
+
+    @pytest.mark.parametrize("n", [2.0, True, 0, -3])
+    def test_n_paths_must_be_a_count(self, n):
+        with pytest.raises(ValueError, match="n_paths must be"):
+            simulate_reflected_batch(preset("zero-drift-unit-noise"),
+                                     unit_interval(), 0.0, [0.5], 0.1,
+                                     TimeGrid(0.0, 1.0, 4), 3, n)
+
     def test_int_index_is_a_one_tuple(self):
         np.testing.assert_array_equal(
             trajectory_rng(8, 5).standard_normal(16),

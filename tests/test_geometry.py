@@ -46,6 +46,18 @@ class TestMakeDomain:
         with pytest.raises(InvalidShape):
             make_domain("hexagon")
 
+    @pytest.mark.parametrize("kind, bad", [
+        ("interval", {"a": False}), ("interval", {"b": True}),
+        ("interval", {"a": np.False_}), ("ball", {"radius": True}),
+        ("ball", {"center": [0.0, False]}),
+        ("ball", {"center": np.array([True, False])})])
+    def test_boolean_extent_rejected(self, kind, bad):
+        # a boolean is not a number, though float() takes it
+        desc = ({"a": 0.0, "b": 1.0} if kind == "interval"
+                else {"center": [0.0, 0.0], "radius": 1.0})
+        with pytest.raises(ValueError, match="must be a number"):
+            make_domain(kind, **{**desc, **bad})
+
     def test_phi_positive_iff_strictly_inside(self):
         for dom in (unit_interval(), unit_ball()):
             rng = np.random.default_rng(5)

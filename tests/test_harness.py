@@ -788,6 +788,34 @@ def test_tail_study_rejects_delta_not_positive(delta):
                    [0.5], delta, LADDER, 200, TimeGrid(0.0, 1.0, 16), 3)
 
 
+@pytest.mark.parametrize("n", [1000.0, True, 999])
+def test_convergence_study_n_paths_must_be_a_count(n):
+    with pytest.raises(ValueError, match="n_paths must be"):
+        convergence_study("X4", preset("constant-drift"), unit_interval(),
+                          0.0, [0.5], LADDER, n, TimeGrid(0.0, 1.0, 16), 3)
+
+
+@pytest.mark.parametrize("n", [200.0, True, -1])
+def test_tail_study_n_paths_must_be_a_count(n):
+    # True once ran one path per level
+    with pytest.raises(ValueError, match="n_paths must be"):
+        tail_study(preset("zero-drift-unit-noise"), unit_interval(), 0.0,
+                   [0.5], 0.3, LADDER, n, TimeGrid(0.0, 1.0, 16), 3)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("field_nodes", 9.0), ("field_nodes", True), ("field_nodes", 1),
+    ("mc_per_node", 64.5), ("mc_per_node", True), ("mc_per_node", 63)])
+def test_y4_lattice_counts_must_be_counts(key, value):
+    # the lattice's own checks: field_nodes is make_lattice's n_per_axis
+    counts = {"field_nodes": 5, "mc_per_node": 64, key: value}
+    name = "n_per_axis" if key == "field_nodes" else key
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        convergence_study("Y4", preset("linear-bsde"), unit_interval(), 0.0,
+                          [0.5], LADDER, 1000, TimeGrid(0.0, 1.0, 16), 3,
+                          field_steps=4, **counts)
+
+
 def test_tail_study_rejects_no_paths():
     with pytest.raises(ValueError, match="n_paths"):
         tail_study(preset("zero-drift-unit-noise"), unit_interval(), 0.0,

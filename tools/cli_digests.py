@@ -22,8 +22,13 @@ that disc, in process, with the package imported from this
 checkout's `src/`. Each run writes into a fixed relative `output_dir`
 under a temporary working directory, because `config_hash` covers that
 field. Prints a header line with the numpy version, then one line per run with
-its `config_hash` (or the error it raised) and one line per CSV with the
-file's sha256, so two checkouts can be compared with one diff.
+its `config_hash` (or the error it raised), one line per CSV with the
+file's sha256, and one line with the sha256 of its `manifest.json`, so two
+checkouts can be compared with one diff. The manifest is hashed as sorted
+JSON without `started`, `finished` and `git_describe`, which change from
+run to run, and without `outputs`, the CSVs' row counts, which their own
+digests pin; the rest pins what no CSV holds, such as every `stalled`
+flag and the tail's `rate_bound` and `delta_adjusted`.
 
 The digests depend on numpy's Generator streams, which numpy does not
 promise to keep across versions: compare runs made with one numpy only.
@@ -190,6 +195,20 @@ def header():
     return f"# numpy {numpy.__version__}"
 
 
+# manifest keys left out: run times, the checkout, the CSVs' row counts
+_UNPINNED = ("started", "finished", "git_describe", "outputs")
+
+
+def _manifest_digest(out_dir):
+    """sha256 of a run's manifest.json as sorted JSON, less _UNPINNED."""
+    with open(os.path.join(out_dir, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    for key in _UNPINNED:
+        del manifest[key]
+    text = json.dumps(manifest, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def digest_lines():
     """The output lines after the header, as a list. The runs write under a
     temporary working directory, and the caller's one is restored."""
@@ -213,6 +232,8 @@ def digest_lines():
                     with open(path, "rb") as fh:
                         digest = hashlib.sha256(fh.read()).hexdigest()
                     lines.append(f"{name} {fname} {digest}")
+                lines.append(f"{name} manifest.json "
+                             f"{_manifest_digest(cfg['output_dir'])}")
         finally:
             os.chdir(cwd)
     return lines
