@@ -9,7 +9,6 @@ family along the inward normal and the pointwise minimizer of the convex
 quadratic realizes the infimum at grid resolution.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +25,11 @@ __all__ = ["ActionResult", "OptimizerOptions", "evaluate_action",
 
 _EIG_FLOOR = 1e-10
 
-_FD_REL_STEP = 1e-6     # finite-difference step, times max(diameter, 1)
+_DIFF_STEP = np.sqrt(np.finfo(float).eps)   # b's and sigma's, x max(diam, 1)
 _INIT_STEP = 0.5
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
 _BATCH = 3              # backtracking trials per objective call
-_GUESS = 1              # the first batch's trial whose gradient rides along
 _PENALTIES = (10.0, 100.0, 1e3, 1e4, 1e5)   # contracted_rate's continuation
 _VIOLATION_TOL = 1e-3
 
@@ -56,7 +54,7 @@ class OptimizerOptions:
                 f"grad_tol must be finite and >= 0, got {self.grad_tol!r}")
 
 
-def _action_terms(coeffs, domain, paths, grid):
+def _action_terms(coeffs, domain, paths, grid, gradient=False):
     """Discrete cost of a stack of constrained paths of shape (..., n+1, d).
 
     Returns (action, integrand, lam, nvec) with leading axes (...,): the
@@ -64,6 +62,15 @@ def _action_terms(coeffs, domain, paths, grid):
     the inward normals at the right nodes. Raises when any path of the
     stack leaves the domain, holds a non-finite node or meets a singular
     diffusion.
+
+    With gradient=True it also returns the cost's gradient (..., n+1, d):
+    with A = sigma sigma* and w_j = A_j^-1 (r_j - lam_j n_j), r_j the
+    step's velocity less b, node j gets w_{j-1} - dt lam_{j-1}
+    hess_phi(x_j) w_{j-1} - w_j - dt Db_j* w_j and, in coordinate c,
+    -dt (sigma_j* w_j) . (d_c sigma_j* w_j). lam_j, the minimizer of step
+    j's form, is held at its value (Danskin 1967). Db and d_c sigma are
+    forward differences at every node at once, at the step _DIFF_STEP
+    max(diameter, 1); a _Constant needs none.
     """
     tol = domain.boundary_tol
     dist = domain.signed_distance(paths)
@@ -79,7 +86,8 @@ def _action_terms(coeffs, domain, paths, grid):
     unit = isinstance(sigma, _Constant) and sigma.unit
     if not (unit and isinstance(b, _Constant)):
         ts = np.broadcast_to(grid.nodes[:-1], left.shape[:-1])
-    r = v - (b.value if isinstance(b, _Constant) else b(ts, left))
+    drift = b.value if isinstance(b, _Constant) else b(ts, left)
+    r = v - drift
 
     # sigma = I needs no sigma sigma*, eigenvalue check or inverse: each
     # product by the identity is exact, so the bits are the general route's
@@ -115,7 +123,33 @@ def _action_terms(coeffs, domain, paths, grid):
         lam, resid = np.zeros(on_bdry.shape), r
     integrand = np.maximum(quad(resid), 0.0)
     action = 0.5 * dt * integrand.sum(axis=-1)
-    return action, integrand, lam, nvec
+    if not gradient:
+        return action, integrand, lam, nvec
+
+    w = resid if unit else np.einsum("...ij,...j->...i", ainv, resid)
+    grad = np.zeros(paths.shape)
+    grad[..., 1:, :] = w
+    grad[..., :-1, :] -= w
+    wall = lam > 0
+    if wall.any():
+        grad[..., 1:, :][wall] -= (dt * lam[wall])[:, None] * np.einsum(
+            "...ij,...j->...i", domain.hess_phi(right[wall]), w[wall])
+    if not (isinstance(b, _Constant) and isinstance(sigma, _Constant)):
+        # the left nodes moved by h along each axis c, (d, ..., n, d)
+        d = paths.shape[-1]
+        h = _DIFF_STEP * max(domain.diameter, 1.0)
+        moved = left + h * np.eye(d).reshape((d,) + (1,) * (left.ndim - 1)
+                                             + (d,))
+        at = np.broadcast_to(grid.nodes[:-1], moved.shape[:-1])
+        slope = 0.0                      # then (d, ..., n), one row per c
+        if not isinstance(b, _Constant):
+            slope = np.einsum("c...i,...i->c...", b(at, moved) - drift, w)
+        if not isinstance(sigma, _Constant):
+            slope = slope + np.einsum("c...ij,...i,...j->c...",
+                                      sigma(at, moved) - sig, w,
+                                      np.einsum("...ij,...i->...j", sig, w))
+        grad[..., :-1, :] -= (dt / h) * np.moveaxis(slope, 0, -1)
+    return action, integrand, lam, nvec, grad
 
 
 def evaluate_action(coeffs, domain, psi, grid=None):
@@ -146,159 +180,97 @@ def evaluate_action(coeffs, domain, psi, grid=None):
                         integrand=integrand)
 
 
-def _node_sums(integrand, dt):
-    """Each node's share of the action, 0.5 dt (I_{j-1} + I_j): the terms
-    that node j enters, (..., n) -> (..., n+1)."""
-    half = 0.5 * dt * integrand
-    sums = np.zeros(half.shape[:-1] + (half.shape[-1] + 1,))
-    sums[..., :-1] = half
-    sums[..., 1:] += half
-    return sums
+def _objective(coeffs, domain, grid, penalty=None):
+    """The descent's objective: paths (..., n+1, d) to the values and
+    gradients of the action, plus penalty(paths)'s when given. At a right
+    node whose multiplier is positive the gradient keeps only its part
+    along the wall: moving that node inward drops its multiplier, a jump,
+    so only a move along the wall is smooth."""
+    def objective(paths):
+        value, _, lam, nvec, grad = _action_terms(coeffs, domain, paths, grid,
+                                                  gradient=True)
+        if penalty is not None:
+            extra, slope = penalty(paths)
+            value, grad = value + extra, grad + slope
+        wall = lam > 0
+        if wall.any():
+            at, n = grad[..., 1:, :], nvec[wall]
+            g = at[wall]
+            at[wall] = g - (np.einsum("...i,...i->...", g, n)
+                            / np.einsum("...i,...i->...", n, n))[:, None] * n
+        return value, grad
+    return objective
 
 
-class _Stencils:
-    """The finite-difference stencils over the nodes `free` of a descent's
-    paths (n+1, d), with the bumps and index arrays built once per descent.
+def _backtrack(objective, path, value, grad, gnorm2, free, domain, eta):
+    """Armijo backtracking along -grad over the nodes free of path, from
+    the step eta, halving until a trial is accepted or the step rounds
+    away: its trial equals path, as every shorter step's would.
 
-    Called on a path, returns (paths, read): paths (2, 2, d, n+1, d) replace
-    node j of path by project(path[j] +- fd e_c), with fd = _FD_REL_STEP *
-    max(diameter, 1), and read maps their node sums (2, 2, d, n+1) to the
-    gradient. No two nodes of one parity share a term, so all even free
-    nodes move at once, then all odd ones (Curtis, Powell & Reid 1974):
-    4 * d paths per gradient, whatever n is. A component whose two projected
-    nodes coincide in coordinate c is left at zero.
+    Trials are projected and evaluated _BATCH at a time, with their
+    gradients, in one objective call, and read in order. The first that
+    lowers the value by the Armijo decrement, the sequential search's, is
+    accepted; a batch may evaluate up to _BATCH - 1 trials past it.
+    Returns (trial, value, eta, grad) of that trial, or None.
     """
-
-    def __init__(self, domain, free):
-        self.domain, self.free = domain, free
-        d = domain.dimension
-        fd = _FD_REL_STEP * max(domain.diameter, 1.0) * np.eye(d)
-        self._bumps = np.stack([fd, -fd])[:, None]      # (2, 1, d, d)
-        self._lead = (2, 2, d)
-        # (sign, parity, c, node) of each free node j moved along each e_c
-        self._at = (slice(None), free[:, None] % 2, np.arange(d),
-                    free[:, None])
-
-    def __call__(self, path):
-        free, at = self.free, self._at
-        moved = project(self.domain, path[free, None, :] + self._bumps)
-        perturbed = np.empty(self._lead + path.shape)
-        perturbed[...] = path
-        perturbed[at] = moved
-
-        def read(sums):
-            sums = sums[at]
-            moved_c = moved.diagonal(0, -2, -1)
-            denom = moved_c[0] - moved_c[1]
-            nonzero = denom != 0.0
-            grad = np.zeros(path.shape)
-            grad[free] = np.where(nonzero, (sums[0] - sums[1])
-                                  / np.where(nonzero, denom, 1.0), 0.0)
-            return grad
-
-        return perturbed, read
-
-
-def _fd_gradient(objective, path, stencils):
-    """Finite-difference gradient over the free nodes of a path, in one
-    objective call on the paths of stencils, a _Stencils.
-
-    objective maps a stack of paths (..., n+1, d) to (values, sums): the
-    values (...,) and each node's local sum (..., n+1), which may depend on
-    the node and its two neighbours only. Component (j, c) differences node
-    j's sum between the stencil paths that move node j along e_c.
-    """
-    paths, read = stencils(path)
-    return read(objective(paths)[1])
-
-
-def _backtrack(objective, path, value, grad, gnorm2, stencils, eta):
-    """Armijo backtracking along -grad from the step eta, halving it until a
-    trial is accepted or the step rounds away, over the free nodes of
-    stencils, a _Stencils.
-
-    Trials are projected and evaluated _BATCH at a time, in one objective
-    call, and read in order: the first that lowers the value by the Armijo
-    decrement is accepted. The step has rounded away, before its trial is
-    evaluated, when the trial equals path or the step leaves the free nodes
-    unmoved before their projection (which need not fix the path in every
-    bit); every shorter step gives that trial again. This is the sequential
-    search's outcome, except that a batch may evaluate up to _BATCH - 1
-    feasible trials past the accepted one.
-
-    The first batch's trial _GUESS, at the step the last accepted search
-    took (the descent doubles that step), carries its stencils into the
-    same call. Returns (trial, value, eta, grad), grad being the trial's
-    gradient when it is trial _GUESS and None otherwise, or None when the
-    step rounds away.
-    """
-    free, domain = stencils.free, stencils.domain
     nodes, down = path[free], grad[free]
-    for first in itertools.count(0, _BATCH):
+    while True:
         # the batch's steps, halving on from the last one: eta, eta/2, ...
-        batch = []
-        for _ in range(_BATCH):
-            batch.append(eta)
-            eta *= _BACKTRACK
-        moved = nodes - np.array(batch)[:, None, None] * down
+        steps = eta * _BACKTRACK ** np.arange(_BATCH)
+        eta = steps[-1] * _BACKTRACK
         trials = np.empty((_BATCH,) + path.shape)
         trials[...] = path
-        trials[:, free] = project(domain, moved)
-        same = ((trials == path).all(axis=(-2, -1))
-                | (moved == nodes).all(axis=(-2, -1)))
+        trials[:, free] = project(domain, nodes - steps[:, None, None] * down)
+        same = (trials == path).all(axis=(-2, -1))
         stop = int(same.argmax()) if same.any() else _BATCH
-        stack = trials[:stop]
-        guess = first == 0 and stop > _GUESS
-        if guess:
-            paths, read = stencils(trials[_GUESS])
-            stack = np.concatenate([stack, paths.reshape((-1,) + path.shape)])
-        values, sums = objective(stack) if stop else ((), None)
-        # the stencils' values follow the trials'
-        for k, (trial, tv, step) in enumerate(zip(trials, values[:stop],
-                                                   batch)):
-            tv = float(tv)
-            # a trial must lower the value: the Armijo decrement can round
-            # away
-            if tv < value and tv <= value - _ARMIJO_C * step * gnorm2:
-                if guess and k == _GUESS:
-                    return trial, tv, step, read(
-                        sums[stop:].reshape(paths.shape[:-1]))
-                return trial, tv, step, None
+        if stop:
+            values, grads = objective(trials[:stop])
+            for trial, tv, tg, step in zip(trials, values, grads, steps):
+                tv = float(tv)
+                # a trial must lower the value: the Armijo decrement can
+                # round away
+                if tv < value and tv <= value - _ARMIJO_C * step * gnorm2:
+                    return trial, tv, float(step), tg
         if stop < _BATCH:
             return None
 
 
 def _projected_descent(objective, path0, domain, pin_last, opts):
-    """Projected gradient descent with finite-difference gradients and Armijo
-    backtracking over the non-pinned nodes of a discretized path.
+    """Projected gradient descent with Armijo backtracking over the
+    non-pinned nodes of a discretized path.
 
-    objective maps a stack of paths (..., n+1, d) to (values, sums), as
-    _fd_gradient describes. An iteration makes one objective call when the
-    line search accepts its trial _GUESS, whose gradient comes with it;
-    otherwise the next iteration computes the gradient. A search whose
-    step rounds away ends the descent as stalled, since every later one
-    would repeat it. Returns (best_path, best_value, log, stalled) where
-    log rows are (iteration, value, step), step 0 on a stalled row.
+    objective maps paths (..., n+1, d) to (values, gradients), as
+    _objective's does; an iteration makes one call per batch of its
+    search, since the accepted trial's gradient comes with it. A search
+    whose step rounds away ends the descent, as every later one would
+    repeat it, with a last log row of step 0. Returns (best_path,
+    best_value, log, stalled), log rows being (iteration, value, step).
+
+    Such an end is a stall only when the search's first predicted decrease
+    eta |g|^2 exceeds k eps |F|; below that the rounding of the value F
+    hides any Armijo decrease. F sums at most m = 2 n + 1 nonnegative
+    terms: n of the action, n + 1 of a one-value field's penalty. To first
+    order their roundings move F by at most eps |F| in all, the m - 1
+    additions by (m - 1) eps |F|, and the two scalings and the sum of the
+    parts by 3 eps |F|: k = m + 3 = 2 (n + 1) + 2.
     """
     path = project(domain, np.asarray(path0, float))
     n1 = path.shape[0]
-    stencils = _Stencils(domain, np.arange(1, n1 - 1 if pin_last else n1))
-
-    value = float(objective(path)[0])
+    free = slice(1, n1 - 1 if pin_last else n1)
+    value, grad = objective(path)
+    value = float(value)
     log = [(0, value, 0.0)]
     step = _INIT_STEP
-    grad = None
     for it in range(1, opts.max_iter + 1):
-        if grad is None:
-            grad = _fd_gradient(objective, path, stencils)
-        gnorm2 = float((grad * grad).sum())
+        gnorm2 = float((grad[free] ** 2).sum())
         if gnorm2 <= opts.grad_tol**2:
             break
-        found = _backtrack(objective, path, value, grad, gnorm2, stencils,
+        found = _backtrack(objective, path, value, grad, gnorm2, free, domain,
                            step)
         if found is None:
             log.append((it, value, 0.0))
-            return path, value, log, True
+            floor = (2 * n1 + 2) * np.finfo(float).eps * abs(value)
+            return path, value, log, bool(step * gnorm2 > floor)
         path, value, eta, grad = found
         log.append((it, value, eta))
         step = min(eta * 2.0, 1e3)
@@ -311,9 +283,9 @@ def minimize_action_endpoint(coeffs, domain, s, x, y, T, grid, opts=None):
     Minimizes over the interior nodes of a discretized path from x to y;
     every iterate is feasible, so the returned value certifies an upper
     bound. Returns (ActionResult, info) where info carries the iteration
-    log and a `stalled` flag, set when a line search's step rounded away,
-    which ended the descent. T must be the
-    grid's end time, and y, of x's dimension, must lie in the closed domain.
+    log and a `stalled` flag, set when a line search's step rounded away
+    above the value's rounding floor (see _projected_descent). T must be
+    the grid's end time, and y, of x's dimension, must lie in the domain.
     """
     return _minimize_endpoint(coeffs, domain, s, x, y, T, grid, opts)
 
@@ -333,10 +305,7 @@ def _minimize_endpoint(coeffs, domain, s, x, y, T, grid, opts=None,
                   InfeasiblePath)
     lamgrid = np.linspace(0.0, 1.0, grid.n_steps + 1)[:, None]
 
-    def objective(p):
-        action, integrand = _action_terms(coeffs, domain, p, grid)[:2]
-        return action, _node_sums(integrand, grid.dt)
-
+    objective = _objective(coeffs, domain, grid)
     # two feasible starts: the straight chord, and the drift skeleton bent
     # linearly in time toward the target (free when y is its own endpoint)
     straight = project(domain, (1.0 - lamgrid) * x + lamgrid * y)
@@ -363,7 +332,7 @@ def contracted_rate(coeffs, domain, field_limit, gamma, s, x, opts=None):
     on the field's time grid, at whose nodes gamma is given: finite, of
     shape (n+1, k) for a field of k values, or (n+1,) when k = 1. The field
     is read through one reader for the whole call. The result's `stalled`
-    flag is set when a line search's step rounded away in any stage. Raises
+    flag is set when any stage stalls, as _projected_descent says. Raises
     ConstraintInfeasible when the final sup-norm violation exceeds the
     tolerance (the preimage is empty at this resolution).
     """
@@ -384,14 +353,15 @@ def contracted_rate(coeffs, domain, field_limit, gamma, s, x, opts=None):
     path = integrate_skeleton_ode(coeffs, domain, s, x, grid).x_path
     stalled = False
     for pen in _PENALTIES:
-        def objective(p, _pen=pen):
-            action, integrand = _action_terms(coeffs, domain, p, grid)[:2]
-            sq = (read(p) - gamma)**2
-            return (action + _pen * sq.sum(axis=(-2, -1)),
-                    _node_sums(integrand, grid.dt) + _pen * sq.sum(axis=-1))
+        def penalty(p, _pen=pen):
+            u, slope = read(p, slope=True)
+            miss = u - gamma
+            return (_pen * (miss**2).sum(axis=(-2, -1)),
+                    2.0 * _pen * np.einsum("...k,...kc->...c", miss, slope))
 
         path, _, _, stage_stalled = _projected_descent(
-            objective, path, domain, pin_last=False, opts=opts)
+            _objective(coeffs, domain, grid, penalty), path, domain,
+            pin_last=False, opts=opts)
         stalled = stalled or stage_stalled
 
     viol = float(np.abs(read(path) - gamma).max())

@@ -80,10 +80,10 @@ def _lattice_nodes(axes):
 
 
 def _interpolation_plan(axes):
-    """read(values, coords, offset=0), the multilinear reader of one
-    lattice, with what depends on the axes alone worked out once: each
-    axis's origin, scale, last cell and stride, and the flat offsets of the
-    2^D corners of a cell.
+    """read(values, coords, offset=0, slope=False), the multilinear reader
+    of one lattice, with what depends on the axes alone worked out once:
+    each axis's origin, scale, last cell and stride, and the flat offsets
+    of the 2^D corners of a cell.
 
     read reads values (*stack, *lattice_shape, k) on the uniform axes at
     points inside the lattice hull, given as one coordinate array per axis,
@@ -94,6 +94,9 @@ def _interpolation_plan(axes):
     broadcasts with the coordinates, and the result takes their joint
     shape. The 2^D corner values are gathered by index arithmetic and
     reduced one axis at a time, the last axis first, as lo + w (hi - lo).
+    With slope=True read also returns the interpolant's own slope
+    (..., k, D) in the cell: the same reduction, with (hi - lo) scale on
+    the differentiated axis.
     """
     shape = [ax.size for ax in axes]
     strides = [math.prod(shape[a + 1:]) for a in range(len(axes))]
@@ -102,7 +105,7 @@ def _interpolation_plan(axes):
     corners = [sum(b * s for b, s in zip(bits, strides))
                for bits in product((0, 1), repeat=len(axes))]
 
-    def read(values, coords, offset=0):
+    def read(values, coords, offset=0, slope=False):
         flat = values.reshape(-1, values.shape[-1])
         base, weights = offset, []
         for q, (origin, scale, last, stride) in zip(coords, plan):
@@ -111,9 +114,18 @@ def _interpolation_plan(axes):
             base = base + (cell * stride if stride > 1 else cell)
             weights.append((pos - cell)[..., None])
         vals = [flat.take(base + c if c else base, axis=0) for c in corners]
-        for w in reversed(weights):
-            vals = [_blend(lo, hi, w) for lo, hi in zip(vals[::2], vals[1::2])]
-        return vals[0]
+
+        def reduce(vals, along=None):      # the last axis first
+            for a in reversed(range(len(plan))):
+                vals = [(hi - lo) * plan[a][1] if a == along
+                        else _blend(lo, hi, weights[a])
+                        for lo, hi in zip(vals[::2], vals[1::2])]
+            return vals[0]
+
+        if not slope:
+            return reduce(vals)
+        return reduce(vals), np.stack([reduce(vals, a)
+                                       for a in range(len(plan))], -1)
 
     return read
 
@@ -124,12 +136,6 @@ def _blend(lo, hi, w):
     out = np.subtract(hi, lo)
     np.multiply(w, out, out=out)
     return np.add(lo, out, out=out)
-
-
-def _multilinear(axes, values, coords, offset=0):
-    """One read of values at coords through a plan of the axes built for
-    it: see _interpolation_plan."""
-    return _interpolation_plan(axes)(values, coords, offset)
 
 
 def _hull_clipper(axes):
@@ -371,6 +377,8 @@ def _pi_reader(field, path_times=None):
     read makes one spatial read of both time slices, through the plan's
     offset, and blends them in time last. That is the reduction order of
     one read over the lattice in (t, x), so the bits are those of that read.
+    With slope=True it also returns the spatial slope (..., n+1, k, d) of
+    that read, each time slice's blended in time like the values.
     """
     times = field.times
     t_nodes = times.nodes if path_times is None else np.asarray(path_times)
@@ -392,7 +400,7 @@ def _pi_reader(field, path_times=None):
     interpolate = _interpolation_plan(field.axes)
     dim = len(field.axes)
 
-    def read(path_values):
+    def read(path_values, slope=False):
         vals = np.asarray(path_values, float)
         if vals.shape[-1] != dim:
             raise ValueError("path dimension does not match the field lattice")
@@ -400,9 +408,11 @@ def _pi_reader(field, path_times=None):
             raise ValueError("path_times needs one entry per path node")
         clipped = clip(vals)
         lead = offsets.reshape((2,) + (1,) * (vals.ndim - 2) + t_nodes.shape)
-        lo, hi = interpolate(field.values,
-                             [clipped[..., a] for a in range(dim)], lead)
-        return _blend(lo, hi, weight)
+        out = interpolate(field.values, [clipped[..., a] for a in range(dim)],
+                          lead, slope)
+        if not slope:
+            return _blend(*out, weight)
+        return _blend(*out[0], weight), _blend(*out[1], weight[..., None])
 
     return read
 

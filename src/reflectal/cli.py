@@ -124,6 +124,13 @@ def _ladder(value):
     return tuple(_validate_ladder(value).tolist())
 
 
+def _string(value):
+    """A JSON string, as it is: str() of another value is no path or name."""
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
+
 def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
@@ -133,7 +140,7 @@ def _optional(convert):
 _FIELDS = {
     "s": _real, "T": _real, "x": _point, "eps": _real,
     "eps_ladder": _optional(_ladder), "n_paths": _count(1), "seed": _count(0),
-    "output_dir": str, "target": str,
+    "output_dir": _string, "target": _string,
     "delta": _real, "y": _optional(_point),
     "mc_per_node": _count(_MIN_MC_PER_NODE),
     "space_nodes": _count(_MIN_AXIS_NODES), "field_steps": _count(1),

@@ -157,6 +157,9 @@ def _make_ball(center, radius):
     # centre and its projection makes no (N, d) by (d,) broadcast; a -0.0
     # entry takes the general route
     centred = not any(c.tobytes())
+    # a second rescale's relative margin: c + moved and its offset round by
+    # eps (|c| + r) / 2 a coordinate, the norm and rescale by (d + 3) eps r
+    margin = 8 * d * np.finfo(float).eps * (1.0 + np.abs(c).max() / radius)
 
     def offset(p):   # p - c
         p = np.asarray(p, float)
@@ -200,6 +203,15 @@ def _make_ball(center, radius):
         if far.size:
             moved = flat[far] * (radius / rho[far])[:, None]
             out[far] = moved + 0.0 if centred else c + moved
+            # a row that rounds an ulp outside is rescaled again, inside by
+            # the margin, so that a second projection leaves every row
+            back = offset(out[far])
+            rho = _norm(back)
+            still = np.flatnonzero(rho > radius)
+            if still.size:
+                moved = back[still] * (radius * (1.0 - margin)
+                                       / rho[still])[:, None]
+                out[far[still]] = moved + 0.0 if centred else c + moved
         return out.reshape(rel.shape)
 
     def directions(n, rng):

@@ -13,7 +13,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 import reflectal
 from reflectal import backward
-from reflectal.backward import (ValueField, _multilinear, _pi_reader,
+from reflectal.backward import (ValueField, _interpolation_plan, _pi_reader,
                                 apply_pi, limit_value_field, make_lattice,
                                 solve_bsde_grid, solve_limit_bsde)
 from reflectal.coefficients import CoefficientSet, preset
@@ -479,7 +479,7 @@ class TestMultilinear:
         values = np.random.default_rng(1).standard_normal(
             (6,) + (n_nodes,) * len(axes) + (2,))
         grids = np.meshgrid(times.nodes, *axes, indexing="ij")
-        got = _multilinear((times.nodes,) + axes, values, grids)
+        got = _interpolation_plan((times.nodes,) + axes)(values, grids)
         # a node's position can round to just below its index, which mixes
         # in the neighbour with a weight of a few ulp
         np.testing.assert_allclose(got, values, rtol=0, atol=1e-14)
@@ -535,14 +535,14 @@ class TestMultilinear:
         for q, ax in zip(coords, axes):   # nodes and hull edges too
             q[:12] = rng.choice(ax, 12)
         which = rng.integers(0, 6, 60)
-        got = _multilinear(axes, values, coords, which * math.prod(shape))
+        read = _interpolation_plan(axes)
+        got = read(values, coords, which * math.prod(shape))
         slices = values.reshape((6,) + shape + (2,))
         for s in range(6):
             rows = which == s
             assert rows.any()
             np.testing.assert_array_equal(
-                got[rows], _multilinear(axes, slices[s],
-                                        [q[rows] for q in coords]))
+                got[rows], read(slices[s], [q[rows] for q in coords]))
 
     def test_non_uniform_axis_raises(self):
         times = TimeGrid(0.0, 1.0, 2)
@@ -599,11 +599,41 @@ class TestPiReader:
             want = apply_pi(field, paths, path_times=t_q)
             assert got.tobytes() == want.tobytes()
             clipped = np.clip(paths, lo, hi)
-            lattice = _multilinear(
-                (times.nodes,) + field.axes, field.values,
+            lattice = _interpolation_plan((times.nodes,) + field.axes)(
+                field.values,
                 (np.broadcast_to(t_read, shape[:-1]),
                  *np.moveaxis(clipped, -1, 0)))
             assert got.tobytes() == lattice.tobytes()
+
+    @pytest.mark.parametrize("dom, n_nodes", LATTICES)
+    def test_slope_is_a_difference_of_apply_pi_inside_a_cell(self, dom,
+                                                             n_nodes):
+        # inside a cell the read is affine along each axis, so a central
+        # difference at h = 1e-4 cell widths is its slope up to rounding:
+        # each of the two reads, of values at most V, rounds by at most
+        # 2 (D + 1) eps V, and the moved coordinates by eps |x|, which moves
+        # a read by at most 2 V eps |x| / width; over 2 h that is at most
+        # (2 (D + 1) + 2 |x| / width) eps V / h, and 4 times it is allowed
+        field = self.field(dom, n_nodes)
+        d = len(field.axes)
+        rng = np.random.default_rng(30 + d)
+        origin = np.array([ax[0] for ax in field.axes])
+        width = np.array([ax[1] - ax[0] for ax in field.axes])
+        cells = rng.integers(0, n_nodes - 1, (5, 7, d))
+        paths = origin + (cells + rng.uniform(0.25, 0.75, cells.shape)) * width
+        value, slope = _pi_reader(field)(paths, slope=True)
+        assert value.tobytes() == apply_pi(field, paths).tobytes()
+        assert slope.shape == value.shape + (d,)
+        h = 1e-4 * width.min()
+        big = np.abs(field.values).max()
+        tol = (4 * (2 * (d + 1) + 2 * np.abs(paths).max() / width.min())
+               * np.finfo(float).eps * big / h)
+        for c in range(d):
+            step = h * np.eye(d)[c]
+            diff = (apply_pi(field, paths + step)
+                    - apply_pi(field, paths - step)) / (2.0 * h)
+            assert np.abs(slope[..., c]).max() > 0.1
+            np.testing.assert_allclose(slope[..., c], diff, rtol=0, atol=tol)
 
     @pytest.mark.parametrize("explicit", [False, True],
                              ids=["field-times", "path-times"])
@@ -685,8 +715,6 @@ class TestInterpolationPlan:
         read = backward._interpolation_plan(axes)
         want = multilinear_formula(axes, values, coords, offsets)
         assert read(values, coords, offsets).tobytes() == want.tobytes()
-        assert (_multilinear(axes, values, coords, offsets).tobytes()
-                == want.tobytes())
         # one lattice, no offset; and stacked offsets that broadcast with
         # the coordinates, as the reader's two time slices do
         one = values[1, 2]

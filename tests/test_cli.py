@@ -451,6 +451,16 @@ class TestSchema:
                      "params": {"rate": float("inf")}}}, "/preset/params/rate"),
         ({"preset": {"name": "constant-drift",
                      "params": {"T": float("nan")}}}, "/preset/params/T"),
+        # a string key takes a string only: str() of another value is no
+        # directory or target name
+        ({"output_dir": True}, "/output_dir"),
+        ({"output_dir": ["a", "b"]}, "/output_dir"),
+        ({"output_dir": 3}, "/output_dir"),
+        ({"output_dir": None}, "/output_dir"),
+        ({"target": False}, "/target"),
+        ({"target": 4}, "/target"),
+        ({"target": ["X4"]}, "/target"),
+        ({"target": {"name": "X4"}}, "/target"),
     ])
     def test_rejected_at_pointer(self, over, field):
         with pytest.raises(ConfigInvalid) as exc:

@@ -53,12 +53,13 @@ def test_a_digest_pins_the_multiplier_route_in_2d(monkeypatch, tmp_path):
     # the disc action-min toward the unit circle under an outward drift is
     # the pinned run whose 2-D objective stacks hold a node on the wall,
     # with positive multipliers, so a change to the multiplier block moves
-    # its digests
+    # its digests; one stack, the second search's first batch, holds wall
+    # nodes whose multipliers are all 0
     config = dict(_tool().configs())["action-min-wall@disc"]
     terms, seen = action._action_terms, []
 
-    def spy(coeffs, domain, paths, grid):
-        out = terms(coeffs, domain, paths, grid)
+    def spy(coeffs, domain, paths, grid, gradient=False):
+        out = terms(coeffs, domain, paths, grid, gradient)
         dist = domain.signed_distance(paths[..., 1:, :])
         seen.append(((abs(dist) <= domain.boundary_tol).any(),
                      (out[2] > 0).any()))
@@ -68,4 +69,6 @@ def test_a_digest_pins_the_multiplier_route_in_2d(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     cli.run(cli.validate(json.dumps(config)))
     assert config["domain"]["kind"] == "ball" and seen
-    assert all(on_wall and positive for on_wall, positive in seen)
+    assert all(on_wall for on_wall, _ in seen)
+    assert sum(positive for _, positive in seen) == len(seen) - 1
+    assert seen[-1][1]
