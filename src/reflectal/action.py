@@ -10,6 +10,7 @@ quadratic realizes the infimum at grid resolution.
 """
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .coefficients import _Constant
 from .errors import ConstraintInfeasible, InfeasiblePath, SingularDiffusion
 from .forward import (ReflectedTrajectory, _check_count,
                       integrate_skeleton_ode)
-from .geometry import _check_dims, _check_inside, project
+from .geometry import _check_dims, _check_inside, _refuse_bool, project
 
 __all__ = ["ActionResult", "OptimizerOptions", "evaluate_action",
            "minimize_action_endpoint", "contracted_rate"]
@@ -26,10 +27,8 @@ __all__ = ["ActionResult", "OptimizerOptions", "evaluate_action",
 _EIG_FLOOR = 1e-10
 
 _DIFF_STEP = np.sqrt(np.finfo(float).eps)   # b's and sigma's, x max(diam, 1)
-_INIT_STEP = 0.5
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
-_BATCH = 3              # backtracking trials per objective call
 _PENALTIES = (10.0, 100.0, 1e3, 1e4, 1e5)   # contracted_rate's continuation
 _VIOLATION_TOL = 1e-3
 
@@ -49,9 +48,10 @@ class OptimizerOptions:
 
     def __post_init__(self):
         _check_count("max_iter", self.max_iter, 0)
-        if not (np.isfinite(self.grad_tol) and self.grad_tol >= 0):
+        _refuse_bool("grad_tol", self.grad_tol)
+        if not (isinstance(self.grad_tol, Real) and 0 <= self.grad_tol < np.inf):
             raise ValueError(
-                f"grad_tol must be finite and >= 0, got {self.grad_tol!r}")
+                f"grad_tol must be a finite number >= 0, got {self.grad_tol!r}")
 
 
 def _action_terms(coeffs, domain, paths, grid, gradient=False):
@@ -63,14 +63,20 @@ def _action_terms(coeffs, domain, paths, grid, gradient=False):
     stack leaves the domain, holds a non-finite node or meets a singular
     diffusion.
 
-    With gradient=True it also returns the cost's gradient (..., n+1, d):
-    with A = sigma sigma* and w_j = A_j^-1 (r_j - lam_j n_j), r_j the
-    step's velocity less b, node j gets w_{j-1} - dt lam_{j-1}
-    hess_phi(x_j) w_{j-1} - w_j - dt Db_j* w_j and, in coordinate c,
-    -dt (sigma_j* w_j) . (d_c sigma_j* w_j). lam_j, the minimizer of step
-    j's form, is held at its value (Danskin 1967). Db and d_c sigma are
-    forward differences at every node at once, at the step _DIFF_STEP
-    max(diameter, 1); a _Constant needs none.
+    With gradient=True it also returns the cost's gradient (..., n+1, d)
+    and Gauss-Newton matrix. With A = sigma sigma*, rho_j = r_j - lam_j n_j
+    (r_j the step's velocity less b) and w_j = A_j^-1 rho_j, node j gets
+    w_{j-1} - dt lam_{j-1} hess_phi(x_j) w_{j-1} - w_j - dt Db_j* w_j and,
+    in coordinate c, -dt (sigma_j* w_j) . (d_c sigma_j* w_j). lam_j, the
+    minimizer of step j's form, is held at its value (Danskin 1967). Db
+    and d_c sigma are forward differences at every node at once, at the
+    step _DIFF_STEP max(diameter, 1); a _Constant needs none. The matrix,
+    block-tridiagonal, comes as its diagonal blocks (..., n+1, d, d) and
+    those above them (..., n, d, d): step j adds dt [C_j B_j]* W_j [C_j B_j]
+    on nodes j and j+1, with rho_j's derivatives C_j = -I/dt - Db_j and
+    B_j = I/dt - lam_j hess_phi(x_{j+1}), and W_j = A_j^-1 less its part
+    along A_j^-1 n_j where lam_j > 0, which lam_j re-minimizes away. The
+    d sigma terms stay out of the matrix.
     """
     tol = domain.boundary_tol
     dist = domain.signed_distance(paths)
@@ -130,26 +136,43 @@ def _action_terms(coeffs, domain, paths, grid, gradient=False):
     grad = np.zeros(paths.shape)
     grad[..., 1:, :] = w
     grad[..., :-1, :] -= w
+    d = paths.shape[-1]
+    eye = np.eye(d)
+    weight = np.broadcast_to(eye, r.shape + (d,)) if unit else ainv
+    left_jac = -eye / dt
+    right_jac = np.broadcast_to(eye / dt, r.shape + (d,))
     wall = lam > 0
     if wall.any():
+        hess = domain.hess_phi(right[wall])
         grad[..., 1:, :][wall] -= (dt * lam[wall])[:, None] * np.einsum(
-            "...ij,...j->...i", domain.hess_phi(right[wall]), w[wall])
+            "...ij,...j->...i", hess, w[wall])
+        right_jac = right_jac.copy()
+        right_jac[wall] -= lam[wall][:, None, None] * hess
+        wn = np.einsum("...ij,...j->...i", weight[wall], nvec[wall])
+        weight = weight.copy()
+        weight[wall] -= (wn[:, :, None] * wn[:, None, :] / np.einsum(
+            "...i,...i->...", nvec[wall], wn)[:, None, None])
     if not (isinstance(b, _Constant) and isinstance(sigma, _Constant)):
         # the left nodes moved by h along each axis c, (d, ..., n, d)
-        d = paths.shape[-1]
         h = _DIFF_STEP * max(domain.diameter, 1.0)
-        moved = left + h * np.eye(d).reshape((d,) + (1,) * (left.ndim - 1)
-                                             + (d,))
+        moved = left + h * eye.reshape((d,) + (1,) * (left.ndim - 1) + (d,))
         at = np.broadcast_to(grid.nodes[:-1], moved.shape[:-1])
         slope = 0.0                      # then (d, ..., n), one row per c
         if not isinstance(b, _Constant):
-            slope = np.einsum("c...i,...i->c...", b(at, moved) - drift, w)
+            db = b(at, moved) - drift    # h d_c b_i at [c, ..., j, i]
+            slope = np.einsum("c...i,...i->c...", db, w)
+            left_jac = left_jac - np.moveaxis(db, 0, -1) / h
         if not isinstance(sigma, _Constant):
             slope = slope + np.einsum("c...ij,...i,...j->c...",
                                       sigma(at, moved) - sig, w,
                                       np.einsum("...ij,...i->...j", sig, w))
         grad[..., :-1, :] -= (dt / h) * np.moveaxis(slope, 0, -1)
-    return action, integrand, lam, nvec, grad
+    left_t = np.swapaxes(left_jac, -1, -2)
+    right_w = weight @ right_jac
+    diag = np.zeros(paths.shape + (d,))
+    diag[..., :-1, :, :] = dt * (left_t @ (weight @ left_jac))
+    diag[..., 1:, :, :] += dt * (np.swapaxes(right_jac, -1, -2) @ right_w)
+    return action, integrand, lam, nvec, grad, (diag, dt * (left_t @ right_w))
 
 
 def evaluate_action(coeffs, domain, psi, grid=None):
@@ -181,99 +204,102 @@ def evaluate_action(coeffs, domain, psi, grid=None):
 
 
 def _objective(coeffs, domain, grid, penalty=None):
-    """The descent's objective: paths (..., n+1, d) to the values and
-    gradients of the action, plus penalty(paths)'s when given. At a right
-    node whose multiplier is positive the gradient keeps only its part
-    along the wall: moving that node inward drops its multiplier, a jump,
-    so only a move along the wall is smooth."""
+    """The descent's objective: paths (..., n+1, d) to the values,
+    gradients and Gauss-Newton blocks of the action, plus penalty(paths)'s
+    when given. At a right node whose multiplier is positive the gradient
+    keeps only its part along the wall: moving that node inward drops its
+    multiplier, a jump, so only a move along the wall is smooth. Its blocks
+    keep their tangent part too, with the normal one decoupled at unit
+    curvature, so the node's step runs along the wall (in 1-D, it is 0)."""
     def objective(paths):
-        value, _, lam, nvec, grad = _action_terms(coeffs, domain, paths, grid,
-                                                  gradient=True)
+        value, _, lam, nvec, grad, (diag, off) = _action_terms(
+            coeffs, domain, paths, grid, gradient=True)
         if penalty is not None:
-            extra, slope = penalty(paths)
-            value, grad = value + extra, grad + slope
+            extra, slope, curv = penalty(paths)
+            value, grad, diag = value + extra, grad + slope, diag + curv
         wall = lam > 0
         if wall.any():
-            at, n = grad[..., 1:, :], nvec[wall]
-            g = at[wall]
-            at[wall] = g - (np.einsum("...i,...i->...", g, n)
-                            / np.einsum("...i,...i->...", n, n))[:, None] * n
-        return value, grad
+            n = nvec[wall]
+            normal = np.zeros(diag.shape)    # n n* / |n|^2 at the wall nodes
+            normal[..., 1:, :, :][wall] = n[:, :, None] * n[:, None, :] / (
+                np.einsum("...i,...i->...", n, n)[:, None, None])
+            grad -= np.einsum("...ij,...j->...i", normal, grad)
+            proj = np.eye(n.shape[-1]) - normal
+            diag = proj @ diag @ proj + normal
+            off = proj[..., :-1, :, :] @ off @ proj[..., 1:, :, :]
+        return value, grad, (diag, off)
     return objective
 
 
-def _backtrack(objective, path, value, grad, gnorm2, free, domain, eta):
-    """Armijo backtracking along -grad over the nodes free of path, from
-    the step eta, halving until a trial is accepted or the step rounds
-    away: its trial equals path, as every shorter step's would.
-
-    Trials are projected and evaluated _BATCH at a time, with their
-    gradients, in one objective call, and read in order. The first that
-    lowers the value by the Armijo decrement, the sequential search's, is
-    accepted; a batch may evaluate up to _BATCH - 1 trials past it.
-    Returns (trial, value, eta, grad) of that trial, or None.
-    """
-    nodes, down = path[free], grad[free]
-    while True:
-        # the batch's steps, halving on from the last one: eta, eta/2, ...
-        steps = eta * _BACKTRACK ** np.arange(_BATCH)
-        eta = steps[-1] * _BACKTRACK
-        trials = np.empty((_BATCH,) + path.shape)
-        trials[...] = path
-        trials[:, free] = project(domain, nodes - steps[:, None, None] * down)
-        same = (trials == path).all(axis=(-2, -1))
-        stop = int(same.argmax()) if same.any() else _BATCH
-        if stop:
-            values, grads = objective(trials[:stop])
-            for trial, tv, tg, step in zip(trials, values, grads, steps):
-                tv = float(tv)
-                # a trial must lower the value: the Armijo decrement can
-                # round away
-                if tv < value and tv <= value - _ARMIJO_C * step * gnorm2:
-                    return trial, tv, float(step), tg
-        if stop < _BATCH:
-            return None
+def _block_solve(diag, off, rhs):
+    """Solve H x = rhs by block Thomas elimination, H symmetric and block-
+    tridiagonal: diag (m, d, d) on its diagonal, off (m-1, d, d) above."""
+    lower, x = np.empty_like(off), np.empty_like(rhs)   # lower: piv^-1 off
+    for i in range(len(rhs)):
+        piv, y = diag[i], rhs[i]
+        if i:
+            up = off[i - 1].T
+            piv, y = piv - up @ lower[i - 1], y - up @ x[i - 1]
+        inv = np.linalg.inv(piv)
+        if i < len(off):
+            lower[i] = inv @ off[i]
+        x[i] = inv @ y
+    for i in range(len(off) - 1, -1, -1):
+        x[i] -= lower[i] @ x[i + 1]
+    return x
 
 
 def _projected_descent(objective, path0, domain, pin_last, opts):
-    """Projected gradient descent with Armijo backtracking over the
+    """Projected Gauss-Newton descent with Armijo backtracking over the
     non-pinned nodes of a discretized path.
 
-    objective maps paths (..., n+1, d) to (values, gradients), as
-    _objective's does; an iteration makes one call per batch of its
-    search, since the accepted trial's gradient comes with it. A search
-    whose step rounds away ends the descent, as every later one would
-    repeat it, with a last log row of step 0. Returns (best_path,
-    best_value, log, stalled), log rows being (iteration, value, step).
+    objective maps paths (..., n+1, d) to (values, gradients, blocks), as
+    _objective's does, blocks holding the Gauss-Newton matrix H's. An
+    iteration solves H delta = g over the free nodes and searches along
+    -delta from the full step, projecting each trial and halving until one
+    lowers the value by the Armijo decrement or the step rounds away: its
+    trial equals path, as every shorter step's would. The accepted trial's
+    gradient and blocks come with its value, so an iteration costs one
+    objective call per trial, usually one. Returns (best_path, best_value,
+    log, stalled), log rows being (iteration, value, step).
 
-    Such an end is a stall only when the search's first predicted decrease
-    eta |g|^2 exceeds k eps |F|; below that the rounding of the value F
-    hides any Armijo decrease. F sums at most m = 2 n + 1 nonnegative
-    terms: n of the action, n + 1 of a one-value field's penalty. To first
-    order their roundings move F by at most eps |F| in all, the m - 1
-    additions by (m - 1) eps |F|, and the two scalings and the sum of the
-    parts by 3 eps |F|: k = m + 3 = 2 (n + 1) + 2.
+    The descent stops when |g| <= grad_tol; when the decrement g . delta
+    is at most k eps |F|, below which the rounding of the value F hides
+    any Armijo decrease: it has converged as far as F can tell; or,
+    stalled, at a search whose step rounds away, logged with step 0. F
+    sums at most m = 2 n + 1 nonnegative terms, n of the action and n + 1
+    of a one-value field's penalty. To first order their roundings move F
+    by eps |F| in all, the m - 1 additions by (m - 1) eps |F|, and the two
+    scalings and the sum of the parts by 3 eps |F|: k = 2 (n + 1) + 2.
     """
     path = project(domain, np.asarray(path0, float))
     n1 = path.shape[0]
     free = slice(1, n1 - 1 if pin_last else n1)
-    value, grad = objective(path)
+    value, grad, (diag, off) = objective(path)
     value = float(value)
     log = [(0, value, 0.0)]
-    step = _INIT_STEP
     for it in range(1, opts.max_iter + 1):
-        gnorm2 = float((grad[free] ** 2).sum())
-        if gnorm2 <= opts.grad_tol**2:
+        g = grad[free]
+        if float((g ** 2).sum()) <= opts.grad_tol**2:
             break
-        found = _backtrack(objective, path, value, grad, gnorm2, free, domain,
-                           step)
-        if found is None:
-            log.append((it, value, 0.0))
-            floor = (2 * n1 + 2) * np.finfo(float).eps * abs(value)
-            return path, value, log, bool(step * gnorm2 > floor)
-        path, value, eta, grad = found
-        log.append((it, value, eta))
-        step = min(eta * 2.0, 1e3)
+        delta = _block_solve(diag[free], off[1:free.stop - 1], g)
+        decrease = float((g * delta).sum())
+        if decrease <= (2 * n1 + 2) * np.finfo(float).eps * abs(value):
+            break
+        nodes, step = path[free], 1.0
+        while True:
+            trial = path.copy()
+            trial[free] = project(domain, nodes - step * delta)
+            if np.array_equal(trial, path):
+                log.append((it, value, 0.0))
+                return path, value, log, True
+            tv, tg, blocks = objective(trial)
+            # the Armijo decrement can round away, so F must fall too
+            if tv < value and tv <= value - _ARMIJO_C * step * decrease:
+                break
+            step *= _BACKTRACK
+        path, value, grad, (diag, off) = trial, float(tv), tg, blocks
+        log.append((it, value, step))
     return path, value, log, False
 
 
@@ -284,8 +310,8 @@ def minimize_action_endpoint(coeffs, domain, s, x, y, T, grid, opts=None):
     every iterate is feasible, so the returned value certifies an upper
     bound. Returns (ActionResult, info) where info carries the iteration
     log and a `stalled` flag, set when a line search's step rounded away
-    above the value's rounding floor (see _projected_descent). T must be
-    the grid's end time, and y, of x's dimension, must lie in the domain.
+    (see _projected_descent). T must be the grid's end time, and y, of x's
+    dimension, must lie in the domain.
     """
     return _minimize_endpoint(coeffs, domain, s, x, y, T, grid, opts)
 
@@ -305,7 +331,6 @@ def _minimize_endpoint(coeffs, domain, s, x, y, T, grid, opts=None,
                   InfeasiblePath)
     lamgrid = np.linspace(0.0, 1.0, grid.n_steps + 1)[:, None]
 
-    objective = _objective(coeffs, domain, grid)
     # two feasible starts: the straight chord, and the drift skeleton bent
     # linearly in time toward the target (free when y is its own endpoint)
     straight = project(domain, (1.0 - lamgrid) * x + lamgrid * y)
@@ -314,10 +339,11 @@ def _minimize_endpoint(coeffs, domain, s, x, y, T, grid, opts=None,
     bent = project(domain, skel + lamgrid * (y - skel[-1]))
     bent[-1] = project(domain, y)
     starts = np.stack([straight, bent])
-    path0 = starts[np.argmin(objective(starts)[0])]
+    path0 = starts[np.argmin(_action_terms(coeffs, domain, starts, grid)[0])]
 
     best, value, log, stalled = _projected_descent(
-        objective, path0, domain, pin_last=True, opts=opts)
+        _objective(coeffs, domain, grid), path0, domain, pin_last=True,
+        opts=opts)
     result = evaluate_action(coeffs, domain, best, grid)
     info = {"iterations": log, "stalled": stalled, "n_iter": log[-1][0]}
     return result, info
@@ -357,7 +383,8 @@ def contracted_rate(coeffs, domain, field_limit, gamma, s, x, opts=None):
             u, slope = read(p, slope=True)
             miss = u - gamma
             return (_pen * (miss**2).sum(axis=(-2, -1)),
-                    2.0 * _pen * np.einsum("...k,...kc->...c", miss, slope))
+                    2.0 * _pen * np.einsum("...k,...kc->...c", miss, slope),
+                    2.0 * _pen * np.einsum("...kc,...ke->...ce", slope, slope))
 
         path, _, _, stage_stalled = _projected_descent(
             _objective(coeffs, domain, grid, penalty), path, domain,

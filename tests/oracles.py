@@ -24,10 +24,16 @@ int_0^1 (y - 1/2)^4 cos(a y) dy = (1/a^2 - 24/a^4), so
 
 For linear-bsde, whose field at T is h(x) = x, this is E|Y_T - psi_T|^4
 from the start 1/2, where the skeleton rests.
+
+The discrete action of a 1-D path under the drift b(x) = -rate x and a
+unit sigma, with both ends pinned, is (1/2dt) sum_j (x_{j+1} - c x_j)^2
+with c = 1 - rate dt. Its interior optimum solves the tridiagonal normal
+equations -c x_{j-1} + (1 + c^2) x_j - c x_{j+1} = 0.
 """
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import solve_banded
 
 # P(S >= 12) is below 1e-32 at T = 1, so quadrature stops there
 _TOP = 12.0
@@ -76,3 +82,21 @@ def reflected_quartic(eps, T=1.0):
     sign = np.where(np.arange(a.size) % 2, 1.0, -1.0)
     terms = sign * np.exp(-eps * a * a * T / 2.0) * (1.0 / a**2 - 24.0 / a**4)
     return 1.0 / 80.0 + 2.0 * float(terms.sum())
+
+
+def linear_drift_optimum(x, y, rate, n, T=1.0):
+    """(action, path) of the cheapest n-step path from x to y under
+    b(x) = -rate x and a unit sigma, by the tridiagonal solve of the module
+    docstring; the path has shape (n+1,). The action is the minimum over
+    all real paths, so it is the constrained one only when the path stays
+    inside the domain."""
+    dt = T / n
+    c = 1.0 - rate * dt
+    bands = np.zeros((3, n - 1))
+    bands[0, 1:] = bands[2, :-1] = -c
+    bands[1] = 1.0 + c * c
+    rhs = np.zeros(n - 1)
+    rhs[0], rhs[-1] = c * x, c * y
+    path = np.concatenate([[x], solve_banded((1, 1), bands, rhs), [y]])
+    r = path[1:] - c * path[:-1]
+    return 0.5 / dt * float(np.sum(r * r)), path

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reflectal import action
+from reflectal import action, harness
 from reflectal.action import (OptimizerOptions, _action_terms, _objective,
                               _projected_descent, contracted_rate,
                               evaluate_action, minimize_action_endpoint)
@@ -17,6 +17,8 @@ from reflectal.errors import (ConstraintInfeasible, InfeasiblePath,
 from reflectal.forward import TimeGrid, integrate_skeleton_ode
 from reflectal.geometry import make_domain, project
 from reflectal.harness import fit_loglog
+
+from oracles import linear_drift_optimum
 
 
 def unit_interval():
@@ -193,7 +195,9 @@ class TestOptimizerOptions:
     @pytest.mark.parametrize("kwargs", [
         {"max_iter": -3}, {"max_iter": 2.5}, {"max_iter": 50.0},
         {"max_iter": True}, {"max_iter": "50"}, {"grad_tol": -1.0},
-        {"grad_tol": np.nan}, {"grad_tol": np.inf}])
+        {"grad_tol": np.nan}, {"grad_tol": np.inf}, {"grad_tol": True},
+        {"grad_tol": False}, {"grad_tol": np.True_}, {"grad_tol": "1e-10"},
+        {"grad_tol": None}])
     def test_invalid_options_raise(self, kwargs):
         with pytest.raises(ValueError):
             OptimizerOptions(**kwargs)
@@ -477,11 +481,14 @@ class TestBatchedAction:
         got2 = _action_terms(co, dom, stack.reshape((1,) + stack.shape),
                              grid)[0]
         assert np.array_equal(got2[0], want)
-        # and the objective's gradients, path by path
-        values, grads = _objective(co, dom, grid)(stack)
+        # and the objective's gradients and blocks, path by path
+        values, grads, (diags, offs) = _objective(co, dom, grid)(stack)
         assert np.array_equal(values, want)
-        for path, grad in zip(stack, grads):
-            assert grad.tobytes() == _objective(co, dom, grid)(path)[1].tobytes()
+        for path, grad, diag, off in zip(stack, grads, diags, offs):
+            _, alone, (d_alone, o_alone) = _objective(co, dom, grid)(path)
+            assert grad.tobytes() == alone.tobytes()
+            assert diag.tobytes() == d_alone.tobytes()
+            assert off.tobytes() == o_alone.tobytes()
 
     @pytest.mark.parametrize("case", range(2))
     def test_stack_with_one_infeasible_path_rejected(self, case):
@@ -556,7 +563,7 @@ class TestBatchedAction:
             contracted_rate(co, dom, field, gamma, 0.0, [0.5],
                             OptimizerOptions(max_iter=0))
         objective = _objective(co, dom, times, stages[1])   # penalty 100
-        value, got = objective(path)
+        value, got, _ = objective(path)
         miss = apply_pi(field, path) - gamma
         assert value == (_action_terms(co, dom, path, times)[0]
                          + 100.0 * np.sum(miss ** 2))
@@ -593,21 +600,29 @@ class TestBatchedAction:
         assert np.all(np.isfinite(grad)) and np.any(grad != 0.0)
 
 
+def identity_blocks(p):
+    """The Gauss-Newton blocks of the identity matrix for paths p: under
+    them a descent step is the gradient step."""
+    d = p.shape[-1]
+    return (np.broadcast_to(np.eye(d), p.shape + (d,)),
+            np.zeros(p.shape[:-2] + (p.shape[-2] - 1, d, d)))
+
+
 def kinked_objective(start, offset):
     """offset + sum(p - start) + 2 sum|p - start|, with its gradient
-    1 + 2 sign(p - start), 1 at the kink."""
+    1 + 2 sign(p - start), 1 at the kink, and identity blocks."""
     def objective(p):
         return (offset + np.sum(p - start, axis=(-2, -1))
                 + 2.0 * np.sum(np.abs(p - start), axis=(-2, -1)),
-                1.0 + 2.0 * np.sign(p - start))
+                1.0 + 2.0 * np.sign(p - start), identity_blocks(p))
     return objective
 
 
 def test_descent_reports_stall():
     # the slope is 1 at every node, but the kink at the start makes every
     # step along -grad go uphill; the value 0 there keeps the Armijo bound
-    # strictly negative even when the step rounds away, and a predicted
-    # decrease above the zero rounding floor of F = 0 makes it a stall
+    # strictly negative even when the step rounds away, and a decrement
+    # above the zero rounding floor of F = 0 makes it a stall
     dom = unit_interval()
     start = np.full((6, 1), 0.5)
     objective = kinked_objective(start, 0.0)
@@ -622,8 +637,8 @@ def test_descent_reports_stall():
 def test_descent_stalls_when_steps_round_away():
     # the kinked objective above, shifted to start at value 3: once the step
     # rounds away the trial equals the current path, which ends the search
-    # and the descent; its predicted decrease 0.5 * 5 lies far above the
-    # rounding floor 14 eps 3 of F
+    # and the descent; its decrement 5 lies far above the rounding floor
+    # 14 eps 3 of F
     dom = unit_interval()
     start = np.full((6, 1), 0.5)
     objective = kinked_objective(start, 3.0)
@@ -655,7 +670,8 @@ def test_steep_slope_descends_to_the_wall_then_stalls():
     slope = 1e10
 
     def objective(p):
-        return slope * np.sum(p, axis=(-2, -1)), np.full(p.shape, slope)
+        return (slope * np.sum(p, axis=(-2, -1)), np.full(p.shape, slope),
+                identity_blocks(p))
 
     path, value, log, stalled = _projected_descent(
         objective, start, dom, pin_last=False, opts=OptimizerOptions())
@@ -666,20 +682,27 @@ def test_steep_slope_descends_to_the_wall_then_stalls():
 
 def test_a_search_below_the_rounding_floor_is_no_stall():
     # a slope g at the five free nodes of a path of value 1, where every
-    # move costs: the first search fails, and its predicted decrease
-    # 0.5 * 5 g^2 meets the floor (2 * 6 + 2) eps * 1 = 3.1e-15 of F; at
-    # g = 1e-8 it lies below, the descent has converged as far as F can
-    # tell, and at g = 1e-6 above, a stall
+    # move costs, under identity blocks: the decrement 5 g^2 of the full
+    # step meets the floor (2 * 6 + 2) eps * 1 = 3.1e-15 of F; at g = 1e-8
+    # it lies below, the descent has converged as far as F can tell and
+    # ends before any search, and at g = 1e-6 above: its search fails, a
+    # stall
     dom = unit_interval()
     start = np.full((6, 1), 0.5)
     for g, stalls in ((1e-8, False), (1e-6, True)):
+        calls = []
+
         def uphill(p, _g=g):
+            calls.append(p)
             return (1.0 + 10.0 * np.sum(np.abs(p - start), axis=(-2, -1)),
-                    np.full(p.shape, _g))
+                    np.full(p.shape, _g), identity_blocks(p))
         _, value, log, stalled = _projected_descent(
             uphill, start, dom, pin_last=False, opts=OptimizerOptions())
-        assert value == 1.0 and log == [(0, 1.0, 0.0), (1, 1.0, 0.0)]
-        assert stalled is stalls
+        assert value == 1.0 and stalled is stalls
+        if stalls:
+            assert log == [(0, 1.0, 0.0), (1, 1.0, 0.0)] and len(calls) > 1
+        else:
+            assert log == [(0, 1.0, 0.0)] and len(calls) == 1
 
 
 def test_contracted_rate_reports_stall_flag(monkeypatch):
@@ -704,100 +727,56 @@ def test_contracted_rate_reports_stall_flag(monkeypatch):
     assert len(stages) == 5 and out["stalled"] is True
 
 
-def sequential_descent(objective, path0, domain, pin_last, opts, starts):
-    """Oracle: the descent with one backtracking trial per objective call,
-    in the order the search tries them, appending to starts the number of
-    objective calls made before each search. A search halves its step
-    until a trial is accepted or the step rounds away, which ends the
-    descent, as stalled when the search's first predicted decrease lies
-    above the rounding floor of the value."""
-    path = project(domain, np.asarray(path0, float))
-    n1 = path.shape[0]
-    free = slice(1, n1 - 1 if pin_last else n1)
-    value, grad = objective(path)
-    value = float(value)
-    calls = 1
-    log = [(0, value, 0.0)]
-    step = action._INIT_STEP
-    for it in range(1, opts.max_iter + 1):
-        gnorm2 = float(np.sum(grad[free] ** 2))
-        if gnorm2 <= opts.grad_tol**2:
-            break
-        starts.append(calls)
-        eta = step
-        while True:
-            trial = path.copy()
-            trial[free] = project(domain, path[free] - eta * grad[free])
-            if np.array_equal(trial, path):
-                log.append((it, value, 0.0))
-                floor = (2 * n1 + 2) * np.finfo(float).eps * abs(value)
-                return path, value, log, bool(step * gnorm2 > floor)
-            tv, tg = objective(trial)
-            calls += 1
-            tv = float(tv)
-            if (tv < value
-                    and tv <= value - action._ARMIJO_C * eta * gnorm2):
-                path, value, grad = trial, tv, tg
-                break
-            eta *= action._BACKTRACK
-        log.append((it, value, eta))
-        step = min(eta * 2.0, 1e3)
-    return path, value, log, False
+def test_descent_keeps_the_tracer_contract():
+    # benchmark tracing wraps action._projected_descent by name and reads
+    # its (path, value, log, stalled) return: log[-1][0] as the iteration
+    # count and rows with row[2] > 0 as accepted steps
+    dom, co = unit_interval(), preset("linear-drift", {"rate": 1.0})
+    grid = TimeGrid(0.0, 1.0, 32)
+    path0 = (0.5 + 0.4 * grid.nodes)[:, None]
+    out = action._projected_descent(_objective(co, dom, grid), path0, dom,
+                                    pin_last=True, opts=OptimizerOptions())
+    path, value, log, stalled = out
+    assert path.shape == path0.shape and isinstance(value, float)
+    assert stalled is False
+    assert all(len(row) == 3 for row in log) and log[0] == (0, log[0][1], 0.0)
+    assert [row[0] for row in log] == list(range(len(log)))
+    assert all(type(row[0]) is int and type(row[1]) is float
+               and type(row[2]) is float for row in log)
+    assert log[-1][0] >= 1 and all(row[2] > 0 for row in log[1:])
+    assert log[-1][1] == value
 
 
-def with_gradient(value, g):
+def with_gradient(value, g, scale=1.0):
     """An objective of the values value(p) whose gradient is g at every
-    node."""
+    node, with scale times the identity as its Gauss-Newton blocks."""
     def objective(p):
-        return value(p), np.broadcast_to(g, p.shape).copy()
+        diag, off = identity_blocks(p)
+        return (value(p), np.broadcast_to(g, p.shape).copy(),
+                (scale * diag, off))
     return objective
 
 
-class TestBatchedLineSearch:
-    """_projected_descent against the one-trial-per-call oracle: only the
-    line search can differ."""
+class TestLineSearch:
+    """The search along the Gauss-Newton step, on synthetic objectives
+    whose blocks are multiples of the identity: a step is then the
+    gradient step, scaled. Each objective call is one trial."""
 
-    L = action._BATCH
     start = np.full((6, 1), 0.5)
 
-    def run_both(self, monkeypatch, objective, path0=None, dom=None,
-                 pin_last=False, opts=OptimizerOptions(max_iter=60)):
+    def run(self, objective, path0=None, dom=None, pin_last=False,
+            opts=OptimizerOptions(max_iter=60)):
+        """The descent's return, and every path the objective saw."""
         path0 = self.start if path0 is None else path0
-        dom = dom or unit_interval()
-        search = action._backtrack
-        runs = []
-        for batched in (False, True):
-            seen, starts = [], []
+        seen = []
 
-            def spy(p):
-                seen.extend(np.reshape(p, (-1,) + path0.shape))
-                return objective(p)
+        def spy(p):
+            seen.append(np.array(p))
+            return objective(p)
 
-            def marked(*args, _starts=starts, _seen=seen):
-                _starts.append(len(_seen))
-                return search(*args)
-
-            if batched:
-                monkeypatch.setattr(action, "_backtrack", marked)
-                out = _projected_descent(spy, path0, dom, pin_last=pin_last,
-                                         opts=opts)
-            else:
-                out = sequential_descent(spy, path0, dom, pin_last, opts,
-                                         starts)
-            runs.append((out, seen, starts))
-        (want, seen_seq, at_seq), (got, seen_bat, starts) = runs
-        assert np.array_equal(got[0], want[0])
-        assert got[1] == want[1] and got[2] == want[2] and got[3] == want[3]
-        # per iteration, the batches evaluate the oracle's trials in its
-        # order, and after an accepted trial at most _BATCH - 1 more
-        assert len(starts) == len(at_seq) == len(got[2]) - 1
-        for i, (row, a, b) in enumerate(zip(got[2][1:], at_seq, starts)):
-            trials = seen_seq[a:(at_seq + [len(seen_seq)])[i + 1]]
-            batched = seen_bat[b:(starts + [len(seen_bat)])[i + 1]]
-            extra = len(batched) - len(trials)
-            assert 0 <= extra <= (self.L - 1 if row[2] > 0 else 0)
-            assert all(np.array_equal(p, q) for p, q in zip(trials, batched))
-        return got, seen_bat, starts
+        out = _projected_descent(spy, path0, dom or unit_interval(),
+                                 pin_last=pin_last, opts=opts)
+        return out, seen
 
     def threshold_objective(self, theta):
         """1 - the largest rise of a node above 0.5 while it is at most
@@ -808,158 +787,157 @@ class TestBatchedLineSearch:
             return np.where(rise > theta, 2.0, 1.0 - rise)
         return with_gradient(value, -0.25)
 
-    @pytest.mark.parametrize("k", sorted({0, L - 1, L, 2 * L, 31, 32, 47}))
-    def test_acceptance_at_trial_k_then_a_stall(self, monkeypatch, k):
-        # eta_k = 0.5^(k+1) is the first step with a rise eta_k / 4 of at
-        # most theta, and one search halves k times to reach it, past
-        # thirty halvings too; after it every trial overshoots until the
-        # step rounds away, so the next iteration ends the descent, as a
-        # stall while its predicted decrease 2 eta_k 5 / 16 lies above the
-        # floor 14 eps (1 - theta): up to k = 46
-        eta = 0.5 ** (k + 1)
+    @pytest.mark.parametrize("k", [0, 2, 3, 6, 31, 32, 47])
+    def test_acceptance_at_trial_k_then_a_stall(self, k):
+        # trial k, at the step 0.5^k, is the first whose rise 0.5^k / 4 is
+        # at most theta; one search halves k times to reach it, past thirty
+        # halvings too. After it every trial overshoots until the step
+        # rounds away, and the decrement 5 / 16 of the next search lies far
+        # above the floor 14 eps (1 - theta): a stall
+        eta = 0.5 ** k
         theta = 0.25 * eta
-        (path, value, log, stalled), seen, starts = self.run_both(
-            monkeypatch, self.threshold_objective(theta))
+        (path, value, log, stalled), seen = self.run(
+            self.threshold_objective(theta))
         assert log == [(0, 1.0, 0.0), (1, 1.0 - theta, eta),
                        (2, 1.0 - theta, 0.0)]
-        # the first search evaluates whole batches through trial k
-        assert starts[1] - starts[0] == self.L * (k // self.L + 1)
-        np.testing.assert_array_equal(seen[starts[0] + k][1:], 0.5 + theta)
+        # the start, then trials 0 .. k of the first search, one per call
+        np.testing.assert_array_equal(seen[k + 1][1:], 0.5 + theta)
+        assert all(np.max(p - self.start) > theta for p in seen[1:k + 1])
         assert np.all(path[1:] == 0.5 + theta)
-        assert stalled is (k <= 46)
+        assert stalled
 
-    @pytest.mark.parametrize("k", sorted({0, L - 2, L - 1, L}))
-    def test_armijo_decides_at_trial_k(self, monkeypatch, k):
+    @pytest.mark.parametrize("k", range(4))
+    def test_armijo_decides_at_trial_k(self, k):
         # the value 1 - a r + b r^2 of a rise r = eta / 4 falls for
         # r < a / b, but by the Armijo decrement 5 c r / 4 only for
-        # r <= (a - 5 c / 4) / b; trial k lies between the two, trial k + 1
-        # below both
+        # r <= (a - 5 c / 4) / b; trial k, at eta = 0.5^k, lies between the
+        # two, trial k + 1 below both
         a, c = 2.5e-4, action._ARMIJO_C
-        eta = 0.5 ** (k + 1)
+        eta = 0.5 ** k
         b = 0.75 * a / (0.25 * eta)
 
         def value(p):
             rise = np.max(p - self.start, axis=(-2, -1))
             return 1.0 - a * rise + b * rise**2
 
-        (path, _, log, stalled), seen, starts = self.run_both(
-            monkeypatch, with_gradient(value, -0.25),
-            opts=OptimizerOptions(max_iter=4))
-        at_k = float(value(seen[starts[0] + k]))
+        (path, _, log, stalled), seen = self.run(
+            with_gradient(value, -0.25), opts=OptimizerOptions(max_iter=4))
+        at_k = float(value(seen[k + 1]))
         assert 1.0 - c * eta * 5 * 0.25**2 < at_k < 1.0
         assert log[1][2] == 0.5 * eta
 
-    @pytest.mark.parametrize("k", range(1, 2 * L + 2))
-    def test_step_rounds_away_at_trial_k(self, monkeypatch, k):
-        # every move up costs; at trial k the rise eta_k g falls below half
-        # the spacing of doubles above 0.5, so the trial equals the path;
-        # the predicted decrease 0.5 * 5 g^2 lies below the rounding floor
-        # of F = 1, so the descent has converged as far as F can tell
-        g = 1.5 * 2.0 ** (k - 54)
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_step_rounds_away_at_trial_k(self, k):
+        # every move up costs, and the blocks 32 / s scale the slope 32 to
+        # the step s = 1.5 2^(k - 55): at trial k the rise falls below half
+        # the spacing of doubles above 0.5, so the trial equals the path.
+        # The decrement 5 * 32 s lies above the rounding floor of F = 1, so
+        # the search that rounds away is a stall
+        step = 1.5 * 2.0 ** (k - 55)
 
         def uphill(p):
             return 1.0 + np.sum(p - self.start, axis=(-2, -1))
 
-        (path, value, log, stalled), seen, starts = self.run_both(
-            monkeypatch, with_gradient(uphill, -g),
+        (path, value, log, stalled), seen = self.run(
+            with_gradient(uphill, -32.0, 32.0 / step),
             opts=OptimizerOptions(max_iter=3, grad_tol=0.0))
         assert np.array_equal(path, self.start) and value == 1.0
-        # trials 0 .. k-1 were evaluated in the one search, trial k and the
-        # rest of its batch not
-        assert len(starts) == 1
-        first_iter = seen[starts[0]:]
-        assert len(first_iter) == k
-        assert not any(np.array_equal(p, self.start) for p in first_iter)
-        assert not stalled and log == [(0, 1.0, 0.0), (1, 1.0, 0.0)]
+        # trials 0 .. k-1 were evaluated in the one search, trial k not
+        trials = seen[1:]
+        assert len(trials) == k
+        assert not any(np.array_equal(p, self.start) for p in trials)
+        assert stalled and log == [(0, 1.0, 0.0), (1, 1.0, 0.0)]
 
     @pytest.mark.parametrize("offset", [0.0, 3.0])
-    def test_stall_objectives(self, monkeypatch, offset):
-        (path, value, log, stalled), _, _ = self.run_both(
-            monkeypatch, kinked_objective(self.start, offset),
-            opts=OptimizerOptions())
+    def test_stall_objectives(self, offset):
+        (path, value, log, stalled), seen = self.run(
+            kinked_objective(self.start, offset), opts=OptimizerOptions())
         assert stalled and value == offset
         assert log == [(0, offset, 0.0), (1, offset, 0.0)]
+        assert len(seen) > 2 and np.array_equal(path, self.start)
 
-    def test_action_objective_on_the_disc(self, monkeypatch):
+    def test_action_objective_on_the_disc(self):
+        # the interior disc optimum under ou-in-ball: the first full
+        # Gauss-Newton step is accepted, and the descent ends converged
         co, dom = preset("ou-in-ball", {"theta": 1.0}), ball()
         grid = TimeGrid(0.0, 1.0, 8)
         lam = grid.nodes[:, None]
         path0 = project(dom, (1.0 - lam) * [0.25, 0.0] + lam * [0.5, 0.3])
-        (path, value, log, _), _, _ = self.run_both(
-            monkeypatch, _objective(co, dom, grid), path0=path0, dom=dom,
-            pin_last=True, opts=OptimizerOptions(max_iter=40))
-        steps = [step for _, _, step in log[1:]]
-        assert value < log[0][1]
-        assert any(0 < s < action._INIT_STEP for s in steps)
+        (path, value, log, stalled), seen = self.run(
+            _objective(co, dom, grid), path0=path0, dom=dom, pin_last=True,
+            opts=OptimizerOptions(max_iter=40))
+        assert value < log[0][1] and not stalled
+        assert log[1][2] == 1.0 and len(seen) == len(log) <= 4
 
-    def test_action_objective_against_the_wall(self, monkeypatch):
-        # the disc toward the unit circle under an outward drift, whose
-        # stacks hold wall nodes with positive multipliers
+    def test_action_objective_against_the_wall(self):
+        # the disc toward the unit circle under an outward drift: the start
+        # holds wall nodes with positive multipliers, which move only along
+        # the wall; the descent still ends converged, below the start
         co, dom = preset("ou-in-ball", {"theta": -2.0}), ball()
         grid = TimeGrid(0.0, 1.0, 16)
         lam = grid.nodes[:, None]
         path0 = project(dom, (1.0 - lam) * [0.25, 0.0] + lam * [0.6, 0.8])
-        (path, value, log, _), _, _ = self.run_both(
-            monkeypatch, _objective(co, dom, grid), path0=path0, dom=dom,
-            pin_last=True, opts=OptimizerOptions(max_iter=40))
-        assert value < log[0][1]
-        assert np.any(_action_terms(co, dom, path, grid)[2] > 0)
+        assert np.any(_action_terms(co, dom, path0, grid)[2] > 0)
+        (path, value, log, stalled), _ = self.run(
+            _objective(co, dom, grid), path0=path0, dom=dom, pin_last=True,
+            opts=OptimizerOptions(max_iter=40))
+        assert value < log[0][1] and not stalled and log[-1][0] < 40
 
 
 class TestGradientReuse:
-    """The accepted trial's gradient, computed in its search's objective
-    call, is the next iteration's: every iteration is one objective call
-    when its search accepts in its first batch."""
+    """The accepted trial's gradient and Gauss-Newton blocks, computed in
+    its own objective call, are the next iteration's: every iteration
+    whose full step is accepted costs one objective call."""
 
     @staticmethod
     def record(monkeypatch):
-        """Patch the descent's seams to log, in order, "O" per objective
-        call through _action_terms, per line search ("S", eta) at its start
-        and ("E", accepted, eta, trial, grad, objective) at its end, with
-        eta 0 and trial and grad None when the step rounded away."""
+        """Patch the descent's seams to log, in order, ("O",) per objective
+        call through _action_terms and ("S", diag, off, g) per block solve,
+        with the solve's inputs."""
         events = []
-        terms, search = action._action_terms, action._backtrack
+        terms, solve = action._action_terms, action._block_solve
 
         def counted_terms(*args, **kwargs):
             events.append(("O",))
             return terms(*args, **kwargs)
 
-        def counted_search(objective, path, value, grad, gnorm2, free,
-                           domain, eta):
-            events.append(("S", eta))
-            out = search(objective, path, value, grad, gnorm2, free, domain,
-                         eta)
-            trial, _, step, grad = out or (None, None, 0.0, None)
-            events.append(("E", out is not None, step, trial, grad,
-                           objective))
-            return out
+        def counted_solve(diag, off, g):
+            events.append(("S", diag, off, g))
+            return solve(diag, off, g)
 
         monkeypatch.setattr(action, "_action_terms", counted_terms)
-        monkeypatch.setattr(action, "_backtrack", counted_search)
+        monkeypatch.setattr(action, "_block_solve", counted_solve)
         return events
-
-    @staticmethod
-    def iterations(events):
-        """Each line search with the events from the previous one's end."""
-        out, since = [], []
-        for ev in events:
-            since.append(ev)
-            if ev[0] == "E":
-                start = next(e for e in since if e[0] == "S")
-                out.append((start, ev, [e[0] for e in since]))
-                since = []
-        return out
 
     def test_fused_gradient_equals_single_path_gradient_bitwise(
             self, monkeypatch):
-        # the disc action and the contracted rate's penalty objective: the
-        # gradient of the accepted trial, read from its batch, is the
-        # gradient of that trial alone
+        # the disc action against the wall, whose first search rejects
+        # five trials, and the contracted rate's penalty objective: the
+        # gradient and blocks each block solve gets, carried from the
+        # accepted trial's call, are those of that path alone
+        paths, solves = [], []
+        make, solve = action._objective, action._block_solve
+
+        def spy_objective(*args):
+            objective = make(*args)
+
+            def seen(p):
+                paths.append((objective, np.array(p)))
+                return objective(p)
+            return seen
+
+        def spy_solve(diag, off, g):
+            solves.append((paths[-1], diag, off, g))
+            return solve(diag, off, g)
+
+        monkeypatch.setattr(action, "_objective", spy_objective)
+        monkeypatch.setattr(action, "_block_solve", spy_solve)
         co, dom = preset("ou-in-ball", {"theta": -2.0}), ball()
-        events = self.record(monkeypatch)
-        minimize_action_endpoint(co, dom, 0.0, [0.25, 0.0], [0.6, 0.8], 1.0,
-                                 TimeGrid(0.0, 1.0, 16),
-                                 OptimizerOptions(max_iter=40))
+        _, info = minimize_action_endpoint(co, dom, 0.0, [0.25, 0.0],
+                                           [-0.6, 0.8], 1.0,
+                                           TimeGrid(0.0, 1.0, 16),
+                                           OptimizerOptions(max_iter=40))
+        assert info["iterations"][1][2] == 0.5 ** 5
         dom1 = unit_interval()
         co1 = preset("zero-drift-unit-noise")
         field = limit_value_field(co1, dom1, TimeGrid(0.0, 1.0, 4),
@@ -967,53 +945,55 @@ class TestGradientReuse:
         gamma = 0.5 + 0.15 * field.times.nodes
         contracted_rate(co1, dom1, field, gamma, 0.0, [0.5],
                         opts=OptimizerOptions(max_iter=20, grad_tol=0.0))
-        fused = [end for _, end, _ in self.iterations(events) if end[1]]
-        assert len(fused) > 40
-        assert {end[3].shape[1] for end in fused} == {1, 2}
-        for _, _, _, trial, grad, objective in fused:
-            assert grad.tobytes() == objective(trial)[1].tobytes()
+        assert len(solves) > 10
+        assert {p.shape[1] for (_, p), *_ in solves} == {1, 2}
+        for (objective, path), diag, off, g in solves:
+            _, grad, (d_alone, o_alone) = objective(path)
+            n1 = len(path)
+            free = slice(1, n1 - 1) if len(diag) == n1 - 2 else slice(1, n1)
+            assert g.tobytes() == grad[free].tobytes()
+            assert diag.tobytes() == d_alone[free].tobytes()
+            assert off.tobytes() == o_alone[1:free.stop - 1].tobytes()
 
     def test_one_objective_call_per_iteration(self, monkeypatch):
         # the linear drift toward the far wall, from 0.5 to 0.9 in 32
-        # steps: an iteration makes one objective call per batch of its
-        # search and no other, since the gradient comes with the accepted
-        # trial; all searches but the second accept in their first batch
+        # steps: the start choice and the first value come before the
+        # first solve, then each iteration makes one objective call, its
+        # full step's, and the final evaluation one more. The problem is
+        # quadratic, so one step solves it, and the gradient after it lies
+        # below grad_tol
         dom, co = unit_interval(), preset("linear-drift", {"rate": 1.0})
         grid = TimeGrid(0.0, 1.0, 32)
         events = self.record(monkeypatch)
         _, info = minimize_action_endpoint(co, dom, 0.0, [0.5], [0.9], 1.0,
-                                           grid, OptimizerOptions(max_iter=100))
-        its = self.iterations(events)
-        assert len(its) == info["n_iter"] == 100
-        # the two starts and the first value come before the first search
-        assert its[0][2] == ["O", "O", "S", "O", "E"]
-        batches = [seen.count("O") for _, _, seen in its[1:]]
-        for (_, end, seen), calls in zip(its[1:], batches):
-            assert end[1] and seen == ["S"] + ["O"] * calls + ["E"]
-        assert batches == [2] + [1] * 98
+                                           grid)
+        assert [ev[0] for ev in events] == ["O", "O", "S", "O", "O"]
+        assert info["n_iter"] == 1 and info["iterations"][1][2] == 1.0
+        # with grad_tol 0 the next iteration's decrement ends the descent
+        events.clear()
+        _, info = minimize_action_endpoint(co, dom, 0.0, [0.5], [0.9], 1.0,
+                                           grid, OptimizerOptions(grad_tol=0))
+        assert info["n_iter"] == 1 and not info["stalled"]
+        assert [ev[0] for ev in events] == ["O", "O", "S", "O", "S", "O"]
 
-    def test_no_objective_call_follows_a_failed_search(self, monkeypatch):
-        # the disc action at n = 8 ends with a search whose step rounds
-        # away, below the rounding floor; the only objective call after it
-        # is evaluate_action's on the returned path
-        co, dom = preset("ou-in-ball", {"theta": 1.0}), ball()
-        events = self.record(monkeypatch)
-        evaluate = action.evaluate_action
+    def test_no_objective_call_follows_a_failed_search(self):
+        # the kinked objective: the first search halves until its step
+        # rounds away, which ends the descent with no further call
+        start = np.full((6, 1), 0.5)
+        kinked, calls = kinked_objective(start, 3.0), []
 
-        def counted_evaluate(*args):
-            events.append(("V",))
-            return evaluate(*args)
+        def counted(p):
+            calls.append(np.array(p))
+            return kinked(p)
 
-        monkeypatch.setattr(action, "evaluate_action", counted_evaluate)
-        _, info = minimize_action_endpoint(co, dom, 0.0, [0.25, 0.0],
-                                           [0.5, 0.3], 1.0,
-                                           TimeGrid(0.0, 1.0, 8))
-        its = self.iterations(events)
-        assert not info["stalled"] and len(its) == info["n_iter"] < 400
-        assert [end[1] for _, end, _ in its] == [True] * (len(its) - 1) + [
-            False]
-        last = max(i for i, ev in enumerate(events) if ev[0] == "E")
-        assert events[last + 1:] == [("V",), ("O",)]
+        path, _, log, stalled = _projected_descent(
+            counted, start, unit_interval(), pin_last=False,
+            opts=OptimizerOptions())
+        assert stalled and log[-1] == (1, 3.0, 0.0)
+        # the start and one call per halving: the last trial moved a node
+        assert len(calls) > 50
+        assert not np.array_equal(calls[-1], start)
+        assert np.array_equal(path, start)
 
 
 def general_sigma(co):
@@ -1144,14 +1124,107 @@ def test_one_objective_per_descent(monkeypatch):
         return make(*args)
 
     monkeypatch.setattr(action, "_objective", counted)
-    dom, co = unit_interval(), preset("linear-drift", {"rate": 1.0})
-    _, info = minimize_action_endpoint(co, dom, 0.0, [0.5], [0.9], 1.0,
-                                       TimeGrid(0.0, 1.0, 8),
+    # the disc toward the wall, which takes more than one iteration
+    _, info = minimize_action_endpoint(preset("ou-in-ball", {"theta": -2.0}),
+                                       ball(), 0.0, [0.25, 0.0], [0.6, 0.8],
+                                       1.0, TimeGrid(0.0, 1.0, 16),
                                        OptimizerOptions(max_iter=20))
     assert info["n_iter"] > 1 and len(built) == 1
-    co0 = preset("zero-drift-unit-noise")
+    dom, co0 = unit_interval(), preset("zero-drift-unit-noise")
     field = limit_value_field(co0, dom, TimeGrid(0.0, 1.0, 4),
                               make_lattice(dom, 9))
     contracted_rate(co0, dom, field, 0.5 + 0.15 * field.times.nodes, 0.0,
                     [0.5], OptimizerOptions(max_iter=5))
     assert len(built) == 1 + len(action._PENALTIES)
+
+
+def disc_optimum(x, y, theta, n):
+    """(action, path) of the cheapest n-step path from x to y on [0, 1]
+    under ou-in-ball's drift -theta x and a unit sigma, ignoring the
+    wall: the action separates by coordinate, each a 1-D linear-drift
+    optimum."""
+    parts = [linear_drift_optimum(a, b, theta, n) for a, b in zip(x, y)]
+    return (sum(value for value, _ in parts),
+            np.stack([path for _, path in parts], axis=-1))
+
+
+class TestExactOptima:
+    """Runs whose discrete optimum is a tridiagonal solve, reached to
+    1e-12 relative under the options each one runs with."""
+
+    def test_linear_drift_reaches_the_tridiagonal_optimum(self):
+        dom, co = unit_interval(), preset("linear-drift", {"rate": 1.0})
+        res, info = minimize_action_endpoint(co, dom, 0.0, [0.5], [0.9], 1.0,
+                                             TimeGrid(0.0, 1.0, 32))
+        exact, path = linear_drift_optimum(0.5, 0.9, 1.0, 32)
+        assert np.all((path > 0.0) & (path < 1.0))
+        assert res.action == pytest.approx(exact, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(res.psi[:, 0], path, rtol=0.0, atol=1e-9)
+        assert not info["stalled"]
+
+    def test_tail_certificate_targets_reach_the_optimum(self, monkeypatch):
+        # linear-drift from 0.5 with delta = 0.2 on the certificate's grid:
+        # the target below the skeleton's end projects onto the wall inside
+        # the tube and is skipped, the one above is interior
+        dom, co = unit_interval(), preset("linear-drift", {"rate": 1.0})
+        runs, minimize = [], harness._minimize_endpoint
+
+        def spy(coeffs, domain, s, x, target, T, grid, opts, skeleton):
+            out = minimize(coeffs, domain, s, x, target, T, grid, opts,
+                           skeleton)
+            runs.append((float(target[0]), grid.n_steps, out[0].action))
+            return out
+
+        monkeypatch.setattr(harness, "_minimize_endpoint", spy)
+        grid = TimeGrid(0.0, 1.0, harness._OPT_STEPS)
+        best = harness._exceedance_certificate(co, dom, 0.0, np.array([0.5]),
+                                               0.2, grid)
+        assert len(runs) == 1 and best == runs[0][2]
+        target, n, value = runs[0]
+        exact, path = linear_drift_optimum(0.5, target, 1.0, n)
+        assert np.all((path > 0.0) & (path < 1.0))
+        assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("theta, y, n, parent", [
+        (-2.0, [0.6, 0.8], 16, 0.08798555162423241),
+        (1.0, [0.5, 0.3], 64, 0.2949675242328941),
+        (1.0, [0.5, 0.3], 8, None)])
+    def test_disc_runs_reach_the_interior_optimum(self, theta, y, n, parent):
+        # the CLI's disc action-min runs: toward the unit circle under an
+        # outward drift (action-min-wall), at 64 steps (action-min-wide)
+        # and at 8. Each optimum's interior nodes lie inside the disc, so
+        # the wall's optimum is the free one; the gradient descent that
+        # Gauss-Newton replaced left the first two at `parent`
+        co, dom = preset("ou-in-ball", {"theta": theta}), ball()
+        x, grid = [0.25, 0.0], TimeGrid(0.0, 1.0, n)
+        exact, path = disc_optimum(x, y, theta, n)
+        assert np.all(np.linalg.norm(path[1:-1], axis=-1) < 1.0 - 1e-3)
+        res, info = minimize_action_endpoint(co, dom, 0.0, x, y, 1.0, grid)
+        assert res.action == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert not info["stalled"]
+        if parent is not None:
+            assert res.action <= parent
+
+    def test_solved_problems_do_not_stall(self):
+        # the contracted rate of the skeleton's image under v = 1 (17 nodes,
+        # 16 field steps), the zero-drift one of the image of 0.5 + 0.25 t
+        # (n = 32) and the disc action at n = 8
+        dom = unit_interval()
+        co = preset("constant-drift", {"v": 1.0})
+        times = TimeGrid(0.0, 1.0, 16)
+        field = limit_value_field(co, dom, times, make_lattice(dom, 17))
+        skel = integrate_skeleton_ode(co, dom, 0.0, [0.5], times)
+        out = contracted_rate(co, dom, field, apply_pi(field, skel.x_path),
+                              0.0, [0.5])
+        assert out["stalled"] is False
+        co0 = preset("zero-drift-unit-noise")
+        times = TimeGrid(0.0, 1.0, 32)
+        field = limit_value_field(co0, dom, times, make_lattice(dom, 33))
+        gamma = apply_pi(field, (0.5 + 0.25 * times.nodes)[:, None])
+        out = contracted_rate(co0, dom, field, gamma, 0.0, [0.5])
+        assert out["stalled"] is False
+        assert out["s_prime"] == pytest.approx(0.03125, rel=1e-3)
+        _, info = minimize_action_endpoint(
+            preset("ou-in-ball", {"theta": 1.0}), ball(), 0.0, [0.25, 0.0],
+            [0.5, 0.3], 1.0, TimeGrid(0.0, 1.0, 8))
+        assert info["stalled"] is False

@@ -51,10 +51,11 @@ def test_cli_outputs_match_pinned_digests():
 
 def test_a_digest_pins_the_multiplier_route_in_2d(monkeypatch, tmp_path):
     # the disc action-min toward the unit circle under an outward drift is
-    # the pinned run whose 2-D objective stacks hold a node on the wall,
-    # with positive multipliers, so a change to the multiplier block moves
-    # its digests; one stack, the second search's first batch, holds wall
-    # nodes whose multipliers are all 0
+    # the pinned run whose 2-D objective stacks hold a node on the wall.
+    # The start choice and the descent's first call, whose gradient and
+    # blocks make the first step, have positive multipliers, so a change
+    # to the multiplier block moves its digests; the optimum leaves the
+    # wall but for its target, so the later stacks' multipliers are 0
     config = dict(_tool().configs())["action-min-wall@disc"]
     terms, seen = action._action_terms, []
 
@@ -70,5 +71,5 @@ def test_a_digest_pins_the_multiplier_route_in_2d(monkeypatch, tmp_path):
     cli.run(cli.validate(json.dumps(config)))
     assert config["domain"]["kind"] == "ball" and seen
     assert all(on_wall for on_wall, _ in seen)
-    assert sum(positive for _, positive in seen) == len(seen) - 1
-    assert seen[-1][1]
+    assert [positive for _, positive in seen[:2]] == [True, True]
+    assert not any(positive for _, positive in seen[2:])

@@ -5,30 +5,32 @@
 Runs one pinned config per command on the unit interval and on the unit
 disc, then three more convergence targets on the interval and Y4 on the
 disc, then a lattice solve whose drift drives its samples into the
-boundary, a `simulate-forward` on the disc whose 9,900 rows span several of
-the CLI's CSV write blocks, a lattice solve on the disc with a seed past 64
-bits, an `action-min` on the disc at 64 steps, the `contracted-rate` case on
-the interval where the optimizer stalls, a Y4 convergence whose field steps
-do not divide its path steps, a `simulate-forward` on the interval whose
-paths end inside a noise block and whose steps span three noise chunks, an
-`action-min` on the interval under a linear drift, a K4 convergence on the
-disc whose skeleton reaches the wall, three configs that fail
-validation, a 2-D model on the interval, a convergence study with 10 paths
-and one with a NaN in its epsilon ladder, an `action-min` on the disc under
-an outward drift whose target lies on the unit circle, and last Y4 on the
-interval under a drift into the wall with a constant g, Y4 on a disc
-centred off the origin, and an `action-min` and a `contracted-rate` on
-that disc, in process, with the package imported from this
-checkout's `src/`. Each run writes into a fixed relative `output_dir`
-under a temporary working directory, because `config_hash` covers that
-field. Prints a header line with the numpy version, then one line per run with
-its `config_hash` (or the error it raised), one line per CSV with the
-file's sha256, and one line with the sha256 of its `manifest.json`, so two
-checkouts can be compared with one diff. The manifest is hashed as sorted
-JSON without `started`, `finished` and `git_describe`, which change from
-run to run, and without `outputs`, the CSVs' row counts, which their own
-digests pin; the rest pins what no CSV holds, such as every `stalled`
-flag and the tail's `rate_bound` and `delta_adjusted`.
+boundary, a `simulate-forward` on the disc whose 9,900 rows span several
+of the CLI's CSV write blocks, a lattice solve on the disc with a seed
+past 64 bits, an `action-min` on the disc at 64 steps, a `contracted-rate`
+on the interval whose start is its minimizer with nodes on the wall, a Y4
+convergence whose field steps do not divide its path steps, a
+`simulate-forward` on the interval whose paths end inside a noise block
+and whose steps span three noise chunks, an `action-min` on the interval
+under a linear drift, a K4 convergence on the disc whose skeleton reaches
+the wall, three configs that fail validation, a 2-D model on the interval,
+a convergence study with 10 paths and one with a NaN in its epsilon
+ladder, an `action-min` on the disc under an outward drift whose target
+lies on the unit circle, and last Y4 on the interval under a drift into
+the wall with a constant g, Y4 on a disc centred off the origin, an
+`action-min` and a `contracted-rate` on that disc, and a `tail` on the
+interval under a linear drift, whose certificate has to iterate, in
+process, with the package imported from this checkout's `src/`. Each run
+writes into a fixed relative `output_dir` under a temporary working
+directory, because `config_hash` covers that field. Prints a header line
+with the numpy version, then one line per run with its `config_hash` (or
+the error it raised), one line per CSV with the file's sha256, and one
+line with the sha256 of its `manifest.json`, so two checkouts can be
+compared with one diff. The manifest is hashed as sorted JSON without
+`started`, `finished` and `git_describe`, which change from run to run,
+and without `outputs`, the CSVs' row counts, which their own digests pin;
+the rest pins what no CSV holds, such as every `stalled` flag and the
+tail's `rate_bound` and `delta_adjusted`.
 
 The digests depend on numpy's Generator streams, which numpy does not
 promise to keep across versions: compare runs made with one numpy only.
@@ -99,7 +101,7 @@ LAST = [
     ("action-min-wide@disc", "disc",
      {"command": "action-min", "grid": {"n_steps": 64}, "y": [0.5, 0.3]}),
     # the skeleton's image under v = 1 pins nodes to the wall at x = 1: the
-    # optimizer stalls at value 0 in every penalty stage
+    # start, the skeleton, is the exact minimizer, of value 0
     ("contracted-rate-stall@interval", "interval",
      {"command": "contracted-rate", "preset": DRIFT, "space_nodes": 17,
       "field_steps": 16}),
@@ -113,8 +115,8 @@ LAST = [
     ("simulate-forward-partial-block@interval", "interval",
      {"command": "simulate-forward", "preset": DRIFT, "n_paths": 200,
       "grid": {"n_steps": 160}}),
-    # the action optimizer on an OU drift toward the far wall, 32 steps:
-    # every iteration accepts a trial, nearly always at the last step
+    # the action optimizer on an OU drift toward the far wall, 32 steps: a
+    # quadratic problem, which one Gauss-Newton step solves
     ("action-min-ou@interval", "interval",
      {"command": "action-min", "preset": {"name": "linear-drift",
                                           "params": {"rate": 1.0}},
@@ -137,7 +139,8 @@ LAST = [
       "eps_ladder": [0.1, float("nan"), 0.05, 0.01]}),
     # the action optimizer toward a target on the unit circle under an
     # outward drift, 16 steps: every stack holds a node on the wall, and the
-    # optimum rides it, so 2-D boundary multipliers are positive
+    # start rides it, so 2-D boundary multipliers are positive in the
+    # objective calls that make the first step
     ("action-min-wall@disc", "disc",
      {"command": "action-min", "grid": {"n_steps": 16}, "y": [0.6, 0.8],
       "preset": {"name": "ou-in-ball", "params": {"theta": -2.0}}}),
@@ -162,6 +165,13 @@ LAST = [
     # 2-D on a lattice whose hull is off the origin
     ("contracted-rate-shifted@disc", "disc",
      {"command": "contracted-rate", "domain": SHIFTED, "x": [0.75, -0.25]}),
+    # the tail under a linear drift with delta = 0.2: the chord to the
+    # certificate's target is not its optimum, so the certificate's descent
+    # iterates, and the manifest's rate_bound pins where it ends
+    ("tail-linear@interval", "interval",
+     {"command": "tail", "n_paths": 200, "delta": 0.2,
+      "grid": {"n_steps": 16},
+      "preset": {"name": "linear-drift", "params": {"rate": 1.0}}}),
 ]
 
 BASE = {"interval": {"domain": INTERVAL, "x": 0.5},
