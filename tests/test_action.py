@@ -757,10 +757,12 @@ def with_gradient(value, g, scale=1.0):
     return objective
 
 
-class TestLineSearch:
+class TestBatchedLineSearch:
     """The search along the Gauss-Newton step, on synthetic objectives
     whose blocks are multiples of the identity: a step is then the
-    gradient step, scaled. Each objective call is one trial."""
+    gradient step, scaled. Each objective call is one trial; the class
+    keeps the name it had when the search tried its trials in batches,
+    so that its tests keep their ids."""
 
     start = np.full((6, 1), 0.5)
 
