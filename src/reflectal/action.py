@@ -31,6 +31,7 @@ _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
 _PENALTIES = (10.0, 100.0, 1e3, 1e4, 1e5)   # contracted_rate's continuation
 _VIOLATION_TOL = 1e-3
+_SUPER = 64    # unknowns per super-block of _block_solve, a measured best
 
 
 @dataclass(frozen=True)
@@ -205,18 +206,27 @@ def evaluate_action(coeffs, domain, psi, grid=None):
 
 def _objective(coeffs, domain, grid, penalty=None):
     """The descent's objective: paths (..., n+1, d) to the values,
-    gradients and Gauss-Newton blocks of the action, plus penalty(paths)'s
-    when given. At a right node whose multiplier is positive the gradient
-    keeps only its part along the wall: moving that node inward drops its
-    multiplier, a jump, so only a move along the wall is smooth. Its blocks
-    keep their tangent part too, with the normal one decoupled at unit
-    curvature, so the node's step runs along the wall (in 1-D, it is 0)."""
+    gradients and Gauss-Newton blocks of the action, plus a penalty's when
+    penalty = (weight, parts) is given. parts(paths) returns the action's
+    terms, as _action_terms(coeffs, domain, paths, grid, gradient=True)
+    does, and the penalty's value, gradient and blocks unscaled, which
+    take weight, 2 weight and 2 weight. At a right node whose multiplier
+    is positive the gradient keeps only its part along the wall: moving
+    that node inward drops its multiplier, a jump, so only a move along
+    the wall is smooth. Its blocks keep their tangent part too, with the
+    normal one decoupled at unit curvature, so the node's step runs along
+    the wall (in 1-D, it is 0)."""
     def objective(paths):
-        value, _, lam, nvec, grad, (diag, off) = _action_terms(
-            coeffs, domain, paths, grid, gradient=True)
-        if penalty is not None:
-            extra, slope, curv = penalty(paths)
-            value, grad, diag = value + extra, grad + slope, diag + curv
+        if penalty is None:
+            value, _, lam, nvec, grad, (diag, off) = _action_terms(
+                coeffs, domain, paths, grid, gradient=True)
+        else:
+            weight, parts = penalty
+            (value, _, lam, nvec, grad, (diag, off)), (extra, slope, curv) = (
+                parts(paths))
+            value = value + weight * extra
+            grad = grad + 2.0 * weight * slope
+            diag = diag + 2.0 * weight * curv
         wall = lam > 0
         if wall.any():
             n = nvec[wall]
@@ -231,22 +241,73 @@ def _objective(coeffs, domain, grid, penalty=None):
     return objective
 
 
+def _last_call(fn):
+    """fn of one array, remembering its last call: a call whose argument
+    has the last one's shape and bits returns the last result again."""
+    last = [None, None]
+
+    def call(arr):
+        key = (arr.shape, arr.tobytes())
+        if key != last[0]:
+            last[:] = key, fn(arr)
+        return last[1]
+    return call
+
+
+def _dense_blocks(diag, off):
+    """The dense (s d, s d) matrix of s consecutive nodes' blocks: diag
+    (s, d, d) on its diagonal, off (s-1, d, d) above it and their
+    transposes below."""
+    s, d = diag.shape[:2]
+    n = s * d
+    dense = np.zeros((n, n + 2 * d))
+    # node i's d rows hold off[i-1]*, diag[i] and off[i] from column i d
+    # on, one band in a view whose node stride steps d rows and d columns
+    row, col = dense.strides
+    bands = np.ndarray((s, d, 3 * d), buffer=dense,
+                       strides=(d * (row + col), row, col))
+    bands[1:, :, :d] = off.swapaxes(-1, -2)
+    bands[:, :, d:2 * d] = diag
+    bands[:-1, :, 2 * d:] = off
+    return dense[:, d:n + d]
+
+
 def _block_solve(diag, off, rhs):
-    """Solve H x = rhs by block Thomas elimination, H symmetric and block-
-    tridiagonal: diag (m, d, d) on its diagonal, off (m-1, d, d) above."""
-    lower, x = np.empty_like(off), np.empty_like(rhs)   # lower: piv^-1 off
-    for i in range(len(rhs)):
-        piv, y = diag[i], rhs[i]
-        if i:
-            up = off[i - 1].T
-            piv, y = piv - up @ lower[i - 1], y - up @ x[i - 1]
-        inv = np.linalg.inv(piv)
-        if i < len(off):
-            lower[i] = inv @ off[i]
-        x[i] = inv @ y
-    for i in range(len(off) - 1, -1, -1):
-        x[i] -= lower[i] @ x[i + 1]
-    return x
+    """Solve H x = rhs, H symmetric and block-tridiagonal: diag (m, d, d)
+    on its diagonal, off (m-1, d, d) above.
+
+    Block LU over super-blocks of _SUPER // d consecutive nodes (Golub &
+    Van Loan 2013, Matrix Computations, section 4.5), each pivot solved by one
+    np.linalg.solve. Two super-blocks are linked by one off block, from
+    the last node of the first to the first node of the next, so the
+    Schur update of a pivot changes its first node's block only, and only
+    the last node's rows of the lower factor are needed. A system of at
+    most _SUPER unknowns is one super-block, solved densely in one call.
+    """
+    m, d = rhs.shape
+    size = max(1, min(m, _SUPER // d))     # nodes per super-block
+    factors = []                           # (lower, y) per super-block
+    for a in range(0, m, size):
+        b = min(a + size, m)
+        piv = _dense_blocks(diag[a:b], off[a:b - 1])
+        # the right-hand side, then the link down to the next super-block
+        sides = np.zeros(((b - a) * d, 1 + d * (b < m)))
+        sides[:, 0] = rhs[a:b].reshape(-1)
+        if b < m:
+            sides[-d:, 1:] = off[b - 1]
+        if a:
+            link = off[a - 1].T
+            lower, y = factors[-1]
+            piv[:d, :d] -= link @ lower[-d:]
+            sides[:d, 0] -= link @ y[-d:]
+        sol = np.linalg.solve(piv, sides)
+        factors.append((sol[:, 1:], sol[:, 0]))
+    x = factors[-1][1]
+    xs = [x]
+    for lower, y in reversed(factors[:-1]):
+        x = y - lower @ x[:d]
+        xs.append(x)
+    return np.concatenate(xs[::-1]).reshape(m, d)
 
 
 def _projected_descent(objective, path0, domain, pin_last, opts):
@@ -360,7 +421,8 @@ def contracted_rate(coeffs, domain, field_limit, gamma, s, x, opts=None):
     is read through one reader for the whole call. The result's `stalled`
     flag is set when any stage stalls, as _projected_descent says. Raises
     ConstraintInfeasible when the final sup-norm violation exceeds the
-    tolerance (the preimage is empty at this resolution).
+    tolerance: the preimage is empty at this resolution, unless a stage
+    stalled or stopped at max_iter, which the message then names.
     """
     opts = opts or OptimizerOptions()
     if field_limit.epsilon != 0.0:
@@ -376,25 +438,39 @@ def contracted_rate(coeffs, domain, field_limit, gamma, s, x, opts=None):
         raise ValueError("gamma must be finite")
     read = _pi_reader(field_limit)
 
-    path = integrate_skeleton_ode(coeffs, domain, s, x, grid).x_path
-    stalled = False
-    for pen in _PENALTIES:
-        def penalty(p, _pen=pen):
-            u, slope = read(p, slope=True)
-            miss = u - gamma
-            return (_pen * (miss**2).sum(axis=(-2, -1)),
-                    2.0 * _pen * np.einsum("...k,...kc->...c", miss, slope),
-                    2.0 * _pen * np.einsum("...kc,...ke->...ce", slope, slope))
+    def parts(p):   # the action's terms and the penalty's, sum |u - gamma|^2
+        terms = _action_terms(coeffs, domain, p, grid, gradient=True)
+        u, slope = read(p, slope=True)
+        miss = u - gamma
+        return terms, ((miss**2).sum(axis=(-2, -1)),
+                       np.einsum("...k,...kc->...c", miss, slope),
+                       np.einsum("...kc,...ke->...ce", slope, slope))
 
-        path, _, _, stage_stalled = _projected_descent(
-            _objective(coeffs, domain, grid, penalty), path, domain,
+    # each stage after the first starts where the last one ended, at the
+    # path of its last evaluation unless it stalled, so it reuses those
+    # parts; a stage only weighs them
+    parts = _last_call(parts)
+    path = integrate_skeleton_ode(coeffs, domain, s, x, grid).x_path
+    stalled, capped = [], []   # the penalties of the stages that stalled
+    for pen in _PENALTIES:     # or stopped at max_iter, short of convergence
+        path, _, log, stage_stalled = _projected_descent(
+            _objective(coeffs, domain, grid, (pen, parts)), path, domain,
             pin_last=False, opts=opts)
-        stalled = stalled or stage_stalled
+        if stage_stalled:
+            stalled.append(pen)
+        elif log[-1][0] == opts.max_iter:
+            capped.append(pen)
 
     viol = float(np.abs(read(path) - gamma).max())
     if viol > _VIOLATION_TOL:
+        short = "; ".join(
+            f"the descent {how} at penalty {', '.join(f'{p:g}' for p in pens)}"
+            for how, pens in [("stalled", stalled), (
+                f"stopped at max_iter = {opts.max_iter}", capped)] if pens)
         raise ConstraintInfeasible(
-            f"constraint violation {viol:.3e} exceeds "
-            f"{_VIOLATION_TOL:.1e}; preimage is empty at this resolution")
+            f"constraint violation {viol:.3e} exceeds {_VIOLATION_TOL:.1e}; "
+            + (f"{short}, so the preimage need not be empty" if short
+               else "preimage is empty at this resolution"))
     return {"s_prime": evaluate_action(coeffs, domain, path, grid).action,
-            "argmin_psi": path, "violation": viol, "stalled": stalled}
+            "argmin_psi": path, "violation": viol,
+            "stalled": bool(stalled)}

@@ -141,11 +141,20 @@ def _blend(lo, hi, w):
 def _hull_clipper(axes):
     """clip(points) for the hull of the lattice axes: points (..., D)
     clipped to the hull; a point more than _PI_TOL outside it, or NaN,
-    raises OutOfLattice."""
+    raises OutOfLattice. Points strictly inside the hull come back as
+    they are, as clipping would change none of their bits; a point on an
+    edge may lose one, a -0.0 taking the axis end's 0.0, so it is clipped.
+    """
     lo, hi = np.array([(ax[0], ax[-1]) for ax in axes]).T
     lo_tol, hi_tol = lo - _PI_TOL, hi + _PI_TOL
+    ends = list(zip(lo.tolist(), hi.tolist()))
 
     def clip(points):
+        # a NaN fails the test; an empty stack, which has no min, is clipped
+        if points.size and all(a < points[..., c].min()
+                               and points[..., c].max() < b
+                               for c, (a, b) in enumerate(ends)):
+            return points
         if not ((points >= lo_tol) & (points <= hi_tol)).all():
             raise OutOfLattice("path leaves the lattice hull")
         return np.minimum(np.maximum(points, lo), hi)

@@ -328,6 +328,50 @@ class TestContractedRate:
         with pytest.raises(ConstraintInfeasible):
             contracted_rate(co, dom, field, gamma, 0.0, [0.5])
 
+    def test_a_descent_short_of_convergence_is_named(self, monkeypatch):
+        # gamma = 0.5 + 0.1 t is the image of a feasible path, whose cost
+        # the default options reach; with max_iter = 0 no stage moves the
+        # start, and the error names the stages instead of an empty preimage
+        dom = unit_interval()
+        co = preset("zero-drift-unit-noise")
+        field, times = self._field(co, dom, n_steps=4, nodes=9)
+        gamma = 0.5 + 0.1 * times.nodes
+        out = contracted_rate(co, dom, field, gamma, 0.0, [0.5])
+        assert out["s_prime"] == pytest.approx(0.005, rel=1e-3)
+        with pytest.raises(ConstraintInfeasible) as err:
+            contracted_rate(co, dom, field, gamma, 0.0, [0.5],
+                            OptimizerOptions(max_iter=0))
+        assert str(err.value) == (
+            "constraint violation 1.000e-01 exceeds 1.0e-03; the descent "
+            "stopped at max_iter = 0 at penalty 10, 100, 1000, 10000, "
+            "100000, so the preimage need not be empty")
+
+        # a stall is named too, apart from the stages at max_iter
+        def third_stage_stalls(*args, **kwargs):
+            path, value, log, _ = descent(*args, **kwargs)
+            stages.append(None)
+            return path, value, log, len(stages) == 3
+
+        descent, stages = action._projected_descent, []
+        monkeypatch.setattr(action, "_projected_descent", third_stage_stalls)
+        with pytest.raises(ConstraintInfeasible, match=(
+                "; the descent stalled at penalty 1000; the descent stopped "
+                "at max_iter = 0 at penalty 10, 100, 10000, 100000, so")):
+            contracted_rate(co, dom, field, gamma, 0.0, [0.5],
+                            OptimizerOptions(max_iter=0))
+
+    def test_an_empty_preimage_is_named(self):
+        # gamma = 0.7 misses the pinned start's image 0.5, and every stage
+        # converges: the preimage is empty
+        dom = unit_interval()
+        co = preset("zero-drift-unit-noise")
+        field, times = self._field(co, dom)
+        with pytest.raises(ConstraintInfeasible, match=(
+                "violation 2.000e-01 exceeds 1.0e-03; preimage is empty at "
+                "this resolution")):
+            contracted_rate(co, dom, field,
+                            np.full((times.n_steps + 1, 1), 0.7), 0.0, [0.5])
+
     def test_linear_value_path_costs_half_a_squared(self):
         # zero drift, h(x) = x: gamma = 0.5 + a t is attained by the path
         # itself, whose cost on [0, 1] is a^2 / 2
@@ -886,6 +930,89 @@ class TestBatchedLineSearch:
         assert value < log[0][1] and not stalled and log[-1][0] < 40
 
 
+def block_system(m, d, seed, walls=()):
+    """(diag, off, rhs) of a symmetric positive definite block-tridiagonal
+    system of m nodes of d unknowns. The nodes in walls get identity
+    blocks decoupled from their neighbours, as a wall node's normal part
+    has in the descent's blocks."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, d, d))
+    diag = a @ a.swapaxes(-1, -2) + 4.0 * np.eye(d)
+    off = 0.3 * rng.standard_normal((m - 1, d, d))
+    for i in walls:
+        diag[i] = np.eye(d)
+        off[max(i - 1, 0):i + 1] = 0.0
+    return diag, off, rng.standard_normal((m, d))
+
+
+def assembled(diag, off):
+    """The dense matrix of the blocks, one block at a time."""
+    m, d = diag.shape[:2]
+    h = np.zeros((m * d, m * d))
+    for i in range(m):
+        h[i * d:(i + 1) * d, i * d:(i + 1) * d] = diag[i]
+    for i in range(m - 1):
+        h[i * d:(i + 1) * d, (i + 1) * d:(i + 2) * d] = off[i]
+        h[(i + 1) * d:(i + 2) * d, i * d:(i + 1) * d] = off[i].T
+    return h
+
+
+class TestBlockSolve:
+    """The super-block solve agrees with a dense solve of the assembled
+    matrix, and with scipy's banded solve in 1-D, to 1e-12 relative, on
+    either side of each super-block boundary: for q = _SUPER // d nodes
+    per super-block, m in {1, q - 1, q, q + 1, 3 q + 5} nodes, which at
+    d = 1 are the unknown counts 1, K - 1, K, K + 1 and 3 K + 5."""
+
+    @staticmethod
+    def nodes(d, which):
+        q = action._SUPER // d
+        return {"one": 1, "below": q - 1, "at": q, "above": q + 1,
+                "several": 3 * q + 5}[which]
+
+    @pytest.mark.parametrize("walled", [False, True], ids=["", "walls"])
+    @pytest.mark.parametrize("which", ["one", "below", "at", "above",
+                                       "several"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_agrees_with_dense_and_banded_solves(self, d, which, walled):
+        from scipy.linalg import solve_banded
+
+        m, q = self.nodes(d, which), action._SUPER // d
+        # wall nodes at both ends and on both sides of the first boundary
+        walls = sorted({0, q - 1, q, m - 1} & set(range(m))) if walled else ()
+        diag, off, rhs = block_system(m, d, 10 * d + m, walls)
+        inputs = [a.copy() for a in (diag, off, rhs)]
+        x = action._block_solve(diag, off, rhs)
+        assert x.shape == (m, d)
+        for a, b in zip(inputs, (diag, off, rhs)):
+            assert a.tobytes() == b.tobytes()
+        want = np.linalg.solve(assembled(diag, off), rhs.reshape(-1))
+        scale = np.abs(want).max()
+        assert np.abs(x.reshape(-1) - want).max() <= 1e-12 * scale
+        for i in walls:     # a decoupled identity row solves to its rhs
+            assert np.array_equal(x[i], rhs[i])
+        if d == 1:
+            bands = np.zeros((3, m))
+            bands[0, 1:], bands[1], bands[2, :-1] = (off[:, 0, 0],
+                                                     diag[:, 0, 0],
+                                                     off[:, 0, 0])
+            banded = solve_banded((1, 1), bands, rhs[:, 0])
+            assert np.abs(x[:, 0] - banded).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("where", [0, 0.5, 1])
+    def test_a_singular_pivot_raises(self, d, where):
+        # a node with no curvature and no coupling, in the first, a middle
+        # or the last super-block, or the one super-block of 4 nodes
+        for m in (4, self.nodes(d, "several")):
+            diag, off, rhs = block_system(m, d, m)
+            i = round(where * (m - 1))
+            diag[i] = 0.0
+            off[max(i - 1, 0):i + 1] = 0.0
+            with pytest.raises(np.linalg.LinAlgError):
+                action._block_solve(diag, off, rhs)
+
+
 class TestGradientReuse:
     """The accepted trial's gradient and Gauss-Newton blocks, computed in
     its own objective call, are the next iteration's: every iteration
@@ -977,6 +1104,29 @@ class TestGradientReuse:
                                            grid, OptimizerOptions(grad_tol=0))
         assert info["n_iter"] == 1 and not info["stalled"]
         assert [ev[0] for ev in events] == ["O", "O", "S", "O", "S", "O"]
+
+    def test_each_stage_starts_from_the_last_evaluation(self, monkeypatch):
+        # the zero-drift case on 4 field steps and 9 lattice nodes: every
+        # stage takes one full step, and the next iteration's decrement
+        # ends it. A stage after the first starts from the last stage's
+        # evaluation at its end, so the calls through _action_terms are the
+        # first start, one trial per stage and evaluate_action's, 7 in
+        # all, against 11 with one fresh start per stage; the outputs keep
+        # the bits of those fresh starts
+        dom, co = unit_interval(), preset("zero-drift-unit-noise")
+        field = limit_value_field(co, dom, TimeGrid(0.0, 1.0, 4),
+                                  make_lattice(dom, 9))
+        events = self.record(monkeypatch)
+        out = contracted_rate(co, dom, field, 0.5 + 0.15 * field.times.nodes,
+                              0.0, [0.5],
+                              OptimizerOptions(max_iter=20, grad_tol=0))
+        stages = len(action._PENALTIES)
+        assert "".join(ev[0] for ev in events) == (
+            "OSOS" + "SOS" * (stages - 1) + "O")
+        assert repr(out["s_prime"]) == "0.011249887503374831"
+        assert out["argmin_psi"].tobytes().hex() == (
+            "000000000000e03f333333333333e13f636666666666e23f"
+            "de8997999999e33f7ba5273acbcce43f")
 
     def test_no_objective_call_follows_a_failed_search(self):
         # the kinked objective: the first search halves until its step

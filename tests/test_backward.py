@@ -654,6 +654,68 @@ class TestPiReader:
                 apply_pi(field, paths, path_times=t_q)
 
 
+class TestHullClipper:
+    """The hull clipper returns points strictly inside the hull as they
+    are, and clips the others in full: every read keeps the bits of a read
+    of fully clipped points, inside the hull, on its edges and within
+    _PI_TOL past them, and a NaN or a point further out still fails."""
+
+    CLIPPED = LATTICES + [(unit_interval(), 5)]    # the last: a 0.0 edge
+
+    @staticmethod
+    def full_clip(axes, points):
+        lo, hi = np.array([(ax[0], ax[-1]) for ax in axes]).T
+        return np.minimum(np.maximum(points, lo), hi)
+
+    @staticmethod
+    def stacks(axes, rng):
+        """Points inside the hull; on its lower edges, -0.0 among them
+        where an axis ends at 0.0; on its upper edges; and within _PI_TOL
+        past them."""
+        lo = np.array([ax[0] for ax in axes])
+        hi = np.array([ax[-1] for ax in axes])
+        inside = rng.uniform(lo, hi, (3, 7, lo.size))
+        low, high, past = inside.copy(), inside.copy(), inside.copy()
+        low[:, 0], low[0, 1], low[1, 2] = lo, -0.0 * lo, np.nextafter(lo, hi)
+        high[:, 0], high[1, 2] = hi, np.nextafter(hi, lo)
+        past[:, 0, 0] = lo[0] - 0.5 * backward._PI_TOL
+        past[:, 1, -1] = hi[-1] + backward._PI_TOL
+        return inside, low, high, past
+
+    @pytest.mark.parametrize("dom, n_nodes", CLIPPED)
+    def test_reads_equal_those_of_fully_clipped_points(self, dom, n_nodes):
+        field = TestPiReader.field(dom, n_nodes)
+        clip = backward._hull_clipper(field.axes)
+        lattice = _interpolation_plan((field.times.nodes,) + field.axes)
+        for points in self.stacks(field.axes, np.random.default_rng(50)):
+            want = self.full_clip(field.axes, points)
+            assert clip(points).tobytes() == want.tobytes()
+            read = lattice(field.values,
+                           (np.broadcast_to(field.times.nodes,
+                                            points.shape[:-1]),
+                            *np.moveaxis(want, -1, 0)))
+            assert apply_pi(field, points).tobytes() == read.tobytes()
+
+    def test_a_negative_zero_on_a_zero_edge_is_clipped(self):
+        clip = backward._hull_clipper(make_lattice(unit_interval(), 5))
+        points = np.array([[-0.0], [0.5]])
+        assert not np.signbit(clip(points)).any()
+        inside = np.array([[0.25], [0.5]])
+        assert clip(inside) is inside
+
+    @pytest.mark.parametrize("dom, n_nodes", CLIPPED)
+    def test_nan_and_points_past_the_slack_raise(self, dom, n_nodes):
+        axes = make_lattice(dom, n_nodes)
+        clip = backward._hull_clipper(axes)
+        inside = self.stacks(axes, np.random.default_rng(51))[0]
+        for axis, end, sign in ((0, 0, -1.0), (-1, -1, 1.0)):
+            for bad in (np.nan, axes[axis][end] + 2 * sign * backward._PI_TOL):
+                points = inside.copy()
+                points[1, 3, axis] = bad
+                with pytest.raises(OutOfLattice, match="hull"):
+                    clip(points)
+
+
 def multilinear_formula(axes, values, coords, offset=0):
     """The multilinear read as one formula, with its strides, corner
     offsets and per-axis scales worked out on every call: the oracle of the

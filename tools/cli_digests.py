@@ -18,9 +18,11 @@ a convergence study with 10 paths and one with a NaN in its epsilon
 ladder, an `action-min` on the disc under an outward drift whose target
 lies on the unit circle, and last Y4 on the interval under a drift into
 the wall with a constant g, Y4 on a disc centred off the origin, an
-`action-min` and a `contracted-rate` on that disc, and a `tail` on the
-interval under a linear drift, whose certificate has to iterate, in
-process, with the package imported from this checkout's `src/`. Each run
+`action-min` and a `contracted-rate` on that disc, a `tail` on the
+interval under a linear drift, whose certificate has to iterate, and an
+`action-min` on the interval at 256 steps, whose Gauss-Newton solve
+spans several super-blocks, in process, with the package imported from
+this checkout's `src/`. Each run
 writes into a fixed relative `output_dir` under a temporary working
 directory, because `config_hash` covers that field. Prints a header line
 with the numpy version, then one line per run with its `config_hash` (or
@@ -172,6 +174,13 @@ LAST = [
      {"command": "tail", "n_paths": 200, "delta": 0.2,
       "grid": {"n_steps": 16},
       "preset": {"name": "linear-drift", "params": {"rate": 1.0}}}),
+    # the action optimizer on a linear drift toward the far wall at 256
+    # steps: the Gauss-Newton solve's 255 unknowns span several
+    # super-blocks, the last one partial
+    ("action-min-long@interval", "interval",
+     {"command": "action-min", "preset": {"name": "linear-drift",
+                                          "params": {"rate": 1.0}},
+      "y": 0.9, "grid": {"n_steps": 256}}),
 ]
 
 BASE = {"interval": {"domain": INTERVAL, "x": 0.5},
