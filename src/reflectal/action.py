@@ -29,7 +29,7 @@ _EIG_FLOOR = 1e-10
 _DIFF_STEP = np.sqrt(np.finfo(float).eps)   # b's and sigma's, x max(diam, 1)
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
-_PENALTIES = (10.0, 100.0, 1e3, 1e4, 1e5)   # contracted_rate's continuation
+_PENALTY = 1e5     # contracted_rate's weight on sum |u - gamma|^2
 _VIOLATION_TOL = 1e-3
 _SUPER = 64    # unknowns per super-block of _block_solve, a measured best
 
@@ -207,27 +207,23 @@ def evaluate_action(coeffs, domain, psi, grid=None):
 def _objective(coeffs, domain, grid, penalty=None):
     """The descent's objective: paths (..., n+1, d) to the values,
     gradients and Gauss-Newton blocks of the action, plus a penalty's when
-    penalty = (weight, parts) is given. parts(paths) returns the action's
-    terms, as _action_terms(coeffs, domain, paths, grid, gradient=True)
-    does, and the penalty's value, gradient and blocks unscaled, which
-    take weight, 2 weight and 2 weight. At a right node whose multiplier
-    is positive the gradient keeps only its part along the wall: moving
-    that node inward drops its multiplier, a jump, so only a move along
-    the wall is smooth. Its blocks keep their tangent part too, with the
-    normal one decoupled at unit curvature, so the node's step runs along
-    the wall (in 1-D, it is 0)."""
+    penalty is given: penalty(paths) returns its value, gradient and
+    diagonal blocks, already weighted. A right node on the wall is active
+    when its multiplier is positive or its gradient points out of the
+    domain (projected Newton, Bertsekas 1982): moving an active node
+    inward drops its multiplier, a jump, or raises the value, so only a
+    move along the wall is smooth or descends. Its gradient and blocks keep
+    their part along the wall, with the normal one decoupled at unit
+    curvature, so the node's step runs along the wall (in 1-D, it is 0)."""
     def objective(paths):
-        if penalty is None:
-            value, _, lam, nvec, grad, (diag, off) = _action_terms(
-                coeffs, domain, paths, grid, gradient=True)
-        else:
-            weight, parts = penalty
-            (value, _, lam, nvec, grad, (diag, off)), (extra, slope, curv) = (
-                parts(paths))
-            value = value + weight * extra
-            grad = grad + 2.0 * weight * slope
-            diag = diag + 2.0 * weight * curv
-        wall = lam > 0
+        value, _, lam, nvec, grad, (diag, off) = _action_terms(
+            coeffs, domain, paths, grid, gradient=True)
+        if penalty is not None:
+            extra, slope, curv = penalty(paths)
+            value, grad, diag = value + extra, grad + slope, diag + curv
+        # nvec is the inward normal at wall nodes and 0 elsewhere
+        wall = (lam > 0) | (
+            np.einsum("...i,...i->...", grad[..., 1:, :], nvec) > 0)
         if wall.any():
             n = nvec[wall]
             normal = np.zeros(diag.shape)    # n n* / |n|^2 at the wall nodes
@@ -241,17 +237,18 @@ def _objective(coeffs, domain, grid, penalty=None):
     return objective
 
 
-def _last_call(fn):
-    """fn of one array, remembering its last call: a call whose argument
-    has the last one's shape and bits returns the last result again."""
-    last = [None, None]
-
-    def call(arr):
-        key = (arr.shape, arr.tobytes())
-        if key != last[0]:
-            last[:] = key, fn(arr)
-        return last[1]
-    return call
+def _mismatch_penalty(read, gamma, weight):
+    """weight sum |u - gamma|^2 over the values u = read(paths), as
+    _objective's penalty: its value, gradient 2 weight J* (u - gamma) and
+    Gauss-Newton blocks 2 weight J* J, J the read's slope."""
+    def penalty(paths):
+        u, slope = read(paths, slope=True)
+        miss = u - gamma
+        return (weight * (miss**2).sum(axis=(-2, -1)),
+                (2.0 * weight) * np.einsum("...k,...kc->...c", miss, slope),
+                (2.0 * weight) * np.einsum("...kc,...ke->...ce", slope,
+                                           slope))
+    return penalty
 
 
 def _dense_blocks(diag, off):
@@ -414,15 +411,16 @@ def contracted_rate(coeffs, domain, field_limit, gamma, s, x, opts=None):
     """Upper bound of the contracted rate: the cheapest constrained path
     whose image under the limit value map matches the given value path.
 
-    Solved by penalty continuation on the squared constraint mismatch; the
-    start node is pinned at x, the rest of the path is free. The path lives
-    on the field's time grid, at whose nodes gamma is given: finite, of
-    shape (n+1, k) for a field of k values, or (n+1,) when k = 1. The field
-    is read through one reader for the whole call. The result's `stalled`
-    flag is set when any stage stalls, as _projected_descent says. Raises
-    ConstraintInfeasible when the final sup-norm violation exceeds the
-    tolerance: the preimage is empty at this resolution, unless a stage
-    stalled or stopped at max_iter, which the message then names.
+    Solved as one penalized problem, the action plus _PENALTY times the
+    squared constraint mismatch, from the skeleton; the start node is
+    pinned at x, the rest of the path is free. The path lives on the
+    field's time grid, at whose nodes gamma is given: finite, of shape
+    (n+1, k) for a field of k values, or (n+1,) when k = 1. The field is
+    read through one reader for the whole call. The result's `stalled`
+    flag is set when the descent stalls, as _projected_descent says.
+    Raises ConstraintInfeasible when the final sup-norm violation exceeds
+    the tolerance: the preimage is empty at this resolution, unless the
+    descent stalled or stopped at max_iter, which the message then names.
     """
     opts = opts or OptimizerOptions()
     if field_limit.epsilon != 0.0:
@@ -438,39 +436,20 @@ def contracted_rate(coeffs, domain, field_limit, gamma, s, x, opts=None):
         raise ValueError("gamma must be finite")
     read = _pi_reader(field_limit)
 
-    def parts(p):   # the action's terms and the penalty's, sum |u - gamma|^2
-        terms = _action_terms(coeffs, domain, p, grid, gradient=True)
-        u, slope = read(p, slope=True)
-        miss = u - gamma
-        return terms, ((miss**2).sum(axis=(-2, -1)),
-                       np.einsum("...k,...kc->...c", miss, slope),
-                       np.einsum("...kc,...ke->...ce", slope, slope))
-
-    # each stage after the first starts where the last one ended, at the
-    # path of its last evaluation unless it stalled, so it reuses those
-    # parts; a stage only weighs them
-    parts = _last_call(parts)
-    path = integrate_skeleton_ode(coeffs, domain, s, x, grid).x_path
-    stalled, capped = [], []   # the penalties of the stages that stalled
-    for pen in _PENALTIES:     # or stopped at max_iter, short of convergence
-        path, _, log, stage_stalled = _projected_descent(
-            _objective(coeffs, domain, grid, (pen, parts)), path, domain,
-            pin_last=False, opts=opts)
-        if stage_stalled:
-            stalled.append(pen)
-        elif log[-1][0] == opts.max_iter:
-            capped.append(pen)
-
+    path, _, log, stalled = _projected_descent(
+        _objective(coeffs, domain, grid,
+                   _mismatch_penalty(read, gamma, _PENALTY)),
+        integrate_skeleton_ode(coeffs, domain, s, x, grid).x_path, domain,
+        pin_last=False, opts=opts)
     viol = float(np.abs(read(path) - gamma).max())
     if viol > _VIOLATION_TOL:
-        short = "; ".join(
-            f"the descent {how} at penalty {', '.join(f'{p:g}' for p in pens)}"
-            for how, pens in [("stalled", stalled), (
-                f"stopped at max_iter = {opts.max_iter}", capped)] if pens)
+        why = "preimage is empty at this resolution"
+        if stalled or log[-1][0] == opts.max_iter:
+            how = ("stalled" if stalled
+                   else f"stopped at max_iter = {opts.max_iter}")
+            why = f"the descent {how}, so the preimage need not be empty"
         raise ConstraintInfeasible(
             f"constraint violation {viol:.3e} exceeds {_VIOLATION_TOL:.1e}; "
-            + (f"{short}, so the preimage need not be empty" if short
-               else "preimage is empty at this resolution"))
+            + why)
     return {"s_prime": evaluate_action(coeffs, domain, path, grid).action,
-            "argmin_psi": path, "violation": viol,
-            "stalled": bool(stalled)}
+            "argmin_psi": path, "violation": viol, "stalled": stalled}

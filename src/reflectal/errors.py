@@ -50,7 +50,7 @@ class InfeasiblePath(ReflectalError):
 
 
 class ConstraintInfeasible(ReflectalError):
-    """Penalty continuation could not drive the constraint violation below tolerance."""
+    """The penalized descent could not drive the constraint violation below tolerance."""
 
 
 class InsufficientPaths(ReflectalError):

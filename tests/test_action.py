@@ -10,7 +10,8 @@ from reflectal import action, harness
 from reflectal.action import (OptimizerOptions, _action_terms, _objective,
                               _projected_descent, contracted_rate,
                               evaluate_action, minimize_action_endpoint)
-from reflectal.backward import apply_pi, limit_value_field, make_lattice
+from reflectal.backward import (_pi_reader, apply_pi, limit_value_field,
+                                make_lattice)
 from reflectal.coefficients import CoefficientSet, preset
 from reflectal.errors import (ConstraintInfeasible, InfeasiblePath,
                               SingularDiffusion)
@@ -321,17 +322,36 @@ class TestContractedRate:
         assert out["s_prime"] == pytest.approx(oracle, rel=0.02)
 
     def test_unattainable_value_path_infeasible(self):
+        # gamma = 5 lies above u = x on [0, 1]: the penalty's gradient
+        # points out through the wall at 1, where the nodes end up with a
+        # zero multiplier. Those nodes are active, so the descent converges
+        # on the wall instead of stalling against it
         dom = unit_interval()
         co = preset("zero-drift-unit-noise")
         field, times = self._field(co, dom)
         gamma = np.full((times.n_steps + 1, 1), 5.0)
-        with pytest.raises(ConstraintInfeasible):
+        with pytest.raises(ConstraintInfeasible, match=(
+                "violation 4.500e\\+00 exceeds 1.0e-03; preimage is empty "
+                "at this resolution")):
             contracted_rate(co, dom, field, gamma, 0.0, [0.5])
+
+    def test_a_disc_value_path_into_the_wall(self):
+        # ou-in-ball's value path along (0.25 + 0.75 t, 0), which ends on
+        # the wall: the preimage holds that path, so S' is at most its cost.
+        # The descent still ends stalled, at the read's kink along y = 0
+        co, dom = preset("ou-in-ball", {"theta": 1.0}), ball()
+        field, times = self._field(co, dom, n_steps=8, nodes=9)
+        psi = np.stack([0.25 + 0.75 * times.nodes, 0.0 * times.nodes], -1)
+        cost = evaluate_action(co, dom, psi, times).action
+        assert cost == 0.905029296875
+        out = contracted_rate(co, dom, field, apply_pi(field, psi), 0.0,
+                              [0.25, 0.0])
+        assert out["violation"] <= 1e-3 and out["s_prime"] <= cost
 
     def test_a_descent_short_of_convergence_is_named(self, monkeypatch):
         # gamma = 0.5 + 0.1 t is the image of a feasible path, whose cost
-        # the default options reach; with max_iter = 0 no stage moves the
-        # start, and the error names the stages instead of an empty preimage
+        # the default options reach; with max_iter = 0 the descent does not
+        # move the start, and the error names it instead of an empty preimage
         dom = unit_interval()
         co = preset("zero-drift-unit-noise")
         field, times = self._field(co, dom, n_steps=4, nodes=9)
@@ -343,25 +363,23 @@ class TestContractedRate:
                             OptimizerOptions(max_iter=0))
         assert str(err.value) == (
             "constraint violation 1.000e-01 exceeds 1.0e-03; the descent "
-            "stopped at max_iter = 0 at penalty 10, 100, 1000, 10000, "
-            "100000, so the preimage need not be empty")
+            "stopped at max_iter = 0, so the preimage need not be empty")
 
-        # a stall is named too, apart from the stages at max_iter
-        def third_stage_stalls(*args, **kwargs):
-            path, value, log, _ = descent(*args, **kwargs)
-            stages.append(None)
-            return path, value, log, len(stages) == 3
+        # a stall is named instead of max_iter
+        def stalls(*args, **kwargs):
+            return descent(*args, **kwargs)[:3] + (True,)
 
-        descent, stages = action._projected_descent, []
-        monkeypatch.setattr(action, "_projected_descent", third_stage_stalls)
-        with pytest.raises(ConstraintInfeasible, match=(
-                "; the descent stalled at penalty 1000; the descent stopped "
-                "at max_iter = 0 at penalty 10, 100, 10000, 100000, so")):
+        descent = action._projected_descent
+        monkeypatch.setattr(action, "_projected_descent", stalls)
+        with pytest.raises(ConstraintInfeasible) as err:
             contracted_rate(co, dom, field, gamma, 0.0, [0.5],
                             OptimizerOptions(max_iter=0))
+        assert str(err.value) == (
+            "constraint violation 1.000e-01 exceeds 1.0e-03; the descent "
+            "stalled, so the preimage need not be empty")
 
     def test_an_empty_preimage_is_named(self):
-        # gamma = 0.7 misses the pinned start's image 0.5, and every stage
+        # gamma = 0.7 misses the pinned start's image 0.5, and the descent
         # converges: the preimage is empty
         dom = unit_interval()
         co = preset("zero-drift-unit-noise")
@@ -579,7 +597,7 @@ class TestBatchedAction:
             assert abs(grad[j] @ path[j]) <= 1e-15
 
     def test_penalty_objective_gradient_matches_oracle(self):
-        # contracted_rate's stage objective at penalty 100 on a 1-D field,
+        # contracted_rate's objective at penalty 100 on a 1-D field,
         # with every node at least h inside a lattice cell, where the read
         # is affine; F is then quadratic in each node, so only the oracle's
         # rounding counts. With |F| <= 50 and |u - gamma| <= 0.4 (asserted),
@@ -596,17 +614,8 @@ class TestBatchedAction:
                 )[:, None]
         h = 1e-5
         assert np.abs(8 * path - np.round(8 * path)).min() > 8 * h
-        stages = []
-
-        def spy(coeffs, domain, grid, penalty=None):
-            stages.append(penalty)
-            return _objective(coeffs, domain, grid, penalty)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(action, "_objective", spy)
-            contracted_rate(co, dom, field, gamma, 0.0, [0.5],
-                            OptimizerOptions(max_iter=0))
-        objective = _objective(co, dom, times, stages[1])   # penalty 100
+        objective = _objective(co, dom, times, action._mismatch_penalty(
+            _pi_reader(field), gamma, 100.0))
         value, got, _ = objective(path)
         miss = apply_pi(field, path) - gamma
         assert value == (_action_terms(co, dom, path, times)[0]
@@ -758,17 +767,16 @@ def test_contracted_rate_reports_stall_flag(monkeypatch):
     out = contracted_rate(co, dom, field, gamma, 0.0, [0.5])
     assert out["stalled"] is False
 
-    # a stall in any one penalty stage is reported
-    stages = []
+    # the one descent's stall is reported
+    descents = []
 
-    def third_stage_stalls(*args, **kwargs):
-        path, value, log, _ = _projected_descent(*args, **kwargs)
-        stages.append(len(stages))
-        return path, value, log, len(stages) == 3
+    def stalls(*args, **kwargs):
+        descents.append(None)
+        return _projected_descent(*args, **kwargs)[:3] + (True,)
 
-    monkeypatch.setattr(action, "_projected_descent", third_stage_stalls)
+    monkeypatch.setattr(action, "_projected_descent", stalls)
     out = contracted_rate(co, dom, field, gamma, 0.0, [0.5])
-    assert len(stages) == 5 and out["stalled"] is True
+    assert len(descents) == 1 and out["stalled"] is True
 
 
 def test_descent_keeps_the_tracer_contract():
@@ -1074,7 +1082,8 @@ class TestGradientReuse:
         gamma = 0.5 + 0.15 * field.times.nodes
         contracted_rate(co1, dom1, field, gamma, 0.0, [0.5],
                         opts=OptimizerOptions(max_iter=20, grad_tol=0.0))
-        assert len(solves) > 10
+        # two solves in each descent
+        assert len(solves) == 4
         assert {p.shape[1] for (_, p), *_ in solves} == {1, 2}
         for (objective, path), diag, off, g in solves:
             _, grad, (d_alone, o_alone) = objective(path)
@@ -1105,14 +1114,13 @@ class TestGradientReuse:
         assert info["n_iter"] == 1 and not info["stalled"]
         assert [ev[0] for ev in events] == ["O", "O", "S", "O", "S", "O"]
 
-    def test_each_stage_starts_from_the_last_evaluation(self, monkeypatch):
-        # the zero-drift case on 4 field steps and 9 lattice nodes: every
-        # stage takes one full step, and the next iteration's decrement
-        # ends it. A stage after the first starts from the last stage's
-        # evaluation at its end, so the calls through _action_terms are the
-        # first start, one trial per stage and evaluate_action's, 7 in
-        # all, against 11 with one fresh start per stage; the outputs keep
-        # the bits of those fresh starts
+    def test_one_penalized_descent(self, monkeypatch):
+        # the zero-drift case on 4 field steps and 9 lattice nodes, a
+        # quadratic problem: the descent from the skeleton takes one full
+        # step, and the next iteration's decrement ends it. The calls
+        # through _action_terms are the start's, the trial's and
+        # evaluate_action's. S' is within 7e-16 relative of the exact
+        # minimum of the penalized problem, 0.011249887503374823 rounded
         dom, co = unit_interval(), preset("zero-drift-unit-noise")
         field = limit_value_field(co, dom, TimeGrid(0.0, 1.0, 4),
                                   make_lattice(dom, 9))
@@ -1120,13 +1128,11 @@ class TestGradientReuse:
         out = contracted_rate(co, dom, field, 0.5 + 0.15 * field.times.nodes,
                               0.0, [0.5],
                               OptimizerOptions(max_iter=20, grad_tol=0))
-        stages = len(action._PENALTIES)
-        assert "".join(ev[0] for ev in events) == (
-            "OSOS" + "SOS" * (stages - 1) + "O")
-        assert repr(out["s_prime"]) == "0.011249887503374831"
+        assert "".join(ev[0] for ev in events) == "OSOSO"
+        assert repr(out["s_prime"]) == "0.011249887503374816"
         assert out["argmin_psi"].tobytes().hex() == (
             "000000000000e03f333333333333e13f636666666666e23f"
-            "de8997999999e33f7ba5273acbcce43f")
+            "de8997999999e33f7aa5273acbcce43f")
 
     def test_no_objective_call_follows_a_failed_search(self):
         # the kinked objective: the first search halves until its step
@@ -1267,7 +1273,7 @@ class TestContractedRateInputs:
 
 def test_one_objective_per_descent(monkeypatch):
     # the objective is built once per descent, not per iteration: one for
-    # the endpoint minimizer, one per penalty stage
+    # the endpoint minimizer, one for the contracted rate
     built = []
     make = action._objective
 
@@ -1287,7 +1293,7 @@ def test_one_objective_per_descent(monkeypatch):
                               make_lattice(dom, 9))
     contracted_rate(co0, dom, field, 0.5 + 0.15 * field.times.nodes, 0.0,
                     [0.5], OptimizerOptions(max_iter=5))
-    assert len(built) == 1 + len(action._PENALTIES)
+    assert len(built) == 2
 
 
 def disc_optimum(x, y, theta, n):
