@@ -65,7 +65,9 @@ def _action_terms(coeffs, domain, paths, grid, gradient=False):
     diffusion.
 
     With gradient=True it also returns the cost's gradient (..., n+1, d)
-    and Gauss-Newton matrix. With A = sigma sigma*, rho_j = r_j - lam_j n_j
+    and Gauss-Newton matrix, the latter as a lazy pair: unpacking it
+    builds the blocks, so a caller that needs no step never does. With
+    A = sigma sigma*, rho_j = r_j - lam_j n_j
     (r_j the step's velocity less b) and w_j = A_j^-1 rho_j, node j gets
     w_{j-1} - dt lam_{j-1} hess_phi(x_j) w_{j-1} - w_j - dt Db_j* w_j and,
     in coordinate c, -dt (sigma_j* w_j) . (d_c sigma_j* w_j). lam_j, the
@@ -139,20 +141,12 @@ def _action_terms(coeffs, domain, paths, grid, gradient=False):
     grad[..., :-1, :] -= w
     d = paths.shape[-1]
     eye = np.eye(d)
-    weight = np.broadcast_to(eye, r.shape + (d,)) if unit else ainv
-    left_jac = -eye / dt
-    right_jac = np.broadcast_to(eye / dt, r.shape + (d,))
     wall = lam > 0
     if wall.any():
         hess = domain.hess_phi(right[wall])
         grad[..., 1:, :][wall] -= (dt * lam[wall])[:, None] * np.einsum(
             "...ij,...j->...i", hess, w[wall])
-        right_jac = right_jac.copy()
-        right_jac[wall] -= lam[wall][:, None, None] * hess
-        wn = np.einsum("...ij,...j->...i", weight[wall], nvec[wall])
-        weight = weight.copy()
-        weight[wall] -= (wn[:, :, None] * wn[:, None, :] / np.einsum(
-            "...i,...i->...", nvec[wall], wn)[:, None, None])
+    db = None
     if not (isinstance(b, _Constant) and isinstance(sigma, _Constant)):
         # the left nodes moved by h along each axis c, (d, ..., n, d)
         h = _DIFF_STEP * max(domain.diameter, 1.0)
@@ -162,18 +156,33 @@ def _action_terms(coeffs, domain, paths, grid, gradient=False):
         if not isinstance(b, _Constant):
             db = b(at, moved) - drift    # h d_c b_i at [c, ..., j, i]
             slope = np.einsum("c...i,...i->c...", db, w)
-            left_jac = left_jac - np.moveaxis(db, 0, -1) / h
         if not isinstance(sigma, _Constant):
             slope = slope + np.einsum("c...ij,...i,...j->c...",
                                       sigma(at, moved) - sig, w,
                                       np.einsum("...ij,...i->...j", sig, w))
         grad[..., :-1, :] -= (dt / h) * np.moveaxis(slope, 0, -1)
-    left_t = np.swapaxes(left_jac, -1, -2)
-    right_w = weight @ right_jac
-    diag = np.zeros(paths.shape + (d,))
-    diag[..., :-1, :, :] = dt * (left_t @ (weight @ left_jac))
-    diag[..., 1:, :, :] += dt * (np.swapaxes(right_jac, -1, -2) @ right_w)
-    return action, integrand, lam, nvec, grad, (diag, dt * (left_t @ right_w))
+
+    def blocks():
+        weight = np.broadcast_to(eye, r.shape + (d,)) if unit else ainv
+        left_jac = -eye / dt
+        if db is not None:
+            left_jac = left_jac - np.moveaxis(db, 0, -1) / h
+        right_jac = np.broadcast_to(eye / dt, r.shape + (d,))
+        if wall.any():
+            right_jac = right_jac.copy()
+            right_jac[wall] -= lam[wall][:, None, None] * hess
+            wn = np.einsum("...ij,...j->...i", weight[wall], nvec[wall])
+            weight = weight.copy()
+            weight[wall] -= (wn[:, :, None] * wn[:, None, :] / np.einsum(
+                "...i,...i->...", nvec[wall], wn)[:, None, None])
+        left_t = np.swapaxes(left_jac, -1, -2)
+        right_w = weight @ right_jac
+        diag = np.zeros(paths.shape + (d,))
+        diag[..., :-1, :, :] = dt * (left_t @ (weight @ left_jac))
+        diag[..., 1:, :, :] += dt * (np.swapaxes(right_jac, -1, -2) @ right_w)
+        yield diag
+        yield dt * (left_t @ right_w)
+    return action, integrand, lam, nvec, grad, blocks()
 
 
 def evaluate_action(coeffs, domain, psi, grid=None):
@@ -207,8 +216,11 @@ def evaluate_action(coeffs, domain, psi, grid=None):
 def _objective(coeffs, domain, grid, penalty=None):
     """The descent's objective: paths (..., n+1, d) to the values,
     gradients and Gauss-Newton blocks of the action, plus a penalty's when
-    penalty is given: penalty(paths) returns its value, gradient and
-    diagonal blocks, already weighted. A right node on the wall is active
+    penalty is given: penalty(paths) returns its value, gradient, a
+    function that builds its diagonal blocks, all already weighted, and the
+    values it penalizes. The blocks come as a lazy pair (diag, off), built
+    when unpacked. Then come the parts: the action, and the penalized
+    values, or None without a penalty. A right node on the wall is active
     when its multiplier is positive or its gradient points out of the
     domain (projected Newton, Bertsekas 1982): moving an active node
     inward drops its multiplier, a jump, or raises the value, so only a
@@ -216,38 +228,49 @@ def _objective(coeffs, domain, grid, penalty=None):
     their part along the wall, with the normal one decoupled at unit
     curvature, so the node's step runs along the wall (in 1-D, it is 0)."""
     def objective(paths):
-        value, _, lam, nvec, grad, (diag, off) = _action_terms(
+        action, _, lam, nvec, grad, pair = _action_terms(
             coeffs, domain, paths, grid, gradient=True)
+        value, u = action, None
         if penalty is not None:
-            extra, slope, curv = penalty(paths)
-            value, grad, diag = value + extra, grad + slope, diag + curv
+            extra, slope, curv, u = penalty(paths)
+            value, grad = action + extra, grad + slope
         # nvec is the inward normal at wall nodes and 0 elsewhere
         wall = (lam > 0) | (
             np.einsum("...i,...i->...", grad[..., 1:, :], nvec) > 0)
         if wall.any():
             n = nvec[wall]
-            normal = np.zeros(diag.shape)    # n n* / |n|^2 at the wall nodes
+            # n n* / |n|^2 at the wall nodes
+            normal = np.zeros(paths.shape + (n.shape[-1],))
             normal[..., 1:, :, :][wall] = n[:, :, None] * n[:, None, :] / (
                 np.einsum("...i,...i->...", n, n)[:, None, None])
             grad -= np.einsum("...ij,...j->...i", normal, grad)
-            proj = np.eye(n.shape[-1]) - normal
-            diag = proj @ diag @ proj + normal
-            off = proj[..., :-1, :, :] @ off @ proj[..., 1:, :, :]
-        return value, grad, (diag, off)
+
+        def blocks():
+            diag, off = pair
+            if penalty is not None:
+                diag = diag + curv()
+            if wall.any():
+                proj = np.eye(n.shape[-1]) - normal
+                diag = proj @ diag @ proj + normal
+                off = proj[..., :-1, :, :] @ off @ proj[..., 1:, :, :]
+            yield diag
+            yield off
+        return value, grad, blocks(), action, u
     return objective
 
 
 def _mismatch_penalty(read, gamma, weight):
     """weight sum |u - gamma|^2 over the values u = read(paths), as
-    _objective's penalty: its value, gradient 2 weight J* (u - gamma) and
-    Gauss-Newton blocks 2 weight J* J, J the read's slope."""
+    _objective's penalty: its value, gradient 2 weight J* (u - gamma),
+    Gauss-Newton blocks 2 weight J* J, J the read's slope, and u."""
     def penalty(paths):
         u, slope = read(paths, slope=True)
         miss = u - gamma
         return (weight * (miss**2).sum(axis=(-2, -1)),
                 (2.0 * weight) * np.einsum("...k,...kc->...c", miss, slope),
-                (2.0 * weight) * np.einsum("...kc,...ke->...ce", slope,
-                                           slope))
+                lambda: (2.0 * weight) * np.einsum("...kc,...ke->...ce",
+                                                   slope, slope),
+                u)
     return penalty
 
 
@@ -311,15 +334,18 @@ def _projected_descent(objective, path0, domain, pin_last, opts):
     """Projected Gauss-Newton descent with Armijo backtracking over the
     non-pinned nodes of a discretized path.
 
-    objective maps paths (..., n+1, d) to (values, gradients, blocks), as
-    _objective's does, blocks holding the Gauss-Newton matrix H's. An
+    objective maps paths (..., n+1, d) to (values, gradients, blocks, ...),
+    as _objective's does, blocks holding the Gauss-Newton matrix H's as a
+    pair (diag, off), which is unpacked only for a step: a lazy pair, as
+    _objective's, is then built only when needed. An
     iteration solves H delta = g over the free nodes and searches along
     -delta from the full step, projecting each trial and halving until one
     lowers the value by the Armijo decrement or the step rounds away: its
     trial equals path, as every shorter step's would. The accepted trial's
     gradient and blocks come with its value, so an iteration costs one
-    objective call per trial, usually one. Returns (best_path, best_value,
-    log, stalled), log rows being (iteration, value, step).
+    objective call per trial, usually one. Returns (best_path, best, log,
+    stalled): best is the objective's return at best_path, its value
+    first, and log rows are (iteration, value, step).
 
     The descent stops when |g| <= grad_tol; when the decrement g . delta
     is at most k eps |F|, below which the rounding of the value F hides
@@ -333,13 +359,15 @@ def _projected_descent(objective, path0, domain, pin_last, opts):
     path = project(domain, np.asarray(path0, float))
     n1 = path.shape[0]
     free = slice(1, n1 - 1 if pin_last else n1)
-    value, grad, (diag, off) = objective(path)
+    best = objective(path)
+    value, grad, blocks = best[:3]
     value = float(value)
     log = [(0, value, 0.0)]
     for it in range(1, opts.max_iter + 1):
         g = grad[free]
         if float((g ** 2).sum()) <= opts.grad_tol**2:
             break
+        diag, off = blocks
         delta = _block_solve(diag[free], off[1:free.stop - 1], g)
         decrease = float((g * delta).sum())
         if decrease <= (2 * n1 + 2) * np.finfo(float).eps * abs(value):
@@ -350,15 +378,17 @@ def _projected_descent(objective, path0, domain, pin_last, opts):
             trial[free] = project(domain, nodes - step * delta)
             if np.array_equal(trial, path):
                 log.append((it, value, 0.0))
-                return path, value, log, True
-            tv, tg, blocks = objective(trial)
+                return path, best, log, True
+            tried = objective(trial)
+            tv = tried[0]
             # the Armijo decrement can round away, so F must fall too
             if tv < value and tv <= value - _ARMIJO_C * step * decrease:
                 break
             step *= _BACKTRACK
-        path, value, grad, (diag, off) = trial, float(tv), tg, blocks
+        path, best = trial, tried
+        value, grad, blocks = float(tv), tried[1], tried[2]
         log.append((it, value, step))
-    return path, value, log, False
+    return path, best, log, False
 
 
 def minimize_action_endpoint(coeffs, domain, s, x, y, T, grid, opts=None):
@@ -399,7 +429,7 @@ def _minimize_endpoint(coeffs, domain, s, x, y, T, grid, opts=None,
     starts = np.stack([straight, bent])
     path0 = starts[np.argmin(_action_terms(coeffs, domain, starts, grid)[0])]
 
-    best, value, log, stalled = _projected_descent(
+    best, _, log, stalled = _projected_descent(
         _objective(coeffs, domain, grid), path0, domain, pin_last=True,
         opts=opts)
     result = evaluate_action(coeffs, domain, best, grid)
@@ -436,12 +466,13 @@ def contracted_rate(coeffs, domain, field_limit, gamma, s, x, opts=None):
         raise ValueError("gamma must be finite")
     read = _pi_reader(field_limit)
 
-    path, _, log, stalled = _projected_descent(
+    # the accepted evaluation holds the path's action and field values
+    path, (*_, action, u), log, stalled = _projected_descent(
         _objective(coeffs, domain, grid,
                    _mismatch_penalty(read, gamma, _PENALTY)),
         integrate_skeleton_ode(coeffs, domain, s, x, grid).x_path, domain,
         pin_last=False, opts=opts)
-    viol = float(np.abs(read(path) - gamma).max())
+    viol = float(np.abs(u - gamma).max())
     if viol > _VIOLATION_TOL:
         why = "preimage is empty at this resolution"
         if stalled or log[-1][0] == opts.max_iter:
@@ -451,5 +482,5 @@ def contracted_rate(coeffs, domain, field_limit, gamma, s, x, opts=None):
         raise ConstraintInfeasible(
             f"constraint violation {viol:.3e} exceeds {_VIOLATION_TOL:.1e}; "
             + why)
-    return {"s_prime": evaluate_action(coeffs, domain, path, grid).action,
-            "argmin_psi": path, "violation": viol, "stalled": stalled}
+    return {"s_prime": float(action), "argmin_psi": path, "violation": viol,
+            "stalled": stalled}

@@ -391,7 +391,8 @@ def _execute(cfg, out_dir):
         extra["convergence"] = {"target": report.target,
                                 "slope": report.slope,
                                 "intercept": report.intercept,
-                                "r2": report.r2}
+                                "r2": report.r2,
+                                "slope_se": report.slope_se}
 
     elif cfg.command == "tail":
         report = tail_study(coeffs, domain, cfg.s, x, cfg.delta, ladder,

@@ -99,8 +99,9 @@ def trajectory_rng(seed, index=0):
 
     The stream is PCG64 seeded by SeedSequence(seed, spawn_key=index), which
     hashes the seed and the index into the generator's state. Batches and
-    studies draw one such stream per block of paths (see _block_noise), and
-    a lattice solve one per time step."""
+    studies seed one such stream per distinct block key of a draw (see
+    _block_noise), so a convergence study, whose levels share their keys,
+    seeds each block once; a lattice solve seeds one per time step."""
     key = index if isinstance(index, tuple) else (index,)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
@@ -122,25 +123,31 @@ def _block_noise(seed, blocks, n, m, dt):
     that the stream trajectory_rng(seed, key) draws step-major, (n, G, m).
     Yields them as step-major chunks (c, total rows, m) of _CHUNK_STEPS
     steps, the last one shorter, in one reused buffer, so a chunk must be
-    read before the next is asked for. Each block keeps its generator from
-    chunk to chunk, and a block draws all G rows, so the bits do not depend
-    on the chunk size or on how many of its rows are used. A block whose
-    key is None is drawn by no stream: its rows stay zero."""
-    gens = [None if key is None else trajectory_rng(seed, key)
-            for key, _ in blocks]
+    read before the next is asked for. Each distinct key is seeded once and
+    keeps its generator from chunk to chunk; per chunk it draws all G rows
+    once, into one reused draw buffer, and every block that carries the key
+    takes its rows from that draw. So the bits do not depend on the chunk
+    size, on how many of its rows a block uses or on how many blocks share
+    its key. A block whose key is None is drawn by no stream: its rows stay
+    zero."""
+    slots = {}     # key: the (first row, rows) of its blocks
+    total = 0
+    for key, rows in blocks:
+        if key is not None:
+            slots.setdefault(key, []).append((total, rows))
+        total += rows
+    gens = [(trajectory_rng(seed, key), at) for key, at in slots.items()]
     c = min(_CHUNK_STEPS, n)
-    buf = np.zeros((c, sum(rows for _, rows in blocks), m))
+    buf = np.zeros((c, total, m))
     draw = np.empty((c, _BLOCK_PATHS, m))
     sq = np.sqrt(dt)
     for first in range(0, n, c):
         steps = min(c, n - first)
-        row = 0
-        for gen, (_, rows) in zip(gens, blocks):
-            if gen is not None:
-                gen.standard_normal(out=draw[:steps])
+        for gen, at in gens:
+            gen.standard_normal(out=draw[:steps])
+            for row, rows in at:
                 np.multiply(draw[:steps, :rows], sq,
                             out=buf[:steps, row:row + rows])
-            row += rows
         yield buf[:steps]
 
 

@@ -1,11 +1,14 @@
 """Monte Carlo experiments: small-noise convergence orders, uniform moment
 bounds, and rare-event tail probabilities against the variational certificate.
 
-All studies draw their noise from block streams keyed by (seed, ladder
-position, block index) and run their kernel calls in order, so reports are
-bitwise reproducible across reruns and whatever the cut into kernel calls.
-Paths are reduced while the kernel steps them and are not kept; each kernel
-call steps the noise-free skeleton as its row 0.
+All studies draw their noise from block streams keyed by (seed, key prefix,
+block index) and run their kernel calls in order, so reports are bitwise
+reproducible across reruns and whatever the cut into kernel calls. A
+convergence study gives every ladder level the one prefix (), so path j
+sees the same noise at every level and each block is drawn once; a tail
+study keys level i by (i,) and its pilot by (levels, 0), so its levels stay
+independent. Paths are reduced while the kernel steps them and are not
+kept; each kernel call steps the noise-free skeleton as its row 0.
 """
 
 import math
@@ -45,6 +48,7 @@ class ConvergenceReport:
     n_paths: int
     target: str
     ci_halfwidth: tuple      # per-epsilon standard error
+    slope_se: float | None   # the slope's standard error; None for Y4
 
 
 @dataclass(frozen=True)
@@ -84,42 +88,45 @@ def _sweep(coeffs, domain, x, grid, seed, levels, sups, y4=None,
            y4_every=1):
     """Simulate the levels, each (eps, key prefix, n_paths), from the start
     x, and reduce every path while it is stepped; path j of a level is row
-    j % G of the noise block (seed, prefix + (j // G,)), G = _BLOCK_PATHS.
-    The blocks of all levels, each level's last one cut to its paths, form
-    one row sequence, packed into kernel calls of whole blocks and at most
-    _PASS_STEPS path-steps (at least one block), each row with its level's
-    eps. Row 0 of every call is the skeleton: x stepped with eps = 0 and a
-    zero noise row, which no stream draws, so it takes exactly the skeleton
-    ODE's steps, and the reducers read the skeleton at node i from the same
-    call as the paths.
+    j % G of the noise block (seed, prefix + (j // G,)), G = _BLOCK_PATHS,
+    so levels that share a prefix share their noise. Kernel calls are packed
+    by block position: call k takes block positions [a, a + w) of every
+    level, w = max(1, _PASS_STEPS // (n G levels)), each level's last block
+    cut to its paths, so a key that levels share is drawn in one call only,
+    and once there (see _block_noise). A call's rows are level-major, each
+    with its level's eps. Row 0 of every call is the skeleton: x stepped
+    with eps = 0 and a zero noise row, which no stream draws, so it takes
+    exactly the skeleton ODE's steps, and the reducers read the skeleton at
+    node i from the same call as the paths.
 
     Returns per level a dict of arrays: "kT" holds K_T per path, which is
     also sup K, as K never falls, and each key of sups (see _DEVIATIONS) the
-    sup over the nodes of that deviation per path. "Y4" holds per field
-    node j, the path node j * y4_every, the sums of y4(j, states, level
-    positions of the rows), one value per row, and of its square,
+    sup over the nodes of that deviation per path; each call writes its
+    rows of a level at the level's offset a G. "Y4" holds per field node j,
+    the path node j * y4_every, the sums of y4(j, states, level positions
+    of the rows), one value per row, and of its square,
     (2, n/y4_every + 1): each call adds its rows' sums per level, in call
     order.
     """
     d, m, _ = coeffs.dims
     n = grid.n_steps
-    starts = np.cumsum([0] + [count for _, _, count in levels]).tolist()
-    # (level position, stream key, rows) of every block, in sequence order
-    blocks = [(li, key, rows) for li, (_, prefix, count) in enumerate(levels)
-              for key, rows in _blocks(prefix, count)]
-    per_call = max(1, _PASS_STEPS // (n * _BLOCK_PATHS))
+    counts = [count for _, _, count in levels]
+    span = _BLOCK_PATHS * max(1, _PASS_STEPS // (n * _BLOCK_PATHS
+                                                 * len(levels)))
     level_eps = np.array([e for e, _, _ in levels], float)
-    # per row of the whole sequence; each call reduces into its own slice
-    flat = {key: np.zeros(starts[-1]) for key in ("kT", *sups)}
+    results = [{key: np.zeros(count) for key in ("kT", *sups)}
+               for count in counts]
     y4_sums = np.zeros((len(levels), 2, n // y4_every + 1))
 
-    def run(first, call):
-        level = np.repeat([li for li, _, _ in call],
-                          [rows for _, _, rows in call])
+    for first in range(0, max(counts), span):
+        # (level position, rows) of every level with paths from first on
+        parts = [(li, min(count, first + span) - first)
+                 for li, count in enumerate(counts) if count > first]
+        level = np.repeat([li for li, _ in parts],
+                          [rows for _, rows in parts])
         # the call's levels, ascending, and the row where each begins
         lis, firsts = np.unique(level, return_index=True)
-        out = {key: value[first:first + level.size]
-               for key, value in flat.items()}
+        out = {key: np.zeros(level.size) for key in sups}
 
         def reduce(i, X, K):
             for key in sups:
@@ -131,18 +138,15 @@ def _sweep(coeffs, domain, x, grid, seed, levels, sups, y4=None,
         # row 0, the skeleton, has eps = 0 and noise that no stream draws
         x0 = np.broadcast_to(x, (level.size + 1, d))
         eps = np.concatenate(([0.0], level_eps[level]))
-        keys = [(None, 1)] + [(key, rows) for _, key, rows in call]
+        keys = [(None, 1)] + [block for li, rows in parts
+                              for block in _blocks(levels[li][1], rows, first)]
         noise = _block_noise(seed, keys, n, m, grid.dt)
-        out["kT"][:] = _reflected_core(coeffs, domain, x0, eps, grid, noise,
-                                       reducers=(reduce,))[1][1:]
-
-    first = 0
-    for a in range(0, len(blocks), per_call):
-        call = blocks[a:a + per_call]
-        run(first, call)
-        first += sum(rows for _, _, rows in call)
-    return [{"Y4": y4_sums[li], **{key: v[a:b] for key, v in flat.items()}}
-            for li, (a, b) in enumerate(zip(starts, starts[1:]))]
+        out["kT"] = _reflected_core(coeffs, domain, x0, eps, grid, noise,
+                                    reducers=(reduce,))[1][1:]
+        for (li, rows), row in zip(parts, firsts):
+            for key, value in out.items():
+                results[li][key][first:first + rows] = value[row:row + rows]
+    return [{"Y4": y4_sums[li], **result} for li, result in enumerate(results)]
 
 
 # deviation of rows 1.. from the skeleton, row 0, at a node, whose sup over
@@ -186,6 +190,17 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
     of the fields u^eps, min(n_steps, field_steps) steps on the path's
     horizon, which must divide the path's n_steps: at those nodes u^eps is
     one lattice slice, read in space only.
+
+    Every level draws the same noise: path j of each level is row j % G of
+    the block (rng_seed, (j // G,)), so the level means are coupled, as
+    the levels of a multilevel estimator are (Giles 2008), and each block
+    is drawn once per study. slope_se is the delta-method standard error of
+    the slope: the OLS slope is sum_i w_i ln m_i, whose variance is
+    w* C w with C_ij = Cov(stat_i, stat_j) / (N m_i m_j) over the shared
+    paths, the sample variance of path j's sum_i w_i stat_ij / m_i over N.
+    It is 0.0 for the bound targets, which fit no slope. Y4 keeps only
+    per-node sums, and its sup over t takes each level's mean at its own
+    node, so the cross-level covariance is not kept: its slope_se is None.
     """
     names = (target,) if isinstance(target, str) else tuple(target)
     if not names or len(set(names)) < len(names) or set(names) - set(TARGETS):
@@ -225,10 +240,11 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
 
     sups = {_STATS[name][0] for name in names if name != "Y4"} - {"kT"}
     results = _sweep(coeffs, domain, x, grid, rng_seed,
-                     [(e, (ei,), n_paths) for ei, e in enumerate(eps)],
-                     sorted(sups), y4, every)
+                     [(e, (), n_paths) for e in eps], sorted(sups), y4,
+                     every)
 
     levels = {name: [] for name in names}     # (mean, se) per level
+    samples = {name: [] for name in names if name != "Y4"}
     for e, level in zip(eps, results):
         for name in names:
             if name == "Y4":
@@ -239,15 +255,18 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
                 se = float(np.sqrt(max(var, 0.0)) / np.sqrt(n_paths))
             else:
                 key, stat = _STATS[name]
-                samples = stat(level[key])
-                mean = float(samples.mean())
-                se = float(samples.std(ddof=1) / np.sqrt(n_paths))
+                per_path = stat(level[key])
+                samples[name].append(per_path)
+                mean = float(per_path.mean())
+                se = float(per_path.std(ddof=1) / np.sqrt(n_paths))
             levels[name].append((mean, se))
             if mean > 0 and se / mean > _MAX_REL_SE:
                 raise InsufficientPaths(
                     f"{name}: relative standard error {se / mean:.2f} at "
                     f"eps={e} exceeds {_MAX_REL_SE}")
 
+    lx = np.log(eps)
+    weights = (lx - lx.mean()) / np.sum((lx - lx.mean()) ** 2)
     reports = []
     for name in names:
         errs, ses = zip(*levels[name])
@@ -258,13 +277,18 @@ def convergence_study(target, coeffs, domain, s, x, eps_ladder, n_paths,
                     "e.g. no diffusion); a log-log slope cannot be fitted")
             fit = fit_loglog(eps, errs)
             slope, intercept, r2 = fit["slope"], fit["intercept"], fit["r2"]
+            slope_se = None
+            if name != "Y4":
+                # path j's linearized slope, sum_i w_i stat_ij / m_i
+                lin = (weights / errs) @ np.array(samples[name])
+                slope_se = float(lin.std(ddof=1) / np.sqrt(n_paths))
         else:
-            slope, r2 = 0.0, 1.0
+            slope, r2, slope_se = 0.0, 1.0, 0.0
             intercept = float(np.log(max(errs)))
         reports.append(ConvergenceReport(
             epsilons=tuple(float(v) for v in eps), errors=errs, slope=slope,
             intercept=intercept, r2=r2, n_paths=int(n_paths), target=name,
-            ci_halfwidth=ses))
+            ci_halfwidth=ses, slope_se=slope_se))
     return reports[0] if isinstance(target, str) else tuple(reports)
 
 

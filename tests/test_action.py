@@ -1,5 +1,6 @@
 """Rate functional evaluation, endpoint minimization, contracted rate."""
 
+import inspect
 import tracemalloc
 from dataclasses import replace
 
@@ -544,10 +545,10 @@ class TestBatchedAction:
                              grid)[0]
         assert np.array_equal(got2[0], want)
         # and the objective's gradients and blocks, path by path
-        values, grads, (diags, offs) = _objective(co, dom, grid)(stack)
+        values, grads, (diags, offs), *_ = _objective(co, dom, grid)(stack)
         assert np.array_equal(values, want)
         for path, grad, diag, off in zip(stack, grads, diags, offs):
-            _, alone, (d_alone, o_alone) = _objective(co, dom, grid)(path)
+            _, alone, (d_alone, o_alone), *_ = _objective(co, dom, grid)(path)
             assert grad.tobytes() == alone.tobytes()
             assert diag.tobytes() == d_alone.tobytes()
             assert off.tobytes() == o_alone.tobytes()
@@ -616,7 +617,7 @@ class TestBatchedAction:
         assert np.abs(8 * path - np.round(8 * path)).min() > 8 * h
         objective = _objective(co, dom, times, action._mismatch_penalty(
             _pi_reader(field), gamma, 100.0))
-        value, got, _ = objective(path)
+        value, got, *_ = objective(path)
         miss = apply_pi(field, path) - gamma
         assert value == (_action_terms(co, dom, path, times)[0]
                          + 100.0 * np.sum(miss ** 2))
@@ -679,7 +680,7 @@ def test_descent_reports_stall():
     dom = unit_interval()
     start = np.full((6, 1), 0.5)
     objective = kinked_objective(start, 0.0)
-    path, value, log, stalled = _projected_descent(
+    path, (value, *_), log, stalled = _projected_descent(
         objective, start, dom, pin_last=False, opts=OptimizerOptions())
     assert stalled
     assert np.array_equal(path, start) and value == 0.0
@@ -695,7 +696,7 @@ def test_descent_stalls_when_steps_round_away():
     dom = unit_interval()
     start = np.full((6, 1), 0.5)
     objective = kinked_objective(start, 3.0)
-    path, value, log, stalled = _projected_descent(
+    path, (value, *_), log, stalled = _projected_descent(
         objective, start, dom, pin_last=False, opts=OptimizerOptions())
     assert stalled
     assert np.array_equal(path, start) and value == 3.0
@@ -707,7 +708,7 @@ def test_stall_at_the_last_iteration_is_reported():
     # stalled
     dom = unit_interval()
     start = np.full((6, 1), 0.5)
-    path, value, log, stalled = _projected_descent(
+    path, (value, *_), log, stalled = _projected_descent(
         kinked_objective(start, 0.0), start, dom, pin_last=False,
         opts=OptimizerOptions(max_iter=1))
     assert stalled and log == [(0, 0.0, 0.0), (1, 0.0, 0.0)]
@@ -726,7 +727,7 @@ def test_steep_slope_descends_to_the_wall_then_stalls():
         return (slope * np.sum(p, axis=(-2, -1)), np.full(p.shape, slope),
                 identity_blocks(p))
 
-    path, value, log, stalled = _projected_descent(
+    path, (value, *_), log, stalled = _projected_descent(
         objective, start, dom, pin_last=False, opts=OptimizerOptions())
     assert stalled
     assert np.all(path[1:] == 0.0) and value == slope * 0.5
@@ -749,7 +750,7 @@ def test_a_search_below_the_rounding_floor_is_no_stall():
             calls.append(p)
             return (1.0 + 10.0 * np.sum(np.abs(p - start), axis=(-2, -1)),
                     np.full(p.shape, _g), identity_blocks(p))
-        _, value, log, stalled = _projected_descent(
+        _, (value, *_), log, stalled = _projected_descent(
             uphill, start, dom, pin_last=False, opts=OptimizerOptions())
         assert value == 1.0 and stalled is stalls
         if stalls:
@@ -781,14 +782,15 @@ def test_contracted_rate_reports_stall_flag(monkeypatch):
 
 def test_descent_keeps_the_tracer_contract():
     # benchmark tracing wraps action._projected_descent by name and reads
-    # its (path, value, log, stalled) return: log[-1][0] as the iteration
-    # count and rows with row[2] > 0 as accepted steps
+    # its (path, best, log, stalled) return: log[-1][0] as the iteration
+    # count and rows with row[2] > 0 as accepted steps; best is the last
+    # evaluation, its value first
     dom, co = unit_interval(), preset("linear-drift", {"rate": 1.0})
     grid = TimeGrid(0.0, 1.0, 32)
     path0 = (0.5 + 0.4 * grid.nodes)[:, None]
     out = action._projected_descent(_objective(co, dom, grid), path0, dom,
                                     pin_last=True, opts=OptimizerOptions())
-    path, value, log, stalled = out
+    path, (value, *_), log, stalled = out
     assert path.shape == path0.shape and isinstance(value, float)
     assert stalled is False
     assert all(len(row) == 3 for row in log) and log[0] == (0, log[0][1], 0.0)
@@ -820,7 +822,8 @@ class TestBatchedLineSearch:
 
     def run(self, objective, path0=None, dom=None, pin_last=False,
             opts=OptimizerOptions(max_iter=60)):
-        """The descent's return, and every path the objective saw."""
+        """The descent's return, with the value of its last evaluation in
+        place of the evaluation, and every path the objective saw."""
         path0 = self.start if path0 is None else path0
         seen = []
 
@@ -828,9 +831,9 @@ class TestBatchedLineSearch:
             seen.append(np.array(p))
             return objective(p)
 
-        out = _projected_descent(spy, path0, dom or unit_interval(),
-                                 pin_last=pin_last, opts=opts)
-        return out, seen
+        path, best, log, stalled = _projected_descent(
+            spy, path0, dom or unit_interval(), pin_last=pin_last, opts=opts)
+        return (path, best[0], log, stalled), seen
 
     def threshold_objective(self, theta):
         """1 - the largest rise of a node above 0.5 while it is at most
@@ -1086,7 +1089,7 @@ class TestGradientReuse:
         assert len(solves) == 4
         assert {p.shape[1] for (_, p), *_ in solves} == {1, 2}
         for (objective, path), diag, off, g in solves:
-            _, grad, (d_alone, o_alone) = objective(path)
+            _, grad, (d_alone, o_alone), *_ = objective(path)
             n1 = len(path)
             free = slice(1, n1 - 1) if len(diag) == n1 - 2 else slice(1, n1)
             assert g.tobytes() == grad[free].tobytes()
@@ -1118,9 +1121,10 @@ class TestGradientReuse:
         # the zero-drift case on 4 field steps and 9 lattice nodes, a
         # quadratic problem: the descent from the skeleton takes one full
         # step, and the next iteration's decrement ends it. The calls
-        # through _action_terms are the start's, the trial's and
-        # evaluate_action's. S' is within 7e-16 relative of the exact
-        # minimum of the penalized problem, 0.011249887503374823 rounded
+        # through _action_terms are the start's and the trial's, whose
+        # evaluation also gives S' and the violation. S' is within 7e-16
+        # relative of the exact minimum of the penalized problem,
+        # 0.011249887503374823 rounded
         dom, co = unit_interval(), preset("zero-drift-unit-noise")
         field = limit_value_field(co, dom, TimeGrid(0.0, 1.0, 4),
                                   make_lattice(dom, 9))
@@ -1128,11 +1132,71 @@ class TestGradientReuse:
         out = contracted_rate(co, dom, field, 0.5 + 0.15 * field.times.nodes,
                               0.0, [0.5],
                               OptimizerOptions(max_iter=20, grad_tol=0))
-        assert "".join(ev[0] for ev in events) == "OSOSO"
+        assert "".join(ev[0] for ev in events) == "OSOS"
         assert repr(out["s_prime"]) == "0.011249887503374816"
         assert out["argmin_psi"].tobytes().hex() == (
             "000000000000e03f333333333333e13f636666666666e23f"
             "de8997999999e33f7aa5273acbcce43f")
+
+    def test_contracted_rate_returns_its_last_evaluation(self):
+        # S' and the violation, read from the accepted trial's evaluation,
+        # equal evaluate_action's action and apply_pi's values at the
+        # returned path bitwise; on the wall case too, whose start is its
+        # minimizer
+        dom, co = unit_interval(), preset("zero-drift-unit-noise")
+        times = TimeGrid(0.0, 1.0, 4)
+        field = limit_value_field(co, dom, times, make_lattice(dom, 9))
+        wall = preset("boundary-g-constant", {"v": 1.0, "g0": 1.0})
+        wall_field = limit_value_field(wall, dom, times, make_lattice(dom, 9))
+        cases = [(co, field, 0.5 + 0.15 * times.nodes),
+                 (wall, wall_field, apply_pi(wall_field, integrate_skeleton_ode(
+                     wall, dom, 0.0, [0.5], times).x_path)[:, 0])]
+        for coeffs, fld, gamma in cases:
+            out = contracted_rate(coeffs, dom, fld, gamma, 0.0, [0.5])
+            path = out["argmin_psi"]
+            assert out["s_prime"] == evaluate_action(coeffs, dom, path,
+                                                     times).action
+            assert out["violation"] == float(np.abs(
+                apply_pi(fld, path)[:, 0] - gamma).max())
+
+    def test_blocks_are_built_only_for_a_step(self, monkeypatch):
+        # the tail certificate under zero drift starts at its straight-line
+        # minimizers, whose gradient lies below grad_tol: neither descent
+        # builds its Gauss-Newton blocks. On the disc against the wall,
+        # whose first search rejects five trials, the blocks are built once
+        # per block solve, and for no rejected trial
+        made, solves = [], []
+        terms, solve = action._action_terms, action._block_solve
+
+        def spy(*args, **kwargs):
+            out = terms(*args, **kwargs)
+            if len(out) == 6:
+                made.append(out[5])
+            return out
+
+        def counted_solve(*args):
+            solves.append(None)
+            return solve(*args)
+
+        monkeypatch.setattr(action, "_action_terms", spy)
+        monkeypatch.setattr(action, "_block_solve", counted_solve)
+        dom = unit_interval()
+        s_star = harness._exceedance_certificate(
+            preset("zero-drift-unit-noise"), dom, 0.0, np.array([0.5]), 0.2,
+            TimeGrid(0.0, 1.0, 64))
+        assert s_star == pytest.approx(0.02, rel=1e-12)
+        assert len(made) == 2
+        assert all(inspect.getgeneratorstate(g) == "GEN_CREATED"
+                   for g in made)
+        made.clear()
+        _, info = minimize_action_endpoint(
+            preset("ou-in-ball", {"theta": -2.0}), ball(), 0.0, [0.25, 0.0],
+            [-0.6, 0.8], 1.0, TimeGrid(0.0, 1.0, 16),
+            OptimizerOptions(max_iter=40))
+        assert info["iterations"][1][2] == 0.5 ** 5
+        built = [inspect.getgeneratorstate(g) == "GEN_CLOSED" for g in made]
+        assert sum(built) == len(solves) >= 1
+        assert len(made) >= len(solves) + 5
 
     def test_no_objective_call_follows_a_failed_search(self):
         # the kinked objective: the first search halves until its step

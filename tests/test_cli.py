@@ -356,6 +356,26 @@ def test_contracted_rate_manifest_records_stall(tmp_path):
     assert on_disk["stalled"] is False
 
 
+@pytest.mark.parametrize("target, kind", [("X4", float), ("Y4", None)])
+def test_convergence_manifest_records_slope_se(target, kind, tmp_path):
+    # X4's slope standard error is a positive number; Y4 keeps none, which
+    # the manifest writes as null
+    manifest = run(validate(base_config(
+        command="convergence", target=target, n_paths=1000,
+        preset={"name": "linear-bsde"}, grid={"n_steps": 32},
+        field_steps=4, space_nodes=5, mc_per_node=64,
+        output_dir=str(tmp_path / "out"))))
+    se = manifest["convergence"]["slope_se"]
+    on_disk = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert on_disk["convergence"]["slope_se"] == se
+    if kind is None:
+        assert se is None
+        assert '"slope_se": null' in (tmp_path / "out" / "manifest.json"
+                                       ).read_text()
+    else:
+        assert type(se) is float and 0.0 < se < np.inf
+
+
 def _git(cwd, *args):
     return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
                            "-c", "commit.gpgsign=false", *args], cwd=cwd,

@@ -838,6 +838,29 @@ class TestStreamStates:
             rng.standard_normal(37)
             assert gen.bit_generator.state == rng.bit_generator.state
 
+    def test_slots_that_share_a_key_get_its_rows(self, monkeypatch):
+        # key (3, 0) carries a slot of 5 rows and one of 2, around a block
+        # of another key: the stream is seeded once, and both slots get its
+        # first rows bitwise, in every chunk of 3 steps
+        made = []
+
+        def recording_rng(seed, index=0):
+            made.append(index)
+            return trajectory_rng(seed, index)
+
+        monkeypatch.setattr(forward, "trajectory_rng", recording_rng)
+        monkeypatch.setattr(forward, "_CHUNK_STEPS", 3)
+        blocks = [((3, 0), 5), ((3, 1), 3), ((3, 0), 2)]
+        got = np.concatenate([c.copy() for c in
+                              _block_noise(29, blocks, 10, 2, 0.5)])
+        assert made == [(3, 0), (3, 1)]
+        assert got.shape == (10, 10, 2)
+        assert got[:, 8:].tobytes() == got[:, :2].tobytes()
+        for key, rows, at in (((3, 0), 5, 0), ((3, 1), 3, 5),
+                              ((3, 0), 2, 8)):
+            ref = block_rows(29, key, 10, 2, 0.5)[:rows].swapaxes(0, 1)
+            assert got[:, at:at + rows].tobytes() == ref.tobytes()
+
     def test_none_key_rows_stay_zero_and_draw_no_stream(self, monkeypatch):
         # a block keyed None is drawn by no stream: its rows are zero in
         # every chunk, and the other blocks' rows are as drawn without it

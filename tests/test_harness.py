@@ -96,7 +96,7 @@ class TestConvergenceStudy:
         a = self._study("X4")
         c = self._study("X4")
         assert a.errors == c.errors
-        # calls of 3 blocks: they end inside levels and span two
+        # calls of one block position of every level
         monkeypatch.setattr(harness, "_PASS_STEPS", 3 * _BLOCK_PATHS * 256)
         b = self._study("X4")
         assert a.errors == b.errors
@@ -170,10 +170,12 @@ class TestOnePassPerLevel:
     def test_tuple_call_equals_single_target_calls(self, monkeypatch):
         # drift into the boundary, where g charges dK: every target estimable
         co = {"name": "boundary-g-constant", "params": {"v": 1.0, "g0": 1.0}}
-        # calls of 3 and of 5 blocks: they end inside levels and span two
+        # calls of 3 and of 5 block positions of every level: the last
+        # call takes each level's cut last block
         for blocks in (3, 5):
             monkeypatch.setattr(harness, "_PASS_STEPS",
-                                blocks * _BLOCK_PATHS * self.GRID.n_steps)
+                                blocks * len(LADDER) * _BLOCK_PATHS
+                                * self.GRID.n_steps)
             singles = tuple(self._study(t, **co) for t in self.ORDER)
             assert all(isinstance(r, ConvergenceReport) for r in singles)
             assert [r.target for r in singles] == list(self.ORDER)
@@ -190,9 +192,9 @@ class TestOnePassPerLevel:
         for ei, e in enumerate(LADDER):
             field = solve_bsde_grid(co, dom, e, TimeGrid(0.0, 1.0, 32),
                                     lattice, 256, self.SEED + 7919 * (ei + 1))
+            # every level draws the study's one set of blocks
             xp, _ = simulate_reflected_batch(co, dom, 0.0, [0.5], e,
-                                             self.GRID, self.SEED, 1000,
-                                             key_prefix=(ei,))
+                                             self.GRID, self.SEED, 1000)
             y = apply_pi(field, xp, path_times=self.GRID.nodes)
             yield np.linalg.norm(y - psi[None], axis=-1) ** 4
 
@@ -232,12 +234,13 @@ class TestOnePassPerLevel:
 
     def test_y4_on_the_disc_matches_per_path_oracle(self, monkeypatch):
         # a 2-D lattice read with per-row level offsets, in calls of 5
-        # blocks that end inside levels and span two. The outward drift and
+        # block positions of every level, the second of which takes each
+        # level's cut last block. The outward drift and
         # g = 1 put the sup over t before T: at T every level's field is h,
         # so a read of the wrong level's field would go unseen there
         grid = TimeGrid(0.0, 1.0, 64)
         monkeypatch.setattr(harness, "_PASS_STEPS",
-                            5 * _BLOCK_PATHS * grid.n_steps)
+                            5 * len(LADDER) * _BLOCK_PATHS * grid.n_steps)
         co = replace(preset("ou-in-ball", {"theta": -1.0}),
                      g=lambda t, x, y: np.ones_like(np.asarray(y, float)))
         dom = make_domain("ball", center=[0.0, 0.0], radius=1.0)
@@ -252,7 +255,7 @@ class TestOnePassPerLevel:
             field = solve_bsde_grid(co, dom, e, TimeGrid(0.0, 1.0, 16),
                                     lattice, 64, self.SEED + 7919 * (ei + 1))
             xp, _ = simulate_reflected_batch(co, dom, 0.0, x, e, grid,
-                                             self.SEED, 1000, key_prefix=(ei,))
+                                             self.SEED, 1000)
             # Y4 reads the field's 17 time nodes, every 4th path node
             y = apply_pi(field, xp[:, ::4], path_times=grid.nodes[::4])
             samples = np.linalg.norm(y - psi[None, ::4], axis=-1) ** 4
@@ -448,7 +451,7 @@ class TestTailStudy:
 
     def test_call_cut_independence(self, monkeypatch):
         a = self._tail(0.2)
-        # calls of 3 blocks: they end inside the pilot and the levels
+        # calls of one block position of the pilot and of every level
         monkeypatch.setattr(harness, "_PASS_STEPS", 3 * _BLOCK_PATHS * 256)
         b = self._tail(0.2)
         assert a.p_hat == b.p_hat
@@ -602,16 +605,19 @@ class TestStreamedStudies:
 
     @pytest.fixture(autouse=True)
     def packed(self, monkeypatch):
-        # calls of 5 blocks end inside levels and inside the tail's pilot,
-        # and span both
+        # a convergence study's calls take 5 block positions of every
+        # level, the tail's 4 of the pilot and of every level: the second
+        # call takes each one's cut last block
         monkeypatch.setattr(harness, "_PASS_STEPS",
-                            5 * _BLOCK_PATHS * self.GRID.n_steps)
+                            5 * len(LADDER) * _BLOCK_PATHS * self.GRID.n_steps)
 
     def _cut(self, monkeypatch, parts):
-        # calls of 2 * parts + 1 blocks: both cuts end calls inside levels
-        # and inside the pilot, and span them
+        # calls of 2 * parts + 1 block positions of every level in a
+        # convergence study, and of 2 or 5 in the tail's: each cut leaves
+        # a last call with each level's cut last block
         monkeypatch.setattr(harness, "_PASS_STEPS",
-                            (2 * parts + 1) * _BLOCK_PATHS * self.GRID.n_steps)
+                            (2 * parts + 1) * len(LADDER) * _BLOCK_PATHS
+                            * self.GRID.n_steps)
 
     def _setup(self, case):
         make_dom, name, params, x = self.CASES[case]
@@ -632,7 +638,8 @@ class TestStreamedStudies:
                                     self.N_PATHS, self.GRID, self.SEED)
         contact = 0
         for ei, e in enumerate(LADDER):
-            xp, kp = self._paths(co, dom, x, e, (ei,), self.N_PATHS)
+            # every level draws the study's one set of blocks
+            xp, kp = self._paths(co, dom, x, e, (), self.N_PATHS)
             contact += np.count_nonzero(np.diff(kp, axis=1) > 0)
             samples = {
                 "X4": np.linalg.norm(xp - skel.x_path[None],
@@ -690,8 +697,7 @@ class TestStreamedStudies:
             for off in range(0, self.N_PATHS, piece):
                 xp, kp = simulate_reflected_batch(
                     co, dom, 0.0, [0.5], e, self.GRID, self.SEED,
-                    min(piece, self.N_PATHS - off), index_offset=off,
-                    key_prefix=(ei,))
+                    min(piece, self.N_PATHS - off), index_offset=off)
                 # Y4 reads the field's 17 time nodes, every 4th path node
                 dev = np.linalg.norm(apply_pi(field, xp[:, ::4],
                                               self.GRID.nodes[::4])
@@ -732,7 +738,8 @@ class TestStreamedStudies:
                                                (64, 1000)])
     def test_reports_do_not_depend_on_cut_or_chunk(self, blocks, chunk,
                                                    monkeypatch):
-        # calls of whole blocks, and noise drawn chunk steps at a time
+        # calls of `blocks` block positions of every level, max(1, blocks
+        # * 4 // 5) in the tail, and noise drawn chunk steps at a time
         co, dom, x, _ = self._setup("interval")
         args = (co, dom, 0.0, x)
         names = ("X4", "K4", "Kmoment", "Kexp")
@@ -741,7 +748,8 @@ class TestStreamedStudies:
                tail_study(*args, 0.25, LADDER, self.N_PATHS, self.GRID,
                           self.SEED))
         monkeypatch.setattr(harness, "_PASS_STEPS",
-                            blocks * _BLOCK_PATHS * self.GRID.n_steps)
+                            blocks * len(LADDER) * _BLOCK_PATHS
+                            * self.GRID.n_steps)
         monkeypatch.setattr(forward, "_CHUNK_STEPS", chunk)
         got = (convergence_study(names, *args, LADDER, self.N_PATHS,
                                  self.GRID, self.SEED),
@@ -767,8 +775,8 @@ class TestStreamedStudies:
         # passes whatever the draw, and a later one must be named
         co, dom, x = preset("zero-drift-unit-noise"), unit_interval(), [0.25]
         rel = []
-        for ei, e in enumerate(LADDER):
-            _, kp = self._paths(co, dom, x, e, (ei,), self.N_PATHS)
+        for e in LADDER:
+            _, kp = self._paths(co, dom, x, e, (), self.N_PATHS)
             v = kp[:, -1] ** 4
             rel.append(v.std(ddof=1) / np.sqrt(self.N_PATHS) / v.mean())
         monkeypatch.setattr(harness, "_MAX_REL_SE", rel[0])
@@ -778,6 +786,143 @@ class TestStreamedStudies:
                            match=f"Kmoment: .* at eps={failing[0]} "):
             convergence_study(("X4", "Kmoment"), co, dom, 0.0, x, LADDER,
                               self.N_PATHS, self.GRID, self.SEED)
+
+
+class TestSharedLadderNoise:
+    """A convergence study gives every level one noise: path j of each level
+    is row j % G of the block (seed, (j // G,)), and each block key is
+    seeded once per study, however the study is cut into kernel calls. The
+    tail study's levels and pilot keep keys of their own."""
+
+    GRID = TimeGrid(0.0, 1.0, 64)
+    N_PATHS = 1000
+    BLOCKS = -(-N_PATHS // _BLOCK_PATHS)
+
+    @pytest.fixture
+    def seeded(self, monkeypatch):
+        keys, real = [], forward.trajectory_rng
+
+        def spy(seed, index=0):
+            keys.append(index)
+            return real(seed, index)
+        monkeypatch.setattr(forward, "trajectory_rng", spy)
+        return keys
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        rows, real = [], harness._reflected_core
+
+        def spy(coeffs, domain, x0, *args, **kwargs):
+            rows.append(len(x0))
+            return real(coeffs, domain, x0, *args, **kwargs)
+        monkeypatch.setattr(harness, "_reflected_core", spy)
+        return rows
+
+    @pytest.mark.parametrize("positions", [None, 1, 3])
+    def test_each_block_key_seeded_once(self, positions, seeded, calls,
+                                        monkeypatch):
+        # the default cut is one call; 1 and 3 block positions per call
+        # cut the study into 8 and 3 calls
+        if positions is not None:
+            monkeypatch.setattr(harness, "_PASS_STEPS",
+                                positions * len(LADDER) * _BLOCK_PATHS
+                                * self.GRID.n_steps)
+        convergence_study(("X4", "K4", "Kmoment", "Kexp"),
+                          preset("constant-drift", {"v": 1.0}),
+                          unit_interval(), 0.0, [0.5], LADDER, self.N_PATHS,
+                          self.GRID, 5)
+        assert seeded == [(b,) for b in range(self.BLOCKS)]
+        width = positions or self.BLOCKS
+        assert len(calls) == -(-self.BLOCKS // width)
+        # every call steps its block positions of all four levels and the
+        # skeleton
+        assert sum(calls) == len(LADDER) * self.N_PATHS + len(calls)
+
+    def test_levels_step_the_same_noise(self):
+        # zero drift from 50 on [0, 100]: no path of any level comes near
+        # a wall, so each level's deviation from the skeleton is its
+        # sqrt(eps) times one shared Brownian path, to rounding
+        dom = make_domain("interval", a=0.0, b=100.0)
+        levels = [(e, (), self.N_PATHS) for e in LADDER]
+        sweep = harness._sweep(preset("zero-drift-unit-noise"), dom,
+                               np.array([50.0]), self.GRID, 5, levels, ("dx",))
+        unit = [level["dx"] / np.sqrt(e) for e, level in zip(LADDER, sweep)]
+        for other in unit[1:]:
+            np.testing.assert_allclose(other, unit[0], rtol=1e-12)
+
+    def test_tail_levels_draw_distinct_keys(self, seeded):
+        tail_study(preset("zero-drift-unit-noise"), unit_interval(), 0.0,
+                   [0.5], 0.3, LADDER, self.N_PATHS, self.GRID, 5)
+        pilot = -(-harness._PILOT_PATHS // _BLOCK_PATHS)
+        want = ([(len(LADDER), 0, b) for b in range(pilot)]
+                + [(ei, b) for ei in range(len(LADDER))
+                   for b in range(self.BLOCKS)])
+        assert sorted(seeded) == sorted(want)
+        assert len(set(seeded)) == len(seeded)
+
+
+class TestSlopeStandardError:
+    """slope_se against the spread of the slope over seeds: constant-drift
+    (v = 1) from 0.5 on [0, 1], the ladder LADDER, 1,000 paths of 256
+    steps, seeds 0..39. Written down
+    before any run:
+
+    - Over the seeds the slope is taken as normal with sd sigma, so the
+      seeds' sample sd s has s / sigma ~ sqrt(chi2_39 / 39), whose two-sided
+      1e-3 range is [0.6460, 1.3842] (relative se 1 / sqrt(78) = 0.113).
+    - sigma is read as the mean of the 40 reported slope_se. That mean has
+      its own relative standard error r, the seeds' sd of slope_se over
+      sqrt(40) and the mean, which the band takes 3 times: s / mean lies in
+      [0.6460 (1 - 3 r), 1.3842 (1 + 3 r)].
+    - The delta method's error is of the order of the squared relative se
+      of a level mean, a few 1e-3 here, and is not allowed for."""
+
+    SEEDS = range(40)
+    LOW, HIGH = 0.6460, 1.3842
+
+    def test_slope_se_matches_seed_spread(self):
+        co = preset("constant-drift", {"v": 1.0})
+        reports = [convergence_study(("X4", "K4"), co, unit_interval(), 0.0,
+                                     [0.5], LADDER, 1000,
+                                     TimeGrid(0.0, 1.0, 256), seed)
+                   for seed in self.SEEDS]
+        for col, name in enumerate(("X4", "K4")):
+            slopes = np.array([rep[col].slope for rep in reports])
+            ses = np.array([rep[col].slope_se for rep in reports])
+            sd, mean = slopes.std(ddof=1), ses.mean()
+            r = ses.std(ddof=1) / np.sqrt(ses.size) / mean
+            print(f"{name}: seed sd {sd:.4f}, mean slope_se {mean:.4f}, "
+                  f"ratio {sd / mean:.3f}, r {r:.3f}")
+            assert self.LOW * (1 - 3 * r) <= sd / mean <= self.HIGH * (1 + 3 * r)
+
+    def test_bound_targets_and_y4(self):
+        reps = convergence_study(
+            ("Kmoment", "Kexp", "Y4"),
+            preset("boundary-g-constant", {"v": 1.0, "g0": 1.0}), unit_interval(),
+            0.0, [0.5], LADDER, 1000, TimeGrid(0.0, 1.0, 64), 3,
+            field_steps=16, field_nodes=9, mc_per_node=64)
+        assert [r.slope_se for r in reps] == [0.0, 0.0, None]
+
+    def test_slope_se_is_the_delta_method(self):
+        # w* C w, with C the covariance of the per-path statistics across
+        # the levels over N m_i m_j, from the stored paths
+        co, dom = preset("constant-drift", {"v": 1.0}), unit_interval()
+        grid = TimeGrid(0.0, 1.0, 64)
+        rep = convergence_study("K4", co, dom, 0.0, [0.5], LADDER, 1000, grid,
+                                9)
+        skel = integrate_skeleton_ode(co, dom, 0.0, [0.5], grid)
+        stats = np.array([
+            np.abs(simulate_reflected_batch(co, dom, 0.0, [0.5], e, grid, 9,
+                                            1000)[1]
+                   - skel.k_path[None]).max(axis=1) ** 4 for e in LADDER])
+        m = stats.mean(axis=1)
+        lx = np.log(LADDER)
+        w = (lx - lx.mean()) / np.sum((lx - lx.mean()) ** 2)
+        cov = np.cov(stats) / (1000 * np.outer(m, m))
+        assert np.all(cov > 0)      # the shared noise couples the levels
+        assert rep.slope_se == pytest.approx(np.sqrt(w @ cov @ w), rel=1e-10)
+        # independent levels would have had the diagonal alone
+        assert rep.slope_se < np.sqrt(np.sum(w * w * np.diag(cov)))
 
 
 @pytest.mark.parametrize("delta", [-0.3, 0.0, float("nan")])
