@@ -33,7 +33,7 @@ def main():
         print("eps = %-6g sup-gap of value field to the limit = %.4f"
               % (eps, gap))
 
-    y_along = rf.apply_pi(u0, skel.x_path[::8], path_times=grid.nodes[::8])
+    y_along = rf.apply_pi(u0, skel.x_path[::8])
     print("Pi(limit field) along the skeleton at t = 0: %.8f" % y_along[0, 0])
 
 

@@ -10,9 +10,9 @@ from .coefficients import (CoefficientSet, AssumptionAudit, audit_assumptions,
                            preset, PRESET_NAMES)
 from .forward import (TimeGrid, ReflectedTrajectory, FreePath,
                       SkorokhodDecomposition, integrate_reflected_sde,
-                      integrate_skeleton_ode, integrate_free_sde,
-                      skorokhod_map, reflection_budget_identity,
-                      simulate_reflected_batch, trajectory_rng)
+                      integrate_skeleton_ode, skorokhod_map,
+                      reflection_budget_identity, simulate_reflected_batch,
+                      trajectory_rng)
 from .backward import (BsdePath, ValueField, make_lattice, solve_limit_bsde,
                        solve_bsde_grid, limit_value_field, apply_pi)
 from .action import (ActionResult, OptimizerOptions, evaluate_action,
@@ -25,7 +25,7 @@ __all__ = [
     "CoefficientSet", "AssumptionAudit", "audit_assumptions", "preset",
     "PRESET_NAMES",
     "TimeGrid", "ReflectedTrajectory", "FreePath", "SkorokhodDecomposition",
-    "integrate_reflected_sde", "integrate_skeleton_ode", "integrate_free_sde",
+    "integrate_reflected_sde", "integrate_skeleton_ode",
     "skorokhod_map", "reflection_budget_identity", "simulate_reflected_batch",
     "trajectory_rng",
     "BsdePath", "ValueField", "make_lattice", "solve_limit_bsde",

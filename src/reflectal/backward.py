@@ -26,7 +26,7 @@ __all__ = ["BsdePath", "ValueField", "make_lattice", "solve_limit_bsde",
 
 _MAX_FP_ITER = 20      # fixed-point iterations per implicit backward step
 _FP_TOL = 1e-10        # sup-norm change that ends the fixed-point iteration
-_PI_TOL = 1e-9         # slack of apply_pi's lattice-hull and time-range checks
+_PI_TOL = 1e-9         # slack of apply_pi's lattice-hull check
 _UNIFORM_TOL = 1e-9    # largest spacing deviation of a lattice axis, per step
 _MIN_AXIS_NODES = 2    # nodes per lattice axis
 _MIN_MC_PER_NODE = 64  # one-step samples per lattice node in solve_bsde_grid
@@ -375,13 +375,12 @@ def limit_value_field(coeffs, domain, times, space_grid):
                       epsilon=0.0)
 
 
-def _pi_reader(field, path_times=None):
-    """apply_pi's reader of one field at one time per path node:
-    read(path_values) reads the field along paths (..., n+1, d) at
-    path_times, by default the field's own time nodes. What depends on the
-    times alone, each node's time cell and weight and the flat offsets of
-    its two time slices, the lattice hull and the lattice's interpolation
-    plan are worked out once.
+def _pi_reader(field):
+    """apply_pi's reader of one field: read(path_values) reads the field
+    along paths (..., n+1, d), node i at the field's time node i. What
+    depends on the times alone, each node's time cell and weight and the
+    flat offsets of its two time slices, the lattice hull and the lattice's
+    interpolation plan are worked out once.
 
     read makes one spatial read of both time slices, through the plan's
     offset, and blends them in time last. That is the reduction order of
@@ -389,18 +388,8 @@ def _pi_reader(field, path_times=None):
     With slope=True it also returns the spatial slope (..., n+1, k, d) of
     that read, each time slice's blended in time like the values.
     """
-    times = field.times
-    t_nodes = times.nodes if path_times is None else np.asarray(path_times)
-    if t_nodes.ndim != 1:
-        raise ValueError("path_times needs one entry per path node")
-    if path_times is not None:
-        # the field's own nodes lie in [s, T], with linspace's exact ends
-        if not ((t_nodes >= times.s - _PI_TOL).all()
-                and (t_nodes <= times.T + _PI_TOL).all()):
-            raise OutOfLattice("path times leave the field's time range")
-        t_nodes = np.minimum(np.maximum(t_nodes, times.s), times.T)
-    ax = times.nodes
-    pos = (t_nodes - ax[0]) * ((ax.size - 1) / (ax[-1] - ax[0]))
+    ax = field.times.nodes
+    pos = (ax - ax[0]) * ((ax.size - 1) / (ax[-1] - ax[0]))
     cell = np.minimum(np.maximum(pos.astype(np.intp), 0), ax.size - 2)
     weight = (pos - cell)[:, None]
     cells = math.prod(field.values.shape[1:-1])     # lattice nodes per slice
@@ -413,10 +402,11 @@ def _pi_reader(field, path_times=None):
         vals = np.asarray(path_values, float)
         if vals.shape[-1] != dim:
             raise ValueError("path dimension does not match the field lattice")
-        if vals.shape[-2:-1] != t_nodes.shape:
-            raise ValueError("path_times needs one entry per path node")
+        if vals.shape[-2:-1] != ax.shape:
+            raise ValueError("paths need one node per time node of the "
+                             "field")
         clipped = clip(vals)
-        lead = offsets.reshape((2,) + (1,) * (vals.ndim - 2) + t_nodes.shape)
+        lead = offsets.reshape((2,) + (1,) * (vals.ndim - 2) + ax.shape)
         out = interpolate(field.values, [clipped[..., a] for a in range(dim)],
                           lead, slope)
         if not slope:
@@ -426,9 +416,9 @@ def _pi_reader(field, path_times=None):
     return read
 
 
-def apply_pi(field, path_values, path_times=None):
+def apply_pi(field, path_values):
     """Read the value field along a constrained path (multilinear in time
-    and space). path_values: (..., n+1, d); path_times, one per path node,
-    defaults to the field's time nodes. Returns (..., n+1, k); a point or
-    time outside the field, or NaN, raises OutOfLattice."""
-    return _pi_reader(field, path_times)(path_values)
+    and space), node i at the field's time node i. path_values:
+    (..., n+1, d), n+1 the field's time nodes. Returns (..., n+1, k); a
+    point outside the field's lattice hull, or NaN, raises OutOfLattice."""
+    return _pi_reader(field)(path_values)

@@ -313,12 +313,14 @@ def _execute(cfg, out_dir):
     if cfg.command == "audit":
         audit = audit_assumptions(coeffs, domain, rng_seed=cfg.seed)
         write("audit.csv",
-              ["L1", "L3", "iota", "pass_H1", "pass_H2", "pass_Hfgh"],
+              ["L1", "L3", "iota", "pass_H1", "pass_H2", "pass_Hfgh",
+               "pass_convex"],
               *([v] for v in (audit.L1, audit.L3, audit.iota,
                               audit.passed["H1"], audit.passed["H2"],
-                              audit.passed["Hfgh"])))
+                              audit.passed["Hfgh"], audit.passed["convex"])))
         extra["audit"] = {"passed": audit.passed, "flags": list(audit.flags),
-                          "L1": audit.L1, "L3": audit.L3, "iota": audit.iota}
+                          "L1": audit.L1, "L3": audit.L3, "iota": audit.iota,
+                          "alpha_min": audit.alpha_min}
 
     elif cfg.command in ("skeleton", "simulate-forward"):
         eps = 0.0 if cfg.command == "skeleton" else cfg.eps

@@ -15,13 +15,17 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import AuditFailure, UnknownPreset
-from .geometry import _check_dims, _refuse_bool
+from .errors import UnknownPreset
+from .geometry import _ALPHA, _check_dims, _refuse_bool, verify_convexity
 
 __all__ = ["CoefficientSet", "AssumptionAudit", "audit_assumptions",
            "preset", "PRESET_NAMES"]
 
 _IOTA_FLOOR = 1e-10   # smallest eigenvalue of sigma sigma* passing audit H2
+# the audit's samples: closure points, times, (y, z) pairs and the
+# boundary and closure points of its convexity check
+_AUDIT_SPACE, _AUDIT_TIMES, _AUDIT_YZ, _AUDIT_CONVEXITY = 32, 16, 64, 1000
+_COEFFICIENTS = ("b", "sigma", "f", "g", "h")
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,8 @@ class AssumptionAudit:
     L1: float
     L3: float
     iota: float
-    passed: dict          # keys "H1", "H2", "Hfgh" -> bool
+    alpha_min: float      # the domain's convexity constant (verify_convexity)
+    passed: dict          # keys "H1", "H2", "Hfgh", "convex" -> bool
     flags: tuple = ()     # human-readable notes on soft violations
 
     @property
@@ -55,39 +60,46 @@ def _pair_quotient(num, den, floor=1e-30):
     return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
 
 
-def audit_assumptions(coeffs, domain, grid=None, rng_seed=0, strict=False):
+# a non-finite or huge sample is reported in the result, not as a warning
+@np.errstate(invalid="ignore", over="ignore")
+def audit_assumptions(coeffs, domain, rng_seed=0):
     """Estimate the Lipschitz/growth constants of (b, sigma), the ellipticity
     lower bound of sigma sigma*, and check the one-sided monotonicity and
-    growth inequalities of the backward drivers on a sampled grid.
+    growth inequalities of the backward drivers on a sampled grid, and the
+    domain's convexity with verify_convexity.
 
-    With strict=True a violated inequality raises AuditFailure carrying the
-    witness; otherwise it is recorded in the pass flags and flags list.
+    A violated inequality is recorded in the pass flags and the flags list.
+    A coefficient with a non-finite sample fails its hypotheses, and the
+    constants it enters (L1 for b and sigma, iota for sigma, L3 for f, g
+    and h) read NaN rather than a value from the finite samples.
     """
-    grid = grid or {}
-    n_space = int(grid.get("n_space", 32))
-    n_time = int(grid.get("n_time", 16))
-    n_yz = int(grid.get("n_yz", 64))
-    if n_space < 10 or n_time < 10:
-        raise ValueError("audit grid needs >= 10 points per axis")
-
     _check_dims(coeffs, domain)
     d, m, k = coeffs.dims
+    nonfinite = set()     # the coefficients with a non-finite sample
+
+    def sampled(name):
+        fn = getattr(coeffs, name)
+
+        def call(*args):
+            out = fn(*args)
+            if not np.isfinite(out).all():
+                nonfinite.add(name)
+            return out
+        return call
+
+    b, sigma, f, g, h = map(sampled, _COEFFICIENTS)
     rng = np.random.default_rng(rng_seed)
-    xs = domain.sample_closure(n_space, rng)
-    xs2 = domain.sample_closure(n_space, rng)
-    ts = np.linspace(0.0, coeffs.T, n_time)
-    flags = []
-    witness = None
+    xs = domain.sample_closure(_AUDIT_SPACE, rng)
+    xs2 = domain.sample_closure(_AUDIT_SPACE, rng)
+    ts = np.linspace(0.0, coeffs.T, _AUDIT_TIMES)
 
     # (H1'_{b,sigma}): Lipschitz and linear growth of b, sigma in x, and
     # (H2_sigma): uniform ellipticity of sigma sigma*.
     L1 = 0.0
     iota = np.inf
     for t in ts:
-        b1, b2 = coeffs.b(t, xs), coeffs.b(t, xs2)
-        s1, s2 = coeffs.sigma(t, xs), coeffs.sigma(t, xs2)
-        if not (np.all(np.isfinite(b1)) and np.all(np.isfinite(s1))):
-            witness = witness or ("H1", "non-finite b or sigma", t)
+        b1, b2 = b(t, xs), b(t, xs2)
+        s1, s2 = sigma(t, xs), sigma(t, xs2)
         num = (np.linalg.norm(b1 - b2, axis=-1)
                + np.linalg.norm(s1 - s2, axis=(-2, -1)))
         den = np.linalg.norm(xs - xs2, axis=-1)
@@ -98,43 +110,38 @@ def audit_assumptions(coeffs, domain, grid=None, rng_seed=0, strict=False):
         L1 = max(L1, float(np.max(growth)))
         ev = np.linalg.eigvalsh(s1 @ np.swapaxes(s1, -1, -2))[..., 0]
         iota = min(iota, float(np.min(ev)))
-    pass_h1 = np.isfinite(L1)
     iota = max(iota, 0.0)
-    pass_h2 = iota >= _IOTA_FLOOR
-    if not pass_h2:
-        flags.append(f"H2 ellipticity floor not met: iota={iota:.3e}")
 
     # (H_{f,g,h}): Lipschitz in x and z, one-sided monotonicity in y,
     # and the growth bound |f| + |g| <= L3 (1 + |y| + ||z||).
-    ys = rng.standard_normal((n_yz, k))
-    ys2 = rng.standard_normal((n_yz, k))
-    zs = rng.standard_normal((n_yz, k, m))
-    zs2 = rng.standard_normal((n_yz, k, m))
-    nx = min(n_space, n_yz)
+    ys = rng.standard_normal((_AUDIT_YZ, k))
+    ys2 = rng.standard_normal((_AUDIT_YZ, k))
+    zs = rng.standard_normal((_AUDIT_YZ, k, m))
+    zs2 = rng.standard_normal((_AUDIT_YZ, k, m))
+    nx = min(_AUDIT_SPACE, _AUDIT_YZ)
     xa, xb = xs[:nx], xs2[:nx]
     L3 = 0.0
     mono_bound = 0.0
-    for t in ts[:: max(1, n_time // 8)]:
+    for t in ts[::2]:
         ya, yb = ys[:nx], ys2[:nx]
         za, zb = zs[:nx], zs2[:nx]
         dx = np.linalg.norm(xa - xb, axis=-1)
         # x-Lipschitz of f, g, h
-        num = np.linalg.norm(coeffs.f(t, xa, ya, za) - coeffs.f(t, xb, ya, za), axis=-1)
+        num = np.linalg.norm(f(t, xa, ya, za) - f(t, xb, ya, za), axis=-1)
         L3 = max(L3, float(np.max(_pair_quotient(num, dx))))
-        num = np.linalg.norm(coeffs.g(t, xa, ya) - coeffs.g(t, xb, ya), axis=-1)
+        num = np.linalg.norm(g(t, xa, ya) - g(t, xb, ya), axis=-1)
         L3 = max(L3, float(np.max(_pair_quotient(num, dx))))
-        num = np.linalg.norm(coeffs.h(xa) - coeffs.h(xb), axis=-1)
+        num = np.linalg.norm(h(xa) - h(xb), axis=-1)
         L3 = max(L3, float(np.max(_pair_quotient(num, dx))))
         # z-Lipschitz of f
         dz = np.linalg.norm(za - zb, axis=(-2, -1))
-        num = np.linalg.norm(coeffs.f(t, xa, ya, za) - coeffs.f(t, xa, ya, zb), axis=-1)
+        num = np.linalg.norm(f(t, xa, ya, za) - f(t, xa, ya, zb), axis=-1)
         L3 = max(L3, float(np.max(_pair_quotient(num, dz))))
         # one-sided monotonicity in y
         dy2 = np.sum((ya - yb) ** 2, axis=-1)
-        inner_f = np.sum((ya - yb) * (coeffs.f(t, xa, ya, za)
-                                      - coeffs.f(t, xa, yb, za)), axis=-1)
-        inner_g = np.sum((ya - yb) * (coeffs.g(t, xa, ya)
-                                      - coeffs.g(t, xa, yb)), axis=-1)
+        inner_f = np.sum((ya - yb) * (f(t, xa, ya, za) - f(t, xa, yb, za)),
+                         axis=-1)
+        inner_g = np.sum((ya - yb) * (g(t, xa, ya) - g(t, xa, yb)), axis=-1)
         mono_bound = max(mono_bound,
                          float(np.max(_pair_quotient(inner_f, dy2))),
                          float(np.max(_pair_quotient(inner_g, dy2))))
@@ -147,31 +154,42 @@ def audit_assumptions(coeffs, domain, grid=None, rng_seed=0, strict=False):
     t0 = float(ts[len(ts) // 2])
     for s in scales:
         yq, zq = ys[:nx] * s, zs[:nx] * s
-        q = ((np.linalg.norm(coeffs.f(t0, xa, yq, zq), axis=-1)
-              + np.linalg.norm(coeffs.g(t0, xa, yq), axis=-1))
+        q = ((np.linalg.norm(f(t0, xa, yq, zq), axis=-1)
+              + np.linalg.norm(g(t0, xa, yq), axis=-1))
              / (1.0 + np.linalg.norm(yq, axis=-1)
                 + np.linalg.norm(zq, axis=(-2, -1))))
         qmax.append(float(np.max(q)))
     L3 = max(L3, qmax[0])
     growth_ok = qmax[-1] <= 2.0 * max(qmax[0], 1e-12)
-    if not growth_ok:
-        i = int(np.argmax(qmax))
+
+    # Python's max and min pass over a NaN, so a non-finite sample would
+    # leave its constants at the value of the finite ones
+    flags = [f"{name} is not finite at some sampled point"
+             for name in _COEFFICIENTS if name in nonfinite]
+    if nonfinite & {"b", "sigma"}:
+        L1 = math.nan
+    if "sigma" in nonfinite:
+        iota = math.nan
+    if nonfinite & {"f", "g", "h"}:
+        L3 = math.nan
+    pass_h2 = iota >= _IOTA_FLOOR
+    if not pass_h2 and "sigma" not in nonfinite:
+        flags.append(f"H2 ellipticity floor not met: iota={iota:.3e}")
+    if not growth_ok and not nonfinite & {"f", "g"}:
         flags.append(
             f"growth bound violated: quotient rises from {qmax[0]:.3e} "
             f"to {qmax[-1]:.3e} along the |y| ladder")
-        witness = witness or ("Hfgh", "growth", {"scale": scales[i],
-                                                 "quotient": qmax[i]})
-    pass_hfgh = np.isfinite(L3) and growth_ok
+    convexity = verify_convexity(domain, _AUDIT_CONVEXITY, rng_seed)
+    if not convexity["passed"]:
+        flags.append(f"convexity constant {convexity['alpha_min']:.3e} "
+                     f"exceeds the slack {_ALPHA:.3e}")
 
-    audit = AssumptionAudit(
-        L1=L1, L3=L3, iota=iota,
-        passed={"H1": bool(pass_h1), "H2": bool(pass_h2),
-                "Hfgh": bool(pass_hfgh)},
+    return AssumptionAudit(
+        L1=L1, L3=L3, iota=iota, alpha_min=convexity["alpha_min"],
+        passed={"H1": bool(np.isfinite(L1)), "H2": bool(pass_h2),
+                "Hfgh": bool(np.isfinite(L3) and growth_ok),
+                "convex": convexity["passed"]},
         flags=tuple(flags))
-    if strict and not audit.all_passed:
-        raise AuditFailure("assumption audit failed: " + "; ".join(flags),
-                           witness=witness)
-    return audit
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,14 +9,6 @@ class InvalidShape(ReflectalError):
     """Domain parameters do not describe a valid bounded convex domain."""
 
 
-class AuditFailure(ReflectalError):
-    """A numerical audit found a witness violating an assumed inequality."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class UnknownPreset(ReflectalError):
     """Requested coefficient preset is not in the registry."""
 

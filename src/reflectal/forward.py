@@ -1,5 +1,5 @@
-"""Forward integrators: reflected SDE, noise-free skeleton, free SDE,
-and the constraining (Skorokhod) map; each start time s must equal grid.s.
+"""Forward integrators: reflected SDE, noise-free skeleton and the
+constraining (Skorokhod) map; each start time s must equal grid.s.
 
 The reflected scheme is projection Euler: propose a full Euler step, project
 it back onto the closed domain, and book the Euclidean size of the correction
@@ -10,7 +10,7 @@ noise-free reduction is bitwise.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 
@@ -22,7 +22,7 @@ from .geometry import _check_dims, _check_inside, _norm, project
 
 __all__ = ["TimeGrid", "ReflectedTrajectory", "FreePath",
            "SkorokhodDecomposition", "integrate_reflected_sde",
-           "integrate_skeleton_ode", "integrate_free_sde", "skorokhod_map",
+           "integrate_skeleton_ode", "skorokhod_map",
            "reflection_budget_identity", "trajectory_rng",
            "simulate_reflected_batch"]
 
@@ -160,15 +160,14 @@ def _stream_noise(rng_stream, epsilon, grid, m):
     return rng_stream.standard_normal((1, grid.n_steps, m)) * np.sqrt(grid.dt)
 
 
-def _start(coeffs, domain, s, x, grid, inside=True):
+def _start(coeffs, domain, s, x, grid):
     """x as a float vector, a start at the grid's start time s that passes
-    _check_dims and, unless inside is False, _check_inside."""
+    _check_dims and _check_inside."""
     if s != grid.s:
         raise ValueError(f"start time {s} is not the grid's start {grid.s}")
     x = np.atleast_1d(np.asarray(x, float))
     _check_dims(coeffs, domain, x)
-    if inside:
-        _check_inside(domain, x, "start {} lies outside the domain")
+    _check_inside(domain, x, "start {} lies outside the domain")
     return x
 
 
@@ -180,9 +179,7 @@ def _step(coeffs, domain, X, t, dt, dW, sq):
     noise floor, and the projection's corrections (..., d).
 
     A constant drift is read as its (d,) value, and sigma = I kicks by
-    dW * sq: both are exact, so they give the bits of the general route.
-    A projection that returns its input object, as the free path's
-    identity does, moved nothing: dk and the corrections are zero."""
+    dW * sq: both are exact, so they give the bits of the general route."""
     b, sigma = coeffs.b, coeffs.sigma
     drift = b.value if isinstance(b, _Constant) else b(t, X)
     prop = X + drift * dt
@@ -197,8 +194,6 @@ def _step(coeffs, domain, X, t, dt, dW, sq):
         what = "state proposal" if np.isfinite(drift).all() else "drift"
         raise NumericalBlowup(f"non-finite {what} encountered")
     X = project(domain, prop)
-    if X is prop:
-        return X, np.zeros(X.shape[:-1]), np.zeros_like(X)
     corr = X - prop
     dk = _norm(corr)
     dk *= dk > _K_NOISE_FLOOR * max(1.0, domain.diameter)
@@ -281,38 +276,22 @@ def integrate_skeleton_ode(coeffs, domain, s, x, grid):
 
 
 def simulate_reflected_batch(coeffs, domain, s, x, epsilon, grid, seed,
-                             n_paths, index_offset=0, key_prefix=()):
+                             n_paths):
     """n_paths reflected trajectories. Returns (x_paths, k_paths) arrays of
     shape (n_paths, n+1, d) and (n_paths, n+1).
 
-    Path j of the batch is path i = index_offset + j of key_prefix: row
-    i % G of the noise block trajectory_rng(seed, key_prefix + (i // G,)),
-    with G = _BLOCK_PATHS (see _block_noise). index_offset must be a whole
-    number of blocks, so that a batch cut into calls at whole blocks draws
-    the same paths."""
+    Path j is row j % G of the noise block trajectory_rng(seed, (j // G,)),
+    with G = _BLOCK_PATHS (see _block_noise): path j of a convergence
+    study's level."""
     x = _start(coeffs, domain, s, x, grid)
     _check_count("n_paths", n_paths, 1)
-    if index_offset < 0 or index_offset % _BLOCK_PATHS:
-        raise ValueError(f"index_offset must be a nonnegative multiple of "
-                         f"{_BLOCK_PATHS}, got {index_offset}")
-    _check_count("index_offset", index_offset, 0)
     d, m, _ = coeffs.dims
     x0 = np.broadcast_to(x, (n_paths, d)).copy()
-    noise = (_block_noise(seed, _blocks(key_prefix, n_paths, index_offset),
-                          grid.n_steps, m, grid.dt)
+    noise = (_block_noise(seed, _blocks((), n_paths), grid.n_steps, m,
+                          grid.dt)
              if epsilon > 0 else None)
     xp, kp, _ = _reflected_core(coeffs, domain, x0, epsilon, grid, noise)
     return xp, kp
-
-
-def integrate_free_sde(coeffs, domain, s, x, epsilon, grid, rng_stream=None):
-    """Plain Euler-Maruyama without projection (the boundary-free companion):
-    the projection scheme with the identity as its projection."""
-    x0 = _start(coeffs, domain, s, x, grid, inside=False)[None, :]
-    noise = _stream_noise(rng_stream, epsilon, grid, coeffs.dims[1])
-    free = replace(domain, project_point=lambda p: p)
-    xp, _, _ = _reflected_core(coeffs, free, x0, epsilon, grid, noise)
-    return FreePath(grid=grid, values=xp[0])
 
 
 def skorokhod_map(domain, phi_path):

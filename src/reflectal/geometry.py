@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AuditFailure, InvalidShape, StartOutsideDomain
+from .errors import InvalidShape, StartOutsideDomain
 
 __all__ = ["DomainSpec", "make_domain", "project", "verify_convexity"]
 
@@ -291,8 +291,8 @@ def verify_convexity(domain, n_samples, rng_seed):
     """Smallest alpha making 2<x'-x, grad phi(x)> + alpha |x-x'|^2 >= 0
     over sampled boundary points x and closure points x'.
 
-    Raises AuditFailure when the estimate exceeds the convexity slack
-    _ALPHA, reporting the worst sampled pair.
+    Returns alpha_min, and passed, whether alpha_min is within the
+    convexity slack _ALPHA.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
@@ -305,12 +305,5 @@ def verify_convexity(domain, n_samples, rng_seed):
     inner = 2.0 * np.sum(diff * g, axis=1)
     ok = sq > 1e-30
     need = np.where(ok, np.maximum(0.0, -inner / np.where(ok, sq, 1.0)), 0.0)
-    worst = int(np.argmax(need))
-    alpha_min = float(need[worst])
-    report = {"alpha_min": alpha_min,
-              "worst_pair": (xb[worst].copy(), xc[worst].copy())}
-    if alpha_min > _ALPHA:
-        raise AuditFailure(
-            f"convexity constant {alpha_min:.3e} exceeds declared "
-            f"alpha {_ALPHA:.3e}", witness=report)
-    return report
+    alpha_min = float(need.max())
+    return {"alpha_min": alpha_min, "passed": alpha_min <= _ALPHA}

@@ -377,34 +377,11 @@ class TestApplyPi:
         with pytest.raises(OutOfLattice, match="hull"):
             apply_pi(self._field(), path)
 
-    def test_nan_time_rejected(self):
-        times = np.linspace(0.0, 1.0, 5)
-        times[3] = np.nan
-        with pytest.raises(OutOfLattice, match="time range"):
-            apply_pi(self._field(), np.full((5, 1), 0.5), path_times=times)
-
-    @pytest.mark.parametrize("times", [[0.5], np.linspace(0.0, 1.0, 4), 0.5])
-    def test_one_time_per_path_node(self, times):
-        with pytest.raises(ValueError, match="one entry per path node"):
-            apply_pi(self._field(), np.full((5, 1), 0.5), path_times=times)
-
-    @pytest.mark.parametrize("s, T, n", [(0.0, 1.0, 4), (0.1, 0.7, 6),
-                                         (-0.3, 2.9, 7)])
-    def test_default_times_are_the_field_nodes_bitwise(self, s, T, n):
-        # without path_times the field's own nodes are read unclipped: the
-        # same bits as passing them explicitly through the range check
-        dom = make_domain("ball", center=[0.0, 0.0], radius=1.0)
-        times = TimeGrid(s, T, n)
-        axes = make_lattice(dom, 5)
-        rng = np.random.default_rng(n)
-        field = ValueField(times=times, axes=axes,
-                           values=rng.standard_normal((n + 1, 5, 5, 2)),
-                           epsilon=0.0)
-        paths = rng.uniform(-1.0, 1.0, (3, n + 1, 2))
-        paths[0, 0] = [1.0, -1.0]
-        assert np.array_equal(apply_pi(field, paths),
-                              apply_pi(field, paths,
-                                       path_times=times.nodes))
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 1), (6, 1), (3, 4, 1)])
+    def test_one_node_per_field_time_node(self, shape):
+        # the field has 5 time nodes, and a path node i is read at node i
+        with pytest.raises(ValueError, match="one node per time node"):
+            apply_pi(self._field(), np.full(shape, 0.5))
 
     def test_modulus_of_continuity(self):
         # perturbed paths move the read values by at most Lip * delta, with
@@ -426,8 +403,8 @@ class TestApplyPi:
             assert gap <= lip * delta + 1e-12
 
     def test_repeated_calls_match_fresh_interpolator(self):
-        # every read, including a batch of paths and explicit times, agrees
-        # with scipy's rectilinear interpolator to rounding
+        # every read, including a batch of paths, agrees with scipy's
+        # rectilinear interpolator to rounding
         dom = make_domain("ball", center=[0.0, 0.0], radius=1.0)
         co = preset("ou-in-ball")
         times = TimeGrid(0.0, 1.0, 6)
@@ -444,10 +421,6 @@ class TestApplyPi:
             want = fresh(pts.reshape(-1, 3)).reshape(shape[:-1] + (1,))
             np.testing.assert_allclose(apply_pi(field, path), want,
                                        rtol=0, atol=1e-15)
-        t_half = np.linspace(0.05, 0.95, 7)
-        pts = np.concatenate([t_half[:, None], path], axis=-1)
-        np.testing.assert_allclose(apply_pi(field, path, path_times=t_half),
-                                   fresh(pts), rtol=0, atol=1e-15)
         with pytest.raises(OutOfLattice):
             apply_pi(field, np.full((7, 2), 1.5))
 
@@ -495,10 +468,6 @@ class TestMultilinear:
                            values=affine_field(times, axes, coef), epsilon=0.0)
         lo, hi = dom.bbox
         path = rng.uniform(lo, hi, size=(3, 5, d))
-        t_q = rng.uniform(0.5, 1.5, size=5)
-        np.testing.assert_allclose(apply_pi(field, path, path_times=t_q),
-                                   affine_at(t_q, path, coef),
-                                   rtol=0, atol=1e-14)
         np.testing.assert_allclose(apply_pi(field, path),
                                    affine_at(times.nodes, path, coef),
                                    rtol=0, atol=1e-14)
@@ -517,10 +486,9 @@ class TestMultilinear:
         path = rng.uniform(lo, hi, size=(200, 4, d))
         beyond = np.where(rng.random(path.shape) < 0.5, lo - 5e-10, hi + 5e-10)
         path = np.where(rng.random(path.shape) < 0.3, beyond, path)
-        t_q = times.nodes + np.array([-5e-10, 0.0, 0.0, 5e-10])
-        got = apply_pi(field, path, path_times=t_q)
-        np.testing.assert_array_equal(
-            got, apply_pi(field, np.clip(path, lo, hi), path_times=times.nodes))
+        got = apply_pi(field, path)
+        np.testing.assert_array_equal(got,
+                                      apply_pi(field, np.clip(path, lo, hi)))
         assert values.min() <= got.min() and got.max() <= values.max()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -572,22 +540,13 @@ class TestPiReader:
             (7,) + (n_nodes,) * len(axes) + (2,))
         return ValueField(times=times, axes=axes, values=values, epsilon=0.0)
 
-    @pytest.mark.parametrize("explicit", [False, True],
-                             ids=["field-times", "path-times"])
     @pytest.mark.parametrize("dom, n_nodes", LATTICES)
-    def test_reader_equals_apply_pi_and_one_lattice_read(self, dom, n_nodes,
-                                                         explicit):
+    def test_reader_equals_apply_pi_and_one_lattice_read(self, dom, n_nodes):
         field = self.field(dom, n_nodes)
         times, d = field.times, len(field.axes)
         rng = np.random.default_rng(20 + d)
-        t_q = None
-        if explicit:    # the ends within the range check's slack
-            t_q = np.sort(rng.uniform(times.s, times.T, 7))
-            t_q[[0, -1]] = times.s - 5e-10, times.T + 5e-10
-        read = _pi_reader(field, t_q)
+        read = _pi_reader(field)
         lo, hi = dom.bbox
-        t_read = times.nodes if t_q is None else np.clip(t_q, times.s,
-                                                         times.T)
         for shape in ((7, d), (3, 7, d), (2, 2, 7, d)):
             paths = rng.uniform(lo, hi, shape)
             paths[..., 0, :] = lo            # hull corners, and points just
@@ -596,12 +555,12 @@ class TestPiReader:
             paths[..., 3, -1] = lo[-1] - 5e-10
             got = read(paths)
             assert got.shape == shape[:-1] + (2,)
-            want = apply_pi(field, paths, path_times=t_q)
+            want = apply_pi(field, paths)
             assert got.tobytes() == want.tobytes()
             clipped = np.clip(paths, lo, hi)
             lattice = _interpolation_plan((times.nodes,) + field.axes)(
                 field.values,
-                (np.broadcast_to(t_read, shape[:-1]),
+                (np.broadcast_to(times.nodes, shape[:-1]),
                  *np.moveaxis(clipped, -1, 0)))
             assert got.tobytes() == lattice.tobytes()
 
@@ -635,15 +594,11 @@ class TestPiReader:
             assert np.abs(slope[..., c]).max() > 0.1
             np.testing.assert_allclose(slope[..., c], diff, rtol=0, atol=tol)
 
-    @pytest.mark.parametrize("explicit", [False, True],
-                             ids=["field-times", "path-times"])
     @pytest.mark.parametrize("dom, n_nodes", LATTICES)
-    def test_reader_and_apply_pi_reject_nan_and_outside(self, dom, n_nodes,
-                                                        explicit):
+    def test_reader_and_apply_pi_reject_nan_and_outside(self, dom, n_nodes):
         field = self.field(dom, n_nodes)
         d = len(field.axes)
-        t_q = np.linspace(0.1, 0.9, 7) if explicit else None
-        read = _pi_reader(field, t_q)
+        read = _pi_reader(field)
         lo, hi = dom.bbox
         for bad in (np.nan, hi[-1] + 2e-9, lo[0] - 1.0):
             paths = np.full((3, 7, d), 0.5 * (lo + hi))
@@ -651,7 +606,7 @@ class TestPiReader:
             with pytest.raises(OutOfLattice, match="hull"):
                 read(paths)
             with pytest.raises(OutOfLattice, match="hull"):
-                apply_pi(field, paths, path_times=t_q)
+                apply_pi(field, paths)
 
 
 class TestHullClipper:

@@ -100,7 +100,10 @@ class TestRun:
             output_dir=str(tmp_path / "out")))
         manifest = run(cfg)
         assert manifest["audit"]["passed"] == {"H1": True, "H2": True,
-                                               "Hfgh": True}
+                                               "Hfgh": True, "convex": True}
+        assert manifest["audit"]["alpha_min"] == 0.0
+        with open(tmp_path / "out" / "audit.csv") as fh:
+            assert fh.readline().rstrip().split(",")[-1] == "pass_convex"
 
     def test_reruns_are_byte_identical(self, tmp_path):
         texts = []

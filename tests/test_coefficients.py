@@ -1,11 +1,13 @@
 """Coefficient presets and assumption audits."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from reflectal.coefficients import (CoefficientSet, PRESET_NAMES,
                                     audit_assumptions, preset)
-from reflectal.errors import AuditFailure, UnknownPreset
+from reflectal.errors import UnknownPreset
 from reflectal.geometry import make_domain
 
 
@@ -40,41 +42,66 @@ class TestAudit:
             np.asarray(x, float).shape[:-1] + (1, 1)))
         audit = audit_assumptions(co, unit_interval(), rng_seed=2)
         assert audit.iota == 0.0
-        assert not audit.passed["H2"]
-        with pytest.raises(AuditFailure):
-            audit_assumptions(co, unit_interval(), rng_seed=2, strict=True)
+        assert audit.passed == {"H1": True, "H2": False, "Hfgh": True,
+                                "convex": True}
+        assert audit.flags == ("H2 ellipticity floor not met: "
+                               "iota=0.000e+00",)
 
     def test_cubic_driver_monotone_but_growth_violated(self):
         # f = -y^3: one-sided monotonicity holds with constant 0, the linear
         # growth bound fails for large |y|
         co = _scalar_set(f=lambda t, x, y, z: -np.asarray(y, float) ** 3)
         audit = audit_assumptions(co, unit_interval(), rng_seed=3)
-        assert not audit.passed["Hfgh"]
-        assert any("growth" in fl for fl in audit.flags)
+        assert audit.passed == {"H1": True, "H2": True, "Hfgh": False,
+                                "convex": True}
+        assert len(audit.flags) == 1 and "growth" in audit.flags[0]
         # direct oracle: the monotonicity inner product is nonpositive
         rng = np.random.default_rng(3)
         y1, y2 = rng.standard_normal(64), rng.standard_normal(64)
         inner = (y1 - y2) * (-(y1 ** 3) + y2 ** 3)
         assert np.all(inner <= 1e-12)
-        with pytest.raises(AuditFailure) as exc:
-            audit_assumptions(co, unit_interval(), rng_seed=3, strict=True)
-        assert exc.value.witness is not None
 
-    def test_audit_monotonicity_in_grid_size(self):
-        co = preset("linear-bsde", params={"lam": 1.0})
-        dom = unit_interval()
-        small = audit_assumptions(co, dom, grid={"n_space": 16, "n_time": 10,
-                                                 "n_yz": 32}, rng_seed=4)
-        large = audit_assumptions(co, dom, grid={"n_space": 64, "n_time": 24,
-                                                 "n_yz": 128}, rng_seed=4)
-        assert large.L1 >= small.L1 - 1e-12
-        assert large.L3 >= small.L3 - 1e-12
-        assert large.iota <= small.iota + 1e-12
+    @staticmethod
+    def _broken_above(fn, value, at=0.7):
+        """fn with the given value wherever x > at."""
+        def broken(t, x, *rest):
+            out = np.array(fn(t, x, *rest), float)
+            out[np.asarray(x)[..., 0] > at] = value
+            return out
+        return broken
 
-    def test_grid_too_small_rejected(self):
+    @pytest.mark.parametrize("name, value, failed, nan_constants", [
+        ("b", np.nan, {"H1"}, {"L1"}),
+        ("b", np.inf, {"H1"}, {"L1"}),
+        ("sigma", np.nan, {"H1", "H2"}, {"L1", "iota"}),
+        ("f", np.nan, {"Hfgh"}, {"L3"}),
+    ], ids=["b-nan", "b-inf", "sigma-nan", "f-nan"])
+    def test_coefficient_non_finite_on_part_of_the_domain_fails(
+            self, name, value, failed, nan_constants):
+        # the finite samples alone pass, so only the non-finite ones can
+        # fail the audit, and no constant is read off the finite ones
         co = preset("constant-drift")
-        with pytest.raises(ValueError):
-            audit_assumptions(co, unit_interval(), grid={"n_space": 4})
+        broken = replace(co, **{name: self._broken_above(getattr(co, name),
+                                                         value)})
+        audit = audit_assumptions(broken, unit_interval(), rng_seed=1)
+        assert audit_assumptions(co, unit_interval(), rng_seed=1).all_passed
+        assert {h for h, ok in audit.passed.items() if not ok} == failed
+        assert audit.flags == (f"{name} is not finite at some sampled point",)
+        for const in ("L1", "L3", "iota"):
+            v = getattr(audit, const)
+            assert np.isnan(v) if const in nan_constants else np.isfinite(v)
+
+    def test_convexity_is_audited(self):
+        dom = unit_interval()
+        co = preset("constant-drift")
+        audit = audit_assumptions(co, dom, rng_seed=5)
+        assert audit.passed["convex"] and audit.alpha_min == 0.0
+        bad = replace(dom, grad_phi=lambda p: -dom.grad_phi(p))
+        audit = audit_assumptions(co, bad, rng_seed=5)
+        assert audit.passed == {"H1": True, "H2": True, "Hfgh": True,
+                                "convex": False}
+        assert audit.alpha_min > 1.0
+        assert len(audit.flags) == 1 and "convexity" in audit.flags[0]
 
 
 class TestPresets:

@@ -12,13 +12,15 @@ from reflectal.backward import make_lattice, solve_bsde_grid
 from reflectal.errors import MissingNoise, NumericalBlowup, StartOutsideDomain
 from reflectal.forward import (_BLOCK_PATHS, _K_NOISE_FLOOR, FreePath,
                                TimeGrid, _block_noise, _blocks, _norm,
-                               _reflected_core, _step, integrate_free_sde,
+                               _reflected_core, _step,
                                integrate_reflected_sde, integrate_skeleton_ode,
                                reflection_budget_identity,
                                simulate_reflected_batch, skorokhod_map,
                                trajectory_rng)
 from reflectal.geometry import make_domain, project
 from reflectal.harness import convergence_study, fit_loglog
+
+from streams import prefix_paths
 
 
 def reference_core(coeffs, domain, x0, epsilon, grid, noise):
@@ -163,59 +165,28 @@ class TestReflectedSde:
         b = simulate_reflected_batch(co, dom, 0.0, [0.5], 0.05, grid, 99, 32)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
-        # batch splitting at whole blocks, with index offsets, reproduces
-        # the same trajectories
+        # the batch is the paths of the key prefix (), and cut at whole
+        # blocks they are the same trajectories
         n_paths = 2 * _BLOCK_PATHS + 8
         a = simulate_reflected_batch(co, dom, 0.0, [0.5], 0.05, grid, 99,
                                      n_paths)
-        c0 = simulate_reflected_batch(co, dom, 0.0, [0.5], 0.05, grid, 99,
-                                      _BLOCK_PATHS)
-        c1 = simulate_reflected_batch(co, dom, 0.0, [0.5], 0.05, grid, 99,
-                                      n_paths - _BLOCK_PATHS,
-                                      index_offset=_BLOCK_PATHS)
+        c0 = prefix_paths(co, dom, [0.5], 0.05, grid, 99, _BLOCK_PATHS)
+        c1 = prefix_paths(co, dom, [0.5], 0.05, grid, 99,
+                          n_paths - _BLOCK_PATHS, first=_BLOCK_PATHS)
         for whole, first, rest in zip(a, c0, c1):
             np.testing.assert_array_equal(np.concatenate([first, rest]), whole)
 
 
-class TestFreeSde:
-    def test_constant_drift_exact(self):
-        dom = unit_interval()
-        co = preset("constant-drift", params={"v": 1.0})
-        grid = TimeGrid(0.0, 1.0, 64)
-        fp = integrate_free_sde(co, dom, 0.0, [0.0], 0.0, grid)
-        np.testing.assert_allclose(fp.values[:, 0], grid.nodes, atol=1e-14)
-
-    def test_brownian_statistics(self):
-        dom = unit_interval()
+class TestSingleTrajectoryNoise:
+    def test_noise_is_the_stream_draw(self):
+        # the recorded noise is the stream's first n * m normals, row-major,
+        # scaled by sqrt(dt)
         co = preset("zero-drift-unit-noise")
         grid = TimeGrid(0.0, 1.0, 64)
-        ends = np.empty(10_000)
-        rng = trajectory_rng(31)
-        for i in range(ends.size):
-            fp = integrate_free_sde(co, dom, 0.0, [0.0], 1.0, grid, rng)
-            ends[i] = fp.values[-1, 0]
-        se_mean = 1.0 / np.sqrt(ends.size)
-        assert abs(ends.mean()) <= 3 * se_mean
-        var = ends.var(ddof=1)
-        se_var = var * np.sqrt(2.0 / (ends.size - 1))
-        assert abs(var - 1.0) <= 3 * se_var
-
-
-    def test_identity_projection_books_nothing(self, monkeypatch):
-        # a projection that returns its input moved nothing: _step books
-        # zero dk and zero corrections without computing them (no norm is
-        # taken), and the state is the proposal itself
-        def no_norm(v):
-            raise AssertionError("the correction's norm was taken")
-
-        monkeypatch.setattr(forward, "_norm", no_norm)
-        dom = replace(unit_interval(), project_point=lambda p: p)
-        co = preset("constant-drift", params={"v": 1.0})
-        X = np.array([[-3.0], [0.5], [7.0]])
-        dW = np.array([[0.1], [-0.2], [0.3]])
-        x, dk, corr = _step(co, dom, X, 0.0, 0.25, dW, 0.5)
-        np.testing.assert_array_equal(x, X + 1.0 * 0.25 + dW * 0.5)
-        assert dk.tolist() == [0.0] * 3 and corr.tolist() == [[0.0]] * 3
+        tr = integrate_reflected_sde(co, unit_interval(), 0.0, [0.5], 0.3,
+                                     grid, trajectory_rng(31))
+        want = trajectory_rng(31).standard_normal((64, 1)) * np.sqrt(grid.dt)
+        assert tr.noise.tobytes() == want.tobytes()
 
 
 class TestSkorokhodMap:
@@ -343,13 +314,6 @@ class TestEpsilonChecked:
             simulate_reflected_batch(co, unit_interval(), 0.0, [0.5], eps,
                                      TimeGrid(0.0, 1.0, 16), 7, 4)
 
-    @pytest.mark.parametrize("eps", [-0.1, float("nan")])
-    def test_free_path_rejects(self, eps):
-        co = preset("zero-drift-unit-noise")
-        with pytest.raises(ValueError, match="epsilon"):
-            integrate_free_sde(co, unit_interval(), 0.0, [0.5], eps,
-                               TimeGrid(0.0, 1.0, 16), trajectory_rng(1))
-
 
 def unit_disc():
     return make_domain("ball", center=[0.0, 0.0], radius=1.0)
@@ -415,18 +379,6 @@ class TestKernelOracle:
         np.testing.assert_array_equal(tr.k_path, ref[1][0])
         np.testing.assert_array_equal(tr.k_increment_dirs, ref[2][0])
         assert np.any(tr.k_increment_dirs != 0.0)
-
-    def test_free_sde(self):
-        dom, co = unit_interval(), preset("constant-drift", params={"v": 1.0})
-        grid = TimeGrid(0.0, 1.0, 64)
-        fp = integrate_free_sde(co, dom, 0.0, [0.5], 0.5, grid,
-                                trajectory_rng(9))
-        noise = (trajectory_rng(9).standard_normal((1, 64, 1))
-                 * np.sqrt(grid.dt))
-        free = replace(dom, project_point=lambda p: p)
-        ref = reference_core(co, free, np.array([[0.5]]), 0.5, grid, noise)
-        np.testing.assert_array_equal(fp.values, ref[0][0])
-        assert fp.values.min() < 0.0 or fp.values.max() > 1.0
 
     def test_skorokhod_map(self):
         dom = unit_disc()
@@ -659,10 +611,8 @@ class TestStreams:
         dom, co = unit_interval(), preset("constant-drift", params={"v": 1.0})
         grid = TimeGrid(0.0, 1.0, 64)
         n_paths = _BLOCK_PATHS + 5
-        xp, kp = simulate_reflected_batch(co, dom, 0.0, [0.5], 0.2, grid,
-                                          seed=13, n_paths=n_paths,
-                                          index_offset=_BLOCK_PATHS,
-                                          key_prefix=(2, 1))
+        xp, kp = prefix_paths(co, dom, [0.5], 0.2, grid, 13, n_paths,
+                              prefix=(2, 1), first=_BLOCK_PATHS)
         rows = np.concatenate([block_rows(13, (2, 1, b), 64, 1, grid.dt)
                                for b in (1, 2)])
         for j in (0, 1, _BLOCK_PATHS - 1, _BLOCK_PATHS, n_paths - 1):
@@ -692,24 +642,6 @@ class TestStreams:
     def test_block_rejects_a_negative_index(self):
         with pytest.raises(ValueError):
             next(_block_noise(3, [((1, -1), 4)], 4, 1, 0.5))
-
-    @pytest.mark.parametrize("offset", [-_BLOCK_PATHS, 1, _BLOCK_PATHS // 2,
-                                        _BLOCK_PATHS + 1])
-    def test_index_offset_must_be_whole_blocks(self, offset):
-        with pytest.raises(ValueError, match="multiple of"):
-            simulate_reflected_batch(preset("zero-drift-unit-noise"),
-                                     unit_interval(), 0.0, [0.5], 0.1,
-                                     TimeGrid(0.0, 1.0, 4), 3, 4,
-                                     index_offset=offset)
-
-    @pytest.mark.parametrize("offset", [float(_BLOCK_PATHS), 0.0, False,
-                                        np.float64(0.0)])
-    def test_index_offset_must_be_an_int(self, offset):
-        with pytest.raises(ValueError, match="index_offset must be an int"):
-            simulate_reflected_batch(preset("zero-drift-unit-noise"),
-                                     unit_interval(), 0.0, [0.5], 0.1,
-                                     TimeGrid(0.0, 1.0, 4), 3, 4,
-                                     index_offset=offset)
 
     @pytest.mark.parametrize("n", [2.0, True, 0, -3])
     def test_n_paths_must_be_a_count(self, n):
@@ -930,8 +862,6 @@ class TestStartTime:
         lambda co, dom, s, g: integrate_skeleton_ode(co, dom, s, [0.5], g),
         lambda co, dom, s, g: simulate_reflected_batch(co, dom, s, [0.5], 0.1,
                                                        g, 1, 4),
-        lambda co, dom, s, g: integrate_free_sde(co, dom, s, [0.5], 0.1, g,
-                                                 trajectory_rng(1)),
     ])
     def test_start_other_than_grid_start_raises(self, call):
         co, dom = preset("zero-drift-unit-noise"), unit_interval()
@@ -943,8 +873,7 @@ class TestStartTime:
 
 class TestStartInDomain:
     """A reflected path starts in the closed domain: a start outside it is
-    rejected rather than projected at the first step and booked into K.
-    The free SDE has no boundary and starts anywhere."""
+    rejected rather than projected at the first step and booked into K."""
 
     GRID = TimeGrid(0.0, 1.0, 16)
     CALLS = {
@@ -1009,20 +938,13 @@ class TestStartInDomain:
             skorokhod_map(unit_interval(), FreePath(grid=self.GRID,
                                                     values=vals))
 
-    def test_free_sde_starts_anywhere(self):
-        co, dom = preset("zero-drift-unit-noise"), unit_interval()
-        free = integrate_free_sde(co, dom, 0.0, [2.5], 0.1, self.GRID,
-                                  trajectory_rng(1))
-        assert free.values[0, 0] == 2.5
-
 
 class TestStartDimension:
     """A start with as many coordinates as neither the domain nor the
     coefficients is rejected by name, not broadcast or read in part."""
 
     GRID = TimeGrid(0.0, 1.0, 8)
-    CALLS = dict(TestStartInDomain.CALLS, free=lambda co, dom, x, g:
-                 integrate_free_sde(co, dom, 0.0, x, 0.1, g, trajectory_rng(1)))
+    CALLS = TestStartInDomain.CALLS
     CASES = {
         "interval": (unit_interval, ("constant-drift", {"v": 1.0}),
                      [[0.5, 2.0], [0.5, 0.5], [], [[0.5]]]),

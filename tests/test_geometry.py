@@ -10,7 +10,7 @@ from reflectal.action import evaluate_action
 from reflectal.backward import (limit_value_field, make_lattice,
                                 solve_bsde_grid)
 from reflectal.coefficients import audit_assumptions, preset
-from reflectal.errors import AuditFailure, InvalidShape
+from reflectal.errors import InvalidShape
 from reflectal.forward import TimeGrid
 from reflectal.geometry import (_norm, _ramp_d1, _ramp_d2, make_domain,
                                 project, verify_convexity)
@@ -328,13 +328,13 @@ class TestVerifyConvexity:
     def test_alpha_min_zero_for_ball_and_interval(self):
         for dom in (unit_ball(), unit_interval()):
             rep = verify_convexity(dom, 1000, rng_seed=21)
-            assert rep["alpha_min"] <= 1e-9
+            assert rep["alpha_min"] <= 1e-9 and rep["passed"]
 
     def test_corrupted_gradient_fails(self):
         dom = unit_interval()
         bad = dataclasses.replace(dom, grad_phi=lambda p: -dom.grad_phi(p))
-        with pytest.raises(AuditFailure):
-            verify_convexity(bad, 1000, rng_seed=22)
+        rep = verify_convexity(bad, 1000, rng_seed=22)
+        assert not rep["passed"] and rep["alpha_min"] > 1e-8
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from reflectal.harness import (TARGETS, ConvergenceReport,
                                convergence_study, fit_loglog, tail_study)
 
 from oracles import reflected_quartic, sup_abs_tail
+from streams import prefix_paths
 
 LADDER = (0.1, 0.05, 0.025, 0.0125)
 
@@ -182,8 +183,9 @@ class TestOnePassPerLevel:
             assert self._study(self.ORDER, **co) == singles
 
     def _y4_samples(self):
-        """Per level, |u^eps(t_i, X_i) - psi_i|^4 per path and node of the
-        default Y4 study, from stored paths read with apply_pi."""
+        """Per level, |u^eps(t_i, X_i) - psi_i|^4 per path and field time
+        node of the default Y4 study, from stored paths read with apply_pi
+        at every 8th path node."""
         co = preset("linear-bsde", {"lam": 1.0, "g0": 1.0})
         dom = unit_interval()
         skel = integrate_skeleton_ode(co, dom, 0.0, [0.5], self.GRID)
@@ -193,10 +195,10 @@ class TestOnePassPerLevel:
             field = solve_bsde_grid(co, dom, e, TimeGrid(0.0, 1.0, 32),
                                     lattice, 256, self.SEED + 7919 * (ei + 1))
             # every level draws the study's one set of blocks
-            xp, _ = simulate_reflected_batch(co, dom, 0.0, [0.5], e,
-                                             self.GRID, self.SEED, 1000)
-            y = apply_pi(field, xp, path_times=self.GRID.nodes)
-            yield np.linalg.norm(y - psi[None], axis=-1) ** 4
+            xp, _ = prefix_paths(co, dom, [0.5], e, self.GRID, self.SEED,
+                                 1000)
+            y = apply_pi(field, xp[:, ::8])
+            yield np.linalg.norm(y - psi[None, ::8], axis=-1) ** 4
 
     def test_y4_matches_per_path_oracle(self, monkeypatch):
         monkeypatch.setattr(harness, "_PASS_STEPS", 256 * self.GRID.n_steps)
@@ -227,7 +229,6 @@ class TestOnePassPerLevel:
         self._study("Y4")
         (levels,) = sweeps
         for level, samples in zip(levels, self._y4_samples(), strict=True):
-            samples = samples[:, ::8]
             np.testing.assert_allclose(
                 level["Y4"], [samples.sum(axis=0), (samples ** 2).sum(axis=0)],
                 rtol=1e-12, atol=0)
@@ -254,10 +255,9 @@ class TestOnePassPerLevel:
         for ei, e in enumerate(LADDER):
             field = solve_bsde_grid(co, dom, e, TimeGrid(0.0, 1.0, 16),
                                     lattice, 64, self.SEED + 7919 * (ei + 1))
-            xp, _ = simulate_reflected_batch(co, dom, 0.0, x, e, grid,
-                                             self.SEED, 1000)
+            xp, _ = prefix_paths(co, dom, x, e, grid, self.SEED, 1000)
             # Y4 reads the field's 17 time nodes, every 4th path node
-            y = apply_pi(field, xp[:, ::4], path_times=grid.nodes[::4])
+            y = apply_pi(field, xp[:, ::4])
             samples = np.linalg.norm(y - psi[None, ::4], axis=-1) ** 4
             means_t = samples.mean(axis=0)
             worst = int(np.argmax(means_t))
@@ -591,7 +591,8 @@ class TestSkeletonRidesInTheSweep:
 class TestStreamedStudies:
     """The studies reduce each path while the kernel steps it, in packed
     calls that mix ladder levels and chunks. Their oracle is the stored-path
-    formula: simulate_reflected_batch, then the maxima over the paths."""
+    formula: the paths of each key prefix, stored (prefix_paths), then the
+    maxima over the paths."""
 
     GRID = TimeGrid(0.0, 1.0, 64)
     SEED = 11
@@ -625,8 +626,8 @@ class TestStreamedStudies:
         return co, dom, x, integrate_skeleton_ode(co, dom, 0.0, x, self.GRID)
 
     def _paths(self, co, dom, x, e, prefix, n_paths):
-        return simulate_reflected_batch(co, dom, 0.0, x, e, self.GRID,
-                                        self.SEED, n_paths, key_prefix=prefix)
+        return prefix_paths(co, dom, x, e, self.GRID, self.SEED, n_paths,
+                            prefix)
 
     @pytest.mark.parametrize("parts", [1, 3])
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -695,12 +696,12 @@ class TestStreamedStudies:
             k4 = []
             piece = 2 * _BLOCK_PATHS   # two blocks at a time
             for off in range(0, self.N_PATHS, piece):
-                xp, kp = simulate_reflected_batch(
-                    co, dom, 0.0, [0.5], e, self.GRID, self.SEED,
-                    min(piece, self.N_PATHS - off), index_offset=off)
+                xp, kp = prefix_paths(co, dom, [0.5], e, self.GRID,
+                                      self.SEED,
+                                      min(piece, self.N_PATHS - off),
+                                      first=off)
                 # Y4 reads the field's 17 time nodes, every 4th path node
-                dev = np.linalg.norm(apply_pi(field, xp[:, ::4],
-                                              self.GRID.nodes[::4])
+                dev = np.linalg.norm(apply_pi(field, xp[:, ::4])
                                      - psi[None, ::4], axis=-1) ** 4
                 total = total + dev.sum(axis=0)
                 squares = squares + (dev * dev).sum(axis=0)
