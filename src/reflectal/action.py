@@ -206,7 +206,11 @@ def evaluate_action(coeffs, domain, psi, grid=None):
     _check_dims(coeffs, domain)
     if path.shape != (grid.n_steps + 1, domain.dimension):
         raise ValueError("path shape does not match the grid and the domain")
-    action, integrand, lam, nvec = _action_terms(coeffs, domain, path, grid)
+    return _result(path, grid, *_action_terms(coeffs, domain, path, grid))
+
+
+def _result(path, grid, action, integrand, lam, nvec):
+    """The ActionResult of a path (n+1, d) from its _action_terms."""
     drho = (lam * grid.dt)[:, None] * nvec
     rho = np.concatenate([np.zeros((1, path.shape[1])), np.cumsum(drho, axis=0)])
     return ActionResult(psi=path.copy(), phi=path - rho, action=float(action),
@@ -219,8 +223,10 @@ def _objective(coeffs, domain, grid, penalty=None):
     penalty is given: penalty(paths) returns its value, gradient, a
     function that builds its diagonal blocks, all already weighted, and the
     values it penalizes. The blocks come as a lazy pair (diag, off), built
-    when unpacked. Then come the parts: the action, and the penalized
-    values, or None without a penalty. A right node on the wall is active
+    when unpacked. Then come the parts: the action's terms, as
+    _action_terms returns them without a gradient (action, integrand,
+    multipliers and normals), and the penalized values, or None without a
+    penalty. A right node on the wall is active
     when its multiplier is positive or its gradient points out of the
     domain (projected Newton, Bertsekas 1982): moving an active node
     inward drops its multiplier, a jump, or raises the value, so only a
@@ -228,7 +234,7 @@ def _objective(coeffs, domain, grid, penalty=None):
     their part along the wall, with the normal one decoupled at unit
     curvature, so the node's step runs along the wall (in 1-D, it is 0)."""
     def objective(paths):
-        action, _, lam, nvec, grad, pair = _action_terms(
+        action, integrand, lam, nvec, grad, pair = _action_terms(
             coeffs, domain, paths, grid, gradient=True)
         value, u = action, None
         if penalty is not None:
@@ -255,7 +261,7 @@ def _objective(coeffs, domain, grid, penalty=None):
                 off = proj[..., :-1, :, :] @ off @ proj[..., 1:, :, :]
             yield diag
             yield off
-        return value, grad, blocks(), action, u
+        return value, grad, blocks(), (action, integrand, lam, nvec), u
     return objective
 
 
@@ -429,10 +435,11 @@ def _minimize_endpoint(coeffs, domain, s, x, y, T, grid, opts=None,
     starts = np.stack([straight, bent])
     path0 = starts[np.argmin(_action_terms(coeffs, domain, starts, grid)[0])]
 
-    best, _, log, stalled = _projected_descent(
+    # the accepted evaluation holds the path's action terms
+    path, (*_, terms, _), log, stalled = _projected_descent(
         _objective(coeffs, domain, grid), path0, domain, pin_last=True,
         opts=opts)
-    result = evaluate_action(coeffs, domain, best, grid)
+    result = _result(path, grid, *terms)
     info = {"iterations": log, "stalled": stalled, "n_iter": log[-1][0]}
     return result, info
 
@@ -467,7 +474,7 @@ def contracted_rate(coeffs, domain, field_limit, gamma, s, x, opts=None):
     read = _pi_reader(field_limit)
 
     # the accepted evaluation holds the path's action and field values
-    path, (*_, action, u), log, stalled = _projected_descent(
+    path, (*_, (action, *_), u), log, stalled = _projected_descent(
         _objective(coeffs, domain, grid,
                    _mismatch_penalty(read, gamma, _PENALTY)),
         integrate_skeleton_ode(coeffs, domain, s, x, grid).x_path, domain,

@@ -17,8 +17,7 @@ import numpy as np
 
 from .coefficients import _Constant
 from .errors import FixedPointDivergence, NumericalBlowup, OutOfLattice
-from .forward import (TimeGrid, _check_count, _reflected_core, _step,
-                      trajectory_rng)
+from .forward import TimeGrid, _check_count, _step, trajectory_rng
 from .geometry import _check_dims, project
 
 __all__ = ["BsdePath", "ValueField", "make_lattice", "solve_limit_bsde",
@@ -34,6 +33,10 @@ _MIN_MC_PER_NODE = 64  # one-step samples per lattice node in solve_bsde_grid
 # four levels of the CLI's default 1-D lattice (33 nodes x 256 samples) fit,
 # and a level of its 2-D one (33^2 nodes) passes alone, as it did unbatched
 _LADDER_SAMPLES = 2**16
+# path-table entries, start rows x time nodes, of one group of start times
+# in limit_value_field, which holds at least one: 32 MB of x, K and y in
+# 2-D. The CLI's default 1-D field (33 nodes x 128 steps) is one group
+_FIELD_TABLE = 2**20
 
 
 @dataclass(frozen=True)
@@ -167,27 +170,35 @@ def _check_horizon(coeffs, times):
         raise ValueError(f"time grid ends at {times.T}, not at T = {coeffs.T}")
 
 
-def _backward_recursion(coeffs, nodes_t, x_path, k_path, terminal):
+def _backward_recursion(coeffs, nodes_t, dt, x_path, k_path, terminal,
+                        active=None):
     """Explicit backward Euler for the limit equation, vectorized over a
-    batch axis. x_path: (B, n+1, d); k_path: (B, n+1); returns (B, n+1, k)."""
+    batch axis, with step dt. x_path: (B, n+1, d); k_path: (B, n+1);
+    terminal (B, k); returns (B, n+1, k).
+
+    Without active every row steps back from node n to node 0. With it,
+    the step from node i+1 to node i is made for the first active[i] rows
+    only, a prefix that shrinks as i falls: a row leaves the sweep at its
+    own start node, below which its entries are left unset.
+    """
     d, m, k = coeffs.dims
     B, n1 = k_path.shape
     n = n1 - 1
-    dt = nodes_t[1] - nodes_t[0] if n >= 1 else 0.0
-    y = np.empty((B, n + 1, k))
-    y[:, n] = terminal
+    y = np.empty((n + 1, B, k))    # node-major: a step's rows are one block
+    y[n] = terminal
     z0 = np.zeros((B, k, m))
     for i in range(n - 1, -1, -1):
+        r = B if active is None else active[i]
         t_next = nodes_t[i + 1]
-        x_next = x_path[:, i + 1]
-        y_next = y[:, i + 1]
-        dk = (k_path[:, i + 1] - k_path[:, i])[:, None]
-        y[:, i] = (y_next
-                   + coeffs.f(t_next, x_next, y_next, z0) * dt
-                   + coeffs.g(t_next, x_next, y_next) * dk)
-        if not np.all(np.isfinite(y[:, i])):
+        x_next = x_path[:r, i + 1]
+        y_next = y[i + 1, :r]
+        dk = (k_path[:r, i + 1] - k_path[:r, i])[:, None]
+        y[i, :r] = (y_next
+                    + coeffs.f(t_next, x_next, y_next, z0[:r]) * dt
+                    + coeffs.g(t_next, x_next, y_next) * dk)
+        if not np.all(np.isfinite(y[i, :r])):
             raise NumericalBlowup("limit backward recursion became non-finite")
-    return y
+    return y.swapaxes(0, 1)
 
 
 def solve_limit_bsde(coeffs, skeleton):
@@ -196,7 +207,8 @@ def solve_limit_bsde(coeffs, skeleton):
         raise ValueError("skeleton must have epsilon = 0")
     _check_horizon(coeffs, skeleton.grid)
     terminal = coeffs.h(skeleton.x_path[-1][None, :])
-    y = _backward_recursion(coeffs, skeleton.grid.nodes,
+    nodes = skeleton.grid.nodes
+    y = _backward_recursion(coeffs, nodes, nodes[1] - nodes[0],
                             skeleton.x_path[None], skeleton.k_path[None],
                             terminal)
     return BsdePath(grid=skeleton.grid, y_path=y[0])
@@ -352,8 +364,23 @@ def _fixed_point(coeffs, t, x, base, z_hat, kbar, dt, L):
 
 
 def limit_value_field(coeffs, domain, times, space_grid):
-    """Deterministic limit field u(t, x) on the lattice: skeleton from each
-    (t_i, node) followed by the limit backward equation, read at its start."""
+    """Deterministic limit field u(t, x) on the lattice: the skeleton from
+    each (t_i, node) followed by the limit backward equation, read at its
+    start.
+
+    The skeletons of all start points are stepped together, on the field's
+    own time nodes and dt: with rows ordered by start time, a row joins the
+    forward sweep (_step) at its start node and leaves the backward one
+    (_backward_recursion) there, so each sweep steps a growing, then
+    shrinking, prefix of the rows: n steps each, when the start times form
+    one group. Where TimeGrid(t_i, T, n - i) has the field's nodes
+    t_i..t_n, as on every dyadic grid on [0, 1], u(t_i, node) is bitwise
+    solve_limit_bsde's along integrate_skeleton_ode's skeleton from
+    (t_i, node) on that grid. The start times run in consecutive groups,
+    each of as many as a path table of _FIELD_TABLE entries (rows x time
+    nodes) holds, and at least one, so memory stays bounded; no cut into
+    groups changes a bit.
+    """
     _check_horizon(coeffs, times)
     _check_dims(coeffs, domain)
     k = coeffs.dims[2]
@@ -361,39 +388,60 @@ def limit_value_field(coeffs, domain, times, space_grid):
     nodes, shape = _lattice_nodes(axes)
     starts = project(domain, nodes)
     n = times.n_steps
-    t_nodes = times.nodes
     values = np.empty((n + 1, nodes.shape[0], k))
     values[n] = coeffs.h(starts)
-    for i in range(n - 1, -1, -1):
-        sub = TimeGrid(s=t_nodes[i], T=times.T, n_steps=n - i)
-        xp, kp, _ = _reflected_core(coeffs, domain, starts, 0.0, sub, None)
-        terminal = coeffs.h(xp[:, -1])
-        y = _backward_recursion(coeffs, sub.nodes, xp, kp, terminal)
-        values[i] = y[:, 0]
+    first = 0
+    while first < n:
+        group = max(1, _FIELD_TABLE // (starts.shape[0] * (n - first + 1)))
+        last = min(n, first + group)
+        values[first:last] = _field_group(coeffs, domain, times, starts,
+                                          first, last)
+        first = last
     return ValueField(times=times, axes=axes,
                       values=values.reshape((n + 1,) + shape + (k,)),
                       epsilon=0.0)
 
 
+def _field_group(coeffs, domain, times, starts, first, last):
+    """u at the start times first..last-1 of limit_value_field and the
+    start points starts (N, d), (last - first, N, k): one forward and one
+    backward sweep over the path table of the time nodes first..n, whose
+    rows hold the start times in order, N rows each."""
+    N, d = starts.shape
+    g = last - first                    # start times in the group
+    t = times.nodes
+    cols = times.n_steps - first + 1    # the table's time nodes
+    # the rows stepped between table nodes j and j + 1, whose start is at
+    # most node first + j
+    active = np.minimum(np.arange(1, cols), g) * N
+    xs = np.empty((cols, g * N, d))
+    ks = np.zeros((cols, g * N))
+    for j, r in enumerate(active):
+        if j < g:                  # the rows that start at table node j join
+            xs[j, r - N:r] = starts
+        xs[j + 1, :r], dk, _ = _step(coeffs, domain, xs[j, :r], t[first + j],
+                                     times.dt, None, 0.0)
+        np.add(ks[j, :r], dk, out=ks[j + 1, :r])
+    y = _backward_recursion(coeffs, t[first:], t[1] - t[0], xs.swapaxes(0, 1),
+                            ks.T, coeffs.h(xs[-1]), active)
+    rows = np.arange(g * N)
+    return y[rows, rows // N].reshape(g, N, -1)   # each row at its start
+
+
 def _pi_reader(field):
     """apply_pi's reader of one field: read(path_values) reads the field
-    along paths (..., n+1, d), node i at the field's time node i. What
-    depends on the times alone, each node's time cell and weight and the
-    flat offsets of its two time slices, the lattice hull and the lattice's
-    interpolation plan are worked out once.
+    along paths (..., n+1, d), node i in the field's time slice i. The flat
+    offset of each slice, the lattice hull and the lattice's interpolation
+    plan are worked out once.
 
-    read makes one spatial read of both time slices, through the plan's
-    offset, and blends them in time last. That is the reduction order of
-    one read over the lattice in (t, x), so the bits are those of that read.
-    With slope=True it also returns the spatial slope (..., n+1, k, d) of
-    that read, each time slice's blended in time like the values.
+    read makes one spatial read, through the plan's offset, of slice i at
+    node i: every node lies on a time node of the field, so no time blend
+    is needed. With slope=True it also returns the spatial slope
+    (..., n+1, k, d) of that read.
     """
     ax = field.times.nodes
-    pos = (ax - ax[0]) * ((ax.size - 1) / (ax[-1] - ax[0]))
-    cell = np.minimum(np.maximum(pos.astype(np.intp), 0), ax.size - 2)
-    weight = (pos - cell)[:, None]
     cells = math.prod(field.values.shape[1:-1])     # lattice nodes per slice
-    offsets = cell * cells + np.array([[0], [cells]])    # (2, n+1)
+    offsets = np.arange(ax.size) * cells            # each time node's slice
     clip = _hull_clipper(field.axes)
     interpolate = _interpolation_plan(field.axes)
     dim = len(field.axes)
@@ -406,19 +454,16 @@ def _pi_reader(field):
             raise ValueError("paths need one node per time node of the "
                              "field")
         clipped = clip(vals)
-        lead = offsets.reshape((2,) + (1,) * (vals.ndim - 2) + ax.shape)
-        out = interpolate(field.values, [clipped[..., a] for a in range(dim)],
-                          lead, slope)
-        if not slope:
-            return _blend(*out, weight)
-        return _blend(*out[0], weight), _blend(*out[1], weight[..., None])
+        return interpolate(field.values,
+                           [clipped[..., a] for a in range(dim)], offsets,
+                           slope)
 
     return read
 
 
 def apply_pi(field, path_values):
-    """Read the value field along a constrained path (multilinear in time
-    and space), node i at the field's time node i. path_values:
+    """Read the value field along a constrained path, node i in the field's
+    time slice i, multilinear in space. path_values:
     (..., n+1, d), n+1 the field's time nodes. Returns (..., n+1, k); a
     point outside the field's lattice hull, or NaN, raises OutOfLattice."""
     return _pi_reader(field)(path_values)

@@ -1100,22 +1100,50 @@ class TestGradientReuse:
         # the linear drift toward the far wall, from 0.5 to 0.9 in 32
         # steps: the start choice and the first value come before the
         # first solve, then each iteration makes one objective call, its
-        # full step's, and the final evaluation one more. The problem is
-        # quadratic, so one step solves it, and the gradient after it lies
-        # below grad_tol
+        # full step's, whose evaluation is also the result's. The problem
+        # is quadratic, so one step solves it, and the gradient after it
+        # lies below grad_tol
         dom, co = unit_interval(), preset("linear-drift", {"rate": 1.0})
         grid = TimeGrid(0.0, 1.0, 32)
         events = self.record(monkeypatch)
         _, info = minimize_action_endpoint(co, dom, 0.0, [0.5], [0.9], 1.0,
                                            grid)
-        assert [ev[0] for ev in events] == ["O", "O", "S", "O", "O"]
+        assert [ev[0] for ev in events] == ["O", "O", "S", "O"]
         assert info["n_iter"] == 1 and info["iterations"][1][2] == 1.0
         # with grad_tol 0 the next iteration's decrement ends the descent
         events.clear()
         _, info = minimize_action_endpoint(co, dom, 0.0, [0.5], [0.9], 1.0,
                                            grid, OptimizerOptions(grad_tol=0))
         assert info["n_iter"] == 1 and not info["stalled"]
-        assert [ev[0] for ev in events] == ["O", "O", "S", "O", "S", "O"]
+        assert [ev[0] for ev in events] == ["O", "O", "S", "O", "S"]
+
+    @pytest.mark.parametrize("case", ["wall@disc", "ou@interval",
+                                      "no-iteration@disc"])
+    def test_result_is_the_accepted_evaluation(self, case):
+        # the result is built from the descent's accepted evaluation, in
+        # the bits of evaluate_action at the returned path: along the wall
+        # under an outward drift, with positive multipliers, off it, and
+        # at the start itself
+        co, dom, x, y, n, opts = {
+            "wall@disc": (preset("ou-in-ball", {"theta": -2.0}), ball(),
+                          [0.5, 0.0], [0.8, 0.6], 16, None),
+            "ou@interval": (preset("linear-drift", {"rate": 1.0}),
+                            unit_interval(), [0.5], [0.9], 32, None),
+            "no-iteration@disc": (preset("ou-in-ball"), ball(), [0.25, 0.0],
+                                  [-0.5, 0.3], 8,
+                                  OptimizerOptions(max_iter=0)),
+        }[case]
+        grid = TimeGrid(0.0, 1.0, n)
+        got, info = minimize_action_endpoint(co, dom, 0.0, x, y, 1.0, grid,
+                                             opts)
+        want = evaluate_action(co, dom, got.psi, grid)
+        assert (info["n_iter"] == 0) == (opts is not None)
+        assert type(got.action) is float and got.action == want.action
+        for part in ("psi", "phi", "integrand"):
+            assert (getattr(got, part).tobytes()
+                    == getattr(want, part).tobytes())
+        if case == "wall@disc":
+            assert (got.phi != got.psi).any()
 
     def test_one_penalized_descent(self, monkeypatch):
         # the zero-drift case on 4 field steps and 9 lattice nodes, a

@@ -17,7 +17,8 @@ from reflectal.backward import (ValueField, _interpolation_plan, _pi_reader,
                                 apply_pi, limit_value_field, make_lattice,
                                 solve_bsde_grid, solve_limit_bsde)
 from reflectal.coefficients import CoefficientSet, preset
-from reflectal.errors import FixedPointDivergence, OutOfLattice
+from reflectal.errors import (FixedPointDivergence, NumericalBlowup,
+                              OutOfLattice)
 from reflectal.forward import TimeGrid, integrate_skeleton_ode, trajectory_rng
 from reflectal.geometry import make_domain, project
 
@@ -323,6 +324,166 @@ class TestSolveLadder:
         assert str(info.value) == outcomes[1]
 
 
+
+def disc():
+    return make_domain("ball", center=[0.0, 0.0], radius=1.0)
+
+
+def t_drift(co):
+    """co with a drift that reads t: toward the upper wall early, away from
+    it late, and, in 2-D, pulled to the centre by 2t."""
+    def b(t, x):
+        x = np.asarray(x, float)
+        return (1.5 - 3.0 * t) + (0.0 if x.shape[-1] == 1 else -2.0 * t * x)
+    return replace(co, b=b)
+
+
+class TestLimitField:
+    """limit_value_field steps the skeletons of all start points in one
+    forward and one backward sweep; each value is the per-start reference,
+    the limit equation along the skeleton from (t_i, node) on its own
+    grid TimeGrid(t_i, T, n - i), which has the field's nodes on a dyadic
+    grid."""
+
+    CASES = {
+        # wall contact at x = 1, charged through g dK
+        "g-constant": (unit_interval, lambda: preset(
+            "boundary-g-constant", {"v": 1.0, "g0": 1.0})),
+        "linear-bsde": (unit_interval, lambda: preset(
+            "linear-bsde", {"lam": 1.0, "g0": 0.5})),
+        "t-drift": (unit_interval, lambda: t_drift(preset(
+            "linear-bsde", {"lam": 0.5, "g0": -1.0}))),
+        "ou-outward@disc": (disc, lambda: preset("ou-in-ball",
+                                                 {"theta": -1.5})),
+        "t-drift@disc": (disc, lambda: t_drift(preset("ou-in-ball"))),
+    }
+
+    @staticmethod
+    def per_start(co, dom, times, lat):
+        """The field, start point by start point, through the public
+        skeleton and limit solvers."""
+        nodes, shape = backward._lattice_nodes(lat)
+        starts = project(dom, nodes)
+        n, t = times.n_steps, times.nodes
+        values = np.empty((n + 1, len(starts), co.dims[2]))
+        values[n] = co.h(starts)
+        for i in range(n):
+            sub = TimeGrid(t[i], times.T, n - i)
+            for j, x in enumerate(starts):
+                skel = integrate_skeleton_ode(co, dom, t[i], x, sub)
+                values[i, j] = solve_limit_bsde(co, skel).y_path[0]
+        return values.reshape((n + 1,) + shape + (-1,))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_the_per_start_reference(self, case):
+        domain, coeffs = self.CASES[case]
+        dom, co = domain(), coeffs()
+        times, lat = TimeGrid(0.0, 1.0, 8), make_lattice(dom, 5)
+        field = limit_value_field(co, dom, times, lat)
+        want = self.per_start(co, dom, times, lat)
+        assert field.values.tobytes() == want.tobytes()
+
+    def test_the_wall_is_charged(self):
+        # the g-constant case's skeletons reach the wall, so g dK moves
+        # the field away from the g = 0 one
+        dom, lat = unit_interval(), make_lattice(unit_interval(), 5)
+        times = TimeGrid(0.0, 1.0, 8)
+        charged = limit_value_field(self.CASES["g-constant"][1](), dom,
+                                    times, lat)
+        free = limit_value_field(preset("boundary-g-constant",
+                                        {"v": 1.0, "g0": 0.0}),
+                                 dom, times, lat)
+        assert np.abs(charged.values - free.values).max() > 0.1
+
+    @pytest.mark.parametrize("case", ["g-constant", "linear-bsde",
+                                      "ou-outward@disc"])
+    def test_a_grid_off_the_dyadic_nodes_is_within_4_ulps(self, case):
+        # on 10 steps of [0, 2] the start times' own grids need not have
+        # the field's nodes, and the rows step on the field's: the values
+        # agree to 4 units in the last place of the field's largest value
+        domain, coeffs = self.CASES[case]
+        dom, co = domain(), replace(coeffs(), T=2.0)
+        times, lat = TimeGrid(0.0, 2.0, 10), make_lattice(dom, 5)
+        got = limit_value_field(co, dom, times, lat).values
+        want = self.per_start(co, dom, times, lat)
+        assert not np.array_equal(got, want)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=4 * np.spacing(np.abs(want).max()))
+
+    @pytest.mark.parametrize("case", ["t-drift", "ou-outward@disc"])
+    @pytest.mark.parametrize("per_table", [0, 1, 2.5])
+    @pytest.mark.parametrize("T, n", [(1.0, 16), (2.0, 10)])
+    def test_groups_do_not_change_a_bit(self, case, per_table, T, n,
+                                        monkeypatch):
+        # budgets of 0 (one start time per group), one table and 2.5 tables
+        # of the first start time: groups then end mid-table, and later,
+        # shorter tables take more start times. Every group steps on the
+        # field's dt, also where a start time's own grid has another
+        domain, coeffs = self.CASES[case]
+        dom, co = domain(), replace(coeffs(), T=T)
+        times, lat = TimeGrid(0.0, T, n), make_lattice(dom, 5)
+        whole = limit_value_field(co, dom, times, lat)
+        nodes = whole.values[0, ..., 0].size
+        budget = int(per_table * nodes * (n + 1))
+        groups = []
+        field_group = backward._field_group
+
+        def spy(co, dom, times, starts, first, last):
+            groups.append((first, last))
+            return field_group(co, dom, times, starts, first, last)
+
+        monkeypatch.setattr(backward, "_field_group", spy)
+        monkeypatch.setattr(backward, "_FIELD_TABLE", budget)
+        got = limit_value_field(co, dom, times, lat)
+        assert got.values.tobytes() == whole.values.tobytes()
+        # consecutive groups, each within the budget or of one start time
+        assert [a for a, _ in groups] == [0] + [b for _, b in groups[:-1]]
+        assert groups[-1][1] == n and len(groups) > 1
+        for first, last in groups:
+            assert (last - first == 1
+                    or (last - first) * nodes * (n + 1 - first) <= budget)
+        assert any(last - first > 1 for first, last in groups) == (budget > 0)
+
+    def test_one_group_steps_a_prefix_of_the_rows(self):
+        # 4 start times of 5 nodes: the forward sweep steps 5, 10, 15 and
+        # 20 rows, the backward sweep 20, 15, 10 and 5
+        dom, calls = unit_interval(), []
+        co = preset("linear-bsde", {"lam": 1.0, "g0": 0.5})
+        f, b = co.f, t_drift(co).b
+
+        def spy_b(t, x):
+            calls.append(("b", len(x)))
+            return b(t, x)
+
+        def spy_f(t, x, y, z):
+            calls.append(("f", len(y)))
+            return f(t, x, y, z)
+
+        limit_value_field(replace(co, b=spy_b, f=spy_f), dom,
+                          TimeGrid(0.0, 1.0, 4), make_lattice(dom, 5))
+        assert calls == [("b", 5), ("b", 10), ("b", 15), ("b", 20),
+                         ("f", 20), ("f", 15), ("f", 10), ("f", 5)]
+
+    @pytest.mark.parametrize("where, message", [
+        ("b", "non-finite drift encountered"),
+        ("f", "limit backward recursion became non-finite")])
+    def test_blowup_raises_as_the_per_start_solvers_do(self, where, message):
+        # a drift or a driver that turns infinite from t = 0.5 on
+        dom = unit_interval()
+        co = preset("linear-bsde", {"lam": 1.0})
+
+        def blow(t, x, *rest):
+            out = np.zeros_like(np.asarray(x if where == "b" else rest[0]))
+            return out + (np.inf if t >= 0.5 else 0.0)
+
+        co = replace(co, **{where: blow})
+        times, lat = TimeGrid(0.0, 1.0, 4), make_lattice(dom, 5)
+        with pytest.raises(NumericalBlowup, match=f"^{message}$"):
+            limit_value_field(co, dom, times, lat)
+        with pytest.raises(NumericalBlowup, match=f"^{message}$"):
+            self.per_start(co, dom, times, lat)
+
+
 class TestApplyPi:
     def test_constant_field(self):
         dom = unit_interval()
@@ -529,8 +690,10 @@ class TestMultilinear:
 
 class TestPiReader:
     """A reader built once reads what apply_pi reads, and both give the bits
-    of one multilinear read of the field as a lattice over (t, x): the two
-    time slices are read in space, then blended in time last."""
+    of one spatial read of node i in the field's time slice i alone. A
+    multilinear read over (t, x) agrees to rounding: at a time node its
+    time weight is 0 or 1, but for rounding, and blending with weight 1
+    can move a bit."""
 
     @staticmethod
     def field(dom, n_nodes):
@@ -539,6 +702,15 @@ class TestPiReader:
         values = np.random.default_rng(len(axes)).standard_normal(
             (7,) + (n_nodes,) * len(axes) + (2,))
         return ValueField(times=times, axes=axes, values=values, epsilon=0.0)
+
+    @staticmethod
+    def slice_reads(field, points):
+        """Node i of points (..., n+1, d) read in the field's time slice i
+        alone, by the lattice's interpolation plan: (..., n+1, k)."""
+        read = _interpolation_plan(field.axes)
+        return np.stack([read(field.values[i],
+                              tuple(np.moveaxis(points[..., i, :], -1, 0)))
+                         for i in range(points.shape[-2])], axis=-2)
 
     @pytest.mark.parametrize("dom, n_nodes", LATTICES)
     def test_reader_equals_apply_pi_and_one_lattice_read(self, dom, n_nodes):
@@ -558,11 +730,13 @@ class TestPiReader:
             want = apply_pi(field, paths)
             assert got.tobytes() == want.tobytes()
             clipped = np.clip(paths, lo, hi)
+            assert got.tobytes() == self.slice_reads(field,
+                                                     clipped).tobytes()
             lattice = _interpolation_plan((times.nodes,) + field.axes)(
                 field.values,
                 (np.broadcast_to(times.nodes, shape[:-1]),
                  *np.moveaxis(clipped, -1, 0)))
-            assert got.tobytes() == lattice.tobytes()
+            np.testing.assert_allclose(got, lattice, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("dom, n_nodes", LATTICES)
     def test_slope_is_a_difference_of_apply_pi_inside_a_cell(self, dom,
@@ -641,14 +815,10 @@ class TestHullClipper:
     def test_reads_equal_those_of_fully_clipped_points(self, dom, n_nodes):
         field = TestPiReader.field(dom, n_nodes)
         clip = backward._hull_clipper(field.axes)
-        lattice = _interpolation_plan((field.times.nodes,) + field.axes)
         for points in self.stacks(field.axes, np.random.default_rng(50)):
             want = self.full_clip(field.axes, points)
             assert clip(points).tobytes() == want.tobytes()
-            read = lattice(field.values,
-                           (np.broadcast_to(field.times.nodes,
-                                            points.shape[:-1]),
-                            *np.moveaxis(want, -1, 0)))
+            read = TestPiReader.slice_reads(field, want)
             assert apply_pi(field, points).tobytes() == read.tobytes()
 
     def test_a_negative_zero_on_a_zero_edge_is_clipped(self):

@@ -181,6 +181,15 @@ LAST = [
      {"command": "action-min", "preset": {"name": "linear-drift",
                                           "params": {"rate": 1.0}},
       "y": 0.9, "grid": {"n_steps": 256}}),
+    # the contracted rate under a drift into the wall with g0 = 1 on a field
+    # of 12 steps on [0, 2]: dt = 1/6 is not dyadic, so the start times'
+    # own grids TimeGrid(t_i, 2, 12 - i) need not have the field's nodes.
+    # gamma is the skeleton's own image, so the descent stops at its start
+    # with violation 0, and the field's last bits do not reach the outputs
+    ("contracted-rate-nondyadic@interval", "interval",
+     {"command": "contracted-rate", "T": 2.0, "field_steps": 12,
+      "preset": {"name": "boundary-g-constant",
+                 "params": {"v": 1.0, "g0": 1.0}}}),
 ]
 
 BASE = {"interval": {"domain": INTERVAL, "x": 0.5},
